@@ -1,24 +1,20 @@
 //! `step_scaling` — engine step time of the barrier vs the sharded
-//! pipeline across worker-thread counts, and of the persistent worker
-//! pool vs the per-call `std::thread::scope` fallback.
+//! pipeline across worker-thread counts.
 //!
 //! The sharded pipeline halves the interior Riemann solves and removes
 //! the global predictor→corrector barrier, so it should be no slower at
 //! one thread and faster once several workers can overlap a shard's face
-//! sweep with its neighbours' predictors. The persistent pool removes
-//! the per-`step` thread spawn/join cost, which dominates on small
-//! meshes at high thread counts. This binary prints both comparisons,
-//! per thread count, and appends a `BENCH_gemm.json`-style point per
-//! thread count recording the pool comparison.
+//! sweep with its neighbours' predictors. This binary prints the
+//! comparison per thread count.
 //!
-//! A third section compares `stepping = global` against clustered local
+//! A second section compares `stepping = global` against clustered local
 //! time stepping on the dt-heterogeneous `acoustic_layered` workload
 //! (10:1 wave-speed contrast): the stiff layer forces the global CFL dt
 //! onto every cell, while LTS advances the slow bulk at up to 8× the
 //! base dt and only pays sub-window face corrections at the cluster
 //! boundary. Costs are reported per unit of *simulated* time so the two
-//! schedules are directly comparable, and each point lands in the same
-//! output file with `kind = "lts"`.
+//! schedules are directly comparable, and a `BENCH_gemm.json`-style
+//! point per thread count is appended with `kind = "lts"`.
 //!
 //! Environment knobs:
 //!
@@ -27,14 +23,14 @@
 //! * `ADERDG_STEPS` — timed steps per configuration (default 5)
 //! * `ADERDG_SCALING_THREADS` — comma-separated thread counts
 //!   (default `1,2,4,8`)
-//! * `ADERDG_BENCH_OUT` — pool-comparison point file
-//!   (default `BENCH_pool.json`)
+//! * `ADERDG_BENCH_OUT` — LTS-comparison point file
+//!   (default `BENCH_pool.json`, next to the historical `kind = "pool"`
+//!   points)
 //! * `ADERDG_SMOKE=1` — tiny configuration for CI smoke runs (order 3,
 //!   3³ cells, 2 steps, threads 1,2)
 
 use aderdg_bench::env_usize;
 use aderdg_bench::points::{append_point, JsonPoint};
-use aderdg_core::par::PoolMode;
 use aderdg_core::{par, Engine, EngineConfig, PipelineMode, SteppingMode, TuningMode};
 use aderdg_mesh::{BoundaryKind, StructuredMesh};
 use aderdg_pde::{Acoustic, AcousticPlaneWave, ExactSolution};
@@ -142,47 +138,9 @@ fn main() {
         );
     }
 
-    // Pool-mode comparison: the same sharded step with the per-call
-    // `std::thread::scope` fallback vs the persistent work-stealing pool.
-    // The gap is pure scheduling overhead — spawn/join plus the central
-    // ready-queue lock — so it is widest on small meshes at high thread
-    // counts, exactly where `ADERDG_SMOKE` and the default config sit.
     let out: PathBuf = std::env::var("ADERDG_BENCH_OUT")
         .unwrap_or_else(|_| "BENCH_pool.json".into())
         .into();
-    println!("\n=== step_scaling: scoped threads vs persistent pool (sharded) ===");
-    println!(
-        "{:>8} {:>16} {:>16} {:>10}",
-        "threads", "scoped µs/cell", "pooled µs/cell", "speedup"
-    );
-    for &t in &threads {
-        par::set_num_threads(t);
-        par::set_pool_mode(PoolMode::Scoped);
-        let scoped = measure(PipelineMode::Sharded, order, cells_per_dim, steps);
-        par::set_pool_mode(PoolMode::Persistent);
-        let pooled = measure(PipelineMode::Sharded, order, cells_per_dim, steps);
-        println!(
-            "{:>8} {:>16.3} {:>16.3} {:>9.2}x",
-            t,
-            scoped,
-            pooled,
-            scoped / pooled
-        );
-        let point = JsonPoint::new()
-            .str("kind", "pool")
-            .str("pipeline", "sharded")
-            .int("order", order)
-            .int("cells", cells)
-            .int("steps", steps)
-            .int("threads", t)
-            .int("smoke", usize::from(smoke))
-            .num("scoped_us_per_cell", scoped)
-            .num("pooled_us_per_cell", pooled)
-            .num("speedup", scoped / pooled)
-            .finish();
-        append_point(&out, &point).expect("write pool bench point");
-    }
-    println!("pool points -> {}", out.display());
 
     // Clustered LTS vs global stepping on the 10:1 layered medium. The
     // layer occupies the first quarter of the x extent, so most cells sit

@@ -40,7 +40,7 @@
 //! Bit-identical resume holds for the deterministic tuning modes
 //! (`static`, `model`): the saved knobs pin the resolved configuration
 //! (including the block size), and the engine's determinism contract
-//! pins step results across thread counts, pool modes and pipelines.
+//! pins step results across thread counts and pipelines.
 //! `probe` tuning re-times GEMM backends at restore, so the backend pick
 //! — and with it the last bits — may differ across machines.
 

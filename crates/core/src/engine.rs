@@ -2,19 +2,28 @@
 //! solve and corrector (the Rust counterpart of the paper's TBB task
 //! parallelism within one MPI rank).
 //!
-//! Two step pipelines exist, selected by [`EngineConfig::pipeline`]:
+//! [`Engine::step`] runs **one task-graph driver** in three layers:
 //!
-//! * [`PipelineMode::Sharded`] (default) — the mesh is partitioned into
-//!   contiguous cell shards ([`aderdg_mesh::ShardPlan`]); each interior
-//!   face's Rusanov flux is solved **exactly once** (eq. 5) into a
-//!   face-indexed buffer, and per-shard predictor → face-sweep → apply
-//!   tasks run on a dependency scheduler ([`par::run_graph_init`]) with
-//!   no global predictor→corrector barrier: a shard's face sweep starts
-//!   as soon as its own and its neighbouring shards' predictors finish.
-//! * [`PipelineMode::Barrier`] — the seed cell-centric loop (every
-//!   interior face solved twice, global barrier between predictor and
-//!   corrector), kept as the hermetic baseline the sharded path is
-//!   pinned against.
+//! * **plan** — the mesh is partitioned into contiguous cell shards
+//!   ([`aderdg_mesh::ShardPlan`]) and one macro cycle is unrolled into a
+//!   static task graph ([`aderdg_mesh::LtsGraph`]). Under
+//!   [`SteppingMode::Global`] every cell sits in one cluster (flat plan,
+//!   built once in [`Engine::new`]); under [`SteppingMode::Lts`] the
+//!   clustering is derived lazily from the state's per-cell stable dt.
+//! * **tasks** — per shard and sub-window: predictor → once-per-face
+//!   flux sweep → apply. Each interior face's Rusanov flux is solved
+//!   **exactly once** per due slot (eq. 5) into a face-indexed buffer.
+//! * **driver** — the tasks run on a dependency scheduler
+//!   ([`par::run_graph_init`]) with no global predictor→corrector
+//!   barrier: a shard's face sweep starts as soon as its own and its
+//!   neighbouring shards' predictors finish. Global stepping is the
+//!   one-cluster macro cycle (`Lmax = 0`: one slot, one task triple per
+//!   shard).
+//!
+//! [`PipelineMode::Barrier`] — the seed cell-centric loop (every interior
+//! face solved twice, global barrier between predictor and corrector) —
+//! shares no traversal logic with the driver and stays, selectable only
+//! explicitly, as the independent reference the driver is pinned against.
 
 use crate::block::{BlockInputs, CellBlock};
 use crate::corrector::{apply_face, apply_volume, CorrectorScratch};
@@ -40,38 +49,22 @@ pub enum PipelineMode {
     /// solved twice (once per adjacent cell) and a global barrier
     /// separates predictor and corrector. Hermetic baseline.
     Barrier,
-    /// Face-centric shard pipeline: one Riemann solve per face into a
-    /// face-indexed buffer; per-shard predictor/face-sweep/apply tasks
-    /// chained by a dependency scheduler, no global barrier. Results are
-    /// pinned to the barrier path by `tests/pipeline_equivalence.rs` and
-    /// stay bit-identical across worker-thread counts.
+    /// Face-centric shard pipeline (the default): one Riemann solve per
+    /// face into a face-indexed buffer; per-shard
+    /// predictor/face-sweep/apply tasks chained by a dependency
+    /// scheduler, no global barrier. Results are pinned to the barrier
+    /// path by `tests/pipeline_equivalence.rs` and stay bit-identical
+    /// across worker-thread counts.
     Sharded,
 }
 
 impl PipelineMode {
-    /// Parses a specification-file / environment value
-    /// (`barrier` | `sharded`).
+    /// Parses a specification-file value (`barrier` | `sharded`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "barrier" => Some(Self::Barrier),
             "sharded" => Some(Self::Sharded),
             _ => None,
-        }
-    }
-
-    /// The process default: `ADERDG_PIPELINE` if set (the CI matrix
-    /// forces both paths through it), else [`PipelineMode::Sharded`].
-    ///
-    /// # Panics
-    /// If `ADERDG_PIPELINE` is set to an unknown value — configuration
-    /// typos should fail loudly, not silently fall back.
-    pub fn default_from_env() -> Self {
-        match std::env::var("ADERDG_PIPELINE") {
-            Ok(v) => Self::parse(&v)
-                // PANIC-OK: configuration typos fail loudly by policy
-                // (see doc comment above).
-                .unwrap_or_else(|| panic!("unknown ADERDG_PIPELINE `{v}` (barrier|sharded)")),
-            Err(_) => Self::Sharded,
         }
     }
 
@@ -87,8 +80,9 @@ impl PipelineMode {
 /// Which time-stepping strategy the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteppingMode {
-    /// Every cell advances at the one global CFL-stable dt. The
-    /// default: simplest, and the reference the LTS path is pinned
+    /// Every cell advances at the one global CFL-stable dt — the
+    /// one-cluster macro cycle of the graph driver. The default:
+    /// simplest, and the reference the multi-cluster runs are pinned
     /// against.
     Global,
     /// Clustered local time stepping: cells are bucketed into
@@ -101,29 +95,12 @@ pub enum SteppingMode {
 }
 
 impl SteppingMode {
-    /// Parses a specification-file / environment value
-    /// (`global` | `lts`).
+    /// Parses a specification-file value (`global` | `lts`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "global" => Some(Self::Global),
             "lts" => Some(Self::Lts),
             _ => None,
-        }
-    }
-
-    /// The process default: `ADERDG_STEPPING` if set (the CI matrix
-    /// forces the LTS path through it), else [`SteppingMode::Global`].
-    ///
-    /// # Panics
-    /// If `ADERDG_STEPPING` is set to an unknown value — configuration
-    /// typos should fail loudly, not silently fall back.
-    pub fn default_from_env() -> Self {
-        match std::env::var("ADERDG_STEPPING") {
-            Ok(v) => Self::parse(&v)
-                // PANIC-OK: configuration typos fail loudly by policy
-                // (see doc comment above).
-                .unwrap_or_else(|| panic!("unknown ADERDG_STEPPING `{v}` (global|lts)")),
-            Err(_) => Self::Global,
         }
     }
 
@@ -194,16 +171,22 @@ impl std::error::Error for DegenerateDt {}
 ///   additionally times real `run_block` calls and ranks GEMM backends
 ///   by measured speed — fastest, but machine-dependent. The decision is
 ///   recorded in [`Engine::tune_report`].
-/// * **`pipeline`** — `sharded` (default; overridable process-wide via
-///   `ADERDG_PIPELINE`) runs the once-per-face shard pipeline: half the
-///   interior Riemann solves and no predictor→corrector barrier. Switch
-///   to `barrier` to reproduce the seed cell-centric loop (hermetic
-///   baselines, A/B timing via the `step_scaling` bench).
-/// * **`shard_size`** — cells per shard of the sharded pipeline. `None`
+/// * **`pipeline`** — `sharded` (default) runs the once-per-face task
+///   graph driver: half the interior Riemann solves and no
+///   predictor→corrector barrier. Switch to `barrier` to reproduce the
+///   seed cell-centric loop (the independent reference of
+///   `tests/pipeline_equivalence.rs`, A/B timing via the `step_scaling`
+///   bench).
+/// * **`shard_size`** — cells per shard of the graph driver. `None`
 ///   (default) targets enough shards for pipelining while keeping shard
 ///   boundaries aligned to predictor blocks ([`auto_shard_size`]).
 ///   Smaller shards expose more overlap, larger shards amortize more
 ///   scheduling; the pick never changes results.
+/// * **`stepping`** — `global` (default) advances every cell at the one
+///   CFL-stable dt: the one-cluster macro cycle of the graph driver.
+///   `lts` clusters cells by their own stable dt and sub-cycles the fine
+///   clusters on the same driver; it pays past ~2:1 dt contrast (see
+///   `docs/LTS.md`).
 #[derive(Clone, Copy)]
 pub struct EngineConfig {
     /// STP kernel to run, resolved from the [`KernelRegistry`].
@@ -223,11 +206,11 @@ pub struct EngineConfig {
     pub tuning: TuningMode,
     /// Step pipeline (see [`PipelineMode`]).
     pub pipeline: PipelineMode,
-    /// Cells per shard of the sharded pipeline (`None` = automatic, see
+    /// Cells per shard of the graph driver (`None` = automatic, see
     /// [`auto_shard_size`]). Ignored on the barrier path.
     pub shard_size: Option<usize>,
     /// Time-stepping strategy (see [`SteppingMode`]). Under
-    /// [`SteppingMode::Lts`] the engine always runs the LTS shard graph
+    /// [`SteppingMode::Lts`] the engine always runs the graph driver
     /// and `pipeline` is ignored.
     pub stepping: SteppingMode,
 }
@@ -266,9 +249,9 @@ impl EngineConfig {
             rule: aderdg_quadrature::QuadratureRule::GaussLegendre,
             block_size: None,
             tuning: TuningMode::default(),
-            pipeline: PipelineMode::default_from_env(),
+            pipeline: PipelineMode::Sharded,
             shard_size: None,
-            stepping: SteppingMode::default_from_env(),
+            stepping: SteppingMode::Global,
         }
     }
 
@@ -432,8 +415,6 @@ pub struct Engine<P: LinearPde> {
     pub receivers: Vec<Receiver>,
     /// Resolved predictor block size (config override or tuner pick).
     block_size: usize,
-    /// Shard pipeline state (`None` on the barrier path).
-    shards: Option<ShardState>,
     /// What the plan-time tuner decided (block size, GEMM backend) and
     /// the candidates it weighed.
     tune: TuneReport,
@@ -441,18 +422,17 @@ pub struct Engine<P: LinearPde> {
     pub time: f64,
     /// Steps taken.
     pub steps: usize,
-    /// LTS metadata (cluster-aware shard plan, macro task graph, base
-    /// dt), built lazily from the current state's per-cell stable-dt
-    /// field at the first [`Engine::max_dt`] or step under
-    /// [`SteppingMode::Lts`], and invalidated whenever the state is
-    /// replaced wholesale.
-    lts: OnceLock<LtsMeta>,
-    /// LTS runtime buffers (face-flux storage, sub-window accumulators,
-    /// halo half-window outputs), allocated at the first LTS step.
-    lts_bufs: Option<LtsBufs>,
+    /// What the graph driver steps with (shard plan, macro task graph,
+    /// flux storage). Global stepping on the sharded pipeline builds it
+    /// in [`Engine::new`]; under [`SteppingMode::Lts`] it is built lazily
+    /// from the current state's per-cell stable-dt field at the first
+    /// [`Engine::max_dt`] or step, and invalidated whenever the state is
+    /// replaced wholesale. Never built on the global barrier path.
+    graph: OnceLock<GraphPlan>,
     /// Per-cluster `(time, sub_steps)` clocks, indexed by cluster level.
-    /// Empty until the first LTS step; serialized through checkpoints so
-    /// a resumed run continues them exactly.
+    /// Empty until the first LTS step (and always under global
+    /// stepping); serialized through checkpoints so a resumed run
+    /// continues them exactly.
     lts_clocks: Vec<(f64, u64)>,
 }
 
@@ -470,94 +450,40 @@ impl<P: LinearPde> std::fmt::Debug for Engine<P> {
     }
 }
 
-/// Shard-pipeline state: the partition/face index plus the face-indexed
-/// flux storage and the (static) task dependency graph.
-struct ShardState {
-    /// Shard partition and canonical face enumeration.
-    plan: ShardPlan,
-    /// Per-shard storage for the owned faces' resolved fluxes `F*`
-    /// (`owned_faces × plan.face.len()` doubles each). Locks are only
-    /// ever taken uncontended — the task graph orders the one writer
-    /// (the shard's face sweep) before all readers (the apply tasks).
-    f_star: Vec<RwLock<Vec<f64>>>,
-    /// Unmet-dependency counts of the step's task graph (task ids:
-    /// `Predict(s) = s`, `Flux(s) = ns + s`, `Apply(s) = 2·ns + s`).
-    /// The graph depends only on the shard plan, so it is built once.
-    indegree: Vec<usize>,
-    /// Edges of the task graph: `dependents[t]` are unblocked by `t`.
-    dependents: Vec<Vec<usize>>,
-}
-
-impl ShardState {
-    /// Builds the pipeline state (flux storage + task graph) for a shard
-    /// plan.
-    fn new(splan: ShardPlan, face_len: usize) -> Self {
-        let ns = splan.num_shards();
-        let f_star = (0..ns)
-            .map(|s| RwLock::new(vec![0.0; splan.owned_faces(s).len() * face_len]))
-            .collect();
-        let mut indegree = vec![0usize; 3 * ns];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); 3 * ns];
-        for s in 0..ns {
-            for &d in splan.flux_deps(s) {
-                dependents[d].push(ns + s);
-                indegree[ns + s] += 1;
-            }
-            for &d in splan.apply_deps(s) {
-                dependents[ns + d].push(2 * ns + s);
-                indegree[2 * ns + s] += 1;
-            }
-        }
-        Self {
-            plan: splan,
-            f_star,
-            indegree,
-            dependents,
-        }
-    }
-}
-
-/// Per-worker scratch of the sharded step (one per scheduler worker,
-/// reused across that worker's tasks).
-struct ShardScratch<'a> {
-    stp: Box<dyn StpScratch>,
-    block: CellBlock,
-    sources: Vec<Option<&'a CellSource>>,
-    corr: CorrectorScratch,
-    boundary: BoundaryScratch,
-}
-
-/// Clustered-LTS metadata: the level-aware shard partition, the macro
-/// task graph over it, and the level-0 (finest) sub-step length. Derived
-/// deterministically from the state the engine held when it was built.
-struct LtsMeta {
-    /// Level-aware shard partition (shards are level-uniform).
+/// Everything the task-graph driver steps with: the shard partition, the
+/// macro-cycle task graph over it and the face-flux storage. Under
+/// [`SteppingMode::Global`] the partition is the flat one-level
+/// [`ShardPlan::new`] (state-independent, built once in
+/// [`Engine::new`]); under [`SteppingMode::Lts`] it is the level-aware
+/// plan derived deterministically from the state the engine held when it
+/// was built.
+struct GraphPlan {
+    /// Shard partition and canonical face enumeration (shards are
+    /// level-uniform).
     plan: ShardPlan,
     /// The macro-cycle task graph (one predict/apply pair per shard per
-    /// sub-window, one flux sweep per shard per owned-face slot).
+    /// sub-window, one flux sweep per shard per owned-face slot; one
+    /// task triple per shard for a one-level plan).
     graph: LtsGraph,
-    /// Stable dt of the finest cluster — the global CFL dt. `max_dt`
-    /// reports `dt_base · num_slots` so drive loops step whole macro
-    /// cycles.
+    /// Stable dt of the finest cluster — the global CFL dt of the state
+    /// the clustering was derived from; `max_dt` reports
+    /// `dt_base · num_slots` so drive loops step whole macro cycles.
+    /// NaN and never read under global stepping, whose `max_dt` reduces
+    /// the live state every step.
     dt_base: f64,
-}
-
-/// LTS runtime buffers (separate from [`LtsMeta`] so the metadata can be
-/// built from `&self` in `max_dt` while the buffers are installed later
-/// under `&mut self`).
-struct LtsBufs {
-    /// Per-shard F* of the *current* sub-window per owned face,
-    /// overwritten at each re-solve (same layout as the sharded
-    /// pipeline's storage).
+    /// Per-shard storage for the owned faces' resolved fluxes `F*` of
+    /// the *current* sub-window (`owned_faces × plan.face.len()` doubles
+    /// each), overwritten at each re-solve.
     f_star: Vec<RwLock<Vec<f64>>>,
     /// Per-shard F* accumulated over a coarse window for cadence-
     /// mismatched faces: the sub-window-0 solve overwrites, the
     /// sub-window-1 solve adds, and the coarse cell applies the sum —
     /// so the face flux telescopes exactly against the fine cell's two
-    /// separate applications. Empty vectors when the run has one level.
+    /// separate applications. Empty for a one-level plan.
     f_star_acc: Vec<RwLock<Vec<f64>>>,
     /// Per-shard half-window predictor outputs for cells that border a
-    /// finer face (the sub-window differencing source).
+    /// finer face (the sub-window differencing source). Empty for a
+    /// one-level plan.
     halo: Vec<RwLock<HaloShard>>,
 }
 
@@ -572,7 +498,7 @@ struct HaloShard {
 }
 
 /// Splits a flat per-cell buffer into per-shard mutable slices matching
-/// `splan.shard_range` (LTS shards are contiguous but not uniform —
+/// `splan.shard_range` (shards are contiguous but not uniform — LTS
 /// shard boundaries also break at cluster-level changes, so a plain
 /// `chunks_mut` does not apply).
 fn shard_slices<'a, T>(splan: &ShardPlan, mut buf: &'a mut [T]) -> Vec<&'a mut [T]> {
@@ -613,17 +539,43 @@ fn sub_window_trace(
     }
 }
 
-/// Per-worker scratch of the LTS step: the sharded step's set plus a
-/// per-cell scratch for halo half-window runs (block scratch may be a
-/// different concrete type) and one face-trace temp pair for sub-window
-/// differencing (at most one side of a face is ever coarse).
-struct LtsScratch<'a> {
+/// Per-worker scratch of the graph driver (one per scheduler worker,
+/// reused across that worker's tasks).
+struct GraphScratch<'a> {
     stp: Box<dyn StpScratch>,
-    cell: Box<dyn StpScratch>,
     block: CellBlock,
     sources: Vec<Option<&'a CellSource>>,
     corr: CorrectorScratch,
     boundary: BoundaryScratch,
+    /// Halo half-window scratch; `None` for a one-level plan, which never
+    /// runs a half window (the per-cell predictor scratch alone is
+    /// megabytes for the high-order padded kernels).
+    halo: Option<HaloScratch>,
+}
+
+impl GraphScratch<'_> {
+    /// One scheduler worker's scratch for stepping `splan`.
+    fn new(plan: &StpPlan, kernel: &dyn StpKernel, bsize: usize, splan: &ShardPlan) -> Self {
+        Self {
+            stp: kernel.make_block_scratch(plan, bsize),
+            block: CellBlock::new(plan, bsize),
+            sources: Vec::with_capacity(bsize),
+            corr: CorrectorScratch::new(plan),
+            boundary: BoundaryScratch::new(plan),
+            halo: (splan.num_levels() > 1).then(|| HaloScratch {
+                cell: kernel.make_scratch(plan),
+                qtmp: vec![0.0; plan.face.len()],
+                ftmp: vec![0.0; plan.face.len()],
+            }),
+        }
+    }
+}
+
+/// The halo half-window runs' per-cell predictor scratch (block scratch
+/// may be a different concrete type) and one face-trace temp pair for
+/// sub-window differencing (at most one side of a face is ever coarse).
+struct HaloScratch {
+    cell: Box<dyn StpScratch>,
     qtmp: Vec<f64>,
     ftmp: Vec<f64>,
 }
@@ -667,19 +619,7 @@ impl<P: LinearPde> Engine<P> {
         let outputs = (0..cells).map(|_| StpOutputs::new(&plan)).collect();
         let block_size = tune_report.block_size;
         assert!(block_size >= 1, "block size must be at least 1");
-        let shards = match config.pipeline {
-            PipelineMode::Barrier => None,
-            PipelineMode::Sharded => {
-                let shard_size = config
-                    .shard_size
-                    .unwrap_or_else(|| auto_shard_size(cells, block_size));
-                Some(ShardState::new(
-                    ShardPlan::new(&mesh, shard_size),
-                    plan.face.len(),
-                ))
-            }
-        };
-        Self {
+        let engine = Self {
             mesh,
             pde,
             plan,
@@ -690,14 +630,19 @@ impl<P: LinearPde> Engine<P> {
             cell_sources: BTreeMap::new(),
             receivers: Vec::new(),
             block_size,
-            shards,
             tune: tune_report,
             time: 0.0,
             steps: 0,
-            lts: OnceLock::new(),
-            lts_bufs: None,
+            graph: OnceLock::new(),
             lts_clocks: Vec::new(),
+        };
+        // The global plan never depends on the state: build it up front
+        // so the first step doesn't pay for it. The LTS clustering waits
+        // for the initial data.
+        if (config.stepping, config.pipeline) == (SteppingMode::Global, PipelineMode::Sharded) {
+            engine.graph_plan();
         }
+        engine
     }
 
     /// The resolved predictor block size this engine steps with (the
@@ -714,10 +659,14 @@ impl<P: LinearPde> Engine<P> {
         &self.tune
     }
 
-    /// The shard partition and canonical face index of the sharded
-    /// pipeline (`None` on the barrier path).
+    /// The shard partition and canonical face index the sharded
+    /// pipeline steps with (`None` on the barrier path) — under
+    /// [`SteppingMode::Lts`] the level-aware [`Engine::lts_plan`].
     pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.shards.as_ref().map(|s| &s.plan)
+        match self.config.pipeline {
+            PipelineMode::Barrier => None,
+            PipelineMode::Sharded => Some(&self.graph_plan().plan),
+        }
     }
 
     /// Initializes every node from a closure over physical coordinates.
@@ -741,8 +690,7 @@ impl<P: LinearPde> Engine<P> {
             }
         });
         // New initial data → new per-cell dt field → new clustering.
-        self.lts = OnceLock::new();
-        self.lts_bufs = None;
+        self.invalidate_clustering();
         self.lts_clocks.clear();
     }
 
@@ -848,73 +796,126 @@ impl<P: LinearPde> Engine<P> {
         match self.config.stepping {
             SteppingMode::Global => self.base_dt(),
             SteppingMode::Lts => {
-                let meta = self.lts_meta();
-                meta.dt_base * meta.graph.num_slots() as f64
+                let gp = self.graph_plan();
+                gp.dt_base * gp.graph.num_slots() as f64
             }
         }
     }
 
-    /// The LTS metadata, built from the *current* state on first use and
-    /// cached until the state is replaced wholesale ([`Engine::set_initial`],
-    /// [`Engine::restore_state`], [`Engine::cell_state_mut`]).
-    fn lts_meta(&self) -> &LtsMeta {
-        self.lts.get_or_init(|| self.build_lts_meta())
+    /// The graph driver's plan. Under global stepping it never depends on
+    /// the state; under LTS it is built from the *current* state on first
+    /// use and cached until the state is replaced wholesale
+    /// ([`Engine::set_initial`], [`Engine::restore_state`],
+    /// [`Engine::cell_state_mut`]).
+    fn graph_plan(&self) -> &GraphPlan {
+        self.graph.get_or_init(|| self.build_graph_plan())
     }
 
-    fn build_lts_meta(&self) -> LtsMeta {
-        let cell_dt: Vec<f64> = self
-            .state
-            .iter()
-            .map(|q| self.rate_to_dt(self.cell_rate(q)))
-            .collect();
-        // Bitwise equal to `base_dt`: f64 division by a positive value
-        // is monotone, so the min over per-cell dt is the dt of the max
-        // per-cell rate.
-        let dt_base = cell_dt.iter().copied().fold(f64::INFINITY, f64::min);
-        let levels = assign_levels(&self.mesh, &cell_dt, MAX_LTS_LEVEL);
+    fn build_graph_plan(&self) -> GraphPlan {
         let shard_size = self
             .config
             .shard_size
             .unwrap_or_else(|| auto_shard_size(self.mesh.num_cells(), self.block_size));
-        let plan = ShardPlan::with_levels(&self.mesh, shard_size, &levels);
-        let graph = LtsGraph::build(&plan);
-        LtsMeta {
-            plan,
+        let (splan, dt_base) = match self.config.stepping {
+            SteppingMode::Global => (ShardPlan::new(&self.mesh, shard_size), f64::NAN),
+            SteppingMode::Lts => {
+                let cell_dt: Vec<f64> = self
+                    .state
+                    .iter()
+                    .map(|q| self.rate_to_dt(self.cell_rate(q)))
+                    .collect();
+                // Bitwise equal to `base_dt`: f64 division by a positive
+                // value is monotone, so the min over per-cell dt is the
+                // dt of the max per-cell rate.
+                let dt_base = cell_dt.iter().copied().fold(f64::INFINITY, f64::min);
+                let levels = assign_levels(&self.mesh, &cell_dt, MAX_LTS_LEVEL);
+                (
+                    ShardPlan::with_levels(&self.mesh, shard_size, &levels),
+                    dt_base,
+                )
+            }
+        };
+        let graph = LtsGraph::build(&splan);
+        let face_len = self.plan.face.len();
+        let ns = splan.num_shards();
+        let flux_storage = || -> Vec<RwLock<Vec<f64>>> {
+            (0..ns)
+                .map(|s| RwLock::new(vec![0.0; splan.owned_faces(s).len() * face_len]))
+                .collect()
+        };
+        let f_star = flux_storage();
+        // The accumulator and halo buffers only exist when clusters
+        // actually differ — a one-level plan (global stepping, or LTS on
+        // a dt-homogeneous state) allocates nothing beyond `f_star`.
+        let (f_star_acc, halo) = if splan.num_levels() > 1 {
+            let halo = (0..ns)
+                .map(|s| {
+                    let level = splan.shard_level(s);
+                    let range = splan.shard_range(s);
+                    let cells: Vec<usize> = range
+                        .clone()
+                        .filter(|&c| {
+                            splan
+                                .cell_faces(c)
+                                .iter()
+                                .any(|&id| splan.face_cadence(id) < level)
+                        })
+                        .map(|c| c - range.start)
+                        .collect();
+                    let half = cells.iter().map(|_| StpOutputs::new(&self.plan)).collect();
+                    RwLock::new(HaloShard { cells, half })
+                })
+                .collect();
+            (flux_storage(), halo)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        GraphPlan {
+            plan: splan,
             graph,
             dt_base,
+            f_star,
+            f_star_acc,
+            halo,
+        }
+    }
+
+    /// Drops the cached LTS clustering after the state was replaced: the
+    /// per-cell dt field it was derived from may have changed. The global
+    /// plan is state-independent and stays.
+    fn invalidate_clustering(&mut self) {
+        if self.config.stepping == SteppingMode::Lts {
+            self.graph = OnceLock::new();
         }
     }
 
     /// Per-cluster `(time, sub_steps)` clocks of the LTS path, indexed
-    /// by cluster level. Empty until the first LTS step; serialized
-    /// through checkpoints so a resumed run continues them exactly.
+    /// by cluster level. Empty until the first LTS step (and always under
+    /// global stepping); serialized through checkpoints so a resumed run
+    /// continues them exactly.
     pub fn lts_clocks(&self) -> &[(f64, u64)] {
         &self.lts_clocks
     }
 
-    /// The level-aware shard partition the LTS path steps with (cluster
-    /// levels per shard, per-face cadences). Builds the metadata from
-    /// the current state on first use.
+    /// The shard partition the graph driver steps with — under LTS the
+    /// level-aware one (cluster levels per shard, per-face cadences),
+    /// built from the current state on first use.
     pub fn lts_plan(&self) -> &ShardPlan {
-        &self.lts_meta().plan
+        &self.graph_plan().plan
     }
 
     /// Advances one time step of length `dt` (one whole macro cycle
     /// under [`SteppingMode::Lts`], which ignores the pipeline setting
-    /// and always runs the LTS shard graph).
+    /// and always runs the graph driver).
     pub fn step(&mut self, dt: f64) {
         // Source amplitude derivatives are refreshed once per (macro)
-        // step at `t_n` — exact for the degenerate single-cluster case;
-        // for time-dependent sources under real sub-cycling this is the
+        // step at `t_n` — exact for a single cluster; for
+        // time-dependent sources under real sub-cycling this is the
         // documented approximation (see docs/LTS.md).
         self.refresh_source_derivs();
         match (self.config.stepping, self.config.pipeline) {
-            (SteppingMode::Lts, _) => {
-                self.prepare_lts();
-                self.step_lts(dt);
-            }
             (SteppingMode::Global, PipelineMode::Barrier) => self.step_barrier(dt),
-            (SteppingMode::Global, PipelineMode::Sharded) => self.step_sharded(dt),
+            _ => self.step_graph(dt),
         }
         self.time += dt;
         self.steps += 1;
@@ -1035,255 +1036,19 @@ impl<P: LinearPde> Engine<P> {
         );
     }
 
-    /// The face-centric shard pipeline. Three tasks per shard — predictor,
-    /// once-per-face flux sweep over the shard's *owned* faces, and
-    /// volume + face application — run on the persistent work-stealing
-    /// pool's graph executor ([`par::run_graph_init`]): a shard's sweep
+    /// The task-graph driver: one **macro cycle** of `2^Lmax` level-0
+    /// sub-windows, scheduled as the sub-window-resolved predict /
+    /// flux-sweep / apply task graph ([`LtsGraph`]) on the persistent
+    /// work-stealing pool ([`par::run_graph_init`]). A shard's sweep
     /// starts as soon as its own and its face-neighbours' predictors are
     /// done, with no global barrier, and each finished task pushes the
     /// dependents it unlocks onto the finishing worker's own deque.
     ///
-    /// Determinism: every face flux is computed exactly once (by one
-    /// task, from fixed predictor outputs) into the face-indexed buffer,
-    /// and each cell applies volume + its six faces in the same fixed
-    /// order as the barrier path — so results are independent of the
-    /// schedule and bit-identical across worker-thread counts. All locks
-    /// below are taken uncontended; the task-graph edges (with `AcqRel`
-    /// ready-counters) order the single writer of each buffer before its
-    /// readers.
-    fn step_sharded(&mut self, dt: f64) {
-        let plan = &self.plan;
-        let pde = &self.pde;
-        let kernel = self.config.kernel;
-        let bsize = self.block_size;
-        let cell_sources = &self.cell_sources;
-        // PANIC-OK: internal invariant — `step` dispatches here only in
-        // sharded mode, which builds the state at construction.
-        let shard_state = self.shards.as_ref().expect("sharded pipeline state");
-        let splan = &shard_state.plan;
-        let ns = splan.num_shards();
-        let shard_size = splan.shard_size();
-        let face_len = plan.face.len();
-
-        // Per-shard views over the flat engine buffers. The chunking
-        // matches `ShardPlan::shard_range` exactly.
-        let out_shards: Vec<RwLock<&mut [StpOutputs]>> = self
-            .outputs
-            .chunks_mut(shard_size)
-            .map(RwLock::new)
-            .collect();
-        let state_shards: Vec<Mutex<&mut [AlignedVec]>> =
-            self.state.chunks_mut(shard_size).map(Mutex::new).collect();
-        let f_star = &shard_state.f_star;
-
-        // Task ids: Predict(s) = s, Flux(s) = ns + s, Apply(s) = 2·ns + s;
-        // the graph is static and precomputed in ShardState::new.
-        par::run_graph_init(
-            &shard_state.indegree,
-            &shard_state.dependents,
-            || ShardScratch {
-                stp: kernel.make_block_scratch(plan, bsize),
-                block: CellBlock::new(plan, bsize),
-                sources: Vec::with_capacity(bsize),
-                corr: CorrectorScratch::new(plan),
-                boundary: BoundaryScratch::new(plan),
-            },
-            |ws, task| {
-                let (kind, s) = (task / ns, task % ns);
-                let range = splan.shard_range(s);
-                match kind {
-                    // Predictor over the shard's cells, in predictor
-                    // blocks exactly like the barrier path.
-                    0 => {
-                        // PANIC-OK: lock poisoning means a sibling task
-                        // panicked; cascading into the batch abort is
-                        // correct (×7 in this function).
-                        let state = state_shards[s].lock().unwrap();
-                        let mut outs = out_shards[s].write().unwrap();
-                        for (bi, chunk) in outs.chunks_mut(bsize).enumerate() {
-                            let local = bi * bsize;
-                            ws.block.clear();
-                            for i in 0..chunk.len() {
-                                ws.block.push(&state[local + i]);
-                            }
-                            ws.sources.clear();
-                            ws.sources.extend(
-                                (0..chunk.len())
-                                    .map(|i| cell_sources.get(&(range.start + local + i))),
-                            );
-                            kernel.run_block(
-                                plan,
-                                pde,
-                                ws.stp.as_mut(),
-                                &BlockInputs::new(&ws.block, dt, &ws.sources),
-                                chunk,
-                            );
-                        }
-                    }
-                    // Once-per-face flux sweep over the shard's owned
-                    // faces, into the shard's dense F* segment.
-                    1 => {
-                        let guards: Vec<_> = splan
-                            .flux_deps(s)
-                            .iter()
-                            // PANIC-OK: poisoning cascades (see above).
-                            .map(|&t| (t, out_shards[t].read().unwrap()))
-                            .collect();
-                        let out_of = |cell: usize| {
-                            let t = splan.shard_of(cell);
-                            &dep_guard(&guards, t)[cell - splan.shard_range(t).start]
-                        };
-                        // PANIC-OK: poisoning cascades (see above).
-                        let mut fs = f_star[s].write().unwrap();
-                        for (i, id) in splan.owned_faces(s).enumerate() {
-                            let dst = &mut fs[i * face_len..(i + 1) * face_len];
-                            match splan.face(id) {
-                                FaceTopo::Interior { dim, lower, upper } => {
-                                    let lo = out_of(lower);
-                                    let up = out_of(upper);
-                                    // Lower cell's upper trace is the left
-                                    // state — same convention as the
-                                    // barrier path, so F* is bit-identical.
-                                    rusanov_face(
-                                        plan,
-                                        pde,
-                                        dim,
-                                        &lo.qface[2 * dim + 1],
-                                        &lo.fface[2 * dim + 1],
-                                        &up.qface[2 * dim],
-                                        &up.fface[2 * dim],
-                                        dst,
-                                    );
-                                }
-                                FaceTopo::Boundary {
-                                    dim,
-                                    cell,
-                                    side,
-                                    kind,
-                                } => {
-                                    let out = out_of(cell);
-                                    let fi = 2 * dim + side;
-                                    boundary_face(
-                                        plan,
-                                        pde,
-                                        dim,
-                                        side,
-                                        kind,
-                                        &out.qface[fi],
-                                        &out.fface[fi],
-                                        &mut ws.boundary,
-                                        dst,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    // Volume + six face corrections per cell, reading F*
-                    // from the owning shards' segments.
-                    _ => {
-                        // PANIC-OK: poisoning cascades (see above).
-                        let outs = out_shards[s].read().unwrap();
-                        let fguards: Vec<_> = splan
-                            .apply_deps(s)
-                            .iter()
-                            // PANIC-OK: poisoning cascades (see above).
-                            .map(|&t| (t, f_star[t].read().unwrap()))
-                            .collect();
-                        // PANIC-OK: poisoning cascades (see above).
-                        let mut state = state_shards[s].lock().unwrap();
-                        for (i, q) in state.iter_mut().enumerate() {
-                            let c = range.start + i;
-                            let out = &outs[i];
-                            apply_volume(plan, pde, &mut ws.corr, out, q);
-                            for face in Face::ALL {
-                                let id = splan.cell_faces(c)[face.index()];
-                                let owner = splan.face_owner(id);
-                                let seg = dep_guard(&fguards, owner);
-                                let local = id - splan.owned_faces(owner).start;
-                                let fstar = &seg[local * face_len..(local + 1) * face_len];
-                                apply_face(
-                                    plan,
-                                    face.dim,
-                                    face.side,
-                                    fstar,
-                                    &out.fface[face.index()],
-                                    q,
-                                );
-                            }
-                        }
-                    }
-                }
-            },
-        );
-    }
-
-    /// Ensures the LTS metadata, runtime buffers and per-cluster clocks
-    /// exist for the current state.
-    fn prepare_lts(&mut self) {
-        self.lts_meta();
-        // PANIC-OK: internal invariant — just built above.
-        let meta = self.lts.get().expect("LTS metadata built");
-        let num_levels = meta.plan.num_levels();
-        if self.lts_clocks.len() != num_levels {
-            self.lts_clocks = vec![(self.time, 0); num_levels];
-        }
-        if self.lts_bufs.is_some() {
-            return;
-        }
-        let plan = &self.plan;
-        let splan = &meta.plan;
-        let face_len = plan.face.len();
-        let ns = splan.num_shards();
-        let multi = num_levels > 1;
-        let f_star = (0..ns)
-            .map(|s| RwLock::new(vec![0.0; splan.owned_faces(s).len() * face_len]))
-            .collect();
-        // The accumulator and halo buffers only exist when clusters
-        // actually differ — the degenerate single-cluster path allocates
-        // nothing beyond the sharded pipeline's storage.
-        let f_star_acc = (0..ns)
-            .map(|s| {
-                let len = if multi {
-                    splan.owned_faces(s).len() * face_len
-                } else {
-                    0
-                };
-                RwLock::new(vec![0.0; len])
-            })
-            .collect();
-        let halo = (0..ns)
-            .map(|s| {
-                let level = splan.shard_level(s);
-                let range = splan.shard_range(s);
-                let mut cells = Vec::new();
-                if multi && level > 0 {
-                    for c in range.clone() {
-                        let finer = splan
-                            .cell_faces(c)
-                            .iter()
-                            .any(|&id| splan.face_cadence(id) < level);
-                        if finer {
-                            cells.push(c - range.start);
-                        }
-                    }
-                }
-                let half = cells.iter().map(|_| StpOutputs::new(plan)).collect();
-                RwLock::new(HaloShard { cells, half })
-            })
-            .collect();
-        self.lts_bufs = Some(LtsBufs {
-            f_star,
-            f_star_acc,
-            halo,
-        });
-    }
-
-    /// One **macro cycle** of clustered local time stepping: `2^Lmax`
-    /// level-0 sub-windows, scheduled as the sub-window-resolved
-    /// predict / flux-sweep / apply task graph ([`LtsGraph`]) on the
-    /// persistent pool. `dt` is the macro step; a level-`L` cluster
-    /// takes `2^(Lmax−L)` sub-steps of `dt · 2^L / 2^Lmax` each (exact
-    /// f64 scalings, so a clipped macro step scales all clusters alike).
+    /// Global stepping is the one-cluster case: `Lmax = 0`, one slot, one
+    /// predict / flux / apply triple per shard at the full `dt`. Under
+    /// LTS `dt` is the macro step; a level-`L` cluster takes
+    /// `2^(Lmax−L)` sub-steps of `dt · 2^L / 2^Lmax` each (exact f64
+    /// scalings, so a clipped macro step scales all clusters alike).
     ///
     /// Cadence-mismatched faces (a cadence-`c` face under a level-`c+1`
     /// cell) are re-solved per fine sub-window with the coarse side's
@@ -1292,42 +1057,46 @@ impl<P: LinearPde> Engine<P> {
     /// telescopes exactly and conservation holds to round-off.
     ///
     /// Determinism: every face flux is computed exactly once per due
-    /// slot by one task from fixed predictor outputs, and every
-    /// application runs in a fixed order — results are bit-identical
-    /// across thread counts and pool modes. With a single cluster the
-    /// graph degenerates to one predict/flux/apply per shard at the full
-    /// dt and the computation is bitwise the sharded step's.
+    /// slot by one task from fixed predictor outputs into the
+    /// face-indexed buffer, and each cell applies volume + its six faces
+    /// in the same fixed order as the barrier path — results are
+    /// independent of the schedule and bit-identical across
+    /// worker-thread counts.
     ///
     /// ORDERING: most locks below are uncontended — every pair of
     /// conflicting accesses to `out`, `state` and `halo` is ordered by
     /// the task graph (a shard's tasks form a chain `P(k) → … → A(k) →
-    /// P(k+1)`, and every cross-shard read has graph edges placing it
-    /// after the writer and before the next one). `f_star` and
-    /// `f_star_acc` *are* contended (a sweep may rewrite segments of
-    /// faces unrelated to a concurrently-running apply task holding the
-    /// same lock — the data stays disjoint, the lock is shared), so all
-    /// tasks acquire them along one global hierarchy: `f_star[i]` before
-    /// every `f_star_acc[j]`, each tier in ascending shard order. Flux
-    /// takes `f_star[s]` then `f_star_acc[s]`; Apply takes all its
-    /// `f_star` read guards ascending, then all `f_star_acc` read guards
+    /// P(k+1)`, and every cross-shard read has graph edges — with
+    /// `AcqRel` ready-counters — placing it after the writer and before
+    /// the next one). With more than one slot `f_star` and `f_star_acc`
+    /// *are* contended (a sweep may rewrite segments of faces unrelated
+    /// to a concurrently-running apply task holding the same lock — the
+    /// data stays disjoint, the lock is shared), so all tasks acquire
+    /// them along one global hierarchy: `f_star[i]` before every
+    /// `f_star_acc[j]`, each tier in ascending shard order. Flux takes
+    /// `f_star[s]` then `f_star_acc[s]`; Apply takes all its `f_star`
+    /// read guards ascending, then all `f_star_acc` read guards
     /// ascending — strictly increasing ranks, hence no deadlock.
-    fn step_lts(&mut self, dt: f64) {
+    fn step_graph(&mut self, dt: f64) {
+        self.graph_plan();
+        // PANIC-OK: internal invariant — just built above.
+        let gp = self.graph.get().expect("graph plan built");
+        let splan = &gp.plan;
+        let graph = &gp.graph;
+        let num_levels = splan.num_levels();
+        if self.config.stepping == SteppingMode::Lts && self.lts_clocks.len() != num_levels {
+            self.lts_clocks = vec![(self.time, 0); num_levels];
+        }
         let plan = &self.plan;
         let pde = &self.pde;
         let kernel = self.config.kernel;
         let bsize = self.block_size;
         let cell_sources = &self.cell_sources;
-        // PANIC-OK: internal invariant — `step` runs `prepare_lts`
-        // first (×2).
-        let meta = self.lts.get().expect("LTS metadata prepared");
-        let bufs = self.lts_bufs.as_ref().expect("LTS buffers prepared");
-        let splan = &meta.plan;
-        let graph = &meta.graph;
         let num_slots = graph.num_slots();
         // Exact: `num_slots` is a power of two.
         let dt_base = dt / num_slots as f64;
         let face_len = plan.face.len();
-        let multi = splan.num_levels() > 1;
+        let multi = num_levels > 1;
 
         let out_shards: Vec<RwLock<&mut [StpOutputs]>> = shard_slices(splan, &mut self.outputs)
             .into_iter()
@@ -1337,26 +1106,17 @@ impl<P: LinearPde> Engine<P> {
             .into_iter()
             .map(Mutex::new)
             .collect();
-        let f_star = &bufs.f_star;
-        let f_star_acc = &bufs.f_star_acc;
-        let halo_shards = &bufs.halo;
+        let f_star = &gp.f_star;
+        let f_star_acc = &gp.f_star_acc;
+        let halo_shards = &gp.halo;
 
         par::run_graph_init(
             graph.indegree(),
             graph.dependents(),
-            || LtsScratch {
-                stp: kernel.make_block_scratch(plan, bsize),
-                cell: kernel.make_scratch(plan),
-                block: CellBlock::new(plan, bsize),
-                sources: Vec::with_capacity(bsize),
-                corr: CorrectorScratch::new(plan),
-                boundary: BoundaryScratch::new(plan),
-                qtmp: vec![0.0; face_len],
-                ftmp: vec![0.0; face_len],
-            },
+            || GraphScratch::new(plan, kernel, bsize, splan),
             |ws, task| match graph.task(task) {
                 // Predictor over the shard's cells at the cluster's own
-                // sub-step, in predictor blocks exactly like the sharded
+                // sub-step, in predictor blocks exactly like the barrier
                 // path, plus half-window runs for halo cells.
                 LtsTask::Predict { shard: s, .. } => {
                     let level = splan.shard_level(s);
@@ -1386,70 +1146,57 @@ impl<P: LinearPde> Engine<P> {
                             chunk,
                         );
                     }
-                    // PANIC-OK: poisoning cascades (see above).
-                    let mut halo = halo_shards[s].write().unwrap();
-                    let HaloShard { cells, half } = &mut *halo;
-                    for (hi, &local) in cells.iter().enumerate() {
-                        kernel.run(
-                            plan,
-                            pde,
-                            ws.cell.as_mut(),
-                            &StpInputs {
-                                q0: &state[local][..],
-                                dt: 0.5 * dt_s,
-                                source: cell_sources.get(&(range.start + local)),
-                            },
-                            &mut half[hi],
-                        );
+                    if let Some(hs) = ws.halo.as_mut() {
+                        // PANIC-OK: poisoning cascades (see above).
+                        let mut halo = halo_shards[s].write().unwrap();
+                        let HaloShard { cells, half } = &mut *halo;
+                        for (hi, &local) in cells.iter().enumerate() {
+                            kernel.run(
+                                plan,
+                                pde,
+                                hs.cell.as_mut(),
+                                &StpInputs {
+                                    q0: &state[local][..],
+                                    dt: 0.5 * dt_s,
+                                    source: cell_sources.get(&(range.start + local)),
+                                },
+                                &mut half[hi],
+                            );
+                        }
                     }
                 }
-                // Flux sweep over the shard's owned faces *due at this
-                // sweep's slot*, into the shard's dense F* segment (and
-                // the coarse-window accumulator for mismatched faces).
+                // Once-per-face flux sweep over the shard's owned faces
+                // *due at this sweep's slot*, into the shard's dense F*
+                // segment (and the coarse-window accumulator for
+                // mismatched faces).
                 LtsTask::Flux { shard: s, sweep } => {
                     let slot = graph.sweep_slot(s, sweep);
                     // Shards whose predictors feed this sweep's active
-                    // faces (the graph listed exactly these).
-                    let mut deps: Vec<usize> = Vec::new();
-                    let mut any_mismatch = false;
-                    for id in splan.owned_faces(s) {
-                        let c = splan.face_cadence(id) as usize;
-                        if slot & ((1usize << c) - 1) != 0 {
-                            continue;
-                        }
-                        match splan.face(id) {
-                            FaceTopo::Interior { lower, upper, .. } => {
-                                let (ls, us) = (splan.shard_of(lower), splan.shard_of(upper));
-                                deps.push(ls);
-                                deps.push(us);
-                                any_mismatch |= (splan.shard_level(ls) as usize) > c
-                                    || (splan.shard_level(us) as usize) > c;
-                            }
-                            FaceTopo::Boundary { cell, .. } => deps.push(splan.shard_of(cell)),
-                        }
-                    }
-                    deps.sort_unstable();
-                    deps.dedup();
+                    // faces (the graph's edges mirror exactly these).
+                    let deps = graph.flux_deps(s, sweep);
                     let guards: Vec<_> = deps
                         .iter()
                         // PANIC-OK: poisoning cascades (see above).
                         .map(|&t| (t, out_shards[t].read().unwrap()))
                         .collect();
-                    let hguards: Vec<_> = deps
-                        .iter()
-                        // PANIC-OK: poisoning cascades (see above).
-                        .map(|&t| (t, halo_shards[t].read().unwrap()))
-                        .collect();
-                    // Lock hierarchy: own f_star, then own f_star_acc
-                    // (see the ORDERING note in the doc comment).
+                    let hguards: Vec<_> = if multi {
+                        deps.iter()
+                            // PANIC-OK: poisoning cascades (see above).
+                            .map(|&t| (t, halo_shards[t].read().unwrap()))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    let out_of = |cell: usize| {
+                        let t = splan.shard_of(cell);
+                        (t, &dep_guard(&guards, t)[cell - splan.shard_range(t).start])
+                    };
+                    // Lock hierarchy: own f_star, then (at the first
+                    // mismatched face) own f_star_acc — see the ORDERING
+                    // note in the doc comment.
                     // PANIC-OK: poisoning cascades (see above).
                     let mut fs = f_star[s].write().unwrap();
-                    let mut acc = if any_mismatch {
-                        // PANIC-OK: poisoning cascades (see above).
-                        Some(f_star_acc[s].write().unwrap())
-                    } else {
-                        None
-                    };
+                    let mut acc = None;
                     for (i, id) in splan.owned_faces(s).enumerate() {
                         let c = splan.face_cadence(id) as usize;
                         if slot & ((1usize << c) - 1) != 0 {
@@ -1457,71 +1204,71 @@ impl<P: LinearPde> Engine<P> {
                         }
                         let sub = (slot >> c) & 1;
                         let dst = &mut fs[i * face_len..(i + 1) * face_len];
-                        let mut mismatched = false;
                         match splan.face(id) {
                             FaceTopo::Interior { dim, lower, upper } => {
-                                let (ls, us) = (splan.shard_of(lower), splan.shard_of(upper));
-                                let lo =
-                                    &dep_guard(&guards, ls)[lower - splan.shard_range(ls).start];
-                                let up =
-                                    &dep_guard(&guards, us)[upper - splan.shard_range(us).start];
+                                let (ls, lo) = out_of(lower);
+                                let (us, up) = out_of(upper);
+                                // Lower cell's upper trace is the left
+                                // state — same convention as the barrier
+                                // path, so F* is bit-identical.
+                                let (fl, fu) = (2 * dim + 1, 2 * dim);
+                                let mut left: (&[f64], &[f64]) = (&lo.qface[fl], &lo.fface[fl]);
+                                let mut right: (&[f64], &[f64]) = (&up.qface[fu], &up.fface[fu]);
+                                // The face cadence is the *min* adjacent
+                                // level, so at most one side is coarse.
                                 let lo_mis = (splan.shard_level(ls) as usize) > c;
                                 let up_mis = (splan.shard_level(us) as usize) > c;
-                                // Lower cell's upper trace is the left
-                                // state — same convention as the sharded
-                                // path, so F* is bit-identical in the
-                                // degenerate case. The face cadence is
-                                // the *min* adjacent level, so at most
-                                // one side is coarse.
-                                let fl = 2 * dim + 1;
-                                let fu = 2 * dim;
-                                if lo_mis {
-                                    let h = dep_guard(&hguards, ls);
+                                if lo_mis || up_mis {
+                                    let (cs, cell, full, fi) = if lo_mis {
+                                        (ls, lower, lo, fl)
+                                    } else {
+                                        (us, upper, up, fu)
+                                    };
+                                    let h = dep_guard(&hguards, cs);
                                     let hi = h
                                         .cells
-                                        .binary_search(&(lower - splan.shard_range(ls).start))
+                                        .binary_search(&(cell - splan.shard_range(cs).start))
                                         // PANIC-OK: internal invariant —
-                                        // prepare_lts registered a halo
-                                        // slot for every coarse cell
+                                        // `build_graph_plan` registered a
+                                        // halo slot for every coarse cell
                                         // bordering a finer face.
                                         .expect("halo slot for coarse cell");
+                                    // PANIC-OK: internal invariant — a
+                                    // mismatched face implies a
+                                    // multi-level plan, whose workers
+                                    // carry halo scratch.
+                                    let hs = ws.halo.as_mut().expect("halo scratch");
                                     sub_window_trace(
-                                        &mut ws.qtmp,
-                                        &mut ws.ftmp,
-                                        lo,
+                                        &mut hs.qtmp,
+                                        &mut hs.ftmp,
+                                        full,
                                         &h.half[hi],
-                                        fl,
+                                        fi,
                                         sub,
                                     );
-                                } else if up_mis {
-                                    let h = dep_guard(&hguards, us);
-                                    let hi = h
-                                        .cells
-                                        .binary_search(&(upper - splan.shard_range(us).start))
-                                        // PANIC-OK: see the halo-slot
-                                        // invariant above.
-                                        .expect("halo slot for coarse cell");
-                                    sub_window_trace(
-                                        &mut ws.qtmp,
-                                        &mut ws.ftmp,
-                                        up,
-                                        &h.half[hi],
-                                        fu,
-                                        sub,
-                                    );
+                                    let composed: (&[f64], &[f64]) = (&hs.qtmp, &hs.ftmp);
+                                    if lo_mis {
+                                        left = composed;
+                                    } else {
+                                        right = composed;
+                                    }
                                 }
-                                let (ql, flx): (&[f64], &[f64]) = if lo_mis {
-                                    (&ws.qtmp, &ws.ftmp)
-                                } else {
-                                    (&lo.qface[fl], &lo.fface[fl])
-                                };
-                                let (qr, frx): (&[f64], &[f64]) = if up_mis {
-                                    (&ws.qtmp, &ws.ftmp)
-                                } else {
-                                    (&up.qface[fu], &up.fface[fu])
-                                };
-                                rusanov_face(plan, pde, dim, ql, flx, qr, frx, dst);
-                                mismatched = lo_mis || up_mis;
+                                rusanov_face(plan, pde, dim, left.0, left.1, right.0, right.1, dst);
+                                if lo_mis || up_mis {
+                                    let acc = acc.get_or_insert_with(|| {
+                                        // PANIC-OK: poisoning cascades
+                                        // (see above).
+                                        f_star_acc[s].write().unwrap()
+                                    });
+                                    let a = &mut acc[i * face_len..(i + 1) * face_len];
+                                    if sub == 0 {
+                                        a.copy_from_slice(dst);
+                                    } else {
+                                        for (av, dv) in a.iter_mut().zip(dst.iter()) {
+                                            *av += dv;
+                                        }
+                                    }
+                                }
                             }
                             FaceTopo::Boundary {
                                 dim,
@@ -1529,8 +1276,7 @@ impl<P: LinearPde> Engine<P> {
                                 side,
                                 kind,
                             } => {
-                                let t = splan.shard_of(cell);
-                                let out = &dep_guard(&guards, t)[cell - splan.shard_range(t).start];
+                                let (_, out) = out_of(cell);
                                 let fi = 2 * dim + side;
                                 boundary_face(
                                     plan,
@@ -1545,19 +1291,6 @@ impl<P: LinearPde> Engine<P> {
                                 );
                             }
                         }
-                        if mismatched {
-                            // PANIC-OK: internal invariant — a
-                            // mismatched active face set `any_mismatch`.
-                            let acc = acc.as_mut().expect("accumulator acquired");
-                            let a = &mut acc[i * face_len..(i + 1) * face_len];
-                            if sub == 0 {
-                                a.copy_from_slice(dst);
-                            } else {
-                                for (av, dv) in a.iter_mut().zip(dst.iter()) {
-                                    *av += dv;
-                                }
-                            }
-                        }
                     }
                 }
                 // Volume + six face corrections per cell at the
@@ -1569,17 +1302,10 @@ impl<P: LinearPde> Engine<P> {
                     let range = splan.shard_range(s);
                     // PANIC-OK: poisoning cascades (see above).
                     let outs = out_shards[s].read().unwrap();
-                    let mut owners: Vec<usize> = Vec::new();
-                    for c in range.clone() {
-                        for &id in splan.cell_faces(c) {
-                            owners.push(splan.face_owner(id));
-                        }
-                    }
-                    owners.sort_unstable();
-                    owners.dedup();
                     // Lock hierarchy: every f_star guard (ascending),
                     // then every f_star_acc guard (ascending) — see the
                     // ORDERING note in the doc comment.
+                    let owners = splan.apply_deps(s);
                     let fguards: Vec<_> = owners
                         .iter()
                         // PANIC-OK: poisoning cascades (see above).
@@ -1624,8 +1350,9 @@ impl<P: LinearPde> Engine<P> {
             },
         );
 
-        // Advance the per-cluster clocks: a level-L cluster took
-        // `2^(Lmax−L)` sub-steps and all clusters meet at `t + dt`.
+        // Advance the per-cluster clocks (LTS only — none exist under
+        // global stepping): a level-L cluster took `2^(Lmax−L)` sub-steps
+        // and all clusters meet at `t + dt`.
         let t_end = self.time + dt;
         for (level, clock) in self.lts_clocks.iter_mut().enumerate() {
             clock.0 = t_end;
@@ -1783,10 +1510,9 @@ impl<P: LinearPde> Engine<P> {
         self.time = s.time;
         self.steps = s.steps;
         // Rebuild the clustering from the restored state (deterministic,
-        // so a resumed LTS run reproduces the saved run's meta exactly);
+        // so a resumed LTS run reproduces the saved run's plan exactly);
         // the per-cluster clocks continue from the checkpoint.
-        self.lts = OnceLock::new();
-        self.lts_bufs = None;
+        self.invalidate_clustering();
         self.lts_clocks = s.lts_clocks.clone();
         Ok(())
     }
@@ -1963,8 +1689,7 @@ impl<P: LinearPde> Engine<P> {
     /// Invalidates the cached LTS clustering — state pokes can change
     /// the per-cell dt field it was derived from.
     pub fn cell_state_mut(&mut self, cell: usize) -> &mut [f64] {
-        self.lts = OnceLock::new();
-        self.lts_bufs = None;
+        self.invalidate_clustering();
         &mut self.state[cell]
     }
 }
@@ -2020,5 +1745,95 @@ mod tests {
         let expected = auto_block_size(cfg.kernel.footprint_bytes(&engine.plan));
         assert_eq!(engine.block_size(), expected);
         assert!(engine.tune_report().block_candidates.is_empty());
+    }
+
+    /// A layered-bulk acoustic engine: `bulk_lo` for `x < 0.5`, 1 beyond
+    /// (sound speeds √bulk at unit density).
+    fn layered_engine(stepping: SteppingMode, bulk_lo: f64) -> Engine<aderdg_pde::Acoustic> {
+        use aderdg_mesh::{BoundaryKind, StructuredMesh};
+        use aderdg_pde::Acoustic;
+        let mesh =
+            StructuredMesh::new([4, 2, 2], [0.0; 3], [1.0; 3], [BoundaryKind::Reflective; 3]);
+        let config = EngineConfig::new(3)
+            .with_tuning(TuningMode::Static)
+            .with_pipeline(PipelineMode::Sharded)
+            .with_stepping(stepping);
+        let mut engine = Engine::new(mesh, Acoustic, config);
+        engine.set_initial(|x, q| {
+            q.fill(0.0);
+            q[0] = (x[0] * 3.0).sin();
+            Acoustic::set_params(q, 1.0, if x[0] < 0.5 { bulk_lo } else { 1.0 });
+        });
+        engine
+    }
+
+    #[test]
+    fn one_level_plans_allocate_no_halo_storage_and_two_level_plans_do() {
+        // Halo storage is what one-cluster stepping must not pay for: the
+        // per-cell predictor scratch alone is megabytes per worker for
+        // the padded high-order kernels.
+        for (stepping, bulk_lo, levels) in [
+            (SteppingMode::Global, 4.0, 1),
+            (SteppingMode::Lts, 1.0, 1),
+            (SteppingMode::Lts, 4.0, 2),
+        ] {
+            let engine = layered_engine(stepping, bulk_lo);
+            let gp = engine.graph_plan();
+            let label = format!("{stepping:?}, bulk {bulk_lo}");
+            assert_eq!(gp.plan.num_levels(), levels, "{label}");
+            let ns = gp.plan.num_shards();
+            assert_eq!(gp.f_star.len(), ns, "{label}");
+            let scratch = GraphScratch::new(
+                &engine.plan,
+                engine.config.kernel,
+                engine.block_size,
+                &gp.plan,
+            );
+            if levels == 1 {
+                assert!(gp.f_star_acc.is_empty(), "{label}: accumulator storage");
+                assert!(gp.halo.is_empty(), "{label}: halo outputs");
+                assert!(scratch.halo.is_none(), "{label}: halo per-cell scratch");
+            } else {
+                assert_eq!(gp.f_star_acc.len(), ns, "{label}");
+                assert_eq!(gp.halo.len(), ns, "{label}");
+                let halo_cells: usize = gp
+                    .halo
+                    .iter()
+                    .map(|h| h.read().expect("unpoisoned").half.len())
+                    .sum();
+                assert!(
+                    halo_cells > 0,
+                    "{label}: coarse cells border the fine layer"
+                );
+                assert!(scratch.halo.is_some(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_plan_is_the_plan_the_engine_steps_with() {
+        // Global: the flat plan, built in `new`, never invalidated by
+        // state pokes. LTS: the clustered plan — no flat twin is built.
+        let mut global = layered_engine(SteppingMode::Global, 4.0);
+        assert!(global.graph.get().is_some(), "global plan is built in new");
+        global.cell_state_mut(0)[0] = 1.0;
+        assert!(global.graph.get().is_some());
+        assert_eq!(global.shard_plan().expect("sharded").num_levels(), 1);
+
+        let mut lts = layered_engine(SteppingMode::Lts, 4.0);
+        assert!(lts.graph.get().is_none(), "clustering waits for first use");
+        let stepped: *const ShardPlan = lts.shard_plan().expect("sharded");
+        assert!(std::ptr::eq(stepped, lts.lts_plan()));
+        assert_eq!(lts.lts_plan().num_levels(), 2);
+        lts.cell_state_mut(0)[0] = 1.0;
+        assert!(lts.graph.get().is_none(), "state pokes drop the clustering");
+
+        let barrier = Engine::new(
+            StructuredMesh::unit_cube(2),
+            aderdg_pde::Acoustic,
+            EngineConfig::new(3).with_pipeline(PipelineMode::Barrier),
+        );
+        assert!(barrier.shard_plan().is_none());
+        assert!(barrier.graph.get().is_none(), "barrier path builds no plan");
     }
 }

@@ -3,18 +3,15 @@
 //!
 //! The paper parallelizes within one MPI rank with TBB tasks; this module
 //! plays that role with **no external dependencies**, so the workspace
-//! builds in hermetic environments. Two executors implement the same
-//! public API, selected by `ADERDG_POOL` (or [`set_pool_mode`]):
-//!
-//! * [`PoolMode::Persistent`] (default) — a long-lived work-stealing
-//!   pool (`crate::pool`): lazily-started workers that survive across
-//!   `Engine::step` calls, per-worker deques (LIFO local push/pop, FIFO
-//!   steal) feeding the task-graph scheduler, a shared FIFO injector for
-//!   the chunked cell loops, and condvar park/unpark so an idle engine
-//!   burns no CPU. Optional round-robin core pinning via `ADERDG_PIN=1`.
-//! * [`PoolMode::Scoped`] — the original per-call `std::thread::scope`
-//!   machinery, kept as a fallback for one release while the persistent
-//!   pool beds in.
+//! builds in hermetic environments. One executor runs every parallel
+//! call: a long-lived work-stealing pool (`crate::pool`) — lazily-started
+//! workers that survive across `Engine::step` calls, per-worker deques
+//! (LIFO local push/pop, FIFO steal) feeding the task-graph scheduler, a
+//! shared FIFO injector for the chunked cell loops, and condvar
+//! park/unpark so an idle engine burns no CPU. Optional round-robin core
+//! pinning via `ADERDG_PIN=1`. At one thread (and for nested calls) every
+//! entry point runs inline on the calling thread in deterministic order —
+//! the reference the thread-invariance tests compare against.
 //!
 //! # Determinism contract
 //!
@@ -23,9 +20,9 @@
 //! folds per-chunk partial maxima **in chunk-index order** on the calling
 //! thread, and [`run_graph_init`] guarantees only exactly-once execution
 //! ordered by the graph edges — callers own result determinism by writing
-//! each datum from exactly one task (see `Engine::step_sharded`). This is
-//! what keeps engine steps bit-identical across 1/4/16 threads and across
-//! both pool modes (`tests/determinism.rs`).
+//! each datum from exactly one task (see `Engine::step`). This is what
+//! keeps engine steps bit-identical across 1/4/16 threads
+//! (`tests/determinism.rs`).
 //!
 //! Thread count: `ADERDG_THREADS` if set, else the machine's available
 //! parallelism; [`set_num_threads`] overrides at runtime and resizes the
@@ -34,14 +31,11 @@
 use crate::pool;
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cached worker-thread count (0 = not yet resolved).
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Cached pool mode (0 = not yet resolved, 1 = persistent, 2 = scoped).
-static POOL_MODE: AtomicU8 = AtomicU8::new(0);
 
 /// The process-wide persistent pool (built lazily on first use, rebuilt
 /// on [`set_num_threads`] resizes). Holding this lock for the duration
@@ -50,8 +44,8 @@ static POOL_MODE: AtomicU8 = AtomicU8::new(0);
 static POOL: Mutex<Option<pool::Pool>> = Mutex::new(None);
 
 thread_local! {
-    /// True while this thread is executing a parallel task (on either
-    /// executor, or on the inline sequential path). Nested parallel
+    /// True while this thread is executing a parallel task (on the pool
+    /// or on the inline sequential path). Nested parallel
     /// calls run inline, and [`set_num_threads`] panics.
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
@@ -82,66 +76,6 @@ fn in_task() -> bool {
 /// the next call.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Which executor runs the parallel calls of this process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
-    /// Long-lived work-stealing worker pool, reused across calls
-    /// (the default).
-    Persistent,
-    /// Per-call `std::thread::scope` spawn/join — the pre-pool executor,
-    /// kept as a fallback (`ADERDG_POOL=scoped`) for one release.
-    Scoped,
-}
-
-/// The active executor: `ADERDG_POOL` (`persistent` | `scoped`) if set,
-/// else [`PoolMode::Persistent`]. Resolved once; [`set_pool_mode`]
-/// overrides it at runtime.
-///
-/// # Panics
-/// If `ADERDG_POOL` is set to an unknown value — configuration typos
-/// fail loudly, not silently fall back (same policy as
-/// `PipelineMode::default_from_env`).
-pub fn pool_mode() -> PoolMode {
-    // ORDERING: Relaxed — a standalone cached enum; no other memory is
-    // published through it, and a racing re-resolve is idempotent.
-    match POOL_MODE.load(Ordering::Relaxed) {
-        1 => PoolMode::Persistent,
-        2 => PoolMode::Scoped,
-        _ => {
-            let var = std::env::var("ADERDG_POOL");
-            let mode = resolve_pool_mode(var.as_deref().ok());
-            set_pool_mode(mode);
-            mode
-        }
-    }
-}
-
-/// Maps an `ADERDG_POOL` value to a [`PoolMode`]; panics on anything but
-/// `persistent`, `scoped` or unset. Pure so the rejection is unit
-/// testable despite [`pool_mode`]'s once-only caching.
-fn resolve_pool_mode(value: Option<&str>) -> PoolMode {
-    match value {
-        None | Some("persistent") => PoolMode::Persistent,
-        Some("scoped") => PoolMode::Scoped,
-        // PANIC-OK: configuration typos fail loudly by policy (see doc
-        // comment on `pool_mode`).
-        Some(other) => panic!("unknown ADERDG_POOL `{other}` (persistent|scoped)"),
-    }
-}
-
-/// Overrides the executor for subsequent parallel calls (tests and
-/// benches comparing the two modes in one process; production runs set
-/// `ADERDG_POOL` instead). Takes effect at the next parallel call —
-/// each call reads the mode once on entry.
-pub fn set_pool_mode(mode: PoolMode) {
-    let v = match mode {
-        PoolMode::Persistent => 1,
-        PoolMode::Scoped => 2,
-    };
-    // ORDERING: Relaxed — see the load in `pool_mode`.
-    POOL_MODE.store(v, Ordering::Relaxed);
 }
 
 /// Whether workers of the persistent pool are pinned to cores
@@ -329,47 +263,19 @@ pub fn for_each_mut_init<T, S>(
         }
         return;
     }
-    match pool_mode() {
-        PoolMode::Scoped => for_each_scoped(items, threads, &init, &f),
-        PoolMode::Persistent => {
-            let chunk = len.div_ceil(threads);
-            let n_chunks = len.div_ceil(chunk);
-            let base = SlicePtr(items.as_mut_ptr());
-            run_pool_batch(n_chunks, 0..n_chunks, &|_ctx, ci| {
-                let start = ci * chunk;
-                let count = chunk.min(len - start);
-                // SAFETY: chunks are disjoint and task `ci` runs exactly
-                // once while the caller's mutable borrow is parked in
-                // `run_pool_batch`.
-                let part = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), count) };
-                let mut state = init();
-                for (j, item) in part.iter_mut().enumerate() {
-                    f(&mut state, start + j, item);
-                }
-            });
-        }
-    }
-}
-
-/// The scoped-mode executor of [`for_each_mut_init`] (one chunk per
-/// freshly spawned thread).
-fn for_each_scoped<T: Send, S>(
-    items: &mut [T],
-    threads: usize,
-    init: &(impl Fn() -> S + Sync),
-    f: &(impl Fn(&mut S, usize, &mut T) + Sync),
-) {
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ci, part) in items.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                let _flag = enter_task();
-                let mut state = init();
-                let base = ci * chunk;
-                for (j, item) in part.iter_mut().enumerate() {
-                    f(&mut state, base + j, item);
-                }
-            });
+    let chunk = len.div_ceil(threads);
+    let n_chunks = len.div_ceil(chunk);
+    let base = SlicePtr(items.as_mut_ptr());
+    run_pool_batch(n_chunks, 0..n_chunks, &|_ctx, ci| {
+        let start = ci * chunk;
+        let count = chunk.min(len - start);
+        // SAFETY: chunks are disjoint and task `ci` runs exactly once
+        // while the caller's mutable borrow is parked in
+        // `run_pool_batch`.
+        let part = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), count) };
+        let mut state = init();
+        for (j, item) in part.iter_mut().enumerate() {
+            f(&mut state, start + j, item);
         }
     });
 }
@@ -390,7 +296,7 @@ pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) 
 /// index and the partials are folded in chunk-index order on the calling
 /// thread; `max` is associative and commutative over the non-NaN values.
 /// This is what keeps [`crate::Engine::max_dt`] bit-identical across
-/// thread counts and pool modes.
+/// thread counts.
 pub fn map_max<T: Sync>(items: &[T], identity: f64, f: impl Fn(&T) -> f64 + Sync) -> f64 {
     let len = items.len();
     let threads = num_threads().min(len.max(1));
@@ -399,48 +305,26 @@ pub fn map_max<T: Sync>(items: &[T], identity: f64, f: impl Fn(&T) -> f64 + Sync
         return items.iter().map(&f).fold(identity, f64::max);
     }
     let chunk = len.div_ceil(threads);
-    match pool_mode() {
-        PoolMode::Scoped => std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|part| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        let _flag = enter_task();
-                        part.iter().map(f).fold(identity, f64::max)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // PANIC-OK: propagating a worker panic to the caller is
-                // the contract — same as the pool's re-raise path.
-                .map(|h| h.join().expect("parallel worker panicked"))
-                .fold(identity, f64::max)
-        }),
-        PoolMode::Persistent => {
-            let n_chunks = len.div_ceil(chunk);
-            // One slot per chunk; written exactly once by whichever
-            // worker runs the chunk, folded below in chunk order.
-            let partials: Vec<AtomicU64> = (0..n_chunks)
-                .map(|_| AtomicU64::new(identity.to_bits()))
-                .collect();
-            run_pool_batch(n_chunks, 0..n_chunks, &|_ctx, ci| {
-                let part = &items[ci * chunk..(ci * chunk + chunk).min(len)];
-                let m = part.iter().map(&f).fold(identity, f64::max);
-                // ORDERING: Release pairs with the Acquire fold below so
-                // the submitter reads each slot's final value (the batch
-                // join already orders these; the pairing keeps the slot
-                // self-contained).
-                partials[ci].store(m.to_bits(), Ordering::Release);
-            });
-            partials
-                .iter()
-                // ORDERING: Acquire — see the Release store above.
-                .map(|b| f64::from_bits(b.load(Ordering::Acquire)))
-                .fold(identity, f64::max)
-        }
-    }
+    let n_chunks = len.div_ceil(chunk);
+    // One slot per chunk; written exactly once by whichever worker runs
+    // the chunk, folded below in chunk order.
+    let partials: Vec<AtomicU64> = (0..n_chunks)
+        .map(|_| AtomicU64::new(identity.to_bits()))
+        .collect();
+    run_pool_batch(n_chunks, 0..n_chunks, &|_ctx, ci| {
+        let part = &items[ci * chunk..(ci * chunk + chunk).min(len)];
+        let m = part.iter().map(&f).fold(identity, f64::max);
+        // ORDERING: Release pairs with the Acquire fold below so the
+        // submitter reads each slot's final value (the batch join
+        // already orders these; the pairing keeps the slot
+        // self-contained).
+        partials[ci].store(m.to_bits(), Ordering::Release);
+    });
+    partials
+        .iter()
+        // ORDERING: Acquire — see the Release store above.
+        .map(|b| f64::from_bits(b.load(Ordering::Acquire)))
+        .fold(identity, f64::max)
 }
 
 /// Tasks that can never become ready from the seeds (0 for a DAG).
@@ -461,19 +345,6 @@ fn count_stuck(indegree: &[usize], dependents: &[Vec<usize>]) -> usize {
     n - visited
 }
 
-/// Shared scheduler bookkeeping of the scoped-mode graph executor.
-struct GraphState {
-    /// Tasks whose dependencies are all met, awaiting a worker.
-    ready: VecDeque<usize>,
-    /// Tasks finished so far.
-    done: usize,
-    /// Tasks currently executing on some worker.
-    in_flight: usize,
-    /// Set when a task panicked or a cycle was detected: all workers must
-    /// drain and exit so the panic can propagate through the scope join.
-    aborted: bool,
-}
-
 /// Runs a task dependency graph to completion on the worker pool, with
 /// one `init()`-produced scratch state per worker (the lightweight shard
 /// scheduler of the pipelined engine step).
@@ -483,11 +354,11 @@ struct GraphState {
 /// tasks unblocked by `t`'s completion (each entry accounts for exactly
 /// one unit of that task's indegree). A task becomes *ready* once its
 /// per-task atomic counter — initialized from `indegree` — reaches zero.
-/// On the persistent pool a newly-ready task is pushed onto the
-/// *completing worker's own deque* (LIFO — it usually runs next, with its
-/// inputs still hot) and idle workers steal from the FIFO end, so one
-/// slow shard no longer idles the rest of the pool; independent subgraphs
-/// overlap with no global barrier between graph "phases".
+/// A newly-ready task is pushed onto the *completing worker's own deque*
+/// (LIFO — it usually runs next, with its inputs still hot) and idle
+/// workers steal from the FIFO end, so one slow shard does not idle the
+/// rest of the pool; independent subgraphs overlap with no global barrier
+/// between graph "phases".
 ///
 /// Memory ordering: the counter decrements are `AcqRel`, so everything a
 /// dependency task wrote happens-before its dependents run — callers can
@@ -505,8 +376,7 @@ struct GraphState {
 /// If `dependents.len() != indegree.len()`, if an edge points out of
 /// range, or if the graph contains a cycle (some tasks can never become
 /// ready). A panic *inside* a task propagates to the caller without
-/// deadlocking, and without poisoning the persistent pool for the next
-/// call.
+/// deadlocking, and without poisoning the pool for the next call.
 pub fn run_graph_init<S: Send>(
     indegree: &[usize],
     dependents: &[Vec<usize>],
@@ -545,200 +415,58 @@ pub fn run_graph_init<S: Send>(
         return;
     }
 
-    match pool_mode() {
-        PoolMode::Scoped => run_graph_scoped(indegree, dependents, threads, &init, &run),
-        PoolMode::Persistent => {
-            // Validate acyclicity up front (cheap O(V+E) Kahn pass): the
-            // work-stealing executor then never needs a distributed
-            // "everyone is stuck" detection.
-            let stuck = count_stuck(indegree, dependents);
-            assert!(stuck == 0, "task graph has a cycle ({stuck} tasks stuck)");
-            let counters: Vec<AtomicUsize> =
-                indegree.iter().map(|&d| AtomicUsize::new(d)).collect();
-            let payload = {
-                let mut guard = lock(&POOL);
-                let pool = ensure_pool(&mut guard);
-                let states: Vec<StateSlot<S>> = (0..pool.size)
-                    .map(|_| StateSlot(UnsafeCell::new(None)))
-                    .collect();
-                let seeds = (0..n).filter(|&t| indegree[t] == 0);
-                pool.run_batch(n, seeds, &|ctx, t| {
-                    // SAFETY: slot `ctx.worker()` is touched only by this
-                    // worker during the batch; the submitter drops the
-                    // vec only after completion.
-                    let slot = unsafe { &mut *states[ctx.worker()].0.get() };
-                    let state = slot.get_or_insert_with(&init);
-                    run(state, t);
-                    for &d in &dependents[t] {
-                        // ORDERING: AcqRel — Release publishes this
-                        // task's writes to whichever worker runs `d`;
-                        // Acquire makes the last decrementer see every
-                        // predecessor's writes before spawning it.
-                        if counters[d].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            ctx.spawn(d);
-                        }
-                    }
-                })
-            };
-            if let Some(p) = payload {
-                std::panic::resume_unwind(p);
-            }
-        }
-    }
-}
-
-/// The scoped-mode graph executor: a central ready queue over freshly
-/// spawned scope threads (the pre-pool scheduler, no work stealing).
-fn run_graph_scoped<S>(
-    indegree: &[usize],
-    dependents: &[Vec<usize>],
-    threads: usize,
-    init: &(impl Fn() -> S + Sync),
-    run: &(impl Fn(&mut S, usize) + Sync),
-) {
-    let n = indegree.len();
+    // Validate acyclicity up front (cheap O(V+E) Kahn pass): the
+    // work-stealing executor then never needs a distributed "everyone is
+    // stuck" detection.
+    let stuck = count_stuck(indegree, dependents);
+    assert!(stuck == 0, "task graph has a cycle ({stuck} tasks stuck)");
     let counters: Vec<AtomicUsize> = indegree.iter().map(|&d| AtomicUsize::new(d)).collect();
-    let sched = Mutex::new(GraphState {
-        ready: (0..n).filter(|&t| indegree[t] == 0).collect(),
-        done: 0,
-        in_flight: 0,
-        aborted: false,
-    });
-    let cv = Condvar::new();
-
-    /// Unblocks waiting workers if a task panics (flags the graph aborted
-    /// so nobody waits forever; the panic itself propagates through the
-    /// scope join).
-    struct PanicGuard<'a> {
-        sched: &'a Mutex<GraphState>,
-        cv: &'a Condvar,
-        armed: bool,
-    }
-    impl Drop for PanicGuard<'_> {
-        fn drop(&mut self) {
-            if self.armed {
-                if let Ok(mut s) = self.sched.lock() {
-                    s.aborted = true;
+    let payload = {
+        let mut guard = lock(&POOL);
+        let pool = ensure_pool(&mut guard);
+        let states: Vec<StateSlot<S>> = (0..pool.size)
+            .map(|_| StateSlot(UnsafeCell::new(None)))
+            .collect();
+        let seeds = (0..n).filter(|&t| indegree[t] == 0);
+        pool.run_batch(n, seeds, &|ctx, t| {
+            // SAFETY: slot `ctx.worker()` is touched only by this worker
+            // during the batch; the submitter drops the vec only after
+            // completion.
+            let slot = unsafe { &mut *states[ctx.worker()].0.get() };
+            let state = slot.get_or_insert_with(&init);
+            run(state, t);
+            for &d in &dependents[t] {
+                // ORDERING: AcqRel — Release publishes this task's
+                // writes to whichever worker runs `d`; Acquire makes the
+                // last decrementer see every predecessor's writes before
+                // spawning it.
+                if counters[d].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    ctx.spawn(d);
                 }
-                self.cv.notify_all();
             }
-        }
+        })
+    };
+    if let Some(p) = payload {
+        std::panic::resume_unwind(p);
     }
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let sched = &sched;
-            let cv = &cv;
-            let counters = &counters;
-            scope.spawn(move || {
-                let _flag = enter_task();
-                let mut state = init();
-                loop {
-                    // Claim the next ready task (or exit when all done /
-                    // the graph aborted).
-                    let task = {
-                        // PANIC-OK: lock poisoning here means a sibling
-                        // worker already panicked; cascading is correct
-                        // (the scope join re-raises the original).
-                        let mut s = sched.lock().unwrap();
-                        loop {
-                            if s.done == n || s.aborted {
-                                return;
-                            }
-                            if let Some(t) = s.ready.pop_front() {
-                                s.in_flight += 1;
-                                break t;
-                            }
-                            if s.in_flight == 0 {
-                                // Nothing running, nothing ready, not
-                                // done: a cycle. Wake the other waiters
-                                // so they exit before we panic (a panic
-                                // under the lock alone would strand them
-                                // in `cv.wait` forever).
-                                let stuck = n - s.done;
-                                s.aborted = true;
-                                drop(s);
-                                cv.notify_all();
-                                // PANIC-OK: a cyclic graph is a caller
-                                // bug; the panic propagates through the
-                                // scope join.
-                                panic!("task graph has a cycle ({stuck} tasks stuck)");
-                            }
-                            // PANIC-OK: poisoning means a sibling already
-                            // panicked; cascade into the scope join.
-                            s = cv.wait(s).unwrap();
-                        }
-                    };
-                    let mut guard = PanicGuard {
-                        sched,
-                        cv,
-                        armed: true,
-                    };
-                    run(&mut state, task);
-                    guard.armed = false;
-                    drop(guard);
-                    let mut newly: Vec<usize> = Vec::new();
-                    for &d in &dependents[task] {
-                        // ORDERING: AcqRel — same pairing as the
-                        // pool-mode executor: Release publishes this
-                        // task's writes; the last decrementer Acquires
-                        // every predecessor's.
-                        if counters[d].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            newly.push(d);
-                        }
-                    }
-                    // PANIC-OK: poisoning means a sibling already
-                    // panicked; cascade into the scope join.
-                    let mut s = sched.lock().unwrap();
-                    s.in_flight -= 1;
-                    s.done += 1;
-                    s.ready.extend(newly);
-                    let wake = s.done == n || !s.ready.is_empty();
-                    drop(s);
-                    if wake {
-                        cv.notify_all();
-                    }
-                }
-            });
-        }
-    });
-    // A panicked worker propagated through the scope join above; getting
-    // here with unfinished tasks can only mean a logic error.
-    // PANIC-OK: unreachable when poisoned — a worker panic already
-    // propagated through the scope join above.
-    let s = sched.into_inner().unwrap();
-    debug_assert_eq!(s.done, n, "scheduler exited with unfinished tasks");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The thread-count and pool-mode overrides are process-global: tests
-    /// that flip them must hold this lock so the save/restore pairs
-    /// cannot interleave (which would leak the override into unrelated
-    /// tests).
+    /// The thread-count override is process-global: tests that flip it
+    /// must hold this lock so the save/restore pairs cannot interleave
+    /// (which would leak the override into unrelated tests).
     static THREAD_KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// Runs `body` under both executors, restoring the ambient mode.
-    fn for_both_modes(body: impl Fn(PoolMode)) {
-        let before = pool_mode();
-        for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-            set_pool_mode(mode);
-            body(mode);
-        }
-        set_pool_mode(before);
-    }
 
     #[test]
     fn for_each_covers_all_indices_once() {
-        for_both_modes(|_| {
-            let mut v = vec![0usize; 1000];
-            for_each_mut(&mut v, |i, x| *x = i + 1);
-            for (i, &x) in v.iter().enumerate() {
-                assert_eq!(x, i + 1);
-            }
-        });
+        let mut v = vec![0usize; 1000];
+        for_each_mut(&mut v, |i, x| *x = i + 1);
+        for (i, &x) in v.iter().enumerate() {
+            assert_eq!(x, i + 1);
+        }
     }
 
     #[test]
@@ -746,29 +474,25 @@ mod tests {
         // The state counts invocations; totals across chunks must cover
         // every item exactly once.
         use std::sync::atomic::AtomicUsize;
-        for_both_modes(|_| {
-            let total = AtomicUsize::new(0);
-            let mut v = vec![0u8; 517];
-            for_each_mut_init(
-                &mut v,
-                || 0usize,
-                |count, _, _| {
-                    *count += 1;
-                    total.fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            assert_eq!(total.load(Ordering::Relaxed), 517);
-        });
+        let total = AtomicUsize::new(0);
+        let mut v = vec![0u8; 517];
+        for_each_mut_init(
+            &mut v,
+            || 0usize,
+            |count, _, _| {
+                *count += 1;
+                total.fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        assert_eq!(total.load(Ordering::Relaxed), 517);
     }
 
     #[test]
     fn map_max_matches_sequential() {
-        for_both_modes(|_| {
-            let v: Vec<f64> = (0..777).map(|i| ((i * 37) % 101) as f64).collect();
-            let want = v.iter().cloned().fold(0.0, f64::max);
-            assert_eq!(map_max(&v, 0.0, |&x| x), want);
-            assert_eq!(map_max::<f64>(&[], -1.0, |&x| x), -1.0);
-        });
+        let v: Vec<f64> = (0..777).map(|i| ((i * 37) % 101) as f64).collect();
+        let want = v.iter().cloned().fold(0.0, f64::max);
+        assert_eq!(map_max(&v, 0.0, |&x| x), want);
+        assert_eq!(map_max::<f64>(&[], -1.0, |&x| x), -1.0);
     }
 
     #[test]
@@ -778,10 +502,6 @@ mod tests {
 
     #[test]
     fn env_knobs_accept_documented_values() {
-        assert_eq!(resolve_pool_mode(None), PoolMode::Persistent);
-        assert_eq!(resolve_pool_mode(Some("persistent")), PoolMode::Persistent);
-        assert_eq!(resolve_pool_mode(Some("scoped")), PoolMode::Scoped);
-
         assert_eq!(resolve_num_threads(None), None);
         assert_eq!(resolve_num_threads(Some("1")), Some(1));
         assert_eq!(resolve_num_threads(Some("16")), Some(16));
@@ -790,12 +510,6 @@ mod tests {
         assert!(!resolve_pin(Some("")));
         assert!(!resolve_pin(Some("0")));
         assert!(resolve_pin(Some("1")));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown ADERDG_POOL `scope`")]
-    fn pool_mode_typo_fails_loudly() {
-        resolve_pool_mode(Some("scope"));
     }
 
     #[test]
@@ -832,17 +546,15 @@ mod tests {
         let _guard = THREAD_KNOB.lock().unwrap();
         let before = num_threads();
         set_num_threads(16);
-        for_both_modes(|_| {
-            let mut few = vec![0usize; 3];
-            for_each_mut_init(
-                &mut few,
-                || (),
-                |(), i, x| {
-                    *x += i + 1;
-                },
-            );
-            assert_eq!(few, vec![1, 2, 3]);
-        });
+        let mut few = vec![0usize; 3];
+        for_each_mut_init(
+            &mut few,
+            || (),
+            |(), i, x| {
+                *x += i + 1;
+            },
+        );
+        assert_eq!(few, vec![1, 2, 3]);
         set_num_threads(before);
     }
 
@@ -853,10 +565,8 @@ mod tests {
         let _guard = THREAD_KNOB.lock().unwrap();
         let before = num_threads();
         set_num_threads(16);
-        for_both_modes(|_| {
-            let v = [2.0f64, 9.0, 4.0];
-            assert_eq!(map_max(&v, 0.0, |&x| x), 9.0);
-        });
+        let v = [2.0f64, 9.0, 4.0];
+        assert_eq!(map_max(&v, 0.0, |&x| x), 9.0);
         set_num_threads(before);
     }
 
@@ -880,28 +590,26 @@ mod tests {
                 indegree[b + 4] = 1;
             }
         }
-        for_both_modes(|_| {
-            let finished: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let order = AtomicUsize::new(0);
-            run_graph_init(
-                &indegree,
-                &dependents,
-                || (),
-                |(), t| {
-                    // Record a completion stamp and check every dependency
-                    // already finished.
-                    let deps: Vec<usize> = (0..n).filter(|&d| dependents[d].contains(&t)).collect();
-                    for d in deps {
-                        assert!(
-                            finished[d].load(Ordering::Acquire) > 0,
-                            "task {t} ran before dependency {d}"
-                        );
-                    }
-                    finished[t].store(1 + order.fetch_add(1, Ordering::AcqRel), Ordering::Release);
-                },
-            );
-            assert!(finished.iter().all(|f| f.load(Ordering::Acquire) > 0));
-        });
+        let finished: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let order = AtomicUsize::new(0);
+        run_graph_init(
+            &indegree,
+            &dependents,
+            || (),
+            |(), t| {
+                // Record a completion stamp and check every dependency
+                // already finished.
+                let deps: Vec<usize> = (0..n).filter(|&d| dependents[d].contains(&t)).collect();
+                for d in deps {
+                    assert!(
+                        finished[d].load(Ordering::Acquire) > 0,
+                        "task {t} ran before dependency {d}"
+                    );
+                }
+                finished[t].store(1 + order.fetch_add(1, Ordering::AcqRel), Ordering::Release);
+            },
+        );
+        assert!(finished.iter().all(|f| f.load(Ordering::Acquire) > 0));
     }
 
     #[test]
@@ -909,24 +617,22 @@ mod tests {
         let _guard = THREAD_KNOB.lock().unwrap();
         let before = num_threads();
         set_num_threads(16);
-        for_both_modes(|_| {
-            let n = 300;
-            // Independent tasks (no edges): pure fan-out.
-            let indegree = vec![0usize; n];
-            let dependents = vec![Vec::new(); n];
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            run_graph_init(
-                &indegree,
-                &dependents,
-                || (),
-                |(), t| {
-                    hits[t].fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            for (t, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "task {t}");
-            }
-        });
+        let n = 300;
+        // Independent tasks (no edges): pure fan-out.
+        let indegree = vec![0usize; n];
+        let dependents = vec![Vec::new(); n];
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        run_graph_init(
+            &indegree,
+            &dependents,
+            || (),
+            |(), t| {
+                hits[t].fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        for (t, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 1, "task {t}");
+        }
         set_num_threads(before);
     }
 
@@ -955,9 +661,7 @@ mod tests {
 
     #[test]
     fn run_graph_empty_is_a_noop() {
-        for_both_modes(|_| {
-            run_graph_init(&[], &[], || (), |(), _| unreachable!("no tasks"));
-        });
+        run_graph_init(&[], &[], || (), |(), _| unreachable!("no tasks"));
     }
 
     #[test]
@@ -969,35 +673,33 @@ mod tests {
         let _guard = THREAD_KNOB.lock().unwrap();
         let before = num_threads();
         set_num_threads(4);
-        for_both_modes(|_| {
-            let n = 64;
-            let indegree = vec![0usize; n];
-            let dependents = vec![Vec::new(); n];
-            let result = std::panic::catch_unwind(|| {
-                run_graph_init(
-                    &indegree,
-                    &dependents,
-                    || (),
-                    |(), t| {
-                        if t == 13 {
-                            panic!("boom in task {t}");
-                        }
-                    },
-                );
-            });
-            assert!(result.is_err(), "the task panic must propagate");
-            // The pool survives: the next batch runs normally.
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let n = 64;
+        let indegree = vec![0usize; n];
+        let dependents = vec![Vec::new(); n];
+        let result = std::panic::catch_unwind(|| {
             run_graph_init(
                 &indegree,
                 &dependents,
                 || (),
                 |(), t| {
-                    hits[t].fetch_add(1, Ordering::Relaxed);
+                    if t == 13 {
+                        panic!("boom in task {t}");
+                    }
                 },
             );
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         });
+        assert!(result.is_err(), "the task panic must propagate");
+        // The pool survives: the next batch runs normally.
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        run_graph_init(
+            &indegree,
+            &dependents,
+            || (),
+            |(), t| {
+                hits[t].fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         set_num_threads(before);
     }
 
@@ -1006,18 +708,16 @@ mod tests {
         let _guard = THREAD_KNOB.lock().unwrap();
         let before = num_threads();
         set_num_threads(4);
-        for_both_modes(|_| {
-            // An acyclic prefix (0) feeding a 1 <-> 2 cycle.
-            let indegree = vec![0, 2, 1];
-            let dependents = vec![vec![1], vec![2], vec![1]];
-            let result = std::panic::catch_unwind(|| {
-                run_graph_init(&indegree, &dependents, || (), |(), _| {});
-            });
-            // `run_graph_panics_on_cycle` pins the message on the
-            // sequential path. Here the contract is detection without
-            // deadlock on both executors.
-            assert!(result.is_err(), "the cycle must be detected");
+        // An acyclic prefix (0) feeding a 1 <-> 2 cycle.
+        let indegree = vec![0, 2, 1];
+        let dependents = vec![vec![1], vec![2], vec![1]];
+        let result = std::panic::catch_unwind(|| {
+            run_graph_init(&indegree, &dependents, || (), |(), _| {});
         });
+        // `run_graph_panics_on_cycle` pins the message on the
+        // sequential path. Here the contract is detection without
+        // deadlock on the pool.
+        assert!(result.is_err(), "the cycle must be detected");
         set_num_threads(before);
     }
 
@@ -1041,14 +741,12 @@ mod tests {
 
     #[test]
     fn map_max_ignores_nan_items() {
-        for_both_modes(|_| {
-            // f64::max drops NaN against any non-NaN operand...
-            let v = [1.0f64, f64::NAN, 5.0, f64::NAN];
-            assert_eq!(map_max(&v, 0.0, |&x| x), 5.0);
-            // ...so an all-NaN slice falls back to the identity.
-            let all_nan = [f64::NAN, f64::NAN];
-            assert_eq!(map_max(&all_nan, -1.0, |&x| x), -1.0);
-        });
+        // f64::max drops NaN against any non-NaN operand...
+        let v = [1.0f64, f64::NAN, 5.0, f64::NAN];
+        assert_eq!(map_max(&v, 0.0, |&x| x), 5.0);
+        // ...so an all-NaN slice falls back to the identity.
+        let all_nan = [f64::NAN, f64::NAN];
+        assert_eq!(map_max(&all_nan, -1.0, |&x| x), -1.0);
     }
 
     #[test]
@@ -1056,19 +754,17 @@ mod tests {
         let _guard = THREAD_KNOB.lock().unwrap();
         let before = num_threads();
         set_num_threads(4);
-        for_both_modes(|_| {
-            let mut outer = vec![0usize; 8];
-            for_each_mut(&mut outer, |i, x| {
-                // A nested call from inside a task must not deadlock on
-                // the pool; it runs inline on this worker.
-                let mut inner = vec![0usize; 16];
-                for_each_mut(&mut inner, |j, y| *y = j + 1);
-                *x = i + inner.iter().sum::<usize>();
-            });
-            for (i, &x) in outer.iter().enumerate() {
-                assert_eq!(x, i + 136);
-            }
+        let mut outer = vec![0usize; 8];
+        for_each_mut(&mut outer, |i, x| {
+            // A nested call from inside a task must not deadlock on
+            // the pool; it runs inline on this worker.
+            let mut inner = vec![0usize; 16];
+            for_each_mut(&mut inner, |j, y| *y = j + 1);
+            *x = i + inner.iter().sum::<usize>();
         });
+        for (i, &x) in outer.iter().enumerate() {
+            assert_eq!(x, i + 136);
+        }
         set_num_threads(before);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! The module is crate-private on purpose: the public, documented
 //! surface (`for_each_mut_init`, `map_max`, `run_graph_init`,
-//! `set_num_threads`, pool-mode knobs) lives in [`crate::par`], which
+//! `set_num_threads`) lives in [`crate::par`], which
 //! owns the determinism contract. Nothing here decides *combine
 //! order* — reductions stay worker-independent because the `par`
 //! wrappers slot partial results by chunk index and fold them on the

@@ -947,9 +947,9 @@ where
 /// The fully resolved knob set a checkpoint stores: replayed through
 /// [`RunRequest::set`], these rebuild the exact engine configuration —
 /// the tuner's block-size pick is pinned as an explicit integer, the
-/// pipeline is pinned against `ADERDG_PIPELINE` drift between save and
-/// resume, and the SIMD width is pinned so the padded state layout
-/// survives a move to a different host.
+/// pipeline and stepping mode are pinned against a changed default
+/// between save and resume, and the SIMD width is pinned so the padded
+/// state layout survives a move to a different host.
 fn checkpoint_knobs<P: LinearPde>(
     engine: &Engine<P>,
     r: &Resolved,
@@ -966,8 +966,6 @@ fn checkpoint_knobs<P: LinearPde>(
         ("block_size".into(), engine.block_size().to_string()),
         ("tuning".into(), c.tuning.as_str().into()),
         ("pipeline".into(), c.pipeline.as_str().into()),
-        // Pinned against `ADERDG_STEPPING` drift between save and
-        // resume, like the pipeline.
         ("stepping".into(), c.stepping.as_str().into()),
     ];
     if let Some(s) = c.shard_size {

@@ -120,8 +120,7 @@ pub struct SolverSpec {
     /// the hermetic choice for CI; `probe` times real kernels on the
     /// host.
     pub tuning: TuningMode,
-    /// Step pipeline (`barrier` | `sharded`; defaults to the process
-    /// default, i.e. `ADERDG_PIPELINE` or `sharded`). `sharded` solves
+    /// Step pipeline (`barrier` | `sharded`, default `sharded`). `sharded` solves
     /// each interior face's Riemann problem once and pipelines shards
     /// with no global barrier; `barrier` is the seed cell-centric
     /// baseline.
@@ -129,8 +128,7 @@ pub struct SolverSpec {
     /// Cells per shard of the sharded pipeline (`None` = automatic, spec
     /// value `auto`).
     pub shard_size: Option<usize>,
-    /// Time-stepping strategy (`global` | `lts`; defaults to the process
-    /// default, i.e. `ADERDG_STEPPING` or `global`). `lts` runs
+    /// Time-stepping strategy (`global` | `lts`, default `global`). `lts` runs
     /// clustered local time stepping — coarse dt-clusters take fewer,
     /// longer sub-steps per macro cycle.
     pub stepping: SteppingMode,
@@ -184,9 +182,9 @@ impl Default for SolverSpec {
             cfl: 0.4,
             block_size: None,
             tuning: TuningMode::default(),
-            pipeline: PipelineMode::default_from_env(),
+            pipeline: PipelineMode::Sharded,
             shard_size: None,
-            stepping: SteppingMode::default_from_env(),
+            stepping: SteppingMode::Global,
         }
     }
 }

@@ -1,19 +1,19 @@
 //! Scheduler torture tests for the worker pool (`aderdg_core::par`).
 //!
 //! Seeded random DAGs — diamonds, wide fan-outs, long chains,
-//! disconnected components — run at 1/2/4/16 threads on **both**
-//! executors (persistent work-stealing pool and the scoped fallback),
-//! asserting every task runs exactly once with its dependencies
-//! finished first. Panic-in-task must propagate without deadlocking or
+//! disconnected components — run at 1/2/4/16 threads (the inline
+//! sequential path and the persistent work-stealing pool), asserting
+//! every task runs exactly once with its dependencies finished first.
+//! Panic-in-task must propagate without deadlocking or
 //! poisoning the pool for the next call; `set_num_threads` must resize
 //! safely while idle and fail loudly mid-task; the cell-loop reductions
 //! (`map_max`, `for_each_mut_init`) must keep their NaN/identity and
 //! state-reuse semantics on the persistent pool.
 //!
-//! Every test mutates process-global knobs (thread count, pool mode), so
-//! every test serializes on one mutex and restores what it found.
+//! Every test mutates the process-global thread count, so every test
+//! serializes on one mutex and restores what it found.
 
-use aderdg_core::par::{self, PoolMode};
+use aderdg_core::par;
 use aderdg_tensor::Lcg;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -157,20 +157,16 @@ fn check_graph(g: &Dag) {
     assert_eq!(stamp.load(Ordering::Acquire), n, "wrong completion count");
 }
 
-/// Runs `body` across the full (threads × executor) torture matrix,
-/// restoring the ambient configuration afterwards.
+/// Runs `body` at every thread count of the torture matrix (1 = the
+/// inline sequential executor, the rest the pool), restoring the ambient
+/// count afterwards.
 fn torture_matrix(body: impl Fn()) {
     let _guard = knob_guard();
     let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-        par::set_pool_mode(mode);
-        for threads in [1, 2, 4, 16] {
-            par::set_num_threads(threads);
-            body();
-        }
+    for threads in [1, 2, 4, 16] {
+        par::set_num_threads(threads);
+        body();
     }
-    par::set_pool_mode(mode_before);
     par::set_num_threads(threads_before);
 }
 
@@ -234,37 +230,32 @@ fn unbalanced_task_durations_still_cover_every_task() {
 fn panic_in_task_propagates_and_pool_survives() {
     let _guard = knob_guard();
     let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-        par::set_pool_mode(mode);
-        for threads in [2, 4, 16] {
-            par::set_num_threads(threads);
-            let g = random_layered(11, 5, 8);
-            let victim = g.len() / 2;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                par::run_graph_init(
-                    &g.indegree,
-                    &g.dependents,
-                    || (),
-                    |(), t| {
-                        if t == victim {
-                            panic!("boom in task {t}");
-                        }
-                    },
-                );
-            }));
-            assert!(result.is_err(), "the task panic must propagate");
-            // The pool is not poisoned: graph, cell loop and reduction
-            // all still work on the very next calls.
-            check_graph(&diamond_chain(8));
-            let mut v = vec![0usize; 257];
-            par::for_each_mut(&mut v, |i, x| *x = i);
-            assert!(v.iter().enumerate().all(|(i, &x)| x == i));
-            let m = par::map_max(&v, 0.0, |&x| x as f64);
-            assert_eq!(m, 256.0);
-        }
+    for threads in [2, 4, 16] {
+        par::set_num_threads(threads);
+        let g = random_layered(11, 5, 8);
+        let victim = g.len() / 2;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            par::run_graph_init(
+                &g.indegree,
+                &g.dependents,
+                || (),
+                |(), t| {
+                    if t == victim {
+                        panic!("boom in task {t}");
+                    }
+                },
+            );
+        }));
+        assert!(result.is_err(), "the task panic must propagate");
+        // The pool is not poisoned: graph, cell loop and reduction
+        // all still work on the very next calls.
+        check_graph(&diamond_chain(8));
+        let mut v = vec![0usize; 257];
+        par::for_each_mut(&mut v, |i, x| *x = i);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i));
+        let m = par::map_max(&v, 0.0, |&x| x as f64);
+        assert_eq!(m, 256.0);
     }
-    par::set_pool_mode(mode_before);
     par::set_num_threads(threads_before);
 }
 
@@ -272,8 +263,6 @@ fn panic_in_task_propagates_and_pool_survives() {
 fn panic_in_cell_loop_propagates_on_persistent_pool() {
     let _guard = knob_guard();
     let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    par::set_pool_mode(PoolMode::Persistent);
     par::set_num_threads(4);
     let mut v = vec![0usize; 64];
     let result = catch_unwind(AssertUnwindSafe(|| {
@@ -287,7 +276,6 @@ fn panic_in_cell_loop_propagates_on_persistent_pool() {
     // Next batch is unaffected.
     par::for_each_mut(&mut v, |i, x| *x = i + 1);
     assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
-    par::set_pool_mode(mode_before);
     par::set_num_threads(threads_before);
 }
 
@@ -295,8 +283,6 @@ fn panic_in_cell_loop_propagates_on_persistent_pool() {
 fn set_num_threads_resizes_the_idle_pool_safely() {
     let _guard = knob_guard();
     let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    par::set_pool_mode(PoolMode::Persistent);
     // Grow, shrink, regrow — a graph and a reduction must work at every
     // size (the pool is rebuilt lazily after each resize).
     for &threads in &[4, 2, 16, 1, 8] {
@@ -306,7 +292,6 @@ fn set_num_threads_resizes_the_idle_pool_safely() {
         let v: Vec<f64> = (0..100).map(|i| i as f64).collect();
         assert_eq!(par::map_max(&v, 0.0, |&x| x), 99.0);
     }
-    par::set_pool_mode(mode_before);
     par::set_num_threads(threads_before);
 }
 
@@ -317,31 +302,22 @@ fn set_num_threads_mid_task_panics_with_a_clear_message() {
     // it a loud error. Pin the message so it stays actionable.
     let _guard = knob_guard();
     let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-        par::set_pool_mode(mode);
-        par::set_num_threads(4);
-        let mut v = vec![0usize; 16];
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            par::for_each_mut(&mut v, |_, _| par::set_num_threads(2));
-        }));
-        let payload = result.expect_err("mid-task resize must panic");
-        // The persistent pool propagates the worker's payload verbatim; the
-        // scoped fallback re-panics from the scope join with its own payload
-        // ("a scoped thread panicked"), so only pin the message for the pool.
-        if mode == PoolMode::Persistent {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert!(
-                msg.contains("inside a parallel task"),
-                "unexpected panic message: {msg:?}"
-            );
-        }
-    }
-    par::set_pool_mode(mode_before);
+    par::set_num_threads(4);
+    let mut v = vec![0usize; 16];
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        par::for_each_mut(&mut v, |_, _| par::set_num_threads(2));
+    }));
+    let payload = result.expect_err("mid-task resize must panic");
+    // The pool propagates the worker's payload verbatim.
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(
+        msg.contains("inside a parallel task"),
+        "unexpected panic message: {msg:?}"
+    );
     par::set_num_threads(threads_before);
 }
 
@@ -349,8 +325,6 @@ fn set_num_threads_mid_task_panics_with_a_clear_message() {
 fn map_max_nan_and_identity_semantics_on_the_persistent_pool() {
     let _guard = knob_guard();
     let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    par::set_pool_mode(PoolMode::Persistent);
     par::set_num_threads(16);
     // NaN items lose against any non-NaN operand...
     let v = [1.0f64, f64::NAN, 5.0, f64::NAN, 2.0];
@@ -363,7 +337,6 @@ fn map_max_nan_and_identity_semantics_on_the_persistent_pool() {
     // ...and a NaN identity behaves like f64::max with a NaN seed.
     let w = [2.0f64, 9.0];
     assert_eq!(par::map_max(&w, f64::NAN, |&x| x), 9.0);
-    par::set_pool_mode(mode_before);
     par::set_num_threads(threads_before);
 }
 
@@ -371,8 +344,6 @@ fn map_max_nan_and_identity_semantics_on_the_persistent_pool() {
 fn for_each_state_reuse_on_the_persistent_pool() {
     let _guard = knob_guard();
     let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    par::set_pool_mode(PoolMode::Persistent);
     par::set_num_threads(4);
     // Each chunk gets one init()-produced state, reused across the
     // chunk's items: the per-state counts must sum to the item count,
@@ -397,7 +368,6 @@ fn for_each_state_reuse_on_the_persistent_pool() {
         (1..=4).contains(&created),
         "expected at most one state per worker, got {created}"
     );
-    par::set_pool_mode(mode_before);
     par::set_num_threads(threads_before);
 }
 
@@ -405,8 +375,6 @@ fn for_each_state_reuse_on_the_persistent_pool() {
 fn graph_worker_states_are_reused_across_tasks() {
     let _guard = knob_guard();
     let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    par::set_pool_mode(PoolMode::Persistent);
     par::set_num_threads(4);
     // 500 independent tasks on 4 workers: at most 4 states may be
     // created (one per worker), far fewer than tasks — the whole point
@@ -428,7 +396,6 @@ fn graph_worker_states_are_reused_across_tasks() {
         (1..=4).contains(&created),
         "expected at most one state per worker, got {created}"
     );
-    par::set_pool_mode(mode_before);
     par::set_num_threads(threads_before);
 }
 

@@ -151,10 +151,9 @@ pub enum LtsTask {
     },
 }
 
-/// The static task graph of one LTS macro cycle over a level-aware
-/// [`ShardPlan`]. With a single cluster (`num_levels() == 1`) it
-/// degenerates to exactly one predict/flux/apply task per shard — the
-/// same schedule as the global-dt sharded pipeline.
+/// The static task graph of one macro cycle over a level-aware
+/// [`ShardPlan`]. With a single cluster (`num_levels() == 1`) it is
+/// exactly one predict/flux/apply task per shard — the global-dt step.
 #[derive(Debug, Clone)]
 pub struct LtsGraph {
     /// Base sub-steps (`2^Lmax`) per macro cycle.
@@ -169,6 +168,12 @@ pub struct LtsGraph {
     /// Per-shard sweep cadence: min cadence over the shard's owned
     /// faces.
     sweep_cadence: Vec<u8>,
+    /// Index of each shard's sweep 0 in `flux_deps`.
+    flux_base: Vec<usize>,
+    /// Per flux sweep (shards in order, sweeps in order): the sorted,
+    /// deduplicated shards whose predictor outputs the sweep reads —
+    /// the shard-level mirror of the sweep's predictor edges.
+    flux_deps: Vec<Vec<usize>>,
 }
 
 impl LtsGraph {
@@ -210,6 +215,8 @@ impl LtsGraph {
 
         let n = tasks.len();
         let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut flux_base = Vec::with_capacity(ns);
+        let mut flux_deps: Vec<Vec<usize>> = Vec::new();
         for s in 0..ns {
             let level = plan.shard_level(s) as usize;
             let steps = 1usize << (lmax - level);
@@ -223,8 +230,10 @@ impl LtsGraph {
                 deps[p_base[s] + k].push(a_base[s] + (k - 1));
             }
 
+            flux_base.push(flux_deps.len());
             for i in 0..sweeps {
                 let t = f_base[s] + i;
+                let mut shards = Vec::new();
                 if i > 0 {
                     // Sweep chain: orders the flux accumulator's
                     // overwrite-then-add pairs on mismatched faces.
@@ -242,6 +251,7 @@ impl LtsGraph {
                         let cs = plan.shard_of(cell);
                         let window = slot >> plan.shard_level(cs) as usize;
                         deps[t].push(p_base[cs] + window);
+                        shards.push(cs);
                     };
                     match plan.face(id) {
                         FaceTopo::Interior { lower, upper, .. } => {
@@ -251,6 +261,9 @@ impl LtsGraph {
                         FaceTopo::Boundary { cell, .. } => dep_on(cell),
                     }
                 }
+                shards.sort_unstable();
+                shards.dedup();
+                flux_deps.push(shards);
             }
 
             for k in 0..steps {
@@ -289,6 +302,8 @@ impl LtsGraph {
             indegree,
             dependents,
             sweep_cadence,
+            flux_base,
+            flux_deps,
         }
     }
 
@@ -328,5 +343,13 @@ impl LtsGraph {
     /// The base slot covered by sweep `i` of shard `s`.
     pub fn sweep_slot(&self, s: usize, i: usize) -> usize {
         i << self.sweep_cadence[s] as usize
+    }
+
+    /// Shards whose predictor outputs sweep `i` of shard `s` reads: the
+    /// shards of every cell adjacent to an owned face due at the sweep's
+    /// slot (sorted, deduplicated). For a one-level plan this equals
+    /// [`ShardPlan::flux_deps`].
+    pub fn flux_deps(&self, s: usize, i: usize) -> &[usize] {
+        &self.flux_deps[self.flux_base[s] + i]
     }
 }

@@ -14,8 +14,8 @@
 //!   per sub-window.
 
 use aderdg_mesh::{
-    assign_levels, BoundaryKind, Face, LtsGraph, LtsTask, Neighbor, ShardPlan, StructuredMesh,
-    MAX_LTS_LEVEL,
+    assign_levels, BoundaryKind, Face, FaceTopo, LtsGraph, LtsTask, Neighbor, ShardPlan,
+    StructuredMesh, MAX_LTS_LEVEL,
 };
 use aderdg_tensor::Lcg;
 use std::collections::HashSet;
@@ -266,4 +266,72 @@ fn single_cluster_graph_degenerates_to_one_task_triple_per_shard() {
     assert_eq!(graph.num_slots(), 1);
     assert_eq!(graph.num_tasks(), 3 * flat.num_shards());
     kahn_order(&graph);
+}
+
+/// The dependency-shard list a flux sweep needs, rebuilt from first
+/// principles the way the engine's flux task used to per call: the
+/// shards of every cell adjacent to an owned face due at the sweep's
+/// slot.
+fn rebuilt_flux_deps(plan: &ShardPlan, graph: &LtsGraph, s: usize, sweep: usize) -> Vec<usize> {
+    let slot = graph.sweep_slot(s, sweep);
+    let mut deps = Vec::new();
+    for id in plan.owned_faces(s) {
+        if slot % (1usize << plan.face_cadence(id)) != 0 {
+            continue;
+        }
+        match plan.face(id) {
+            FaceTopo::Interior { lower, upper, .. } => {
+                deps.push(plan.shard_of(lower));
+                deps.push(plan.shard_of(upper));
+            }
+            FaceTopo::Boundary { cell, .. } => deps.push(plan.shard_of(cell)),
+        }
+    }
+    deps.sort_unstable();
+    deps.dedup();
+    deps
+}
+
+/// Likewise for an apply task: the owners of every face its cells touch.
+fn rebuilt_apply_owners(plan: &ShardPlan, s: usize) -> Vec<usize> {
+    let mut owners: Vec<usize> = plan
+        .shard_range(s)
+        .flat_map(|c| plan.cell_faces(c).iter().map(|&id| plan.face_owner(id)))
+        .collect();
+    owners.sort_unstable();
+    owners.dedup();
+    owners
+}
+
+#[test]
+fn precomputed_dependency_lists_equal_the_per_task_rebuild() {
+    let mut multi_level_sweeps = 0;
+    let flat = ShardPlan::new(&StructuredMesh::unit_cube(3), 4);
+    let plans = [5u64, 21, 303, 55555]
+        .into_iter()
+        .map(random_plan)
+        .chain([flat]);
+    for plan in plans {
+        let graph = LtsGraph::build(&plan);
+        for s in 0..plan.num_shards() {
+            assert_eq!(plan.apply_deps(s), rebuilt_apply_owners(&plan, s));
+            let sweeps = graph.num_slots() >> graph.sweep_cadence(s);
+            for sweep in 0..sweeps {
+                assert_eq!(
+                    graph.flux_deps(s, sweep),
+                    rebuilt_flux_deps(&plan, &graph, s, sweep),
+                    "shard {s} sweep {sweep}"
+                );
+                multi_level_sweeps += usize::from(sweeps > 1);
+            }
+            if plan.num_levels() == 1 {
+                // One level: one sweep over every owned face.
+                assert_eq!(graph.flux_deps(s, 0), plan.flux_deps(s));
+            }
+        }
+    }
+    assert!(
+        multi_level_sweeps > 0,
+        "the seeds must exercise sub-cycled sweeps"
+    );
 }

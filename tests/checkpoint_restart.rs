@@ -2,12 +2,11 @@
 //! bit-identically and a paused-then-resumed run must be
 //! indistinguishable — to the last bit of every DOF, series point and
 //! receiver record — from one that never stopped. Exercised across
-//! kernels × pipelines × pool modes, because serialization must not
-//! care how the bits were produced; plus rejection of corrupt files and
+//! kernels × pipelines, because serialization must not care how the
+//! bits were produced; plus rejection of corrupt files and
 //! the degenerate-dt error path.
 
 use aderdg::core::checkpoint::Checkpoint;
-use aderdg::core::par::{self, PoolMode};
 use aderdg::core::registry::KernelRegistry;
 use aderdg::core::scenario::{
     drive, RunControl, RunRequest, RunSummary, Scenario, ScenarioError, ScenarioInfo,
@@ -18,10 +17,7 @@ use aderdg::core::{Engine, EngineConfig, PipelineMode, SteppingMode};
 use aderdg::mesh::StructuredMesh;
 use aderdg::pde::{Acoustic, AdvectionSystem};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-/// The pool knobs are process-global; serialize the tests that flip them.
-static THREAD_KNOB: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn seeded_engine(kernel: &str, pipeline: PipelineMode) -> Engine<Acoustic> {
     let config = EngineConfig::new(3)
@@ -54,55 +50,49 @@ fn state_bits(engine: &Engine<Acoustic>) -> Vec<u64> {
 
 /// Engine-level round trip: save mid-run, restore into a freshly built
 /// engine, and both the restored state and its *future* (two more steps)
-/// must be bit-identical — across two kernels, both pipelines and both
-/// pool modes, since the codec must not care how the bits were produced.
+/// must be bit-identical — across two kernels and both pipelines, since
+/// the codec must not care how the bits were produced.
 #[test]
 fn engine_state_round_trips_bit_identically_and_continues() {
-    let _guard = THREAD_KNOB.lock().unwrap();
-    let mode_before = par::pool_mode();
-    for pool in [PoolMode::Persistent, PoolMode::Scoped] {
-        par::set_pool_mode(pool);
-        for kernel in ["generic", "aosoa_splitck"] {
-            for pipeline in [PipelineMode::Barrier, PipelineMode::Sharded] {
-                let label = format!("{kernel}/{pipeline:?}/{pool:?}");
-                let mut original = seeded_engine(kernel, pipeline);
-                let dt = original.max_dt() * 0.5;
-                original.step(dt);
-                original.step(dt);
-                let saved = original.save_state();
+    for kernel in ["generic", "aosoa_splitck"] {
+        for pipeline in [PipelineMode::Barrier, PipelineMode::Sharded] {
+            let label = format!("{kernel}/{pipeline:?}");
+            let mut original = seeded_engine(kernel, pipeline);
+            let dt = original.max_dt() * 0.5;
+            original.step(dt);
+            original.step(dt);
+            let saved = original.save_state();
 
-                let mut restored = seeded_engine(kernel, pipeline);
-                restored.restore_state(&saved).expect("restore");
-                assert_eq!(restored.time.to_bits(), original.time.to_bits(), "{label}");
-                assert_eq!(restored.steps, original.steps, "{label}");
-                assert_eq!(
-                    state_bits(&restored),
-                    state_bits(&original),
-                    "{label}: restored DOFs differ"
-                );
+            let mut restored = seeded_engine(kernel, pipeline);
+            restored.restore_state(&saved).expect("restore");
+            assert_eq!(restored.time.to_bits(), original.time.to_bits(), "{label}");
+            assert_eq!(restored.steps, original.steps, "{label}");
+            assert_eq!(
+                state_bits(&restored),
+                state_bits(&original),
+                "{label}: restored DOFs differ"
+            );
 
-                // The restored engine's future must match too.
-                original.step(dt);
-                original.step(dt);
-                restored.step(dt);
-                restored.step(dt);
-                assert_eq!(
-                    state_bits(&restored),
-                    state_bits(&original),
-                    "{label}: evolution diverges after restore"
-                );
-                assert_eq!(
-                    original.receivers.len(),
-                    restored.receivers.len(),
-                    "{label}"
-                );
-                for (a, b) in original.receivers.iter().zip(&restored.receivers) {
-                    assert_eq!(a.records, b.records, "{label}: receiver traces differ");
-                }
+            // The restored engine's future must match too.
+            original.step(dt);
+            original.step(dt);
+            restored.step(dt);
+            restored.step(dt);
+            assert_eq!(
+                state_bits(&restored),
+                state_bits(&original),
+                "{label}: evolution diverges after restore"
+            );
+            assert_eq!(
+                original.receivers.len(),
+                restored.receivers.len(),
+                "{label}"
+            );
+            for (a, b) in original.receivers.iter().zip(&restored.receivers) {
+                assert_eq!(a.records, b.records, "{label}: receiver traces differ");
             }
         }
     }
-    par::set_pool_mode(mode_before);
 }
 
 /// LTS engine-level round trip: the checkpoint must carry the
@@ -112,7 +102,6 @@ fn engine_state_round_trips_bit_identically_and_continues() {
 /// bulk makes the run genuinely multi-level.
 #[test]
 fn lts_state_round_trips_with_cluster_clocks_and_continues() {
-    let _guard = THREAD_KNOB.lock().unwrap();
     let seeded = || {
         let config = EngineConfig::new(3)
             .with_tuning(TuningMode::Static)

@@ -14,7 +14,6 @@
 //! last ulp. These tests guard both the static chunking and the shard
 //! scheduler against accumulation-order drift.
 
-use aderdg::core::par::PoolMode;
 use aderdg::core::{par, Engine, EngineConfig, PipelineMode};
 use aderdg::mesh::StructuredMesh;
 use aderdg::pde::{Acoustic, PointSource, SourceTimeFunction};
@@ -101,11 +100,15 @@ fn sharded_step_bit_identical_across_thread_counts() {
     let _guard = THREAD_KNOB.lock().unwrap();
     let before = par::num_threads();
     // Auto shard size plus explicit sizes that split the 27-cell mesh
-    // into many shards (worst case for schedule-dependent ordering) and
-    // one-shard / uneven-tail partitions.
+    // into many shards (worst case for schedule-dependent ordering),
+    // one-shard / uneven-tail partitions, and the steal-heavy 13+13+1 and
+    // 11+11+5 splits: some workers get far more cells than others, so the
+    // pool's idle workers must steal to finish — the schedule differs
+    // maximally from the inline 1-thread reference, yet the evolved state
+    // must not drift by a single bit.
     let base = EngineConfig::new(3).with_pipeline(PipelineMode::Sharded);
     assert_thread_invariant(base, "sharded(auto)");
-    for shard_size in [2, 5, 27] {
+    for shard_size in [2, 5, 27, 13, 11] {
         assert_thread_invariant(
             base.with_shard_size(shard_size),
             &format!("sharded({shard_size})"),
@@ -115,85 +118,11 @@ fn sharded_step_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn steal_heavy_sharded_step_bit_identical_across_pool_modes() {
-    // Steal-heavy workload: shard sizes that leave uneven tails on the
-    // 27-cell mesh (13+13+1 and 11+11+5) give some workers far more cells
-    // than others, so the persistent pool's idle workers must steal to
-    // finish — the schedule differs maximally between modes and thread
-    // counts, yet the evolved state must not drift by a single bit.
-    let _guard = THREAD_KNOB.lock().unwrap();
-    let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    for shard_size in [13, 11] {
-        let config = EngineConfig::new(3)
-            .with_pipeline(PipelineMode::Sharded)
-            .with_shard_size(shard_size);
-        par::set_pool_mode(PoolMode::Scoped);
-        let reference = run_with(1, config);
-        assert!(
-            reference.iter().any(|&b| b != 0),
-            "steal-heavy: the run must actually evolve data"
-        );
-        for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-            par::set_pool_mode(mode);
-            for threads in [1, 4, 16] {
-                let result = run_with(threads, config);
-                let diffs = result
-                    .iter()
-                    .zip(&reference)
-                    .filter(|(a, b)| a != b)
-                    .count();
-                assert_eq!(
-                    diffs, 0,
-                    "steal-heavy shard_size={shard_size}: {diffs} doubles \
-                     differ at {threads} threads ({mode:?}) vs scoped/1-thread"
-                );
-            }
-        }
-    }
-    par::set_pool_mode(mode_before);
-    par::set_num_threads(threads_before);
-}
-
-#[test]
-fn max_dt_bit_identical_across_pool_modes() {
-    // `max_dt` is the one parallel *reduction* in the step loop; the
-    // persistent pool folds per-chunk partial maxima in chunk-index order
-    // regardless of which worker computed them, so the result must match
-    // the scoped path and every thread count exactly.
-    let _guard = THREAD_KNOB.lock().unwrap();
-    let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    let dt_at = |mode: PoolMode, threads: usize| {
-        par::set_pool_mode(mode);
-        par::set_num_threads(threads);
-        let mesh = StructuredMesh::unit_cube(4);
-        let mut engine = Engine::new(mesh, Acoustic, EngineConfig::new(2));
-        engine.set_initial(|x, q| {
-            q[0] = x[0];
-            q[1] = 0.0;
-            q[2] = 0.0;
-            q[3] = 0.0;
-            Acoustic::set_params(q, 1.0 + 0.5 * x[1], 1.0 + 0.25 * x[0]);
-        });
-        engine.max_dt().to_bits()
-    };
-    let reference = dt_at(PoolMode::Scoped, 1);
-    for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-        for threads in [1, 4, 16] {
-            assert_eq!(
-                dt_at(mode, threads),
-                reference,
-                "max_dt drifted at {threads} threads ({mode:?})"
-            );
-        }
-    }
-    par::set_pool_mode(mode_before);
-    par::set_num_threads(threads_before);
-}
-
-#[test]
 fn max_dt_bit_identical_across_thread_counts() {
+    // `max_dt` is the one parallel *reduction* in the step loop; the pool
+    // folds per-chunk partial maxima in chunk-index order regardless of
+    // which worker computed them, so the result must match the inline
+    // 1-thread fold at every thread count exactly.
     let _guard = THREAD_KNOB.lock().unwrap();
     let before = par::num_threads();
     let dt_at = |threads: usize| {

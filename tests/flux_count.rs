@@ -38,9 +38,9 @@ fn sharded_step_solves_each_face_exactly_once() {
     }
 
     // Fully periodic cube: 3·cells interior faces, no boundary. The
-    // counts are a *pipeline* contract, so pin `stepping = global`
-    // against the `ADERDG_STEPPING=lts` CI leg (under which `pipeline`
-    // is ignored and the barrier count would never materialize).
+    // counts are a *pipeline* contract, so `stepping = global` is spelled
+    // out (under LTS `pipeline` is ignored and the barrier count would
+    // never materialize).
     let cells = 27;
     let barrier = step_solves(
         EngineConfig::new(3)
@@ -65,15 +65,15 @@ fn sharded_step_solves_each_face_exactly_once() {
         3 * cells,
         "once-per-face path halves the interior solves"
     );
-    // Degenerate LTS (uniform medium ⇒ one cluster, one slot per macro
-    // cycle) inherits the once-per-face count exactly.
+    // One-cluster LTS (uniform medium ⇒ one slot per macro cycle) is
+    // the same driver over a lazily built plan: same count.
     let lts = step_solves(
         EngineConfig::new(3)
             .with_stepping(SteppingMode::Lts)
             .with_shard_size(4),
         StructuredMesh::unit_cube(3),
     );
-    assert_eq!(lts, 3 * cells, "degenerate LTS solves each face once");
+    assert_eq!(lts, 3 * cells, "one-cluster LTS solves each face once");
 
     // Mixed boundaries: interior + boundary faces, straight from the
     // shard plan's canonical face index.

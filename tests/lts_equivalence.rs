@@ -1,15 +1,16 @@
-//! Local time stepping vs the global-dt paths.
+//! Local time stepping vs global stepping.
 //!
 //! Two contracts from `docs/LTS.md`:
 //!
-//! 1. **Degenerate exactness** — on a dt-homogeneous problem every cell
-//!    lands in one cluster, the LTS graph collapses to the sharded
-//!    Predict → Flux → Apply chain with `num_slots = 1`, and `stepping =
-//!    lts` must reproduce `stepping = global` (sharded pipeline)
-//!    **bit-for-bit**: same partition, same once-per-face flux order,
-//!    same corrector order, `dt_base = dt / 1` exact. Checked for every
-//!    registered kernel, both `pipeline` settings (ignored under LTS),
-//!    several shard sizes and 1/4/16 worker threads.
+//! 1. **Global is the one-cluster case** — on a dt-homogeneous problem
+//!    every cell lands in one cluster and `stepping = lts` runs the very
+//!    driver `stepping = global` runs, over the same one-level plan. The
+//!    only code that still differs is where the plan and the dt come
+//!    from: the lazily built, state-derived clustering vs the flat plan
+//!    of `Engine::new`, and the cached macro dt (min over per-cell dt)
+//!    vs the per-step reduction (dt of the max rate). Both must agree
+//!    **bit-for-bit**, for every registered kernel (the kernel picks the
+//!    block size, hence the automatic shard size).
 //!
 //! 2. **Two-cluster accuracy** — on a 2:1 wave-speed contrast the slow
 //!    cells step at `2·dt_base`, composing the coarse predictor's
@@ -21,15 +22,9 @@
 //!    must shrink at second order under dt refinement — on both acoustic
 //!    and shallow-water physics.
 
-use aderdg::core::par::PoolMode;
-use aderdg::core::{par, Engine, EngineConfig, KernelRegistry, PipelineMode, SteppingMode};
+use aderdg::core::{Engine, EngineConfig, KernelRegistry, PipelineMode, SteppingMode};
 use aderdg::mesh::{BoundaryKind, StructuredMesh};
 use aderdg::pde::{Acoustic, LinearizedSwe, PointSource, SourceTimeFunction};
-use std::sync::Mutex;
-
-/// The thread-count override is process-global; serialize the tests that
-/// flip it so they cannot interleave.
-static THREAD_KNOB: Mutex<()> = Mutex::new(());
 
 /// A small mesh exercising interior, periodic-wrap, outflow and
 /// reflective faces at once.
@@ -48,8 +43,9 @@ fn mesh() -> StructuredMesh {
 
 /// Runs three steps of a seeded acoustic problem with a point source on a
 /// dt-homogeneous medium (uniform material ⇒ uniform per-cell CFL dt ⇒ a
-/// single LTS cluster) and returns the evolved state, bit-exact.
-fn run_homogeneous(config: EngineConfig) -> Vec<u64> {
+/// single LTS cluster) and returns the plan's level count, `max_dt` of the
+/// initial state and the evolved state, bit-exact.
+fn run_homogeneous(config: EngineConfig) -> (usize, u64, Vec<u64>) {
     let mut engine = Engine::new(mesh(), Acoustic, config);
     engine.set_initial(|x, q| {
         let s = (x[0] * 5.1 + x[1] * 2.7 - x[2] * 3.9).sin();
@@ -69,96 +65,42 @@ fn run_homogeneous(config: EngineConfig) -> Vec<u64> {
             frequency: 8.0,
         },
     });
-    let dt = engine.max_dt() * 0.6;
+    let max_dt = engine.max_dt();
+    let dt = max_dt * 0.6;
     assert!(dt.is_finite() && dt > 0.0);
     for _ in 0..3 {
         engine.step(dt);
     }
-    (0..engine.mesh.num_cells())
+    let state = (0..engine.mesh.num_cells())
         .flat_map(|c| engine.cell_state(c).iter().map(|v| v.to_bits()))
-        .collect()
-}
-
-/// Asserts the degenerate LTS run is bit-identical to the global sharded
-/// run under `config`'s kernel/shard settings.
-fn assert_degenerate_bitwise(base: EngineConfig, label: &str) {
-    let global = run_homogeneous(
-        base.with_stepping(SteppingMode::Global)
-            .with_pipeline(PipelineMode::Sharded),
-    );
-    assert!(
-        global.iter().any(|&b| b != 0),
-        "{label}: the run must actually evolve data"
-    );
-    // `pipeline` is ignored under LTS — both settings must take the same
-    // graph path and agree with the global sharded run exactly.
-    for pipeline in [PipelineMode::Sharded, PipelineMode::Barrier] {
-        let lts = run_homogeneous(
-            base.with_stepping(SteppingMode::Lts)
-                .with_pipeline(pipeline),
-        );
-        let diffs = lts.iter().zip(&global).filter(|(a, b)| a != b).count();
-        assert_eq!(
-            diffs, 0,
-            "{label} ({pipeline:?}): {diffs} doubles differ between \
-             degenerate LTS and the global sharded run"
-        );
-    }
+        .collect();
+    (engine.lts_plan().num_levels(), max_dt.to_bits(), state)
 }
 
 #[test]
 fn degenerate_lts_bitwise_matches_global_for_every_kernel() {
-    let _guard = THREAD_KNOB.lock().unwrap();
     for name in KernelRegistry::global().names() {
-        assert_degenerate_bitwise(
-            EngineConfig::new(3).with_kernel_name(name),
-            &format!("kernel {name}"),
+        let base = EngineConfig::new(3)
+            .with_kernel_name(name)
+            .with_pipeline(PipelineMode::Sharded);
+        let (_, global_dt, global) = run_homogeneous(base.with_stepping(SteppingMode::Global));
+        assert!(
+            global.iter().any(|&b| b != 0),
+            "{name}: the run must actually evolve data"
+        );
+        let (levels, lts_dt, lts) = run_homogeneous(base.with_stepping(SteppingMode::Lts));
+        assert_eq!(levels, 1, "{name}: a uniform medium is one cluster");
+        assert_eq!(
+            lts_dt, global_dt,
+            "{name}: the one-cluster macro dt must be the global dt bitwise"
+        );
+        let diffs = lts.iter().zip(&global).filter(|(a, b)| a != b).count();
+        assert_eq!(
+            diffs, 0,
+            "{name}: {diffs} doubles differ between one-cluster LTS and \
+             the global run"
         );
     }
-}
-
-#[test]
-fn degenerate_lts_bitwise_matches_global_across_shard_sizes() {
-    let _guard = THREAD_KNOB.lock().unwrap();
-    // Auto plus explicit sizes splitting the 18-cell mesh into many
-    // shards, one shard, and uneven tails.
-    assert_degenerate_bitwise(EngineConfig::new(3), "sharded(auto)");
-    for shard_size in [2, 5, 18] {
-        assert_degenerate_bitwise(
-            EngineConfig::new(3).with_shard_size(shard_size),
-            &format!("sharded({shard_size})"),
-        );
-    }
-}
-
-#[test]
-fn degenerate_lts_bitwise_matches_global_across_threads_and_pool_modes() {
-    let _guard = THREAD_KNOB.lock().unwrap();
-    let threads_before = par::num_threads();
-    let mode_before = par::pool_mode();
-    par::set_num_threads(1);
-    par::set_pool_mode(PoolMode::Scoped);
-    let config = EngineConfig::new(3).with_shard_size(5);
-    let reference = run_homogeneous(
-        config
-            .with_stepping(SteppingMode::Global)
-            .with_pipeline(PipelineMode::Sharded),
-    );
-    for mode in [PoolMode::Persistent, PoolMode::Scoped] {
-        par::set_pool_mode(mode);
-        for threads in [1, 4, 16] {
-            par::set_num_threads(threads);
-            let lts = run_homogeneous(config.with_stepping(SteppingMode::Lts));
-            let diffs = lts.iter().zip(&reference).filter(|(a, b)| a != b).count();
-            assert_eq!(
-                diffs, 0,
-                "{diffs} doubles differ between degenerate LTS at {threads} \
-                 threads ({mode:?}) and the scoped 1-thread global run"
-            );
-        }
-    }
-    par::set_pool_mode(mode_before);
-    par::set_num_threads(threads_before);
 }
 
 /// Max relative elementwise difference, scaled by the largest magnitude.
@@ -223,7 +165,6 @@ where
 
 #[test]
 fn two_cluster_lts_matches_fine_global_run_acoustic() {
-    let _guard = THREAD_KNOB.lock().unwrap();
     let init = |x: [f64; 3], q: &mut [f64]| {
         q.fill(0.0);
         let r2: f64 = x.iter().map(|&c| (c - 0.6) * (c - 0.6)).sum();
@@ -254,7 +195,6 @@ fn two_cluster_lts_matches_fine_global_run_acoustic() {
 
 #[test]
 fn two_cluster_lts_matches_fine_global_run_swe() {
-    let _guard = THREAD_KNOB.lock().unwrap();
     let init = |x: [f64; 3], q: &mut [f64]| {
         q.fill(0.0);
         // A smoothed dam-break elevation step over a stepped bottom:
