@@ -1,24 +1,19 @@
-//! Comparable GEMM-backend benchmark points → `BENCH_gemm.json`.
+//! Comparable GEMM-kernel benchmark points → `BENCH_gemm.json`.
 //!
-//! Forces each GEMM backend in-process via [`aderdg_gemm::BACKEND_ENV`]
-//! and appends flat JSON points (via [`aderdg_bench::points`]) so future
+//! Appends flat JSON points (via [`aderdg_bench::points`]), each stamped
+//! with the `git describe` of the tree that produced it, so future
 //! sessions can add comparable numbers on other hardware:
 //!
-//! * raw batched GEMM throughput on the plan's AoSoA shapes — the fused
-//!   x-derivative (`C = A·Dᵀ`, shared B, row-fused) and the shared-
-//!   operator slab (`C += D·B`) — for the acoustic (m = 6) and elastic
-//!   (m = 21) quantity counts;
-//! * the best `block_sweep` point of `aosoa_splitck` and `generic`
-//!   (acoustic engine, order 5, 6³ cells);
-//! * per-cell predictor time of `aosoa_splitck` on the elastic m = 21
-//!   stress workload;
-//! * the probe ranking on the fused shape (what `tuning = probe` sees);
-//! * packed-vs-autovec speedup ratios on the engine metrics — the
-//!   numbers the PR acceptance gate reads.
+//! * per host-supported kernel of the registry: raw batched GEMM
+//!   throughput on the plan's AoSoA shapes — the fused x-derivative
+//!   (`C = A·Dᵀ`, shared B, row-fused) and the shared-operator slab
+//!   (`C += D·B`) — for the acoustic (m = 6) and elastic (m = 21)
+//!   quantity counts, and the per-cell predictor time of `aosoa_splitck`
+//!   on the elastic m = 21 stress workload;
+//! * on the kernel the engine selects: the best `block_sweep` point of
+//!   `aosoa_splitck` and `generic` (acoustic engine, order 5, 6³ cells).
 //!
-//! Environment: `ADERDG_BENCH_BACKENDS` (csv) overrides the measured
-//! backends (default: widest supported autovec + widest supported
-//! packed), `ADERDG_BENCH_OUT` the output path (default
+//! Environment: `ADERDG_BENCH_OUT` the output path (default
 //! `BENCH_gemm.json`), `ADERDG_BENCH_ORDER` the scheme order,
 //! `ADERDG_SMOKE=1` shrinks every size for CI.
 
@@ -27,7 +22,7 @@ use aderdg_bench::points::{append_point, JsonPoint};
 use aderdg_bench::{elastic_state, env_usize, M_ELASTIC};
 use aderdg_core::kernels::{StpInputs, StpOutputs};
 use aderdg_core::{KernelRegistry, StpConfig, StpPlan};
-use aderdg_gemm::{backend_by_name, rank_backends_batched, Gemm, GemmBatch, GemmSpec, Isa};
+use aderdg_gemm::{backends, select_backend, Gemm, GemmBackend, GemmBatch, GemmSpec, Isa};
 use aderdg_pde::Elastic;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -72,24 +67,6 @@ impl Sizes {
     }
 }
 
-/// The default measured pair: widest supported autovec backend and
-/// widest supported packed backend.
-fn default_backends() -> Vec<String> {
-    let pick = |names: &[&str]| {
-        names
-            .iter()
-            .find(|n| backend_by_name(n).is_some_and(|b| b.supported()))
-            .map(|n| n.to_string())
-    };
-    [
-        pick(&["avx512", "avx2", "baseline"]),
-        pick(&["packed_avx512", "packed_avx2", "packed_baseline"]),
-    ]
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// Median-of-reps seconds for one run of `body`.
 fn time_median(reps: usize, mut body: impl FnMut()) -> f64 {
     body(); // warm-up
@@ -104,10 +81,14 @@ fn time_median(reps: usize, mut body: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// Throughput of one batched plan shape on the forced backend, in
-/// GFlop/s (the backend is re-selected per call, honouring the env).
-fn gemm_gflops(spec: GemmSpec, batch: GemmBatch, iters: usize) -> f64 {
-    let gemm = Gemm::new(spec);
+/// Throughput of one batched plan shape on `backend`, in GFlop/s.
+fn gemm_gflops(
+    backend: &'static dyn GemmBackend,
+    spec: GemmSpec,
+    batch: GemmBatch,
+    iters: usize,
+) -> f64 {
+    let gemm = Gemm::with_backend(spec, backend);
     let (la, lb, lc) = batch.required_lens(&spec);
     let mut rng = aderdg_tensor::Lcg::new(0xBE9C_0DE5);
     let a = rng.vec(la.max(1), -1.0, 1.0);
@@ -123,9 +104,15 @@ fn gemm_gflops(spec: GemmSpec, batch: GemmBatch, iters: usize) -> f64 {
 }
 
 /// Per-cell predictor seconds of `aosoa_splitck` on the elastic m = 21
-/// workload (the `elastic_stress` configuration, engine loop stripped).
-fn elastic_stp_us_per_cell(order: usize, cells: usize, reps: usize) -> f64 {
-    let plan = StpPlan::new(StpConfig::new(order, M_ELASTIC), [0.1; 3]);
+/// workload (the `elastic_stress` configuration, engine loop stripped)
+/// with every plan GEMM on `backend`.
+fn elastic_stp_us_per_cell(
+    backend: &'static dyn GemmBackend,
+    order: usize,
+    cells: usize,
+    reps: usize,
+) -> f64 {
+    let plan = StpPlan::with_gemm_backend(StpConfig::new(order, M_ELASTIC), [0.1; 3], backend);
     let kernel = KernelRegistry::global()
         .resolve("aosoa_splitck")
         .expect("builtin kernel");
@@ -180,15 +167,24 @@ fn slab_shape(order: usize, m_q: usize) -> (GemmSpec, GemmBatch) {
     (spec, GemmBatch::shared_a(nodes, rb, rc))
 }
 
+/// `git describe --always --dirty` of the working tree, so points from
+/// different revisions of the kernels cannot be mistaken for each other.
+fn commit_stamp() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 fn main() {
     let sz = Sizes::from_env();
     let out: PathBuf = std::env::var("ADERDG_BENCH_OUT")
         .unwrap_or_else(|_| "BENCH_gemm.json".into())
         .into();
-    let backends: Vec<String> = match std::env::var("ADERDG_BENCH_BACKENDS") {
-        Ok(csv) => csv.split(',').map(|s| s.trim().to_string()).collect(),
-        Err(_) => default_backends(),
-    };
+    let commit = commit_stamp();
     let emit = |p: &JsonPoint| {
         let rendered = p.finish();
         println!("{rendered}");
@@ -196,38 +192,29 @@ fn main() {
     };
     let base = || {
         JsonPoint::new()
+            .str("commit", &commit)
             .int("order", sz.order)
             .int("smoke", usize::from(sz.smoke))
     };
 
     println!(
-        "=== bench_points: order {}, backends [{}] -> {} ===",
+        "=== bench_points: order {} at {commit} -> {} ===",
         sz.order,
-        backends.join(", "),
         out.display()
     );
 
-    // (backend, metric, value) records, for the ratio points at the end.
-    let mut engine_metrics: Vec<(String, String, f64)> = Vec::new();
-
-    for name in &backends {
-        if !backend_by_name(name).is_some_and(|b| b.supported()) {
-            eprintln!("skipping unsupported backend {name}");
-            continue;
-        }
-        std::env::set_var(aderdg_gemm::BACKEND_ENV, name);
-
+    for backend in backends().iter().copied().filter(|b| b.supported()) {
         // Raw GEMM throughput on the plan shapes.
         for (system, m_q) in [("acoustic", 6), ("elastic", M_ELASTIC)] {
             for (case, (spec, batch)) in [
                 ("aosoa_d0_fused", fused_shape(sz.order, m_q)),
                 ("aosoa_shared_op", slab_shape(sz.order, m_q)),
             ] {
-                let gflops = gemm_gflops(spec, batch, sz.gemm_iters);
+                let gflops = gemm_gflops(backend, spec, batch, sz.gemm_iters);
                 emit(
                     &base()
                         .str("kind", "gemm")
-                        .str("backend", name)
+                        .str("backend", backend.name())
                         .str("system", system)
                         .str("case", case)
                         .int("m", spec.m)
@@ -239,99 +226,44 @@ fn main() {
             }
         }
 
-        // Engine block sweep: best point per blocked kernel.
-        for kernel_name in ["aosoa_splitck", "generic"] {
-            let kernel = KernelRegistry::global()
-                .resolve(kernel_name)
-                .expect("builtin kernel");
-            let points = sweep_kernel(
-                kernel,
-                sz.order,
-                sz.cells_per_dim,
-                &[8, 16, 32],
-                sz.sweep_steps,
-            );
-            let best = points
-                .iter()
-                .min_by(|x, y| x.us_per_cell.total_cmp(&y.us_per_cell))
-                .expect("non-empty sweep");
-            emit(
-                &base()
-                    .str("kind", "block_sweep")
-                    .str("backend", name)
-                    .str("kernel", kernel_name)
-                    .int("cells_per_dim", sz.cells_per_dim)
-                    .int("best_block", best.block_size)
-                    .num("us_per_cell", best.us_per_cell),
-            );
-            engine_metrics.push((
-                name.clone(),
-                format!("block_sweep:{kernel_name}"),
-                best.us_per_cell,
-            ));
-        }
-
         // Elastic stress predictor time (the paper's m = 21 workload).
-        let us = elastic_stp_us_per_cell(sz.order, sz.stp_cells, sz.stp_reps);
+        let us = elastic_stp_us_per_cell(backend, sz.order, sz.stp_cells, sz.stp_reps);
         emit(
             &base()
                 .str("kind", "elastic_stp")
-                .str("backend", name)
+                .str("backend", backend.name())
                 .str("kernel", "aosoa_splitck")
                 .int("m", M_ELASTIC)
                 .num("us_per_cell", us),
         );
-        engine_metrics.push((name.clone(), "elastic_stp".into(), us));
     }
-    std::env::remove_var(aderdg_gemm::BACKEND_ENV);
 
-    // What the probe tuner sees on the fused elastic shape: fastest
-    // first — this is the selection `tuning = probe` acts on.
-    let (spec, batch) = fused_shape(sz.order, M_ELASTIC);
-    let ranked = rank_backends_batched(&spec, &batch, Isa::detect(), 5);
-    let ranking: Vec<&str> = ranked.iter().map(|(b, _)| b.name()).collect();
-    emit(
-        &base()
-            .str("kind", "probe_rank")
-            .str("case", "aosoa_d0_fused")
-            .str("system", "elastic")
-            .str("ranking", &ranking.join(" > ")),
-    );
-
-    // Packed-vs-autovec speedups on the engine metrics (ratio > 1 means
-    // the packed backend is faster).
-    for (auto, packed) in backends
-        .iter()
-        .filter(|n| !n.starts_with("packed_"))
-        .flat_map(|a| {
-            backends
-                .iter()
-                .filter(|p| p.starts_with("packed_"))
-                .map(move |p| (a, p))
-        })
-    {
-        for (metric, a_val) in engine_metrics
+    // Engine block sweep on the kernel the engine selects: best point per
+    // blocked STP kernel.
+    let selected = select_backend(Isa::detect()).name();
+    for kernel_name in ["aosoa_splitck", "generic"] {
+        let kernel = KernelRegistry::global()
+            .resolve(kernel_name)
+            .expect("builtin kernel");
+        let points = sweep_kernel(
+            kernel,
+            sz.order,
+            sz.cells_per_dim,
+            &[8, 16, 32],
+            sz.sweep_steps,
+        );
+        let best = points
             .iter()
-            .filter(|(b, _, _)| b == auto)
-            .map(|(_, m, v)| (m, v))
-        {
-            let Some(p_val) = engine_metrics
-                .iter()
-                .find(|(b, m, _)| b == packed && m == metric)
-                .map(|(_, _, v)| *v)
-            else {
-                continue;
-            };
-            emit(
-                &base()
-                    .str("kind", "ratio")
-                    .str("metric", metric)
-                    .str("autovec", auto)
-                    .str("packed", packed)
-                    .num("autovec_us_per_cell", *a_val)
-                    .num("packed_us_per_cell", p_val)
-                    .num("speedup", a_val / p_val),
-            );
-        }
+            .min_by(|x, y| x.us_per_cell.total_cmp(&y.us_per_cell))
+            .expect("non-empty sweep");
+        emit(
+            &base()
+                .str("kind", "block_sweep")
+                .str("backend", selected)
+                .str("kernel", kernel_name)
+                .int("cells_per_dim", sz.cells_per_dim)
+                .int("best_block", best.block_size)
+                .num("us_per_cell", best.us_per_cell),
+        );
     }
 }

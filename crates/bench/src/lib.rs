@@ -14,7 +14,6 @@ use aderdg_core::kernels::{StpInputs, StpOutputs};
 use aderdg_core::mix::{stp_pack_counts, stp_useful_flops, UserFunctionCost};
 use aderdg_core::traces::trace_batch;
 use aderdg_core::{KernelVariant, StpConfig, StpPlan};
-use aderdg_gemm::Isa;
 use aderdg_pde::{Elastic, Material};
 use aderdg_perf::{measure_peak_gflops, CacheSim, MachineModel, PackCounts, PerfMeasurement};
 use aderdg_tensor::SimdWidth;
@@ -111,12 +110,7 @@ pub fn measure_stp(
     reps: usize,
 ) -> Measurement {
     let cfg = StpConfig::new(order, M_ELASTIC).with_width(width);
-    let isa = match width {
-        SimdWidth::W2 => Isa::Baseline,
-        SimdWidth::W4 => Isa::Avx2,
-        SimdWidth::W8 => Isa::Avx512,
-    };
-    let plan = StpPlan::with_isa(cfg, [0.1; 3], isa);
+    let plan = StpPlan::new(cfg, [0.1; 3]);
     let pde = Elastic;
     let cost = UserFunctionCost::elastic();
 

@@ -37,12 +37,14 @@
 //! "truncated checkpoint" instead of attempting a huge allocation, and
 //! the trailing checksum catches silent mid-file corruption.
 //!
-//! Bit-identical resume holds for the deterministic tuning modes
-//! (`static`, `model`): the saved knobs pin the resolved configuration
-//! (including the block size), and the engine's determinism contract
-//! pins step results across thread counts and pipelines.
-//! `probe` tuning re-times GEMM backends at restore, so the backend pick
-//! — and with it the last bits — may differ across machines.
+//! Bit-identical resume holds on one host in every tuning mode: the
+//! saved knobs pin the resolved configuration (including the block size,
+//! so `probe` is not re-timed at restore), and the engine's determinism
+//! contract pins step results across thread counts and pipelines. What
+//! still varies across hosts is the GEMM ISA tile the host supports
+//! (fused vs unfused multiply-add, tile summation order) — a checkpoint
+//! resumed on a machine with a different widest tile continues correctly
+//! but not to the last bit.
 
 use crate::scenario::SeriesPoint;
 use std::fmt;

@@ -162,14 +162,15 @@ impl std::error::Error for DegenerateDt {}
 ///   outgrows L2 pays more in re-fetched state than it saves. Set it
 ///   explicitly to `1` to force the per-cell path or when benchmarking
 ///   the sweet spot with the `block_sweep` bench binary.
-/// * **`tuning`** — how the block size and GEMM backend are picked when
-///   not overridden. `model` (default) replays the kernel's block access
-///   pattern through a cache simulator and takes the cheapest predicted
-///   candidate — deterministic, no timing involved. `static` reproduces
-///   the original [`auto_block_size`] footprint heuristic and the
-///   widest-supported backend (hermetic CI baseline). `probe`
-///   additionally times real `run_block` calls and ranks GEMM backends
-///   by measured speed — fastest, but machine-dependent. The decision is
+/// * **`tuning`** — how the block size is picked when not overridden.
+///   `model` (default) replays the kernel's block access pattern through
+///   a cache simulator and takes the cheapest predicted candidate —
+///   deterministic, no timing involved. `static` reproduces the original
+///   [`auto_block_size`] footprint heuristic (hermetic CI baseline).
+///   `probe` additionally times real `run_block` calls — fastest, but
+///   machine-dependent. The GEMM kernel is not tuned: every mode runs
+///   the widest ISA tile the host supports at or below `width`, so what
+///   varies across hosts is that tile, never a timing. The decision is
 ///   recorded in [`Engine::tune_report`].
 /// * **`pipeline`** — `sharded` (default) runs the once-per-face task
 ///   graph driver: half the interior Riemann solves and no
@@ -202,7 +203,7 @@ pub struct EngineConfig {
     /// Cells per predictor block (`None` = let the tuner decide, see
     /// [`TuningMode`]).
     pub block_size: Option<usize>,
-    /// Plan-time tuning strategy for the block size and GEMM backend.
+    /// Plan-time tuning strategy for the block size.
     pub tuning: TuningMode,
     /// Step pipeline (see [`PipelineMode`]).
     pub pipeline: PipelineMode,
@@ -600,10 +601,9 @@ impl<P: LinearPde> Engine<P> {
             cfg = cfg.with_width(w);
         }
         cfg.rule = config.rule;
-        // Plan-time tuning: pick the GEMM backend and block size (unless
-        // overridden) per the configured strategy — the plan comes back
-        // already built on the chosen backend, and the report is kept
-        // for introspection.
+        // Plan-time tuning: build the plan and pick the block size
+        // (unless overridden) per the configured strategy; the report is
+        // kept for introspection.
         let (plan, tune_report) = tune_plan(
             cfg,
             mesh.cell_size(),
@@ -652,9 +652,10 @@ impl<P: LinearPde> Engine<P> {
         self.block_size
     }
 
-    /// The plan-time tuning decision: chosen block size and GEMM backend,
-    /// the static-heuristic baseline, and every candidate the tuner
-    /// weighed (with predicted costs, and probe timings in `probe` mode).
+    /// The plan-time tuning decision: chosen block size, the GEMM kernel
+    /// the plan dispatches to, the static-heuristic baseline, and every
+    /// block-size candidate the tuner weighed (with predicted costs, and
+    /// probe timings in `probe` mode).
     pub fn tune_report(&self) -> &TuneReport {
         &self.tune
     }

@@ -101,6 +101,16 @@ impl StpConfig {
         self.width = width;
         self
     }
+
+    /// The GEMM ISA cap the SIMD width implies (the paper's
+    /// narrower-build comparisons cap the GEMM kernel the same way).
+    pub fn isa_cap(&self) -> Isa {
+        match self.width {
+            SimdWidth::W2 => Isa::Baseline,
+            SimdWidth::W4 => Isa::Avx2,
+            SimdWidth::W8 => Isa::Avx512,
+        }
+    }
 }
 
 /// Everything a kernel invocation needs, precomputed.
@@ -133,25 +143,14 @@ pub struct StpPlan {
 
 impl StpPlan {
     /// Builds a plan for cells of edge length `dx` (per dimension), using
-    /// the best ISA the host supports (capped by `cfg.width`).
+    /// the widest GEMM kernel the host supports (capped by `cfg.width`).
     pub fn new(cfg: StpConfig, dx: [f64; 3]) -> Self {
-        let isa = match cfg.width {
-            SimdWidth::W2 => Isa::Baseline,
-            SimdWidth::W4 => Isa::Avx2,
-            SimdWidth::W8 => Isa::Avx512,
-        };
-        Self::with_isa(cfg, dx, isa)
+        Self::build(cfg, dx, &|spec| Gemm::with_isa(spec, cfg.isa_cap()))
     }
 
-    /// Builds a plan with an explicit GEMM ISA cap.
-    pub fn with_isa(cfg: StpConfig, dx: [f64; 3], isa: Isa) -> Self {
-        Self::build(cfg, dx, &|spec| Gemm::with_isa(spec, isa))
-    }
-
-    /// Builds a plan whose GEMMs all dispatch to an explicit backend —
-    /// the probe-tuned selection path (`tuning = probe`), where the
-    /// engine replaces the widest-first pick with the backend that
-    /// measured fastest on this plan's shapes.
+    /// Builds a plan whose GEMMs all dispatch to an explicit kernel — how
+    /// tests and `bench_points` put a narrower tile under the STP kernels
+    /// on a SIMD host without narrowing the padding width.
     pub fn with_gemm_backend(
         cfg: StpConfig,
         dx: [f64; 3],
@@ -160,8 +159,8 @@ impl StpPlan {
         Self::build(cfg, dx, &|spec| Gemm::with_backend(spec, backend))
     }
 
-    /// The GEMM backend this plan's kernels dispatch to (uniform across
-    /// all of the plan's GEMMs by construction).
+    /// The GEMM kernel this plan's STP kernels dispatch to (uniform
+    /// across all of the plan's GEMMs by construction).
     pub fn gemm_backend(&self) -> &'static dyn aderdg_gemm::GemmBackend {
         self.gemm_aos[0].backend()
     }
@@ -242,10 +241,9 @@ impl StpPlan {
         // The operator operands are fixed for the plan's lifetime: every
         // AoS derivative multiplies `D` on the left, the AoSoA x-sweep
         // multiplies `Dᵀ` (padded) on the right, and the fused AoSoA
-        // sweeps multiply `D` on the left. Pack them into microkernel
-        // panels once here — on packing backends the per-step kernels then
-        // walk cached panels, amortizing the packing cost over every cell
-        // block of every step (no-op on the autovec backends).
+        // sweeps multiply `D` on the left. Pack them into tile panels
+        // once here — the per-step kernels then walk cached panels,
+        // amortizing the packing cost over every cell block of every step.
         let pack_aos = |g: Gemm| g.with_packed_a(&basis.diff);
         let pack_aosoa = |d: usize, g: Gemm| {
             if d == 0 {

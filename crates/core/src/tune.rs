@@ -1,5 +1,5 @@
 //! Plan-time autotuning: model-driven selection of the predictor block
-//! size and the GEMM backend.
+//! size, plus the record of the GEMM kernel the plan dispatches to.
 //!
 //! The paper's Sec. IV ties kernel performance to whether the predictor's
 //! temporaries stay cache-resident. The engine's original block-size pick
@@ -15,11 +15,11 @@
 //!    machine model and per-block overheads amortize with `B`
 //!    ([`BlockCostModel`]),
 //! 3. **probe** (opt-in) — the top model candidates are re-ranked by
-//!    actually timing [`StpKernel::run_block`] on synthetic cells, and the
-//!    GEMM backend is picked by measured ranking
-//!    ([`aderdg_gemm::rank_backends`]) instead of widest-first,
-//! 4. **plan** — the winning block size and backend are recorded in a
-//!    [`TuneReport`] the engine exposes and the bench binaries print.
+//!    actually timing [`StpKernel::run_block`] on synthetic cells,
+//! 4. **plan** — the winning block size and the plan's GEMM kernel (the
+//!    widest the host supports at or below the configured SIMD width) are
+//!    recorded in a [`TuneReport`] the engine exposes and the bench
+//!    binaries print.
 //!
 //! The three [`TuningMode`]s trade fidelity against hermeticity: `static`
 //! reproduces the original heuristic exactly (bit-stable CI), `model`
@@ -31,7 +31,6 @@ use crate::engine::auto_block_size;
 use crate::kernels::{StpKernel, StpOutputs};
 use crate::plan::{KernelVariant, StpPlan};
 use crate::traces::trace_block_batch;
-use aderdg_gemm::Isa;
 use aderdg_pde::LinearPde;
 use aderdg_perf::tuner::{
     best_candidate, probe_median_secs, BlockCostModel, Candidate, ScaledCacheSim,
@@ -42,14 +41,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-/// How the engine picks its predictor block size and GEMM backend at
-/// construction time.
+/// How the engine picks its predictor block size at construction time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TuningMode {
-    /// The original footprint heuristic ([`auto_block_size`]) and the
-    /// widest-supported GEMM backend. Fully hermetic: no simulation, no
-    /// timing — byte-for-byte the pre-tuner behaviour, kept for CI and
-    /// reproducible baselines.
+    /// The original footprint heuristic ([`auto_block_size`]). Fully
+    /// hermetic: no simulation, no timing — kept for CI and reproducible
+    /// baselines.
     Static,
     /// Cache-simulation ranking (the default): candidate block sizes are
     /// replayed through the scaled Skylake-SP hierarchy and the cheapest
@@ -59,8 +56,7 @@ pub enum TuningMode {
     Model,
     /// Model ranking refined by in-process micro-probes: the top model
     /// candidates are timed with real `run_block` calls on synthetic
-    /// cells, and GEMM backends are ranked by measured speed. Fastest in
-    /// practice, but machine- and load-dependent.
+    /// cells. Fastest in practice, but machine- and load-dependent.
     Probe,
 }
 
@@ -108,15 +104,13 @@ pub struct BlockCandidate {
     pub probed_us_per_cell: Option<f64>,
 }
 
-/// One GEMM backend candidate.
+/// One GEMM kernel at or below the plan's ISA cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendCandidate {
-    /// Backend name (`baseline` | `avx2` | `avx512`).
+    /// Kernel name (`baseline` | `avx2` | `avx512`).
     pub name: &'static str,
-    /// Whether the host passes the backend's runtime probe.
+    /// Whether the host passes the kernel's runtime probe.
     pub supported: bool,
-    /// Measured microseconds per GEMM call (probe mode only).
-    pub probed_us: Option<f64>,
 }
 
 /// What the tuner decided and why — exposed via
@@ -137,9 +131,10 @@ pub struct TuneReport {
     /// explicit override, `static` mode, or a kernel without a block
     /// access model).
     pub block_candidates: Vec<BlockCandidate>,
-    /// Name of the chosen GEMM backend.
+    /// Name of the GEMM kernel the plan dispatches to.
     pub backend: &'static str,
-    /// Considered GEMM backends (probe times filled in `probe` mode).
+    /// The GEMM kernels at or below the plan's ISA cap, widest first; the
+    /// first supported one is [`backend`](Self::backend).
     pub backend_candidates: Vec<BackendCandidate>,
 }
 
@@ -355,104 +350,11 @@ fn probe_block_size(
     best.0
 }
 
-/// The ISA cap implied by a plan's SIMD width (the paper's
-/// narrower-build comparisons cap the GEMM backend the same way).
-fn isa_cap(plan: &StpPlan) -> Isa {
-    match plan.cfg.width {
-        SimdWidth::W2 => Isa::Baseline,
-        SimdWidth::W4 => Isa::Avx2,
-        SimdWidth::W8 => Isa::Avx512,
-    }
-}
-
-/// Selects the GEMM backend: widest-supported in `static`/`model` modes
-/// (the existing plan-time pick), measured ranking over the plan's fused
-/// z-derivative GEMM — its largest shape — in `probe` mode. The probe
-/// spec follows the layout the kernel actually dispatches: hybrid-layout
-/// kernels (`aosoa_splitck`, `onthefly`) execute the AoSoA plans, every
-/// other kernel the AoS ones — ranking the wrong shape could crown a
-/// backend the plan never benefits from.
-fn tune_backend(
-    plan: &StpPlan,
-    kernel_name: &str,
-    mode: TuningMode,
-) -> (&'static str, Vec<BackendCandidate>) {
-    let cap = isa_cap(plan);
-    match mode {
-        TuningMode::Static | TuningMode::Model => {
-            let chosen = plan.gemm_backend().name();
-            let candidates = aderdg_gemm::backends()
-                .iter()
-                .filter(|b| b.isa() <= cap)
-                .map(|b| BackendCandidate {
-                    name: b.name(),
-                    supported: b.supported(),
-                    probed_us: None,
-                })
-                .collect();
-            (chosen, candidates)
-        }
-        TuningMode::Probe => {
-            // An explicit environment override (ADERDG_GEMM_BACKEND)
-            // outranks the probe — the forced-backend CI legs must not be
-            // un-forced by a measurement.
-            if let Some(forced) = std::env::var(aderdg_gemm::BACKEND_ENV)
-                .ok()
-                .and_then(|name| aderdg_gemm::backend_by_name(&name))
-                .filter(|b| b.supported())
-            {
-                let candidates = vec![BackendCandidate {
-                    name: forced.name(),
-                    supported: true,
-                    probed_us: None,
-                }];
-                return (forced.name(), candidates);
-            }
-            // Hybrid-layout kernels dispatch the *batched* AoSoA path
-            // (one `run_batched` per derivative sweep of the block —
-            // backends differ there by their blocked overrides, not the
-            // single-call body); everything else executes per-batch AoS
-            // GEMMs. Probe the path that actually runs.
-            let ranked = match kernel_name {
-                "aosoa_splitck" | "onthefly" => {
-                    let spec = *plan.gemm_aosoa[2].spec();
-                    let stride = plan.aosoa.len();
-                    let batch = aderdg_gemm::GemmBatch::shared_a(4, stride, stride);
-                    aderdg_gemm::rank_backends_batched(&spec, &batch, cap, PROBE_REPS)
-                }
-                _ => {
-                    let spec = *plan.gemm_aos[2].spec();
-                    aderdg_gemm::rank_backends(&spec, cap, PROBE_REPS)
-                }
-            };
-            let chosen = ranked
-                .first()
-                .map(|(b, _)| b.name())
-                .unwrap_or_else(|| plan.gemm_backend().name());
-            let candidates = ranked
-                .iter()
-                .map(|&(b, secs)| BackendCandidate {
-                    name: b.name(),
-                    supported: true,
-                    probed_us: Some(secs * 1e6),
-                })
-                .collect();
-            (chosen, candidates)
-        }
-    }
-}
-
 /// Runs the tuner against a caller-fixed plan.
 ///
 /// `block_override` is the engine config's explicit `block_size`: when
 /// set, block-size tuning is skipped entirely (the report records the
-/// override) and only the backend choice follows `mode`.
-///
-/// The reported backend is a *recommendation* — this function never
-/// rebuilds the plan, so in `probe` mode the block-size timings reflect
-/// the plan's current backend. [`tune_plan`] (what the engine uses)
-/// resolves the backend first and block-tunes the plan that will
-/// actually run.
+/// override).
 pub fn tune(
     plan: &StpPlan,
     kernel: &'static dyn StpKernel,
@@ -460,17 +362,24 @@ pub fn tune(
     mode: TuningMode,
     block_override: Option<usize>,
 ) -> TuneReport {
-    let (backend, backend_candidates) = tune_backend(plan, kernel.name(), mode);
     let (block_size, static_block_size, block_candidates) =
         tune_block(plan, kernel, pde, mode, block_override);
+    let cap = plan.cfg.isa_cap();
     TuneReport {
         mode,
         kernel: kernel.name(),
         block_size,
         static_block_size,
         block_candidates,
-        backend,
-        backend_candidates,
+        backend: plan.gemm_backend().name(),
+        backend_candidates: aderdg_gemm::backends()
+            .iter()
+            .filter(|b| b.isa() <= cap)
+            .map(|b| BackendCandidate {
+                name: b.name(),
+                supported: b.supported(),
+            })
+            .collect(),
     }
 }
 
@@ -511,16 +420,8 @@ fn tune_block(
     (block_size, static_block_size, block_candidates)
 }
 
-/// Builds and tunes the plan for one engine construction.
-///
-/// Decision order matters in `probe` mode: the GEMM backend is ranked
-/// *first* and the plan rebuilt on the winner, so the subsequent
-/// block-size probes time `run_block` on exactly the (backend, plan)
-/// pair the engine will step with — a block size probed against a
-/// backend the engine does not run could sit off the measured plateau.
-/// In `static`/`model` mode the backend is the plan's own widest-first
-/// pick, so no rebuild happens and the result equals [`tune`] on a
-/// freshly built plan.
+/// Builds and tunes the plan for one engine construction: [`tune`] on a
+/// freshly built [`StpPlan`].
 pub fn tune_plan(
     cfg: crate::plan::StpConfig,
     dx: [f64; 3],
@@ -530,27 +431,7 @@ pub fn tune_plan(
     block_override: Option<usize>,
 ) -> (StpPlan, TuneReport) {
     let plan = StpPlan::new(cfg, dx);
-    let (backend, backend_candidates) = tune_backend(&plan, kernel.name(), mode);
-    let plan = if backend == plan.gemm_backend().name() {
-        plan
-    } else {
-        let chosen = aderdg_gemm::backend_by_name(backend)
-            // PANIC-OK: internal invariant — the ranking chose from the
-            // registered-backend list.
-            .expect("backend ranking only returns registered backends");
-        StpPlan::with_gemm_backend(cfg, dx, chosen)
-    };
-    let (block_size, static_block_size, block_candidates) =
-        tune_block(&plan, kernel, pde, mode, block_override);
-    let report = TuneReport {
-        mode,
-        kernel: kernel.name(),
-        block_size,
-        static_block_size,
-        block_candidates,
-        backend,
-        backend_candidates,
-    };
+    let report = tune(&plan, kernel, pde, mode, block_override);
     (plan, report)
 }
 
@@ -644,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_mode_times_top_candidates_and_backends() {
+    fn probe_mode_times_top_candidates() {
         use aderdg_pde::LinearPde as _;
         let p = plan(3, Acoustic.num_quantities());
         let kernel = KernelRegistry::global().resolve("aosoa_splitck").unwrap();
@@ -655,19 +536,11 @@ mod tests {
             .filter(|c| c.probed_us_per_cell.is_some())
             .count();
         assert_eq!(probed, PROBE_TOP.min(report.block_candidates.len()));
-        assert!(!report.backend_candidates.is_empty());
-        if std::env::var(aderdg_gemm::BACKEND_ENV).is_ok_and(|v| !v.is_empty()) {
-            // Forced-backend CI legs: the probe is short-circuited to the
-            // forced selection, so there is exactly one unprobed candidate.
-            assert_eq!(report.backend_candidates.len(), 1);
-        } else {
-            assert!(report
-                .backend_candidates
-                .iter()
-                .all(|b| b.probed_us.is_some()));
-        }
-        // The chosen backend is the fastest-ranked one.
-        assert_eq!(report.backend, report.backend_candidates[0].name);
+        // Probing never changes the kernel: it is the first supported
+        // entry of the widest-first slate, as in every other mode.
+        let first = report.backend_candidates.iter().find(|b| b.supported);
+        assert_eq!(report.backend, first.unwrap().name);
+        assert_eq!(report.backend, p.gemm_backend().name());
     }
 
     #[test]

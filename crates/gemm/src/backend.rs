@@ -1,634 +1,199 @@
-//! Open-ended GEMM backends — the runtime-dispatch half of the LIBXSMM
-//! substitute (paper Sec. II-D).
+//! The GEMM kernel trait and its registry — the runtime-dispatch half of
+//! the LIBXSMM substitute (paper Sec. II-D).
 //!
-//! A backend is one compiled instantiation of the register-tiled kernel
-//! body (baseline, AVX2+FMA, AVX-512). Like LIBXSMM's generated kernels,
-//! the choice happens **once at plan time**: [`select_backend`] walks the
-//! registered backends best-first and returns the first whose
-//! [`supported`](GemmBackend::supported) probe passes on the host. The hot
-//! call ([`Gemm::execute`](crate::Gemm::execute)) is a single virtual call
-//! into pre-monomorphized code.
+//! A [`GemmBackend`] is one compiled instantiation of the packed
+//! register-tiled driver ([`crate::micro`]) for one ISA level; the
+//! instantiations live in [`crate::tiles`]. Like LIBXSMM's generated
+//! kernels, the choice happens **once at plan time**: [`select_backend`]
+//! walks the registry widest-first and returns the first kernel at or
+//! below the ISA cap whose [`supported`](GemmBackend::supported) probe
+//! passes on the host. The hot call
+//! ([`Gemm::execute`](crate::Gemm::execute)) is a single virtual call into
+//! pre-monomorphized code — the trait granularity is one *whole GEMM*, not
+//! one tile: the hot shapes run hundreds of sub-microsecond tiles per
+//! call, so per-tile virtual dispatch would cost a measurable fraction of
+//! the kernel itself.
 //!
-//! Adding an architecture-specific micro-kernel is one new impl plus one
-//! entry in [`backends`] — no enum, no match.
+//! Adding an architecture is one tile module plus one entry in
+//! [`backends`] — no enum, no match.
 
-use crate::kernels::{gemm_autovec, gemm_autovec_batched, Isa};
-use crate::micro::{
-    run_batched_micro, Microkernel, PackedOperands, PackedPanels, PortableMicrokernel,
-};
-#[cfg(target_arch = "x86_64")]
-use crate::micro::{Avx2Microkernel, Avx512Microkernel, Avx512WideMicrokernel};
+use crate::kernels::Isa;
+use crate::micro::{pack_a_panels, pack_b_panels, PackedOperands, PackedPanels};
 use crate::spec::{GemmBatch, GemmSpec};
+use crate::tiles::BaselineKernel;
+#[cfg(target_arch = "x86_64")]
+use crate::tiles::{Avx2Kernel, Avx512Kernel};
 
-/// Environment variable that forces backend selection by
-/// [`name`](GemmBackend::name) (e.g. `ADERDG_GEMM_BACKEND=baseline`),
-/// overriding both the ISA cap and the widest-first walk in
-/// [`select_backend`] and short-circuiting the probe tuner. Unknown or
-/// host-unsupported names are ignored with a one-time warning.
-pub const BACKEND_ENV: &str = "ADERDG_GEMM_BACKEND";
-
-/// One compiled GEMM implementation selectable at plan time.
+/// One compiled GEMM kernel selectable at plan time.
+///
+/// Planned code reaches a kernel through [`Gemm`](crate::Gemm), which
+/// checks [`supported`](Self::supported) once at construction and is the
+/// safe door to the two `unsafe` entry points.
 pub trait GemmBackend: Send + Sync + std::fmt::Debug {
     /// Short identifier (e.g. `avx512`).
     fn name(&self) -> &'static str;
 
-    /// The ISA level this backend packs for.
+    /// The ISA level this kernel is compiled for.
     fn isa(&self) -> Isa;
 
-    /// Runtime probe: can the host execute this backend?
+    /// Runtime probe: can the host execute this kernel?
     fn supported(&self) -> bool;
 
-    /// Runs `C ← α·A·B + β·C` per `spec`.
-    fn execute(&self, spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]);
+    /// Register tile `(MR, NR)` this kernel runs `spec` on: `MR` rows of
+    /// `C` held in accumulators, `NR` doubles wide. May depend on `spec.n`
+    /// only, so panels packed for a spec stay valid when
+    /// [`run_batched`](Self::run_batched) fuses rows (which changes `m`).
+    fn tile(&self, spec: &GemmSpec) -> (usize, usize);
+
+    /// Packs the left operand into this kernel's `MR`-row panel layout,
+    /// for reuse across calls.
+    fn pack_a(&self, spec: &GemmSpec, a: &[f64]) -> PackedPanels {
+        pack_a_panels(spec, a, self.tile(spec).0)
+    }
+
+    /// Packs the right operand into this kernel's `NR`-column panel
+    /// layout, for reuse across calls.
+    fn pack_b(&self, spec: &GemmSpec, b: &[f64]) -> PackedPanels {
+        pack_b_panels(spec, b, self.tile(spec).1)
+    }
+
+    /// Runs `C ← α·A·B + β·C` per `spec`, reading packed panels where
+    /// `packed` provides them — packed by **this** kernel from the same
+    /// logical operands as the raw slices; a mismatched panel is a panic,
+    /// not a wrong answer — and packing partial edge tiles on the fly
+    /// otherwise ([`PackedOperands::none`] is the plain unpacked call).
+    ///
+    /// # Safety
+    /// The host must support this kernel ([`supported`](Self::supported)).
+    unsafe fn execute(
+        &self,
+        spec: &GemmSpec,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+        packed: PackedOperands<'_>,
+    );
 
     /// Runs `spec` over a strided batch of operand triples (operand `i`
     /// starts at `i * batch.stride_{a,b,c}`; a stride of `0` shares the
-    /// operand across the batch).
+    /// operand across the batch) — the cell-block execution path where one
+    /// operator load serves a whole block of cells.
     ///
-    /// The default is a correct strided loop over
-    /// [`execute`](GemmBackend::execute), so every backend supports
-    /// batching out of the box. The built-in backends override it with a blocked
-    /// implementation that hoists the bounds checks out of the loop and
-    /// collapses row-stacked shared-`B` batches into one tall GEMM
-    /// ([`GemmBatch::fuse_rows`]) — the cell-block execution path where
-    /// one operator load serves a whole block of cells.
-    fn run_batched(&self, spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
+    /// Row-stacked shared-`B` batches collapse into one tall
+    /// [`execute`](Self::execute) call ([`GemmBatch::fuse_rows`];
+    /// plan-cached `B` panels survive fusion because only `m` changes);
+    /// everything else loops items with exact-length sub-slices, so an
+    /// out-of-bounds stride fails loudly. Panels apply only to operands
+    /// the batch actually shares (stride `0`).
+    ///
+    /// # Safety
+    /// The host must support this kernel ([`supported`](Self::supported)).
+    unsafe fn run_batched(
+        &self,
+        spec: &GemmSpec,
+        batch: &GemmBatch,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+        packed: PackedOperands<'_>,
+    ) {
         batch.check(spec, a, b, c);
-        // Exact-length sub-slices: an out-of-bounds stride panics here
-        // instead of silently reading whatever follows the logical operand.
+        if let Some(fused) = batch.fuse_rows(spec) {
+            // A-side panels describe the per-item `m`, not the fused tall
+            // matrix; only shared-B panels carry over.
+            let fused_packed = PackedOperands {
+                a: None,
+                b: packed.b,
+            };
+            // SAFETY: forwarded support contract.
+            unsafe { self.execute(&fused, a, b, c, fused_packed) };
+            return;
+        }
         let (ra, rb, rc) = spec.required_lens();
         for i in 0..batch.count {
             let (ao, bo, co) = (i * batch.stride_a, i * batch.stride_b, i * batch.stride_c);
-            self.execute(spec, &a[ao..ao + ra], &b[bo..bo + rb], &mut c[co..co + rc]);
-        }
-    }
-
-    /// Packs the left operand for reuse across calls, if this backend runs
-    /// a packing microkernel (`None` means "packing buys nothing here" —
-    /// the autovec backends multiply straight from the raw buffers).
-    fn pack_a(&self, _spec: &GemmSpec, _a: &[f64]) -> Option<PackedPanels> {
-        None
-    }
-
-    /// Packs the right operand for reuse across calls (see
-    /// [`pack_a`](GemmBackend::pack_a)).
-    fn pack_b(&self, _spec: &GemmSpec, _b: &[f64]) -> Option<PackedPanels> {
-        None
-    }
-
-    /// [`execute`](GemmBackend::execute) with optional plan-cached panels
-    /// (packed by **this** backend's [`pack_a`](GemmBackend::pack_a) /
-    /// [`pack_b`](GemmBackend::pack_b) from the same logical operands as
-    /// the raw slices). Backends without packing ignore the panels.
-    fn execute_packed(
-        &self,
-        spec: &GemmSpec,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        _packed: PackedOperands<'_>,
-    ) {
-        self.execute(spec, a, b, c);
-    }
-
-    /// [`run_batched`](GemmBackend::run_batched) with optional plan-cached
-    /// panels; panels apply to operands the batch shares (stride `0`) and
-    /// to the shared-`B` side of fused row-stacked batches.
-    fn run_batched_packed(
-        &self,
-        spec: &GemmSpec,
-        batch: &GemmBatch,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        _packed: PackedOperands<'_>,
-    ) {
-        self.run_batched(spec, batch, a, b, c);
-    }
-}
-
-/// Baseline build: whatever the compile target allows (always supported).
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineBackend;
-
-impl GemmBackend for BaselineBackend {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
-    fn isa(&self) -> Isa {
-        Isa::Baseline
-    }
-
-    fn supported(&self) -> bool {
-        true
-    }
-
-    fn execute(&self, spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-        gemm_autovec(spec, a, b, c);
-    }
-
-    fn run_batched(&self, spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
-        gemm_autovec_batched(spec, batch, a, b, c);
-    }
-}
-
-/// AVX2+FMA build (paper's "Haswell" configuration).
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Avx2Backend;
-
-#[cfg(target_arch = "x86_64")]
-impl GemmBackend for Avx2Backend {
-    fn name(&self) -> &'static str {
-        "avx2"
-    }
-
-    fn isa(&self) -> Isa {
-        Isa::Avx2
-    }
-
-    fn supported(&self) -> bool {
-        // Miri interprets portable Rust only — never report an ISA path.
-        !cfg!(miri)
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-    }
-
-    fn execute(&self, spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-        // SAFETY: `supported` gated the selection of this backend.
-        unsafe { crate::kernels::gemm_avx2(spec, a, b, c) }
-    }
-
-    fn run_batched(&self, spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
-        // SAFETY: `supported` gated the selection of this backend.
-        unsafe { crate::kernels::gemm_avx2_batched(spec, batch, a, b, c) }
-    }
-}
-
-/// AVX-512 build (paper's "Skylake" configuration).
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Avx512Backend;
-
-#[cfg(target_arch = "x86_64")]
-impl GemmBackend for Avx512Backend {
-    fn name(&self) -> &'static str {
-        "avx512"
-    }
-
-    fn isa(&self) -> Isa {
-        Isa::Avx512
-    }
-
-    fn supported(&self) -> bool {
-        // Miri interprets portable Rust only — never report an ISA path.
-        !cfg!(miri)
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-    }
-
-    fn execute(&self, spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-        // SAFETY: `supported` gated the selection of this backend.
-        unsafe { crate::kernels::gemm_avx512(spec, a, b, c) }
-    }
-
-    fn run_batched(&self, spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
-        // SAFETY: `supported` gated the selection of this backend.
-        unsafe { crate::kernels::gemm_avx512_batched(spec, batch, a, b, c) }
-    }
-}
-
-/// Shared body of the packed backends: picks the microkernel for the
-/// output shape, validates, and dispatches single calls.
-///
-/// # Safety
-/// The host must support `micro`.
-unsafe fn execute_micro(
-    micro: &dyn Microkernel,
-    spec: &GemmSpec,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    packed: PackedOperands<'_>,
-) {
-    // SAFETY: forwarded support contract; the kernel validates operands
-    // and panel geometry itself.
-    unsafe { micro.kernel(spec, a, b, c, packed) }
-}
-
-/// Portable packed-microkernel backend: same register-tiled packed driver
-/// as the SIMD backends, instantiated on the scalar-fallback vector type —
-/// always supported, and the forced-scalar leg of the equivalence suite.
-#[derive(Debug, Clone, Copy)]
-pub struct PackedBaselineBackend;
-
-impl PackedBaselineBackend {
-    fn micro(&self) -> &'static dyn Microkernel {
-        &PortableMicrokernel
-    }
-}
-
-impl GemmBackend for PackedBaselineBackend {
-    fn name(&self) -> &'static str {
-        "packed_baseline"
-    }
-
-    fn isa(&self) -> Isa {
-        Isa::Baseline
-    }
-
-    fn supported(&self) -> bool {
-        true
-    }
-
-    fn execute(&self, spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-        self.execute_packed(spec, a, b, c, PackedOperands::none());
-    }
-
-    fn run_batched(&self, spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
-        self.run_batched_packed(spec, batch, a, b, c, PackedOperands::none());
-    }
-
-    fn pack_a(&self, spec: &GemmSpec, a: &[f64]) -> Option<PackedPanels> {
-        Some(self.micro().pack_a_block(spec, a))
-    }
-
-    fn pack_b(&self, spec: &GemmSpec, b: &[f64]) -> Option<PackedPanels> {
-        Some(self.micro().pack_b_block(spec, b))
-    }
-
-    fn execute_packed(
-        &self,
-        spec: &GemmSpec,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        // SAFETY: the portable microkernel has no ISA requirement.
-        unsafe { execute_micro(self.micro(), spec, a, b, c, packed) }
-    }
-
-    fn run_batched_packed(
-        &self,
-        spec: &GemmSpec,
-        batch: &GemmBatch,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        // SAFETY: the portable microkernel has no ISA requirement.
-        unsafe { run_batched_micro(self.micro(), spec, batch, a, b, c, packed) }
-    }
-}
-
-/// AVX2+FMA packed-microkernel backend (4×8 tiles of `ymm` FMAs).
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct PackedAvx2Backend;
-
-#[cfg(target_arch = "x86_64")]
-impl PackedAvx2Backend {
-    fn micro(&self) -> &'static dyn Microkernel {
-        &Avx2Microkernel
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl GemmBackend for PackedAvx2Backend {
-    fn name(&self) -> &'static str {
-        "packed_avx2"
-    }
-
-    fn isa(&self) -> Isa {
-        Isa::Avx2
-    }
-
-    fn supported(&self) -> bool {
-        self.micro().supported()
-    }
-
-    fn execute(&self, spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-        self.execute_packed(spec, a, b, c, PackedOperands::none());
-    }
-
-    fn run_batched(&self, spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
-        self.run_batched_packed(spec, batch, a, b, c, PackedOperands::none());
-    }
-
-    fn pack_a(&self, spec: &GemmSpec, a: &[f64]) -> Option<PackedPanels> {
-        Some(self.micro().pack_a_block(spec, a))
-    }
-
-    fn pack_b(&self, spec: &GemmSpec, b: &[f64]) -> Option<PackedPanels> {
-        Some(self.micro().pack_b_block(spec, b))
-    }
-
-    fn execute_packed(
-        &self,
-        spec: &GemmSpec,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        // SAFETY: `supported` gated the selection of this backend.
-        unsafe { execute_micro(self.micro(), spec, a, b, c, packed) }
-    }
-
-    fn run_batched_packed(
-        &self,
-        spec: &GemmSpec,
-        batch: &GemmBatch,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        // SAFETY: `supported` gated the selection of this backend.
-        unsafe { run_batched_micro(self.micro(), spec, batch, a, b, c, packed) }
-    }
-}
-
-/// AVX-512 packed-microkernel backend. Shape-specialized like a LIBXSMM
-/// dispatch table: 8×8 tiles (one `zmm` column) for narrow outputs — the
-/// `n_pad = 8` AoSoA shape of the fused `d = 0` derivative — and 4×16
-/// tiles when `n` is a multiple of 16. The choice depends only on
-/// `spec.n`, so plan-cached panels stay valid across row fusion.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct PackedAvx512Backend;
-
-#[cfg(target_arch = "x86_64")]
-impl PackedAvx512Backend {
-    fn micro(&self, spec: &GemmSpec) -> &'static dyn Microkernel {
-        if spec.n >= 16 && spec.n % 16 == 0 {
-            &Avx512WideMicrokernel
-        } else {
-            &Avx512Microkernel
+            let item = PackedOperands {
+                a: if batch.stride_a == 0 { packed.a } else { None },
+                b: if batch.stride_b == 0 { packed.b } else { None },
+            };
+            // SAFETY: forwarded support contract; `batch.check` bounded
+            // every sub-slice.
+            unsafe {
+                self.execute(
+                    spec,
+                    &a[ao..ao + ra],
+                    &b[bo..bo + rb],
+                    &mut c[co..co + rc],
+                    item,
+                )
+            };
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-impl GemmBackend for PackedAvx512Backend {
-    fn name(&self) -> &'static str {
-        "packed_avx512"
-    }
-
-    fn isa(&self) -> Isa {
-        Isa::Avx512
-    }
-
-    fn supported(&self) -> bool {
-        Avx512Microkernel.supported()
-    }
-
-    fn execute(&self, spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-        self.execute_packed(spec, a, b, c, PackedOperands::none());
-    }
-
-    fn run_batched(&self, spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
-        self.run_batched_packed(spec, batch, a, b, c, PackedOperands::none());
-    }
-
-    fn pack_a(&self, spec: &GemmSpec, a: &[f64]) -> Option<PackedPanels> {
-        Some(self.micro(spec).pack_a_block(spec, a))
-    }
-
-    fn pack_b(&self, spec: &GemmSpec, b: &[f64]) -> Option<PackedPanels> {
-        Some(self.micro(spec).pack_b_block(spec, b))
-    }
-
-    fn execute_packed(
-        &self,
-        spec: &GemmSpec,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        // SAFETY: `supported` gated the selection of this backend.
-        unsafe { execute_micro(self.micro(spec), spec, a, b, c, packed) }
-    }
-
-    fn run_batched_packed(
-        &self,
-        spec: &GemmSpec,
-        batch: &GemmBatch,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        // SAFETY: `supported` gated the selection of this backend.
-        unsafe { run_batched_micro(self.micro(spec), spec, batch, a, b, c, packed) }
-    }
-}
-
-/// All backends, widest (most preferred) first; at each ISA level the
-/// packed-microkernel backend precedes the autovec one.
+/// All kernels, one per ISA level, widest (most preferred) first.
 pub fn backends() -> &'static [&'static dyn GemmBackend] {
     #[cfg(target_arch = "x86_64")]
     {
-        &[
-            &PackedAvx512Backend,
-            &Avx512Backend,
-            &PackedAvx2Backend,
-            &Avx2Backend,
-            &PackedBaselineBackend,
-            &BaselineBackend,
-        ]
+        &[&Avx512Kernel, &Avx2Kernel, &BaselineKernel]
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        &[&PackedBaselineBackend, &BaselineBackend]
+        &[&BaselineKernel]
     }
 }
 
-/// Resolves [`BACKEND_ENV`] to a forced backend, warning once (and
-/// returning `None`) for unknown or host-unsupported names.
-fn env_backend() -> Option<&'static dyn GemmBackend> {
-    let name = std::env::var(BACKEND_ENV).ok()?;
-    if name.is_empty() {
-        return None;
-    }
-    let forced = forced_backend(&name);
-    if forced.is_none() {
-        static WARNED: std::sync::OnceLock<()> = std::sync::OnceLock::new();
-        WARNED.get_or_init(|| {
-            eprintln!("warning: {BACKEND_ENV}={name} names no host-supported backend; ignored");
-        });
-    }
-    forced
-}
-
-/// The selection a [`BACKEND_ENV`] value of `name` would force, if any.
-fn forced_backend(name: &str) -> Option<&'static dyn GemmBackend> {
-    backend_by_name(name).filter(|b| b.supported())
-}
-
-/// Picks the widest host-supported backend at or below the `cap` ISA —
+/// Picks the widest host-supported kernel at or below the `cap` ISA —
 /// the plan-time selection step (the cap emulates the paper's
 /// "AVX2 build on an AVX-512 machine" comparison, Fig. 4).
-///
-/// Setting [`BACKEND_ENV`] forces the named backend regardless of `cap` —
-/// the escape hatch CI uses to exercise the scalar paths on SIMD hosts.
 pub fn select_backend(cap: Isa) -> &'static dyn GemmBackend {
-    if let Some(b) = env_backend() {
-        return b;
-    }
     backends()
         .iter()
         .copied()
         .find(|b| b.isa() <= cap && b.supported())
-        .unwrap_or(&BaselineBackend)
+        .unwrap_or(&BaselineKernel)
 }
 
-/// Resolves a backend by its [`name`](GemmBackend::name).
+/// Resolves a kernel by its [`name`](GemmBackend::name).
 pub fn backend_by_name(name: &str) -> Option<&'static dyn GemmBackend> {
     backends().iter().copied().find(|b| b.name() == name)
-}
-
-/// Times every host-supported backend at or below `cap` on `spec` and
-/// returns `(backend, median seconds per call)` sorted fastest-first.
-///
-/// This is the measured replacement for [`select_backend`]'s widest-first
-/// pick, used when the caller opts into probe-based tuning
-/// (`tuning = probe` in `aderdg-core`): on a host where the widest ISA
-/// downclocks or the problem shape favours a narrower kernel, the probe
-/// ranks what actually runs fastest *for this spec*. Operands are seeded,
-/// so repeated calls time identical work. Never empty: the baseline
-/// backend is always supported.
-pub fn rank_backends(
-    spec: &GemmSpec,
-    cap: Isa,
-    reps: usize,
-) -> Vec<(&'static dyn GemmBackend, f64)> {
-    let (la, lb, lc) = spec.required_lens();
-    rank_with(cap, reps, la, lb, lc, |bk, a, b, c| {
-        bk.execute(spec, a, b, c)
-    })
-}
-
-/// Like [`rank_backends`], but times [`GemmBackend::run_batched`] over
-/// `batch` — the right probe for kernels that dispatch the batched path
-/// (the cell-block pipeline), where backends differ by their blocked
-/// `run_batched` overrides (row fusion, hoisted bounds checks), not by
-/// the single-call body.
-pub fn rank_backends_batched(
-    spec: &GemmSpec,
-    batch: &GemmBatch,
-    cap: Isa,
-    reps: usize,
-) -> Vec<(&'static dyn GemmBackend, f64)> {
-    let (la, lb, lc) = batch.required_lens(spec);
-    rank_with(cap, reps, la, lb, lc, |bk, a, b, c| {
-        bk.run_batched(spec, batch, a, b, c)
-    })
-}
-
-/// Shared probe body: seeded operands, median of `reps` samples of an
-/// inner loop per backend, sorted fastest-first.
-fn rank_with(
-    cap: Isa,
-    reps: usize,
-    la: usize,
-    lb: usize,
-    lc: usize,
-    run: impl Fn(&'static dyn GemmBackend, &[f64], &[f64], &mut [f64]),
-) -> Vec<(&'static dyn GemmBackend, f64)> {
-    let mut rng = aderdg_tensor::Lcg::new(0x5EED_BACC);
-    let a = rng.vec(la, -1.0, 1.0);
-    let b = rng.vec(lb, -1.0, 1.0);
-    let mut c = vec![0.0; lc];
-    // Enough inner iterations per sample to rise above timer granularity
-    // on the small GEMMs a plan dispatches.
-    let inner = 32;
-    let mut ranked: Vec<(&'static dyn GemmBackend, f64)> = backends()
-        .iter()
-        .copied()
-        .filter(|bk| bk.isa() <= cap && bk.supported())
-        .map(|bk| {
-            run(bk, &a, &b, &mut c); // warm-up
-            let mut times = Vec::with_capacity(reps.max(1));
-            for _ in 0..reps.max(1) {
-                let t0 = std::time::Instant::now();
-                for _ in 0..inner {
-                    run(bk, &a, &b, &mut c);
-                }
-                times.push(t0.elapsed().as_secs_f64() / inner as f64);
-            }
-            times.sort_by(f64::total_cmp);
-            (bk, times[times.len() / 2])
-        })
-        .collect();
-    ranked.sort_by(|x, y| x.1.total_cmp(&y.1));
-    ranked
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Skip host-default selection asserts when the run forces a backend
-    /// through the environment (the CI forced-backend legs).
-    fn env_forced() -> bool {
-        std::env::var(BACKEND_ENV).is_ok()
-    }
+    use crate::kernels::{gemm_naive, Gemm};
 
     #[test]
     fn baseline_is_always_supported_and_last_resort() {
-        assert!(BaselineBackend.supported());
-        assert!(PackedBaselineBackend.supported());
-        if env_forced() {
-            return;
-        }
-        // Baseline cap prefers the packed portable microkernel; the plain
-        // autovec baseline stays registered as the final fallback.
-        assert_eq!(select_backend(Isa::Baseline).name(), "packed_baseline");
-        assert_eq!(backends().last().unwrap().name(), "baseline");
+        assert!(BaselineKernel.supported());
+        assert_eq!(select_backend(Isa::Baseline).name(), "baseline");
     }
 
     #[test]
     fn selection_respects_cap_and_host() {
-        if env_forced() {
-            return;
-        }
         for cap in [Isa::Baseline, Isa::Avx2, Isa::Avx512] {
-            let b = select_backend(cap);
-            assert!(b.isa() <= cap, "cap {cap:?} gave {}", b.name());
-            assert!(b.supported());
+            // The widest supported kernel at or below the cap, spelled
+            // out independently of the registry walk.
+            let want = backends()
+                .iter()
+                .filter(|b| b.isa() <= cap && b.supported())
+                .max_by_key(|b| b.isa())
+                .unwrap();
+            assert_eq!(select_backend(cap).name(), want.name(), "cap {cap:?}");
         }
         // The uncapped selection must match plain feature detection.
         assert_eq!(select_backend(Isa::Avx512).isa(), Isa::detect());
     }
 
     #[test]
-    fn forced_backend_resolves_supported_names_only() {
-        assert_eq!(forced_backend("baseline").unwrap().name(), "baseline");
-        assert_eq!(
-            forced_backend("packed_baseline").unwrap().name(),
-            "packed_baseline"
-        );
-        assert!(forced_backend("turbo").is_none());
-        for b in backends() {
-            // Every host-supported backend is forceable by its own name.
-            if b.supported() {
-                assert_eq!(forced_backend(b.name()).unwrap().name(), b.name());
-            }
-        }
-    }
-
-    #[test]
     fn backends_are_ordered_widest_first() {
+        // Exactly one kernel per ISA level: strictly descending.
         let list = backends();
         for pair in list.windows(2) {
-            assert!(pair[0].isa() >= pair[1].isa());
+            assert!(pair[0].isa() > pair[1].isa());
         }
-        assert_eq!(list.last().unwrap().name(), "baseline");
+        assert_eq!(list.last().unwrap().isa(), Isa::Baseline);
     }
 
     #[test]
@@ -637,52 +202,6 @@ mod tests {
             assert_eq!(backend_by_name(b.name()).unwrap().name(), b.name());
         }
         assert!(backend_by_name("turbo").is_none());
-    }
-
-    #[test]
-    fn rank_backends_lists_supported_candidates_fastest_first() {
-        let spec = GemmSpec::dense(6, 24, 6);
-        let ranked = rank_backends(&spec, Isa::Avx512, 2);
-        assert!(!ranked.is_empty(), "baseline is always supported");
-        for pair in ranked.windows(2) {
-            assert!(pair[0].1 <= pair[1].1, "ranking must be sorted by time");
-        }
-        for (b, secs) in &ranked {
-            assert!(b.supported());
-            assert!(secs.is_finite() && *secs >= 0.0);
-        }
-        // Capping at baseline leaves exactly the two always-supported
-        // scalar-path backends.
-        let capped = rank_backends(&spec, Isa::Baseline, 1);
-        assert_eq!(capped.len(), 2);
-        let mut names: Vec<_> = capped.iter().map(|(b, _)| b.name()).collect();
-        names.sort_unstable();
-        assert_eq!(names, ["baseline", "packed_baseline"]);
-    }
-
-    #[test]
-    fn rank_backends_batched_times_the_batched_path() {
-        let spec = GemmSpec::dense(4, 12, 4);
-        let batch = GemmBatch::shared_a(4, 12 * 4, 12 * 4);
-        let ranked = rank_backends_batched(&spec, &batch, Isa::Avx512, 2);
-        assert!(!ranked.is_empty());
-        for pair in ranked.windows(2) {
-            assert!(pair[0].1 <= pair[1].1);
-        }
-    }
-
-    #[test]
-    fn backend_executes_like_autovec() {
-        let spec = GemmSpec::dense(3, 5, 4);
-        let a: Vec<f64> = (0..12).map(|x| x as f64 * 0.25).collect();
-        let b: Vec<f64> = (0..20).map(|x| 1.0 - x as f64 * 0.1).collect();
-        let mut c1 = vec![0.0; 15];
-        let mut c2 = vec![0.0; 15];
-        gemm_autovec(&spec, &a, &b, &mut c1);
-        select_backend(Isa::Avx512).execute(&spec, &a, &b, &mut c2);
-        for (x, y) in c1.iter().zip(&c2) {
-            assert!((x - y).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -695,31 +214,17 @@ mod tests {
         let c0 = rng.vec(rc, -1.0, 1.0);
 
         let mut c_ref = c0.clone();
-        crate::kernels::gemm_naive(&spec, &a, &b, &mut c_ref);
+        gemm_naive(&spec, &a, &b, &mut c_ref);
 
-        for bk in backends() {
-            if !bk.supported() {
-                continue;
-            }
-            let pa = bk.pack_a(&spec, &a);
-            let pb = bk.pack_b(&spec, &b);
-            assert_eq!(
-                pa.is_some(),
-                bk.name().starts_with("packed_"),
-                "{}",
-                bk.name()
-            );
+        for bk in backends().iter().filter(|bk| bk.supported()) {
+            let (mr, nr) = bk.tile(&spec);
+            assert_eq!(bk.pack_a(&spec, &a).tile(), mr, "{}", bk.name());
+            assert_eq!(bk.pack_b(&spec, &b).tile(), nr, "{}", bk.name());
             let mut c = c0.clone();
-            bk.execute_packed(
-                &spec,
-                &a,
-                &b,
-                &mut c,
-                PackedOperands {
-                    a: pa.as_ref(),
-                    b: pb.as_ref(),
-                },
-            );
+            Gemm::with_backend(spec, *bk)
+                .with_packed_a(&a)
+                .with_packed_b(&b)
+                .execute(&a, &b, &mut c);
             for (x, y) in c.iter().zip(&c_ref) {
                 assert!((x - y).abs() < 1e-12, "{}", bk.name());
             }

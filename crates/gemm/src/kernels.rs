@@ -1,21 +1,9 @@
-//! Small-GEMM compute kernels (the LIBXSMM substitute).
-//!
-//! One generic implementation, register-tiled so LLVM's auto-vectorizer
-//! produces packed FMA sequences, is instantiated three times:
-//!
-//! * a baseline build (whatever the compile target allows),
-//! * an AVX2+FMA build (`#[target_feature]`, paper's "Haswell" variant),
-//! * an AVX-512 build (paper's "Skylake" variant),
-//!
-//! selected once at plan time via runtime feature detection — the same
-//! role LIBXSMM's runtime code generation plays for the paper.
+//! GEMM plans: the scalar reference ([`gemm_naive`]), the ISA ladder
+//! ([`Isa`]) and the planned multiplication ([`Gemm`]) — a spec bound to
+//! the kernel chosen for the host at plan time, the same role LIBXSMM's
+//! runtime code generation plays for the paper.
 
 use crate::spec::{GemmBatch, GemmSpec};
-
-/// Register micro-tile height (rows of C held in accumulators).
-const MR: usize = 4;
-/// Register micro-tile width in doubles (two AVX-512 / four AVX2 registers).
-const NR: usize = 16;
 
 /// Reference triple-loop implementation. Used as the correctness oracle in
 /// tests and as the "generic kernel without LIBXSMM" fallback of the
@@ -32,244 +20,6 @@ pub fn gemm_naive(spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
             *cj = spec.alpha * acc + spec.beta * *cj;
         }
     }
-}
-
-/// The shared register-tiled body. `#[inline(always)]` so each
-/// `target_feature` wrapper gets its own fully-specialized copy.
-#[inline(always)]
-fn gemm_body(spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-    let &GemmSpec {
-        m,
-        n,
-        k,
-        lda,
-        ldb,
-        ldc,
-        alpha,
-        beta,
-    } = spec;
-
-    // Full MR x NR register tiles.
-    let mut i = 0;
-    while i + MR <= m {
-        let mut j = 0;
-        while j + NR <= n {
-            let mut acc = [[0.0f64; NR]; MR];
-            for l in 0..k {
-                let brow = &b[l * ldb + j..l * ldb + j + NR];
-                for r in 0..MR {
-                    let av = alpha * a[(i + r) * lda + l];
-                    for t in 0..NR {
-                        acc[r][t] += av * brow[t];
-                    }
-                }
-            }
-            for r in 0..MR {
-                let crow = &mut c[(i + r) * ldc + j..(i + r) * ldc + j + NR];
-                if beta == 0.0 {
-                    crow.copy_from_slice(&acc[r]);
-                } else {
-                    for t in 0..NR {
-                        crow[t] = acc[r][t] + beta * crow[t];
-                    }
-                }
-            }
-            j += NR;
-        }
-        // Right edge: MR rows, narrow columns.
-        if j < n {
-            edge_tile::<MR>(spec, a, b, c, i, j, n - j);
-        }
-        i += MR;
-    }
-    // Bottom edge: remaining rows, full width sweep.
-    while i < m {
-        let mut j = 0;
-        while j + NR <= n {
-            let mut acc = [0.0f64; NR];
-            let arow = &a[i * lda..i * lda + k];
-            for (l, &al) in arow.iter().enumerate() {
-                let av = alpha * al;
-                let brow = &b[l * ldb + j..l * ldb + j + NR];
-                for t in 0..NR {
-                    acc[t] += av * brow[t];
-                }
-            }
-            let crow = &mut c[i * ldc + j..i * ldc + j + NR];
-            if beta == 0.0 {
-                crow.copy_from_slice(&acc);
-            } else {
-                for t in 0..NR {
-                    crow[t] = acc[t] + beta * crow[t];
-                }
-            }
-            j += NR;
-        }
-        if j < n {
-            edge_tile::<1>(spec, a, b, c, i, j, n - j);
-        }
-        i += 1;
-    }
-}
-
-/// Scalar-ish edge handling for the last `< NR` columns of `rows` rows
-/// starting at `(i0, j0)`. Small by construction; correctness over speed.
-#[inline(always)]
-fn edge_tile<const ROWS: usize>(
-    spec: &GemmSpec,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    i0: usize,
-    j0: usize,
-    ncols: usize,
-) {
-    let &GemmSpec {
-        k,
-        lda,
-        ldb,
-        ldc,
-        alpha,
-        beta,
-        ..
-    } = spec;
-    for r in 0..ROWS {
-        let i = i0 + r;
-        for j in j0..j0 + ncols {
-            let mut acc = 0.0;
-            for l in 0..k {
-                acc += a[i * lda + l] * b[l * ldb + j];
-            }
-            let cj = &mut c[i * ldc + j];
-            *cj = alpha * acc + beta * *cj;
-        }
-    }
-}
-
-/// The tiled body with the contraction depth `K` fixed at compile time —
-/// the "generated kernel" path: like the paper's Kernel Generator (and
-/// LIBXSMM's runtime code generation), the loop over `k` is fully unrolled
-/// for the small depths the DG derivative GEMMs actually use.
-#[inline(always)]
-fn gemm_body_const_k<const K: usize>(spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-    debug_assert_eq!(spec.k, K);
-    let fixed = GemmSpec { k: K, ..*spec };
-    gemm_body(&fixed, a, b, c);
-}
-
-/// Dispatches to a compile-time-`K` instantiation when the depth is one of
-/// the common DG orders, else to the dynamic body.
-#[inline(always)]
-fn gemm_body_dispatch(spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-    match spec.k {
-        2 => gemm_body_const_k::<2>(spec, a, b, c),
-        3 => gemm_body_const_k::<3>(spec, a, b, c),
-        4 => gemm_body_const_k::<4>(spec, a, b, c),
-        5 => gemm_body_const_k::<5>(spec, a, b, c),
-        6 => gemm_body_const_k::<6>(spec, a, b, c),
-        7 => gemm_body_const_k::<7>(spec, a, b, c),
-        8 => gemm_body_const_k::<8>(spec, a, b, c),
-        9 => gemm_body_const_k::<9>(spec, a, b, c),
-        10 => gemm_body_const_k::<10>(spec, a, b, c),
-        11 => gemm_body_const_k::<11>(spec, a, b, c),
-        12 => gemm_body_const_k::<12>(spec, a, b, c),
-        _ => gemm_body(spec, a, b, c),
-    }
-}
-
-/// Baseline build of the tiled kernel (no extra target features).
-pub fn gemm_autovec(spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-    spec.check(a, b, c);
-    gemm_body_dispatch(spec, a, b, c);
-}
-
-/// AVX2+FMA build (paper's "Haswell / AVX2" configuration).
-///
-/// # Safety
-/// The caller must ensure the CPU supports AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemm_avx2(spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-    spec.check(a, b, c);
-    gemm_body_dispatch(spec, a, b, c);
-}
-
-/// AVX-512 build (paper's "Skylake / AVX-512" configuration).
-///
-/// # Safety
-/// The caller must ensure the CPU supports AVX-512F/VL and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,fma")]
-pub unsafe fn gemm_avx512(spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
-    spec.check(a, b, c);
-    gemm_body_dispatch(spec, a, b, c);
-}
-
-/// The shared batched body: one spec, `batch.count` strided operand
-/// triples. Row-stacked shared-`B` batches collapse into a single tall
-/// multiplication ([`GemmBatch::fuse_rows`]); everything else runs a
-/// strided loop over the pre-dispatched body with the bounds checks
-/// hoisted out of the loop.
-#[inline(always)]
-fn gemm_batched_body(spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
-    if let Some(fused) = batch.fuse_rows(spec) {
-        gemm_body_dispatch(&fused, a, b, c);
-        return;
-    }
-    for i in 0..batch.count {
-        gemm_body_dispatch(
-            spec,
-            &a[i * batch.stride_a..],
-            &b[i * batch.stride_b..],
-            &mut c[i * batch.stride_c..],
-        );
-    }
-}
-
-/// Baseline build of the batched kernel (no extra target features).
-pub fn gemm_autovec_batched(
-    spec: &GemmSpec,
-    batch: &GemmBatch,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-) {
-    batch.check(spec, a, b, c);
-    gemm_batched_body(spec, batch, a, b, c);
-}
-
-/// AVX2+FMA build of the batched kernel.
-///
-/// # Safety
-/// The caller must ensure the CPU supports AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemm_avx2_batched(
-    spec: &GemmSpec,
-    batch: &GemmBatch,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-) {
-    batch.check(spec, a, b, c);
-    gemm_batched_body(spec, batch, a, b, c);
-}
-
-/// AVX-512 build of the batched kernel.
-///
-/// # Safety
-/// The caller must ensure the CPU supports AVX-512F/VL and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,fma")]
-pub unsafe fn gemm_avx512_batched(
-    spec: &GemmSpec,
-    batch: &GemmBatch,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-) {
-    batch.check(spec, a, b, c);
-    gemm_batched_body(spec, batch, a, b, c);
 }
 
 /// Instruction-set level a plan may execute with.
@@ -322,12 +72,13 @@ impl Isa {
     }
 }
 
-/// A planned GEMM: spec plus the backend chosen for the host at plan time.
+/// A planned GEMM: spec plus the kernel chosen for the host at plan time.
 ///
 /// This is the analogue of a generated-and-dispatched LIBXSMM kernel: all
 /// size/stride and ISA decisions happen once, through
 /// [`select_backend`](crate::backend::select_backend); `execute` is the
-/// hot call.
+/// hot call. Construction verifies the host supports the kernel, which is
+/// what makes the `execute*` methods safe.
 #[derive(Debug, Clone)]
 pub struct Gemm {
     spec: GemmSpec,
@@ -348,9 +99,16 @@ impl Gemm {
         Self::with_backend(spec, crate::backend::select_backend(isa))
     }
 
-    /// Plans `spec` on an explicit backend (the caller vouches the host
-    /// supports it).
+    /// Plans `spec` on an explicit kernel.
+    ///
+    /// # Panics
+    /// If the host does not support `backend`.
     pub fn with_backend(spec: GemmSpec, backend: &'static dyn crate::backend::GemmBackend) -> Self {
+        assert!(
+            backend.supported(),
+            "GEMM kernel {} is not supported on this host",
+            backend.name()
+        );
         Self {
             spec,
             backend,
@@ -359,24 +117,23 @@ impl Gemm {
         }
     }
 
-    /// Caches the left operand in the backend's packed-panel layout (a
-    /// no-op on backends that do not pack). Every later `execute*` call
-    /// **must** pass the same logical `A` it would pass without caching —
-    /// the raw slice stays the source of truth for non-packing backends
-    /// and for batch items the cache does not cover.
+    /// Caches the left operand in the kernel's packed-panel layout. Every
+    /// later `execute*` call **must** pass the same logical `A` it would
+    /// pass without caching — the raw slice stays the source of truth for
+    /// batch items the cache does not cover.
     ///
     /// This is the plan-time amortization step of the paper's kernel
     /// story: the DG operator matrices are multiplied by every cell block
     /// of every step, so their panels are packed once per plan.
     pub fn with_packed_a(mut self, a: &[f64]) -> Self {
-        self.packed_a = self.backend.pack_a(&self.spec, a).map(std::sync::Arc::new);
+        self.packed_a = Some(std::sync::Arc::new(self.backend.pack_a(&self.spec, a)));
         self
     }
 
-    /// Caches the right operand in the backend's packed-panel layout (see
+    /// Caches the right operand in the kernel's packed-panel layout (see
     /// [`with_packed_a`](Self::with_packed_a)).
     pub fn with_packed_b(mut self, b: &[f64]) -> Self {
-        self.packed_b = self.backend.pack_b(&self.spec, b).map(std::sync::Arc::new);
+        self.packed_b = Some(std::sync::Arc::new(self.backend.pack_b(&self.spec, b)));
         self
     }
 
@@ -420,7 +177,7 @@ impl Gemm {
         &self.spec
     }
 
-    /// The backend the plan dispatches to.
+    /// The kernel the plan dispatches to.
     pub fn backend(&self) -> &'static dyn crate::backend::GemmBackend {
         self.backend
     }
@@ -436,8 +193,8 @@ impl Gemm {
     pub fn execute(&self, a: &[f64], b: &[f64], c: &mut [f64]) {
         #[cfg(debug_assertions)]
         self.debug_check_packed(a, b);
-        self.backend
-            .execute_packed(&self.spec, a, b, c, self.packed());
+        // SAFETY: `with_backend` verified the host supports the kernel.
+        unsafe { self.backend.execute(&self.spec, a, b, c, self.packed()) };
     }
 
     /// Runs the planned multiplication on tensor slices given by offsets —
@@ -464,8 +221,11 @@ impl Gemm {
     pub fn execute_batched(&self, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
         #[cfg(debug_assertions)]
         self.debug_check_packed(a, b);
-        self.backend
-            .run_batched_packed(&self.spec, batch, a, b, c, self.packed());
+        // SAFETY: `with_backend` verified the host supports the kernel.
+        unsafe {
+            self.backend
+                .run_batched(&self.spec, batch, a, b, c, self.packed())
+        };
     }
 
     /// Useful flops per execution.
@@ -490,10 +250,6 @@ mod tests {
 
         let mut c_ref = c0.clone();
         gemm_naive(&spec, &a, &b, &mut c_ref);
-
-        let mut c_tiled = c0.clone();
-        gemm_autovec(&spec, &a, &b, &mut c_tiled);
-        assert_close(&c_tiled, &c_ref, &spec);
 
         let mut c_plan = c0.clone();
         Gemm::new(spec).execute(&a, &b, &mut c_plan);
@@ -549,7 +305,7 @@ mod tests {
         let a = vec![1.0; 8];
         let b = vec![1.0; 32];
         let mut c = vec![f64::NAN; 64];
-        gemm_autovec(&spec, &a, &b, &mut c);
+        Gemm::new(spec).execute(&a, &b, &mut c);
         assert!(c.iter().all(|&x| x == 2.0));
     }
 
@@ -567,7 +323,7 @@ mod tests {
             }
         }
         let mut c = vec![1.0; 32];
-        gemm_autovec(&spec, &a, &b, &mut c);
+        Gemm::new(spec).execute(&a, &b, &mut c);
         for row in 0..4 {
             for j in 5..8 {
                 assert_eq!(c[row * 8 + j], 0.0);
@@ -611,10 +367,6 @@ mod tests {
                 gemm_naive(&spec, &a[i * sa..], &b[i * sb..], &mut c_ref[i * sc..]);
             }
 
-            let mut c_auto = c0.clone();
-            gemm_autovec_batched(&spec, &batch, &a, &b, &mut c_auto);
-            assert_close(&c_auto, &c_ref, &spec);
-
             let mut c_plan = c0.clone();
             Gemm::new(spec).execute_batched(&batch, &a, &b, &mut c_plan);
             assert_close(&c_plan, &c_ref, &spec);
@@ -639,7 +391,7 @@ mod tests {
     fn batched_check_rejects_short_c() {
         let spec = GemmSpec::dense(2, 2, 2);
         let batch = GemmBatch::new(3, 0, 0, 4);
-        gemm_autovec_batched(&spec, &batch, &[0.0; 4], &[0.0; 4], &mut [0.0; 8]);
+        Gemm::new(spec).execute_batched(&batch, &[0.0; 4], &[0.0; 4], &mut [0.0; 8]);
     }
 
     #[test]

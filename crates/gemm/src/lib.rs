@@ -5,10 +5,14 @@
 //! tensor matrix slices (offset + slice stride, paper Fig. 3) can be
 //! multiplied in place without copies.
 //!
-//! Plans pick an instruction-set path (baseline / AVX2 / AVX-512) once at
-//! construction via runtime feature detection — the same role LIBXSMM's
-//! runtime code generation plays in the paper — and the register-tiled
-//! kernel body is compiled once per ISA via `#[target_feature]`.
+//! One kernel family: a BLIS-style packed, register-tiled driver
+//! ([`micro`]) written once over a portable SIMD layer ([`simd`]) and
+//! instantiated per ISA level (baseline / AVX2 / AVX-512) via
+//! `#[target_feature]` ([`tiles`]), behind the one object-safe
+//! [`GemmBackend`] trait. A [`Gemm`] plan picks its kernel once at
+//! construction via runtime feature detection — the role LIBXSMM's
+//! runtime code generation plays in the paper — and caches the packed
+//! panels of operands it reuses. [`gemm_naive`] is the test oracle.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -19,14 +23,10 @@ pub mod kernels;
 pub mod micro;
 pub mod simd;
 pub mod spec;
+pub mod tiles;
 
-pub use backend::{
-    backend_by_name, backends, rank_backends, rank_backends_batched, select_backend, GemmBackend,
-    BACKEND_ENV,
-};
-pub use kernels::{gemm_autovec, gemm_autovec_batched, gemm_naive, Gemm, Isa};
-pub use micro::{
-    pack_a_panels, pack_b_panels, Microkernel, PackedOperands, PackedPanels, PanelSide,
-};
+pub use backend::{backend_by_name, backends, select_backend, GemmBackend};
+pub use kernels::{gemm_naive, Gemm, Isa};
+pub use micro::{pack_a_panels, pack_b_panels, PackedOperands, PackedPanels, PanelSide};
 pub use simd::{F64s, SimdF64};
 pub use spec::{GemmBatch, GemmSpec};

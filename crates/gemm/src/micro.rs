@@ -1,11 +1,9 @@
-//! Register-tiled packed GEMM microkernels (the LIBXSMM-style kernel
-//! layer, paper Sec. II-D).
+//! The packed register-tiled GEMM driver (the LIBXSMM-style kernel
+//! layer, paper Sec. II-D): BLIS-style panel packing plus one generic
+//! MR×NR tiled body, instantiated per ISA by [`crate::tiles`].
 //!
-//! The autovectorized kernels in [`crate::kernels`] multiply straight out
-//! of the operand buffers. This module adds the classic high-performance
-//! alternative: an MR×NR **microkernel** that walks *packed panels* —
-//! operands re-laid-out so the inner loop reads both matrices with unit
-//! stride and zero edge handling:
+//! The driver walks *packed panels* — operands re-laid-out so the inner
+//! loop reads both matrices with unit stride and zero edge handling:
 //!
 //! * `A` is packed into row panels of `MR` rows: panel `p` stores
 //!   `A[p·MR + r][l]` at `[l·MR + r]` (column-major within the panel), so
@@ -14,30 +12,23 @@
 //!   `B[l][p·NR + t]` at `[l·NR + t]`, one contiguous vector row per `l`.
 //!
 //! Partial edge panels are packed **zero-padded** to full tile size, so
-//! the inner loop never branches on tail lanes — the microkernel computes
+//! the inner loop never branches on tail lanes — the driver computes
 //! full tiles unconditionally and only the *store* distinguishes
-//! `used_rows × used_cols` from the full tile.
+//! `used_rows × used_cols` from the full tile. Full tiles of an operand
+//! without plan-cached panels are read straight from the raw buffer.
 //!
-//! The inner body is written once, generically over the portable SIMD
-//! layer ([`crate::simd`]) with the tile shape as const generics, and
-//! instantiated per ISA through `#[target_feature]` wrappers — the same
-//! monomorphization pattern the autovec kernels use, but with the
-//! vector shape pinned instead of left to the autovectorizer.
-//!
-//! The [`Microkernel`] trait packages one instantiation (tile dims,
-//! packing, driver) behind a dyn-safe interface; the packed
-//! [`GemmBackend`](crate::backend::GemmBackend)s own one microkernel each
-//! and thread plan-cached panels through [`PackedOperands`]. The trait
-//! granularity is one *whole GEMM*, not one tile: the hot shapes run
-//! hundreds of sub-microsecond tiles per call, so per-tile virtual
-//! dispatch would cost a measurable fraction of the kernel itself.
+//! The body is written once, generically over the portable SIMD layer
+//! ([`crate::simd`]) with the tile shape as const generics; each
+//! [`GemmBackend`](crate::backend::GemmBackend) in [`crate::tiles`] pins
+//! one register shape inside a `#[target_feature]` wrapper and threads
+//! plan-cached panels through [`PackedOperands`].
 
-use crate::simd::{FmaF64x4, FmaF64x8, PortableF64x4, SimdF64};
-use crate::spec::{GemmBatch, GemmSpec};
+use crate::simd::SimdF64;
+use crate::spec::GemmSpec;
 
-/// Largest `MR` any registered microkernel uses (bounds stack scratch).
+/// Largest `MR` any registered kernel uses (bounds stack scratch).
 pub const MR_CAP: usize = 8;
-/// Largest `NR` any registered microkernel uses (bounds stack scratch).
+/// Largest `NR` any registered kernel uses (bounds stack scratch).
 pub const NR_CAP: usize = 16;
 /// Largest `k` whose partial-tile packing fits in stack scratch; deeper
 /// contractions (never produced by the DG plans, which contract over at
@@ -53,10 +44,11 @@ pub enum PanelSide {
     B,
 }
 
-/// An operand repacked into zero-padded microkernel panels.
+/// An operand repacked into zero-padded tile panels.
 ///
-/// Produced by [`Microkernel::pack_a_block`] / [`Microkernel::pack_b_block`]
-/// (or the free functions [`pack_a_panels`] / [`pack_b_panels`]); cached
+/// Produced by [`GemmBackend::pack_a`](crate::backend::GemmBackend::pack_a) /
+/// [`pack_b`](crate::backend::GemmBackend::pack_b) (or the free functions
+/// [`pack_a_panels`] / [`pack_b_panels`]); cached
 /// per plan for operands that are reused across many calls — the DG
 /// operator matrices, which every cell block in every step multiplies by.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,9 +157,9 @@ pub fn pack_b_panels(spec: &GemmSpec, b: &[f64], nr: usize) -> PackedPanels {
 
 /// Optional pre-packed panels threaded alongside the raw operands.
 ///
-/// The raw slices stay authoritative — a kernel uses a panel only when it
-/// matches its own tile geometry, so callers can hand the same
-/// `PackedOperands` to any backend.
+/// The raw slices stay authoritative: panels cover only the operands a
+/// plan caches, and a kernel rejects panels packed for another tile
+/// geometry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PackedOperands<'p> {
     /// Panels packed from the left operand ([`PanelSide::A`]).
@@ -183,51 +175,12 @@ impl<'p> PackedOperands<'p> {
     }
 }
 
-/// One register-tiled microkernel instantiation: tile geometry, panel
-/// packing, and the tiled whole-GEMM driver.
-pub trait Microkernel: Send + Sync + std::fmt::Debug {
-    /// Short identifier (e.g. `avx512_8x8`).
-    fn name(&self) -> &'static str;
-
-    /// Register tile height (rows of `C` held in accumulators).
-    fn mr(&self) -> usize;
-
-    /// Register tile width in doubles.
-    fn nr(&self) -> usize;
-
-    /// Runtime probe: can the host execute this kernel?
-    fn supported(&self) -> bool;
-
-    /// Packs the left operand into this kernel's row-panel layout.
-    fn pack_a_block(&self, spec: &GemmSpec, a: &[f64]) -> PackedPanels {
-        pack_a_panels(spec, a, self.mr())
-    }
-
-    /// Packs the right operand into this kernel's column-panel layout.
-    fn pack_b_block(&self, spec: &GemmSpec, b: &[f64]) -> PackedPanels {
-        pack_b_panels(spec, b, self.nr())
-    }
-
-    /// Runs `C ← α·A·B + β·C` per `spec`, reading packed panels where
-    /// `packed` provides them (a mismatched panel is a panic, not a wrong
-    /// answer) and packing partial edge tiles on the fly otherwise.
-    ///
-    /// # Safety
-    /// The host must support this kernel ([`supported`](Self::supported)).
-    unsafe fn kernel(
-        &self,
-        spec: &GemmSpec,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    );
-}
-
 /// Validates operands and panels before a kernel run (shared by every
-/// [`Microkernel`] impl).
-fn check_kernel_args(
-    micro: &dyn Microkernel,
+/// [`GemmBackend::execute`](crate::backend::GemmBackend::execute)); `name`
+/// and the `(MR, NR)` tile identify the kernel in the panic message.
+pub(crate) fn check_kernel_args(
+    name: &str,
+    (mr, nr): (usize, usize),
     spec: &GemmSpec,
     a: &[f64],
     b: &[f64],
@@ -237,24 +190,20 @@ fn check_kernel_args(
     spec.check(a, b, c);
     if let Some(p) = packed.a {
         assert!(
-            p.matches(PanelSide::A, micro.mr(), spec.k, spec.m),
-            "packed A panels (tile {} k {} len {}) do not fit {} on {:?}",
+            p.matches(PanelSide::A, mr, spec.k, spec.m),
+            "packed A panels (tile {} k {} len {}) do not fit {name} {mr}x{nr} on {spec:?}",
             p.tile(),
             p.k(),
             p.len(),
-            micro.name(),
-            spec
         );
     }
     if let Some(p) = packed.b {
         assert!(
-            p.matches(PanelSide::B, micro.nr(), spec.k, spec.n),
-            "packed B panels (tile {} k {} len {}) do not fit {} on {:?}",
+            p.matches(PanelSide::B, nr, spec.k, spec.n),
+            "packed B panels (tile {} k {} len {}) do not fit {name} {mr}x{nr} on {spec:?}",
             p.tile(),
             p.k(),
             p.len(),
-            micro.name(),
-            spec
         );
     }
 }
@@ -393,7 +342,7 @@ fn pack_partial_b(dst: &mut [f64], b: &[f64], ldb: usize, j0: usize, cols: usize
 /// # Safety
 /// Operands must satisfy `spec.check`, and provided panels must match the
 /// `(MR, NV·LANES, k, extent)` geometry — both enforced by
-/// [`check_kernel_args`] in every public caller.
+/// [`check_kernel_args`] in every [`GemmBackend::execute`](crate::backend::GemmBackend::execute).
 #[inline(always)]
 unsafe fn gemm_tiled<S: SimdF64, const MR: usize, const NV: usize>(
     spec: &GemmSpec,
@@ -489,8 +438,9 @@ unsafe fn gemm_tiled<S: SimdF64, const MR: usize, const NV: usize>(
 }
 
 /// [`gemm_tiled`] with the contraction depth fixed at compile time — the
-/// "generated kernel" trick shared with the autovec path: the `k` loop is
-/// fully unrolled for the depths the DG derivative GEMMs actually use.
+/// "generated kernel" trick of the paper's Kernel Generator and LIBXSMM:
+/// the `k` loop is fully unrolled for the depths the DG derivative GEMMs
+/// actually use.
 ///
 /// # Safety
 /// Same contract as [`gemm_tiled`].
@@ -513,7 +463,7 @@ unsafe fn gemm_tiled_k<S: SimdF64, const MR: usize, const NV: usize, const K: us
 /// # Safety
 /// Same contract as [`gemm_tiled`].
 #[inline(always)]
-unsafe fn gemm_tiled_dispatch<S: SimdF64, const MR: usize, const NV: usize>(
+pub(crate) unsafe fn gemm_tiled_dispatch<S: SimdF64, const MR: usize, const NV: usize>(
     spec: &GemmSpec,
     a: &[f64],
     b: &[f64],
@@ -539,290 +489,18 @@ unsafe fn gemm_tiled_dispatch<S: SimdF64, const MR: usize, const NV: usize>(
     }
 }
 
-/// Portable microkernel: 4×8 tiles over [`PortableF64x4`] (always
-/// supported; unfused multiply-add, so no libm `fma` on any host).
-#[derive(Debug, Clone, Copy)]
-pub struct PortableMicrokernel;
-
-impl Microkernel for PortableMicrokernel {
-    fn name(&self) -> &'static str {
-        "portable_4x8"
-    }
-
-    fn mr(&self) -> usize {
-        4
-    }
-
-    fn nr(&self) -> usize {
-        8
-    }
-
-    fn supported(&self) -> bool {
-        true
-    }
-
-    // SAFETY: contract documented on `Microkernel::kernel` — the caller
-    // checked `supported()`; the body validates operand shapes itself.
-    unsafe fn kernel(
-        &self,
-        spec: &GemmSpec,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        check_kernel_args(self, spec, a, b, c, packed);
-        // SAFETY: operands and panels validated; no ISA requirement.
-        unsafe { gemm_tiled_dispatch::<PortableF64x4, 4, 2>(spec, a, b, c, packed) }
-    }
-}
-
-/// AVX2+FMA microkernel: 4×8 tiles, two `ymm` accumulator columns.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Avx2Microkernel;
-
-#[cfg(target_arch = "x86_64")]
-/// # Safety
-/// Same contract as [`gemm_tiled`], plus the CPU must support
-/// AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn kernel_avx2(
-    spec: &GemmSpec,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    packed: PackedOperands<'_>,
-) {
-    // SAFETY: forwarded contract (see `gemm_tiled`).
-    unsafe { gemm_tiled_dispatch::<FmaF64x4, 4, 2>(spec, a, b, c, packed) }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Microkernel for Avx2Microkernel {
-    fn name(&self) -> &'static str {
-        "avx2_4x8"
-    }
-
-    fn mr(&self) -> usize {
-        4
-    }
-
-    fn nr(&self) -> usize {
-        8
-    }
-
-    fn supported(&self) -> bool {
-        // Miri interprets portable Rust only — never report an ISA path.
-        !cfg!(miri)
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-    }
-
-    // SAFETY: contract documented on `Microkernel::kernel` — the caller
-    // checked `supported()`; the body validates operand shapes itself.
-    unsafe fn kernel(
-        &self,
-        spec: &GemmSpec,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        check_kernel_args(self, spec, a, b, c, packed);
-        // SAFETY: caller guarantees AVX2+FMA (trait contract).
-        unsafe { kernel_avx2(spec, a, b, c, packed) }
-    }
-}
-
-/// AVX-512 microkernel for narrow outputs: 8×8 tiles, one `zmm`
-/// accumulator column — exact fit for the zero-padded `n_pad = 8` AoSoA
-/// layout the fused `d = 0` derivative GEMM produces.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Avx512Microkernel;
-
-#[cfg(target_arch = "x86_64")]
-/// # Safety
-/// Same contract as [`gemm_tiled`], plus the CPU must support
-/// AVX-512F, AVX-512VL and FMA.
-#[target_feature(enable = "avx512f,avx512vl,fma")]
-unsafe fn kernel_avx512(
-    spec: &GemmSpec,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    packed: PackedOperands<'_>,
-) {
-    // SAFETY: forwarded contract (see `gemm_tiled`).
-    unsafe { gemm_tiled_dispatch::<FmaF64x8, 8, 1>(spec, a, b, c, packed) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx512_supported() -> bool {
-    // Miri interprets portable Rust only — never report an ISA path.
-    !cfg!(miri)
-        && std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512vl")
-        && std::arch::is_x86_feature_detected!("fma")
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Microkernel for Avx512Microkernel {
-    fn name(&self) -> &'static str {
-        "avx512_8x8"
-    }
-
-    fn mr(&self) -> usize {
-        8
-    }
-
-    fn nr(&self) -> usize {
-        8
-    }
-
-    fn supported(&self) -> bool {
-        avx512_supported()
-    }
-
-    // SAFETY: contract documented on `Microkernel::kernel` — the caller
-    // checked `supported()`; the body validates operand shapes itself.
-    unsafe fn kernel(
-        &self,
-        spec: &GemmSpec,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        check_kernel_args(self, spec, a, b, c, packed);
-        // SAFETY: caller guarantees AVX-512F/VL+FMA (trait contract).
-        unsafe { kernel_avx512(spec, a, b, c, packed) }
-    }
-}
-
-/// AVX-512 microkernel for wide outputs: 4×16 tiles, two `zmm`
-/// accumulator columns — fewer broadcast loads per FMA than the 8×8
-/// kernel, preferred when `n` is a multiple of 16 (the fused `d ≥ 1`
-/// derivative GEMMs at even node counts).
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Avx512WideMicrokernel;
-
-#[cfg(target_arch = "x86_64")]
-/// # Safety
-/// Same contract as [`gemm_tiled`], plus the CPU must support
-/// AVX-512F, AVX-512VL and FMA.
-#[target_feature(enable = "avx512f,avx512vl,fma")]
-unsafe fn kernel_avx512_wide(
-    spec: &GemmSpec,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    packed: PackedOperands<'_>,
-) {
-    // SAFETY: forwarded contract (see `gemm_tiled`).
-    unsafe { gemm_tiled_dispatch::<FmaF64x8, 4, 2>(spec, a, b, c, packed) }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Microkernel for Avx512WideMicrokernel {
-    fn name(&self) -> &'static str {
-        "avx512_4x16"
-    }
-
-    fn mr(&self) -> usize {
-        4
-    }
-
-    fn nr(&self) -> usize {
-        16
-    }
-
-    fn supported(&self) -> bool {
-        avx512_supported()
-    }
-
-    // SAFETY: contract documented on `Microkernel::kernel` — the caller
-    // checked `supported()`; the body validates operand shapes itself.
-    unsafe fn kernel(
-        &self,
-        spec: &GemmSpec,
-        a: &[f64],
-        b: &[f64],
-        c: &mut [f64],
-        packed: PackedOperands<'_>,
-    ) {
-        check_kernel_args(self, spec, a, b, c, packed);
-        // SAFETY: caller guarantees AVX-512F/VL+FMA (trait contract).
-        unsafe { kernel_avx512_wide(spec, a, b, c, packed) }
-    }
-}
-
-/// Shared batched driver for the packed backends: fuses row-stacked
-/// shared-`B` batches into one tall kernel call (plan-cached `B` panels
-/// survive fusion because only `m` changes), and otherwise loops items
-/// with exact-length sub-slices so an out-of-bounds stride fails loudly.
-/// Per-item panels apply only to operands the batch actually shares
-/// (stride 0).
-///
-/// # Safety
-/// The host must support `micro`.
-pub(crate) unsafe fn run_batched_micro(
-    micro: &dyn Microkernel,
-    spec: &GemmSpec,
-    batch: &GemmBatch,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    packed: PackedOperands<'_>,
-) {
-    batch.check(spec, a, b, c);
-    if let Some(fused) = batch.fuse_rows(spec) {
-        // A-side panels describe the per-item `m`, not the fused tall
-        // matrix; only shared-B panels carry over.
-        let fused_packed = PackedOperands {
-            a: None,
-            b: packed.b,
-        };
-        // SAFETY: forwarded support contract.
-        unsafe { micro.kernel(&fused, a, b, c, fused_packed) };
-        return;
-    }
-    let (ra, rb, rc) = spec.required_lens();
-    for i in 0..batch.count {
-        let (ao, bo, co) = (i * batch.stride_a, i * batch.stride_b, i * batch.stride_c);
-        let item = PackedOperands {
-            a: if batch.stride_a == 0 { packed.a } else { None },
-            b: if batch.stride_b == 0 { packed.b } else { None },
-        };
-        // SAFETY: forwarded support contract; `batch.check` bounded every
-        // sub-slice.
-        unsafe {
-            micro.kernel(
-                spec,
-                &a[ao..ao + ra],
-                &b[bo..bo + rb],
-                &mut c[co..co + rc],
-                item,
-            )
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{backends, GemmBackend};
     use crate::kernels::gemm_naive;
+    use crate::tiles::BaselineKernel;
 
     fn rand_vec(len: usize, seed: u64) -> Vec<f64> {
         aderdg_tensor::Lcg::new(seed).vec(len.max(1), -1.0, 1.0)
     }
 
-    fn check_micro(micro: &dyn Microkernel, spec: GemmSpec, seed: u64, pack: (bool, bool)) {
-        if !micro.supported() {
-            return;
-        }
+    fn check_micro(micro: &dyn GemmBackend, spec: GemmSpec, seed: u64, pack: (bool, bool)) {
         let (ra, rb, rc) = spec.required_lens();
         let a = rand_vec(ra, seed);
         let b = rand_vec(rb, seed ^ 0xB0B);
@@ -831,12 +509,12 @@ mod tests {
         let mut c_ref = c0.clone();
         gemm_naive(&spec, &a, &b, &mut c_ref);
 
-        let pa = pack.0.then(|| micro.pack_a_block(&spec, &a));
-        let pb = pack.1.then(|| micro.pack_b_block(&spec, &b));
+        let pa = pack.0.then(|| micro.pack_a(&spec, &a));
+        let pb = pack.1.then(|| micro.pack_b(&spec, &b));
         let mut c_got = c0.clone();
-        // SAFETY: `supported` checked above.
+        // SAFETY: `all_kernels` lists host-supported kernels only.
         unsafe {
-            micro.kernel(
+            micro.execute(
                 &spec,
                 &a,
                 &b,
@@ -856,22 +534,10 @@ mod tests {
         }
     }
 
-    fn all_kernels() -> Vec<&'static dyn Microkernel> {
-        // Under Miri only the portable kernel is interpretable; the ISA
-        // kernels' `supported()` is hard-false there anyway.
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            vec![
-                &PortableMicrokernel,
-                &Avx2Microkernel,
-                &Avx512Microkernel,
-                &Avx512WideMicrokernel,
-            ]
-        }
-        #[cfg(any(not(target_arch = "x86_64"), miri))]
-        {
-            vec![&PortableMicrokernel]
-        }
+    /// Every host-supported kernel (under Miri that is the portable one:
+    /// the ISA kernels' `supported()` is hard-false there).
+    fn all_kernels() -> impl Iterator<Item = &'static dyn GemmBackend> {
+        backends().iter().copied().filter(|bk| bk.supported())
     }
 
     #[test]
@@ -906,6 +572,7 @@ mod tests {
                 (9, 7, 3),
                 (17, 23, 6),
                 (5, 16, 11),
+                (9, 32, 6),
                 (21, 40, 13),
             ]
         };
@@ -921,10 +588,13 @@ mod tests {
 
     #[test]
     fn kernel_handles_strided_operands() {
+        // n = 10 and n = 16: both AVX-512 tile widths.
         for micro in all_kernels() {
-            let spec = GemmSpec::dense(6, 10, 4).with_ld(7, 13, 11);
-            check_micro(micro, spec, 77, (true, true));
-            check_micro(micro, spec, 78, (false, false));
+            for n in [10, 16] {
+                let spec = GemmSpec::dense(6, n, 4).with_ld(7, n + 3, n + 1);
+                check_micro(micro, spec, 77, (true, true));
+                check_micro(micro, spec, 78, (false, false));
+            }
         }
     }
 
@@ -934,7 +604,7 @@ mod tests {
         let mut c = vec![2.0; 12];
         // SAFETY: portable kernel has no ISA requirement.
         unsafe {
-            PortableMicrokernel.kernel(&spec, &[], &[], &mut c, PackedOperands::none());
+            BaselineKernel.execute(&spec, &[], &[], &mut c, PackedOperands::none());
         }
         assert!(c.iter().all(|&x| x == 1.0));
     }
@@ -945,12 +615,9 @@ mod tests {
         let a = vec![1.0; 15];
         let b = vec![1.0; 27];
         for micro in all_kernels() {
-            if !micro.supported() {
-                continue;
-            }
             let mut c = vec![f64::NAN; 45];
-            // SAFETY: `supported` checked above.
-            unsafe { micro.kernel(&spec, &a, &b, &mut c, PackedOperands::none()) };
+            // SAFETY: `all_kernels` lists host-supported kernels only.
+            unsafe { micro.execute(&spec, &a, &b, &mut c, PackedOperands::none()) };
             assert!(c.iter().all(|&x| x == 3.0), "{}", micro.name());
         }
     }
@@ -965,7 +632,7 @@ mod tests {
         let wrong = pack_a_panels(&GemmSpec::dense(5, 8, 3), &[0.0; 15], 4);
         // SAFETY: portable kernel has no ISA requirement.
         unsafe {
-            PortableMicrokernel.kernel(
+            BaselineKernel.execute(
                 &spec,
                 &a,
                 &b,
@@ -981,9 +648,11 @@ mod tests {
     #[test]
     fn deep_contraction_uses_heap_scratch() {
         // k beyond K_STACK exercises the heap fallback for edge packing.
-        let spec = GemmSpec::dense(5, 7, K_STACK + 3);
         for micro in all_kernels() {
-            check_micro(micro, spec, 91, (false, false));
+            for n in [7, 16] {
+                let spec = GemmSpec::dense(5, n, K_STACK + 3);
+                check_micro(micro, spec, 91, (false, false));
+            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Portable SIMD abstraction for the packed microkernels.
+//! Portable SIMD abstraction for the packed register-tiled kernels.
 //!
 //! One trait, [`SimdF64`], models "a register of `LANES` doubles" with the
 //! five operations the microkernel inner loop needs (splat, load, store,
@@ -20,9 +20,9 @@
 //! `#[target_feature]` function onto full-width vector registers, which
 //! keeps this module architecture-independent (and keeps the crate's
 //! minimum supported Rust version where it is) while the monomorphized
-//! kernels still compile to packed FMA sequences. The pattern matches the
-//! existing autovectorized kernels in [`crate::kernels`]; the trait only
-//! pins down the register shape so the microkernel can be written once.
+//! kernels still compile to packed FMA sequences. The trait only pins
+//! down the register shape so the tiled driver ([`crate::micro`]) can be
+//! written once.
 
 /// A register of [`LANES`](SimdF64::LANES) doubles.
 ///

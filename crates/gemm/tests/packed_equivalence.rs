@@ -1,21 +1,21 @@
-//! Property-style equivalence suite for the packed register-tiled
-//! microkernel backends (deterministic seeded sweeps — hermetic build, no
-//! external property-testing framework).
+//! Property-style equivalence suite for the packed register-tiled GEMM
+//! kernels (deterministic seeded sweeps — hermetic build, no external
+//! property-testing framework).
 //!
-//! Every registered backend — packed and autovec, SIMD and forced-scalar —
-//! must agree with the autovec baseline within `1e-13` relative, on a
-//! shape matrix built around the microkernel tile sizes (`MR/NR ∈ {4, 8,
-//! 16}`: each dimension at 1, tile−1, tile, tile+1, odd tails) and the
-//! paper's problem shapes (`m = 21` elastic quantities, order 2–5 node
-//! counts), across strided, fused and shared-operand batches, with and
-//! without plan-cached packed panels, including `α/β ≠ 1`.
+//! Every host-supported kernel — SIMD and portable — must agree with the
+//! scalar reference baseline [`gemm_naive`] within `1e-13` relative, on a
+//! shape matrix built around the tile sizes (`MR/NR ∈ {4, 8, 16}`: each
+//! dimension at 1, tile−1, tile, tile+1, odd tails) and the paper's
+//! problem shapes (`m = 21` elastic quantities, order 2–5 node counts),
+//! across strided, fused and shared-operand batches, with and without
+//! plan-cached packed panels, including `α/β ≠ 1`.
 
-use aderdg_gemm::{backends, GemmBackend, GemmBatch, GemmSpec, PackedOperands};
+use aderdg_gemm::{backends, gemm_naive, Gemm, GemmBackend, GemmBatch, GemmSpec};
 use aderdg_tensor::Lcg;
 
-/// Tolerance of the suite: packed kernels may fuse multiply-add (one
-/// rounding where the baseline takes two), so equivalence is relative
-/// `1e-13`, not bitwise.
+/// Tolerance of the suite: SIMD kernels fuse multiply-add (one rounding
+/// where the reference takes two) and sum in tile order, so equivalence is
+/// relative `1e-13`, not bitwise.
 const TOL: f64 = 1e-13;
 
 fn assert_close(got: &[f64], want: &[f64], ctx: &dyn std::fmt::Display) {
@@ -28,9 +28,16 @@ fn assert_close(got: &[f64], want: &[f64], ctx: &dyn std::fmt::Display) {
     }
 }
 
-/// Reference result on the always-supported autovec baseline backend.
-fn baseline() -> &'static dyn GemmBackend {
-    aderdg_gemm::backend_by_name("baseline").unwrap()
+/// The oracle over a batch: [`gemm_naive`] per item.
+fn naive_batched(spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &mut [f64]) {
+    for i in 0..batch.count {
+        gemm_naive(
+            spec,
+            &a[i * batch.stride_a..],
+            &b[i * batch.stride_b..],
+            &mut c[i * batch.stride_c..],
+        );
+    }
 }
 
 fn supported_backends() -> Vec<&'static dyn GemmBackend> {
@@ -73,27 +80,20 @@ fn single_call_matrix_matches_baseline() {
                     let c0 = rng.vec(rc.max(1), -2.0, 2.0);
 
                     let mut c_ref = c0.clone();
-                    baseline().execute(&spec, &a, &b, &mut c_ref);
+                    gemm_naive(&spec, &a, &b, &mut c_ref);
 
+                    let plain = Gemm::with_backend(spec, bk);
                     let mut c_got = c0.clone();
-                    bk.execute(&spec, &a, &b, &mut c_got);
+                    plain.execute(&a, &b, &mut c_got);
                     assert_close(&c_got, &c_ref, &format!("{} {spec:?}", bk.name()));
 
-                    // Same call with plan-cached panels on both sides
-                    // (a no-op on non-packing backends).
-                    let pa = bk.pack_a(&spec, &a);
-                    let pb = bk.pack_b(&spec, &b);
+                    // Same call with plan-cached panels on both sides:
+                    // `pack_a`/`pack_b` round-trip through `execute`.
                     let mut c_packed = c0.clone();
-                    bk.execute_packed(
-                        &spec,
-                        &a,
-                        &b,
-                        &mut c_packed,
-                        PackedOperands {
-                            a: pa.as_ref(),
-                            b: pb.as_ref(),
-                        },
-                    );
+                    plain
+                        .with_packed_a(&a)
+                        .with_packed_b(&b)
+                        .execute(&a, &b, &mut c_packed);
                     assert_close(&c_packed, &c_ref, &format!("{} packed {spec:?}", bk.name()));
                 }
             }
@@ -136,32 +136,23 @@ fn batched_matrix_matches_baseline() {
                 let c0 = rng.vec(rc.max(1), -2.0, 2.0);
 
                 let mut c_ref = c0.clone();
-                baseline().run_batched(&spec, &batch, &a, &b, &mut c_ref);
+                naive_batched(&spec, &batch, &a, &b, &mut c_ref);
 
+                let mut plan = Gemm::with_backend(spec, bk);
                 let mut c_got = c0.clone();
-                bk.run_batched(&spec, &batch, &a, &b, &mut c_got);
+                plan.execute_batched(&batch, &a, &b, &mut c_got);
                 let ctx = format!("{} batch kind {kind} {spec:?}", bk.name());
                 assert_close(&c_got, &c_ref, &ctx);
 
                 // Panels on the shared operand (what the plan caches).
-                let pa = (batch.stride_a == 0)
-                    .then(|| bk.pack_a(&spec, &a))
-                    .flatten();
-                let pb = (batch.stride_b == 0)
-                    .then(|| bk.pack_b(&spec, &b))
-                    .flatten();
+                if batch.stride_a == 0 {
+                    plan = plan.with_packed_a(&a);
+                }
+                if batch.stride_b == 0 {
+                    plan = plan.with_packed_b(&b);
+                }
                 let mut c_packed = c0.clone();
-                bk.run_batched_packed(
-                    &spec,
-                    &batch,
-                    &a,
-                    &b,
-                    &mut c_packed,
-                    PackedOperands {
-                        a: pa.as_ref(),
-                        b: pb.as_ref(),
-                    },
-                );
+                plan.execute_batched(&batch, &a, &b, &mut c_packed);
                 assert_close(&c_packed, &c_ref, &format!("{ctx} packed"));
             }
         }
@@ -173,47 +164,51 @@ fn batched_matrix_matches_baseline() {
 /// (order 2–5 node counts × acoustic m=6 and elastic m=21).
 #[test]
 fn plan_cached_panels_match_uncached_on_paper_shapes() {
-    use aderdg_gemm::Gemm;
     let mut rng = Lcg::new(0x09A9_E125);
     for bk in supported_backends() {
         for n_nodes in 3..=6 {
             for m_q in [6, 21] {
-                let n_pad = 8;
                 // AoSoA d = 0 shape: C(m × n_pad) = A · Dᵀ, fused rows.
-                let spec = GemmSpec {
-                    m: m_q,
-                    n: n_pad,
-                    k: n_nodes,
-                    lda: n_pad,
-                    ldb: n_pad,
-                    ldc: n_pad,
-                    alpha: 2.5,
-                    beta: 0.0,
-                };
-                let cells = 4 * n_nodes * n_nodes;
-                let stride = m_q * n_pad;
-                let batch = GemmBatch::shared_b(cells, stride, stride);
-                let (ra, rb, rc) = batch.required_lens(&spec);
-                let a = rng.vec(ra, -1.0, 1.0);
-                let b = rng.vec(rb, -1.0, 1.0);
+                // The cached `B` panels must stay valid across the row
+                // fusion on both AVX-512 tiles: `n_pad = 8` runs 8×8,
+                // `n_pad = 16` runs 4×16.
+                for n_pad in [8, 16] {
+                    let spec = GemmSpec {
+                        m: m_q,
+                        n: n_pad,
+                        k: n_nodes,
+                        lda: n_pad,
+                        ldb: n_pad,
+                        ldc: n_pad,
+                        alpha: 2.5,
+                        beta: 0.0,
+                    };
+                    let cells = 4 * n_nodes * n_nodes;
+                    let stride = m_q * n_pad;
+                    let batch = GemmBatch::shared_b(cells, stride, stride);
+                    assert!(batch.fuse_rows(&spec).is_some());
+                    let (ra, rb, rc) = batch.required_lens(&spec);
+                    let a = rng.vec(ra, -1.0, 1.0);
+                    let b = rng.vec(rb, -1.0, 1.0);
 
-                let plain = Gemm::with_backend(spec, bk);
-                let cached = Gemm::with_backend(spec, bk).with_packed_b(&b);
+                    let plain = Gemm::with_backend(spec, bk);
+                    let cached = Gemm::with_backend(spec, bk).with_packed_b(&b);
 
-                let mut c1 = vec![0.0; rc];
-                plain.execute_batched(&batch, &a, &b, &mut c1);
-                let mut c2 = vec![0.0; rc];
-                cached.execute_batched(&batch, &a, &b, &mut c2);
-                let mut c_ref = vec![0.0; rc];
-                baseline().run_batched(&spec, &batch, &a, &b, &mut c_ref);
+                    let mut c1 = vec![0.0; rc];
+                    plain.execute_batched(&batch, &a, &b, &mut c1);
+                    let mut c2 = vec![0.0; rc];
+                    cached.execute_batched(&batch, &a, &b, &mut c2);
+                    let mut c_ref = vec![0.0; rc];
+                    naive_batched(&spec, &batch, &a, &b, &mut c_ref);
 
-                let ctx = format!("{} n={n_nodes} m={m_q} fused", bk.name());
-                assert_close(&c1, &c_ref, &ctx);
-                assert_close(&c2, &c_ref, &format!("{ctx} cached"));
+                    let ctx = format!("{} n={n_nodes} m={m_q} n_pad={n_pad} fused", bk.name());
+                    assert_close(&c1, &c_ref, &ctx);
+                    assert_close(&c2, &c_ref, &format!("{ctx} cached"));
+                }
 
                 // AoSoA d = 2 shape: C = D · B(block), D shared.
                 let spec =
-                    GemmSpec::dense(n_nodes, n_nodes * m_q * n_pad, n_nodes).with_scale(1.0, 1.0);
+                    GemmSpec::dense(n_nodes, n_nodes * m_q * 8, n_nodes).with_scale(1.0, 1.0);
                 let (_, rb, rc) = spec.required_lens();
                 let batch = GemmBatch::shared_a(3, rb, rc);
                 let (la, lb, lc) = batch.required_lens(&spec);
@@ -225,7 +220,7 @@ fn plan_cached_panels_match_uncached_on_paper_shapes() {
                 let mut c1 = c0.clone();
                 cached.execute_batched(&batch, &a, &b, &mut c1);
                 let mut c_ref = c0.clone();
-                baseline().run_batched(&spec, &batch, &a, &b, &mut c_ref);
+                naive_batched(&spec, &batch, &a, &b, &mut c_ref);
                 assert_close(
                     &c1,
                     &c_ref,
@@ -236,7 +231,7 @@ fn plan_cached_panels_match_uncached_on_paper_shapes() {
     }
 }
 
-/// The exact-length slicing of the batched drivers must reject strides
+/// The exact-length slicing of the batched driver must reject strides
 /// that run past the logical operand instead of silently reading on.
 #[test]
 #[should_panic(expected = "too short")]
@@ -246,5 +241,6 @@ fn oversized_stride_fails_loudly() {
     let a = vec![0.0; 16]; // item 2 starts at 128 — far out of bounds
     let b = vec![0.0; 4];
     let mut c = vec![0.0; 12];
-    baseline().run_batched(&spec, &batch, &a, &b, &mut c);
+    let portable = aderdg_gemm::backend_by_name("baseline").unwrap();
+    Gemm::with_backend(spec, portable).execute_batched(&batch, &a, &b, &mut c);
 }

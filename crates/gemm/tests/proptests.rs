@@ -1,4 +1,4 @@
-//! Property-style equivalence of the tiled/planned kernels vs the naive
+//! Property-style equivalence of the planned kernels vs the naive
 //! reference, across random shapes, strides, scales and ISA caps —
 //! deterministic seeded sweeps (hermetic build — no external
 //! property-testing framework).
@@ -65,7 +65,7 @@ fn every_supported_backend_matches_naive() {
             let mut c_ref = vec![0.0; m * n];
             gemm_naive(&spec, &a, &b, &mut c_ref);
             let mut c_got = vec![0.0; m * n];
-            backend.execute(&spec, &a, &b, &mut c_got);
+            Gemm::with_backend(spec, backend).execute(&a, &b, &mut c_got);
             for (g, w) in c_got.iter().zip(&c_ref) {
                 assert!(
                     (g - w).abs() <= 1e-10 * (1.0 + w.abs()),

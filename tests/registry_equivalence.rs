@@ -243,12 +243,16 @@ fn engine_states_invariant_under_block_size() {
 
 /// Single-invocation matrix on the same plane-wave state: predictor
 /// outputs (volume and face tensors) of every registered kernel must
-/// match the first registered kernel's.
+/// match the first registered kernel's — on the host's widest GEMM tile
+/// and on the portable one (same layouts, so one reference serves both).
 #[test]
 fn all_registered_kernels_agree_on_single_predictor_invocation() {
     let wave = plane_wave();
-    let plan = StpPlan::new(StpConfig::new(5, Acoustic.num_quantities()), [0.5; 3]);
     use aderdg::pde::LinearPde;
+    let cfg = StpConfig::new(5, Acoustic.num_quantities());
+    let plan = StpPlan::new(cfg, [0.5; 3]);
+    let portable = aderdg::gemm::select_backend(aderdg::gemm::Isa::Baseline);
+    let portable_plan = StpPlan::with_gemm_backend(cfg, [0.5; 3], portable);
 
     // Sample the plane wave onto one cell's padded AoS nodes.
     let n = plan.n();
@@ -273,27 +277,28 @@ fn all_registered_kernels_agree_on_single_predictor_invocation() {
     };
 
     let mut reference: Option<(String, StpOutputs)> = None;
-    for kernel in KernelRegistry::global().kernels() {
-        let mut scratch = kernel.make_scratch(&plan);
-        let mut out = StpOutputs::new(&plan);
-        kernel.run(&plan, &Acoustic, scratch.as_mut(), &inputs, &mut out);
-        match &reference {
-            None => reference = Some((kernel.name().to_string(), out)),
-            Some((ref_name, r)) => {
-                for (i, (a, b)) in out.qavg.iter().zip(r.qavg.iter()).enumerate() {
-                    assert!(
-                        (a - b).abs() < 1e-11 * (1.0 + b.abs()),
-                        "{} vs {ref_name} qavg[{i}]: {a} vs {b}",
-                        kernel.name()
-                    );
-                }
-                for f in 0..6 {
-                    for (a, b) in out.fface[f].iter().zip(r.fface[f].iter()) {
+    for plan in [&plan, &portable_plan] {
+        for kernel in KernelRegistry::global().kernels() {
+            let mut scratch = kernel.make_scratch(plan);
+            let mut out = StpOutputs::new(plan);
+            kernel.run(plan, &Acoustic, scratch.as_mut(), &inputs, &mut out);
+            let who = format!("{} on {}", kernel.name(), plan.gemm_backend().name());
+            match &reference {
+                None => reference = Some((who, out)),
+                Some((ref_name, r)) => {
+                    for (i, (a, b)) in out.qavg.iter().zip(r.qavg.iter()).enumerate() {
                         assert!(
                             (a - b).abs() < 1e-11 * (1.0 + b.abs()),
-                            "{} vs {ref_name} fface[{f}]",
-                            kernel.name()
+                            "{who} vs {ref_name} qavg[{i}]: {a} vs {b}"
                         );
+                    }
+                    for f in 0..6 {
+                        for (a, b) in out.fface[f].iter().zip(r.fface[f].iter()) {
+                            assert!(
+                                (a - b).abs() < 1e-11 * (1.0 + b.abs()),
+                                "{who} vs {ref_name} fface[{f}]"
+                            );
+                        }
                     }
                 }
             }
