@@ -1,14 +1,15 @@
 //! # aderdg-bench
 //!
-//! Shared measurement harness for the figure-regeneration binaries and the
-//! Criterion benches: elastic workload construction (the paper's m = 21
-//! configuration), wall-clock kernel timing against a calibrated peak,
-//! cache-simulated stall fractions, and instruction-mix evaluation.
+//! The paper-figure reproduction: elastic workload construction (the
+//! paper's m = 21 configuration), wall-clock kernel timing against a
+//! calibrated peak, cache-simulated stall fractions and instruction-mix
+//! evaluation, and — in [`figures`] — one function per paper figure behind
+//! the `figures <name>|all|--list` binary.
 //!
-//! Every binary prints the same series the corresponding paper figure
-//! plots; see DESIGN.md §5 for the experiment index.
+//! Performance tracking of the engine itself lives in `benchmark/`
+//! (`bench_e2e`), not here.
 
-pub mod points;
+pub mod figures;
 
 use aderdg_core::kernels::{StpInputs, StpOutputs};
 use aderdg_core::mix::{stp_pack_counts, stp_useful_flops, UserFunctionCost};
@@ -23,23 +24,34 @@ use std::time::Instant;
 /// Quantities of the paper's elastic benchmark.
 pub const M_ELASTIC: usize = 21;
 
-/// Parses a positive integer knob from the environment, falling back to
-/// `default` when unset, unparsable or zero (shared by the bench
-/// binaries' size/step knobs).
-pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
-
-/// Orders evaluated in the paper's figures.
+/// Orders the figures sweep: `ADERDG_ORDERS` if set, else the paper's
+/// 4..=11.
+///
+/// # Panics
+/// If `ADERDG_ORDERS` is set but [`parse_orders`] rejects it — a typo
+/// silently shrinking the sweep would print a plausible, wrong table.
 pub fn paper_orders() -> Vec<usize> {
     match std::env::var("ADERDG_ORDERS") {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
+        // PANIC-OK: configuration typos fail loudly by policy (see doc
+        // comment above).
+        Ok(s) => parse_orders(&s).unwrap_or_else(|e| panic!("invalid ADERDG_ORDERS `{s}` ({e})")),
         Err(_) => (4..=11).collect(),
     }
+}
+
+/// Parses an `ADERDG_ORDERS` value: a non-empty comma-separated list of
+/// scheme orders, each an integer in 2..=15.
+pub fn parse_orders(value: &str) -> Result<Vec<usize>, String> {
+    value
+        .split(',')
+        .map(|token| match token.trim().parse::<usize>() {
+            Ok(order) if (2..=15).contains(&order) => Ok(order),
+            _ => Err(format!(
+                "expected comma-separated orders in 2..=15, got `{}`",
+                token.trim()
+            )),
+        })
+        .collect()
 }
 
 /// Host peak calibration, measured once per process (release builds).
@@ -121,36 +133,21 @@ pub fn measure_stp(
     let mut scratch = kernel.make_scratch(&plan);
     let mut out = StpOutputs::new(&plan);
 
-    // Warm-up.
-    for q0 in &states {
-        kernel.run(
-            &plan,
-            &pde,
-            scratch.as_mut(),
-            &StpInputs {
+    let mut run_batch = || {
+        for q0 in &states {
+            let inputs = StpInputs {
                 q0,
                 dt: 1e-3,
                 source: None,
-            },
-            &mut out,
-        );
-    }
+            };
+            kernel.run(&plan, &pde, scratch.as_mut(), &inputs, &mut out);
+        }
+    };
+    run_batch(); // warm-up
     let mut times = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t0 = Instant::now();
-        for q0 in &states {
-            kernel.run(
-                &plan,
-                &pde,
-                scratch.as_mut(),
-                &StpInputs {
-                    q0,
-                    dt: 1e-3,
-                    source: None,
-                },
-                &mut out,
-            );
-        }
+        run_batch();
         times.push(t0.elapsed().as_secs_f64() / cells as f64);
     }
     times.sort_by(f64::total_cmp);
@@ -183,7 +180,7 @@ pub fn measure_stp(
         gflops: perf.gflops(),
         available_fraction: perf.available_fraction(),
         stall_fraction: stall,
-        mix: stp_pack_counts(&plan, variant, cost),
+        mix,
         footprint_bytes: kernel.footprint_bytes(&plan),
     }
 }
@@ -226,133 +223,18 @@ mod tests {
     }
 
     #[test]
-    fn paper_orders_env_override() {
-        // Default covers the paper's range.
-        let o = paper_orders();
-        assert!(o.contains(&4) && o.contains(&11) || std::env::var("ADERDG_ORDERS").is_ok());
-    }
-}
-
-/// Engine-level block-size sweep machinery, shared by the `block_sweep`
-/// binary and the tuner-validation compare mode.
-pub mod block_sweep {
-    use aderdg_core::kernels::StpKernel;
-    use aderdg_core::{Engine, EngineConfig, TuningMode};
-    use aderdg_mesh::StructuredMesh;
-    use aderdg_pde::{Acoustic, AcousticPlaneWave, ExactSolution};
-    use std::time::Instant;
-
-    /// One measured sweep point.
-    #[derive(Debug, Clone, Copy)]
-    pub struct SweepPoint {
-        /// Cells per predictor block.
-        pub block_size: usize,
-        /// Measured microseconds per cell per step (median-free single
-        /// timing over `steps` steps, after one warm-up step).
-        pub us_per_cell: f64,
+    fn parse_orders_accepts_lists_of_valid_orders() {
+        assert_eq!(parse_orders("4"), Ok(vec![4]));
+        assert_eq!(parse_orders("4,6"), Ok(vec![4, 6]));
+        assert_eq!(parse_orders(" 2 , 15 "), Ok(vec![2, 15]));
     }
 
-    /// Drives a full acoustic engine at `order` on a
-    /// `cells_per_dim³` mesh once per entry of `block_sizes` and returns
-    /// the measured step cost. Block sizes are explicit overrides, so no
-    /// tuner runs inside the sweep — this is the ground truth the tuner
-    /// is validated against.
-    pub fn sweep_kernel(
-        kernel: &'static dyn StpKernel,
-        order: usize,
-        cells_per_dim: usize,
-        block_sizes: &[usize],
-        steps: usize,
-    ) -> Vec<SweepPoint> {
-        let wave = AcousticPlaneWave {
-            direction: [1.0, 0.0, 0.0],
-            amplitude: 1.0,
-            wavenumber: 1.0,
-            rho: 1.0,
-            bulk: 1.0,
-        };
-        block_sizes
-            .iter()
-            .map(|&bs| {
-                let mesh = StructuredMesh::unit_cube(cells_per_dim);
-                let cells = mesh.num_cells();
-                let config = EngineConfig::new(order)
-                    .with_kernel(kernel)
-                    .with_tuning(TuningMode::Static)
-                    .with_block_size(bs);
-                let mut engine = Engine::new(mesh, Acoustic, config);
-                engine.set_initial(|x, q| {
-                    wave.evaluate(x, 0.0, q);
-                    Acoustic::set_params(q, 1.0, 1.0);
-                });
-                let dt = engine.max_dt();
-                engine.step(dt); // warm-up: scratch allocation, page faults
-                let start = Instant::now();
-                for _ in 0..steps {
-                    engine.step(dt);
-                }
-                let us_per_cell =
-                    start.elapsed().as_secs_f64() * 1e6 / (steps as f64 * cells as f64);
-                SweepPoint {
-                    block_size: bs,
-                    us_per_cell,
-                }
-            })
-            .collect()
-    }
-
-    /// The measured-optimal plateau: every block size whose step cost is
-    /// within `tolerance` (e.g. `1.15` = 15 %) of the fastest point.
-    /// Step-time curves over block size are flat around the optimum, so
-    /// a tuner pick anywhere on the plateau is as good as the argmin.
-    pub fn plateau(points: &[SweepPoint], tolerance: f64) -> Vec<usize> {
-        let best = points
-            .iter()
-            .map(|p| p.us_per_cell)
-            .fold(f64::INFINITY, f64::min);
-        points
-            .iter()
-            .filter(|p| p.us_per_cell <= best * tolerance)
-            .map(|p| p.block_size)
-            .collect()
-    }
-}
-
-/// Minimal micro-bench harness (`harness = false` benches) — a criterion
-/// substitute that keeps the workspace free of external dependencies.
-pub mod harness {
-    use std::time::{Duration, Instant};
-
-    /// Times `f` (median of repeated calls after warm-up) and prints one
-    /// aligned row: `group/label   median`.
-    pub fn bench(group: &str, label: &str, mut f: impl FnMut()) -> f64 {
-        for _ in 0..3 {
-            f();
+    #[test]
+    fn parse_orders_rejects_empty_garbled_and_out_of_range() {
+        for bad in ["", ",", "4,", "4,x", "4;6", "1", "16", "-4", "4.0"] {
+            let err = parse_orders(bad).expect_err(bad);
+            assert!(err.contains("orders in 2..=15"), "{bad}: {err}");
         }
-        let mut times = Vec::new();
-        let deadline = Instant::now() + Duration::from_millis(300);
-        while times.len() < 10 || (Instant::now() < deadline && times.len() < 2000) {
-            let t0 = Instant::now();
-            f();
-            times.push(t0.elapsed().as_secs_f64());
-        }
-        times.sort_by(f64::total_cmp);
-        let median = times[times.len() / 2];
-        println!(
-            "{:<48} {:>12}",
-            format!("{group}/{label}"),
-            format_time(median)
-        );
-        median
-    }
-
-    fn format_time(secs: f64) -> String {
-        if secs < 1e-6 {
-            format!("{:.1} ns", secs * 1e9)
-        } else if secs < 1e-3 {
-            format!("{:.2} µs", secs * 1e6)
-        } else {
-            format!("{:.2} ms", secs * 1e3)
-        }
+        assert!(parse_orders("4,x").unwrap_err().contains("`x`"));
     }
 }

@@ -79,7 +79,7 @@ SOLVER OPTIONS (defaults come from the scenario):
   --width <sse|avx2|avx512|host>
   --rule <gauss_legendre|gauss_lobatto>
   --block-size <n|auto>     predictor block size
-  --tuning <static|model|probe>
+  --tuning <static|model>
   --pipeline <barrier|sharded>
   --stepping <global|lts>   global CFL dt, or clustered local time stepping
   --shard-size <n|auto>     cells per shard (sharded pipeline)

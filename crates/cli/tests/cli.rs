@@ -80,7 +80,11 @@ fn bad_values_are_actionable_errors() {
         ),
         (
             vec!["--scenario", "x", "--tuning", "lucky"],
-            "static|model|probe",
+            "expected static|model)",
+        ),
+        (
+            vec!["--scenario", "x", "--tuning", "probe"],
+            "expected static|model)",
         ),
         (
             vec!["--scenario", "x", "--width", "mmx"],
@@ -324,6 +328,23 @@ fn resume_round_trips_through_real_checkpoint_files() {
     })
     .unwrap_err();
     assert!(e.message.contains("is for scenario `acoustic_wave`"), "{e}");
+
+    // A checkpoint pinning a tuning value this build does not know is
+    // rejected with the ordinary bad-value wording.
+    let mut stale = aderdg_core::checkpoint::Checkpoint::load(&ck).unwrap();
+    let tuning = stale.knobs.iter_mut().find(|(k, _)| k == "tuning").unwrap();
+    tuning.1 = "probe".into();
+    stale.save(&ck).unwrap();
+    let e = execute_run(&RunArgs {
+        resume: Some(ck.clone()),
+        ..RunArgs::default()
+    })
+    .unwrap_err();
+    assert!(
+        e.message
+            .contains("checkpoint knob `tuning = probe` is invalid (expected static|model)"),
+        "{e}"
+    );
     let _ = std::fs::remove_file(&ck);
 
     // A missing checkpoint file is an actionable error.

@@ -38,8 +38,8 @@
 //! the trailing checksum catches silent mid-file corruption.
 //!
 //! Bit-identical resume holds on one host in every tuning mode: the
-//! saved knobs pin the resolved configuration (including the block size,
-//! so `probe` is not re-timed at restore), and the engine's determinism
+//! saved knobs pin the resolved configuration (including the block
+//! size), and the engine's determinism
 //! contract pins step results across thread counts and pipelines. What
 //! still varies across hosts is the GEMM ISA tile the host supports
 //! (fused vs unfused multiply-add, tile summation order) — a checkpoint

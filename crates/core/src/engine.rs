@@ -160,15 +160,14 @@ impl std::error::Error for DegenerateDt {}
 ///   leaves the choice to the tuner (see `tuning`): big blocks amortize
 ///   operator loads (the win of the batched pipeline), but a block that
 ///   outgrows L2 pays more in re-fetched state than it saves. Set it
-///   explicitly to `1` to force the per-cell path or when benchmarking
-///   the sweet spot with the `block_sweep` bench binary.
+///   explicitly to `1` to force the per-cell path, or to sweep the
+///   step time over block sizes (`aderdg-run --block-size`).
 /// * **`tuning`** — how the block size is picked when not overridden.
 ///   `model` (default) replays the kernel's block access pattern through
 ///   a cache simulator and takes the cheapest predicted candidate —
 ///   deterministic, no timing involved. `static` reproduces the original
 ///   [`auto_block_size`] footprint heuristic (hermetic CI baseline).
-///   `probe` additionally times real `run_block` calls — fastest, but
-///   machine-dependent. The GEMM kernel is not tuned: every mode runs
+///   The GEMM kernel is not tuned: every mode runs
 ///   the widest ISA tile the host supports at or below `width`, so what
 ///   varies across hosts is that tile, never a timing. The decision is
 ///   recorded in [`Engine::tune_report`].
@@ -176,8 +175,7 @@ impl std::error::Error for DegenerateDt {}
 ///   graph driver: half the interior Riemann solves and no
 ///   predictor→corrector barrier. Switch to `barrier` to reproduce the
 ///   seed cell-centric loop (the independent reference of
-///   `tests/pipeline_equivalence.rs`, A/B timing via the `step_scaling`
-///   bench).
+///   `tests/pipeline_equivalence.rs`).
 /// * **`shard_size`** — cells per shard of the graph driver. `None`
 ///   (default) targets enough shards for pipelining while keeping shard
 ///   boundaries aligned to predictor blocks ([`auto_shard_size`]).
@@ -654,8 +652,7 @@ impl<P: LinearPde> Engine<P> {
 
     /// The plan-time tuning decision: chosen block size, the GEMM kernel
     /// the plan dispatches to, the static-heuristic baseline, and every
-    /// block-size candidate the tuner weighed (with predicted costs, and
-    /// probe timings in `probe` mode).
+    /// block-size candidate the tuner weighed (with predicted costs).
     pub fn tune_report(&self) -> &TuneReport {
         &self.tune
     }

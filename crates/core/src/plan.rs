@@ -149,8 +149,8 @@ impl StpPlan {
     }
 
     /// Builds a plan whose GEMMs all dispatch to an explicit kernel — how
-    /// tests and `bench_points` put a narrower tile under the STP kernels
-    /// on a SIMD host without narrowing the padding width.
+    /// tests put a narrower tile under the STP kernels on a SIMD host
+    /// without narrowing the padding width.
     pub fn with_gemm_backend(
         cfg: StpConfig,
         dx: [f64; 3],

@@ -195,9 +195,7 @@ impl RunRequest {
                     crate::spec::parse_auto_size(value).ok_or(bad("auto or an integer >= 1"))?,
                 )
             }
-            "tuning" => {
-                self.tuning = Some(TuningMode::parse(value).ok_or(bad("static|model|probe"))?)
-            }
+            "tuning" => self.tuning = Some(TuningMode::parse(value).ok_or(bad("static|model"))?),
             "pipeline" => {
                 self.pipeline = Some(PipelineMode::parse(value).ok_or(bad("barrier|sharded"))?)
             }

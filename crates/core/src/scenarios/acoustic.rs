@@ -69,7 +69,7 @@ pub struct AcousticPulse;
 /// pins the global CFL dt to a tenth of what the bulk of the domain
 /// could take — under `stepping = lts` the slow cells cluster at coarser
 /// dt levels and skip most sub-steps, which is where clustered local
-/// time stepping wins (see `docs/LTS.md` and the `step_scaling` bench).
+/// time stepping wins (see `docs/LTS.md`).
 #[derive(Debug, Clone, Copy)]
 pub struct AcousticLayered;
 

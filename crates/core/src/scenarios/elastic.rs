@@ -1,6 +1,6 @@
 //! Elastic scenarios: plane-wave convergence, the LOH.1-style layered
-//! half-space benchmark (paper Sec. VI), and the `step_scaling`-sized
-//! stress workload.
+//! half-space benchmark (paper Sec. VI), and the short high-load stress
+//! workload.
 
 use crate::scenario::{
     drive, RunRequest, RunSummary, Scenario, ScenarioError, ScenarioInfo, ScenarioParts,
@@ -180,10 +180,10 @@ impl Scenario for Loh1 {
     }
 }
 
-/// `elastic_stress` — the stress workload, sized like the `step_scaling`
-/// bench default (order 5, 6³ cells) but on the paper's 21-quantity
-/// elastic system with the AoSoA SplitCK kernel: a short high-load run
-/// whose `cell_updates_per_second` is the headline number.
+/// `elastic_stress` — the stress workload: order 5 on 6³ cells of the
+/// paper's 21-quantity elastic system with the AoSoA SplitCK kernel, a
+/// short high-load run whose `cell_updates_per_second` is the headline
+/// number.
 #[derive(Debug, Clone, Copy)]
 pub struct ElasticStress;
 
@@ -191,7 +191,7 @@ impl Scenario for ElasticStress {
     fn info(&self) -> ScenarioInfo {
         ScenarioInfo {
             name: "elastic_stress",
-            title: "step_scaling-sized stress run: order 5, 6^3 cells, m = 21",
+            title: "short high-load stress run: order 5, 6^3 cells, m = 21",
             system: "elastic",
             order: 5,
             cells: [6, 6, 6],

@@ -115,10 +115,8 @@ pub struct SolverSpec {
     /// Predictor block size (`None` = leave the pick to the tuner, spec
     /// value `auto`).
     pub block_size: Option<usize>,
-    /// Plan-time tuning strategy (`static` | `model` | `probe`, default
-    /// `model`). `static` reproduces the original footprint heuristic —
-    /// the hermetic choice for CI; `probe` times real kernels on the
-    /// host.
+    /// Plan-time tuning strategy (`static` | `model`, default `model`).
+    /// `static` reproduces the original footprint heuristic.
     pub tuning: TuningMode,
     /// Step pipeline (`barrier` | `sharded`, default `sharded`). `sharded` solves
     /// each interior face's Riemann problem once and pipelines shards
@@ -251,9 +249,8 @@ impl SolverSpec {
                     })?;
                 }
                 "tuning" => {
-                    spec.tuning = TuningMode::parse(value).ok_or_else(|| {
-                        err(format!("unknown tuning `{value}` (static|model|probe)"))
-                    })?;
+                    spec.tuning = TuningMode::parse(value)
+                        .ok_or_else(|| err(format!("unknown tuning `{value}` (static|model)")))?;
                 }
                 "pipeline" => {
                     spec.pipeline = PipelineMode::parse(value).ok_or_else(|| {
@@ -345,14 +342,15 @@ mod tests {
         for (text, mode) in [
             ("tuning = static\n", TuningMode::Static),
             ("tuning = model\n", TuningMode::Model),
-            ("tuning = probe\n", TuningMode::Probe),
         ] {
             let spec = SolverSpec::parse(text).unwrap();
             assert_eq!(spec.tuning, mode);
             assert_eq!(spec.engine_config().tuning, mode);
         }
-        let e = SolverSpec::parse("tuning = lucky\n").unwrap_err();
-        assert!(e.message.contains("static|model|probe"));
+        for text in ["tuning = lucky\n", "tuning = probe\n"] {
+            let e = SolverSpec::parse(text).unwrap_err();
+            assert!(e.message.contains("(static|model)"), "{}", e.message);
+        }
     }
 
     #[test]

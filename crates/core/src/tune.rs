@@ -14,39 +14,31 @@
 //!    LRU hierarchy ([`ScaledCacheSim`]); misses are charged by the
 //!    machine model and per-block overheads amortize with `B`
 //!    ([`BlockCostModel`]),
-//! 3. **probe** (opt-in) — the top model candidates are re-ranked by
-//!    actually timing [`StpKernel::run_block`] on synthetic cells,
-//! 4. **plan** — the winning block size and the plan's GEMM kernel (the
+//! 3. **plan** — the winning block size and the plan's GEMM kernel (the
 //!    widest the host supports at or below the configured SIMD width) are
-//!    recorded in a [`TuneReport`] the engine exposes and the bench
-//!    binaries print.
+//!    recorded in a [`TuneReport`] the engine exposes.
 //!
-//! The three [`TuningMode`]s trade fidelity against hermeticity: `static`
-//! reproduces the original heuristic exactly (bit-stable CI), `model`
-//! (the default) is deterministic simulation, `probe` times real code and
-//! is as machine-dependent as the hardware it runs on.
+//! Both [`TuningMode`]s are hermetic — no wall-clock input enters the
+//! decision: `static` reproduces the original heuristic exactly, `model`
+//! (the default) is deterministic simulation.
 
-use crate::block::{BlockInputs, CellBlock};
 use crate::engine::auto_block_size;
-use crate::kernels::{StpKernel, StpOutputs};
+use crate::kernels::StpKernel;
 use crate::plan::{KernelVariant, StpPlan};
 use crate::traces::trace_block_batch;
 use aderdg_pde::LinearPde;
-use aderdg_perf::tuner::{
-    best_candidate, probe_median_secs, BlockCostModel, Candidate, ScaledCacheSim,
-};
+use aderdg_perf::tuner::{best_candidate, BlockCostModel, Candidate, ScaledCacheSim};
 use aderdg_quadrature::QuadratureRule;
 use aderdg_tensor::SimdWidth;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// How the engine picks its predictor block size at construction time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TuningMode {
     /// The original footprint heuristic ([`auto_block_size`]). Fully
-    /// hermetic: no simulation, no timing — kept for CI and reproducible
-    /// baselines.
+    /// hermetic: no simulation — kept for CI and reproducible baselines.
     Static,
     /// Cache-simulation ranking (the default): candidate block sizes are
     /// replayed through the scaled Skylake-SP hierarchy and the cheapest
@@ -54,19 +46,14 @@ pub enum TuningMode {
     /// wall-clock input enters the decision.
     #[default]
     Model,
-    /// Model ranking refined by in-process micro-probes: the top model
-    /// candidates are timed with real `run_block` calls on synthetic
-    /// cells. Fastest in practice, but machine- and load-dependent.
-    Probe,
 }
 
 impl TuningMode {
-    /// Parses the specification-file value (`static` | `model` | `probe`).
+    /// Parses the specification-file value (`static` | `model`).
     pub fn parse(value: &str) -> Option<Self> {
         match value {
             "static" => Some(TuningMode::Static),
             "model" => Some(TuningMode::Model),
-            "probe" => Some(TuningMode::Probe),
             _ => None,
         }
     }
@@ -76,7 +63,6 @@ impl TuningMode {
         match self {
             TuningMode::Static => "static",
             TuningMode::Model => "model",
-            TuningMode::Probe => "probe",
         }
     }
 }
@@ -99,9 +85,6 @@ pub struct BlockCandidate {
     /// L2 miss ratio of the replayed steady state — the cache-residency
     /// signal of the paper's analysis.
     pub l2_miss_ratio: f64,
-    /// Measured microseconds per cell from the `probe` refinement, if this
-    /// candidate was probed.
-    pub probed_us_per_cell: Option<f64>,
 }
 
 /// One GEMM kernel at or below the plan's ISA cap.
@@ -114,8 +97,7 @@ pub struct BackendCandidate {
 }
 
 /// What the tuner decided and why — exposed via
-/// [`Engine::tune_report`](crate::Engine::tune_report) and printed by the
-/// bench binaries.
+/// [`Engine::tune_report`](crate::Engine::tune_report).
 #[derive(Debug, Clone)]
 pub struct TuneReport {
     /// The mode that produced this report.
@@ -146,16 +128,8 @@ impl fmt::Display for TuneReport {
             self.kernel, self.mode, self.block_size, self.static_block_size, self.backend
         )?;
         if !self.block_candidates.is_empty() {
-            writeln!(
-                f,
-                "  {:>4} {:>16} {:>10} {:>14}",
-                "B", "pred cyc/cell", "L2 miss%", "probe µs/cell"
-            )?;
+            writeln!(f, "  {:>4} {:>16} {:>10}", "B", "pred cyc/cell", "L2 miss%")?;
             for c in &self.block_candidates {
-                let probe = c
-                    .probed_us_per_cell
-                    .map(|t| format!("{t:.2}"))
-                    .unwrap_or_else(|| "-".into());
                 let mark = if c.block_size == self.block_size {
                     "*"
                 } else {
@@ -163,11 +137,10 @@ impl fmt::Display for TuneReport {
                 };
                 writeln!(
                     f,
-                    "  {:>3}{mark} {:>16.1} {:>9.1}% {:>14}",
+                    "  {:>3}{mark} {:>16.1} {:>9.1}%",
                     c.block_size,
                     c.predicted_cycles_per_cell,
-                    c.l2_miss_ratio * 100.0,
-                    probe
+                    c.l2_miss_ratio * 100.0
                 )?;
             }
         }
@@ -186,12 +159,6 @@ const SIM_SCALE: usize = 16;
 /// Blocks replayed for the steady-state measurement (after one warm-up
 /// block).
 const SIM_BLOCKS: usize = 2;
-
-/// How many of the best model candidates the probe refinement re-times.
-const PROBE_TOP: usize = 3;
-
-/// Timed repetitions per probe (median taken).
-const PROBE_REPS: usize = 3;
 
 /// The paper variant whose *blocked* access pattern models this kernel,
 /// if it has one. Kernels running the per-cell `run_block` fallback have
@@ -237,33 +204,10 @@ pub fn model_block_candidates(
                         stages,
                     ),
                     l2_miss_ratio: stats.l2.miss_ratio(),
-                    probed_us_per_cell: None,
                 }
             })
             .collect(),
     )
-}
-
-/// The model's pick from a candidate slate: the block size with the
-/// lowest predicted cost (first wins ties). This is the *single* place
-/// the selection rule lives — the engine (`model` mode) and the
-/// `block_sweep` compare harness both route through it, so the bench
-/// always validates exactly the pick the engine acts on.
-///
-/// # Panics
-/// If `candidates` is empty.
-pub fn best_predicted_block_size(candidates: &[BlockCandidate]) -> usize {
-    best_candidate(
-        &candidates
-            .iter()
-            .map(|c| Candidate {
-                value: c.block_size,
-                cost: c.predicted_cycles_per_cell,
-            })
-            .collect::<Vec<_>>(),
-    )
-    // PANIC-OK: documented contract (`# Panics` above).
-    .expect("candidate slate is never empty")
 }
 
 /// Everything the replay depends on — the memo key for
@@ -276,7 +220,8 @@ fn cached_model_candidates(
     kernel: &'static dyn StpKernel,
     has_ncp: bool,
 ) -> Option<Vec<BlockCandidate>> {
-    static MEMO: OnceLock<Mutex<HashMap<ModelKey, Option<Vec<BlockCandidate>>>>> = OnceLock::new();
+    static MEMO: Mutex<BTreeMap<ModelKey, Option<Vec<BlockCandidate>>>> =
+        Mutex::new(BTreeMap::new());
     let key: ModelKey = (
         kernel.name(),
         plan.n(),
@@ -285,69 +230,16 @@ fn cached_model_candidates(
         plan.cfg.rule,
         has_ncp,
     );
-    let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
     // PANIC-OK: memo poisoning means a model run panicked; cascade.
-    if let Some(hit) = memo.lock().expect("tuner memo poisoned").get(&key) {
+    if let Some(hit) = MEMO.lock().expect("tuner memo poisoned").get(&key) {
         return hit.clone();
     }
     let computed = model_block_candidates(plan, kernel.name(), has_ncp);
-    memo.lock()
+    MEMO.lock()
         // PANIC-OK: memo poisoning means a model run panicked; cascade.
         .expect("tuner memo poisoned")
         .insert(key, computed.clone());
     computed
-}
-
-/// Times one `run_block` invocation at block size `bs` on seeded synthetic
-/// cells; returns median seconds per call.
-fn probe_run_block(
-    plan: &StpPlan,
-    kernel: &'static dyn StpKernel,
-    pde: &dyn LinearPde,
-    bs: usize,
-) -> f64 {
-    let mut scratch = kernel.make_block_scratch(plan, bs);
-    let mut block = CellBlock::new(plan, bs);
-    let mut rng = aderdg_tensor::Lcg::new(0xB10C + bs as u64);
-    for _ in 0..bs {
-        // Positive O(1) values for every stored quantity (including
-        // material parameters) keep the user functions away from
-        // denormals and divisions by ~0, which would distort timing.
-        block.push(&rng.vec(plan.aos.len(), 0.5, 1.5));
-    }
-    let mut outs: Vec<StpOutputs> = (0..bs).map(|_| StpOutputs::new(plan)).collect();
-    let sources = vec![None; bs];
-    probe_median_secs(PROBE_REPS, || {
-        let inputs = BlockInputs::new(&block, 1e-3, &sources);
-        kernel.run_block(plan, pde, scratch.as_mut(), &inputs, &mut outs);
-    })
-}
-
-/// Probe refinement: re-times the `PROBE_TOP` cheapest model candidates
-/// with real `run_block` calls and returns the measured winner.
-fn probe_block_size(
-    plan: &StpPlan,
-    kernel: &'static dyn StpKernel,
-    pde: &dyn LinearPde,
-    candidates: &mut [BlockCandidate],
-) -> usize {
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&a, &b| {
-        candidates[a]
-            .predicted_cycles_per_cell
-            .total_cmp(&candidates[b].predicted_cycles_per_cell)
-    });
-    let mut best = (candidates[order[0]].block_size, f64::INFINITY);
-    for &i in order.iter().take(PROBE_TOP) {
-        let bs = candidates[i].block_size;
-        let secs = probe_run_block(plan, kernel, pde, bs);
-        let us_per_cell = secs * 1e6 / bs as f64;
-        candidates[i].probed_us_per_cell = Some(us_per_cell);
-        if us_per_cell < best.1 {
-            best = (bs, us_per_cell);
-        }
-    }
-    best.0
 }
 
 /// Runs the tuner against a caller-fixed plan.
@@ -362,8 +254,28 @@ pub fn tune(
     mode: TuningMode,
     block_override: Option<usize>,
 ) -> TuneReport {
-    let (block_size, static_block_size, block_candidates) =
-        tune_block(plan, kernel, pde, mode, block_override);
+    let static_block_size = auto_block_size(kernel.footprint_bytes(plan));
+    // The slate is empty under an override or `static`, and for kernels
+    // without a block access model: their per-cell fallback makes every
+    // block size equivalent, so they keep the heuristic.
+    let block_candidates = match (block_override, mode) {
+        (None, TuningMode::Model) => {
+            cached_model_candidates(plan, kernel, pde.has_ncp()).unwrap_or_default()
+        }
+        _ => Vec::new(),
+    };
+    // The model's pick is the cheapest predicted candidate (first wins
+    // ties).
+    let costs: Vec<Candidate> = block_candidates
+        .iter()
+        .map(|c| Candidate {
+            value: c.block_size,
+            cost: c.predicted_cycles_per_cell,
+        })
+        .collect();
+    let block_size = block_override
+        .or_else(|| best_candidate(&costs))
+        .unwrap_or(static_block_size);
     let cap = plan.cfg.isa_cap();
     TuneReport {
         mode,
@@ -381,43 +293,6 @@ pub fn tune(
             })
             .collect(),
     }
-}
-
-/// The block-size half of the tuner: `(pick, static pick, candidates)`.
-fn tune_block(
-    plan: &StpPlan,
-    kernel: &'static dyn StpKernel,
-    pde: &dyn LinearPde,
-    mode: TuningMode,
-    block_override: Option<usize>,
-) -> (usize, usize, Vec<BlockCandidate>) {
-    let static_block_size = auto_block_size(kernel.footprint_bytes(plan));
-    let has_ncp = pde.has_ncp();
-    let mut block_candidates = Vec::new();
-    let block_size = if let Some(b) = block_override {
-        b
-    } else {
-        match mode {
-            TuningMode::Static => static_block_size,
-            TuningMode::Model | TuningMode::Probe => {
-                match cached_model_candidates(plan, kernel, has_ncp) {
-                    // No block access model: the per-cell fallback makes
-                    // every block size equivalent — keep the heuristic.
-                    None => static_block_size,
-                    Some(mut cands) => {
-                        let pick = if mode == TuningMode::Probe {
-                            probe_block_size(plan, kernel, pde, &mut cands)
-                        } else {
-                            best_predicted_block_size(&cands)
-                        };
-                        block_candidates = cands;
-                        pick
-                    }
-                }
-            }
-        }
-    };
-    (block_size, static_block_size, block_candidates)
 }
 
 /// Builds and tunes the plan for one engine construction: [`tune`] on a
@@ -448,15 +323,12 @@ mod tests {
 
     #[test]
     fn tuning_mode_parses_and_displays() {
-        for (s, mode) in [
-            ("static", TuningMode::Static),
-            ("model", TuningMode::Model),
-            ("probe", TuningMode::Probe),
-        ] {
+        for (s, mode) in [("static", TuningMode::Static), ("model", TuningMode::Model)] {
             assert_eq!(TuningMode::parse(s), Some(mode));
             assert_eq!(mode.to_string(), s);
         }
         assert_eq!(TuningMode::parse("magic"), None);
+        assert_eq!(TuningMode::parse("probe"), None);
         assert_eq!(TuningMode::default(), TuningMode::Model);
     }
 
@@ -521,26 +393,11 @@ mod tests {
             );
             assert_eq!(report.block_candidates.len(), BLOCK_CANDIDATES.len());
             assert_eq!(report.backend, p.gemm_backend().name());
+            // The kernel is the first supported entry of the widest-first
+            // slate.
+            let first = report.backend_candidates.iter().find(|b| b.supported);
+            assert_eq!(report.backend, first.unwrap().name);
         }
-    }
-
-    #[test]
-    fn probe_mode_times_top_candidates() {
-        use aderdg_pde::LinearPde as _;
-        let p = plan(3, Acoustic.num_quantities());
-        let kernel = KernelRegistry::global().resolve("aosoa_splitck").unwrap();
-        let report = tune(&p, kernel, &Acoustic, TuningMode::Probe, None);
-        let probed = report
-            .block_candidates
-            .iter()
-            .filter(|c| c.probed_us_per_cell.is_some())
-            .count();
-        assert_eq!(probed, PROBE_TOP.min(report.block_candidates.len()));
-        // Probing never changes the kernel: it is the first supported
-        // entry of the widest-first slate, as in every other mode.
-        let first = report.backend_candidates.iter().find(|b| b.supported);
-        assert_eq!(report.backend, first.unwrap().name);
-        assert_eq!(report.backend, p.gemm_backend().name());
     }
 
     #[test]

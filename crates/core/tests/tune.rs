@@ -96,21 +96,19 @@ fn engine_level_static_tuning_matches_the_pre_tuner_heuristic() {
 }
 
 #[test]
-fn model_and_probe_agree_with_candidate_slate_membership() {
-    // Whatever mode picks, the pick must come from the evaluated slate
-    // (or be the static answer for per-cell fallback kernels).
+fn model_pick_comes_from_the_candidate_slate() {
+    // The pick must come from the evaluated slate (or be the static
+    // answer for per-cell fallback kernels).
     let plan = StpPlan::new(StpConfig::new(4, Acoustic.num_quantities()), [0.25; 3]);
     for kernel in KernelRegistry::global().kernels() {
-        for mode in [TuningMode::Model, TuningMode::Probe] {
-            let report = tune(&plan, kernel, &Acoustic, mode, None);
-            if report.block_candidates.is_empty() {
-                assert_eq!(report.block_size, report.static_block_size);
-            } else {
-                assert!(report
-                    .block_candidates
-                    .iter()
-                    .any(|c| c.block_size == report.block_size));
-            }
+        let report = tune(&plan, kernel, &Acoustic, TuningMode::Model, None);
+        if report.block_candidates.is_empty() {
+            assert_eq!(report.block_size, report.static_block_size);
+        } else {
+            assert!(report
+                .block_candidates
+                .iter()
+                .any(|c| c.block_size == report.block_size));
         }
     }
 }

@@ -313,8 +313,8 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Diagnostic> {
 }
 
 /// Per-lint finding counts plus the total, as the `--json` summary
-/// object (the `bench_points`-style flat record future PRs can diff to
-/// track suppression growth).
+/// object (a flat record future PRs can diff to track suppression
+/// growth).
 pub fn json_summary(diags: &[Diagnostic]) -> String {
     let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
     for name in lints::LINT_NAMES {

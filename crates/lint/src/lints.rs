@@ -47,11 +47,6 @@ const NUMERIC_CORE: &[&str] = &[
     "crates/core/src/",
 ];
 
-/// The probe-tuning file allowlisted from `determinism`: it times real
-/// hardware by design, and its measurements only ever *pick between
-/// bit-identical block sizes*.
-const DETERMINISM_ALLOW: &[&str] = &["crates/core/src/tune.rs"];
-
 /// A lint pass: per-file checks plus an optional whole-project pass.
 pub trait Pass {
     /// The lint name as reported in diagnostics.
@@ -228,10 +223,7 @@ impl Pass for Determinism {
 
     fn check_file(&mut self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
         let rel = file.rel.as_str();
-        if !NUMERIC_CORE.iter().any(|p| rel.starts_with(p))
-            || DETERMINISM_ALLOW.contains(&rel)
-            || is_test_collateral(rel)
-        {
+        if !NUMERIC_CORE.iter().any(|p| rel.starts_with(p)) || is_test_collateral(rel) {
             return;
         }
         let toks = &file.toks;

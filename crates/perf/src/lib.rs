@@ -15,9 +15,9 @@
 //!   analysis of Sec. IV-A,
 //! * [`roofline`] — measured-peak calibration for the "% of available
 //!   performance" metric (upper panels of Figs. 4, 6, 10),
-//! * [`tuner`] — autotuning substrate: scaled cache simulation, the
-//!   block-pipeline cost model and the micro-probe timer behind the
-//!   plan-time tuner in `aderdg-core`.
+//! * [`tuner`] — autotuning substrate: scaled cache simulation and the
+//!   block-pipeline cost model behind the plan-time tuner in
+//!   `aderdg-core`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,4 +36,4 @@ pub use flops::{classify_loop, classify_padded_loop, PackCounts};
 pub use roofline::{fma_burn, measure_peak_gflops, PerfMeasurement};
 pub use stall::MachineModel;
 pub use trace::{Arena, CountingSink, RecordingSink, TraceSink};
-pub use tuner::{best_candidate, probe_median_secs, BlockCostModel, Candidate, ScaledCacheSim};
+pub use tuner::{best_candidate, BlockCostModel, Candidate, ScaledCacheSim};

@@ -1,19 +1,17 @@
-//! Autotuning substrate: scaled cache simulation, a block-pipeline cost
-//! model, and a micro-probe timer.
+//! Autotuning substrate: scaled cache simulation and a block-pipeline
+//! cost model.
 //!
 //! The paper's central claim (Sec. IV) is that kernel performance is
 //! governed by whether the predictor's temporaries stay cache-resident.
 //! This module turns that claim into a *decision procedure*: candidate
-//! configurations (predictor block sizes, GEMM backends) are costed by
-//! replaying their memory-access pattern through the LRU hierarchy of
-//! [`crate::cachesim`] and charging misses via [`MachineModel`], optionally
-//! refined by short in-process timing probes. The plan-level tuner in
+//! configurations (predictor block sizes) are costed by replaying their
+//! memory-access pattern through the LRU hierarchy of [`crate::cachesim`]
+//! and charging misses via [`MachineModel`]. The plan-level tuner in
 //! `aderdg-core` drives these pieces; everything here is plan-agnostic.
 
 use crate::cachesim::{CacheConfig, CacheSim, CacheStats, LINE_BYTES};
 use crate::stall::MachineModel;
 use crate::trace::TraceSink;
-use std::time::Instant;
 
 /// A cache hierarchy simulated at reduced granularity: one simulated line
 /// stands for `scale` real lines, and every capacity is divided by
@@ -129,10 +127,10 @@ impl TraceSink for ScaledCacheSim {
 ///   load and loop prologue per stage sweep instead of per cell) —
 ///   amortized over the `B` cells of the block, so it *shrinks* with `B`.
 ///
-/// The overhead constants are calibrated against `block_sweep`
-/// measurements (see the `block_sweep --compare` mode in `aderdg-bench`):
-/// they reproduce the measured single-digit-percent penalty of `B = 1`
-/// relative to the plateau on the blocked kernels.
+/// The overhead constants are calibrated against engine step times over
+/// `aderdg-run --block-size`: they reproduce the measured
+/// single-digit-percent penalty of `B = 1` relative to the plateau on the
+/// blocked kernels.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockCostModel {
     /// Miss-latency and issue-width parameters.
@@ -192,22 +190,6 @@ pub fn best_candidate(candidates: &[Candidate]) -> Option<usize> {
         .iter()
         .min_by(|a, b| a.cost.total_cmp(&b.cost))
         .map(|c| c.value)
-}
-
-/// Times `f` and returns the median seconds of `reps` runs after one
-/// warm-up call — the micro-probe primitive behind `tuning = probe`
-/// (block-size refinement and GEMM-backend ranking).
-pub fn probe_median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let reps = reps.max(1);
-    f(); // warm-up: allocation, page faults, branch training
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 #[cfg(test)]
@@ -298,17 +280,5 @@ mod tests {
             },
         ];
         assert_eq!(best_candidate(&c), Some(4));
-    }
-
-    #[test]
-    fn probe_median_is_positive_and_finite() {
-        let mut x = 0u64;
-        let t = probe_median_secs(3, || {
-            for i in 0..1000u64 {
-                x = x.wrapping_add(i * i);
-            }
-        });
-        assert!(t.is_finite() && t >= 0.0);
-        assert!(x > 0);
     }
 }

@@ -6,7 +6,7 @@
 //! reference element).
 
 /// Which family of interpolation/quadrature points the basis uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QuadratureRule {
     /// Gauss-Legendre: interior points, exact for degree `2n - 1`.
     GaussLegendre,

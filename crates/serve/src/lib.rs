@@ -704,6 +704,13 @@ mod tests {
             Reply::Err(e) => assert!(e.contains("invalid value"), "{e}"),
             other => panic!("expected ERR, got {other:?}"),
         }
+        match handle_line(&queue, "SUBMIT acoustic_wave tuning=probe") {
+            Reply::Err(e) => assert!(
+                e.contains("invalid value `probe` for tuning (expected static|model)"),
+                "{e}"
+            ),
+            other => panic!("expected ERR, got {other:?}"),
+        }
         match handle_line(&queue, "SUBMIT acoustic_wave smoke") {
             Reply::Err(e) => assert!(e.contains("key=value"), "{e}"),
             other => panic!("expected ERR, got {other:?}"),

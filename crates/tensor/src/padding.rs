@@ -8,7 +8,7 @@
 /// SIMD vector width in doubles, i.e. the unit the leading tensor dimension
 /// is padded to. Mirrors the architecture switch of the paper's Kernel
 /// Generator (Haswell/AVX2 vs. Skylake/AVX-512).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdWidth {
     /// 128-bit SSE2 / NEON: 2 doubles.
     W2,

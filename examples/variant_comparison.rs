@@ -9,7 +9,7 @@
 //! Note the timings are **whole engine steps** (predictor + Riemann +
 //! corrector, the latter two identical across kernels), so the speedup
 //! column understates the predictor-only separation of the paper; the
-//! figure harnesses (`aderdg-bench` `fig4`/`fig6`/`fig10`/`speedups`)
+//! paper figures (`aderdg-bench`: `figures fig4|fig6|fig10|speedups`)
 //! time the predictor kernels in isolation.
 //!
 //! ```sh
