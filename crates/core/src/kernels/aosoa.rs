@@ -15,15 +15,25 @@
 //!   exit, because the rest of the engine keeps the AoS API (Sec. V-B).
 
 use super::{project_faces, StpInputs, StpOutputs};
-use crate::plan::StpPlan;
-use aderdg_gemm::GemmBatch;
+use crate::block::BlockInputs;
+use crate::plan::{CellSource, StpPlan};
+use aderdg_gemm::{Gemm, GemmBatch};
 use aderdg_pde::LinearPde;
-use aderdg_tensor::{aos_to_aosoa, aosoa_to_aos, AlignedVec};
+use aderdg_tensor::simd::{dispatch, LaneKernel, SimdF64};
+use aderdg_tensor::{aos_to_aosoa, aosoa_to_aos, aosoa_to_aos_rows, AlignedVec};
 
 /// Temporaries of the AoSoA kernel: the SplitCK working set in hybrid
-/// layout plus one buffer for the hybrid-layout time average.
+/// layout plus one buffer for the hybrid-layout time average, stacked
+/// over the cells of a block (cell `c` occupies
+/// `[c · aosoa.len(), (c + 1) · aosoa.len())` of every buffer; the
+/// per-cell kernel is the one-cell block).
+///
+/// No buffer needs clearing between invocations: every entry a sweep
+/// reads was written earlier in the same invocation.
 #[derive(Debug, Clone)]
 pub struct AosoaScratch {
+    /// Maximum cells per invocation.
+    capacity: usize,
     /// Current Taylor term, AoSoA.
     p: AlignedVec,
     /// Next Taylor term, AoSoA.
@@ -34,18 +44,30 @@ pub struct AosoaScratch {
     grad_q: AlignedVec,
     /// Time-averaged state in AoSoA (transposed to AoS on exit).
     qavg_h: AlignedVec,
+    /// [`StpPlan::aosoa_flux_gemms`] of the plan this scratch was made
+    /// for, keyed by the PDE's evolved-row count (the plan does not know
+    /// it; built on first use).
+    flux_gemms: Option<(usize, [Gemm; 3])>,
 }
 
 impl AosoaScratch {
-    /// Allocates the hybrid-layout working set.
+    /// Allocates the hybrid-layout working set for one cell.
     pub fn new(plan: &StpPlan) -> Self {
-        let vol = plan.aosoa.len();
+        Self::with_capacity(plan, 1)
+    }
+
+    /// Allocates the stacked working set for up to `capacity` cells.
+    pub fn with_capacity(plan: &StpPlan, capacity: usize) -> Self {
+        assert!(capacity > 0, "block scratch needs capacity >= 1");
+        let tensor = || AlignedVec::zeroed(capacity * plan.aosoa.len());
         Self {
-            p: AlignedVec::zeroed(vol),
-            ptemp: AlignedVec::zeroed(vol),
-            flux: AlignedVec::zeroed(vol),
-            grad_q: AlignedVec::zeroed(vol),
-            qavg_h: AlignedVec::zeroed(vol),
+            capacity,
+            p: tensor(),
+            ptemp: tensor(),
+            flux: tensor(),
+            grad_q: tensor(),
+            qavg_h: tensor(),
+            flux_gemms: None,
         }
     }
 
@@ -53,237 +75,202 @@ impl AosoaScratch {
     pub fn footprint_bytes(&self) -> usize {
         (self.p.len() * 5) * 8
     }
+
+    /// Fills every tensor with NaN (hook of the no-stale-data test).
+    #[cfg(test)]
+    pub(super) fn poison(&mut self) {
+        for t in [
+            &mut self.p,
+            &mut self.ptemp,
+            &mut self.flux,
+            &mut self.grad_q,
+            &mut self.qavg_h,
+        ] {
+            t.fill(f64::NAN);
+        }
+    }
 }
 
-/// Derivative along `d` of `cells` stacked AoSoA tensors (cell `c` at
-/// offset `c · plan.aosoa.len()`) via **one** batched GEMM call: the
-/// per-cell slice batches of the hybrid layout extend contiguously
-/// across stacked cells, so the whole block becomes a single uniformly
-/// strided batch sharing the operator operand. For `d = 0` the batch is
-/// row-stacked with a shared `Dᵀ` and collapses into one tall GEMM
-/// ([`aderdg_gemm::GemmBatch::fuse_rows`]).
-pub(crate) fn derive_gemm_aosoa(
-    plan: &StpPlan,
-    d: usize,
-    cells: usize,
-    src: &[f64],
-    dst: &mut [f64],
-    accumulate: bool,
-) {
-    let gemm = if accumulate {
-        &plan.gemm_aosoa_acc[d]
-    } else {
-        &plan.gemm_aosoa[d]
-    };
-    // Per-cell batches are contiguous (batches · stride = aosoa.len() for
-    // d < 2), so stacked cells extend the batch uniformly; the z sweep is
-    // one GEMM per cell at the cell stride.
-    let (count, stride) = match d {
-        2 => (cells, plan.aosoa.len()),
-        _ => {
-            let (batches, stride) = plan.aosoa_batches(d);
-            (cells * batches, stride)
-        }
+/// Derivative along `d` of all `m` rows of `cells` stacked AoSoA tensors
+/// (the ncp gradient) via **one** batched GEMM call: the per-cell slice
+/// batches of the hybrid layout extend contiguously across stacked cells
+/// (batches · stride = aosoa.len()), so the whole block becomes a single
+/// uniformly strided batch sharing the operator operand. For `d = 0` the
+/// batch is row-stacked with a shared `Dᵀ` and collapses into one tall
+/// GEMM ([`aderdg_gemm::GemmBatch::fuse_rows`]); the z sweep is one GEMM
+/// per cell at the cell stride.
+fn derive_gemm_aosoa(plan: &StpPlan, d: usize, cells: usize, src: &[f64], dst: &mut [f64]) {
+    let gemm = &plan.gemm_aosoa[d];
+    let (batches, stride) = match d {
+        2 => (1, plan.aosoa.len()),
+        _ => plan.aosoa_batches(d),
     };
     if d == 0 {
         // Transposed form: C(block) = A(block) · Dᵀ_padded, Dᵀ shared.
-        let batch = GemmBatch::shared_b(count, stride, stride);
+        let batch = GemmBatch::shared_b(cells * batches, stride, stride);
         gemm.execute_batched(&batch, src, &plan.diff_t_padded, dst);
     } else {
         // Fused-dimension form: C(block) = D · B(block), D shared.
-        let batch = GemmBatch::shared_a(count, stride, stride);
+        let batch = GemmBatch::shared_a(cells * batches, stride, stride);
         gemm.execute_batched(&batch, &plan.basis.diff, src, dst);
     }
 }
 
-/// Vectorized flux sweep over `planes` x-lines: one user-function call
-/// per line (Sec. V-C). Stacked cells are swept by passing
-/// `cells · n²` planes.
-pub(crate) fn flux_vect_aosoa(
+/// Derivative along `d` of the evolved rows of `cells` stacked flux
+/// tensors into the evolved rows of `dst`, on
+/// [`StpPlan::aosoa_flux_gemms`]: overwriting for `d = 0`, accumulating
+/// for `d ≥ 1`. The parameter rows of `dst` are not touched.
+fn derive_flux_aosoa(
     plan: &StpPlan,
-    pde: &dyn LinearPde,
+    gemms: &[Gemm; 3],
     d: usize,
-    planes: usize,
+    cells: usize,
     src: &[f64],
     dst: &mut [f64],
 ) {
     let n = plan.n();
     let block = plan.m() * plan.aosoa.n_pad();
-    for plane in 0..planes {
-        let off = plane * block;
-        pde.flux_vect(
-            d,
-            &src[off..off + block],
-            &mut dst[off..off + block],
-            n,
-            plan.aosoa.n_pad(),
-        );
+    match d {
+        0 => {
+            let batch = GemmBatch::shared_b(cells * n * n, block, block);
+            gemms[0].execute_batched(&batch, src, &plan.diff_t_padded, dst);
+        }
+        1 => {
+            let batch = GemmBatch::shared_a(cells * n, n * block, n * block);
+            gemms[1].execute_batched(&batch, &plan.basis.diff, src, dst);
+        }
+        _ => {
+            // The `k2` slices of a cell interleave (row stride n · block,
+            // slice offset block), which a strided batch cannot express.
+            for c in 0..cells {
+                for k2 in 0..n {
+                    let off = c * plan.aosoa.len() + k2 * block;
+                    gemms[2].execute_offset(&plan.basis.diff, 0, src, off, dst, off);
+                }
+            }
+        }
     }
 }
 
-/// Runs the AoSoA SplitCK predictor.
-pub fn stp_aosoa(
+/// Vectorized user-function sweep over `planes` x-lines at the plan's ISA
+/// level: one user-function call per line (Sec. V-C) — the flux of `src`,
+/// or with `grad` the non-conservative product. Only the `vars` evolved
+/// rows of each line of `dst` are written (nothing downstream reads the
+/// zero parameter rows of a flux). Stacked cells are swept by passing
+/// `cells · n²` planes.
+#[allow(clippy::too_many_arguments)]
+fn user_fn_sweep(
     plan: &StpPlan,
     pde: &dyn LinearPde,
-    scratch: &mut AosoaScratch,
-    inputs: &StpInputs<'_>,
-    out: &mut StpOutputs,
+    vars: usize,
+    d: usize,
+    planes: usize,
+    src: &[f64],
+    grad: Option<&[f64]>,
+    dst: &mut [f64],
 ) {
-    let n = plan.n();
-    let m = plan.m();
-    let vars = pde.num_vars();
-    let n_pad = plan.aosoa.n_pad();
-    let block = m * n_pad;
-    let has_ncp = pde.has_ncp();
-    let coef = plan.taylor(inputs.dt);
-
-    // Entry transpose AoS → AoSoA (Sec. V-B: cheaper than per-call
-    // on-the-fly transposes; the ablation bench quantifies it).
-    scratch.p.fill_zero();
-    aos_to_aosoa(inputs.q0, &plan.aos, &mut scratch.p, &plan.aosoa);
-
-    for (qa, pv) in scratch.qavg_h.iter_mut().zip(scratch.p.iter()) {
-        *qa = coef[0] * pv;
-    }
-
-    for o in 0..n {
-        scratch.ptemp.fill_zero();
-        for d in 0..3 {
-            flux_vect_aosoa(plan, pde, d, n * n, &scratch.p, &mut scratch.flux);
-            derive_gemm_aosoa(plan, d, 1, &scratch.flux, &mut scratch.ptemp, true);
-            if has_ncp {
-                derive_gemm_aosoa(plan, d, 1, &scratch.p, &mut scratch.grad_q, false);
-                // Vectorized ncp per x-line, accumulated into ptemp.
-                for plane in 0..n * n {
-                    let off = plane * block;
-                    // Reuse flux as the ncp output buffer for this plane.
-                    let (qs, gs) = (
-                        &scratch.p[off..off + block],
-                        &scratch.grad_q[off..off + block],
-                    );
-                    pde.ncp_vect(d, qs, gs, &mut scratch.flux[off..off + block], n, n_pad);
-                    for (pv, nv) in scratch.ptemp[off..off + block]
-                        .iter_mut()
-                        .zip(&scratch.flux[off..off + block])
-                    {
-                        *pv += nv;
-                    }
-                }
-            }
+    let (n, n_pad, isa) = (plan.n(), plan.aosoa.n_pad(), plan.isa());
+    let block = plan.m() * n_pad;
+    for plane in 0..planes {
+        let line = plane * block..(plane + 1) * block;
+        let out = &mut dst[line.start..line.start + vars * n_pad];
+        match grad {
+            None => pde.flux_lanes(isa, d, &src[line], out, n, n_pad),
+            Some(g) => pde.ncp_lanes(isa, d, &src[line.clone()], &g[line], out, n, n_pad),
         }
-        if let Some(src) = inputs.source {
-            let amp = &src.derivs[o];
-            // node_coeffs are (k3, k2, k1)-ordered; address the AoSoA slot.
-            for k3 in 0..n {
-                for k2 in 0..n {
-                    for k1 in 0..n {
-                        let c = src.node_coeffs[(k3 * n + k2) * n + k1];
-                        let base = (k3 * n + k2) * block + k1;
-                        for (s, &a) in amp.iter().enumerate() {
-                            scratch.ptemp[base + s * n_pad] += c * a;
-                        }
-                    }
-                }
-            }
-        }
-        // Carry the material parameters along: in AoSoA the parameter rows
-        // of each (k3, k2) block are the contiguous runs s ∈ [vars, m).
-        {
-            let AosoaScratch { p, ptemp, .. } = scratch;
-            for plane in 0..n * n {
-                let off = plane * block + vars * n_pad;
-                let end = plane * block + m * n_pad;
-                ptemp[off..end].copy_from_slice(&p[off..end]);
-            }
-        }
-        std::mem::swap(&mut scratch.p, &mut scratch.ptemp);
-        let c = coef[o + 1];
-        for (qa, pv) in scratch.qavg_h.iter_mut().zip(scratch.p.iter()) {
-            *qa += c * pv;
-        }
-    }
-
-    // q̄ carries the original parameters (restore in hybrid layout before
-    // the flux recomputation; `p` still holds them after the last swap).
-    {
-        let AosoaScratch { p, qavg_h, .. } = scratch;
-        for plane in 0..n * n {
-            let off = plane * block + vars * n_pad;
-            let end = plane * block + m * n_pad;
-            qavg_h[off..end].copy_from_slice(&p[off..end]);
-        }
-    }
-
-    // Exit transposes: q̄ and the recomputed time-averaged fluxes back to
-    // the engine's AoS layout.
-    out.qavg.fill_zero();
-    aosoa_to_aos(&scratch.qavg_h, &plan.aosoa, &mut out.qavg, &plan.aos);
-    for d in 0..3 {
-        flux_vect_aosoa(plan, pde, d, n * n, &scratch.qavg_h, &mut scratch.flux);
-        out.favg[d].fill_zero();
-        aosoa_to_aos(&scratch.flux, &plan.aosoa, &mut out.favg[d], &plan.aos);
-    }
-
-    project_faces(plan, out);
-}
-
-/// Temporaries of the blocked AoSoA kernel: the SplitCK hybrid-layout
-/// working set stacked over the cells of a block (cell `c` occupies
-/// `[c · aosoa.len(), (c + 1) · aosoa.len())` of every buffer).
-#[derive(Debug, Clone)]
-pub struct AosoaBlockScratch {
-    /// Maximum cells per block.
-    capacity: usize,
-    /// Current Taylor term, stacked AoSoA.
-    p: AlignedVec,
-    /// Next Taylor term, stacked AoSoA.
-    ptemp: AlignedVec,
-    /// Flux tensor (reused across dimensions), stacked AoSoA.
-    flux: AlignedVec,
-    /// Gradient tensor (ncp only), stacked AoSoA.
-    grad_q: AlignedVec,
-    /// Time-averaged state, stacked AoSoA.
-    qavg_h: AlignedVec,
-}
-
-impl AosoaBlockScratch {
-    /// Allocates the stacked hybrid-layout working set for up to
-    /// `capacity` cells.
-    pub fn new(plan: &StpPlan, capacity: usize) -> Self {
-        assert!(capacity > 0, "block scratch needs capacity >= 1");
-        let vol = capacity * plan.aosoa.len();
-        Self {
-            capacity,
-            p: AlignedVec::zeroed(vol),
-            ptemp: AlignedVec::zeroed(vol),
-            flux: AlignedVec::zeroed(vol),
-            grad_q: AlignedVec::zeroed(vol),
-            qavg_h: AlignedVec::zeroed(vol),
-        }
-    }
-
-    /// Bytes of temporary storage.
-    pub fn footprint_bytes(&self) -> usize {
-        (self.p.len() * 5) * 8
     }
 }
 
-/// Runs the AoSoA SplitCK predictor over a staged cell block.
+/// `y ← c·x` (`accumulate = false`) or `y ← y + c·x` on the leading `run`
+/// doubles of every `stride`-long segment — the evolved rows of the
+/// `(k3, k2)` blocks — with an unfused multiply and add, so the result
+/// does not depend on the ISA level.
+struct RowsAxpy<'a> {
+    c: f64,
+    x: &'a [f64],
+    y: &'a mut [f64],
+    run: usize,
+    stride: usize,
+    accumulate: bool,
+}
+
+impl LaneKernel for RowsAxpy<'_> {
+    /// Plain element loops, vectorized by the compiler at the wrapper's
+    /// ISA level (`S` only selects it): written over explicit `S` lane
+    /// groups, LLVM re-vectorizes this body *across* groups with
+    /// gather/scatter and runs 3× slower.
+    #[inline(always)]
+    fn run<S: SimdF64>(self) {
+        let c = self.c;
+        let (xs, ys) = (self.x.chunks(self.stride), self.y.chunks_mut(self.stride));
+        for (y, x) in ys.zip(xs) {
+            let lanes = y[..self.run].iter_mut().zip(&x[..self.run]);
+            if self.accumulate {
+                lanes.for_each(|(y, x)| *y += c * x);
+            } else {
+                lanes.for_each(|(y, x)| *y = c * x);
+            }
+        }
+    }
+}
+
+/// What the one predictor body reads per cell: [`StpInputs`] is the
+/// one-cell case of [`BlockInputs`].
+trait CellInputs {
+    fn cells(&self) -> usize;
+    fn dt(&self) -> f64;
+    fn q0(&self, c: usize) -> &[f64];
+    fn source(&self, c: usize) -> Option<&CellSource>;
+}
+
+impl CellInputs for StpInputs<'_> {
+    fn cells(&self) -> usize {
+        1
+    }
+    fn dt(&self) -> f64 {
+        self.dt
+    }
+    fn q0(&self, _c: usize) -> &[f64] {
+        self.q0
+    }
+    fn source(&self, _c: usize) -> Option<&CellSource> {
+        self.source
+    }
+}
+
+impl CellInputs for BlockInputs<'_> {
+    fn cells(&self) -> usize {
+        self.len()
+    }
+    fn dt(&self) -> f64 {
+        self.dt
+    }
+    fn q0(&self, c: usize) -> &[f64] {
+        self.block.cell(c)
+    }
+    fn source(&self, c: usize) -> Option<&CellSource> {
+        self.sources[c]
+    }
+}
+
+/// The AoSoA SplitCK predictor over stacked cells.
 ///
 /// This is the genuinely batched path of the paper's narrative: the
 /// per-cell slice batches of the hybrid layout extend contiguously across
-/// the stacked cells, so every derivative sweep of the whole block is
-/// **one** batched GEMM call that loads the
-/// operator matrix once, and the vectorized user functions sweep
-/// `B · n²` x-lines back-to-back.
-pub fn stp_aosoa_block(
+/// the stacked cells, so a derivative sweep of the whole block is one
+/// batched GEMM call that loads the operator matrix once, and the
+/// vectorized user functions sweep `cells · n²` x-lines back-to-back.
+/// Everything between the GEMMs runs at the plan's ISA level, and only the
+/// evolved rows are differentiated, accumulated and transposed out: the
+/// parameter rows are copied into place once on entry.
+fn stp_aosoa_cells(
     plan: &StpPlan,
     pde: &dyn LinearPde,
-    scratch: &mut AosoaBlockScratch,
-    inputs: &crate::block::BlockInputs<'_>,
+    scratch: &mut AosoaScratch,
+    inputs: &dyn CellInputs,
     out: &mut [StpOutputs],
 ) {
-    let cells = inputs.len();
+    let cells = inputs.cells();
     assert_eq!(cells, out.len(), "one output per staged cell");
     assert!(
         cells <= scratch.capacity,
@@ -291,128 +278,103 @@ pub fn stp_aosoa_block(
         scratch.capacity
     );
     let n = plan.n();
-    let m = plan.m();
     let vars = pde.num_vars();
     let n_pad = plan.aosoa.n_pad();
-    let block = m * n_pad;
+    let block = plan.m() * n_pad;
     let cl = plan.aosoa.len();
-    let len = cells * cl;
     let planes = cells * n * n;
     let has_ncp = pde.has_ncp();
-    let coef = plan.taylor(inputs.dt);
+    let coef = plan.taylor(inputs.dt());
+    let AosoaScratch {
+        p,
+        ptemp,
+        flux,
+        grad_q,
+        qavg_h,
+        flux_gemms,
+        ..
+    } = scratch;
+    let gemms = match flux_gemms {
+        Some((rows, gemms)) if *rows == vars => gemms,
+        slot => &slot.insert((vars, plan.aosoa_flux_gemms(vars))).1,
+    };
+    debug_assert!(
+        gemms[0].spec().alpha == plan.inv_dx[0],
+        "another plan's scratch"
+    );
+    // Evolved rows of every staged (k3, k2) block, as one lane kernel call.
+    let axpy = |c: f64, x: &[f64], y: &mut [f64], accumulate: bool| {
+        let rows = RowsAxpy {
+            c,
+            x: &x[..planes * block],
+            y: &mut y[..planes * block],
+            run: vars * n_pad,
+            stride: block,
+            accumulate,
+        };
+        dispatch(plan.isa(), n_pad, rows);
+    };
 
-    // Entry transposes AoS → AoSoA, cell by cell into the stacked buffer.
-    scratch.p[..len].fill(0.0);
+    // Entry transpose AoS → AoSoA (Sec. V-B: cheaper than per-call
+    // on-the-fly transposes; the ablation bench quantifies it), cell by
+    // cell into the stacked buffer. The material parameters never change:
+    // their rows — the contiguous runs s ∈ [vars, m) of each (k3, k2)
+    // block — go into the other two state tensors once, here.
     for c in 0..cells {
-        aos_to_aosoa(
-            inputs.block.cell(c),
-            &plan.aos,
-            &mut scratch.p[c * cl..(c + 1) * cl],
-            &plan.aosoa,
-        );
+        let cell = &mut p[c * cl..(c + 1) * cl];
+        aos_to_aosoa(inputs.q0(c), &plan.aos, cell, &plan.aosoa);
     }
-
-    for (qa, pv) in scratch.qavg_h[..len]
-        .iter_mut()
-        .zip(scratch.p[..len].iter())
-    {
-        *qa = coef[0] * pv;
+    for plane in 0..planes {
+        let params = plane * block + vars * n_pad..(plane + 1) * block;
+        ptemp[params.clone()].copy_from_slice(&p[params.clone()]);
+        qavg_h[params.clone()].copy_from_slice(&p[params]);
     }
+    axpy(coef[0], p, qavg_h, false);
 
     for o in 0..n {
-        scratch.ptemp[..len].fill(0.0);
         for d in 0..3 {
-            flux_vect_aosoa(plan, pde, d, planes, &scratch.p, &mut scratch.flux);
-            derive_gemm_aosoa(plan, d, cells, &scratch.flux, &mut scratch.ptemp, true);
+            user_fn_sweep(plan, pde, vars, d, planes, p, None, flux);
+            derive_flux_aosoa(plan, gemms, d, cells, flux, ptemp);
             if has_ncp {
-                derive_gemm_aosoa(plan, d, cells, &scratch.p, &mut scratch.grad_q, false);
-                // Vectorized ncp per x-line, accumulated into ptemp.
-                for plane in 0..planes {
-                    let off = plane * block;
-                    // Reuse flux as the ncp output buffer for this plane.
-                    let (qs, gs) = (
-                        &scratch.p[off..off + block],
-                        &scratch.grad_q[off..off + block],
-                    );
-                    pde.ncp_vect(d, qs, gs, &mut scratch.flux[off..off + block], n, n_pad);
-                    for (pv, nv) in scratch.ptemp[off..off + block]
-                        .iter_mut()
-                        .zip(&scratch.flux[off..off + block])
-                    {
-                        *pv += nv;
-                    }
-                }
+                derive_gemm_aosoa(plan, d, cells, p, grad_q);
+                // Vectorized ncp per x-line (flux is the output buffer),
+                // accumulated into ptemp.
+                user_fn_sweep(plan, pde, vars, d, planes, p, Some(grad_q), flux);
+                axpy(1.0, flux, ptemp, true);
             }
         }
         for c in 0..cells {
-            if let Some(src) = inputs.sources[c] {
-                let amp = &src.derivs[o];
-                // node_coeffs are (k3, k2, k1)-ordered; address the
-                // AoSoA slot within cell c's stacked range.
-                for k3 in 0..n {
-                    for k2 in 0..n {
-                        for k1 in 0..n {
-                            let coeff = src.node_coeffs[(k3 * n + k2) * n + k1];
-                            let base = c * cl + (k3 * n + k2) * block + k1;
-                            for (s, &a) in amp.iter().enumerate() {
-                                scratch.ptemp[base + s * n_pad] += coeff * a;
-                            }
-                        }
+            let Some(src) = inputs.source(c) else {
+                continue;
+            };
+            // node_coeffs are (k3, k2, k1)-ordered; address the AoSoA slot
+            // within cell c's stacked range.
+            for (plane, coeffs) in src.node_coeffs.chunks_exact(n).enumerate() {
+                for (k1, &coeff) in coeffs.iter().enumerate() {
+                    let base = c * cl + plane * block + k1;
+                    for (s, &a) in src.derivs[o].iter().take(vars).enumerate() {
+                        ptemp[base + s * n_pad] += coeff * a;
                     }
                 }
             }
         }
-        // Carry the material parameters along across the whole block.
-        {
-            let AosoaBlockScratch { p, ptemp, .. } = scratch;
-            for plane in 0..planes {
-                let off = plane * block + vars * n_pad;
-                let end = plane * block + m * n_pad;
-                ptemp[off..end].copy_from_slice(&p[off..end]);
-            }
-        }
-        std::mem::swap(&mut scratch.p, &mut scratch.ptemp);
-        let co = coef[o + 1];
-        for (qa, pv) in scratch.qavg_h[..len]
-            .iter_mut()
-            .zip(scratch.p[..len].iter())
-        {
-            *qa += co * pv;
-        }
-    }
-
-    // q̄ carries the original parameters (restore in hybrid layout; `p`
-    // still holds them after the last swap).
-    {
-        let AosoaBlockScratch { p, qavg_h, .. } = scratch;
-        for plane in 0..planes {
-            let off = plane * block + vars * n_pad;
-            let end = plane * block + m * n_pad;
-            qavg_h[off..end].copy_from_slice(&p[off..end]);
-        }
+        std::mem::swap(p, ptemp);
+        axpy(coef[o + 1], p, qavg_h, true);
     }
 
     // Exit transposes: q̄ per cell, then the recomputed time-averaged
-    // fluxes (one block-wide vectorized sweep per dimension).
+    // fluxes (one block-wide vectorized sweep per dimension; their
+    // parameter rows are zero and leave as zeros) back to the engine's
+    // AoS layout. The transposes write every entry of their destination.
     for (c, cell_out) in out.iter_mut().enumerate() {
-        cell_out.qavg.fill_zero();
-        aosoa_to_aos(
-            &scratch.qavg_h[c * cl..(c + 1) * cl],
-            &plan.aosoa,
-            &mut cell_out.qavg,
-            &plan.aos,
-        );
+        let cell = &qavg_h[c * cl..(c + 1) * cl];
+        aosoa_to_aos(cell, &plan.aosoa, &mut cell_out.qavg, &plan.aos);
     }
     for d in 0..3 {
-        flux_vect_aosoa(plan, pde, d, planes, &scratch.qavg_h, &mut scratch.flux);
+        user_fn_sweep(plan, pde, vars, d, planes, qavg_h, None, flux);
         for (c, cell_out) in out.iter_mut().enumerate() {
-            cell_out.favg[d].fill_zero();
-            aosoa_to_aos(
-                &scratch.flux[c * cl..(c + 1) * cl],
-                &plan.aosoa,
-                &mut cell_out.favg[d],
-                &plan.aos,
-            );
+            let cell = &flux[c * cl..(c + 1) * cl];
+            aosoa_to_aos_rows(cell, &plan.aosoa, &mut cell_out.favg[d], &plan.aos, vars);
         }
     }
     for cell_out in out.iter_mut() {
@@ -420,11 +382,22 @@ pub fn stp_aosoa_block(
     }
 }
 
+/// Runs the AoSoA SplitCK predictor on one cell — the one-cell block.
+pub fn stp_aosoa(
+    plan: &StpPlan,
+    pde: &dyn LinearPde,
+    scratch: &mut AosoaScratch,
+    inputs: &StpInputs<'_>,
+    out: &mut StpOutputs,
+) {
+    stp_aosoa_cells(plan, pde, scratch, inputs, std::slice::from_mut(out));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels::generic::{stp_generic, GenericScratch};
-    use crate::plan::{CellSource, StpConfig};
+    use crate::plan::StpConfig;
     use aderdg_pde::{Acoustic, AdvectionNcpSystem, AdvectionSystem, Elastic, LinearPde, Material};
 
     fn random_state(plan: &StpPlan, seed: u64) -> Vec<f64> {
@@ -569,7 +542,6 @@ mod tests {
 use super::{downcast_scratch, impl_stp_scratch, StpKernel, StpScratch};
 
 impl_stp_scratch!(AosoaScratch);
-impl_stp_scratch!(AosoaBlockScratch);
 
 /// Registry entry for the AoSoA SplitCK variant with vectorized user
 /// functions (Sec. V).
@@ -601,7 +573,7 @@ impl StpKernel for AosoaKernel {
     }
 
     fn make_block_scratch(&self, plan: &StpPlan, capacity: usize) -> Box<dyn StpScratch> {
-        Box::new(AosoaBlockScratch::new(plan, capacity))
+        Box::new(AosoaScratch::with_capacity(plan, capacity))
     }
 
     fn run_block(
@@ -609,9 +581,9 @@ impl StpKernel for AosoaKernel {
         plan: &StpPlan,
         pde: &dyn LinearPde,
         scratch: &mut dyn StpScratch,
-        inputs: &crate::block::BlockInputs<'_>,
+        inputs: &BlockInputs<'_>,
         out: &mut [StpOutputs],
     ) {
-        stp_aosoa_block(plan, pde, downcast_scratch(scratch), inputs, out);
+        stp_aosoa_cells(plan, pde, downcast_scratch(scratch), inputs, out);
     }
 }

@@ -25,6 +25,8 @@ pub mod aosoa;
 pub mod generic;
 pub mod log;
 pub mod onthefly;
+#[cfg(test)]
+mod poison_tests;
 pub mod splitck;
 
 use crate::block::BlockInputs;
@@ -200,10 +202,9 @@ impl std::fmt::Debug for dyn StpKernel {
 /// Shared epilogue: projects `qavg` / `favg` onto the six faces.
 pub(crate) fn project_faces(plan: &StpPlan, out: &mut StpOutputs) {
     for d in 0..3 {
-        for side in 0..2 {
-            let f = 2 * d + side;
-            faceproj::project_to_face(plan, &out.qavg, d, side, &mut out.qface[f]);
-            faceproj::project_to_face(plan, &out.favg[d], d, side, &mut out.fface[f]);
-        }
+        let (lo, hi) = out.qface[2 * d..].split_at_mut(1);
+        faceproj::project_dim(plan, &out.qavg, d, &mut lo[0], &mut hi[0]);
+        let (lo, hi) = out.fface[2 * d..].split_at_mut(1);
+        faceproj::project_dim(plan, &out.favg[d], d, &mut lo[0], &mut hi[0]);
     }
 }

@@ -99,7 +99,7 @@ fn flux_onthefly(
     let n_pad = plan.aosoa.n_pad();
     for plane in 0..n * n {
         gather_line(plan, src, plane, line_q);
-        pde.flux_vect(d, line_q, line_f, n, n_pad);
+        pde.flux_lanes(plan.isa(), d, line_q, line_f, n, n_pad);
         scatter_line(plan, line_f, plane, dst);
     }
 }
@@ -157,7 +157,7 @@ pub fn stp_onthefly(
                 for plane in 0..n * n {
                     gather_line(plan, p, plane, line_q);
                     gather_line(plan, grad_q, plane, line_g);
-                    pde.ncp_vect(d, line_q, line_g, line_f, n, n_pad);
+                    pde.ncp_lanes(plan.isa(), d, line_q, line_g, line_f, n, n_pad);
                     // Accumulate the scattered result into ptemp.
                     let base = plane * n * m_pad;
                     for k1 in 0..n {

@@ -135,10 +135,10 @@ pub struct StpPlan {
     pub gemm_aos: [Gemm; 3],
     /// Accumulating (`beta = 1`) flavour of [`StpPlan::gemm_aos`].
     pub gemm_aos_acc: [Gemm; 3],
-    /// GEMM plans for the AoSoA derivatives, overwrite flavour.
+    /// GEMM plans for the AoSoA derivatives over all `m` stored rows,
+    /// overwrite flavour (the ncp gradient; the flux derivatives run on
+    /// the evolved rows only, see [`StpPlan::aosoa_flux_gemms`]).
     pub gemm_aosoa: [Gemm; 3],
-    /// Accumulating flavour of [`StpPlan::gemm_aosoa`].
-    pub gemm_aosoa_acc: [Gemm; 3],
 }
 
 impl StpPlan {
@@ -163,6 +163,54 @@ impl StpPlan {
     /// across all of the plan's GEMMs by construction).
     pub fn gemm_backend(&self) -> &'static dyn aderdg_gemm::GemmBackend {
         self.gemm_aos[0].backend()
+    }
+
+    /// The ISA level a predictor under this plan runs at — the GEMM
+    /// backend's, which the lane kernels (vectorised user functions,
+    /// Taylor axpy, face projection) follow: one decision per plan.
+    pub fn isa(&self) -> Isa {
+        self.gemm_backend().isa()
+    }
+
+    /// GEMM plans of the AoSoA *flux* derivatives, restricted to the first
+    /// `vars` (evolved) quantity rows through leading dimensions only —
+    /// the parameter rows of a flux tensor are zero by the
+    /// [`LinearPde`](aderdg_pde::LinearPde) contract, so multiplying them
+    /// is wasted work:
+    ///
+    /// * `x`: `vars × n_pad` per `(k3, k2)` block (block stride
+    ///   `m · n_pad`), overwriting (`beta = 0`) — the first sweep of a
+    ///   Taylor order initializes the destination;
+    /// * `y`: `n × vars·n_pad` per `k3` at `ld = m·n_pad`, accumulating;
+    /// * `z`: the same width per `k2` at `ld = n·m·n_pad`, accumulating.
+    ///
+    /// Operator panels are packed here, on the plan's GEMM backend.
+    pub fn aosoa_flux_gemms(&self, vars: usize) -> [Gemm; 3] {
+        let (n, m, n_pad) = (self.n(), self.m(), self.aosoa.n_pad());
+        assert!(vars <= m, "more evolved rows than stored quantities");
+        let backend = self.gemm_backend();
+        let wide = |d: usize, ld: usize| {
+            let spec = GemmSpec {
+                m: n,
+                n: vars * n_pad,
+                k: n,
+                lda: n,
+                ldb: ld,
+                ldc: ld,
+                alpha: self.inv_dx[d],
+                beta: 1.0,
+            };
+            Gemm::with_backend(spec, backend).with_packed_a(&self.basis.diff)
+        };
+        let x = GemmSpec {
+            m: vars,
+            ..*self.gemm_aosoa[0].spec()
+        };
+        [
+            Gemm::with_backend(x, backend).with_packed_b(&self.diff_t_padded),
+            wide(1, m * n_pad),
+            wide(2, n * m * n_pad),
+        ]
     }
 
     fn build(cfg: StpConfig, dx: [f64; 3], plan_gemm: &dyn Fn(GemmSpec) -> Gemm) -> Self {
@@ -269,11 +317,6 @@ impl StpPlan {
                 pack_aosoa(0, plan_gemm(spec_aosoa(0))),
                 pack_aosoa(1, plan_gemm(spec_aosoa(1))),
                 pack_aosoa(2, plan_gemm(spec_aosoa(2))),
-            ],
-            gemm_aosoa_acc: [
-                pack_aosoa(0, acc(spec_aosoa(0))),
-                pack_aosoa(1, acc(spec_aosoa(1))),
-                pack_aosoa(2, acc(spec_aosoa(2))),
             ],
             basis,
             aos,

@@ -338,7 +338,7 @@ pub fn trace_block_batch(
             }
         }
         KernelVariant::AoSoASplitCk => {
-            // Stacked hybrid-layout tensors, as in `AosoaBlockScratch`.
+            // Stacked hybrid-layout tensors, as in `AosoaScratch`.
             let bvol = block_size * plan.aosoa.len();
             let small = (0..5).map(|_| arena.alloc_doubles(bvol)).collect();
             BlockScratch {
@@ -466,7 +466,7 @@ fn trace_generic_block(
     stages
 }
 
-/// Emits one blocked AoSoA SplitCK invocation (mirrors `stp_aosoa_block`);
+/// Emits one blocked AoSoA SplitCK invocation (mirrors `stp_aosoa_cells`);
 /// returns the stage-sweep count.
 fn trace_aosoa_block(
     plan: &StpPlan,
@@ -493,17 +493,22 @@ fn trace_aosoa_block(
     stages += 1;
 
     for _o in 0..n {
-        sink.write(ptemp, vb);
-        stages += 1;
-        for _d in 0..3 {
+        for d in 0..3 {
             // Vectorized flux sweep.
             sink.read(p, vb);
             sink.write(flux, vb);
             stages += 1;
-            // One batched derivative GEMM over the whole block.
+            // One batched derivative GEMM over the whole block; the x
+            // sweep overwrites ptemp (no clearing pass), y and z
+            // accumulate. (Whole-tensor granularity: that the GEMMs skip
+            // the parameter rows is below this model's resolution.)
             sink.read(s.op, s.op_bytes);
             sink.read(flux, vb);
-            sink.update(ptemp, vb);
+            if d == 0 {
+                sink.write(ptemp, vb);
+            } else {
+                sink.update(ptemp, vb);
+            }
             stages += 1;
             if ncp {
                 sink.read(s.op, s.op_bytes);

@@ -1,7 +1,8 @@
 //! GEMM plans: the scalar reference ([`gemm_naive`]), the ISA ladder
-//! ([`Isa`]) and the planned multiplication ([`Gemm`]) — a spec bound to
-//! the kernel chosen for the host at plan time, the same role LIBXSMM's
-//! runtime code generation plays for the paper.
+//! ([`Isa`], shared with the lane kernels) and the planned multiplication
+//! ([`Gemm`]) — a spec bound to the kernel chosen for the host at plan
+//! time, the same role LIBXSMM's runtime code generation plays for the
+//! paper.
 
 use crate::spec::{GemmBatch, GemmSpec};
 
@@ -22,55 +23,7 @@ pub fn gemm_naive(spec: &GemmSpec, a: &[f64], b: &[f64], c: &mut [f64]) {
     }
 }
 
-/// Instruction-set level a plan may execute with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Isa {
-    /// No explicit feature request; whatever the baseline target has.
-    Baseline,
-    /// 256-bit AVX2 + FMA.
-    Avx2,
-    /// 512-bit AVX-512F/VL + FMA.
-    Avx512,
-}
-
-impl Isa {
-    /// Best ISA the host supports.
-    pub fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-            {
-                return Isa::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return Isa::Avx2;
-            }
-        }
-        Isa::Baseline
-    }
-
-    /// Clamp to at most `other` (used to emulate the paper's "AVX2 build on
-    /// an AVX-512 machine" comparison, Fig. 4).
-    pub fn min(self, other: Isa) -> Isa {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// SIMD register width in doubles this ISA packs.
-    pub fn width_doubles(self) -> usize {
-        match self {
-            Isa::Baseline => 2,
-            Isa::Avx2 => 4,
-            Isa::Avx512 => 8,
-        }
-    }
-}
+pub use aderdg_tensor::simd::Isa;
 
 /// A planned GEMM: spec plus the kernel chosen for the host at plan time.
 ///
@@ -333,10 +286,6 @@ mod tests {
 
     #[test]
     fn isa_ordering_and_clamp() {
-        assert!(Isa::Baseline < Isa::Avx2 && Isa::Avx2 < Isa::Avx512);
-        assert_eq!(Isa::Avx512.min(Isa::Avx2), Isa::Avx2);
-        assert_eq!(Isa::Baseline.min(Isa::Avx512), Isa::Baseline);
-        assert_eq!(Isa::Avx512.width_doubles(), 8);
         let host = Isa::detect();
         let plan = Gemm::with_isa(GemmSpec::dense(2, 2, 2), Isa::Avx512);
         assert!(plan.isa() <= host.min(Isa::Avx512).max(host));

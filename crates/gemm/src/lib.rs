@@ -6,7 +6,8 @@
 //! multiplied in place without copies.
 //!
 //! One kernel family: a BLIS-style packed, register-tiled driver
-//! ([`micro`]) written once over a portable SIMD layer ([`simd`]) and
+//! ([`micro`]) written once over the workspace's portable SIMD layer
+//! ([`simd`], shared with the lane kernels through `aderdg-tensor`) and
 //! instantiated per ISA level (baseline / AVX2 / AVX-512) via
 //! `#[target_feature]` ([`tiles`]), behind the one object-safe
 //! [`GemmBackend`] trait. A [`Gemm`] plan picks its kernel once at
@@ -21,12 +22,11 @@
 pub mod backend;
 pub mod kernels;
 pub mod micro;
-pub mod simd;
 pub mod spec;
 pub mod tiles;
 
+pub use aderdg_tensor::simd::{self, F64s, SimdF64};
 pub use backend::{backend_by_name, backends, select_backend, GemmBackend};
 pub use kernels::{gemm_naive, Gemm, Isa};
 pub use micro::{pack_a_panels, pack_b_panels, PackedOperands, PackedPanels, PanelSide};
-pub use simd::{F64s, SimdF64};
 pub use spec::{GemmBatch, GemmSpec};

@@ -25,6 +25,7 @@
 
 use crate::simd::SimdF64;
 use crate::spec::GemmSpec;
+use std::mem::MaybeUninit;
 
 /// Largest `MR` any registered kernel uses (bounds stack scratch).
 pub const MR_CAP: usize = 8;
@@ -291,19 +292,23 @@ unsafe fn store_tile_partial<S: SimdF64, const MR: usize, const NV: usize>(
     beta: f64,
 ) {
     let nr = NV * S::LANES;
-    let mut tmp = [0.0f64; MR_CAP * NR_CAP];
+    // Uninitialized on purpose: zeroing a kilobyte per edge tile costs
+    // more than the tile's arithmetic at the DG sizes.
+    let mut tmp = [MaybeUninit::<f64>::uninit(); MR_CAP * NR_CAP];
     for (r, row) in acc.iter().enumerate() {
         for (v, &av) in row.iter().enumerate() {
             // SAFETY: `MR·NR ≤ MR_CAP·NR_CAP` by the registration caps.
-            unsafe { av.store(tmp.as_mut_ptr().add(r * nr + v * S::LANES)) };
+            unsafe { av.store(tmp.as_mut_ptr().cast::<f64>().add(r * nr + v * S::LANES)) };
         }
     }
-    for r in 0..used_rows {
-        for j in 0..used_cols {
-            // SAFETY: caller guarantees the corner is in bounds.
+    for r in 0..used_rows.min(MR) {
+        for j in 0..used_cols.min(nr) {
+            // SAFETY: the loops above initialized all `MR × nr` leading
+            // entries of `tmp`, which bound `(r, j)` here; the caller
+            // guarantees the corner of `c` is in bounds.
             unsafe {
                 let p = c.add(r * ldc + j);
-                let x = alpha * tmp[r * nr + j];
+                let x = alpha * tmp[r * nr + j].assume_init();
                 *p = if beta == 0.0 { x } else { x + beta * *p };
             }
         }
@@ -312,24 +317,38 @@ unsafe fn store_tile_partial<S: SimdF64, const MR: usize, const NV: usize>(
 
 /// Packs a partial (`rows < mr`) row panel into zero-padded scratch.
 #[inline(always)]
-fn pack_partial_a(dst: &mut [f64], a: &[f64], lda: usize, i0: usize, rows: usize, mr: usize) {
+fn pack_partial_a(
+    dst: &mut [MaybeUninit<f64>],
+    a: &[f64],
+    lda: usize,
+    i0: usize,
+    rows: usize,
+    mr: usize,
+) {
     let k = dst.len() / mr;
-    dst.fill(0.0);
+    dst.fill(MaybeUninit::new(0.0));
     for r in 0..rows {
         for l in 0..k {
-            dst[l * mr + r] = a[(i0 + r) * lda + l];
+            dst[l * mr + r] = MaybeUninit::new(a[(i0 + r) * lda + l]);
         }
     }
 }
 
 /// Packs a partial (`cols < nr`) column panel into zero-padded scratch.
 #[inline(always)]
-fn pack_partial_b(dst: &mut [f64], b: &[f64], ldb: usize, j0: usize, cols: usize, nr: usize) {
+fn pack_partial_b(
+    dst: &mut [MaybeUninit<f64>],
+    b: &[f64],
+    ldb: usize,
+    j0: usize,
+    cols: usize,
+    nr: usize,
+) {
     let k = dst.len() / nr;
-    dst.fill(0.0);
+    dst.fill(MaybeUninit::new(0.0));
     for l in 0..k {
         for t in 0..cols {
-            dst[l * nr + t] = b[l * ldb + j0 + t];
+            dst[l * nr + t] = MaybeUninit::new(b[l * ldb + j0 + t]);
         }
     }
 }
@@ -379,10 +398,17 @@ unsafe fn gemm_tiled<S: SimdF64, const MR: usize, const NV: usize>(
 
     // Scratch for zero-padded edge panels. The DG contraction depths all
     // fit the stack buffers; anything deeper packs into a heap buffer.
-    let mut astack = [0.0f64; MR_CAP * K_STACK];
-    let mut bstack = [0.0f64; K_STACK * NR_CAP];
+    // Left uninitialized — `pack_partial_*` writes a whole panel before
+    // the tile reads it — because the derivative sweeps issue hundreds
+    // of sub-microsecond calls per cell and zeroing 6 KiB per call cost
+    // more than the multiplication.
+    let mut astack = [MaybeUninit::<f64>::uninit(); MR_CAP * K_STACK];
+    let mut bstack = [MaybeUninit::<f64>::uninit(); K_STACK * NR_CAP];
     let (mut aheap, mut bheap) = if k > K_STACK {
-        (vec![0.0f64; MR * k], vec![0.0f64; k * nr])
+        (
+            vec![MaybeUninit::<f64>::uninit(); MR * k],
+            vec![MaybeUninit::<f64>::uninit(); k * nr],
+        )
     } else {
         (Vec::new(), Vec::new())
     };
@@ -396,13 +422,13 @@ unsafe fn gemm_tiled<S: SimdF64, const MR: usize, const NV: usize>(
         } else if rows == MR {
             (a[i0 * lda..].as_ptr(), 1, lda)
         } else {
-            let buf: &mut [f64] = if use_heap {
+            let buf: &mut [MaybeUninit<f64>] = if use_heap {
                 &mut aheap
             } else {
                 &mut astack[..MR * k]
             };
             pack_partial_a(buf, a, lda, i0, rows, MR);
-            (buf.as_ptr(), MR, 1)
+            (buf.as_ptr().cast::<f64>(), MR, 1)
         };
         for jp in 0..n.div_ceil(nr) {
             let j0 = jp * nr;
@@ -412,13 +438,13 @@ unsafe fn gemm_tiled<S: SimdF64, const MR: usize, const NV: usize>(
             } else if cols == nr {
                 (b[j0..].as_ptr(), ldb)
             } else {
-                let buf: &mut [f64] = if use_heap {
+                let buf: &mut [MaybeUninit<f64>] = if use_heap {
                     &mut bheap
                 } else {
                     &mut bstack[..k * nr]
                 };
                 pack_partial_b(buf, b, ldb, j0, cols, nr);
-                (buf.as_ptr(), nr)
+                (buf.as_ptr().cast::<f64>(), nr)
             };
             // SAFETY: packed panels are zero-padded to full tiles; the
             // unpacked paths are taken only for full tiles, where

@@ -5,7 +5,9 @@
 //! quantities + two parameters — the "small m" workload complementing the
 //! 21-quantity elastic benchmark.
 
+use crate::lanes::{recip, run_line, LineFn, Rows};
 use crate::traits::{ExactSolution, LinearPde};
+use aderdg_tensor::simd::{Isa, SimdF64};
 
 /// Index of the pressure variable.
 pub const P: usize = 0;
@@ -46,6 +48,28 @@ impl Acoustic {
     }
 }
 
+/// The vectorised flux (Fig. 8): `F_d[p] = −K u_d`, `F_d[u_d] = −p/ρ`.
+struct FluxLanes {
+    d: usize,
+}
+
+impl LineFn<{ VARS + PARAMS }, VARS> for FluxLanes {
+    #[inline(always)]
+    fn eval<S: SimdF64>(
+        &self,
+        q: &Rows<'_, S, { VARS + PARAMS }>,
+        _grad: &Rows<'_, S, { VARS + PARAMS }>,
+        valid: usize,
+    ) -> [S; VARS] {
+        let d = self.d.min(2);
+        let inv_rho = recip(q.get(VARS), valid);
+        let mut f = [S::zero(); VARS];
+        f[P] = q.get(VARS + 1).mul(q.get(U + d)).neg();
+        f[U + d] = q.get(P).mul(inv_rho).neg();
+        f
+    }
+}
+
 impl LinearPde for Acoustic {
     fn num_vars(&self) -> usize {
         VARS
@@ -64,26 +88,8 @@ impl LinearPde for Acoustic {
         f[U + d] = -q[P] / rho;
     }
 
-    fn flux_vect(&self, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
-        // Vectorized user function (Fig. 8). Density can be zero in the
-        // padding lanes (Sec. V-C's division-by-zero caveat), so the
-        // reciprocal runs over the unpadded length only.
-        const MAX_LANES: usize = 64;
-        assert!(stride <= MAX_LANES, "x-line too long for the lane buffer");
-        let mut inv_rho = [0.0f64; MAX_LANES];
-        for i in 0..len {
-            inv_rho[i] = 1.0 / q[VARS * stride + i];
-        }
-        f.fill(0.0);
-        let (pf, rest) = f.split_at_mut(stride);
-        let uf = &mut rest[d * stride..(d + 1) * stride];
-        let bulk = &q[(VARS + 1) * stride..(VARS + 2) * stride];
-        let ud = &q[(U + d) * stride..(U + d + 1) * stride];
-        let p = &q[P * stride..stride];
-        for i in 0..stride {
-            pf[i] = -bulk[i] * ud[i];
-            uf[i] = -p[i] * inv_rho[i];
-        }
+    fn flux_lanes(&self, isa: Isa, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
+        run_line(isa, &FluxLanes { d }, q, q, f, len, stride);
     }
 
     fn has_vectorized_user_functions(&self) -> bool {

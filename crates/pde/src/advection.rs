@@ -7,7 +7,9 @@
 //! both through a kernel and comparing results exercises the `computeF`
 //! and `computeNcp` code paths of the predictor against each other.
 
+use crate::lanes::{run_line, scale, LineFn, Rows};
 use crate::traits::{ExactSolution, LinearPde};
+use aderdg_tensor::simd::{Isa, SimdF64};
 
 /// `n_vars` independently advected quantities, `∂t q + a·∇q = 0`,
 /// implemented via the conservative flux `F_d(q) = -a_d q`.
@@ -55,20 +57,12 @@ impl LinearPde for AdvectionSystem {
         }
     }
 
-    fn flux_vect(&self, d: usize, q: &[f64], f: &mut [f64], _len: usize, stride: usize) {
-        // Fig. 8 pattern: loop over the full padded lane range; padding
-        // lanes are zero in q, so they stay zero in f.
-        let a = -self.velocity[d];
-        for s in 0..self.n_vars {
-            let qs = &q[s * stride..(s + 1) * stride];
-            let fs = &mut f[s * stride..(s + 1) * stride];
-            for (fo, qi) in fs.iter_mut().zip(qs) {
-                *fo = a * qi;
-            }
-        }
-        for v in f[self.n_vars * stride..].iter_mut() {
-            *v = 0.0;
-        }
+    fn flux_lanes(&self, isa: Isa, d: usize, q: &[f64], f: &mut [f64], _len: usize, stride: usize) {
+        // Fig. 8 pattern over the full padded lane range: padding lanes
+        // are zero in q, so they stay zero in f. No parameters: every row
+        // of the chunk is the same scaling.
+        let width = self.n_vars * stride;
+        scale(isa, -self.velocity[d], &q[..width], &mut f[..width]);
     }
 
     fn has_vectorized_user_functions(&self) -> bool {
@@ -137,8 +131,9 @@ impl LinearPde for AdvectionNcpSystem {
         }
     }
 
-    fn ncp_vect(
+    fn ncp_lanes(
         &self,
+        isa: Isa,
         d: usize,
         _q: &[f64],
         grad: &[f64],
@@ -146,17 +141,8 @@ impl LinearPde for AdvectionNcpSystem {
         _len: usize,
         stride: usize,
     ) {
-        let a = -self.velocity[d];
-        for s in 0..self.n_vars {
-            let gs = &grad[s * stride..(s + 1) * stride];
-            let os = &mut out[s * stride..(s + 1) * stride];
-            for (o, g) in os.iter_mut().zip(gs) {
-                *o = a * g;
-            }
-        }
-        for v in out[self.n_vars * stride..].iter_mut() {
-            *v = 0.0;
-        }
+        let width = self.n_vars * stride;
+        scale(isa, -self.velocity[d], &grad[..width], &mut out[..width]);
     }
 
     fn has_vectorized_user_functions(&self) -> bool {
@@ -222,6 +208,23 @@ impl RotatingAdvection {
     }
 }
 
+/// The vectorised flux (Fig. 8): `F_d = −v_d q` with the per-lane velocity.
+struct RotatingFluxLanes {
+    d: usize,
+}
+
+impl LineFn<{ ROTATION_VARS + ROTATION_PARAMS }, ROTATION_VARS> for RotatingFluxLanes {
+    #[inline(always)]
+    fn eval<S: SimdF64>(
+        &self,
+        q: &Rows<'_, S, { ROTATION_VARS + ROTATION_PARAMS }>,
+        _grad: &Rows<'_, S, { ROTATION_VARS + ROTATION_PARAMS }>,
+        _valid: usize,
+    ) -> [S; ROTATION_VARS] {
+        [q.get(ROTATION_VARS + self.d.min(2)).mul(q.get(0)).neg()]
+    }
+}
+
 impl LinearPde for RotatingAdvection {
     fn num_vars(&self) -> usize {
         ROTATION_VARS
@@ -236,14 +239,8 @@ impl LinearPde for RotatingAdvection {
         f[0] = -q[ROTATION_VARS + d] * q[0];
     }
 
-    fn flux_vect(&self, d: usize, q: &[f64], f: &mut [f64], _len: usize, stride: usize) {
-        f.fill(0.0);
-        let vd = &q[(ROTATION_VARS + d) * stride..(ROTATION_VARS + d + 1) * stride];
-        let qs = &q[..stride];
-        let fs = &mut f[..stride];
-        for i in 0..stride {
-            fs[i] = -vd[i] * qs[i];
-        }
+    fn flux_lanes(&self, isa: Isa, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
+        run_line(isa, &RotatingFluxLanes { d }, q, q, f, len, stride);
     }
 
     fn has_vectorized_user_functions(&self) -> bool {

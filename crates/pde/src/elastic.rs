@@ -12,7 +12,9 @@
 //! (`J = I`) this is the textbook elastic wave equation, which the
 //! plane-wave convergence tests verify.
 
+use crate::lanes::{recip, run_line, LineFn, Rows};
 use crate::traits::{ExactSolution, LinearPde};
+use aderdg_tensor::simd::{Isa, SimdF64};
 
 /// Indices of the velocity components.
 pub const VX: usize = 0;
@@ -150,6 +152,58 @@ impl Elastic {
     }
 }
 
+/// The vectorised flux in logical direction `d` (Fig. 8): per-lane
+/// material and metric, every operand row loaded once, every result row
+/// held in a register until its single store.
+struct FluxLanes {
+    d: usize,
+}
+
+impl LineFn<{ VARS + PARAMS }, VARS> for FluxLanes {
+    #[inline(always)]
+    fn eval<S: SimdF64>(
+        &self,
+        q: &Rows<'_, S, { VARS + PARAMS }>,
+        _grad: &Rows<'_, S, { VARS + PARAMS }>,
+        valid: usize,
+    ) -> [S; VARS] {
+        let rho = q.get(P_RHO);
+        let inv_rho = recip(rho, valid);
+        let (cp, cs) = (q.get(P_CP), q.get(P_CS));
+        let cs2 = cs.mul(cs);
+        let mu = rho.mul(cs2);
+        let lam = rho.mul(cp.mul(cp).sub(cs2.add(cs2)));
+        // Metric row of direction `d` (`min` bounds the row index for the
+        // optimizer; `d` is 0, 1 or 2 by the trait contract).
+        let jac = P_JAC + 3 * self.d.min(2);
+        let w = [q.get(jac), q.get(jac + 1), q.get(jac + 2)];
+
+        // Velocity rows: (Σ_j w_j σ_aj) / ρ.
+        let (sxx, syy, szz) = (q.get(SXX), q.get(SYY), q.get(SZZ));
+        let (sxy, sxz, syz) = (q.get(SXY), q.get(SXZ), q.get(SYZ));
+        let dot = |x: [S; 3]| w[0].mul(x[0]).fma(w[1], x[1]).fma(w[2], x[2]);
+
+        // Stress rows from the metric-weighted velocities a_j = w_j v_j:
+        // σ_aa gets λ Σ_j a_j + 2μ a_a, σ_ab gets μ (w_a v_b + w_b v_a).
+        let v = [q.get(VX), q.get(VY), q.get(VZ)];
+        let a = [w[0].mul(v[0]), w[1].mul(v[1]), w[2].mul(v[2])];
+        let trace = lam.mul(a[0].add(a[1]).add(a[2]));
+        let mu2 = mu.add(mu);
+        let shear = |i: usize, j: usize| mu.mul(w[i].mul(v[j]).fma(w[j], v[i]));
+        [
+            dot([sxx, sxy, sxz]).mul(inv_rho),
+            dot([sxy, syy, syz]).mul(inv_rho),
+            dot([sxz, syz, szz]).mul(inv_rho),
+            trace.fma(mu2, a[0]),
+            trace.fma(mu2, a[1]),
+            trace.fma(mu2, a[2]),
+            shear(0, 1),
+            shear(0, 2),
+            shear(1, 2),
+        ]
+    }
+}
+
 impl LinearPde for Elastic {
     fn num_vars(&self) -> usize {
         VARS
@@ -182,72 +236,8 @@ impl LinearPde for Elastic {
         }
     }
 
-    fn flux_vect(&self, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
-        // Fully vectorized lane loop (Fig. 8): per-lane material and metric.
-        const MAX_LANES: usize = 64;
-        assert!(stride <= MAX_LANES, "x-line too long for the lane buffer");
-        // Reciprocal density and Lamé parameters, guarded on the unpadded
-        // range (padding lanes have ρ = 0; Sec. V-C).
-        let mut inv_rho = [0.0f64; MAX_LANES];
-        let mut lam = [0.0f64; MAX_LANES];
-        let mut mu = [0.0f64; MAX_LANES];
-        let rho = &q[P_RHO * stride..(P_RHO + 1) * stride];
-        let cp = &q[P_CP * stride..(P_CP + 1) * stride];
-        let cs = &q[P_CS * stride..(P_CS + 1) * stride];
-        for i in 0..len {
-            inv_rho[i] = 1.0 / rho[i];
-            let cs2 = cs[i] * cs[i];
-            mu[i] = rho[i] * cs2;
-            lam[i] = rho[i] * (cp[i] * cp[i] - 2.0 * cs2);
-        }
-        f.fill(0.0);
-        // Row views of q (immutable) — indices into the SoA block.
-        let row = |s: usize| &q[s * stride..(s + 1) * stride];
-        let jac_row = |j: usize| &q[(P_JAC + 3 * d + j) * stride..(P_JAC + 3 * d + j + 1) * stride];
-        for j in 0..3 {
-            let w = jac_row(j);
-            // Cartesian flux component j, accumulated with the metric weight.
-            // The (dst, src, coef) table mirrors `cartesian_flux`.
-            let v_rows: [(usize, usize); 3] = match j {
-                0 => [(VX, SXX), (VY, SXY), (VZ, SXZ)],
-                1 => [(VX, SXY), (VY, SYY), (VZ, SYZ)],
-                _ => [(VX, SXZ), (VY, SYZ), (VZ, SZZ)],
-            };
-            for (dst, src) in v_rows {
-                let srow = row(src);
-                let frow = &mut f[dst * stride..(dst + 1) * stride];
-                for i in 0..stride {
-                    frow[i] += w[i] * srow[i] * inv_rho[i];
-                }
-            }
-            let vrow = row(VX + j);
-            // Normal stress rows: coefficient λ, or λ+2μ on the j-th one.
-            for (r, srow_idx) in [SXX, SYY, SZZ].iter().enumerate() {
-                let frow = &mut f[srow_idx * stride..(srow_idx + 1) * stride];
-                if r == j {
-                    for i in 0..stride {
-                        frow[i] += w[i] * (lam[i] + 2.0 * mu[i]) * vrow[i];
-                    }
-                } else {
-                    for i in 0..stride {
-                        frow[i] += w[i] * lam[i] * vrow[i];
-                    }
-                }
-            }
-            // Shear rows: σ_ab gets μ v_b from F̂_a and μ v_a from F̂_b.
-            let shear: [(usize, usize); 2] = match j {
-                0 => [(SXY, VY), (SXZ, VZ)],
-                1 => [(SXY, VX), (SYZ, VZ)],
-                _ => [(SXZ, VX), (SYZ, VY)],
-            };
-            for (dst, src) in shear {
-                let srow = row(src);
-                let frow = &mut f[dst * stride..(dst + 1) * stride];
-                for i in 0..stride {
-                    frow[i] += w[i] * mu[i] * srow[i];
-                }
-            }
-        }
+    fn flux_lanes(&self, isa: Isa, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
+        run_line(isa, &FluxLanes { d }, q, q, f, len, stride);
     }
 
     fn has_vectorized_user_functions(&self) -> bool {

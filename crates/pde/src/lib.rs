@@ -7,13 +7,19 @@
 //! paper's 21-quantity elastic wave equation on curvilinear meshes),
 //! exact plane-wave solutions for convergence testing, and point sources
 //! with analytic time derivatives for the Cauchy-Kowalewsky predictor.
+//!
+//! `unsafe` is denied crate-wide except in the private `lanes` module, the
+//! ISA-dispatched lane driver the vectorized user functions run on; the
+//! PDE files themselves contain none.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod acoustic;
 pub mod advection;
 pub mod elastic;
+#[allow(unsafe_code)] // raw-pointer lane loads/stores of the SoA driver
+mod lanes;
 pub mod maxwell;
 pub mod source;
 pub mod swe;

@@ -4,7 +4,9 @@
 //!
 //! Six evolved quantities (E, H) and two material parameters (ε, μ).
 
+use crate::lanes::{recip, run_line, LineFn, Rows};
 use crate::traits::{ExactSolution, LinearPde};
+use aderdg_tensor::simd::{Isa, SimdF64};
 
 /// Index of Ex.
 pub const EX: usize = 0;
@@ -53,6 +55,38 @@ impl Maxwell {
     }
 }
 
+/// The vectorised flux (Fig. 8): the curl rows of direction `d`, scaled
+/// by the per-lane `1/ε` (electric rows) and `1/μ` (magnetic rows).
+struct FluxLanes {
+    d: usize,
+}
+
+impl LineFn<{ VARS + PARAMS }, VARS> for FluxLanes {
+    #[inline(always)]
+    fn eval<S: SimdF64>(
+        &self,
+        q: &Rows<'_, S, { VARS + PARAMS }>,
+        _grad: &Rows<'_, S, { VARS + PARAMS }>,
+        valid: usize,
+    ) -> [S; VARS] {
+        let ie = recip(q.get(VARS), valid);
+        let im = recip(q.get(VARS + 1), valid);
+        // (positive electric row ← H row, negative electric row ← H row),
+        // and the same pair with E and H swapped and the signs flipped.
+        let (a, b) = match self.d {
+            0 => (1, 2),
+            1 => (2, 0),
+            _ => (0, 1),
+        };
+        let mut f = [S::zero(); VARS];
+        f[EX + a] = q.get(HX + b).mul(ie).neg();
+        f[EX + b] = q.get(HX + a).mul(ie);
+        f[HX + a] = q.get(EX + b).mul(im);
+        f[HX + b] = q.get(EX + a).mul(im).neg();
+        f
+    }
+}
+
 impl LinearPde for Maxwell {
     fn num_vars(&self) -> usize {
         VARS
@@ -89,45 +123,8 @@ impl LinearPde for Maxwell {
         }
     }
 
-    fn flux_vect(&self, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
-        const MAX_LANES: usize = 64;
-        assert!(stride <= MAX_LANES, "x-line too long for the lane buffer");
-        let mut ie = [0.0f64; MAX_LANES];
-        let mut im = [0.0f64; MAX_LANES];
-        for i in 0..len {
-            ie[i] = 1.0 / q[VARS * stride + i];
-            im[i] = 1.0 / q[(VARS + 1) * stride + i];
-        }
-        f.fill(0.0);
-        // (dst, src, sign, electric?) rows per direction.
-        let rows: [(usize, usize, f64, bool); 4] = match d {
-            0 => [
-                (EY, HZ, -1.0, true),
-                (EZ, HY, 1.0, true),
-                (HY, EZ, 1.0, false),
-                (HZ, EY, -1.0, false),
-            ],
-            1 => [
-                (EX, HZ, 1.0, true),
-                (EZ, HX, -1.0, true),
-                (HX, EZ, -1.0, false),
-                (HZ, EX, 1.0, false),
-            ],
-            _ => [
-                (EX, HY, -1.0, true),
-                (EY, HX, 1.0, true),
-                (HX, EY, 1.0, false),
-                (HY, EX, -1.0, false),
-            ],
-        };
-        for (dst, src, sign, electric) in rows {
-            let srow = &q[src * stride..(src + 1) * stride];
-            let frow = &mut f[dst * stride..(dst + 1) * stride];
-            let coeff = if electric { &ie } else { &im };
-            for i in 0..stride {
-                frow[i] = sign * srow[i] * coeff[i];
-            }
-        }
+    fn flux_lanes(&self, isa: Isa, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
+        run_line(isa, &FluxLanes { d }, q, q, f, len, stride);
     }
 
     fn has_vectorized_user_functions(&self) -> bool {

@@ -9,7 +9,9 @@
 //! Four evolved quantities (η, u, v, w) and two parameters (depth `H`,
 //! gravity `g`).
 
+use crate::lanes::{run_line, LineFn, Rows};
 use crate::traits::{ExactSolution, LinearPde};
+use aderdg_tensor::simd::{Isa, SimdF64};
 
 /// Surface elevation index.
 pub const ETA: usize = 0;
@@ -55,6 +57,44 @@ impl LinearizedSwe {
     }
 }
 
+/// The vectorised flux (Fig. 8): `F_d[η] = −H u_d`.
+struct FluxLanes {
+    d: usize,
+}
+
+impl LineFn<{ VARS + PARAMS }, VARS> for FluxLanes {
+    #[inline(always)]
+    fn eval<S: SimdF64>(
+        &self,
+        q: &Rows<'_, S, { VARS + PARAMS }>,
+        _grad: &Rows<'_, S, { VARS + PARAMS }>,
+        _valid: usize,
+    ) -> [S; VARS] {
+        let mut f = [S::zero(); VARS];
+        f[ETA] = q.get(VARS).mul(q.get(U + self.d.min(2))).neg();
+        f
+    }
+}
+
+/// The vectorised non-conservative product: `u_d` gets `−g ∂_d η`.
+struct NcpLanes {
+    d: usize,
+}
+
+impl LineFn<{ VARS + PARAMS }, VARS> for NcpLanes {
+    #[inline(always)]
+    fn eval<S: SimdF64>(
+        &self,
+        q: &Rows<'_, S, { VARS + PARAMS }>,
+        grad: &Rows<'_, S, { VARS + PARAMS }>,
+        _valid: usize,
+    ) -> [S; VARS] {
+        let mut out = [S::zero(); VARS];
+        out[U + self.d.min(2)] = q.get(VARS + 1).mul(grad.get(ETA)).neg();
+        out
+    }
+}
+
 impl LinearPde for LinearizedSwe {
     fn num_vars(&self) -> usize {
         VARS
@@ -80,32 +120,21 @@ impl LinearPde for LinearizedSwe {
         out[U + d] = -q[VARS + 1] * grad[ETA];
     }
 
-    fn flux_vect(&self, d: usize, q: &[f64], f: &mut [f64], _len: usize, stride: usize) {
-        f.fill(0.0);
-        let depth = &q[VARS * stride..(VARS + 1) * stride];
-        let ud = &q[(U + d) * stride..(U + d + 1) * stride];
-        let feta = &mut f[ETA * stride..(ETA + 1) * stride];
-        for i in 0..stride {
-            feta[i] = -depth[i] * ud[i];
-        }
+    fn flux_lanes(&self, isa: Isa, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
+        run_line(isa, &FluxLanes { d }, q, q, f, len, stride);
     }
 
-    fn ncp_vect(
+    fn ncp_lanes(
         &self,
+        isa: Isa,
         d: usize,
         q: &[f64],
         grad: &[f64],
         out: &mut [f64],
-        _len: usize,
+        len: usize,
         stride: usize,
     ) {
-        out.fill(0.0);
-        let g = &q[(VARS + 1) * stride..(VARS + 2) * stride];
-        let geta = &grad[ETA * stride..(ETA + 1) * stride];
-        let oud = &mut out[(U + d) * stride..(U + d + 1) * stride];
-        for i in 0..stride {
-            oud[i] = -g[i] * geta[i];
-        }
+        run_line(isa, &NcpLanes { d }, q, grad, out, len, stride);
     }
 
     fn has_vectorized_user_functions(&self) -> bool {

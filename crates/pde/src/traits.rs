@@ -11,14 +11,19 @@
 //! * **pointwise** — one quadrature node at a time, AoS quantity vector
 //!   (the default ExaHyPE user API; executes scalar),
 //! * **vectorized** — a whole x-line of nodes in SoA chunks (`stride`-spaced
-//!   runs per quantity, Fig. 8), used by the AoSoA SplitCK kernel. Default
-//!   implementations fall back to the pointwise functions lane by lane, so
-//!   vectorization is opt-in per application exactly as in the paper.
+//!   runs per quantity, Fig. 8), used by the AoSoA SplitCK kernel:
+//!   [`LinearPde::flux_lanes`] / [`LinearPde::ncp_lanes`], which run at the
+//!   ISA level the caller names (a kernel passes its plan's GEMM backend
+//!   level). Default implementations fall back to the pointwise functions
+//!   lane by lane, so vectorization is opt-in per application exactly as
+//!   in the paper.
 //!
 //! Convention: the state vector holds `num_vars()` *evolved* quantities
 //! followed by `num_params()` material/geometry parameters, for a total of
 //! `num_quantities()` stored entries per node. Fluxes of parameters are
 //! zero; parameters never evolve.
+
+use aderdg_tensor::simd::Isa;
 
 /// A linear hyperbolic PDE system with cell-constant coefficients taken
 /// from per-node material parameters.
@@ -86,34 +91,81 @@ pub trait LinearPde: Send + Sync {
     /// Rusanov dissipation).
     fn max_wavespeed(&self, d: usize, q: &[f64]) -> f64;
 
-    /// Vectorized flux on an SoA chunk (paper Fig. 8): `q` and `f` hold
-    /// `num_quantities()` runs of `stride` doubles; lanes `0..len` are
-    /// valid, lanes `len..stride` are zero padding. The default gathers
-    /// lane by lane into the pointwise function; optimized PDEs override
-    /// with a vectorizable loop over the lane index.
-    fn flux_vect(&self, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
+    /// Vectorized flux on an SoA chunk (paper Fig. 8): `q` holds
+    /// `num_quantities()` runs ("rows") of `stride` doubles; lanes
+    /// `0..len` are valid, lanes `len..stride` are zero padding. `f`
+    /// holds the same rows or — parameter fluxes being zero, a caller
+    /// that never reads them need not pay for their stores — only the
+    /// leading `num_vars()` evolved ones. Every row `f` holds is written
+    /// whole (parameter rows and padding lanes as zeros), so `f` needs no
+    /// prior clearing. `isa` is the instruction-set level to run at — the
+    /// kernels pass their plan's GEMM backend level, so one decision
+    /// governs a whole predictor.
+    ///
+    /// This is the method a PDE overrides to vectorize; the default
+    /// gathers lane by lane into the pointwise function and ignores
+    /// `isa`.
+    fn flux_lanes(&self, isa: Isa, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
+        let _ = isa;
         let m = self.num_quantities();
-        let mut qi = vec![0.0; m];
-        let mut fi = vec![0.0; m];
-        for i in 0..len {
-            for s in 0..m {
-                qi[s] = q[s * stride + i];
+        with_node_scratch(2 * m, |buf| {
+            let (qi, fi) = buf.split_at_mut(m);
+            for i in 0..len {
+                for s in 0..m {
+                    qi[s] = q[s * stride + i];
+                }
+                self.flux(d, qi, fi);
+                for (s, row) in f.chunks_exact_mut(stride).take(m).enumerate() {
+                    row[i] = fi[s];
+                }
             }
-            self.flux(d, &qi, &mut fi);
-            for s in 0..m {
-                f[s * stride + i] = fi[s];
-            }
-        }
+        });
         // Keep padding lanes zero.
-        for s in 0..m {
-            for i in len..stride {
-                f[s * stride + i] = 0.0;
-            }
+        for row in f.chunks_exact_mut(stride).take(m) {
+            row[len..].fill(0.0);
         }
     }
 
     /// Vectorized non-conservative product on an SoA chunk; see
-    /// [`LinearPde::flux_vect`].
+    /// [`LinearPde::flux_lanes`].
+    #[allow(clippy::too_many_arguments)]
+    fn ncp_lanes(
+        &self,
+        isa: Isa,
+        d: usize,
+        q: &[f64],
+        grad: &[f64],
+        out: &mut [f64],
+        len: usize,
+        stride: usize,
+    ) {
+        let _ = isa;
+        let m = self.num_quantities();
+        with_node_scratch(3 * m, |buf| {
+            let (qi, rest) = buf.split_at_mut(m);
+            let (gi, oi) = rest.split_at_mut(m);
+            for i in 0..len {
+                for s in 0..m {
+                    qi[s] = q[s * stride + i];
+                    gi[s] = grad[s * stride + i];
+                }
+                self.ncp(d, qi, gi, oi);
+                for (s, row) in out.chunks_exact_mut(stride).take(m).enumerate() {
+                    row[i] = oi[s];
+                }
+            }
+        });
+        for row in out.chunks_exact_mut(stride).take(m) {
+            row[len..].fill(0.0);
+        }
+    }
+
+    /// [`LinearPde::flux_lanes`] at the widest ISA level the host supports.
+    fn flux_vect(&self, d: usize, q: &[f64], f: &mut [f64], len: usize, stride: usize) {
+        self.flux_lanes(Isa::detect(), d, q, f, len, stride);
+    }
+
+    /// [`LinearPde::ncp_lanes`] at the widest ISA level the host supports.
     fn ncp_vect(
         &self,
         d: usize,
@@ -123,29 +175,11 @@ pub trait LinearPde: Send + Sync {
         len: usize,
         stride: usize,
     ) {
-        let m = self.num_quantities();
-        let mut qi = vec![0.0; m];
-        let mut gi = vec![0.0; m];
-        let mut oi = vec![0.0; m];
-        for i in 0..len {
-            for s in 0..m {
-                qi[s] = q[s * stride + i];
-                gi[s] = grad[s * stride + i];
-            }
-            self.ncp(d, &qi, &gi, &mut oi);
-            for s in 0..m {
-                out[s * stride + i] = oi[s];
-            }
-        }
-        for s in 0..m {
-            for i in len..stride {
-                out[s * stride + i] = 0.0;
-            }
-        }
+        self.ncp_lanes(Isa::detect(), d, q, grad, out, len, stride);
     }
 
     /// True if this PDE provides genuinely vectorized overrides of
-    /// [`LinearPde::flux_vect`] / [`LinearPde::ncp_vect`] (affects the
+    /// [`LinearPde::flux_lanes`] / [`LinearPde::ncp_lanes`] (affects the
     /// instruction-mix classification of the AoSoA kernel, Fig. 9).
     fn has_vectorized_user_functions(&self) -> bool {
         false
@@ -169,6 +203,21 @@ pub trait LinearPde: Send + Sync {
     /// direction.
     fn ncp_flops(&self) -> u64 {
         0
+    }
+}
+
+/// Doubles of node scratch the default SoA fallbacks keep on the stack
+/// (three node vectors of up to 32 quantities).
+const NODE_STACK: usize = 96;
+
+/// Hands `body` `len` zeroed doubles of node scratch: a fixed stack buffer
+/// for every realistic quantity count (the fallbacks run once per x-line,
+/// thousands of times per cell), a heap buffer beyond [`NODE_STACK`].
+fn with_node_scratch(len: usize, body: impl FnOnce(&mut [f64])) {
+    let mut stack = [0.0f64; NODE_STACK];
+    match stack.get_mut(..len) {
+        Some(buf) => body(buf),
+        None => body(&mut vec![0.0; len]),
     }
 }
 
@@ -257,6 +306,10 @@ mod tests {
                 assert_eq!(f[s * stride + i], 0.0);
             }
         }
+        // An output that stops after the evolved rows gets just those.
+        let mut evolved = vec![f64::NAN; pde.num_vars() * stride];
+        pde.flux_vect(0, &q, &mut evolved, len, stride);
+        assert_eq!(evolved, f[..pde.num_vars() * stride]);
     }
 
     #[test]

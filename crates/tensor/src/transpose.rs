@@ -31,7 +31,9 @@ pub fn convert(src: &[f64], src_l: &DofLayout, dst: &mut [f64], dst_l: &DofLayou
 
 /// AoS → AoSoA fast path: for each `(k3, k2)` plane, transposes the
 /// `n × m_pad` AoS block into the `m × n_pad` AoSoA block. This is the
-/// kernel-entry transpose of Sec. V-B.
+/// kernel-entry transpose of Sec. V-B. Every entry of `dst` is written —
+/// the padding lanes `k1 ∈ [n, n_pad)` as zeros — so the destination
+/// needs no prior clearing.
 pub fn aos_to_aosoa(src: &[f64], src_l: &DofLayout, dst: &mut [f64], dst_l: &DofLayout) {
     debug_assert_eq!(src_l.kind, crate::layout::LayoutKind::Aos);
     debug_assert_eq!(dst_l.kind, crate::layout::LayoutKind::AoSoA);
@@ -52,15 +54,37 @@ pub fn aos_to_aosoa(src: &[f64], src_l: &DofLayout, dst: &mut [f64], dst_l: &Dof
                 dst_block[s * n_pad + k1] = v;
             }
         }
+        if n < n_pad {
+            for line in dst_block.chunks_exact_mut(n_pad) {
+                line[n..].fill(0.0);
+            }
+        }
     }
 }
 
-/// AoSoA → AoS fast path (kernel-exit transpose of Sec. V-B).
+/// AoSoA → AoS fast path (kernel-exit transpose of Sec. V-B); writes
+/// every entry of `dst`, padding included (see [`aosoa_to_aos_rows`]).
 pub fn aosoa_to_aos(src: &[f64], src_l: &DofLayout, dst: &mut [f64], dst_l: &DofLayout) {
+    aosoa_to_aos_rows(src, src_l, dst, dst_l, src_l.m);
+}
+
+/// AoSoA → AoS transpose of the first `rows` quantities only: the other
+/// quantities and the padding entries `s ∈ [rows, m_pad)` of every node
+/// are written as zeros, so the destination needs no prior clearing. The
+/// AoSoA kernel uses this for the flux tensors, whose parameter rows are
+/// zero by the `LinearPde` contract.
+pub fn aosoa_to_aos_rows(
+    src: &[f64],
+    src_l: &DofLayout,
+    dst: &mut [f64],
+    dst_l: &DofLayout,
+    rows: usize,
+) {
     debug_assert_eq!(src_l.kind, crate::layout::LayoutKind::AoSoA);
     debug_assert_eq!(dst_l.kind, crate::layout::LayoutKind::Aos);
     assert_eq!(src_l.n, dst_l.n, "layout n mismatch");
     assert_eq!(src_l.m, dst_l.m, "layout m mismatch");
+    assert!(rows <= src_l.m, "more rows than quantities");
     assert!(src.len() >= src_l.len(), "source buffer too short");
     assert!(dst.len() >= dst_l.len(), "destination buffer too short");
     let (n, m) = (src_l.n, src_l.m);
@@ -70,11 +94,11 @@ pub fn aosoa_to_aos(src: &[f64], src_l: &DofLayout, dst: &mut [f64], dst_l: &Dof
         let db = plane * n * m_pad;
         let src_block = &src[sb..sb + m * n_pad];
         let dst_block = &mut dst[db..db + n * m_pad];
-        for s in 0..m {
-            let line = &src_block[s * n_pad..s * n_pad + n];
-            for (k1, &v) in line.iter().enumerate() {
-                dst_block[k1 * m_pad + s] = v;
+        for (k1, node) in dst_block.chunks_exact_mut(m_pad).enumerate() {
+            for (s, v) in node[..rows].iter_mut().enumerate() {
+                *v = src_block[s * n_pad + k1];
             }
+            node[rows..].fill(0.0);
         }
     }
 }
@@ -173,6 +197,31 @@ mod tests {
                     assert_eq!(mid[(plane * 3 + s) * 8 + k1], 0.0);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fast_paths_write_their_own_padding() {
+        // NaN-poisoned destinations come out identical to zeroed ones.
+        let la = DofLayout::aos(3, 5, SimdWidth::W8);
+        let lb = DofLayout::aosoa(3, 5, SimdWidth::W8);
+        let src = filled(&la);
+        let mut clean = vec![0.0; lb.len()];
+        aos_to_aosoa(&src, &la, &mut clean, &lb);
+        let mut poisoned = vec![f64::NAN; lb.len()];
+        aos_to_aosoa(&src, &la, &mut poisoned, &lb);
+        assert_eq!(poisoned, clean);
+
+        let mut back = vec![f64::NAN; la.len()];
+        aosoa_to_aos(&clean, &lb, &mut back, &la);
+        assert_eq!(back, src);
+
+        // Leading rows only: the rest of every node is zero.
+        let mut head = vec![f64::NAN; la.len()];
+        aosoa_to_aos_rows(&clean, &lb, &mut head, &la, 2);
+        for (node, full) in head.chunks(la.m_pad()).zip(src.chunks(la.m_pad())) {
+            assert_eq!(node[..2], full[..2]);
+            assert!(node[2..].iter().all(|&v| v == 0.0));
         }
     }
 
