@@ -546,9 +546,8 @@ struct GraphScratch<'a> {
     sources: Vec<Option<&'a CellSource>>,
     corr: CorrectorScratch,
     boundary: BoundaryScratch,
-    /// Halo half-window scratch; `None` for a one-level plan, which never
-    /// runs a half window (the per-cell predictor scratch alone is
-    /// megabytes for the high-order padded kernels).
+    /// Sub-window trace temps; `None` for a one-level plan, which never
+    /// composes a sub-window trace.
     halo: Option<HaloScratch>,
 }
 
@@ -562,7 +561,6 @@ impl GraphScratch<'_> {
             corr: CorrectorScratch::new(plan),
             boundary: BoundaryScratch::new(plan),
             halo: (splan.num_levels() > 1).then(|| HaloScratch {
-                cell: kernel.make_scratch(plan),
                 qtmp: vec![0.0; plan.face.len()],
                 ftmp: vec![0.0; plan.face.len()],
             }),
@@ -570,11 +568,11 @@ impl GraphScratch<'_> {
     }
 }
 
-/// The halo half-window runs' per-cell predictor scratch (block scratch
-/// may be a different concrete type) and one face-trace temp pair for
-/// sub-window differencing (at most one side of a face is ever coarse).
+/// One face-trace temp pair for sub-window differencing (at most one side
+/// of a face is ever coarse). The halo half-window predictor runs need no
+/// scratch of their own: they reuse the worker's block scratch, which
+/// every kernel's `run` accepts (the `make_block_scratch` contract).
 struct HaloScratch {
-    cell: Box<dyn StpScratch>,
     qtmp: Vec<f64>,
     ftmp: Vec<f64>,
 }
@@ -907,9 +905,9 @@ impl<P: LinearPde> Engine<P> {
     /// and always runs the graph driver).
     pub fn step(&mut self, dt: f64) {
         // Source amplitude derivatives are refreshed once per (macro)
-        // step at `t_n` — exact for a single cluster; for
-        // time-dependent sources under real sub-cycling this is the
-        // documented approximation (see docs/LTS.md).
+        // step at `t_n` — exact for a single cluster; under real
+        // sub-cycling every sub-window reuses that expansion (see
+        // docs/LTS.md, "Point sources under LTS").
         self.refresh_source_derivs();
         match (self.config.stepping, self.config.pipeline) {
             (SteppingMode::Global, PipelineMode::Barrier) => self.step_barrier(dt),
@@ -1144,7 +1142,7 @@ impl<P: LinearPde> Engine<P> {
                             chunk,
                         );
                     }
-                    if let Some(hs) = ws.halo.as_mut() {
+                    if multi {
                         // PANIC-OK: poisoning cascades (see above).
                         let mut halo = halo_shards[s].write().unwrap();
                         let HaloShard { cells, half } = &mut *halo;
@@ -1152,7 +1150,7 @@ impl<P: LinearPde> Engine<P> {
                             kernel.run(
                                 plan,
                                 pde,
-                                hs.cell.as_mut(),
+                                ws.stp.as_mut(),
                                 &StpInputs {
                                     q0: &state[local][..],
                                     dt: 0.5 * dt_s,
@@ -1737,7 +1735,7 @@ mod tests {
         use aderdg_mesh::StructuredMesh;
         use aderdg_pde::Acoustic;
         let cfg = EngineConfig::new(3)
-            .with_kernel_name("generic")
+            .with_kernel_name("aosoa_splitck")
             .with_tuning(TuningMode::Static);
         let engine = Engine::new(StructuredMesh::unit_cube(2), Acoustic, cfg);
         let expected = auto_block_size(cfg.kernel.footprint_bytes(&engine.plan));
@@ -1768,8 +1766,8 @@ mod tests {
     #[test]
     fn one_level_plans_allocate_no_halo_storage_and_two_level_plans_do() {
         // Halo storage is what one-cluster stepping must not pay for: the
-        // per-cell predictor scratch alone is megabytes per worker for
-        // the padded high-order kernels.
+        // half-window outputs alone are a full `StpOutputs` per coarse
+        // interface cell.
         for (stepping, bulk_lo, levels) in [
             (SteppingMode::Global, 4.0, 1),
             (SteppingMode::Lts, 1.0, 1),
@@ -1790,7 +1788,7 @@ mod tests {
             if levels == 1 {
                 assert!(gp.f_star_acc.is_empty(), "{label}: accumulator storage");
                 assert!(gp.halo.is_empty(), "{label}: halo outputs");
-                assert!(scratch.halo.is_none(), "{label}: halo per-cell scratch");
+                assert!(scratch.halo.is_none(), "{label}: sub-window trace temps");
             } else {
                 assert_eq!(gp.f_star_acc.len(), ns, "{label}");
                 assert_eq!(gp.halo.len(), ns, "{label}");

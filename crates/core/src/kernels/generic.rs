@@ -240,232 +240,6 @@ pub fn stp_generic(
     project_faces(plan, out);
 }
 
-/// Temporaries of the blocked generic kernel: the same per-order tensor
-/// set as [`GenericScratch`], each stacked over the cells of a block.
-/// Stacking lets [`stp_generic_block`] sweep each stage (flux, derivative,
-/// ncp, Taylor combination) over *all* cells consecutively, so the tiny
-/// differentiation operator is loaded once per stage instead of once per
-/// cell — the cell-block counterpart of the paper's operator-reuse
-/// argument.
-#[derive(Debug, Clone)]
-pub struct GenericBlockScratch {
-    /// Maximum cells per block.
-    capacity: usize,
-    /// `p[o]`, stacked over cells: cell `c` occupies
-    /// `[c · n³m, (c + 1) · n³m)`.
-    p: Vec<Vec<f64>>,
-    /// `flux[o][d]`, stacked over cells.
-    flux: Vec<[Vec<f64>; 3]>,
-    /// `dF[o][d]`, stacked over cells.
-    d_f: Vec<[Vec<f64>; 3]>,
-    /// `gradQ[o][d]`, stacked over cells (only with ncp terms).
-    grad_q: Vec<[Vec<f64>; 3]>,
-}
-
-impl GenericBlockScratch {
-    /// Allocates the stacked per-order tensors for up to `capacity` cells.
-    pub fn new(plan: &StpPlan, capacity: usize) -> Self {
-        assert!(capacity > 0, "block scratch needs capacity >= 1");
-        let n = plan.n();
-        let vol = capacity * n * n * n * plan.m();
-        let tens = || vec![0.0f64; vol];
-        let tri = || [tens(), tens(), tens()];
-        Self {
-            capacity,
-            p: (0..=n).map(|_| tens()).collect(),
-            flux: (0..=n).map(|_| tri()).collect(),
-            d_f: (0..n).map(|_| tri()).collect(),
-            grad_q: (0..n).map(|_| tri()).collect(),
-        }
-    }
-
-    /// Bytes of temporary storage.
-    pub fn footprint_bytes(&self) -> usize {
-        let count: usize = self.p.iter().map(Vec::len).sum::<usize>()
-            + self
-                .flux
-                .iter()
-                .chain(self.d_f.iter())
-                .chain(self.grad_q.iter())
-                .map(|t| t[0].len() * 3)
-                .sum::<usize>();
-        count * 8
-    }
-}
-
-/// Runs the generic predictor over a staged cell block: identical per-cell
-/// arithmetic to [`stp_generic`], but with the loop nest restructured
-/// stage-major — each flux sweep, derivative and Taylor combination runs
-/// over every cell of the block before the next stage starts, keeping the
-/// operator matrix hot across cells.
-pub fn stp_generic_block(
-    plan: &StpPlan,
-    pde: &dyn LinearPde,
-    scratch: &mut GenericBlockScratch,
-    inputs: &crate::block::BlockInputs<'_>,
-    out: &mut [StpOutputs],
-) {
-    let cells = inputs.len();
-    assert_eq!(cells, out.len(), "one output per staged cell");
-    assert!(
-        cells <= scratch.capacity,
-        "block of {cells} cells exceeds scratch capacity {}",
-        scratch.capacity
-    );
-    let n = plan.n();
-    let m = plan.m();
-    let vars = pde.num_vars();
-    let m_pad = plan.aos.m_pad();
-    let vol = n * n * n;
-    let cvol = vol * m;
-    let diff = &plan.basis.diff;
-    let has_ncp = pde.has_ncp();
-
-    // p[0] ← q0 for every cell (strip the padding).
-    for c in 0..cells {
-        let q0 = inputs.block.cell(c);
-        let p0 = &mut scratch.p[0][c * cvol..(c + 1) * cvol];
-        for k in 0..vol {
-            p0[k * m..(k + 1) * m].copy_from_slice(&q0[k * m_pad..k * m_pad + m]);
-        }
-    }
-
-    // Cauchy-Kowalewsky iteration, stage-major over the block.
-    for o in 0..n {
-        let (head, tail) = scratch.p.split_at_mut(o + 1);
-        let p_o = &head[o];
-        let p_next = &mut tail[0];
-
-        // flux[o][d] ← computeF(p[o]), all cells per dimension.
-        for d in 0..3 {
-            let flux = &mut scratch.flux[o][d];
-            for k in 0..cells * vol {
-                pde.flux(d, &p_o[k * m..(k + 1) * m], &mut flux[k * m..(k + 1) * m]);
-            }
-        }
-        // dF[o][d] ← derive(flux, d): the operator row sweep runs over
-        // all cells back-to-back.
-        for d in 0..3 {
-            let flux = &scratch.flux[o][d];
-            let d_f = &mut scratch.d_f[o][d];
-            for c in 0..cells {
-                derive_scalar(
-                    n,
-                    m,
-                    diff,
-                    plan.inv_dx[d],
-                    d,
-                    &flux[c * cvol..(c + 1) * cvol],
-                    &mut d_f[c * cvol..(c + 1) * cvol],
-                );
-            }
-        }
-        if has_ncp {
-            for d in 0..3 {
-                let grad = &mut scratch.grad_q[o][d];
-                for c in 0..cells {
-                    derive_scalar(
-                        n,
-                        m,
-                        diff,
-                        plan.inv_dx[d],
-                        d,
-                        &p_o[c * cvol..(c + 1) * cvol],
-                        &mut grad[c * cvol..(c + 1) * cvol],
-                    );
-                }
-                let d_f = &mut scratch.d_f[o][d];
-                let mut ncp = vec![0.0; m];
-                for k in 0..cells * vol {
-                    pde.ncp(
-                        d,
-                        &p_o[k * m..(k + 1) * m],
-                        &grad[k * m..(k + 1) * m],
-                        &mut ncp,
-                    );
-                    for s in 0..m {
-                        d_f[k * m + s] += ncp[s];
-                    }
-                }
-            }
-        }
-        // p[o+1] ← Σ_d dF[o][d] (+ per-cell source derivatives).
-        p_next[..cells * cvol].fill(0.0);
-        for d in 0..3 {
-            for (pv, dv) in p_next[..cells * cvol]
-                .iter_mut()
-                .zip(&scratch.d_f[o][d][..cells * cvol])
-            {
-                *pv += dv;
-            }
-        }
-        for c in 0..cells {
-            if let Some(src) = inputs.sources[c] {
-                let amp = &src.derivs[o];
-                let p_next = &mut p_next[c * cvol..(c + 1) * cvol];
-                for k in 0..vol {
-                    let coeff = src.node_coeffs[k];
-                    for (s, &a) in amp.iter().enumerate() {
-                        p_next[k * m + s] += coeff * a;
-                    }
-                }
-            }
-        }
-        // Carry the (non-evolved) material parameters along.
-        let p0 = &head[0];
-        for k in 0..cells * vol {
-            p_next[k * m + vars..(k + 1) * m].copy_from_slice(&p0[k * m + vars..(k + 1) * m]);
-        }
-    }
-
-    // Final flux slot across the block.
-    for d in 0..3 {
-        let p_last = &scratch.p[n];
-        let flux = &mut scratch.flux[n][d];
-        for k in 0..cells * vol {
-            pde.flux(
-                d,
-                &p_last[k * m..(k + 1) * m],
-                &mut flux[k * m..(k + 1) * m],
-            );
-        }
-    }
-
-    // Time averages per cell (eq. 4), then the parameter restore and the
-    // face projections — per-cell outputs, as the corrector consumes them.
-    let coef = plan.taylor(inputs.dt);
-    for (c, cell_out) in out.iter_mut().enumerate() {
-        cell_out.qavg.fill_zero();
-        for f in cell_out.favg.iter_mut() {
-            f.fill_zero();
-        }
-        for o in 0..=n {
-            let co = coef[o];
-            let p_o = &scratch.p[o][c * cvol..(c + 1) * cvol];
-            for k in 0..vol {
-                for s in 0..m {
-                    cell_out.qavg[k * m_pad + s] += co * p_o[k * m + s];
-                }
-            }
-            for d in 0..3 {
-                let flux = &scratch.flux[o][d][c * cvol..(c + 1) * cvol];
-                let favg = &mut cell_out.favg[d];
-                for k in 0..vol {
-                    for s in 0..m {
-                        favg[k * m_pad + s] += co * flux[k * m + s];
-                    }
-                }
-            }
-        }
-        let q0 = inputs.block.cell(c);
-        for k in 0..vol {
-            cell_out.qavg[k * m_pad + vars..k * m_pad + m]
-                .copy_from_slice(&q0[k * m_pad + vars..k * m_pad + m]);
-        }
-        project_faces(plan, cell_out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,7 +350,6 @@ mod tests {
 use super::{downcast_scratch, impl_stp_scratch, StpKernel, StpScratch};
 
 impl_stp_scratch!(GenericScratch);
-impl_stp_scratch!(GenericBlockScratch);
 
 /// Registry entry for the scalar reference variant (Fig. 1).
 #[derive(Debug, Clone, Copy)]
@@ -600,20 +373,5 @@ impl StpKernel for GenericKernel {
         out: &mut StpOutputs,
     ) {
         stp_generic(plan, pde, downcast_scratch(scratch), inputs, out);
-    }
-
-    fn make_block_scratch(&self, plan: &StpPlan, capacity: usize) -> Box<dyn StpScratch> {
-        Box::new(GenericBlockScratch::new(plan, capacity))
-    }
-
-    fn run_block(
-        &self,
-        plan: &StpPlan,
-        pde: &dyn LinearPde,
-        scratch: &mut dyn StpScratch,
-        inputs: &crate::block::BlockInputs<'_>,
-        out: &mut [StpOutputs],
-    ) {
-        stp_generic_block(plan, pde, downcast_scratch(scratch), inputs, out);
     }
 }

@@ -20,6 +20,12 @@
 //! is one new module plus one registration line; the engine, the solver
 //! spec, the equivalence tests and the figure harnesses all resolve
 //! kernels through the registry and pick the newcomer up automatically.
+//!
+//! Every kernel has exactly one body. Under the engine's block pipeline
+//! all but [`aosoa`] run the trait's per-cell `run_block` loop; AoSoA
+//! SplitCK's one body runs over stacked cells, so its per-cell `run` is
+//! the one-cell block. A `--block-size` A/B therefore only measures
+//! something for `aosoa_splitck`.
 
 pub mod aosoa;
 pub mod generic;
@@ -153,9 +159,13 @@ pub trait StpKernel: Send + Sync {
     /// Allocates scratch for block invocations of up to `capacity` cells
     /// ([`run_block`](StpKernel::run_block)).
     ///
-    /// The default returns per-cell scratch, matching the default
-    /// `run_block` fallback; kernels with a real block implementation
-    /// override both together.
+    /// Contract: the result is also valid scratch for one-cell
+    /// [`run`](StpKernel::run) calls, bitwise-equal to a run on
+    /// [`make_scratch`](StpKernel::make_scratch)'s — the engine's LTS
+    /// half-window runs reuse a worker's block scratch. The default
+    /// returns per-cell scratch, matching the default `run_block`
+    /// fallback; a kernel with a real block implementation overrides both
+    /// together and returns its `run` scratch type sized for `capacity`.
     fn make_block_scratch(&self, plan: &StpPlan, capacity: usize) -> Box<dyn StpScratch> {
         let _ = capacity;
         self.make_scratch(plan)
@@ -167,10 +177,10 @@ pub trait StpKernel: Send + Sync {
     /// with a capacity of at least `inputs.len()`.
     ///
     /// The default loops [`run`](StpKernel::run) over the block's cells,
-    /// so every kernel works under the engine's block pipeline; variants
-    /// opt into genuine batching (amortized operator loads, batched
-    /// GEMMs) by overriding this method — see [`generic`] and
-    /// [`aosoa`].
+    /// so every kernel works under the engine's block pipeline; a variant
+    /// opts into genuine batching (amortized operator loads, batched
+    /// GEMMs) by overriding this method with the same body over stacked
+    /// cells — today only [`aosoa`].
     fn run_block(
         &self,
         plan: &StpPlan,

@@ -128,7 +128,7 @@ fn run_cell(
     kernel.run(&case.plan, case.pde.as_ref(), scratch, &inputs, out);
 }
 
-fn run_block(
+fn run_staged(
     case: &Case,
     kernel: &dyn StpKernel,
     scratch: &mut dyn StpScratch,
@@ -157,7 +157,7 @@ fn poison_scratch(case: &Case, kernel: &dyn StpKernel, scratch: &mut dyn StpScra
         let states = vec![nan_state; CELLS];
         let sources = [Some(&nan_source); CELLS];
         let mut outs: Vec<StpOutputs> = (0..CELLS).map(|_| StpOutputs::new(plan)).collect();
-        run_block(case, kernel, scratch, &states, &sources, &mut outs);
+        run_staged(case, kernel, scratch, &states, &sources, &mut outs);
     } else {
         let mut out = StpOutputs::new(plan);
         run_cell(
@@ -201,7 +201,7 @@ fn poisoned_scratch_and_outputs_reproduce_a_clean_run_bitwise() {
                 || -> Vec<StpOutputs> { (0..CELLS).map(|_| StpOutputs::new(plan)).collect() };
             let mut want = fresh();
             let mut clean = kernel.make_block_scratch(plan, CELLS);
-            run_block(
+            run_staged(
                 &case,
                 kernel,
                 clean.as_mut(),
@@ -213,7 +213,7 @@ fn poisoned_scratch_and_outputs_reproduce_a_clean_run_bitwise() {
             poison_scratch(&case, kernel, dirty.as_mut(), true);
             let mut got = fresh();
             got.iter_mut().for_each(poison_outputs);
-            run_block(
+            run_staged(
                 &case,
                 kernel,
                 dirty.as_mut(),

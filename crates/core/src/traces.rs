@@ -11,6 +11,10 @@
 //!
 //! Production behaviour is modelled by [`trace_batch`]: scratch buffers are
 //! reused across cells (same addresses), per-cell inputs/outputs stream.
+//! [`trace_block_batch`] replays the engine's block pipeline for the one
+//! kernel with a block body, `aosoa_splitck`; every other kernel runs its
+//! per-cell path under the pipeline, so its replay would not depend on the
+//! block size.
 
 use crate::plan::{KernelVariant, StpPlan};
 use aderdg_perf::{Arena, TraceSink};
@@ -271,22 +275,15 @@ pub fn trace_batch(
     }
 }
 
-/// Scratch addresses of one *blocked* kernel invocation: every tensor of
-/// the per-cell variant stacked over the `B` cells of a block, plus the
-/// differentiation-operator matrix that the stage-major sweeps load once
-/// per stage instead of once per cell.
+/// Scratch addresses of one blocked AoSoA invocation: the SplitCK-style
+/// rotating tensors (`p`, `ptemp`, `flux`, `gradQ`, `qavg_h`), each
+/// stacked over the `B` cells of a block as in `AosoaScratch`, plus the
+/// differentiation-operator matrix that one batched GEMM per sweep loads
+/// once per block instead of once per cell.
 struct BlockScratch {
+    tensors: [usize; 5],
     op: usize,
     op_bytes: usize,
-    /// Per-order stacked tensors (`p[o]`), generic only; AoSoA reuses
-    /// [`BlockScratch::small`].
-    p: Vec<usize>,
-    flux: Vec<[usize; 3]>,
-    d_f: Vec<[usize; 3]>,
-    grad_q: Vec<[usize; 3]>,
-    /// SplitCK-style rotating tensors (`p`, `ptemp`, `flux`, `gradQ`,
-    /// `qavg_h`), AoSoA only.
-    small: Vec<usize>,
     /// Bytes of one stacked tensor (`B ×` per-cell volume).
     vol_bytes: usize,
 }
@@ -294,12 +291,12 @@ struct BlockScratch {
 /// Replays `blocks` invocations of the engine's batched block pipeline at
 /// block size `block_size`: per-cell inputs/outputs stream, the kernel's
 /// block scratch is reused across blocks, and every stage sweeps the whole
-/// staged block before the next stage starts (the stage-major loop
-/// structure of the blocked kernels). Returns the number of stage sweeps
-/// per block — the grain over which a block amortizes its per-stage
-/// overhead (operator load, loop prologue) — or `None` for variants whose
-/// `run_block` is the per-cell fallback: their access pattern does not
-/// depend on the block size, so there is nothing for a model to rank.
+/// staged block before the next stage starts. Returns the number of stage
+/// sweeps per block — the grain over which a block amortizes its
+/// per-stage overhead (operator load, loop prologue) — or `None` for
+/// every variant but AoSoA SplitCK: the others run the per-cell
+/// `run_block` fallback, whose access pattern does not depend on the
+/// block size, so there is nothing for a model to rank.
 ///
 /// This is the replay the model-driven tuner
 /// ([`crate::tune`]) feeds through the scaled cache hierarchy: growing
@@ -315,155 +312,32 @@ pub fn trace_block_batch(
 ) -> Option<usize> {
     assert!(block_size >= 1, "block size must be at least 1");
     assert!(blocks >= 1, "need at least one block to replay");
+    if variant != KernelVariant::AoSoASplitCk {
+        return None;
+    }
     let n = plan.n();
     let mut arena = Arena::new();
-    let scratch = match variant {
-        KernelVariant::Generic => {
-            // Unpadded stacked tensors, as in `GenericBlockScratch`.
-            let bvol = block_size * n * n * n * plan.m();
-            let mut tens = || arena.alloc_doubles(bvol);
-            BlockScratch {
-                op: 0,
-                op_bytes: n * n * 8,
-                p: (0..=n).map(|_| tens()).collect(),
-                flux: (0..=n).map(|_| [tens(), tens(), tens()]).collect(),
-                d_f: (0..n).map(|_| [tens(), tens(), tens()]).collect(),
-                grad_q: if has_ncp {
-                    (0..n).map(|_| [tens(), tens(), tens()]).collect()
-                } else {
-                    Vec::new()
-                },
-                small: Vec::new(),
-                vol_bytes: bvol * 8,
-            }
-        }
-        KernelVariant::AoSoASplitCk => {
-            // Stacked hybrid-layout tensors, as in `AosoaScratch`.
-            let bvol = block_size * plan.aosoa.len();
-            let small = (0..5).map(|_| arena.alloc_doubles(bvol)).collect();
-            BlockScratch {
-                op: 0,
-                op_bytes: n * n * 8,
-                p: Vec::new(),
-                flux: Vec::new(),
-                d_f: Vec::new(),
-                grad_q: Vec::new(),
-                small,
-                vol_bytes: bvol * 8,
-            }
-        }
-        // LoG, SplitCK and any externally registered kernel run the
-        // per-cell fallback under the block pipeline.
-        _ => return None,
+    let bvol = block_size * plan.aosoa.len();
+    let tensors = std::array::from_fn(|_| arena.alloc_doubles(bvol));
+    let scratch = BlockScratch {
+        tensors,
+        op: arena.alloc_doubles(n * n),
+        op_bytes: n * n * 8,
+        vol_bytes: bvol * 8,
     };
-    let mut scratch = scratch;
-    scratch.op = arena.alloc_doubles(n * n);
 
     let ios: Vec<CellIo> = (0..blocks * block_size)
         .map(|_| alloc_cell_io(&mut arena, plan))
         .collect();
 
     let mut stages = 0usize;
-    for b in 0..blocks {
-        let io = &ios[b * block_size..(b + 1) * block_size];
-        let counted = match variant {
-            KernelVariant::Generic => trace_generic_block(plan, &scratch, io, has_ncp, sink),
-            KernelVariant::AoSoASplitCk => trace_aosoa_block(plan, &scratch, io, has_ncp, sink),
-            _ => unreachable!("filtered above"),
-        };
+    for (b, io) in ios.chunks(block_size).enumerate() {
+        let counted = trace_aosoa_block(plan, &scratch, io, has_ncp, sink);
         if b == 0 {
             stages = counted;
         }
     }
     Some(stages)
-}
-
-/// Emits one blocked generic invocation (mirrors `stp_generic_block`);
-/// returns the stage-sweep count.
-fn trace_generic_block(
-    plan: &StpPlan,
-    s: &BlockScratch,
-    io: &[CellIo],
-    ncp: bool,
-    sink: &mut dyn TraceSink,
-) -> usize {
-    let n = plan.n();
-    let vb = s.vol_bytes;
-    let mut stages = 0usize;
-
-    // Gather: every cell's padded q0 streams in, p[0] is written stacked.
-    for c in io {
-        sink.read(c.q0, c.vol_bytes);
-    }
-    sink.write(s.p[0], vb);
-    stages += 1;
-
-    for o in 0..n {
-        // Flux sweeps (user functions, no operator).
-        for d in 0..3 {
-            sink.read(s.p[o], vb);
-            sink.write(s.flux[o][d], vb);
-            stages += 1;
-        }
-        // Derivative sweeps: the operator loads once per stage, not once
-        // per cell — the amortization the block buys.
-        for d in 0..3 {
-            sink.read(s.op, s.op_bytes);
-            sink.read(s.flux[o][d], vb);
-            sink.write(s.d_f[o][d], vb);
-            stages += 1;
-        }
-        if ncp {
-            for d in 0..3 {
-                sink.read(s.op, s.op_bytes);
-                sink.read(s.p[o], vb);
-                sink.write(s.grad_q[o][d], vb);
-                stages += 1;
-                sink.read(s.p[o], vb);
-                sink.read(s.grad_q[o][d], vb);
-                sink.update(s.d_f[o][d], vb);
-                stages += 1;
-            }
-        }
-        // p[o+1] ← Σ_d dF[o][d].
-        for d in 0..3 {
-            sink.read(s.d_f[o][d], vb);
-        }
-        sink.write(s.p[o + 1], vb);
-        stages += 1;
-    }
-    // Final flux slot.
-    for d in 0..3 {
-        sink.read(s.p[n], vb);
-        sink.write(s.flux[n][d], vb);
-        stages += 1;
-    }
-    // Taylor averaging: every per-order stacked tensor is re-read, the
-    // per-cell outputs accumulate.
-    for o in 0..=n {
-        sink.read(s.p[o], vb);
-        for c in io {
-            sink.update(c.qavg, c.vol_bytes);
-        }
-        stages += 1;
-        for d in 0..3 {
-            sink.read(s.flux[o][d], vb);
-            for c in io {
-                sink.update(c.favg[d], c.vol_bytes);
-            }
-            stages += 1;
-        }
-    }
-    // Face projections stream per cell.
-    for c in io {
-        sink.read(c.qavg, c.vol_bytes);
-        for d in 0..3 {
-            sink.read(c.favg[d], c.vol_bytes);
-        }
-        sink.write(c.faces, c.face_bytes);
-    }
-    stages += 1;
-    stages
 }
 
 /// Emits one blocked AoSoA SplitCK invocation (mirrors `stp_aosoa_cells`);
@@ -477,8 +351,7 @@ fn trace_aosoa_block(
 ) -> usize {
     let n = plan.n();
     let vb = s.vol_bytes;
-    let [p, ptemp, flux, grad_q, qavg_h] =
-        [s.small[0], s.small[1], s.small[2], s.small[3], s.small[4]];
+    let [p, ptemp, flux, grad_q, qavg_h] = s.tensors;
     let mut stages = 0usize;
 
     // Entry transpose: per-cell q0 streams in, p is written stacked.
@@ -644,11 +517,13 @@ mod tests {
     fn block_trace_covers_blocked_variants_only() {
         let p = plan(4);
         let mut sink = CountingSink::default();
-        for variant in [KernelVariant::Generic, KernelVariant::AoSoASplitCk] {
-            let stages = trace_block_batch(&p, variant, false, 4, 2, &mut sink);
-            assert!(stages.unwrap() > 0, "{variant:?} must report stage sweeps");
-        }
-        for variant in [KernelVariant::LoG, KernelVariant::SplitCk] {
+        let stages = trace_block_batch(&p, KernelVariant::AoSoASplitCk, false, 4, 2, &mut sink);
+        assert!(stages.unwrap() > 0, "AoSoA must report stage sweeps");
+        for variant in [
+            KernelVariant::Generic,
+            KernelVariant::LoG,
+            KernelVariant::SplitCk,
+        ] {
             assert_eq!(trace_block_batch(&p, variant, false, 4, 1, &mut sink), None);
         }
     }
@@ -694,9 +569,9 @@ mod tests {
     fn ncp_adds_stage_sweeps() {
         let p = plan(4);
         let mut sink = CountingSink::default();
-        let without =
-            trace_block_batch(&p, KernelVariant::Generic, false, 2, 1, &mut sink).unwrap();
-        let with = trace_block_batch(&p, KernelVariant::Generic, true, 2, 1, &mut sink).unwrap();
+        let mut stages =
+            |ncp| trace_block_batch(&p, KernelVariant::AoSoASplitCk, ncp, 2, 1, &mut sink).unwrap();
+        let (without, with) = (stages(false), stages(true));
         assert!(with > without);
     }
 }

@@ -10,7 +10,10 @@
 //! 1. **footprint** — the kernel's block scratch defines the candidate
 //!    working sets,
 //! 2. **cachesim** — each candidate block size replays the kernel's block
-//!    access pattern ([`trace_block_batch`]) through a scaled Skylake-SP
+//!    access pattern ([`trace_block_batch`]; only `aosoa_splitck` has a
+//!    block body, every other kernel keeps the static heuristic because
+//!    its per-cell fallback makes all block sizes equivalent) through a
+//!    scaled Skylake-SP
 //!    LRU hierarchy ([`ScaledCacheSim`]); misses are charged by the
 //!    machine model and per-block overheads amortize with `B`
 //!    ([`BlockCostModel`]),
@@ -161,12 +164,12 @@ const SIM_SCALE: usize = 16;
 const SIM_BLOCKS: usize = 2;
 
 /// The paper variant whose *blocked* access pattern models this kernel,
-/// if it has one. Kernels running the per-cell `run_block` fallback have
-/// no block-size-dependent access pattern, so the model has nothing to
-/// rank and the tuner keeps the static heuristic for them.
+/// if it has one: only `aosoa_splitck` has a block body. Kernels running
+/// the per-cell `run_block` fallback have no block-size-dependent access
+/// pattern, so the model has nothing to rank and the tuner keeps the
+/// static heuristic for them.
 fn variant_with_block_model(kernel_name: &str) -> Option<KernelVariant> {
     match kernel_name {
-        "generic" => Some(KernelVariant::Generic),
         "aosoa_splitck" => Some(KernelVariant::AoSoASplitCk),
         _ => None,
     }
@@ -351,7 +354,7 @@ mod tests {
     #[test]
     fn per_cell_fallback_kernels_have_no_model() {
         let p = plan(4, 5);
-        for name in ["splitck", "log", "onthefly", "no_such_kernel"] {
+        for name in ["generic", "splitck", "log", "onthefly", "no_such_kernel"] {
             assert!(model_block_candidates(&p, name, false).is_none());
         }
     }
@@ -383,30 +386,28 @@ mod tests {
     #[test]
     fn model_mode_picks_within_the_cap_for_blocked_kernels() {
         let p = plan(6, 21);
-        for name in ["generic", "aosoa_splitck"] {
-            let kernel = KernelRegistry::global().resolve(name).unwrap();
-            let report = tune(&p, kernel, &Elastic, TuningMode::Model, None);
-            assert!(
-                (1..=crate::engine::BLOCK_SIZE_CAP).contains(&report.block_size),
-                "{name}: {}",
-                report.block_size
-            );
-            assert_eq!(report.block_candidates.len(), BLOCK_CANDIDATES.len());
-            assert_eq!(report.backend, p.gemm_backend().name());
-            // The kernel is the first supported entry of the widest-first
-            // slate.
-            let first = report.backend_candidates.iter().find(|b| b.supported);
-            assert_eq!(report.backend, first.unwrap().name);
-        }
+        let kernel = KernelRegistry::global().resolve("aosoa_splitck").unwrap();
+        let report = tune(&p, kernel, &Elastic, TuningMode::Model, None);
+        assert!(
+            (1..=crate::engine::BLOCK_SIZE_CAP).contains(&report.block_size),
+            "{}",
+            report.block_size
+        );
+        assert_eq!(report.block_candidates.len(), BLOCK_CANDIDATES.len());
+        assert_eq!(report.backend, p.gemm_backend().name());
+        // The kernel is the first supported entry of the widest-first
+        // slate.
+        let first = report.backend_candidates.iter().find(|b| b.supported);
+        assert_eq!(report.backend, first.unwrap().name);
     }
 
     #[test]
     fn report_displays_choice_and_candidates() {
         let p = plan(4, 5);
-        let kernel = KernelRegistry::global().resolve("generic").unwrap();
+        let kernel = KernelRegistry::global().resolve("aosoa_splitck").unwrap();
         let report = tune(&p, kernel, &Acoustic, TuningMode::Model, None);
         let text = report.to_string();
-        assert!(text.contains("tune[generic mode=model]"));
+        assert!(text.contains("tune[aosoa_splitck mode=model]"));
         assert!(text.contains("static heuristic"));
         assert!(text.contains('*'), "the chosen candidate is marked");
     }

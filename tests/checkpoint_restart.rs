@@ -176,7 +176,8 @@ fn tmp(label: &str) -> PathBuf {
 
 fn base_request(kernel: &str, pipeline: &str) -> RunRequest {
     let mut req = RunRequest::smoke();
-    // Static tuning: probe would re-time block sizes on the resumed run.
+    // Static tuning skips the cache-model replay; both modes are
+    // deterministic and the checkpoint pins the chosen block size anyway.
     for (key, value) in [
         ("kernel", kernel),
         ("pipeline", pipeline),

@@ -6,9 +6,9 @@
 
 use aderdg::core::kernels::{StpInputs, StpOutputs};
 use aderdg::core::{
-    BlockInputs, CellBlock, Engine, EngineConfig, KernelRegistry, StpConfig, StpPlan,
+    BlockInputs, CellBlock, Engine, EngineConfig, KernelRegistry, SteppingMode, StpConfig, StpPlan,
 };
-use aderdg::mesh::StructuredMesh;
+use aderdg::mesh::{BoundaryKind, StructuredMesh};
 use aderdg::pde::{Acoustic, AcousticPlaneWave, ExactSolution};
 
 fn plane_wave() -> AcousticPlaneWave {
@@ -94,9 +94,22 @@ fn plane_wave_state(plan: &StpPlan, phase: f64) -> Vec<f64> {
     q0
 }
 
+/// Every output tensor's bits, in a fixed order.
+fn output_bits(out: &StpOutputs) -> Vec<u64> {
+    [&out.qavg]
+        .into_iter()
+        .chain(&out.favg)
+        .chain(&out.qface)
+        .chain(&out.fface)
+        .flat_map(|t| t.iter().map(|v| v.to_bits()))
+        .collect()
+}
+
 /// Block matrix: for every registered kernel and block sizes {1, 4, 7},
 /// `run_block` over a staged [`CellBlock`] must reproduce the per-cell
-/// `run` path cell by cell (≤ 1e-12 relative). This is the contract the
+/// `run` path cell by cell (≤ 1e-12 relative), and `run` on the block
+/// scratch must reproduce it bitwise (the `make_block_scratch` contract
+/// the engine's LTS half-window runs rest on). This is the contract the
 /// engine's batched pipeline rests on, checked with zero test edits for
 /// future kernels.
 #[test]
@@ -201,40 +214,87 @@ fn block_path_matches_per_cell_path_for_every_kernel() {
                 }
                 base += cells;
             }
+            // One-cell runs on the (now dirty) block scratch.
+            for (c, q0) in states.iter().enumerate() {
+                let mut out = StpOutputs::new(&plan);
+                kernel.run(
+                    &plan,
+                    &Acoustic,
+                    block_scratch.as_mut(),
+                    &StpInputs {
+                        q0,
+                        dt,
+                        source: cell_sources[c].as_ref(),
+                    },
+                    &mut out,
+                );
+                assert!(
+                    output_bits(&out) == output_bits(&reference[c]),
+                    "{} bs={bs} cell={c}: run on block scratch differs from run",
+                    kernel.name()
+                );
+            }
         }
     }
 }
 
 /// Engine-level block invariance: full runs at block sizes {1, 4, 7} end
-/// in the same state (≤ 1e-12 relative) for every registered kernel.
+/// in the same state (≤ 1e-12 relative) for every registered kernel — on
+/// the plane wave under global stepping and on a `[4, 2, 2]` two-cluster
+/// layered medium under LTS, whose half-window runs use the block scratch.
 #[test]
 fn engine_states_invariant_under_block_size() {
     let wave = plane_wave();
     for kernel in KernelRegistry::global().kernels() {
-        let run = |block_size: usize| {
-            let mesh = StructuredMesh::unit_cube(2);
-            let config = EngineConfig::new(3)
-                .with_kernel(kernel)
-                .with_block_size(block_size);
-            let mut engine = Engine::new(mesh, Acoustic, config);
-            engine.set_initial(|x, q| {
-                wave.evaluate(x, 0.0, q);
-                Acoustic::set_params(q, 1.0, 1.0);
-            });
-            engine.run_until(0.04);
-            (0..engine.mesh.num_cells())
-                .map(|c| engine.cell_state(c).to_vec())
-                .collect::<Vec<_>>()
-        };
-        let reference = run(1);
-        for bs in [4, 7] {
-            for (c, (a_cell, b_cell)) in run(bs).iter().zip(&reference).enumerate() {
-                for (i, (a, b)) in a_cell.iter().zip(b_cell).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-12 * (1.0 + b.abs()),
-                        "{} bs={bs} cell {c} dof {i}: {a} vs {b}",
-                        kernel.name()
+        for lts in [false, true] {
+            let run = |block_size: usize| {
+                let config = EngineConfig::new(3)
+                    .with_kernel(kernel)
+                    .with_block_size(block_size);
+                let mut engine = if lts {
+                    let mesh = StructuredMesh::new(
+                        [4, 2, 2],
+                        [0.0; 3],
+                        [1.0; 3],
+                        [BoundaryKind::Reflective; 3],
                     );
+                    let config = config.with_stepping(SteppingMode::Lts);
+                    let mut engine = Engine::new(mesh, Acoustic, config);
+                    engine.set_initial(|x, q| {
+                        q.fill(0.0);
+                        q[0] = (x[0] * 3.0).sin();
+                        Acoustic::set_params(q, 1.0, if x[0] < 0.5 { 4.0 } else { 1.0 });
+                    });
+                    engine
+                } else {
+                    let mut engine = Engine::new(StructuredMesh::unit_cube(2), Acoustic, config);
+                    engine.set_initial(|x, q| {
+                        wave.evaluate(x, 0.0, q);
+                        Acoustic::set_params(q, 1.0, 1.0);
+                    });
+                    engine
+                };
+                engine.run_until(0.04);
+                if lts {
+                    assert!(
+                        engine.lts_clocks().len() >= 2,
+                        "layered medium must cluster into several levels"
+                    );
+                }
+                (0..engine.mesh.num_cells())
+                    .map(|c| engine.cell_state(c).to_vec())
+                    .collect::<Vec<_>>()
+            };
+            let reference = run(1);
+            for bs in [4, 7] {
+                for (c, (a_cell, b_cell)) in run(bs).iter().zip(&reference).enumerate() {
+                    for (i, (a, b)) in a_cell.iter().zip(b_cell).enumerate() {
+                        assert!(
+                            (a - b).abs() <= 1e-12 * (1.0 + b.abs()),
+                            "{} lts={lts} bs={bs} cell {c} dof {i}: {a} vs {b}",
+                            kernel.name()
+                        );
+                    }
                 }
             }
         }
