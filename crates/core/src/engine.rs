@@ -10,9 +10,11 @@
 //!   [`SteppingMode::Global`] every cell sits in one cluster (flat plan,
 //!   built once in [`Engine::new`]); under [`SteppingMode::Lts`] the
 //!   clustering is derived lazily from the state's per-cell stable dt.
-//! * **tasks** — per shard and sub-window: predictor → once-per-face
-//!   flux sweep → apply. Each interior face's Rusanov flux is solved
-//!   **exactly once** per due slot (eq. 5) into a face-indexed buffer.
+//! * **tasks** — per shard and sub-window: predictor + in-place volume
+//!   update → once-per-face flux sweep → six face lifts per cell. Each
+//!   interior face's Rusanov flux is solved **exactly once** per due slot
+//!   (eq. 5) into a face-indexed buffer; between the tasks each cell keeps
+//!   only its twelve face traces.
 //! * **driver** — the tasks run on a dependency scheduler
 //!   ([`par::run_graph_init`]) with no global predictor→corrector
 //!   barrier: a shard's face sweep starts as soon as its own and its
@@ -27,7 +29,7 @@
 
 use crate::block::{BlockInputs, CellBlock};
 use crate::corrector::{apply_face, apply_volume, CorrectorScratch};
-use crate::kernels::{StpInputs, StpKernel, StpOutputs, StpScratch};
+use crate::kernels::{FaceTraces, StpInputs, StpKernel, StpOutputs, StpScratch};
 use crate::par;
 use crate::plan::{CellSource, KernelVariant, StpConfig, StpPlan};
 use crate::registry::KernelRegistry;
@@ -402,8 +404,11 @@ pub struct Engine<P: LinearPde> {
     pub config: EngineConfig,
     /// Per-cell DOFs, padded AoS.
     state: Vec<AlignedVec>,
-    /// Per-cell predictor outputs of the current step.
-    outputs: Vec<StpOutputs>,
+    /// Per-cell face traces of the current (sub-)step, written by the
+    /// graph driver's Predict task and read by Flux and Apply. The
+    /// volume tensors never reach per-cell storage: Predict applies them
+    /// to the state in place while they are still in cache.
+    traces: Vec<FaceTraces>,
     /// Registered point sources by containing cell.
     sources: Vec<(usize, PointSource)>,
     /// Per-cell source projections: spatial `node_coeffs` computed once at
@@ -480,20 +485,21 @@ struct GraphPlan {
     /// so the face flux telescopes exactly against the fine cell's two
     /// separate applications. Empty for a one-level plan.
     f_star_acc: Vec<RwLock<Vec<f64>>>,
-    /// Per-shard half-window predictor outputs for cells that border a
-    /// finer face (the sub-window differencing source). Empty for a
-    /// one-level plan.
+    /// Per-shard half-window face traces for cells that border a finer
+    /// face (the sub-window differencing source). Empty for a one-level
+    /// plan.
     halo: Vec<RwLock<HaloShard>>,
 }
 
-/// Half-window predictor outputs of one shard's cells that border a
+/// Half-window face traces of one shard's cells that border a
 /// finer-cadence face.
 struct HaloShard {
     /// Shard-local indices of those cells, ascending.
     cells: Vec<usize>,
-    /// Half-dt outputs, parallel to `cells`, rewritten by each of the
-    /// shard's predict tasks.
-    half: Vec<StpOutputs>,
+    /// Half-dt face traces, parallel to `cells`, rewritten by each of the
+    /// shard's predict tasks *before* its in-place volume update (the
+    /// half-window runs read `q⁰`).
+    half: Vec<FaceTraces>,
 }
 
 /// Splits a flat per-cell buffer into per-shard mutable slices matching
@@ -517,25 +523,27 @@ fn shard_slices<'a, T>(splan: &ShardPlan, mut buf: &'a mut [T]) -> Vec<&'a mut [
 /// the first half-window's exactly, and `full − half` the second's,
 /// elementwise (trace tensors are time-integrals, hence additive over
 /// sub-windows). With ≤ 1-level gradation one halving always suffices.
-fn sub_window_trace(
-    qtmp: &mut [f64],
-    ftmp: &mut [f64],
-    full: &StpOutputs,
-    half: &StpOutputs,
+///
+/// Returns the `(q̄, F̄)` face pair of face slot `fi`: the half-window
+/// trace itself for `sub == 0` (no copy), the difference written into
+/// `tmp` for `sub == 1`.
+fn sub_window_trace<'a>(
+    tmp: &'a mut HaloScratch,
+    full: &FaceTraces,
+    half: &'a FaceTraces,
     fi: usize,
     sub: usize,
-) {
+) -> (&'a [f64], &'a [f64]) {
     if sub == 0 {
-        qtmp.copy_from_slice(&half.qface[fi]);
-        ftmp.copy_from_slice(&half.fface[fi]);
-    } else {
-        let (qf, ff) = (&full.qface[fi], &full.fface[fi]);
-        let (qh, fh) = (&half.qface[fi], &half.fface[fi]);
-        for i in 0..qtmp.len() {
-            qtmp[i] = qf[i] - qh[i];
-            ftmp[i] = ff[i] - fh[i];
-        }
+        return (&half.qface[fi], &half.fface[fi]);
     }
+    let (qf, ff) = (&full.qface[fi], &full.fface[fi]);
+    let (qh, fh) = (&half.qface[fi], &half.fface[fi]);
+    for i in 0..tmp.qtmp.len() {
+        tmp.qtmp[i] = qf[i] - qh[i];
+        tmp.ftmp[i] = ff[i] - fh[i];
+    }
+    (&tmp.qtmp, &tmp.ftmp)
 }
 
 /// Per-worker scratch of the graph driver (one per scheduler worker,
@@ -544,6 +552,11 @@ struct GraphScratch<'a> {
     stp: Box<dyn StpScratch>,
     block: CellBlock,
     sources: Vec<Option<&'a CellSource>>,
+    /// The full predictor outputs of the block in flight (`block_size`
+    /// of them). Each cell's own face buffers are swapped in before the
+    /// kernel runs and back out after the volume update, so only the
+    /// volume tensors are the worker's.
+    outs: Vec<StpOutputs>,
     corr: CorrectorScratch,
     boundary: BoundaryScratch,
     /// Sub-window trace temps; `None` for a one-level plan, which never
@@ -558,6 +571,7 @@ impl GraphScratch<'_> {
             stp: kernel.make_block_scratch(plan, bsize),
             block: CellBlock::new(plan, bsize),
             sources: Vec::with_capacity(bsize),
+            outs: (0..bsize).map(|_| StpOutputs::new(plan)).collect(),
             corr: CorrectorScratch::new(plan),
             boundary: BoundaryScratch::new(plan),
             halo: (splan.num_levels() > 1).then(|| HaloScratch {
@@ -568,10 +582,11 @@ impl GraphScratch<'_> {
     }
 }
 
-/// One face-trace temp pair for sub-window differencing (at most one side
-/// of a face is ever coarse). The halo half-window predictor runs need no
-/// scratch of their own: they reuse the worker's block scratch, which
-/// every kernel's `run` accepts (the `make_block_scratch` contract).
+/// One face-trace temp pair for the second sub-window's difference (at
+/// most one side of a face is ever coarse). The halo half-window
+/// predictor runs need no scratch of their own: they reuse the worker's
+/// block scratch, which every kernel's `run` accepts (the
+/// `make_block_scratch` contract), and its first [`StpOutputs`].
 struct HaloScratch {
     qtmp: Vec<f64>,
     ftmp: Vec<f64>,
@@ -612,7 +627,7 @@ impl<P: LinearPde> Engine<P> {
         let state = (0..cells)
             .map(|_| AlignedVec::zeroed(plan.aos.len()))
             .collect();
-        let outputs = (0..cells).map(|_| StpOutputs::new(&plan)).collect();
+        let traces = (0..cells).map(|_| FaceTraces::new(&plan)).collect();
         let block_size = tune_report.block_size;
         assert!(block_size >= 1, "block size must be at least 1");
         let engine = Self {
@@ -621,7 +636,7 @@ impl<P: LinearPde> Engine<P> {
             plan,
             config,
             state,
-            outputs,
+            traces,
             sources: Vec::new(),
             cell_sources: BTreeMap::new(),
             receivers: Vec::new(),
@@ -858,7 +873,7 @@ impl<P: LinearPde> Engine<P> {
                         })
                         .map(|c| c - range.start)
                         .collect();
-                    let half = cells.iter().map(|_| StpOutputs::new(&self.plan)).collect();
+                    let half = cells.iter().map(|_| FaceTraces::new(&self.plan)).collect();
                     RwLock::new(HaloShard { cells, half })
                 })
                 .collect();
@@ -922,6 +937,10 @@ impl<P: LinearPde> Engine<P> {
     /// global barrier, then a per-cell corrector that re-solves every
     /// interior face from both adjacent cells (`6 · cells` Riemann solves
     /// per step).
+    ///
+    /// The unfused reference of the graph driver: full predictor outputs
+    /// for every cell live in a step-local buffer, and the volume update
+    /// runs after the barrier, not inside the predictor task.
     fn step_barrier(&mut self, dt: f64) {
         let plan = &self.plan;
         let pde = &self.pde;
@@ -936,7 +955,9 @@ impl<P: LinearPde> Engine<P> {
         //    fall back to their per-cell path inside `run_block`.
         let state = &self.state;
         let bsize = self.block_size;
-        let mut blocks: Vec<&mut [StpOutputs]> = self.outputs.chunks_mut(bsize).collect();
+        let mut outputs: Vec<StpOutputs> =
+            (0..state.len()).map(|_| StpOutputs::new(plan)).collect();
+        let mut blocks: Vec<&mut [StpOutputs]> = outputs.chunks_mut(bsize).collect();
         par::for_each_mut_init(
             &mut blocks,
             || {
@@ -965,7 +986,7 @@ impl<P: LinearPde> Engine<P> {
         );
 
         // 2. Corrector: volume + Riemann face corrections.
-        let outputs = &self.outputs;
+        let outputs = &outputs;
         let mesh = &self.mesh;
         par::for_each_mut_init(
             &mut self.state,
@@ -1052,15 +1073,22 @@ impl<P: LinearPde> Engine<P> {
     /// accumulated and applied once by the coarse cell, so the face flux
     /// telescopes exactly and conservation holds to round-off.
     ///
+    /// Fused volume update: Predict applies [`apply_volume`] to each
+    /// cell's `q` in place right after the kernel ran into the worker's
+    /// own [`StpOutputs`], and keeps only the cell's face traces; Apply
+    /// is the six face lifts. A shard's half-window runs read `q⁰`, so
+    /// they run first. Nothing else reads a cell's `q` between its
+    /// Predict and its Apply.
+    ///
     /// Determinism: every face flux is computed exactly once per due
     /// slot by one task from fixed predictor outputs into the
-    /// face-indexed buffer, and each cell applies volume + its six faces
-    /// in the same fixed order as the barrier path — results are
-    /// independent of the schedule and bit-identical across
-    /// worker-thread counts.
+    /// face-indexed buffer, and each cell's operations on `q` — volume
+    /// x, y, z in Predict, then its six faces in `Face::ALL` order in
+    /// Apply — keep the barrier path's order, so results are independent
+    /// of the schedule and bit-identical across worker-thread counts.
     ///
     /// ORDERING: most locks below are uncontended — every pair of
-    /// conflicting accesses to `out`, `state` and `halo` is ordered by
+    /// conflicting accesses to `traces`, `state` and `halo` is ordered by
     /// the task graph (a shard's tasks form a chain `P(k) → … → A(k) →
     /// P(k+1)`, and every cross-shard read has graph edges — with
     /// `AcqRel` ready-counters — placing it after the writer and before
@@ -1094,7 +1122,7 @@ impl<P: LinearPde> Engine<P> {
         let face_len = plan.face.len();
         let multi = num_levels > 1;
 
-        let out_shards: Vec<RwLock<&mut [StpOutputs]>> = shard_slices(splan, &mut self.outputs)
+        let trace_shards: Vec<RwLock<&mut [FaceTraces]>> = shard_slices(splan, &mut self.traces)
             .into_iter()
             .map(RwLock::new)
             .collect();
@@ -1113,7 +1141,8 @@ impl<P: LinearPde> Engine<P> {
             |ws, task| match graph.task(task) {
                 // Predictor over the shard's cells at the cluster's own
                 // sub-step, in predictor blocks exactly like the barrier
-                // path, plus half-window runs for halo cells.
+                // path, each block's volume update applied in place;
+                // before that, half-window runs for halo cells.
                 LtsTask::Predict { shard: s, .. } => {
                     let level = splan.shard_level(s);
                     let dt_s = dt_base * (1u64 << level) as f64;
@@ -1121,32 +1150,18 @@ impl<P: LinearPde> Engine<P> {
                     // PANIC-OK: lock poisoning means a sibling task
                     // panicked; cascading into the batch abort is
                     // correct (likewise for every lock below).
-                    let state = state_shards[s].lock().unwrap();
+                    let mut state = state_shards[s].lock().unwrap();
                     // PANIC-OK: poisoning cascades (see above).
-                    let mut outs = out_shards[s].write().unwrap();
-                    for (bi, chunk) in outs.chunks_mut(bsize).enumerate() {
-                        let local = bi * bsize;
-                        ws.block.clear();
-                        for i in 0..chunk.len() {
-                            ws.block.push(&state[local + i]);
-                        }
-                        ws.sources.clear();
-                        ws.sources.extend(
-                            (0..chunk.len()).map(|i| cell_sources.get(&(range.start + local + i))),
-                        );
-                        kernel.run_block(
-                            plan,
-                            pde,
-                            ws.stp.as_mut(),
-                            &BlockInputs::new(&ws.block, dt_s, &ws.sources),
-                            chunk,
-                        );
-                    }
+                    let mut traces = trace_shards[s].write().unwrap();
                     if multi {
+                        // First: these runs read q⁰, which the volume
+                        // update below overwrites.
                         // PANIC-OK: poisoning cascades (see above).
                         let mut halo = halo_shards[s].write().unwrap();
                         let HaloShard { cells, half } = &mut *halo;
-                        for (hi, &local) in cells.iter().enumerate() {
+                        let out = &mut ws.outs[0];
+                        for (&local, h) in cells.iter().zip(half.iter_mut()) {
+                            h.swap(out);
                             kernel.run(
                                 plan,
                                 pde,
@@ -1156,8 +1171,35 @@ impl<P: LinearPde> Engine<P> {
                                     dt: 0.5 * dt_s,
                                     source: cell_sources.get(&(range.start + local)),
                                 },
-                                &mut half[hi],
+                                out,
                             );
+                            h.swap(out);
+                        }
+                    }
+                    let blocks = state.chunks_mut(bsize).zip(traces.chunks_mut(bsize));
+                    for (bi, (qs, ts)) in blocks.enumerate() {
+                        let first = range.start + bi * bsize;
+                        ws.block.clear();
+                        for q in qs.iter() {
+                            ws.block.push(q);
+                        }
+                        ws.sources.clear();
+                        ws.sources
+                            .extend((0..qs.len()).map(|i| cell_sources.get(&(first + i))));
+                        let outs = &mut ws.outs[..qs.len()];
+                        for (t, out) in ts.iter_mut().zip(outs.iter_mut()) {
+                            t.swap(out);
+                        }
+                        kernel.run_block(
+                            plan,
+                            pde,
+                            ws.stp.as_mut(),
+                            &BlockInputs::new(&ws.block, dt_s, &ws.sources),
+                            outs,
+                        );
+                        for ((t, out), q) in ts.iter_mut().zip(outs.iter_mut()).zip(qs) {
+                            apply_volume(plan, pde, &mut ws.corr, out, q);
+                            t.swap(out);
                         }
                     }
                 }
@@ -1173,7 +1215,7 @@ impl<P: LinearPde> Engine<P> {
                     let guards: Vec<_> = deps
                         .iter()
                         // PANIC-OK: poisoning cascades (see above).
-                        .map(|&t| (t, out_shards[t].read().unwrap()))
+                        .map(|&t| (t, trace_shards[t].read().unwrap()))
                         .collect();
                     let hguards: Vec<_> = if multi {
                         deps.iter()
@@ -1183,7 +1225,7 @@ impl<P: LinearPde> Engine<P> {
                     } else {
                         Vec::new()
                     };
-                    let out_of = |cell: usize| {
+                    let traces_of = |cell: usize| {
                         let t = splan.shard_of(cell);
                         (t, &dep_guard(&guards, t)[cell - splan.shard_range(t).start])
                     };
@@ -1202,8 +1244,8 @@ impl<P: LinearPde> Engine<P> {
                         let dst = &mut fs[i * face_len..(i + 1) * face_len];
                         match splan.face(id) {
                             FaceTopo::Interior { dim, lower, upper } => {
-                                let (ls, lo) = out_of(lower);
-                                let (us, up) = out_of(upper);
+                                let (ls, lo) = traces_of(lower);
+                                let (us, up) = traces_of(upper);
                                 // Lower cell's upper trace is the left
                                 // state — same convention as the barrier
                                 // path, so F* is bit-identical.
@@ -1234,15 +1276,7 @@ impl<P: LinearPde> Engine<P> {
                                     // multi-level plan, whose workers
                                     // carry halo scratch.
                                     let hs = ws.halo.as_mut().expect("halo scratch");
-                                    sub_window_trace(
-                                        &mut hs.qtmp,
-                                        &mut hs.ftmp,
-                                        full,
-                                        &h.half[hi],
-                                        fi,
-                                        sub,
-                                    );
-                                    let composed: (&[f64], &[f64]) = (&hs.qtmp, &hs.ftmp);
+                                    let composed = sub_window_trace(hs, full, &h.half[hi], fi, sub);
                                     if lo_mis {
                                         left = composed;
                                     } else {
@@ -1272,7 +1306,7 @@ impl<P: LinearPde> Engine<P> {
                                 side,
                                 kind,
                             } => {
-                                let (_, out) = out_of(cell);
+                                let (_, own) = traces_of(cell);
                                 let fi = 2 * dim + side;
                                 boundary_face(
                                     plan,
@@ -1280,8 +1314,8 @@ impl<P: LinearPde> Engine<P> {
                                     dim,
                                     side,
                                     kind,
-                                    &out.qface[fi],
-                                    &out.fface[fi],
+                                    &own.qface[fi],
+                                    &own.fface[fi],
                                     &mut ws.boundary,
                                     dst,
                                 );
@@ -1289,15 +1323,16 @@ impl<P: LinearPde> Engine<P> {
                         }
                     }
                 }
-                // Volume + six face corrections per cell at the
-                // cluster's sub-step, reading F* from the owning shards'
-                // segments — the accumulated coarse-window flux for
-                // faces finer than this cluster's window.
+                // Six face lifts per cell at the cluster's sub-step (the
+                // volume update already ran in Predict), reading F* from
+                // the owning shards' segments — the accumulated
+                // coarse-window flux for faces finer than this cluster's
+                // window.
                 LtsTask::Apply { shard: s, .. } => {
                     let level = splan.shard_level(s);
                     let range = splan.shard_range(s);
                     // PANIC-OK: poisoning cascades (see above).
-                    let outs = out_shards[s].read().unwrap();
+                    let traces = trace_shards[s].read().unwrap();
                     // Lock hierarchy: every f_star guard (ascending),
                     // then every f_star_acc guard (ascending) — see the
                     // ORDERING note in the doc comment.
@@ -1318,10 +1353,8 @@ impl<P: LinearPde> Engine<P> {
                     };
                     // PANIC-OK: poisoning cascades (see above).
                     let mut state = state_shards[s].lock().unwrap();
-                    for (i, q) in state.iter_mut().enumerate() {
+                    for (i, (q, own)) in state.iter_mut().zip(traces.iter()).enumerate() {
                         let c = range.start + i;
-                        let out = &outs[i];
-                        apply_volume(plan, pde, &mut ws.corr, out, q);
                         for face in Face::ALL {
                             let id = splan.cell_faces(c)[face.index()];
                             let owner = splan.face_owner(id);
@@ -1337,7 +1370,7 @@ impl<P: LinearPde> Engine<P> {
                                 face.dim,
                                 face.side,
                                 fstar,
-                                &out.fface[face.index()],
+                                &own.fface[face.index()],
                                 q,
                             );
                         }
@@ -1766,7 +1799,7 @@ mod tests {
     #[test]
     fn one_level_plans_allocate_no_halo_storage_and_two_level_plans_do() {
         // Halo storage is what one-cluster stepping must not pay for: the
-        // half-window outputs alone are a full `StpOutputs` per coarse
+        // half-window traces are twelve face tensors per coarse
         // interface cell.
         for (stepping, bulk_lo, levels) in [
             (SteppingMode::Global, 4.0, 1),
@@ -1803,6 +1836,50 @@ mod tests {
                 );
                 assert!(scratch.halo.is_some(), "{label}");
             }
+        }
+    }
+
+    #[test]
+    fn per_cell_predictor_storage_is_twelve_face_tensors() {
+        // The volume tensors never leave the worker: what a cell keeps
+        // between Predict and Apply — and what a halo entry keeps between
+        // Predict and Flux — is its twelve face traces and nothing else.
+        assert_eq!(
+            std::mem::size_of::<FaceTraces>(),
+            12 * std::mem::size_of::<AlignedVec>(),
+            "FaceTraces holds the twelve face tensors only"
+        );
+        for (stepping, levels) in [(SteppingMode::Global, 1), (SteppingMode::Lts, 2)] {
+            let mut engine = layered_engine(stepping, 4.0);
+            let dt = engine.max_dt();
+            engine.step(dt);
+            let gp = engine.graph_plan();
+            assert_eq!(gp.plan.num_levels(), levels, "{stepping:?}");
+            let face_len = engine.plan.face.len();
+            assert!(
+                face_len < engine.plan.aos.len(),
+                "a face is not volume-sized"
+            );
+            let doubles = |t: &FaceTraces| -> Vec<usize> {
+                t.qface.iter().chain(&t.fface).map(|v| v.len()).collect()
+            };
+            assert_eq!(engine.traces.len(), engine.mesh.num_cells(), "{stepping:?}");
+            let mut entries = 0;
+            for t in &engine.traces {
+                assert_eq!(doubles(t), vec![face_len; 12], "{stepping:?}: cell traces");
+                entries += 1;
+            }
+            for shard in &gp.halo {
+                for t in &shard.read().expect("unpoisoned").half {
+                    assert_eq!(doubles(t), vec![face_len; 12], "{stepping:?}: halo traces");
+                    entries += 1;
+                }
+            }
+            assert_eq!(
+                entries > engine.mesh.num_cells(),
+                levels > 1,
+                "{stepping:?}"
+            );
         }
     }
 

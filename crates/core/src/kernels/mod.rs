@@ -81,6 +81,38 @@ impl StpOutputs {
     }
 }
 
+/// The part of one cell's [`StpOutputs`] that outlives its predictor
+/// task: the twelve face traces the Riemann solve and the face lifts
+/// read. The volume tensors are consumed by the in-place volume update
+/// while still in cache and never stored per cell.
+#[derive(Debug)]
+pub(crate) struct FaceTraces {
+    /// `q̄` on the six faces, as [`StpOutputs::qface`].
+    pub qface: [AlignedVec; 6],
+    /// Normal flux on the six faces, as [`StpOutputs::fface`].
+    pub fface: [AlignedVec; 6],
+}
+
+impl FaceTraces {
+    /// Allocates zeroed face traces matching `plan`.
+    pub fn new(plan: &StpPlan) -> Self {
+        let face = plan.face.len();
+        Self {
+            qface: std::array::from_fn(|_| AlignedVec::zeroed(face)),
+            fface: std::array::from_fn(|_| AlignedVec::zeroed(face)),
+        }
+    }
+
+    /// Exchanges these buffers with `out`'s face buffers — no face data
+    /// is copied. Swapping in, running a kernel and swapping back leaves
+    /// the kernel's traces here (every kernel overwrites all of its
+    /// outputs, so what was swapped in is never read).
+    pub fn swap(&mut self, out: &mut StpOutputs) {
+        std::mem::swap(&mut self.qface, &mut out.qface);
+        std::mem::swap(&mut self.fface, &mut out.fface);
+    }
+}
+
 /// Reusable, kernel-specific scratch buffers (their sizes *are* the
 /// memory-footprint story of the paper).
 ///
