@@ -2,9 +2,10 @@
 //!
 //! The `aderdg-run` command-line driver: resolves a scenario from the
 //! [`ScenarioRegistry`], applies solver overrides (every
-//! [`SolverSpec`](aderdg_core::SolverSpec) knob is reachable as a flag or
-//! a `[solver]` config-file key), runs it and reports — no Rust required
-//! to run a new setup.
+//! [`SOLVER_KEYS`] knob is reachable as a flag or a `[solver]`
+//! config-file key; a spec file is that table without its header, read
+//! by [`RunRequest::from_spec`]), runs it and reports — no Rust required
+//! to run a new setup. Unset knobs keep the scenario's defaults.
 //!
 //! ```text
 //! aderdg-run --list
@@ -25,7 +26,7 @@ pub mod toml;
 use aderdg_core::checkpoint::Checkpoint;
 use aderdg_core::engine::PipelineMode;
 use aderdg_core::jobs::{JobQueue, JobStatus};
-use aderdg_core::scenario::{RunRequest, RunSummary, ScenarioRegistry};
+use aderdg_core::scenario::{RunRequest, RunSummary, ScenarioRegistry, SOLVER_KEYS};
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -153,46 +154,35 @@ fn apply_key(req: &mut RunRequest, key: &str, value: &str, what: &str) -> Result
     })
 }
 
-/// Keys [`RunRequest::set`] accepts that belong to the `[run]` table /
-/// run-level flags, not `[solver]`.
-const RUN_LEVEL_KEYS: &[&str] = &["cells", "t_end", "smoke", "snapshot", "save_checkpoint"];
-
 /// Builds a [`RunArgs`] from a parsed config document. Recognized tables:
-/// `[run]` (scenario, cells, t_end, smoke, out, snapshot, receivers) and
-/// `[solver]` (every [`aderdg_core::SolverSpec`] key).
+/// `[run]` (scenario, cells, t_end, smoke, out, snapshot, receivers,
+/// save_checkpoint) and `[solver]` (the [`SOLVER_KEYS`] — a spec file is
+/// this table without its header).
 pub fn args_from_config(doc: &toml::Doc) -> Result<RunArgs, CliError> {
     let mut args = RunArgs::default();
     for table in &doc.tables {
         match table.name.as_str() {
-            "run" => {
+            name @ ("run" | "solver") => {
+                let solver_table = name == "solver";
                 for e in &table.entries {
-                    let what = format!("[run] {} (line {})", e.key, e.line);
-                    match e.key.as_str() {
-                        "scenario" => args.scenario = e.value.clone(),
-                        "out" => args.out = Some(PathBuf::from(&e.value)),
-                        "receivers" => args.receivers = Some(PathBuf::from(&e.value)),
-                        key if RUN_LEVEL_KEYS.contains(&key) => {
-                            apply_key(&mut args.request, key, &e.value, &what)?;
+                    let key = e.key.as_str();
+                    match key {
+                        "scenario" if !solver_table => args.scenario = e.value.clone(),
+                        "out" if !solver_table => args.out = Some(PathBuf::from(&e.value)),
+                        "receivers" if !solver_table => {
+                            args.receivers = Some(PathBuf::from(&e.value))
                         }
-                        other => {
-                            return Err(CliError::new(format!(
-                                "unknown [run] key `{other}` (line {})",
-                                e.line
-                            )))
+                        _ => {
+                            let what = format!("[{name}] {key} (line {})", e.line);
+                            if SOLVER_KEYS.contains(&key) != solver_table
+                                || !apply_key(&mut args.request, key, &e.value, &what)?
+                            {
+                                return Err(CliError::new(format!(
+                                    "unknown [{name}] key `{key}` (line {})",
+                                    e.line
+                                )));
+                            }
                         }
-                    }
-                }
-            }
-            "solver" => {
-                for e in &table.entries {
-                    let what = format!("[solver] {} (line {})", e.key, e.line);
-                    if RUN_LEVEL_KEYS.contains(&e.key.as_str())
-                        || !apply_key(&mut args.request, &e.key, &e.value, &what)?
-                    {
-                        return Err(CliError::new(format!(
-                            "unknown [solver] key `{}` (line {})",
-                            e.key, e.line
-                        )));
                     }
                 }
             }

@@ -4,9 +4,11 @@
 //! Values may be bare scalars (`4`, `0.4`, `true`, `sharded`) or
 //! double-quoted strings (`"run.csv"`, no escape sequences beyond `\"`
 //! and `\\`); both come back as plain strings — typed conversion happens
-//! at the consumer, which knows what each key means. This is exactly the
-//! shape of the paper's specification files, one level richer (tables)
-//! than [`aderdg_core::SolverSpec`]'s flat `key = value` format.
+//! at the consumer, which knows what each key means. This is the shape of
+//! the paper's specification files one level up: a spec file
+//! ([`RunRequest::from_spec`](aderdg_core::scenario::RunRequest::from_spec))
+//! is the `[solver]` table's keys without the header, and in both any
+//! key left unwritten keeps the scenario's default.
 
 use std::fmt;
 

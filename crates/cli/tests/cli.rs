@@ -8,7 +8,7 @@ use aderdg_cli::{
     render_summary, run_sweep, toml, write_receivers_csv, write_series_csv, Command, RunArgs,
 };
 use aderdg_core::engine::PipelineMode;
-use aderdg_core::scenario::{RunRequest, ScenarioRegistry};
+use aderdg_core::scenario::{RunRequest, ScenarioRegistry, SOLVER_KEYS};
 use aderdg_core::tune::TuningMode;
 
 fn args(list: &[&str]) -> Vec<String> {
@@ -461,16 +461,20 @@ fn sweep_runs_every_combination_and_reports_failures() {
 
 #[test]
 fn solver_table_rejects_run_level_keys() {
-    for key in ["cells", "t_end", "smoke", "snapshot", "save_checkpoint"] {
-        let text = format!("[solver]\n{key} = 4\n");
+    // Run-level keys in [solver] and solver keys in [run] are both typos.
+    let run_level = ["cells", "t_end", "smoke", "snapshot", "save_checkpoint"];
+    let misplaced = run_level.iter().map(|k| ("solver", k));
+    for (table, key) in misplaced.chain(SOLVER_KEYS.iter().map(|k| ("run", k))) {
+        let text = format!("[{table}]\n{key} = 4\n");
         let doc = toml::parse(&text).unwrap();
         let e = args_from_config(&doc).unwrap_err();
         assert!(
-            e.message.contains(&format!("unknown [solver] key `{key}`")),
-            "{key}: {e}"
+            e.message
+                .contains(&format!("unknown [{table}] key `{key}`")),
+            "{table} {key}: {e}"
         );
     }
-    // …but [run] accepts them.
+    // …but [run] accepts its own.
     let doc = toml::parse(
         "[run]\nscenario = \"acoustic_wave\"\nsmoke = true\nsave_checkpoint = out.ckpt\n",
     )

@@ -47,5 +47,5 @@ pub use riemann::{boundary_face, rusanov_face, BoundaryScratch};
 pub use scenario::{
     RunControl, RunRequest, RunSummary, Scenario, ScenarioError, ScenarioInfo, ScenarioRegistry,
 };
-pub use spec::{SolverSpec, SpecError};
+pub use spec::SpecError;
 pub use tune::{BackendCandidate, BlockCandidate, TuneReport, TuningMode};

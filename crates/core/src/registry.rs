@@ -4,7 +4,8 @@
 //! The paper's Toolkit resolves the `kernel = …` line of the specification
 //! file to a generated kernel (Sec. II-C/D). [`KernelRegistry`] is that
 //! resolution step made extensible: kernels are registered by name, the
-//! engine and [`SolverSpec`](crate::spec::SolverSpec) resolve them through
+//! engine and [`scenario::resolve`](crate::scenario::resolve) (behind
+//! every flag, config table and spec file) resolve them through
 //! [`KernelRegistry::global`], and the equivalence tests and figure
 //! harnesses enumerate whatever is registered. A new variant is one new
 //! module implementing [`StpKernel`] plus one

@@ -28,7 +28,6 @@
 use crate::checkpoint::Checkpoint;
 use crate::engine::{Engine, EngineConfig, PipelineMode, SteppingMode};
 use crate::registry::KernelRegistry;
-use crate::spec::SolverSpec;
 use crate::tune::TuningMode;
 use aderdg_mesh::StructuredMesh;
 use aderdg_pde::{ExactSolution, LinearPde, PointSource};
@@ -150,6 +149,23 @@ pub struct SetValueError {
 /// `t_end`).
 pub const SMOKE_STEPS: usize = 2;
 
+/// The keys [`RunRequest::set`] treats as solver knobs: what a spec file
+/// ([`RunRequest::from_spec`]) and a `[solver]` config table hold. Every
+/// other key `set` accepts (`cells`, `t_end`, `smoke`, `snapshot`,
+/// `save_checkpoint`) is run-level.
+pub const SOLVER_KEYS: &[&str] = &[
+    "order",
+    "kernel",
+    "cfl",
+    "width",
+    "rule",
+    "block_size",
+    "tuning",
+    "pipeline",
+    "shard_size",
+    "stepping",
+];
+
 impl RunRequest {
     /// A request that keeps every scenario default.
     pub fn new() -> Self {
@@ -165,8 +181,8 @@ impl RunRequest {
     }
 
     /// Applies one `key = value` knob by name — the single shared parser
-    /// behind CLI flags, config-file entries, `aderdg-serve` `SUBMIT`
-    /// commands and checkpoint-knob replay. Returns `Ok(false)` for an
+    /// behind CLI flags, config-file entries, spec files, `aderdg-serve`
+    /// `SUBMIT` commands and checkpoint-knob replay. Returns `Ok(false)` for an
     /// unknown key (the caller owns that error's wording) and
     /// [`SetValueError`] for a bad value.
     pub fn set(&mut self, key: &str, value: &str) -> Result<bool, SetValueError> {
@@ -221,23 +237,6 @@ impl RunRequest {
             _ => return Ok(false),
         }
         Ok(true)
-    }
-
-    /// Copies every solver knob of a parsed [`SolverSpec`] into explicit
-    /// overrides — the spec-file route into a scenario ("any scenario ×
-    /// any `SolverSpec` knob").
-    pub fn with_spec(mut self, spec: &SolverSpec) -> Self {
-        self.order = Some(spec.order);
-        self.kernel = Some(spec.kernel.name().to_string());
-        self.cfl = Some(spec.cfl);
-        self.width = Some(spec.width);
-        self.rule = Some(spec.rule);
-        self.block_size = Some(spec.block_size);
-        self.tuning = Some(spec.tuning);
-        self.pipeline = Some(spec.pipeline);
-        self.shard_size = Some(spec.shard_size);
-        self.stepping = Some(spec.stepping);
-        self
     }
 }
 
@@ -569,8 +568,12 @@ pub struct Resolved {
 }
 
 /// Merges a scenario's defaults with a request's overrides into an
-/// [`EngineConfig`] + mesh dimensions, validating the overrides the same
-/// way [`SolverSpec`] validates a spec file.
+/// [`EngineConfig`] + mesh dimensions. This is the one place the knobs
+/// are validated (order and cfl ranges, kernel names, zero sizes,
+/// `--smoke` conflicts), whichever route set them: a CLI flag, a
+/// `[solver]` table, a spec file ([`RunRequest::from_spec`] — the same
+/// keys without a header), a `SUBMIT` command or a checkpoint. Unset
+/// knobs keep the scenario's defaults.
 pub fn resolve(info: &ScenarioInfo, req: &RunRequest) -> Result<Resolved, ScenarioError> {
     let mut order = req.order.unwrap_or(info.order);
     let kernel_name: &str = req.kernel.as_deref().unwrap_or(info.kernel);
@@ -1101,16 +1104,100 @@ mod tests {
     }
 
     #[test]
-    fn with_spec_copies_every_solver_knob() {
-        let spec =
-            SolverSpec::parse("order = 6\nkernel = aosoa_splitck\ncfl = 0.3\nblock_size = 4\n")
+    fn from_spec_copies_every_written_solver_knob() {
+        let req =
+            RunRequest::from_spec("order = 6\nkernel = aosoa_splitck\ncfl = 0.3\nblock_size = 4\n")
                 .unwrap();
-        let req = RunRequest::new().with_spec(&spec);
         let r = resolve(&info(), &req).unwrap();
         assert_eq!(r.config.order, 6);
         assert_eq!(r.config.kernel.name(), "aosoa_splitck");
         assert_eq!(r.config.cfl, 0.3);
         assert_eq!(r.config.block_size, Some(4));
+    }
+
+    /// A spec file overrides what it writes and nothing else: every other
+    /// knob keeps the scenario's default (`maxwell_cavity` runs
+    /// `aosoa_splitck` at order 5, not a spec-file default of its own).
+    #[test]
+    fn spec_file_keeps_the_scenario_defaults_it_does_not_write() {
+        let info = ScenarioRegistry::global()
+            .resolve("maxwell_cavity")
+            .unwrap()
+            .info();
+        let of = |text: &str| resolve(&info, &RunRequest::from_spec(text).unwrap()).unwrap();
+        let cfl_only = of("cfl = 0.3\n");
+        assert_eq!(cfl_only.config.order, 5);
+        assert_eq!(cfl_only.config.kernel.name(), "aosoa_splitck");
+        assert_eq!(cfl_only.config.cfl, 0.3);
+        assert_eq!(cfl_only.config.tuning, TuningMode::Model);
+        assert_eq!((cfl_only.dims, cfl_only.t_end), (info.cells, info.t_end));
+
+        let with_kernel = of("cfl = 0.3\nkernel = splitck\n");
+        assert_eq!(with_kernel.config.kernel.name(), "splitck");
+        let kernel_swapped = cfl_only.config.with_kernel(with_kernel.config.kernel);
+        assert_eq!(
+            format!("{kernel_swapped:?}"),
+            format!("{:?}", with_kernel.config)
+        );
+        assert_eq!(
+            (with_kernel.dims, with_kernel.t_end),
+            (info.cells, info.t_end)
+        );
+    }
+
+    /// One valid and one invalid value per solver key. The valid line sets
+    /// exactly what `set` sets for it and nothing else; the invalid one
+    /// fails on its line with the same expectation text `set` gives the
+    /// CLI — or, for a kernel name (any string is one to `set`), in
+    /// `resolve`.
+    #[test]
+    fn from_spec_routes_every_solver_key_through_set() {
+        let rows = [
+            ("order", "6", "six"),
+            ("kernel", "log", "turbo"),
+            ("cfl", "0.25", "fast"),
+            ("width", "avx2", "avx1024"),
+            ("rule", "gauss_lobatto", "simpson"),
+            ("block_size", "8", "0"),
+            ("tuning", "static", "probe"),
+            ("pipeline", "barrier", "warp"),
+            ("shard_size", "auto", "many"),
+            ("stepping", "lts", "warp"),
+        ];
+        assert_eq!(rows.map(|r| r.0), SOLVER_KEYS);
+        let untouched = format!("{:?}", RunRequest::new());
+        for (key, valid, invalid) in rows {
+            let req = RunRequest::from_spec(&format!("{key} = {valid}\n")).unwrap();
+            let mut want = RunRequest::new();
+            assert_eq!(want.set(key, valid), Ok(true));
+            assert_eq!(format!("{req:?}"), format!("{want:?}"), "{key}");
+            assert_ne!(format!("{req:?}"), untouched, "{key}");
+            let text = format!("# spec\n\n{key} = {invalid}  # bad\n");
+            match RunRequest::new().set(key, invalid) {
+                Err(SetValueError { expected }) => {
+                    let e = RunRequest::from_spec(&text).unwrap_err();
+                    assert_eq!(e.line, 3, "{key}");
+                    assert!(e.message.contains(expected), "{key}: {e}");
+                }
+                Ok(_) => {
+                    assert_eq!(key, "kernel");
+                    let req = RunRequest::from_spec(&text).unwrap();
+                    let e = resolve(&info(), &req).unwrap_err();
+                    assert!(e.message.contains("unknown kernel `turbo`"), "{e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_level_keys_are_not_spec_file_keys() {
+        for key in ["cells", "t_end", "smoke", "snapshot", "save_checkpoint"] {
+            assert!(!SOLVER_KEYS.contains(&key));
+            assert_ne!(RunRequest::new().set(key, "true"), Ok(false), "{key}");
+            let e = RunRequest::from_spec(&format!("order = 3\n{key} = true\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{key}");
+            assert!(e.message.contains(&format!("unknown key `{key}`")), "{e}");
+        }
     }
 
     #[test]

@@ -1,37 +1,24 @@
-//! Solver specification — the analogue of ExaHyPE's specification file.
+//! Specification files — the analogue of ExaHyPE's specification file.
 //!
 //! In the paper, users select the kernel variant, order and architecture
 //! in a specification file; the Toolkit validates it and generates glue
-//! code (Sec. II-C/D). [`SolverSpec`] plays that role: a tiny `key = value`
-//! format (comments with `#`) parsed into a validated configuration the
-//! engine consumes. The optimized variants are opt-in, exactly as in the
-//! paper.
-//!
-//! ```text
-//! # my_solver.spec
-//! order      = 6
-//! kernel     = aosoa_splitck
-//! width      = avx512
-//! rule       = gauss_legendre
-//! cfl        = 0.4
-//! block_size = auto
-//! tuning     = model
-//! pipeline   = sharded
-//! shard_size = auto
-//! ```
+//! code (Sec. II-C/D). Here a spec file is the `[solver]` table of an
+//! `aderdg-run` config without its header: `key = value` lines over the
+//! [`SOLVER_KEYS`] (bare values, `#` comments), read by
+//! [`RunRequest::from_spec`] through the same [`RunRequest::set`] that
+//! parses every CLI flag. Unwritten keys keep the scenario's defaults;
+//! [`crate::scenario::resolve`] validates the merged result (the facade
+//! crate's docs show the route end to end).
 
-use crate::engine::{EngineConfig, PipelineMode, SteppingMode};
-use crate::kernels::StpKernel;
-use crate::registry::KernelRegistry;
-use crate::tune::TuningMode;
+use crate::scenario::{RunRequest, SOLVER_KEYS};
 use aderdg_quadrature::QuadratureRule;
 use aderdg_tensor::SimdWidth;
 use std::fmt;
 
-/// A parse/validation error with the offending line.
+/// A spec-file error with the offending line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
-    /// 1-based line number (0 for cross-field validation errors).
+    /// 1-based line number.
     pub line: usize,
     /// Human-readable message.
     pub message: String,
@@ -46,8 +33,8 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Parses a SIMD-width keyword (`sse`/`128`, `avx2`/`256`,
-/// `avx512`/`512`, `host`) — shared by the spec-file parser and the
-/// `aderdg-run` CLI.
+/// `avx512`/`512`, `host`) — behind the `width` key of
+/// [`RunRequest::set`].
 pub fn parse_width(value: &str) -> Option<SimdWidth> {
     match value {
         "sse" | "128" => Some(SimdWidth::W2),
@@ -58,10 +45,8 @@ pub fn parse_width(value: &str) -> Option<SimdWidth> {
     }
 }
 
-/// The canonical keyword of a SIMD width (inverse of [`parse_width`]'s
-/// primary spellings). `host` always resolves to a concrete width at
-/// parse time, so checkpoints pin the exact padding they were saved
-/// with.
+/// The canonical keyword of a SIMD width (inverse of [`parse_width`]);
+/// checkpoints pin the exact padding they were saved with through it.
 pub fn width_name(width: SimdWidth) -> &'static str {
     match width {
         SimdWidth::W2 => "sse",
@@ -70,8 +55,7 @@ pub fn width_name(width: SimdWidth) -> &'static str {
     }
 }
 
-/// The canonical keyword of a quadrature rule (inverse of
-/// [`parse_rule`]).
+/// The canonical keyword of a quadrature rule (inverse of [`parse_rule`]).
 pub fn rule_name(rule: QuadratureRule) -> &'static str {
     match rule {
         QuadratureRule::GaussLegendre => "gauss_legendre",
@@ -98,352 +82,167 @@ pub fn parse_auto_size(value: &str) -> Option<Option<usize>> {
     value.parse::<usize>().ok().filter(|&b| b >= 1).map(Some)
 }
 
-/// A validated solver configuration.
-#[derive(Clone)]
-pub struct SolverSpec {
-    /// Scheme order (nodes per dimension), 2..=15.
-    pub order: usize,
-    /// STP kernel, resolved from the [`KernelRegistry`] (default:
-    /// generic — optimizations are opt-in).
-    pub kernel: &'static dyn StpKernel,
-    /// SIMD width (default: host).
-    pub width: SimdWidth,
-    /// Quadrature rule (default: Gauss-Legendre).
-    pub rule: QuadratureRule,
-    /// CFL factor (default 0.4).
-    pub cfl: f64,
-    /// Predictor block size (`None` = leave the pick to the tuner, spec
-    /// value `auto`).
-    pub block_size: Option<usize>,
-    /// Plan-time tuning strategy (`static` | `model`, default `model`).
-    /// `static` reproduces the original footprint heuristic.
-    pub tuning: TuningMode,
-    /// Step pipeline (`barrier` | `sharded`, default `sharded`). `sharded` solves
-    /// each interior face's Riemann problem once and pipelines shards
-    /// with no global barrier; `barrier` is the seed cell-centric
-    /// baseline.
-    pub pipeline: PipelineMode,
-    /// Cells per shard of the sharded pipeline (`None` = automatic, spec
-    /// value `auto`).
-    pub shard_size: Option<usize>,
-    /// Time-stepping strategy (`global` | `lts`, default `global`). `lts` runs
-    /// clustered local time stepping — coarse dt-clusters take fewer,
-    /// longer sub-steps per macro cycle.
-    pub stepping: SteppingMode,
-}
-
-impl std::fmt::Debug for SolverSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SolverSpec")
-            .field("order", &self.order)
-            .field("kernel", &self.kernel.name())
-            .field("width", &self.width)
-            .field("rule", &self.rule)
-            .field("cfl", &self.cfl)
-            .field("block_size", &self.block_size)
-            .field("tuning", &self.tuning)
-            .field("pipeline", &self.pipeline)
-            .field("shard_size", &self.shard_size)
-            .field("stepping", &self.stepping)
-            .finish()
-    }
-}
-
-impl PartialEq for SolverSpec {
-    fn eq(&self, other: &Self) -> bool {
-        // Kernels compare by registry key (unique by construction);
-        // pointer identity of `&dyn` is unreliable across codegen units.
-        self.order == other.order
-            && self.kernel.name() == other.kernel.name()
-            && self.width == other.width
-            && self.rule == other.rule
-            && self.cfl == other.cfl
-            && self.block_size == other.block_size
-            && self.tuning == other.tuning
-            && self.pipeline == other.pipeline
-            && self.shard_size == other.shard_size
-            && self.stepping == other.stepping
-    }
-}
-
-impl Default for SolverSpec {
-    fn default() -> Self {
-        Self {
-            order: 4,
-            kernel: KernelRegistry::global()
-                .resolve("generic")
-                // PANIC-OK: internal invariant — builtins register at
-                // startup.
-                .expect("builtin kernels are always registered"),
-            width: SimdWidth::host(),
-            rule: QuadratureRule::GaussLegendre,
-            cfl: 0.4,
-            block_size: None,
-            tuning: TuningMode::default(),
-            pipeline: PipelineMode::Sharded,
-            shard_size: None,
-            stepping: SteppingMode::Global,
-        }
-    }
-}
-
-impl SolverSpec {
-    /// Parses the `key = value` format; unknown keys and malformed values
-    /// are errors (the Toolkit rejects invalid specification files).
-    pub fn parse(text: &str) -> Result<Self, SpecError> {
-        let mut spec = SolverSpec::default();
+impl RunRequest {
+    /// Reads a spec file into a request that overrides exactly the keys
+    /// the file writes. Every line goes through [`RunRequest::set`]; a
+    /// run-level or unknown key, a line without `=` or a value `set`
+    /// rejects is an error carrying its 1-based line. Ranges (order,
+    /// cfl), kernel names and zero sizes are checked by
+    /// [`crate::scenario::resolve`], as for every other source of knobs.
+    pub fn from_spec(text: &str) -> Result<RunRequest, SpecError> {
+        let mut req = RunRequest::new();
         for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(SpecError {
-                    line: line_no,
-                    message: format!("expected `key = value`, got `{line}`"),
-                });
-            };
-            let key = key.trim();
-            let value = value.trim();
             let err = |message: String| SpecError {
-                line: line_no,
+                line: idx + 1,
                 message,
             };
-            match key {
-                "order" => {
-                    spec.order = value
-                        .parse()
-                        .map_err(|_| err(format!("invalid order `{value}`")))?;
-                }
-                "kernel" => {
-                    spec.kernel = KernelRegistry::global().resolve(value).ok_or_else(|| {
-                        err(format!(
-                            "unknown kernel `{value}` ({})",
-                            KernelRegistry::global().names().join("|")
-                        ))
-                    })?;
-                }
-                "width" => {
-                    spec.width = parse_width(value).ok_or_else(|| {
-                        err(format!("unknown width `{value}` (sse|avx2|avx512|host)"))
-                    })?;
-                }
-                "rule" => {
-                    spec.rule = parse_rule(value).ok_or_else(|| {
-                        err(format!(
-                            "unknown rule `{value}` (gauss_legendre|gauss_lobatto)"
-                        ))
-                    })?;
-                }
-                "cfl" => {
-                    spec.cfl = value
-                        .parse()
-                        .map_err(|_| err(format!("invalid cfl `{value}`")))?;
-                }
-                "block_size" => {
-                    spec.block_size = parse_auto_size(value).ok_or_else(|| {
-                        err(format!(
-                            "invalid block_size `{value}` (auto or integer >= 1)"
-                        ))
-                    })?;
-                }
-                "tuning" => {
-                    spec.tuning = TuningMode::parse(value)
-                        .ok_or_else(|| err(format!("unknown tuning `{value}` (static|model)")))?;
-                }
-                "pipeline" => {
-                    spec.pipeline = PipelineMode::parse(value).ok_or_else(|| {
-                        err(format!("unknown pipeline `{value}` (barrier|sharded)"))
-                    })?;
-                }
-                "shard_size" => {
-                    spec.shard_size = parse_auto_size(value).ok_or_else(|| {
-                        err(format!(
-                            "invalid shard_size `{value}` (auto or integer >= 1)"
-                        ))
-                    })?;
-                }
-                "stepping" => {
-                    spec.stepping = SteppingMode::parse(value)
-                        .ok_or_else(|| err(format!("unknown stepping `{value}` (global|lts)")))?;
-                }
-                other => {
-                    return Err(err(format!("unknown key `{other}`")));
-                }
+            let Some((key, value)) = line.split_once('=') else {
+                return Err(err(format!("expected `key = value`, got `{line}`")));
+            };
+            let (key, value) = (key.trim(), value.trim());
+            if !SOLVER_KEYS.contains(&key) {
+                return Err(err(format!(
+                    "unknown key `{key}` (a spec file holds solver keys only: {})",
+                    SOLVER_KEYS.join("|")
+                )));
             }
+            req.set(key, value).map_err(|e| {
+                err(format!(
+                    "invalid value `{value}` for {key} (expected {})",
+                    e.expected
+                ))
+            })?;
         }
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    fn validate(&self) -> Result<(), SpecError> {
-        let fail = |message: String| SpecError { line: 0, message };
-        if !(2..=15).contains(&self.order) {
-            return Err(fail(format!("order {} outside 2..=15", self.order)));
-        }
-        if !(self.cfl > 0.0 && self.cfl <= 0.45) {
-            return Err(fail(format!(
-                "cfl {} outside (0, 0.45] (empirical 3-D stability limit)",
-                self.cfl
-            )));
-        }
-        Ok(())
-    }
-
-    /// The engine configuration this spec describes.
-    pub fn engine_config(&self) -> EngineConfig {
-        let mut cfg = EngineConfig::new(self.order)
-            .with_kernel(self.kernel)
-            .with_rule(self.rule)
-            .with_width(self.width);
-        cfg.cfl = self.cfl;
-        cfg.block_size = self.block_size;
-        cfg.tuning = self.tuning;
-        cfg.pipeline = self.pipeline;
-        cfg.shard_size = self.shard_size;
-        cfg.stepping = self.stepping;
-        cfg
+        Ok(req)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
+    use crate::scenario::{resolve, ScenarioRegistry};
+
+    /// `text` merged over `maxwell_cavity`'s defaults and validated.
+    fn resolved(text: &str) -> Result<EngineConfig, String> {
+        let scenario = ScenarioRegistry::global().resolve("maxwell_cavity");
+        let req = RunRequest::from_spec(text).map_err(|e| e.to_string())?;
+        match resolve(&scenario.unwrap().info(), &req) {
+            Ok(r) => Ok(r.config),
+            Err(e) => Err(e.to_string()),
+        }
+    }
 
     #[test]
     fn parses_full_spec() {
-        let spec = SolverSpec::parse(
-            "# benchmark setup\n\
-             order  = 6\n\
-             kernel = aosoa_splitck  # the Sec. V variant\n\
-             width  = avx512\n\
-             rule   = gauss_lobatto\n\
-             cfl    = 0.3\n\
-             block_size = 8\n",
+        let c = resolved(
+            "# benchmark setup\norder = 6\nkernel = splitck  # Sec. IV\nwidth = avx512\n\
+             rule = gauss_lobatto\ncfl = 0.3\nblock_size = 8\n",
         )
         .unwrap();
-        assert_eq!(spec.order, 6);
-        assert_eq!(spec.kernel.name(), "aosoa_splitck");
-        assert_eq!(spec.width, SimdWidth::W8);
-        assert_eq!(spec.rule, QuadratureRule::GaussLobatto);
-        assert_eq!(spec.cfl, 0.3);
-        assert_eq!(spec.block_size, Some(8));
-        assert_eq!(spec.engine_config().order, 6);
-        assert_eq!(spec.engine_config().block_size, Some(8));
+        assert_eq!((c.order, c.kernel.name(), c.cfl), (6, "splitck", 0.3));
+        assert_eq!((c.width, c.block_size), (Some(SimdWidth::W8), Some(8)));
+        assert_eq!(c.rule, QuadratureRule::GaussLobatto);
     }
 
     #[test]
     fn tuning_parses_defaults_to_model_and_rejects_unknown() {
-        assert_eq!(
-            SolverSpec::parse("order = 4\n").unwrap().tuning,
-            TuningMode::Model
-        );
+        use crate::tune::TuningMode;
+        assert_eq!(resolved("order = 4\n").unwrap().tuning, TuningMode::Model);
         for (text, mode) in [
             ("tuning = static\n", TuningMode::Static),
             ("tuning = model\n", TuningMode::Model),
         ] {
-            let spec = SolverSpec::parse(text).unwrap();
-            assert_eq!(spec.tuning, mode);
-            assert_eq!(spec.engine_config().tuning, mode);
+            assert_eq!(RunRequest::from_spec(text).unwrap().tuning, Some(mode));
+            assert_eq!(resolved(text).unwrap().tuning, mode);
         }
         for text in ["tuning = lucky\n", "tuning = probe\n"] {
-            let e = SolverSpec::parse(text).unwrap_err();
-            assert!(e.message.contains("(static|model)"), "{}", e.message);
+            let e = RunRequest::from_spec(text).unwrap_err();
+            assert!(
+                e.message.contains("(expected static|model)"),
+                "{}",
+                e.message
+            );
         }
     }
 
     #[test]
     fn pipeline_parses_and_rejects_unknown() {
+        use crate::engine::PipelineMode;
         for (text, mode) in [
             ("pipeline = barrier\n", PipelineMode::Barrier),
             ("pipeline = sharded\n", PipelineMode::Sharded),
         ] {
-            let spec = SolverSpec::parse(text).unwrap();
-            assert_eq!(spec.pipeline, mode);
-            assert_eq!(spec.engine_config().pipeline, mode);
+            assert_eq!(RunRequest::from_spec(text).unwrap().pipeline, Some(mode));
+            assert_eq!(resolved(text).unwrap().pipeline, mode);
         }
-        let e = SolverSpec::parse("pipeline = warp\n").unwrap_err();
-        assert!(e.message.contains("barrier|sharded"));
+        let e = RunRequest::from_spec("pipeline = warp\n").unwrap_err();
+        assert!(e.message.contains("barrier|sharded"), "{}", e.message);
     }
 
     #[test]
     fn stepping_parses_and_rejects_unknown() {
+        use crate::engine::SteppingMode;
         for (text, mode) in [
             ("stepping = global\n", SteppingMode::Global),
             ("stepping = lts\n", SteppingMode::Lts),
         ] {
-            let spec = SolverSpec::parse(text).unwrap();
-            assert_eq!(spec.stepping, mode);
-            assert_eq!(spec.engine_config().stepping, mode);
+            assert_eq!(RunRequest::from_spec(text).unwrap().stepping, Some(mode));
+            assert_eq!(resolved(text).unwrap().stepping, mode);
         }
-        let e = SolverSpec::parse("stepping = warp\n").unwrap_err();
-        assert!(e.message.contains("global|lts"));
-    }
-
-    #[test]
-    fn shard_size_auto_and_rejects_invalid() {
-        assert_eq!(
-            SolverSpec::parse("shard_size = auto\n").unwrap().shard_size,
-            None
-        );
-        assert_eq!(
-            SolverSpec::parse("shard_size = 12\n").unwrap().shard_size,
-            Some(12)
-        );
-        assert_eq!(
-            SolverSpec::parse("shard_size = 12\n")
-                .unwrap()
-                .engine_config()
-                .shard_size,
-            Some(12)
-        );
-        assert!(SolverSpec::parse("shard_size = 0\n").is_err());
-        assert!(SolverSpec::parse("shard_size = many\n").is_err());
+        let e = RunRequest::from_spec("stepping = warp\n").unwrap_err();
+        assert!(e.message.contains("global|lts"), "{}", e.message);
     }
 
     #[test]
     fn block_size_auto_and_rejects_invalid() {
-        assert_eq!(
-            SolverSpec::parse("block_size = auto\n").unwrap().block_size,
-            None
-        );
-        assert!(SolverSpec::parse("block_size = 0\n").is_err());
-        assert!(SolverSpec::parse("block_size = wide\n").is_err());
+        let req = RunRequest::from_spec("block_size = auto\n").unwrap();
+        assert_eq!(req.block_size, Some(None));
+        assert_eq!(resolved("block_size = auto\n").unwrap().block_size, None);
+        assert!(RunRequest::from_spec("block_size = 0\n").is_err());
+        assert!(RunRequest::from_spec("block_size = wide\n").is_err());
     }
 
     #[test]
-    fn defaults_are_generic_and_opt_in() {
-        let spec = SolverSpec::parse("order = 5\n").unwrap();
-        assert_eq!(spec.kernel.name(), "generic");
-        assert_eq!(spec.cfl, 0.4);
+    fn shard_size_auto_and_rejects_invalid() {
+        let req = RunRequest::from_spec("shard_size = auto\n").unwrap();
+        assert_eq!(req.shard_size, Some(None));
+        assert_eq!(resolved("shard_size = 12\n").unwrap().shard_size, Some(12));
+        assert!(RunRequest::from_spec("shard_size = 0\n").is_err());
+        assert!(RunRequest::from_spec("shard_size = many\n").is_err());
     }
 
     #[test]
     fn rejects_unknown_kernel() {
-        let e = SolverSpec::parse("kernel = turbo\n").unwrap_err();
-        assert_eq!(e.line, 1);
-        assert!(e.message.contains("unknown kernel"));
+        let e = resolved("order = 4\nkernel = turbo\n").unwrap_err();
+        assert!(e.contains("unknown kernel `turbo`"), "{e}");
+        assert!(e.contains("aosoa_splitck"), "{e}"); // lists what is registered
     }
 
     #[test]
     fn rejects_unknown_key_and_bad_syntax() {
-        assert!(SolverSpec::parse("colour = blue\n").is_err());
-        let e = SolverSpec::parse("order 5\n").unwrap_err();
+        assert!(RunRequest::from_spec("colour = blue\n").is_err());
+        let e = RunRequest::from_spec("\norder 5\n").unwrap_err();
+        assert_eq!(e.line, 2);
         assert!(e.message.contains("key = value"));
     }
 
     #[test]
     fn rejects_unstable_cfl_and_bad_order() {
-        let e = SolverSpec::parse("cfl = 0.9\n").unwrap_err();
-        assert!(e.message.contains("stability"));
-        assert!(SolverSpec::parse("order = 1\n").is_err());
-        assert!(SolverSpec::parse("order = 99\n").is_err());
+        assert!(resolved("cfl = 0.9\n").unwrap_err().contains("stability"));
+        for order in [1, 99] {
+            let e = resolved(&format!("order = {order}\n")).unwrap_err();
+            assert!(e.contains(&format!("order {order} outside 2..=15")), "{e}");
+        }
     }
 
     #[test]
     fn display_formats_line() {
-        let e = SolverSpec::parse("kernel = x\n").unwrap_err();
+        let e = RunRequest::from_spec("width = x\n").unwrap_err();
         assert!(e.to_string().contains("line 1"));
     }
 }

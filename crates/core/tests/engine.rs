@@ -320,8 +320,14 @@ fn l2_norm_is_dissipative_on_resolved_wave() {
 
 #[test]
 fn spec_file_drives_engine() {
-    use aderdg_core::SolverSpec;
-    let spec = SolverSpec::parse("order = 3\nkernel = splitck\ncfl = 0.35\n").unwrap();
+    use aderdg_core::scenario::{resolve, RunRequest, ScenarioRegistry};
+    let req = RunRequest::from_spec("order = 3\nkernel = splitck\ncfl = 0.35\n").unwrap();
+    let info = ScenarioRegistry::global()
+        .resolve("advection_wave")
+        .unwrap()
+        .info();
+    let config = resolve(&info, &req).unwrap().config;
+    assert_eq!((config.order, config.cfl), (3, 0.35));
     let mesh = StructuredMesh::unit_cube(2);
     let pde = AdvectionSystem::new(1, [1.0, 0.0, 0.0]);
     let exact = AdvectedSine {
@@ -329,7 +335,7 @@ fn spec_file_drives_engine() {
         velocity: [1.0, 0.0, 0.0],
         wave: [1.0, 0.0, 0.0],
     };
-    let mut engine = Engine::new(mesh, pde, spec.engine_config());
+    let mut engine = Engine::new(mesh, pde, config);
     engine.set_initial(|x, q| exact.evaluate(x, 0.0, q));
     engine.run_until(0.05);
     assert!(engine.l2_error(&exact) < 0.05);

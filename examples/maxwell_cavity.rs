@@ -1,15 +1,16 @@
 //! Electromagnetic wave propagation driven by a specification file —
 //! demonstrates the opt-in kernel selection of the paper (Sec. II-C:
 //! users choose variants in the specification file; optimized kernels
-//! are opt-in) feeding the registered `maxwell_cavity` scenario: every
-//! `SolverSpec` knob flows into the run via `RunRequest::with_spec`.
+//! are opt-in) feeding the registered `maxwell_cavity` scenario. The spec
+//! file is the `[solver]` keys of a run file without the header, read by
+//! `RunRequest::from_spec`; keys it leaves out keep the scenario's
+//! defaults.
 //!
 //! ```sh
 //! cargo run --release --example maxwell_cavity
 //! ```
 
-use aderdg::core::scenario::{RunRequest, ScenarioRegistry};
-use aderdg::core::SolverSpec;
+use aderdg::core::scenario::{resolve, RunRequest, ScenarioRegistry};
 
 const SPEC: &str = "
 # Maxwell benchmark — Sec. V kernel, order 5
@@ -21,20 +22,21 @@ cfl    = 0.4
 ";
 
 fn main() {
-    let spec = SolverSpec::parse(SPEC).expect("valid specification");
-    println!(
-        "specification: order {}, kernel {}, cfl {}",
-        spec.order,
-        spec.kernel.label(),
-        spec.cfl
-    );
-
+    let request = RunRequest::from_spec(SPEC).expect("valid specification");
     let scenario = ScenarioRegistry::global()
         .resolve("maxwell_cavity")
         .expect("maxwell_cavity is registered");
-    let summary = scenario
-        .run(&RunRequest::new().with_spec(&spec))
-        .expect("scenario runs");
+    let config = resolve(&scenario.info(), &request)
+        .expect("specification within range")
+        .config;
+    println!(
+        "specification: order {}, kernel {}, cfl {}",
+        config.order,
+        config.kernel.label(),
+        config.cfl
+    );
+
+    let summary = scenario.run(&request).expect("scenario runs");
 
     println!("\n{:>8} {:>12} {:>12}", "t", "L2 error", "energy");
     for p in summary.series.iter().skip(1) {

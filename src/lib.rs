@@ -33,15 +33,18 @@
 //! assert!(engine.l2_error(&wave) < 5e-2);
 //! ```
 //!
-//! Or drive the engine from a specification file, as in the paper's
-//! toolkit workflow:
+//! Or configure it from a specification file, as in the paper's toolkit
+//! workflow: the `[solver]` keys of a run file without the header, merged
+//! over a scenario's defaults (unwritten keys keep them):
 //!
 //! ```
-//! use aderdg::core::{KernelRegistry, SolverSpec};
+//! use aderdg::core::scenario::{resolve, RunRequest, ScenarioRegistry};
+//! use aderdg::core::KernelRegistry;
 //!
-//! let spec = SolverSpec::parse("order = 6\nkernel = aosoa_splitck\n").unwrap();
-//! assert_eq!(spec.kernel.name(), "aosoa_splitck");
-//! let _config = spec.engine_config();
+//! let req = RunRequest::from_spec("order = 6\nkernel = aosoa_splitck\n").unwrap();
+//! let info = ScenarioRegistry::global().resolve("acoustic_wave").unwrap().info();
+//! let config = resolve(&info, &req).unwrap().config;
+//! assert_eq!(config.kernel.name(), "aosoa_splitck");
 //!
 //! // The kernel set is open-ended: everything registered resolves.
 //! for kernel in KernelRegistry::global().kernels() {
