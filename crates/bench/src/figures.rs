@@ -18,7 +18,7 @@ use aderdg_core::{KernelRegistry, KernelVariant, StpConfig, StpPlan};
 use aderdg_gemm::{Gemm, GemmSpec};
 use aderdg_pde::{Elastic, LinearPde, Material};
 use aderdg_perf::{footprint as footprint_model, CacheSim, MachineModel};
-use aderdg_tensor::{aos_to_aosoa, aosoa_to_aos, DofLayout, Lcg, SimdWidth};
+use aderdg_tensor::{aos_to_aosoa, aosoa_to_aos, DofLayout, Isa, Lcg};
 use std::time::{Duration, Instant};
 
 /// One subcommand of the `figures` binary: its name and the function
@@ -83,7 +83,7 @@ pub fn run(args: &[String]) -> u8 {
 }
 
 /// [`measure_stp`] at the figures' batch size (4 cells, median of 5).
-fn measure(variant: KernelVariant, order: usize, width: SimdWidth) -> Measurement {
+fn measure(variant: KernelVariant, order: usize, width: Isa) -> Measurement {
     measure_stp(variant, order, width, 4, 5)
 }
 
@@ -98,7 +98,7 @@ fn print_peak_and_header(title: &str) {
 /// The m = 21 elastic plan at AVX-512 padding.
 fn elastic_plan(order: usize) -> StpPlan {
     StpPlan::new(
-        StpConfig::new(order, M_ELASTIC).with_width(SimdWidth::W8),
+        StpConfig::new(order, M_ELASTIC).with_width(Isa::Avx512),
         [0.1; 3],
     )
 }
@@ -142,9 +142,9 @@ fn fig4() {
     print_peak_and_header("Fig. 4 — generic vs LoG (AVX-512) vs LoG (AVX2), elastic m = 21");
     let mut speedups = Vec::new();
     for order in paper_orders() {
-        let gen = measure(KernelVariant::Generic, order, SimdWidth::W8);
-        let log512 = measure(KernelVariant::LoG, order, SimdWidth::W8);
-        let log256 = measure(KernelVariant::LoG, order, SimdWidth::W4);
+        let gen = measure(KernelVariant::Generic, order, Isa::Avx512);
+        let log512 = measure(KernelVariant::LoG, order, Isa::Avx512);
+        let log256 = measure(KernelVariant::LoG, order, Isa::Avx2);
         print_row(&gen);
         print_row(&log512);
         print_row(&log256);
@@ -173,8 +173,8 @@ fn fig4() {
 fn fig6() {
     print_peak_and_header("Fig. 6 — LoG vs SplitCK, elastic m = 21");
     for order in paper_orders() {
-        print_row(&measure(KernelVariant::LoG, order, SimdWidth::W8));
-        print_row(&measure(KernelVariant::SplitCk, order, SimdWidth::W8));
+        print_row(&measure(KernelVariant::LoG, order, Isa::Avx512));
+        print_row(&measure(KernelVariant::SplitCk, order, Isa::Avx512));
     }
     println!("\npaper: SplitCK stalls fall monotonically; LoG stalls plateau >= 41%");
 }
@@ -222,7 +222,7 @@ fn fig10() {
     print_peak_and_header("Fig. 10 — all four STP variants, elastic m = 21");
     let mut by_order = Vec::new();
     for order in paper_orders() {
-        let row = KernelVariant::ALL.map(|variant| measure(variant, order, SimdWidth::W8));
+        let row = KernelVariant::ALL.map(|variant| measure(variant, order, Isa::Avx512));
         row.iter().for_each(print_row);
         by_order.push(row);
     }
@@ -245,11 +245,11 @@ fn speedups() {
         "order", "LoG 512/256 speedup", "SplitCK vs LoG", "AoSoA vs generic"
     );
     for order in paper_orders() {
-        let gen = measure(KernelVariant::Generic, order, SimdWidth::W8);
-        let log512 = measure(KernelVariant::LoG, order, SimdWidth::W8);
-        let log256 = measure(KernelVariant::LoG, order, SimdWidth::W4);
-        let split = measure(KernelVariant::SplitCk, order, SimdWidth::W8);
-        let hybrid = measure(KernelVariant::AoSoASplitCk, order, SimdWidth::W8);
+        let gen = measure(KernelVariant::Generic, order, Isa::Avx512);
+        let log512 = measure(KernelVariant::LoG, order, Isa::Avx512);
+        let log256 = measure(KernelVariant::LoG, order, Isa::Avx2);
+        let split = measure(KernelVariant::SplitCk, order, Isa::Avx512);
+        let hybrid = measure(KernelVariant::AoSoASplitCk, order, Isa::Avx512);
         println!(
             "{order:>6} {:>19.2}x {:>19.2}x {:>21.2}x",
             log256.seconds_per_cell / log512.seconds_per_cell,
@@ -523,8 +523,8 @@ fn ablation_fusion() {
 
 fn ablation_transpose() {
     for n in [6usize, 9] {
-        let aos = DofLayout::aos(n, 21, SimdWidth::W8);
-        let aosoa = DofLayout::aosoa(n, 21, SimdWidth::W8);
+        let aos = DofLayout::aos(n, 21, Isa::Avx512);
+        let aosoa = DofLayout::aosoa(n, 21, Isa::Avx512);
         let src = rand_vec(aos.len(), 5);
         let mut hybrid = vec![0.0; aosoa.len()];
         let mut back = vec![0.0; aos.len()];

@@ -17,7 +17,7 @@ use aderdg_core::traces::trace_batch;
 use aderdg_core::{KernelVariant, StpConfig, StpPlan};
 use aderdg_pde::{Elastic, Material};
 use aderdg_perf::{measure_peak_gflops, CacheSim, MachineModel, PackCounts, PerfMeasurement};
-use aderdg_tensor::SimdWidth;
+use aderdg_tensor::Isa;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -92,8 +92,8 @@ pub struct Measurement {
     pub variant: KernelVariant,
     /// Scheme order.
     pub order: usize,
-    /// SIMD width of the plan (padding + dispatch).
-    pub width: SimdWidth,
+    /// SIMD level of the plan (padding + dispatch).
+    pub width: Isa,
     /// Wall-clock seconds per cell (median of repetitions).
     pub seconds_per_cell: f64,
     /// Useful GFlop/s achieved.
@@ -117,7 +117,7 @@ pub struct Measurement {
 pub fn measure_stp(
     variant: KernelVariant,
     order: usize,
-    width: SimdWidth,
+    width: Isa,
     cells: usize,
     reps: usize,
 ) -> Measurement {
@@ -200,7 +200,7 @@ pub fn print_row(m: &Measurement) {
         "{:>6} {:>18} {:>8} {:>10.2} µs {:>10.2} {:>9.1}% {:>9.1}%",
         m.order,
         m.variant.name(),
-        format!("{}b", m.width.bits()),
+        format!("{}b", 64 * m.width.width_doubles()),
         m.seconds_per_cell * 1e6,
         m.gflops,
         m.available_fraction * 100.0,
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn measurement_smoke() {
-        let m = measure_stp(KernelVariant::SplitCk, 4, SimdWidth::W8, 2, 2);
+        let m = measure_stp(KernelVariant::SplitCk, 4, Isa::Avx512, 2, 2);
         assert!(m.seconds_per_cell > 0.0);
         assert!(m.gflops > 0.0);
         assert!(m.stall_fraction >= 0.0 && m.stall_fraction < 1.0);

@@ -151,9 +151,11 @@ impl std::error::Error for DegenerateDt {}
 /// * **`cfl`** — time-step safety factor (≤ 0.45 empirically for the
 ///   3-D scheme). Lower it only if a run blows up (strongly varying
 ///   material parameters); raising it risks instability.
-/// * **`width`** — SIMD padding/dispatch width. Leave at `None` (host
-///   width) except to reproduce the paper's narrower-build comparisons
-///   (e.g. AVX2 padding on an AVX-512 machine, Fig. 4).
+/// * **`width`** — the SIMD level ([`Isa`](aderdg_tensor::Isa)): the
+///   padding of every tensor and the cap of the GEMM tile and lane
+///   kernels. Leave at `None` ([`Isa::detect`](aderdg_tensor::Isa::detect))
+///   except to reproduce the paper's narrower-build comparisons (e.g. an
+///   AVX2 build on an AVX-512 machine, Fig. 4).
 /// * **`rule`** — quadrature rule. Gauss-Legendre (default) is the
 ///   paper's choice; Gauss-Lobatto includes the element boundary in the
 ///   node set, trading a slightly worse conditioning for cheaper face
@@ -196,8 +198,8 @@ pub struct EngineConfig {
     pub order: usize,
     /// CFL safety factor (≤ 1).
     pub cfl: f64,
-    /// SIMD width for padding/dispatch (`None` = host width).
-    pub width: Option<aderdg_tensor::SimdWidth>,
+    /// SIMD level for padding/dispatch (`None` = the host's).
+    pub width: Option<aderdg_tensor::Isa>,
     /// Quadrature/interpolation rule.
     pub rule: aderdg_quadrature::QuadratureRule,
     /// Cells per predictor block (`None` = let the tuner decide, see
@@ -288,8 +290,8 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the SIMD width (builder style).
-    pub fn with_width(mut self, width: aderdg_tensor::SimdWidth) -> Self {
+    /// Selects the SIMD level (builder style).
+    pub fn with_width(mut self, width: aderdg_tensor::Isa) -> Self {
         self.width = Some(width);
         self
     }
@@ -1577,18 +1579,6 @@ impl<P: LinearPde> Engine<P> {
         err2.sqrt()
     }
 
-    /// Interpolates the evolved quantities at a physical point.
-    pub fn sample(&self, x: [f64; 3]) -> Vec<f64> {
-        let cell = self.mesh.locate(x);
-        let xi = self.mesh.to_reference(cell, x);
-        let phi = [
-            self.plan.basis.basis_at(xi[0]),
-            self.plan.basis.basis_at(xi[1]),
-            self.plan.basis.basis_at(xi[2]),
-        ];
-        self.sample_cell(cell, &phi)
-    }
-
     fn sample_cell(&self, cell: usize, phi: &[Vec<f64>; 3]) -> Vec<f64> {
         let n = self.plan.n();
         let m_pad = self.plan.aos.m_pad();
@@ -1685,28 +1675,6 @@ impl<P: LinearPde> Engine<P> {
             }
         }
         acc.sqrt()
-    }
-
-    /// Writes one receiver's records as CSV (`t, q0, q1, ...`).
-    pub fn write_receiver_csv(
-        &self,
-        receiver: usize,
-        out: &mut dyn std::io::Write,
-    ) -> std::io::Result<()> {
-        let rec = &self.receivers[receiver];
-        write!(out, "t")?;
-        for s in 0..self.pde.num_vars() {
-            write!(out, ",q{s}")?;
-        }
-        writeln!(out)?;
-        for (t, v) in &rec.records {
-            write!(out, "{t}")?;
-            for x in v {
-                write!(out, ",{x}")?;
-            }
-            writeln!(out)?;
-        }
-        Ok(())
     }
 
     /// Direct read access to a cell's padded AoS state.

@@ -209,10 +209,10 @@ pub fn stp_useful_flops(plan: &StpPlan, cost: UserFunctionCost) -> u64 {
 mod tests {
     use super::*;
     use crate::plan::StpConfig;
-    use aderdg_tensor::SimdWidth;
+    use aderdg_tensor::Isa;
 
     fn plan(n: usize) -> StpPlan {
-        StpPlan::new(StpConfig::new(n, 21).with_width(SimdWidth::W8), [1.0; 3])
+        StpPlan::new(StpConfig::new(n, 21).with_width(Isa::Avx512), [1.0; 3])
     }
 
     #[test]
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn avx2_width_shifts_mix_to_256() {
-        let p = StpPlan::new(StpConfig::new(8, 21).with_width(SimdWidth::W4), [1.0; 3]);
+        let p = StpPlan::new(StpConfig::new(8, 21).with_width(Isa::Avx2), [1.0; 3]);
         let c = stp_pack_counts(&p, KernelVariant::SplitCk, UserFunctionCost::elastic());
         let f = c.fractions();
         assert_eq!(f[3], 0.0, "no 512-bit packs on an AVX2 plan");

@@ -3,8 +3,8 @@
 //! the ExaHyPE core; Fig. 2).
 //!
 //! Writes nodal snapshots as legacy-VTK structured grids (readable by
-//! ParaView/VisIt) or as flat CSV, and receiver seismograms as CSV (see
-//! [`Engine::write_receiver_csv`](crate::engine::Engine::write_receiver_csv)).
+//! ParaView/VisIt) or as flat CSV; receiver seismograms are written from a
+//! run summary by [`write_receivers_csv`](crate::report::write_receivers_csv).
 
 use crate::engine::Engine;
 use aderdg_pde::LinearPde;

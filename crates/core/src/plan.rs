@@ -3,14 +3,14 @@
 //! The paper's Kernel Generator renders Jinja2 templates with every size,
 //! stride, padding and operator matrix hard-coded per application and
 //! architecture (Sec. II-D). [`StpPlan`] is the Rust equivalent: built once
-//! per `(order, quantities, SIMD width, mesh spacing)`, it holds the padded
+//! per `(order, quantities, SIMD level, mesh spacing)`, it holds the padded
 //! layouts, the scaled derivative operators, and the pre-dispatched GEMM
 //! plans every kernel variant executes against. Kernels themselves contain
 //! no size logic.
 
 use aderdg_gemm::{Gemm, GemmSpec, Isa};
 use aderdg_quadrature::{taylor_coefficients, Basis1d, QuadratureRule};
-use aderdg_tensor::{DofLayout, FaceLayout, SimdWidth};
+use aderdg_tensor::{DofLayout, FaceLayout};
 
 /// The four measured Space-Time Predictor variants of the paper.
 ///
@@ -79,37 +79,28 @@ pub struct StpConfig {
     pub order: usize,
     /// Stored quantities per node (`m`).
     pub quantities: usize,
-    /// SIMD width padding / dispatch target.
-    pub width: SimdWidth,
+    /// SIMD level: the padding unit of every layout and the cap of the
+    /// GEMM tile and lane kernels (which run at most at [`Isa::detect`]).
+    pub width: Isa,
     /// Interpolation rule.
     pub rule: QuadratureRule,
 }
 
 impl StpConfig {
-    /// Gauss-Legendre configuration at the host's widest SIMD width.
+    /// Gauss-Legendre configuration at the host's SIMD level.
     pub fn new(order: usize, quantities: usize) -> Self {
         Self {
             order,
             quantities,
-            width: SimdWidth::host(),
+            width: Isa::detect(),
             rule: QuadratureRule::GaussLegendre,
         }
     }
 
-    /// Overrides the SIMD width (e.g. the paper's AVX2-on-Skylake runs).
-    pub fn with_width(mut self, width: SimdWidth) -> Self {
+    /// Overrides the SIMD level (e.g. the paper's AVX2-on-Skylake runs).
+    pub fn with_width(mut self, width: Isa) -> Self {
         self.width = width;
         self
-    }
-
-    /// The GEMM ISA cap the SIMD width implies (the paper's
-    /// narrower-build comparisons cap the GEMM kernel the same way).
-    pub fn isa_cap(&self) -> Isa {
-        match self.width {
-            SimdWidth::W2 => Isa::Baseline,
-            SimdWidth::W4 => Isa::Avx2,
-            SimdWidth::W8 => Isa::Avx512,
-        }
     }
 }
 
@@ -145,7 +136,7 @@ impl StpPlan {
     /// Builds a plan for cells of edge length `dx` (per dimension), using
     /// the widest GEMM kernel the host supports (capped by `cfg.width`).
     pub fn new(cfg: StpConfig, dx: [f64; 3]) -> Self {
-        Self::build(cfg, dx, &|spec| Gemm::with_isa(spec, cfg.isa_cap()))
+        Self::build(cfg, dx, &|spec| Gemm::with_isa(spec, cfg.width))
     }
 
     /// Builds a plan whose GEMMs all dispatch to an explicit kernel — how

@@ -31,6 +31,8 @@ use crate::registry::KernelRegistry;
 use crate::tune::TuningMode;
 use aderdg_mesh::StructuredMesh;
 use aderdg_pde::{ExactSolution, LinearPde, PointSource};
+use aderdg_quadrature::QuadratureRule;
+use aderdg_tensor::Isa;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -100,10 +102,10 @@ pub struct RunRequest {
     pub kernel: Option<String>,
     /// CFL factor override.
     pub cfl: Option<f64>,
-    /// SIMD width override.
-    pub width: Option<aderdg_tensor::SimdWidth>,
+    /// SIMD level override (the `width` knob).
+    pub width: Option<Isa>,
     /// Quadrature rule override.
-    pub rule: Option<aderdg_quadrature::QuadratureRule>,
+    pub rule: Option<QuadratureRule>,
     /// Predictor block size override (`Some(None)` = force `auto`).
     pub block_size: Option<Option<usize>>,
     /// Tuning-mode override.
@@ -197,14 +199,10 @@ impl RunRequest {
             "order" => self.order = Some(parse(value, "an integer 2..=15")?),
             "kernel" => self.kernel = Some(value.to_string()),
             "cfl" => self.cfl = Some(parse(value, "a number in (0, 0.45]")?),
-            "width" => {
-                self.width =
-                    Some(crate::spec::parse_width(value).ok_or(bad("sse|avx2|avx512|host"))?)
-            }
+            "width" => self.width = Some(Isa::parse(value).ok_or(bad("sse|avx2|avx512|host"))?),
             "rule" => {
-                self.rule = Some(
-                    crate::spec::parse_rule(value).ok_or(bad("gauss_legendre|gauss_lobatto"))?,
-                )
+                self.rule =
+                    Some(QuadratureRule::parse(value).ok_or(bad("gauss_legendre|gauss_lobatto"))?)
             }
             "block_size" => {
                 self.block_size = Some(
@@ -957,13 +955,13 @@ fn checkpoint_knobs<P: LinearPde>(
     req: &RunRequest,
 ) -> Vec<(String, String)> {
     let c = &engine.config;
-    let width = c.width.unwrap_or(aderdg_tensor::SimdWidth::host());
+    let width = c.width.unwrap_or(Isa::detect());
     let mut knobs: Vec<(String, String)> = vec![
         ("order".into(), c.order.to_string()),
         ("kernel".into(), c.kernel.name().to_string()),
         ("cfl".into(), c.cfl.to_string()),
-        ("width".into(), crate::spec::width_name(width).into()),
-        ("rule".into(), crate::spec::rule_name(c.rule).into()),
+        ("width".into(), width.as_str().into()),
+        ("rule".into(), c.rule.as_str().into()),
         ("block_size".into(), engine.block_size().to_string()),
         ("tuning".into(), c.tuning.as_str().into()),
         ("pipeline".into(), c.pipeline.as_str().into()),
@@ -1186,6 +1184,44 @@ mod tests {
                     assert!(e.message.contains("unknown kernel `turbo`"), "{e}");
                 }
             }
+        }
+    }
+
+    /// Every `width` and `rule` spelling, through `set` and a saved
+    /// checkpoint: the value type parses it, and the checkpoint pins its
+    /// canonical spelling (`width = sse|avx2|avx512`), which parses back
+    /// to the same value.
+    #[test]
+    fn knob_spellings_round_trip_through_checkpoint_knobs() {
+        let host = Isa::detect().as_str();
+        let rows = [
+            ("width", "sse", "sse"),
+            ("width", "128", "sse"),
+            ("width", "avx2", "avx2"),
+            ("width", "256", "avx2"),
+            ("width", "avx512", "avx512"),
+            ("width", "512", "avx512"),
+            ("width", "host", host),
+            ("rule", "gauss_legendre", "gauss_legendre"),
+            ("rule", "gauss_lobatto", "gauss_lobatto"),
+        ];
+        let scenario = ScenarioRegistry::global().resolve("acoustic_wave").unwrap();
+        for (key, spelling, canonical) in rows {
+            let path = std::env::temp_dir().join(format!(
+                "aderdg_knob_{}_{key}_{spelling}.ckpt",
+                std::process::id()
+            ));
+            let mut req = RunRequest::smoke();
+            assert_eq!(req.set(key, spelling), Ok(true));
+            req.save_checkpoint = Some(path.clone());
+            scenario.run(&req).unwrap();
+            let ck = Checkpoint::load(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            let pinned = &ck.knobs.iter().find(|(k, _)| k == key).unwrap().1;
+            assert_eq!(pinned, canonical, "{key} = {spelling}");
+            let mut replayed = RunRequest::new();
+            assert_eq!(replayed.set(key, pinned), Ok(true));
+            assert_eq!((replayed.width, replayed.rule), (req.width, req.rule));
         }
     }
 

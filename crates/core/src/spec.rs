@@ -11,8 +11,6 @@
 //! crate's docs show the route end to end).
 
 use crate::scenario::{RunRequest, SOLVER_KEYS};
-use aderdg_quadrature::QuadratureRule;
-use aderdg_tensor::SimdWidth;
 use std::fmt;
 
 /// A spec-file error with the offending line.
@@ -31,46 +29,6 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-/// Parses a SIMD-width keyword (`sse`/`128`, `avx2`/`256`,
-/// `avx512`/`512`, `host`) — behind the `width` key of
-/// [`RunRequest::set`].
-pub fn parse_width(value: &str) -> Option<SimdWidth> {
-    match value {
-        "sse" | "128" => Some(SimdWidth::W2),
-        "avx2" | "256" => Some(SimdWidth::W4),
-        "avx512" | "512" => Some(SimdWidth::W8),
-        "host" => Some(SimdWidth::host()),
-        _ => None,
-    }
-}
-
-/// The canonical keyword of a SIMD width (inverse of [`parse_width`]);
-/// checkpoints pin the exact padding they were saved with through it.
-pub fn width_name(width: SimdWidth) -> &'static str {
-    match width {
-        SimdWidth::W2 => "sse",
-        SimdWidth::W4 => "avx2",
-        SimdWidth::W8 => "avx512",
-    }
-}
-
-/// The canonical keyword of a quadrature rule (inverse of [`parse_rule`]).
-pub fn rule_name(rule: QuadratureRule) -> &'static str {
-    match rule {
-        QuadratureRule::GaussLegendre => "gauss_legendre",
-        QuadratureRule::GaussLobatto => "gauss_lobatto",
-    }
-}
-
-/// Parses a quadrature-rule keyword (`gauss_legendre` | `gauss_lobatto`).
-pub fn parse_rule(value: &str) -> Option<QuadratureRule> {
-    match value {
-        "gauss_legendre" => Some(QuadratureRule::GaussLegendre),
-        "gauss_lobatto" => Some(QuadratureRule::GaussLobatto),
-        _ => None,
-    }
-}
 
 /// Parses an `auto`-or-positive-integer size value (`block_size`,
 /// `shard_size`): `Some(None)` for `auto`, `Some(Some(n))` for `n ≥ 1`,
@@ -126,6 +84,8 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::scenario::{resolve, ScenarioRegistry};
+    use aderdg_quadrature::QuadratureRule;
+    use aderdg_tensor::Isa;
 
     /// `text` merged over `maxwell_cavity`'s defaults and validated.
     fn resolved(text: &str) -> Result<EngineConfig, String> {
@@ -145,7 +105,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!((c.order, c.kernel.name(), c.cfl), (6, "splitck", 0.3));
-        assert_eq!((c.width, c.block_size), (Some(SimdWidth::W8), Some(8)));
+        assert_eq!((c.width, c.block_size), (Some(Isa::Avx512), Some(8)));
         assert_eq!(c.rule, QuadratureRule::GaussLobatto);
     }
 

@@ -32,7 +32,7 @@ use crate::traces::trace_block_batch;
 use aderdg_pde::LinearPde;
 use aderdg_perf::tuner::{best_candidate, BlockCostModel, Candidate, ScaledCacheSim};
 use aderdg_quadrature::QuadratureRule;
-use aderdg_tensor::SimdWidth;
+use aderdg_tensor::Isa;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -216,7 +216,7 @@ pub fn model_block_candidates(
 /// Everything the replay depends on — the memo key for
 /// [`model_block_candidates`] results (engines are constructed far more
 /// often than distinct plans appear, especially in tests).
-type ModelKey = (&'static str, usize, usize, SimdWidth, QuadratureRule, bool);
+type ModelKey = (&'static str, usize, usize, Isa, QuadratureRule, bool);
 
 fn cached_model_candidates(
     plan: &StpPlan,
@@ -279,7 +279,7 @@ pub fn tune(
     let block_size = block_override
         .or_else(|| best_candidate(&costs))
         .unwrap_or(static_block_size);
-    let cap = plan.cfg.isa_cap();
+    let cap = plan.cfg.width;
     TuneReport {
         mode,
         kernel: kernel.name(),

@@ -11,9 +11,7 @@
 use aderdg_core::kernels::{StpInputs, StpKernel, StpOutputs};
 use aderdg_core::{KernelRegistry, StpConfig, StpPlan};
 use aderdg_pde::{AdvectionNcpSystem, AdvectionSystem, LinearPde};
-use aderdg_tensor::{Lcg, SimdWidth};
-
-const WIDTHS: [SimdWidth; 3] = [SimdWidth::W2, SimdWidth::W4, SimdWidth::W8];
+use aderdg_tensor::{Isa, Lcg};
 
 /// Every registered kernel except the scalar reference.
 fn optimized_kernels() -> Vec<&'static dyn StpKernel> {
@@ -70,7 +68,7 @@ fn optimized_variants_match_generic() {
     for case in 0..8u64 {
         let n = 3 + (case as usize % 4);
         let m = 1 + (case as usize * 3) % 8;
-        let width = WIDTHS[case as usize % 3];
+        let width = Isa::ALL[case as usize % 3];
         let plan = StpPlan::new(StpConfig::new(n, m).with_width(width), [1.0; 3]);
         let pde = AdvectionSystem::new(
             m,
@@ -210,7 +208,7 @@ fn flux_and_ncp_formulations_agree() {
 fn output_padding_stays_zero() {
     for kernel in optimized_kernels() {
         for (n, m) in [(3usize, 1usize), (4, 3), (5, 5)] {
-            let plan = StpPlan::new(StpConfig::new(n, m).with_width(SimdWidth::W8), [1.0; 3]);
+            let plan = StpPlan::new(StpConfig::new(n, m).with_width(Isa::Avx512), [1.0; 3]);
             let pde = AdvectionSystem::new(m, [0.5, 0.5, 0.5]);
             let q0 = random_state(&plan, (n * 7 + m) as u64);
             let out = run(&plan, &pde, kernel, &q0, 0.01);

@@ -6,16 +6,15 @@
 //! instantiations live in [`crate::tiles`]. Like LIBXSMM's generated
 //! kernels, the choice happens **once at plan time**: [`select_backend`]
 //! walks the registry widest-first and returns the first kernel at or
-//! below the ISA cap whose [`supported`](GemmBackend::supported) probe
-//! passes on the host. The hot call
-//! ([`Gemm::execute`](crate::Gemm::execute)) is a single virtual call into
-//! pre-monomorphized code — the trait granularity is one *whole GEMM*, not
-//! one tile: the hot shapes run hundreds of sub-microsecond tiles per
-//! call, so per-tile virtual dispatch would cost a measurable fraction of
-//! the kernel itself.
+//! below the ISA cap that the host [supports](GemmBackend::supported).
+//! The hot call ([`Gemm::execute`](crate::Gemm::execute)) is a single
+//! virtual call into pre-monomorphized code — the trait granularity is one
+//! *whole GEMM*, not one tile: the hot shapes run hundreds of
+//! sub-microsecond tiles per call, so per-tile virtual dispatch would cost
+//! a measurable fraction of the kernel itself.
 //!
-//! Adding an architecture is one tile module plus one entry in
-//! [`backends`] — no enum, no match.
+//! Adding an architecture is one [`Isa`] level (a variant and its
+//! [`Isa::detect`] branch), one tile block and one entry in [`backends`].
 
 use crate::kernels::Isa;
 use crate::micro::{pack_a_panels, pack_b_panels, PackedOperands, PackedPanels};
@@ -36,8 +35,12 @@ pub trait GemmBackend: Send + Sync + std::fmt::Debug {
     /// The ISA level this kernel is compiled for.
     fn isa(&self) -> Isa;
 
-    /// Runtime probe: can the host execute this kernel?
-    fn supported(&self) -> bool;
+    /// Can the host execute this kernel? Its ISA level at or below
+    /// [`Isa::detect`] — the one CPU probe, whose `Avx512 ⇒ Avx2 ⇒
+    /// Baseline` chain makes every narrower level's wrapper safe too.
+    fn supported(&self) -> bool {
+        self.isa() <= Isa::detect()
+    }
 
     /// Register tile `(MR, NR)` this kernel runs `spec` on: `MR` rows of
     /// `C` held in accumulators, `NR` doubles wide. May depend on `spec.n`
@@ -184,6 +187,34 @@ mod tests {
         }
         // The uncapped selection must match plain feature detection.
         assert_eq!(select_backend(Isa::Avx512).isa(), Isa::detect());
+    }
+
+    /// `supported()` equals a direct probe of the features each tile's
+    /// `#[target_feature]` wrapper enables (the compiler lets `avx512f`
+    /// code use AVX2 as well, so the AVX-512 tile needs it too).
+    #[test]
+    fn supported_matches_probe_of_wrapper_features() {
+        for bk in backends() {
+            let probed = match bk.name() {
+                "baseline" => true,
+                #[cfg(target_arch = "x86_64")]
+                "avx2" => {
+                    !cfg!(miri)
+                        && std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("fma")
+                }
+                #[cfg(target_arch = "x86_64")]
+                "avx512" => {
+                    !cfg!(miri)
+                        && std::arch::is_x86_feature_detected!("avx512f")
+                        && std::arch::is_x86_feature_detected!("avx512vl")
+                        && std::arch::is_x86_feature_detected!("fma")
+                        && std::arch::is_x86_feature_detected!("avx2")
+                }
+                other => panic!("no wrapper feature list for GEMM kernel `{other}`"),
+            };
+            assert_eq!(bk.supported(), probed, "{}", bk.name());
+        }
     }
 
     #[test]

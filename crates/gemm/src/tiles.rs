@@ -9,8 +9,10 @@
 //! | `avx2`     | 4×8                                   | `FmaF64x4`      |
 //! | `avx512`   | 8×8, or 4×16 when `n` is a multiple of 16 | `FmaF64x8`  |
 //!
-//! A new architecture (or element type) is one more block here plus its
-//! entry in [`backends`](crate::backend::backends).
+//! Whether the host can run a tile is its [`Isa`] against
+//! [`Isa::detect`] ([`GemmBackend::supported`]); no tile probes the CPU
+//! itself. A new architecture (or element type) is one more block here
+//! plus its entry in [`backends`](crate::backend::backends).
 
 use crate::backend::GemmBackend;
 use crate::kernels::Isa;
@@ -30,10 +32,6 @@ impl GemmBackend for BaselineKernel {
 
     fn isa(&self) -> Isa {
         Isa::Baseline
-    }
-
-    fn supported(&self) -> bool {
-        true
     }
 
     fn tile(&self, _spec: &GemmSpec) -> (usize, usize) {
@@ -93,13 +91,6 @@ mod x86_64 {
             Isa::Avx2
         }
 
-        fn supported(&self) -> bool {
-            // Miri interprets portable Rust only — never report an ISA path.
-            !cfg!(miri)
-                && std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        }
-
         fn tile(&self, _spec: &GemmSpec) -> (usize, usize) {
             (4, 8)
         }
@@ -115,7 +106,8 @@ mod x86_64 {
             packed: PackedOperands<'_>,
         ) {
             check_kernel_args(self.name(), self.tile(spec), spec, a, b, c, packed);
-            // SAFETY: caller guarantees AVX2+FMA (trait contract).
+            // SAFETY: `supported()` (trait contract) means
+            // `Isa::Avx2 <= Isa::detect()`, which probed AVX2+FMA.
             unsafe { tiled_avx2(spec, a, b, c, packed) }
         }
     }
@@ -168,14 +160,6 @@ mod x86_64 {
             Isa::Avx512
         }
 
-        fn supported(&self) -> bool {
-            // Miri interprets portable Rust only — never report an ISA path.
-            !cfg!(miri)
-                && std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-                && std::arch::is_x86_feature_detected!("fma")
-        }
-
         fn tile(&self, spec: &GemmSpec) -> (usize, usize) {
             if spec.n >= 16 && spec.n % 16 == 0 {
                 (4, 16)
@@ -196,7 +180,9 @@ mod x86_64 {
         ) {
             let tile = self.tile(spec);
             check_kernel_args(self.name(), tile, spec, a, b, c, packed);
-            // SAFETY: caller guarantees AVX-512F/VL+FMA (trait contract).
+            // SAFETY: `supported()` (trait contract) means
+            // `Isa::detect() == Isa::Avx512`, which probed AVX-512F/VL, AVX2
+            // and FMA.
             unsafe {
                 if tile == (4, 16) {
                     tiled_avx512_4x16(spec, a, b, c, packed)

@@ -7,7 +7,7 @@
 //! width of a vectorized loop is known exactly from the plan, remainder
 //! iterations are scalar, and pointwise user functions are scalar.
 
-use aderdg_tensor::SimdWidth;
+use aderdg_tensor::Isa;
 
 /// FLOP counts split by the SIMD pack width that executed them.
 ///
@@ -36,13 +36,14 @@ impl PackCounts {
         self.scalar + self.p128 + self.p256 + self.p512
     }
 
-    /// Adds `flops` to the bucket for `width`.
-    pub fn add(&mut self, width: Option<SimdWidth>, flops: u64) {
-        match width {
+    /// Adds `flops` to the bucket of `level`'s register width (`None` =
+    /// scalar).
+    pub fn add(&mut self, level: Option<Isa>, flops: u64) {
+        match level {
             None => self.scalar += flops,
-            Some(SimdWidth::W2) => self.p128 += flops,
-            Some(SimdWidth::W4) => self.p256 += flops,
-            Some(SimdWidth::W8) => self.p512 += flops,
+            Some(Isa::Baseline) => self.p128 += flops,
+            Some(Isa::Avx2) => self.p256 += flops,
+            Some(Isa::Avx512) => self.p512 += flops,
         }
     }
 
@@ -90,19 +91,16 @@ impl PackCounts {
 }
 
 /// Classifies a vectorizable loop: `trip` iterations, `flops_per_iter`
-/// flops each, vectorized at `max_width` with compiler-style cascading
+/// flops each, vectorized at `max` with compiler-style cascading
 /// remainders (512 → 256 → 128 → scalar, mirroring the auto-vectorizer
 /// behaviour the paper observes in Fig. 9).
-pub fn classify_loop(trip: usize, flops_per_iter: u64, max_width: SimdWidth) -> PackCounts {
+pub fn classify_loop(trip: usize, flops_per_iter: u64, max: Isa) -> PackCounts {
     let mut counts = PackCounts::new();
     let mut rem = trip;
-    for w in SimdWidth::ALL_DESC {
-        if w.doubles() > max_width.doubles() {
-            continue;
-        }
-        let lanes = w.doubles();
+    for level in Isa::ALL.into_iter().rev().filter(|&l| l <= max) {
+        let lanes = level.width_doubles();
         let packs = rem / lanes;
-        counts.add(Some(w), (packs * lanes) as u64 * flops_per_iter);
+        counts.add(Some(level), (packs * lanes) as u64 * flops_per_iter);
         rem %= lanes;
     }
     counts.add(None, rem as u64 * flops_per_iter);
@@ -111,15 +109,11 @@ pub fn classify_loop(trip: usize, flops_per_iter: u64, max_width: SimdWidth) -> 
 
 /// Classifies a loop whose trip count is already padded to a multiple of
 /// the vector width — every flop (including the padding flops the paper
-/// says "come for free") lands in the `max_width` bucket.
-pub fn classify_padded_loop(
-    padded_trip: usize,
-    flops_per_iter: u64,
-    max_width: SimdWidth,
-) -> PackCounts {
-    debug_assert_eq!(padded_trip % max_width.doubles(), 0);
+/// says "come for free") lands in the `max` bucket.
+pub fn classify_padded_loop(padded_trip: usize, flops_per_iter: u64, max: Isa) -> PackCounts {
+    debug_assert_eq!(padded_trip % max.width_doubles(), 0);
     let mut counts = PackCounts::new();
-    counts.add(Some(max_width), padded_trip as u64 * flops_per_iter);
+    counts.add(Some(max), padded_trip as u64 * flops_per_iter);
     counts
 }
 
@@ -131,7 +125,7 @@ mod tests {
     fn cascade_classification() {
         // 21 iterations at AVX-512: 2×8 in 512-bit, 1×4 in 256-bit,
         // 0 in 128-bit, 1 scalar.
-        let c = classify_loop(21, 2, SimdWidth::W8);
+        let c = classify_loop(21, 2, Isa::Avx512);
         assert_eq!(c.p512, 32);
         assert_eq!(c.p256, 8);
         assert_eq!(c.p128, 0);
@@ -141,7 +135,7 @@ mod tests {
 
     #[test]
     fn avx2_cap_never_uses_512() {
-        let c = classify_loop(21, 1, SimdWidth::W4);
+        let c = classify_loop(21, 1, Isa::Avx2);
         assert_eq!(c.p512, 0);
         assert_eq!(c.p256, 20);
         assert_eq!(c.p128, 0);
@@ -150,7 +144,7 @@ mod tests {
 
     #[test]
     fn padded_loop_fully_packed() {
-        let c = classify_padded_loop(24, 3, SimdWidth::W8);
+        let c = classify_padded_loop(24, 3, Isa::Avx512);
         assert_eq!(c.p512, 72);
         assert_eq!(c.total(), 72);
         assert_eq!(c.scalar_fraction(), 0.0);
@@ -158,15 +152,15 @@ mod tests {
 
     #[test]
     fn fractions_sum_to_one() {
-        let c = classify_loop(37, 5, SimdWidth::W8);
+        let c = classify_loop(37, 5, Isa::Avx512);
         let f = c.fractions();
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn merge_and_scale() {
-        let a = classify_loop(8, 1, SimdWidth::W8);
-        let b = classify_loop(3, 1, SimdWidth::W8);
+        let a = classify_loop(8, 1, Isa::Avx512);
+        let b = classify_loop(3, 1, Isa::Avx512);
         let m = a.merge(&b);
         assert_eq!(m.total(), 11);
         assert_eq!(m.scale(4).total(), 44);

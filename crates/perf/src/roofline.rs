@@ -8,6 +8,7 @@
 //! achievable per-core peak. Ratios against this calibrated peak preserve
 //! the figures' shape.
 
+use aderdg_tensor::Isa;
 use std::time::Instant;
 
 /// Number of independent accumulator chains (enough to hide FMA latency
@@ -57,23 +58,22 @@ unsafe fn fma_burn_avx512(iters: u64) -> f64 {
     fma_burn_body(iters)
 }
 
-/// Runs `iters` rounds of 64 independent multiply-adds at the widest FMA
-/// width the host supports; returns the accumulated sum (so the optimizer
+/// Runs `iters` rounds of 64 independent multiply-adds at the host's
+/// [`Isa::detect`] level — the level every plan's GEMM tiles and lane
+/// kernels run at — and returns the accumulated sum (so the optimizer
 /// cannot discard the loop).
 pub fn fma_burn(iters: u64) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature checked above.
-            return unsafe { fma_burn_avx512(iters) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: feature checked above.
-            return unsafe { fma_burn_avx2(iters) };
-        }
+    match Isa::detect() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::detect` reports `Avx512` only after probing
+        // AVX-512F and FMA (among others).
+        Isa::Avx512 => unsafe { fma_burn_avx512(iters) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::detect` reports `Avx2` only after probing AVX2 and
+        // FMA.
+        Isa::Avx2 => unsafe { fma_burn_avx2(iters) },
+        _ => fma_burn_baseline(iters),
     }
-    fma_burn_baseline(iters)
 }
 
 /// Measures the host's achievable double-precision peak in GFlop/s by

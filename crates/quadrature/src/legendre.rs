@@ -15,6 +15,26 @@ pub enum QuadratureRule {
     GaussLobatto,
 }
 
+impl QuadratureRule {
+    /// Parses a `rule` knob spelling (`gauss_legendre` | `gauss_lobatto`).
+    pub fn parse(value: &str) -> Option<Self> {
+        match value {
+            "gauss_legendre" => Some(QuadratureRule::GaussLegendre),
+            "gauss_lobatto" => Some(QuadratureRule::GaussLobatto),
+            _ => None,
+        }
+    }
+
+    /// The specification-file spelling (inverse of
+    /// [`QuadratureRule::parse`]).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            QuadratureRule::GaussLegendre => "gauss_legendre",
+            QuadratureRule::GaussLobatto => "gauss_lobatto",
+        }
+    }
+}
+
 /// Evaluates the Legendre polynomial `P_n` and its derivative at `x`
 /// (on `[-1, 1]`), via the three-term recurrence.
 pub fn legendre(n: usize, x: f64) -> (f64, f64) {

@@ -14,7 +14,8 @@
 //!   GEMMs, trivially-extractable SoA x-lines for the user functions. The
 //!   `k1` extent is padded.
 
-use crate::padding::{pad_to_simd, SimdWidth};
+use crate::padding::pad_to_simd;
+use crate::simd::Isa;
 
 /// Which of the three storage orders a [`DofLayout`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,31 +35,32 @@ pub struct DofLayout {
     pub n: usize,
     /// Stored quantities per node (evolved variables + material parameters).
     pub m: usize,
-    /// SIMD width the leading dimension is padded to.
-    pub width: SimdWidth,
+    /// SIMD level whose register width the leading dimension is padded
+    /// to.
+    pub width: Isa,
     /// Storage order.
     pub kind: LayoutKind,
 }
 
 impl DofLayout {
     /// Creates a layout descriptor. `n` and `m` must be non-zero.
-    pub fn new(n: usize, m: usize, width: SimdWidth, kind: LayoutKind) -> Self {
+    pub fn new(n: usize, m: usize, width: Isa, kind: LayoutKind) -> Self {
         assert!(n > 0 && m > 0, "DofLayout requires n > 0 and m > 0");
         Self { n, m, width, kind }
     }
 
     /// AoS layout shortcut.
-    pub fn aos(n: usize, m: usize, width: SimdWidth) -> Self {
+    pub fn aos(n: usize, m: usize, width: Isa) -> Self {
         Self::new(n, m, width, LayoutKind::Aos)
     }
 
     /// SoA layout shortcut.
-    pub fn soa(n: usize, m: usize, width: SimdWidth) -> Self {
+    pub fn soa(n: usize, m: usize, width: Isa) -> Self {
         Self::new(n, m, width, LayoutKind::Soa)
     }
 
     /// AoSoA layout shortcut.
-    pub fn aosoa(n: usize, m: usize, width: SimdWidth) -> Self {
+    pub fn aosoa(n: usize, m: usize, width: Isa) -> Self {
         Self::new(n, m, width, LayoutKind::AoSoA)
     }
 
@@ -183,13 +185,13 @@ pub struct FaceLayout {
     pub n: usize,
     /// Stored quantities.
     pub m: usize,
-    /// SIMD padding width.
-    pub width: SimdWidth,
+    /// SIMD level the quantity dimension is padded for.
+    pub width: Isa,
 }
 
 impl FaceLayout {
     /// Creates a face-tensor descriptor.
-    pub fn new(n: usize, m: usize, width: SimdWidth) -> Self {
+    pub fn new(n: usize, m: usize, width: Isa) -> Self {
         assert!(n > 0 && m > 0, "FaceLayout requires n > 0 and m > 0");
         Self { n, m, width }
     }
@@ -224,7 +226,7 @@ impl FaceLayout {
 mod tests {
     use super::*;
 
-    const W: SimdWidth = SimdWidth::W4;
+    const W: Isa = Isa::Avx2;
 
     #[test]
     fn aos_indexing_contract() {
@@ -242,7 +244,7 @@ mod tests {
 
     #[test]
     fn aosoa_indexing_contract() {
-        let l = DofLayout::aosoa(6, 3, SimdWidth::W8);
+        let l = DofLayout::aosoa(6, 3, Isa::Avx512);
         assert_eq!(l.n_pad(), 8);
         assert_eq!(l.len(), 36 * 3 * 8);
         // A[k3][k2][s][k1]
@@ -270,7 +272,7 @@ mod tests {
     #[test]
     fn indices_unique_and_in_bounds() {
         for kind in [LayoutKind::Aos, LayoutKind::Soa, LayoutKind::AoSoA] {
-            let l = DofLayout::new(5, 9, SimdWidth::W8, kind);
+            let l = DofLayout::new(5, 9, Isa::Avx512, kind);
             let mut seen = std::collections::HashSet::new();
             for k3 in 0..5 {
                 for k2 in 0..5 {
@@ -290,7 +292,7 @@ mod tests {
     #[test]
     fn strides_match_idx_deltas() {
         for kind in [LayoutKind::Aos, LayoutKind::Soa, LayoutKind::AoSoA] {
-            let l = DofLayout::new(4, 3, SimdWidth::W4, kind);
+            let l = DofLayout::new(4, 3, Isa::Avx2, kind);
             assert_eq!(l.idx(0, 0, 1, 0) - l.idx(0, 0, 0, 0), l.stride_k1());
             assert_eq!(l.idx(0, 1, 0, 0) - l.idx(0, 0, 0, 0), l.stride_k2());
             assert_eq!(l.idx(1, 0, 0, 0) - l.idx(0, 0, 0, 0), l.stride_k3());
@@ -303,13 +305,13 @@ mod tests {
         // Paper Sec. IV-A: m = 25, d = 3, generic temporaries O(N^{d+1} m d)
         // exceed 1 MB around N = 6. A single AoS DOF tensor at N = 6,
         // m = 25 (padded to 32 at AVX-512):
-        let l = DofLayout::aos(6, 25, SimdWidth::W8);
+        let l = DofLayout::aos(6, 25, Isa::Avx512);
         assert_eq!(l.bytes(), 6 * 6 * 6 * 32 * 8);
     }
 
     #[test]
     fn face_layout() {
-        let f = FaceLayout::new(4, 9, SimdWidth::W8);
+        let f = FaceLayout::new(4, 9, Isa::Avx512);
         assert_eq!(f.m_pad(), 16);
         assert_eq!(f.len(), 16 * 16);
         assert_eq!(f.idx(0, 0, 8), 8);

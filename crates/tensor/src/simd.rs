@@ -22,7 +22,10 @@
 //! minimum supported Rust version where it is) while the monomorphized
 //! kernels still compile to packed FMA sequences.
 //!
-//! [`Isa`] names the instruction-set levels a plan may execute with, and
+//! [`Isa`] is the one SIMD level of the workspace — the paper's
+//! architecture switch: it sets the zero-padding of every tensor's leading
+//! dimension ([`crate::padding`]), caps the GEMM tile and the lane kernels,
+//! and [`Isa::detect`] is the only code that reads CPU features.
 //! [`dispatch`] is the single door from an [`Isa`] value to code compiled
 //! for it: a [`LaneKernel`] body written once over `S: SimdF64` runs
 //! inside the `#[target_feature]` wrapper of the requested level, or on
@@ -201,52 +204,75 @@ pub type FmaF64x4 = F64s<4, true>;
 /// 8-lane vector for AVX-512 instantiations.
 pub type FmaF64x8 = F64s<8, true>;
 
-/// Instruction-set level a plan may execute with — GEMM tiles and lane
-/// kernels alike.
+/// The SIMD level of a plan: the padding unit of every tensor's leading
+/// dimension and the ISA its GEMM tiles and lane kernels execute at
+/// (clamped to [`Isa::detect`]). Levels are ordered, and each implies
+/// every narrower one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Isa {
-    /// No explicit feature request; whatever the baseline target has.
+    /// 128-bit registers, no explicit feature request: whatever the
+    /// baseline target has (SSE2 on x86-64).
     Baseline,
-    /// 256-bit AVX2 + FMA.
+    /// 256-bit AVX2 + FMA (the paper's "Haswell" configuration).
     Avx2,
-    /// 512-bit AVX-512F/VL + FMA.
+    /// 512-bit AVX-512F/VL + FMA (the paper's "Skylake" configuration).
     Avx512,
 }
 
 impl Isa {
-    /// Best ISA the host supports (probed once per process). Miri
-    /// interprets portable Rust only, so it always reports
-    /// [`Isa::Baseline`].
+    /// Every level, narrowest first.
+    pub const ALL: [Isa; 3] = [Isa::Baseline, Isa::Avx2, Isa::Avx512];
+
+    /// Best ISA the host supports, probed once per process — the only
+    /// code in the workspace that reads CPU features. The result is a
+    /// true chain, `Avx512 ⇒ Avx2 ⇒ Baseline`: `Avx512` is reported only
+    /// when AVX2 and FMA are present too, so every `#[target_feature]`
+    /// wrapper of a level at or below `detect()` may run. Miri interprets
+    /// portable Rust only, so it always reports [`Isa::Baseline`].
     pub fn detect() -> Self {
         static HOST: OnceLock<Isa> = OnceLock::new();
         *HOST.get_or_init(|| {
             #[cfg(target_arch = "x86_64")]
-            if !cfg!(miri) && std::arch::is_x86_feature_detected!("fma") {
+            if !cfg!(miri)
+                && std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
                 if std::arch::is_x86_feature_detected!("avx512f")
                     && std::arch::is_x86_feature_detected!("avx512vl")
                 {
                     return Isa::Avx512;
                 }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return Isa::Avx2;
-                }
+                return Isa::Avx2;
             }
             Isa::Baseline
         })
     }
 
-    /// Clamp to at most `other` (used to emulate the paper's "AVX2 build on
-    /// an AVX-512 machine" comparison, Fig. 4).
-    pub fn min(self, other: Isa) -> Isa {
-        if self <= other {
-            self
-        } else {
-            other
+    /// Parses a `width` knob spelling: `sse`/`128`, `avx2`/`256`,
+    /// `avx512`/`512`, or `host` (= [`Isa::detect`]).
+    pub fn parse(value: &str) -> Option<Self> {
+        match value {
+            "sse" | "128" => Some(Isa::Baseline),
+            "avx2" | "256" => Some(Isa::Avx2),
+            "avx512" | "512" => Some(Isa::Avx512),
+            "host" => Some(Isa::detect()),
+            _ => None,
         }
     }
 
-    /// SIMD register width in doubles this ISA packs.
-    pub fn width_doubles(self) -> usize {
+    /// The canonical `width` spelling (inverse of [`Isa::parse`]);
+    /// checkpoints pin the padding they were saved with through it.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Isa::Baseline => "sse",
+            Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
+        }
+    }
+
+    /// Register width in doubles — the unit the leading tensor dimension
+    /// is padded to.
+    pub const fn width_doubles(self) -> usize {
         match self {
             Isa::Baseline => 2,
             Isa::Avx2 => 4,
@@ -257,9 +283,7 @@ impl Isa {
     /// Every level the host supports, narrowest first (the portable level
     /// is always included) — what the cross-ISA equivalence tests walk.
     pub fn supported() -> impl Iterator<Item = Isa> {
-        [Isa::Baseline, Isa::Avx2, Isa::Avx512]
-            .into_iter()
-            .filter(|&isa| isa <= Isa::detect())
+        Isa::ALL.into_iter().filter(|&isa| isa <= Isa::detect())
     }
 }
 
@@ -288,14 +312,14 @@ pub fn dispatch<K: LaneKernel>(isa: Isa, granule: usize, kernel: K) {
     {
         let isa = isa.min(Isa::detect());
         if isa == Isa::Avx512 && granule % 8 == 0 {
-            // SAFETY: `Isa::detect` probed AVX-512F/VL+FMA on this host
-            // and `isa` was clamped to it.
+            // SAFETY: `isa` is clamped to `Isa::detect()`, which reports
+            // `Avx512` only after probing AVX-512F/VL and FMA.
             return unsafe { run_avx512(kernel) };
         }
         if isa >= Isa::Avx2 && granule % 4 == 0 {
-            // SAFETY: `Isa::detect` probed AVX2+FMA on this host (every
-            // level at or above `Avx2` implies both) and `isa` was
-            // clamped to it.
+            // SAFETY: `isa` is clamped to `Isa::detect()`, which reports
+            // `Avx2` or `Avx512` only after probing AVX2 and FMA (the
+            // `Avx512 ⇒ Avx2` chain of `detect`).
             return unsafe { run_avx2(kernel) };
         }
     }
@@ -382,10 +406,10 @@ mod tests {
 
     #[test]
     fn isa_ordering_and_clamp() {
-        assert!(Isa::Baseline < Isa::Avx2 && Isa::Avx2 < Isa::Avx512);
+        assert!(Isa::ALL.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(Isa::Avx512.min(Isa::Avx2), Isa::Avx2);
         assert_eq!(Isa::Baseline.min(Isa::Avx512), Isa::Baseline);
-        assert_eq!(Isa::Avx512.width_doubles(), 8);
+        assert_eq!(Isa::ALL.map(Isa::width_doubles), [2, 4, 8]);
         let levels: Vec<Isa> = Isa::supported().collect();
         assert_eq!(levels[0], Isa::Baseline);
         assert_eq!(*levels.last().unwrap(), Isa::detect());

@@ -135,7 +135,7 @@ pub fn transpose_matrix_padded(a: &[f64], rows: usize, cols: usize, ld: usize) -
 mod tests {
     use super::*;
     use crate::layout::{DofLayout, LayoutKind};
-    use crate::padding::SimdWidth;
+    use crate::simd::Isa;
 
     fn filled(l: &DofLayout) -> Vec<f64> {
         let mut v = vec![0.0; l.len()];
@@ -156,8 +156,8 @@ mod tests {
         let kinds = [LayoutKind::Aos, LayoutKind::Soa, LayoutKind::AoSoA];
         for &a in &kinds {
             for &b in &kinds {
-                let la = DofLayout::new(4, 5, SimdWidth::W8, a);
-                let lb = DofLayout::new(4, 5, SimdWidth::W4, b);
+                let la = DofLayout::new(4, 5, Isa::Avx512, a);
+                let lb = DofLayout::new(4, 5, Isa::Avx2, b);
                 let src = filled(&la);
                 let mut dst = vec![0.0; lb.len()];
                 convert(&src, &la, &mut dst, &lb);
@@ -168,8 +168,8 @@ mod tests {
 
     #[test]
     fn fast_paths_match_generic() {
-        let la = DofLayout::aos(6, 9, SimdWidth::W8);
-        let lb = DofLayout::aosoa(6, 9, SimdWidth::W8);
+        let la = DofLayout::aos(6, 9, Isa::Avx512);
+        let lb = DofLayout::aosoa(6, 9, Isa::Avx512);
         let src = filled(&la);
 
         let mut fast = vec![0.0; lb.len()];
@@ -185,8 +185,8 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_padding_zeros() {
-        let la = DofLayout::aos(3, 3, SimdWidth::W8);
-        let lb = DofLayout::aosoa(3, 3, SimdWidth::W8);
+        let la = DofLayout::aos(3, 3, Isa::Avx512);
+        let lb = DofLayout::aosoa(3, 3, Isa::Avx512);
         let src = filled(&la);
         let mut mid = vec![0.0; lb.len()];
         aos_to_aosoa(&src, &la, &mut mid, &lb);
@@ -203,8 +203,8 @@ mod tests {
     #[test]
     fn fast_paths_write_their_own_padding() {
         // NaN-poisoned destinations come out identical to zeroed ones.
-        let la = DofLayout::aos(3, 5, SimdWidth::W8);
-        let lb = DofLayout::aosoa(3, 5, SimdWidth::W8);
+        let la = DofLayout::aos(3, 5, Isa::Avx512);
+        let lb = DofLayout::aosoa(3, 5, Isa::Avx512);
         let src = filled(&la);
         let mut clean = vec![0.0; lb.len()];
         aos_to_aosoa(&src, &la, &mut clean, &lb);

@@ -4,11 +4,10 @@
 //! exhaustive small domains plus LCG-random data).
 
 use aderdg_tensor::{
-    aos_to_aosoa, aosoa_to_aos, convert, pad_to, transpose_matrix, AlignedVec, DofLayout,
-    LayoutKind, Lcg, MatView, SimdWidth, ALIGNMENT,
+    aos_to_aosoa, aosoa_to_aos, convert, pad_to, transpose_matrix, AlignedVec, DofLayout, Isa,
+    LayoutKind, Lcg, ALIGNMENT,
 };
 
-const WIDTHS: [SimdWidth; 3] = [SimdWidth::W2, SimdWidth::W4, SimdWidth::W8];
 const KINDS: [LayoutKind; 3] = [LayoutKind::Aos, LayoutKind::Soa, LayoutKind::AoSoA];
 
 #[test]
@@ -40,7 +39,7 @@ fn aligned_vec_roundtrip() {
 fn layout_indices_bijective() {
     for n in 1usize..7 {
         for m in 1usize..12 {
-            for w in WIDTHS {
+            for w in Isa::ALL {
                 for kind in KINDS {
                     let l = DofLayout::new(n, m, w, kind);
                     let mut seen = std::collections::HashSet::new();
@@ -65,8 +64,8 @@ fn layout_indices_bijective() {
 #[test]
 fn convert_roundtrips_any_pair() {
     for (n, m) in [(1usize, 1usize), (3, 5), (5, 9), (4, 2)] {
-        for wa in WIDTHS {
-            for wb in WIDTHS {
+        for wa in Isa::ALL {
+            for wb in Isa::ALL {
                 for ka in KINDS {
                     for kb in KINDS {
                         let la = DofLayout::new(n, m, wa, ka);
@@ -98,7 +97,7 @@ fn convert_roundtrips_any_pair() {
 fn fast_transposes_match_generic() {
     for n in 1usize..7 {
         for m in [1usize, 3, 8, 11] {
-            for w in WIDTHS {
+            for w in Isa::ALL {
                 let la = DofLayout::aos(n, m, w);
                 let lb = DofLayout::aosoa(n, m, w);
                 let mut rng = Lcg::new((n * 131 + m) as u64 + 7);
@@ -120,26 +119,6 @@ fn fast_transposes_match_generic() {
                 let mut back = vec![0.0; la.len()];
                 aosoa_to_aos(&fast, &lb, &mut back, &la);
                 assert_eq!(back, src);
-            }
-        }
-    }
-}
-
-#[test]
-fn matview_matches_direct_indexing() {
-    for rows in 1usize..8 {
-        for cols in 1usize..8 {
-            for extra in 0usize..5 {
-                for offset in [0usize, 1, 7, 15] {
-                    let stride = cols + extra;
-                    let data: Vec<f64> = (0..offset + rows * stride).map(|x| x as f64).collect();
-                    let v = MatView::new(&data, offset, rows, cols, stride);
-                    for i in 0..rows {
-                        for j in 0..cols {
-                            assert_eq!(v.get(i, j), (offset + i * stride + j) as f64);
-                        }
-                    }
-                }
             }
         }
     }

@@ -5,7 +5,7 @@ use aderdg::core::kernels::{StpInputs, StpOutputs};
 use aderdg::core::{Engine, EngineConfig, KernelRegistry, KernelVariant, StpConfig, StpPlan};
 use aderdg::mesh::{CurvilinearMap, SineDeformation, StructuredMesh};
 use aderdg::pde::{Elastic, ElasticPlaneWave, ExactSolution, LinearPde, Material};
-use aderdg::tensor::{aos_to_aosoa, aosoa_to_aos, SimdWidth};
+use aderdg::tensor::{aos_to_aosoa, aosoa_to_aos, Isa};
 
 /// Reproducible random padded-AoS state with elastic parameters.
 fn elastic_state(plan: &StpPlan, curvilinear: bool, seed: u64) -> Vec<f64> {
@@ -212,7 +212,7 @@ fn simd_width_override_keeps_results_identical() {
     // An AVX2-padded plan must produce the same numbers as an AVX-512 one.
     let pde = Elastic;
     let mut outs = Vec::new();
-    for width in [SimdWidth::W2, SimdWidth::W4, SimdWidth::W8] {
+    for width in Isa::ALL {
         let plan = StpPlan::new(StpConfig::new(4, 21).with_width(width), [0.5; 3]);
         let q0 = elastic_state(
             &StpPlan::new(StpConfig::new(4, 21).with_width(width), [0.5; 3]),

@@ -5,14 +5,14 @@ use aderdg::core::mix::{stp_pack_counts, stp_useful_flops, UserFunctionCost};
 use aderdg::core::traces::trace_batch;
 use aderdg::core::{KernelVariant, StpConfig, StpPlan};
 use aderdg::perf::{footprint, CacheSim, MachineModel};
-use aderdg::tensor::SimdWidth;
+use aderdg::tensor::Isa;
 
-fn plan(order: usize, width: SimdWidth) -> StpPlan {
+fn plan(order: usize, width: Isa) -> StpPlan {
     StpPlan::new(StpConfig::new(order, 21).with_width(width), [1.0; 3])
 }
 
 fn stall_fraction(variant: KernelVariant, order: usize) -> f64 {
-    let p = plan(order, SimdWidth::W8);
+    let p = plan(order, Isa::Avx512);
     let machine = MachineModel::skylake_sp();
     let mut sim = CacheSim::skylake_sp();
     trace_batch(&p, variant, false, 1, &mut sim); // warm-up
@@ -82,7 +82,7 @@ fn claim_fig6_stall_shapes() {
 #[test]
 fn claim_fig9_instruction_mix_shape() {
     let cost = UserFunctionCost::elastic();
-    let p = plan(8, SimdWidth::W8);
+    let p = plan(8, Isa::Avx512);
 
     let gen = stp_pack_counts(&p, KernelVariant::Generic, cost);
     assert!(gen.scalar_fraction() > 0.5, "generic {:?}", gen.fractions());
@@ -110,8 +110,8 @@ fn claim_fig9_instruction_mix_shape() {
 /// order 9 pads 9 → 16 (the "sweetspot" / "particularly large padding").
 #[test]
 fn claim_order8_sweetspot_order9_padding() {
-    let p8 = plan(8, SimdWidth::W8);
-    let p9 = plan(9, SimdWidth::W8);
+    let p8 = plan(8, Isa::Avx512);
+    let p9 = plan(9, Isa::Avx512);
     assert_eq!(p8.aosoa.n_pad(), 8);
     assert_eq!(p9.aosoa.n_pad(), 16);
 }
@@ -120,7 +120,7 @@ fn claim_order8_sweetspot_order9_padding() {
 /// basis of the paper's AVX2-vs-AVX-512 comparison (Fig. 4).
 #[test]
 fn claim_avx2_configuration_packs_256() {
-    let p = plan(8, SimdWidth::W4);
+    let p = plan(8, Isa::Avx2);
     let c = stp_pack_counts(&p, KernelVariant::LoG, UserFunctionCost::elastic());
     let f = c.fractions();
     assert_eq!(f[3], 0.0);
@@ -134,7 +134,7 @@ fn claim_avx2_configuration_packs_256() {
 fn claim_padding_overhead_order9() {
     let cost = UserFunctionCost::elastic();
     let overhead = |n: usize| {
-        let p = plan(n, SimdWidth::W8);
+        let p = plan(n, Isa::Avx512);
         let exec = stp_pack_counts(&p, KernelVariant::AoSoASplitCk, cost).total() as f64;
         let useful = stp_useful_flops(&p, cost) as f64;
         exec / useful
