@@ -86,17 +86,19 @@ pub fn apply_volume(
 
 /// Applies one face correction: face of normal dimension `d`, `side`
 /// (0 = lower), given the resolved numerical flux `f_star` and the cell's
-/// own face flux trace `f_own`.
+/// own face flux trace `f_own`, both at [`StpPlan::flux_face`].
 ///
-/// Runs at the plan's ISA level over whole padded quantity rows: per face
-/// node the difference `F* − F̄_own` is formed once, then each of the `n`
-/// volume rows along `d` gets `q += c_kd · (F* − F̄_own)` with an unfused
-/// multiply and add — the same operations in the same order as the scalar
-/// loop it replaced, so the result does not depend on the ISA level. The
-/// padding entries of both face tensors must be zero (the predictor and
-/// the Riemann solve write them so): the state's padding then gains a
-/// signed zero, which leaves every value but a `-0.0` as it was (the
-/// engine's state padding is `+0.0`).
+/// Runs at the plan's ISA level over the `flux_face.m_pad()` leading
+/// rows of each state node — the evolved rows and their padding; the
+/// parameter rows beyond get no flux. Per face node the difference
+/// `F* − F̄_own` is formed once, then each of the `n` volume rows along
+/// `d` gets `q += c_kd · (F* − F̄_own)` with an unfused multiply and add —
+/// the same operations in the same order as the scalar loop it replaced,
+/// so the result does not depend on the ISA level. The padding entries
+/// of both face tensors must be zero (the predictor and the Riemann solve
+/// write them so): the rows they lift into then gain a signed zero, which
+/// leaves every value but a `-0.0` as it was (the engine's state padding
+/// is `+0.0`).
 pub fn apply_face(
     plan: &StpPlan,
     d: usize,
@@ -106,12 +108,13 @@ pub fn apply_face(
     q: &mut [f64],
 ) {
     let n = plan.n();
-    let m_pad = plan.aos.m_pad();
-    debug_assert_eq!(m_pad, plan.face.m_pad());
+    let vol_pad = plan.aos.m_pad();
+    let m_pad = plan.flux_face.m_pad();
     assert!(d < 3 && side < 2, "face out of range");
     assert!(q.len() >= plan.aos.len(), "volume tensor too short");
+    let face_len = plan.flux_face.len();
     assert!(
-        f_star.len() >= plan.face.len() && f_own.len() >= plan.face.len(),
+        f_star.len() >= face_len && f_own.len() >= face_len,
         "face tensor too short"
     );
     // Face node (a, b) lifts into the volume rows at
@@ -138,6 +141,7 @@ pub fn apply_face(
             scale: plan.inv_dx[d],
             n,
             m_pad,
+            vol_pad,
             outer,
             inner,
             step,
@@ -155,7 +159,10 @@ struct FaceLift<'a> {
     sign: f64,
     scale: f64,
     n: usize,
+    /// Face row length: the rows lifted.
     m_pad: usize,
+    /// State row length (`≥ m_pad`).
+    vol_pad: usize,
     outer: usize,
     inner: usize,
     step: usize,
@@ -164,11 +171,11 @@ struct FaceLift<'a> {
 impl LaneKernel for FaceLift<'_> {
     #[inline(always)]
     fn run<S: SimdF64>(self) {
-        let (n, m_pad) = (self.n, self.m_pad);
+        let (n, m_pad, vol_pad) = (self.n, self.m_pad, self.vol_pad);
         debug_assert_eq!(m_pad % S::LANES, 0, "dispatch granule contract");
         // The last row any face node touches bounds every row below.
         let last_row = (n - 1) * (self.outer + self.inner + self.step);
-        assert!(self.q.len() >= (last_row + 1) * m_pad);
+        assert!(m_pad <= vol_pad && self.q.len() >= (last_row + 1) * vol_pad);
         assert!(self.phi.len() >= n && self.inv_w.len() >= n);
         let faces = self
             .f_star
@@ -183,12 +190,12 @@ impl LaneKernel for FaceLift<'_> {
                 let diff = unsafe { S::load(fs.as_ptr().add(i)).sub(S::load(fo.as_ptr().add(i))) };
                 for kd in 0..n {
                     let c = self.sign * self.phi[kd] * self.inv_w[kd] * self.scale;
-                    let at = (first + kd * self.step) * m_pad + i;
+                    let at = (first + kd * self.step) * vol_pad + i;
                     // SAFETY: `node / n`, `node % n` and `kd` are all below
                     // `n`, so the row is at most `last_row`, and `i +
-                    // S::LANES <= m_pad`: the access ends inside the
-                    // `(last_row + 1) · m_pad` doubles `q` was checked to
-                    // hold.
+                    // S::LANES <= m_pad <= vol_pad`: the access ends
+                    // inside the `(last_row + 1) · vol_pad` doubles `q` was
+                    // checked to hold.
                     unsafe {
                         let p = self.q.as_mut_ptr().add(at);
                         S::load(p).add(S::splat(c).mul(diff)).store(p);
@@ -205,10 +212,11 @@ mod tests {
     use super::*;
     use crate::kernels::StpInputs;
     use crate::plan::{KernelVariant, StpConfig};
+    use aderdg_gemm::Isa;
     use aderdg_pde::AdvectionSystem;
 
     /// The scalar loop [`apply_face`] replaced, kept as the bitwise
-    /// reference.
+    /// reference: face tensors at all `m` rows ([`StpPlan::face`]).
     fn apply_face_reference(
         plan: &StpPlan,
         d: usize,
@@ -248,38 +256,53 @@ mod tests {
         }
     }
 
+    /// A flux face tensor at all `m` rows and its [`StpPlan::flux_face`]
+    /// copy: random evolved rows, zero parameter rows and padding.
+    fn flux_face_pair(p: &StpPlan, rng: &mut aderdg_tensor::Lcg) -> (Vec<f64>, Vec<f64>) {
+        let vars = p.flux_face.m;
+        let mut full = vec![0.0; p.face.len()];
+        let mut narrow = vec![0.0; p.flux_face.len()];
+        let nodes = full
+            .chunks_exact_mut(p.face.m_pad())
+            .zip(narrow.chunks_exact_mut(p.flux_face.m_pad()));
+        for (f, g) in nodes {
+            f[..vars].copy_from_slice(&rng.vec(vars, -1.0, 1.0));
+            g[..vars].copy_from_slice(&f[..vars]);
+        }
+        (full, narrow)
+    }
+
     #[test]
     fn face_lift_is_bitwise_equal_to_the_scalar_loop_at_every_isa() {
-        for (n, m) in [(3, 6), (4, 9), (7, 21)] {
-            for backend in aderdg_gemm::backends().iter().filter(|b| b.supported()) {
-                let p =
-                    StpPlan::with_gemm_backend(StpConfig::new(n, m), [1.0, 0.8, 1.25], *backend);
+        // `(4, 21, 9)` is the engine's elastic plan: the lift runs on the
+        // 9 evolved rows' padded width, the reference on all 21.
+        for (n, m, vars) in [(3, 6, 6), (4, 9, 9), (7, 21, 21), (4, 21, 9), (3, 6, 4)] {
+            for width in Isa::supported() {
+                let cfg = StpConfig::new(n, m).with_vars(vars).with_width(width);
+                let p = StpPlan::new(cfg, [1.0, 0.8, 1.25]);
                 let mut rng = aderdg_tensor::Lcg::new((n * 100 + m) as u64);
                 // Every state entry nonzero — parameter rows and padding
                 // included; face tensors with the zero padding the
                 // predictor and the Riemann solve write.
                 let q0 = rng.vec(p.aos.len(), -1.0, 1.0);
-                let face = |rng: &mut aderdg_tensor::Lcg| {
-                    let mut f = vec![0.0; p.face.len()];
-                    for node in f.chunks_exact_mut(p.face.m_pad()) {
-                        node[..m].copy_from_slice(&rng.vec(m, -1.0, 1.0));
-                    }
-                    f
-                };
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 for d in 0..3 {
                     for side in 0..2 {
-                        let (f_star, f_own) = (face(&mut rng), face(&mut rng));
+                        let (star_full, star) = flux_face_pair(&p, &mut rng);
+                        let (own_full, own) = flux_face_pair(&p, &mut rng);
                         let mut want = q0.clone();
-                        apply_face_reference(&p, d, side, &f_star, &f_own, &mut want);
+                        apply_face_reference(&p, d, side, &star_full, &own_full, &mut want);
                         let mut got = q0.clone();
-                        apply_face(&p, d, side, &f_star, &f_own, &mut got);
-                        assert_eq!(
-                            bits(&got),
-                            bits(&want),
-                            "{} n={n} m={m} d={d} side={side}",
-                            backend.name()
-                        );
+                        apply_face(&p, d, side, &star, &own, &mut got);
+                        let at = format!("{width:?} n={n} m={m} vars={vars} d={d} side={side}");
+                        assert_eq!(bits(&got), bits(&want), "{at}");
+                        // The benchmark's F* buffer is `plan.face.len()`
+                        // long: only its leading flux-face part is read.
+                        let mut wide = vec![f64::NAN; p.face.len()];
+                        wide[..star.len()].copy_from_slice(&star);
+                        let mut got = q0.clone();
+                        apply_face(&p, d, side, &wide, &own, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "{at}, face-sized F*");
                     }
                 }
             }

@@ -478,8 +478,8 @@ struct GraphPlan {
     /// the live state every step.
     dt_base: f64,
     /// Per-shard storage for the owned faces' resolved fluxes `F*` of
-    /// the *current* sub-window (`owned_faces × plan.face.len()` doubles
-    /// each), overwritten at each re-solve.
+    /// the *current* sub-window (`owned_faces × plan.flux_face.len()`
+    /// doubles each), overwritten at each re-solve.
     f_star: Vec<RwLock<Vec<f64>>>,
     /// Per-shard F* accumulated over a coarse window for cadence-
     /// mismatched faces: the sub-window-0 solve overwrites, the
@@ -528,8 +528,12 @@ fn shard_slices<'a, T>(splan: &ShardPlan, mut buf: &'a mut [T]) -> Vec<&'a mut [
 ///
 /// Returns the `(q̄, F̄)` face pair of face slot `fi`: the half-window
 /// trace itself for `sub == 0` (no copy), the difference written into
-/// `tmp` for `sub == 1`.
+/// `tmp` for `sub == 1`. Only the evolved rows (the plan's `vars`) are
+/// time integrals: `q̄` *carries* its parameter rows (the kernels'
+/// convention), so those — which the Riemann solve reads the wavespeed
+/// from — are copied from the full trace, not differenced to zero.
 fn sub_window_trace<'a>(
+    plan: &StpPlan,
     tmp: &'a mut HaloScratch,
     full: &FaceTraces,
     half: &'a FaceTraces,
@@ -541,8 +545,15 @@ fn sub_window_trace<'a>(
     }
     let (qf, ff) = (&full.qface[fi], &full.fface[fi]);
     let (qh, fh) = (&half.qface[fi], &half.fface[fi]);
-    for i in 0..tmp.qtmp.len() {
-        tmp.qtmp[i] = qf[i] - qh[i];
+    let (q_pad, vars) = (plan.face.m_pad(), plan.cfg.vars);
+    let rows = tmp.qtmp.chunks_exact_mut(q_pad).zip(qf.chunks_exact(q_pad));
+    for ((t, f), h) in rows.zip(qh.chunks_exact(q_pad)) {
+        for s in 0..vars {
+            t[s] = f[s] - h[s];
+        }
+        t[vars..].copy_from_slice(&f[vars..]);
+    }
+    for i in 0..tmp.ftmp.len() {
         tmp.ftmp[i] = ff[i] - fh[i];
     }
     (&tmp.qtmp, &tmp.ftmp)
@@ -578,7 +589,7 @@ impl GraphScratch<'_> {
             boundary: BoundaryScratch::new(plan),
             halo: (splan.num_levels() > 1).then(|| HaloScratch {
                 qtmp: vec![0.0; plan.face.len()],
-                ftmp: vec![0.0; plan.face.len()],
+                ftmp: vec![0.0; plan.flux_face.len()],
             }),
         }
     }
@@ -609,7 +620,7 @@ impl<P: LinearPde> Engine<P> {
     /// Builds an engine; the plan is derived from the mesh spacing and the
     /// PDE's quantity count.
     pub fn new(mesh: StructuredMesh, pde: P, config: EngineConfig) -> Self {
-        let mut cfg = StpConfig::new(config.order, pde.num_quantities());
+        let mut cfg = StpConfig::new(config.order, pde.num_quantities()).with_vars(pde.num_vars());
         if let Some(w) = config.width {
             cfg = cfg.with_width(w);
         }
@@ -849,7 +860,7 @@ impl<P: LinearPde> Engine<P> {
             }
         };
         let graph = LtsGraph::build(&splan);
-        let face_len = self.plan.face.len();
+        let face_len = self.plan.flux_face.len();
         let ns = splan.num_shards();
         let flux_storage = || -> Vec<RwLock<Vec<f64>>> {
             (0..ns)
@@ -996,7 +1007,7 @@ impl<P: LinearPde> Engine<P> {
                 (
                     CorrectorScratch::new(plan),
                     BoundaryScratch::new(plan),
-                    vec![0.0f64; plan.face.len()],
+                    vec![0.0f64; plan.flux_face.len()],
                 )
             },
             |(corr, bscratch, f_star), c, q| {
@@ -1121,7 +1132,7 @@ impl<P: LinearPde> Engine<P> {
         let num_slots = graph.num_slots();
         // Exact: `num_slots` is a power of two.
         let dt_base = dt / num_slots as f64;
-        let face_len = plan.face.len();
+        let face_len = plan.flux_face.len();
         let multi = num_levels > 1;
 
         let trace_shards: Vec<RwLock<&mut [FaceTraces]>> = shard_slices(splan, &mut self.traces)
@@ -1278,7 +1289,8 @@ impl<P: LinearPde> Engine<P> {
                                     // multi-level plan, whose workers
                                     // carry halo scratch.
                                     let hs = ws.halo.as_mut().expect("halo scratch");
-                                    let composed = sub_window_trace(hs, full, &h.half[hi], fi, sub);
+                                    let composed =
+                                        sub_window_trace(plan, hs, full, &h.half[hi], fi, sub);
                                     if lo_mis {
                                         left = composed;
                                     } else {
@@ -1807,6 +1819,80 @@ mod tests {
         }
     }
 
+    /// A layered elastic engine at SIMD level `width`: P-wave speed 2 for
+    /// `x < 0.5`, 1 beyond — the paper's `m = 21` system (9 evolved rows).
+    fn layered_elastic_engine(
+        stepping: SteppingMode,
+        width: aderdg_tensor::Isa,
+    ) -> Engine<aderdg_pde::Elastic> {
+        use aderdg_mesh::{BoundaryKind, StructuredMesh};
+        use aderdg_pde::{Elastic, Material};
+        let mesh =
+            StructuredMesh::new([4, 2, 2], [0.0; 3], [1.0; 3], [BoundaryKind::Reflective; 3]);
+        let config = EngineConfig::new(3)
+            .with_tuning(TuningMode::Static)
+            .with_pipeline(PipelineMode::Sharded)
+            .with_stepping(stepping)
+            .with_width(width);
+        let mut engine = Engine::new(mesh, Elastic, config);
+        engine.set_initial(|x, q| {
+            q.fill(0.0);
+            q[aderdg_pde::elastic::VX] = (x[0] * 3.0).sin();
+            let cp = if x[0] < 0.5 { 2.0 } else { 1.0 };
+            let mat = Material {
+                rho: 1.0,
+                cp,
+                cs: 0.5 * cp,
+            };
+            Elastic::set_params(q, mat, &Elastic::IDENTITY_JAC);
+        });
+        engine
+    }
+
+    /// Checks, after one step, that every cell keeps twelve face traces —
+    /// `q̄` at `q_rows`, the flux at `f_rows` padded doubles per node —
+    /// and so do the halo entries and the F* segments; returns how many
+    /// trace entries (cells + halo) exist.
+    fn check_face_storage<P: LinearPde>(
+        mut engine: Engine<P>,
+        q_rows: usize,
+        f_rows: usize,
+        label: &str,
+    ) -> usize {
+        let dt = engine.max_dt();
+        engine.step(dt);
+        let nn = engine.plan.n().pow(2);
+        assert_eq!(engine.plan.face.len(), nn * q_rows, "{label}");
+        assert_eq!(engine.plan.flux_face.len(), nn * f_rows, "{label}");
+        assert!(
+            engine.plan.face.len() < engine.plan.aos.len(),
+            "a face is not volume-sized"
+        );
+        let want = [[nn * q_rows; 6], [nn * f_rows; 6]].concat();
+        let doubles = |t: &FaceTraces| -> Vec<usize> {
+            t.qface.iter().chain(&t.fface).map(|v| v.len()).collect()
+        };
+        assert_eq!(engine.traces.len(), engine.mesh.num_cells(), "{label}");
+        let mut entries = 0;
+        for t in &engine.traces {
+            assert_eq!(doubles(t), want, "{label}: cell traces");
+            entries += 1;
+        }
+        let gp = engine.graph_plan();
+        for shard in &gp.halo {
+            for t in &shard.read().expect("unpoisoned").half {
+                assert_eq!(doubles(t), want, "{label}: halo traces");
+                entries += 1;
+            }
+        }
+        for (s, seg) in gp.f_star.iter().chain(&gp.f_star_acc).enumerate() {
+            let faces = gp.plan.owned_faces(s % gp.plan.num_shards()).len();
+            let len = seg.read().expect("unpoisoned").len();
+            assert_eq!(len, faces * nn * f_rows, "{label}: F* segment {s}");
+        }
+        entries
+    }
+
     #[test]
     fn per_cell_predictor_storage_is_twelve_face_tensors() {
         // The volume tensors never leave the worker: what a cell keeps
@@ -1818,36 +1904,28 @@ mod tests {
             "FaceTraces holds the twelve face tensors only"
         );
         for (stepping, levels) in [(SteppingMode::Global, 1), (SteppingMode::Lts, 2)] {
-            let mut engine = layered_engine(stepping, 4.0);
-            let dt = engine.max_dt();
-            engine.step(dt);
-            let gp = engine.graph_plan();
-            assert_eq!(gp.plan.num_levels(), levels, "{stepping:?}");
-            let face_len = engine.plan.face.len();
-            assert!(
-                face_len < engine.plan.aos.len(),
-                "a face is not volume-sized"
-            );
-            let doubles = |t: &FaceTraces| -> Vec<usize> {
-                t.qface.iter().chain(&t.fface).map(|v| v.len()).collect()
-            };
-            assert_eq!(engine.traces.len(), engine.mesh.num_cells(), "{stepping:?}");
-            let mut entries = 0;
-            for t in &engine.traces {
-                assert_eq!(doubles(t), vec![face_len; 12], "{stepping:?}: cell traces");
-                entries += 1;
+            let engine = layered_engine(stepping, 4.0);
+            let cells = engine.mesh.num_cells();
+            let rows = engine.plan.face.m_pad();
+            assert_eq!(rows, engine.plan.flux_face.m_pad());
+            let entries = check_face_storage(engine, rows, rows, &format!("{stepping:?}"));
+            assert_eq!(entries > cells, levels > 1, "{stepping:?}");
+        }
+        // Elastic, m = 21 with 9 evolved rows: the flux traces keep the
+        // evolved rows' padded width only.
+        use aderdg_tensor::Isa;
+        for (width, q_rows, f_rows) in [
+            (Isa::Baseline, 22, 10),
+            (Isa::Avx2, 24, 12),
+            (Isa::Avx512, 24, 16),
+        ] {
+            for stepping in [SteppingMode::Global, SteppingMode::Lts] {
+                let engine = layered_elastic_engine(stepping, width);
+                let cells = engine.mesh.num_cells();
+                let label = format!("elastic {width:?} {stepping:?}");
+                let entries = check_face_storage(engine, q_rows, f_rows, &label);
+                assert_eq!(entries > cells, stepping == SteppingMode::Lts, "{label}");
             }
-            for shard in &gp.halo {
-                for t in &shard.read().expect("unpoisoned").half {
-                    assert_eq!(doubles(t), vec![face_len; 12], "{stepping:?}: halo traces");
-                    entries += 1;
-                }
-            }
-            assert_eq!(
-                entries > engine.mesh.num_cells(),
-                levels > 1,
-                "{stepping:?}"
-            );
         }
     }
 

@@ -12,24 +12,39 @@
 
 use crate::plan::StpPlan;
 use aderdg_tensor::simd::{dispatch, LaneKernel, SimdF64};
+use aderdg_tensor::FaceLayout;
 
-/// Projects the padded AoS volume tensor `vol` onto both faces of normal
-/// dimension `d` in one pass: `lo` receives the `φ(0)` contraction, `hi`
-/// the `φ(1)` contraction (padded face tensors).
+/// Projects the leading `face.m_pad()` rows of the padded AoS volume
+/// tensor `vol` onto both faces of normal dimension `d` in one pass: `lo`
+/// receives the `φ(0)` contraction, `hi` the `φ(1)` contraction (face
+/// tensors of layout `face` — [`StpPlan::face`] for `q̄`, the narrower
+/// [`StpPlan::flux_face`] for a flux, whose rows past `vars` are zero).
 ///
 /// Runs at the plan's ISA level over whole padded quantity rows. Every
 /// entry accumulates `0 + w₀v₀ + w₁v₁ + …` in ascending node order with
 /// an unfused multiply and add, so the result does not depend on the ISA
-/// level. The padding entries of `vol` must be zero (every kernel writes
-/// them so); they project to the zero padding of the faces.
-pub fn project_dim(plan: &StpPlan, vol: &[f64], d: usize, lo: &mut [f64], hi: &mut [f64]) {
+/// level, nor on how many rows are projected. The entries of `vol` past
+/// `face.m` must be zero (every kernel writes them so); they project to
+/// the zero padding of the faces.
+pub fn project_dim(
+    plan: &StpPlan,
+    vol: &[f64],
+    d: usize,
+    face: FaceLayout,
+    lo: &mut [f64],
+    hi: &mut [f64],
+) {
     let n = plan.n();
-    let m_pad = plan.aos.m_pad();
-    debug_assert_eq!(m_pad, plan.face.m_pad());
+    let vol_pad = plan.aos.m_pad();
+    let m_pad = face.m_pad();
+    assert!(
+        face.n == n && m_pad <= vol_pad,
+        "face layout of another plan"
+    );
     assert!(d < 3, "dimension out of range");
     assert!(vol.len() >= plan.aos.len(), "volume tensor too short");
     assert!(
-        lo.len() >= plan.face.len() && hi.len() >= plan.face.len(),
+        lo.len() >= face.len() && hi.len() >= face.len(),
         "face tensor too short"
     );
     // Face node (a, b) contracts the volume rows at
@@ -50,6 +65,7 @@ pub fn project_dim(plan: &StpPlan, vol: &[f64], d: usize, lo: &mut [f64], hi: &m
             phi_hi: &plan.basis.phi_right,
             n,
             m_pad,
+            vol_pad,
             outer,
             inner,
             step,
@@ -65,7 +81,10 @@ struct ProjectDim<'a> {
     phi_lo: &'a [f64],
     phi_hi: &'a [f64],
     n: usize,
+    /// Face row length: the rows projected.
     m_pad: usize,
+    /// Volume row length (`≥ m_pad`).
+    vol_pad: usize,
     outer: usize,
     inner: usize,
     step: usize,
@@ -74,12 +93,12 @@ struct ProjectDim<'a> {
 impl LaneKernel for ProjectDim<'_> {
     #[inline(always)]
     fn run<S: SimdF64>(self) {
-        let (n, m_pad) = (self.n, self.m_pad);
+        let (n, m_pad, vol_pad) = (self.n, self.m_pad, self.vol_pad);
         debug_assert_eq!(m_pad % S::LANES, 0, "dispatch granule contract");
         // The last row any face node touches bounds every row below.
         let last_row = (n - 1) * (self.outer + self.inner + self.step);
-        assert!(self.vol.len() >= (last_row + 1) * m_pad && self.phi_lo.len() >= n);
-        assert!(self.phi_hi.len() >= n);
+        assert!(m_pad <= vol_pad && self.vol.len() >= (last_row + 1) * vol_pad);
+        assert!(self.phi_lo.len() >= n && self.phi_hi.len() >= n);
         let faces = self
             .lo
             .chunks_exact_mut(m_pad)
@@ -93,9 +112,10 @@ impl LaneKernel for ProjectDim<'_> {
                     let row = first + k * self.step;
                     // SAFETY: `node / n`, `node % n` and `k` are all below
                     // `n`, so `row <= last_row`, and `i + S::LANES <=
-                    // m_pad`: the load ends inside the `(last_row + 1) ·
-                    // m_pad` doubles `vol` was checked to hold.
-                    let v = unsafe { S::load(self.vol.as_ptr().add(row * m_pad + i)) };
+                    // m_pad <= vol_pad`: the load ends inside the
+                    // `(last_row + 1) · vol_pad` doubles `vol` was checked
+                    // to hold.
+                    let v = unsafe { S::load(self.vol.as_ptr().add(row * vol_pad + i)) };
                     acc_lo = acc_lo.add(S::splat(self.phi_lo[k]).mul(v));
                     acc_hi = acc_hi.add(S::splat(self.phi_hi[k]).mul(v));
                 }
@@ -150,46 +170,60 @@ mod tests {
         }
     }
 
-    /// One side of [`project_dim`].
+    /// One side of [`project_dim`] onto the plan's `q̄` face layout.
     fn project_to_face(plan: &StpPlan, vol: &[f64], d: usize, side: usize, out: &mut [f64]) {
         let mut other = vec![f64::NAN; plan.face.len()];
         if side == 0 {
-            project_dim(plan, vol, d, out, &mut other);
+            project_dim(plan, vol, d, plan.face, out, &mut other);
         } else {
-            project_dim(plan, vol, d, &mut other, out);
+            project_dim(plan, vol, d, plan.face, &mut other, out);
         }
+    }
+
+    /// The leading `rows` entries of every `from_pad`-long node row.
+    fn node_rows(v: &[f64], from_pad: usize, rows: usize) -> Vec<u64> {
+        v.chunks_exact(from_pad)
+            .flat_map(|node| node[..rows].iter().map(|x| x.to_bits()))
+            .collect()
     }
 
     #[test]
     fn bitwise_equal_to_the_one_side_loop_at_every_backend() {
-        for (n, m) in [(3, 2), (4, 6), (5, 9), (7, 21)] {
+        // `vars < m` exercises the flux projection: only the evolved rows
+        // are nonzero (the flux contract), and the narrow projection must
+        // equal the full-row reference on the rows it keeps.
+        for (n, m, vars) in [(3, 2, 2), (4, 6, 6), (5, 9, 9), (7, 21, 21), (4, 21, 9)] {
             for backend in aderdg_gemm::backends().iter().filter(|b| b.supported()) {
-                let p = StpPlan::with_gemm_backend(StpConfig::new(n, m), [1.0; 3], *backend);
+                let cfg = StpConfig::new(n, m).with_vars(vars);
+                let p = StpPlan::with_gemm_backend(cfg, [1.0; 3], *backend);
                 let mut rng = aderdg_tensor::Lcg::new((n * 100 + m) as u64);
                 let mut vol = vec![0.0; p.aos.len()];
                 for node in vol.chunks_exact_mut(p.aos.m_pad()) {
                     node[..m].copy_from_slice(&rng.vec(m, -1.0, 1.0));
                 }
+                let mut flux = vol.clone();
+                for node in flux.chunks_exact_mut(p.aos.m_pad()) {
+                    node[vars..].fill(0.0);
+                }
                 for d in 0..3 {
-                    let mut want = [vec![f64::NAN; p.face.len()], vec![f64::NAN; p.face.len()]];
-                    project_to_face_reference(&p, &vol, d, 0, &mut want[0]);
-                    project_to_face_reference(&p, &vol, d, 1, &mut want[1]);
-                    let mut lo = vec![f64::NAN; p.face.len()];
-                    let mut hi = vec![f64::NAN; p.face.len()];
-                    project_dim(&p, &vol, d, &mut lo, &mut hi);
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(&lo),
-                        bits(&want[0]),
-                        "{} n={n} m={m} d={d} lo",
-                        backend.name()
-                    );
-                    assert_eq!(
-                        bits(&hi),
-                        bits(&want[1]),
-                        "{} n={n} m={m} d={d} hi",
-                        backend.name()
-                    );
+                    for (vol, face) in [(&vol, p.face), (&flux, p.flux_face)] {
+                        let mut want = [vec![f64::NAN; p.face.len()], vec![f64::NAN; p.face.len()]];
+                        project_to_face_reference(&p, vol, d, 0, &mut want[0]);
+                        project_to_face_reference(&p, vol, d, 1, &mut want[1]);
+                        let mut lo = vec![f64::NAN; face.len()];
+                        let mut hi = vec![f64::NAN; face.len()];
+                        project_dim(&p, vol, d, face, &mut lo, &mut hi);
+                        let (fp, rows) = (p.face.m_pad(), face.m_pad());
+                        for (got, want, side) in [(&lo, &want[0], "lo"), (&hi, &want[1], "hi")] {
+                            assert_eq!(
+                                node_rows(got, rows, rows),
+                                node_rows(want, fp, rows),
+                                "{} n={n} m={m} vars={} d={d} {side}",
+                                backend.name(),
+                                face.m
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -6,8 +6,9 @@
 //! * `qavg` — the time-integrated state `q̄ = ∫ q dt` (eq. 4),
 //! * `favg[d]` — the time-integrated flux tensors `F̄_d = F_d(q̄)`
 //!   (linearity, Sec. IV-B),
-//! * `qface`, `fface` — `q̄` and the normal flux projected onto the six
-//!   faces (inputs of the corrector / Riemann solve, Sec. II-B).
+//! * `qface`, `fface` — `q̄` (all `m` rows) and the normal flux (its
+//!   evolved rows, [`StpPlan::flux_face`]) projected onto the six faces
+//!   (inputs of the corrector / Riemann solve, Sec. II-B).
 //!
 //! The variants differ only in algorithm and data layout — which is the
 //! paper's entire subject — and must agree to floating-point tolerance,
@@ -61,9 +62,11 @@ pub struct StpOutputs {
     pub qavg: AlignedVec,
     /// Time-integrated flux tensor per dimension, padded AoS.
     pub favg: [AlignedVec; 3],
-    /// `q̄` projected onto the six faces (−x, +x, −y, +y, −z, +z).
+    /// `q̄` projected onto the six faces (−x, +x, −y, +y, −z, +z), at
+    /// [`StpPlan::face`].
     pub qface: [AlignedVec; 6],
-    /// Normal time-integrated flux projected onto the six faces.
+    /// Normal time-integrated flux projected onto the six faces, at
+    /// [`StpPlan::flux_face`] (evolved rows only).
     pub fface: [AlignedVec; 6],
 }
 
@@ -71,12 +74,12 @@ impl StpOutputs {
     /// Allocates zeroed output buffers matching `plan`.
     pub fn new(plan: &StpPlan) -> Self {
         let vol = plan.aos.len();
-        let face = plan.face.len();
+        let FaceTraces { qface, fface } = FaceTraces::new(plan);
         Self {
             qavg: AlignedVec::zeroed(vol),
             favg: std::array::from_fn(|_| AlignedVec::zeroed(vol)),
-            qface: std::array::from_fn(|_| AlignedVec::zeroed(face)),
-            fface: std::array::from_fn(|_| AlignedVec::zeroed(face)),
+            qface,
+            fface,
         }
     }
 }
@@ -96,10 +99,10 @@ pub(crate) struct FaceTraces {
 impl FaceTraces {
     /// Allocates zeroed face traces matching `plan`.
     pub fn new(plan: &StpPlan) -> Self {
-        let face = plan.face.len();
+        let (face, flux) = (plan.face.len(), plan.flux_face.len());
         Self {
             qface: std::array::from_fn(|_| AlignedVec::zeroed(face)),
-            fface: std::array::from_fn(|_| AlignedVec::zeroed(face)),
+            fface: std::array::from_fn(|_| AlignedVec::zeroed(flux)),
         }
     }
 
@@ -241,12 +244,20 @@ impl std::fmt::Debug for dyn StpKernel {
     }
 }
 
-/// Shared epilogue: projects `qavg` / `favg` onto the six faces.
+/// Shared epilogue: projects `qavg` (all rows) and `favg` (the evolved
+/// rows of [`StpPlan::flux_face`]) onto the six faces.
 pub(crate) fn project_faces(plan: &StpPlan, out: &mut StpOutputs) {
     for d in 0..3 {
         let (lo, hi) = out.qface[2 * d..].split_at_mut(1);
-        faceproj::project_dim(plan, &out.qavg, d, &mut lo[0], &mut hi[0]);
+        faceproj::project_dim(plan, &out.qavg, d, plan.face, &mut lo[0], &mut hi[0]);
         let (lo, hi) = out.fface[2 * d..].split_at_mut(1);
-        faceproj::project_dim(plan, &out.favg[d], d, &mut lo[0], &mut hi[0]);
+        faceproj::project_dim(
+            plan,
+            &out.favg[d],
+            d,
+            plan.flux_face,
+            &mut lo[0],
+            &mut hi[0],
+        );
     }
 }

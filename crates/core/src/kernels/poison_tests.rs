@@ -39,7 +39,9 @@ impl Case {
         set_params: impl Fn(usize, &mut [f64]),
     ) -> Self {
         let (vars, m) = (pde.num_vars(), pde.num_quantities());
-        let plan = StpPlan::new(StpConfig::new(n, m), [1.0, 0.8, 1.25]);
+        // The engine's plan: flux faces at the evolved rows only.
+        let cfg = StpConfig::new(n, m).with_vars(vars);
+        let plan = StpPlan::new(cfg, [1.0, 0.8, 1.25]);
         let mut rng = Lcg::new(n as u64 * 1000 + m as u64);
         let states = (0..CELLS)
             .map(|_| {
@@ -105,6 +107,20 @@ fn poison_outputs(out: &mut StpOutputs) {
     let tensors = favg.iter_mut().chain(qface).chain(fface);
     for t in tensors.chain([qavg]) {
         t.fill(f64::NAN);
+    }
+}
+
+/// Every flux-face entry of a run into NaN-poisoned outputs was written:
+/// each node's evolved rows finite, its padding rows zero.
+fn check_flux_faces(case: &Case, out: &StpOutputs, ctx: &str) {
+    let layout = case.plan.flux_face;
+    let (vars, pad) = (layout.m, layout.m_pad());
+    for f in &out.fface {
+        assert_eq!(f.len(), layout.len(), "{ctx}: flux face length");
+        for node in f.chunks_exact(pad) {
+            assert!(node[..vars].iter().all(|v| v.is_finite()), "{ctx}: evolved");
+            assert!(node[vars..].iter().all(|&v| v == 0.0), "{ctx}: padding");
+        }
     }
 }
 
@@ -194,6 +210,7 @@ fn poisoned_scratch_and_outputs_reproduce_a_clean_run_bitwise() {
                 poison_outputs(&mut got);
                 run_cell(&case, kernel, dirty.as_mut(), q0, sources[c], &mut got);
                 assert!(bits(&got) == bits(&want), "{}", ctx("run", c));
+                check_flux_faces(&case, &got, &ctx("run", c));
             }
 
             // Per block.
@@ -223,6 +240,7 @@ fn poisoned_scratch_and_outputs_reproduce_a_clean_run_bitwise() {
             );
             for (c, (got, want)) in got.iter().zip(&want).enumerate() {
                 assert!(bits(got) == bits(want), "{}", ctx("run_block", c));
+                check_flux_faces(&case, got, &ctx("run_block", c));
             }
         }
     }

@@ -3,10 +3,10 @@
 //! The paper's Kernel Generator renders Jinja2 templates with every size,
 //! stride, padding and operator matrix hard-coded per application and
 //! architecture (Sec. II-D). [`StpPlan`] is the Rust equivalent: built once
-//! per `(order, quantities, SIMD level, mesh spacing)`, it holds the padded
-//! layouts, the scaled derivative operators, and the pre-dispatched GEMM
-//! plans every kernel variant executes against. Kernels themselves contain
-//! no size logic.
+//! per `(order, quantities, evolved rows, SIMD level, mesh spacing)`, it
+//! holds the padded layouts, the scaled derivative operators, and the
+//! pre-dispatched GEMM plans every kernel variant executes against.
+//! Kernels themselves contain no size logic.
 
 use aderdg_gemm::{Gemm, GemmSpec, Isa};
 use aderdg_quadrature::{taylor_coefficients, Basis1d, QuadratureRule};
@@ -79,6 +79,11 @@ pub struct StpConfig {
     pub order: usize,
     /// Stored quantities per node (`m`).
     pub quantities: usize,
+    /// Evolved quantities per node — the leading rows of the `m` that a
+    /// flux can be nonzero on (the rest are parameters, whose flux is
+    /// zero by the [`LinearPde`](aderdg_pde::LinearPde) contract). Sizes
+    /// [`StpPlan::flux_face`]; must be at least the PDE's `num_vars()`.
+    pub vars: usize,
     /// SIMD level: the padding unit of every layout and the cap of the
     /// GEMM tile and lane kernels (which run at most at [`Isa::detect`]).
     pub width: Isa,
@@ -87,11 +92,13 @@ pub struct StpConfig {
 }
 
 impl StpConfig {
-    /// Gauss-Legendre configuration at the host's SIMD level.
+    /// Gauss-Legendre configuration at the host's SIMD level, with every
+    /// stored quantity counted as evolved (`vars = quantities`).
     pub fn new(order: usize, quantities: usize) -> Self {
         Self {
             order,
             quantities,
+            vars: quantities,
             width: Isa::detect(),
             rule: QuadratureRule::GaussLegendre,
         }
@@ -100,6 +107,12 @@ impl StpConfig {
     /// Overrides the SIMD level (e.g. the paper's AVX2-on-Skylake runs).
     pub fn with_width(mut self, width: Isa) -> Self {
         self.width = width;
+        self
+    }
+
+    /// Sets the evolved-row count (`vars ≤ quantities`).
+    pub fn with_vars(mut self, vars: usize) -> Self {
+        self.vars = vars;
         self
     }
 }
@@ -115,8 +128,12 @@ pub struct StpPlan {
     pub aos: DofLayout,
     /// AoSoA layout of the volume tensors (Sec. V variant).
     pub aosoa: DofLayout,
-    /// Face-tensor layout.
+    /// Face-tensor layout of `q̄` traces: all `m` stored rows (the
+    /// Riemann solve reads the wavespeed from the parameter rows).
     pub face: FaceLayout,
+    /// Face-tensor layout of every flux trace (`F̄` traces, `F*`): the
+    /// first `vars` rows only, padded — a flux's parameter rows are zero.
+    pub flux_face: FaceLayout,
     /// Reciprocal cell edge lengths the derivative operators are scaled by.
     pub inv_dx: [f64; 3],
     /// `Dᵀ` zero-padded to `n_pad` columns (AoSoA x-derivative operand).
@@ -209,10 +226,15 @@ impl StpPlan {
         let m = cfg.quantities;
         assert!(n >= 2, "ADER-DG needs at least two nodes per dimension");
         assert!(m >= 1, "at least one quantity");
+        assert!(
+            (1..=m).contains(&cfg.vars),
+            "evolved rows must be between 1 and the stored quantities"
+        );
         let basis = Basis1d::new(cfg.rule, n);
         let aos = DofLayout::aos(n, m, cfg.width);
         let aosoa = DofLayout::aosoa(n, m, cfg.width);
         let face = FaceLayout::new(n, m, cfg.width);
+        let flux_face = FaceLayout::new(n, cfg.vars, cfg.width);
         let inv_dx = [1.0 / dx[0], 1.0 / dx[1], 1.0 / dx[2]];
         let diff_t_padded = basis.diff_t_padded(aosoa.n_pad());
 
@@ -313,6 +335,7 @@ impl StpPlan {
             aos,
             aosoa,
             face,
+            flux_face,
             inv_dx,
             diff_t_padded,
         }
@@ -448,6 +471,30 @@ mod tests {
         assert_eq!(p.gemm_aos[1].spec().alpha, 4.0);
         assert_eq!(p.gemm_aos[2].spec().alpha, 0.5);
         assert_eq!(p.gemm_aosoa[1].spec().alpha, 4.0);
+    }
+
+    #[test]
+    fn flux_faces_pad_the_evolved_rows_only() {
+        // Elastic: m = 21 stored, 9 evolved.
+        for (width, q_pad, f_pad) in [
+            (Isa::Baseline, 22, 10),
+            (Isa::Avx2, 24, 12),
+            (Isa::Avx512, 24, 16),
+        ] {
+            let cfg = StpConfig::new(7, 21).with_width(width);
+            assert_eq!(cfg.vars, 21, "every row evolves unless told otherwise");
+            let p = StpPlan::new(cfg, [1.0; 3]);
+            assert_eq!(p.flux_face, p.face);
+            let p = StpPlan::new(cfg.with_vars(9), [1.0; 3]);
+            assert_eq!(p.face.len(), 49 * q_pad, "{width:?}");
+            assert_eq!(p.flux_face.len(), 49 * f_pad, "{width:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "evolved rows")]
+    fn rejects_more_evolved_rows_than_quantities() {
+        let _ = StpPlan::new(StpConfig::new(3, 4).with_vars(5), [1.0; 3]);
     }
 
     #[test]

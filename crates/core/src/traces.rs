@@ -34,7 +34,8 @@ struct CellIo {
 
 fn alloc_cell_io(arena: &mut Arena, plan: &StpPlan) -> CellIo {
     let vol = plan.aos.len();
-    let face = plan.face.len();
+    // Six `q̄` faces at all rows, six flux faces at the evolved rows.
+    let faces = 6 * (plan.face.len() + plan.flux_face.len());
     CellIo {
         q0: arena.alloc_doubles(vol),
         qavg: arena.alloc_doubles(vol),
@@ -44,8 +45,8 @@ fn alloc_cell_io(arena: &mut Arena, plan: &StpPlan) -> CellIo {
             arena.alloc_doubles(vol),
         ],
         vol_bytes: vol * 8,
-        face_bytes: face * 12 * 8,
-        faces: arena.alloc_doubles(face * 12),
+        face_bytes: faces * 8,
+        faces: arena.alloc_doubles(faces),
     }
 }
 

@@ -300,6 +300,10 @@ pub fn tune(
 
 /// Builds and tunes the plan for one engine construction: [`tune`] on a
 /// freshly built [`StpPlan`].
+///
+/// # Panics
+/// If `cfg` keeps fewer flux rows than `pde` evolves (`cfg.vars <
+/// pde.num_vars()`): the plan's flux faces would silently drop them.
 pub fn tune_plan(
     cfg: crate::plan::StpConfig,
     dx: [f64; 3],
@@ -308,6 +312,12 @@ pub fn tune_plan(
     mode: TuningMode,
     block_override: Option<usize>,
 ) -> (StpPlan, TuneReport) {
+    assert!(
+        cfg.vars >= pde.num_vars(),
+        "plan keeps {} flux rows but the PDE evolves {}",
+        cfg.vars,
+        pde.num_vars()
+    );
     let plan = StpPlan::new(cfg, dx);
     let report = tune(&plan, kernel, pde, mode, block_override);
     (plan, report)
@@ -410,5 +420,13 @@ mod tests {
         assert!(text.contains("tune[aosoa_splitck mode=model]"));
         assert!(text.contains("static heuristic"));
         assert!(text.contains('*'), "the chosen candidate is marked");
+    }
+
+    #[test]
+    #[should_panic(expected = "plan keeps 8 flux rows but the PDE evolves 9")]
+    fn a_plan_that_drops_evolved_flux_rows_is_rejected() {
+        let cfg = StpConfig::new(3, Elastic.num_quantities()).with_vars(8);
+        let kernel = KernelRegistry::global().resolve("splitck").unwrap();
+        let _ = tune_plan(cfg, [0.25; 3], kernel, &Elastic, TuningMode::Static, None);
     }
 }

@@ -19,12 +19,13 @@
 //!    global run at the fine dt that is an O(dt²) coupling difference
 //!    (see [`two_cluster_diff`]), so the evolved state must match the
 //!    fine-dt global run to ≤ 1e-10 at small dt *and* the difference
-//!    must shrink at second order under dt refinement — on both acoustic
-//!    and shallow-water physics.
+//!    must shrink at second order under dt refinement — on acoustic,
+//!    shallow-water and (whose wavespeed divides by the parameter rows
+//!    the coarse trace must carry) Maxwell physics.
 
 use aderdg::core::{Engine, EngineConfig, KernelRegistry, PipelineMode, SteppingMode};
 use aderdg::mesh::{BoundaryKind, StructuredMesh};
-use aderdg::pde::{Acoustic, LinearizedSwe, PointSource, SourceTimeFunction};
+use aderdg::pde::{Acoustic, LinearizedSwe, Maxwell, PointSource, SourceTimeFunction};
 
 /// A small mesh exercising interior, periodic-wrap, outflow and
 /// reflective faces at once.
@@ -104,8 +105,12 @@ fn degenerate_lts_bitwise_matches_global_for_every_kernel() {
 }
 
 /// Max relative elementwise difference, scaled by the largest magnitude.
+/// Both states must be finite: `f64::max` drops NaN, so a NaN entry would
+/// otherwise vanish from the fold.
 fn max_rel_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
+    let bad = a.iter().chain(b).filter(|v| !v.is_finite()).count();
+    assert_eq!(bad, 0, "{bad} non-finite state entries");
     let scale = a
         .iter()
         .chain(b.iter())
@@ -208,5 +213,27 @@ fn two_cluster_lts_matches_fine_global_run_swe() {
         diff <= 1e-10,
         "swe: two-cluster LTS differs from the fine-dt global run by \
          {diff:.3e} (> 1e-10)"
+    );
+}
+
+#[test]
+fn two_cluster_lts_matches_fine_global_run_maxwell() {
+    // Maxwell's wavespeed `1/sqrt(εμ)` divides by the parameter rows, so
+    // a coarse second-sub-window trace whose parameters were differenced
+    // to zero (instead of carried) yields an infinite Rusanov speed and a
+    // non-finite state.
+    let init = |x: [f64; 3], q: &mut [f64]| {
+        q.fill(0.0);
+        let r2: f64 = x.iter().map(|&c| (c - 0.6) * (c - 0.6)).sum();
+        q[aderdg::pde::maxwell::EY] = (-r2 / (2.0 * 0.15 * 0.15)).exp();
+        // ε = 1/4 vs 1 at μ = 1: light speed 2 vs 1.
+        let epsilon = if x[0] < 0.5 { 0.25 } else { 1.0 };
+        Maxwell::set_params(q, epsilon, 1.0);
+    };
+    let diff = two_cluster_diff(|| Maxwell, init, 1, 2.5e-4);
+    assert!(
+        diff <= 1e-9,
+        "maxwell: two-cluster LTS differs from the fine-dt global run by \
+         {diff:.3e} (> 1e-9)"
     );
 }

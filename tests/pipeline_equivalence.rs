@@ -76,8 +76,13 @@ fn run_swe(config: EngineConfig) -> Vec<f64> {
     evolve(engine)
 }
 
+/// Max relative elementwise difference, scaled by the largest magnitude.
+/// Both states must be finite: `f64::max` drops NaN, so a NaN entry would
+/// otherwise vanish from the fold.
 fn max_rel_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
+    let bad = a.iter().chain(b).filter(|v| !v.is_finite()).count();
+    assert_eq!(bad, 0, "{bad} non-finite state entries");
     let scale = a
         .iter()
         .chain(b.iter())
