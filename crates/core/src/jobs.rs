@@ -5,7 +5,9 @@
 //! story: the paper's kernels live inside a long-lived system serving
 //! many configurations, not a one-shot binary. A [`JobQueue`] owns a
 //! small set of job-runner threads; each pops a submitted `(scenario,
-//! RunRequest)` pair and drives it to completion. The engines inside the
+//! RunRequest)` pair and drives it to completion, then drops the request
+//! — a settled job keeps only its status, summary and error, never the
+//! checkpoint a `RESUME` request carried. The engines inside the
 //! jobs all share the process-wide persistent thread pool
 //! ([`crate::par`]) — parallel calls from concurrent jobs interleave at
 //! batch granularity, so an 8-job queue needs 8 runner threads but only
@@ -23,7 +25,7 @@ use crate::scenario::{
 };
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -72,11 +74,11 @@ struct JobState {
     error: Option<String>,
 }
 
-/// One submitted run: scenario, request, control handle and outcome.
+/// One submitted run: scenario, control handle and outcome. The request
+/// waits in the queue beside the job and is dropped when its run returns.
 pub struct Job {
     id: u64,
     scenario: &'static dyn Scenario,
-    request: RunRequest,
     control: Arc<RunControl>,
     state: Mutex<JobState>,
     settled: Condvar,
@@ -97,11 +99,6 @@ impl Job {
     /// The scenario registry key this job runs.
     pub fn scenario_name(&self) -> &'static str {
         self.scenario.info().name
-    }
-
-    /// The request the job was submitted with.
-    pub fn request(&self) -> &RunRequest {
-        &self.request
     }
 
     /// The job's pause/cancel/progress handle.
@@ -159,10 +156,11 @@ impl std::fmt::Debug for Job {
 
 /// What the runner threads share with the queue handle.
 struct Shared {
-    pending: Mutex<VecDeque<Arc<Job>>>,
+    /// Jobs not yet started, each with the request it runs.
+    pending: Mutex<VecDeque<(Arc<Job>, RunRequest)>>,
     available: Condvar,
+    /// Every submitted job; the job with id `n` is `jobs[n - 1]`.
     jobs: Mutex<Vec<Arc<Job>>>,
-    next_id: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -191,7 +189,6 @@ impl JobQueue {
             pending: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             jobs: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
         });
         let handles = (0..runners.max(1))
@@ -238,29 +235,33 @@ impl JobQueue {
             .control
             .get_or_insert_with(|| Arc::new(RunControl::new()))
             .clone();
-        let job = Arc::new(Job {
-            // ORDERING: Relaxed — a unique-id counter; nothing else is
-            // published through it.
-            id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
-            scenario,
-            request,
-            control,
-            state: Mutex::new(JobState {
-                status: JobStatus::Queued,
-                summary: None,
-                error: None,
-            }),
-            settled: Condvar::new(),
-        });
-        lock(&self.shared.jobs).push(Arc::clone(&job));
-        lock(&self.shared.pending).push_back(Arc::clone(&job));
+        let job = {
+            // The id is the job's position in `jobs`, so it is assigned
+            // under the same lock that appends it.
+            let mut jobs = lock(&self.shared.jobs);
+            let job = Arc::new(Job {
+                id: jobs.len() as u64 + 1,
+                scenario,
+                control,
+                state: Mutex::new(JobState {
+                    status: JobStatus::Queued,
+                    summary: None,
+                    error: None,
+                }),
+                settled: Condvar::new(),
+            });
+            jobs.push(Arc::clone(&job));
+            job
+        };
+        lock(&self.shared.pending).push_back((Arc::clone(&job), request));
         self.shared.available.notify_one();
         Ok(job)
     }
 
-    /// Looks a job up by id.
+    /// Looks a job up by id (ids count from 1 in submission order).
     pub fn job(&self, id: u64) -> Option<Arc<Job>> {
-        lock(&self.shared.jobs).iter().find(|j| j.id == id).cloned()
+        let index = usize::try_from(id).ok()?.checked_sub(1)?;
+        lock(&self.shared.jobs).get(index).cloned()
     }
 
     /// Every submitted job, in submission order.
@@ -291,7 +292,7 @@ impl JobQueue {
         let removed = {
             let mut pending = lock(&self.shared.pending);
             let before = pending.len();
-            pending.retain(|j| j.id != id);
+            pending.retain(|(j, _)| j.id != id);
             before != pending.len()
         };
         if removed {
@@ -329,15 +330,15 @@ impl Drop for JobQueue {
     }
 }
 
-/// A runner thread's main loop: pop, run, settle — a panicking job is
-/// caught and recorded, never fatal to the runner.
+/// A runner thread's main loop: pop, run, drop the request, settle — a
+/// panicking job is caught and recorded, never fatal to the runner.
 fn run_jobs(shared: &Shared) {
     loop {
-        let job = {
+        let (job, request) = {
             let mut pending = lock(&shared.pending);
             loop {
-                if let Some(job) = pending.pop_front() {
-                    break job;
+                if let Some(next) = pending.pop_front() {
+                    break next;
                 }
                 // ORDERING: Relaxed — read under the `pending` mutex; the
                 // mutex orders it against the store in `shutdown`.
@@ -353,6 +354,7 @@ fn run_jobs(shared: &Shared) {
         // ORDERING: Relaxed — a missed in-flight shutdown only means this
         // job runs one more time; `shutdown()` joins the runner either way.
         if shared.shutdown.load(Ordering::Relaxed) || job.control.cancel_requested() {
+            drop(request);
             job.settle(
                 JobStatus::Cancelled,
                 None,
@@ -364,7 +366,9 @@ fn run_jobs(shared: &Shared) {
             let mut state = lock(&job.state);
             state.status = JobStatus::Running;
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| job.scenario.run(&job.request)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| job.scenario.run(&request)));
+        // Before settling: whoever `wait`s sees the request gone.
+        drop(request);
         match outcome {
             Ok(Ok(summary)) => {
                 let status = if summary.paused {
@@ -454,5 +458,69 @@ mod tests {
         assert_eq!(status, JobStatus::Cancelled);
         queue.shutdown();
         assert!(queue.submit("acoustic_wave", RunRequest::smoke()).is_err());
+    }
+
+    #[test]
+    fn a_settled_job_lets_go_of_its_checkpoint() {
+        let path =
+            std::env::temp_dir().join(format!("aderdg_jobs_release_{}.ckpt", std::process::id()));
+        let queue = JobQueue::new(1);
+        let control = Arc::new(RunControl::new());
+        control.pause_at_step(1);
+        let paused = RunRequest {
+            control: Some(control),
+            save_checkpoint: Some(path.clone()),
+            ..RunRequest::smoke()
+        };
+        let job = queue.submit("acoustic_wave", paused).unwrap();
+        assert_eq!(job.wait(), JobStatus::Paused);
+        let ck = Arc::new(crate::checkpoint::Checkpoint::load(&path).unwrap());
+        std::fs::remove_file(&path).unwrap();
+        let mut resumed = ck.to_request().unwrap();
+        resumed.resume = Some(Arc::clone(&ck));
+        let job = queue.submit("acoustic_wave", resumed).unwrap();
+        assert_eq!(job.wait(), JobStatus::Done);
+        assert_eq!(Arc::strong_count(&ck), 1);
+    }
+
+    #[test]
+    fn job_ids_index_the_list_under_interleaved_submits() {
+        const PER_THREAD: usize = 50;
+        let queue = JobQueue::new(1);
+        // Cancelled up front, so the runner settles each without a run.
+        let cancelled = || {
+            let control = Arc::new(RunControl::new());
+            control.request_cancel();
+            RunRequest {
+                control: Some(control),
+                ..RunRequest::smoke()
+            }
+        };
+        let start = std::sync::Barrier::new(2);
+        let submitted: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..PER_THREAD)
+                            .map(|_| queue.submit("acoustic_wave", cancelled()).unwrap().id())
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let total = 2 * PER_THREAD as u64;
+        let mut ids: Vec<u64> = submitted.concat();
+        ids.sort_unstable();
+        assert_eq!(ids, (1..=total).collect::<Vec<_>>());
+        for id in 1..=total {
+            assert_eq!(queue.job(id).unwrap().id(), id);
+        }
+        let listed: Vec<u64> = queue.jobs().iter().map(|j| j.id()).collect();
+        assert_eq!(listed, (1..=total).collect::<Vec<_>>());
+        assert!(queue.job(0).is_none());
+        assert!(queue.job(total + 1).is_none());
+        assert!(queue.job(u64::MAX).is_none());
     }
 }

@@ -26,10 +26,16 @@
 //!
 //! Single-line replies are `OK …` or `ERR <message>`. Multi-line replies
 //! send an `OK` line, the payload, then a lone `.` (payload lines that
-//! start with `.` are dot-stuffed, SMTP-style). `SUBMIT` accepts every
-//! [`RunRequest::set`] key plus `pause_at_step=<n>` (arm a deterministic
-//! pause) — combine with `save_checkpoint=<path>` for pause-to-checkpoint,
-//! then `RESUME <path>` to pick the run back up, bit-identically.
+//! start with `.` are dot-stuffed, SMTP-style). A request line longer
+//! than [`MAX_LINE`] bytes gets an `ERR` and the connection is closed.
+//!
+//! Both ends send each message in one write with `TCP_NODELAY` set, so
+//! no message waits on Nagle's algorithm for the peer's delayed ACK.
+//!
+//! `SUBMIT` accepts every [`RunRequest::set`] key plus
+//! `pause_at_step=<n>` (arm a deterministic pause) — combine with
+//! `save_checkpoint=<path>` for pause-to-checkpoint, then `RESUME <path>`
+//! to pick the run back up, bit-identically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,12 +44,13 @@ use aderdg_core::checkpoint::Checkpoint;
 use aderdg_core::jobs::{Job, JobQueue};
 use aderdg_core::report;
 use aderdg_core::scenario::{RunControl, RunRequest, RunSummary, ScenarioRegistry};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// What a command evaluates to, before wire encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,26 +258,36 @@ pub fn handle_line(queue: &JobQueue, line: &str) -> Reply {
     }
 }
 
-/// Writes a [`Reply`] in wire format.
+/// Writes a [`Reply`] in wire format, rendered whole and sent in one
+/// write: a reply split over several TCP segments would wait on the
+/// client's delayed ACK.
 pub fn write_reply(out: &mut dyn Write, reply: &Reply) -> io::Result<()> {
-    match reply {
-        Reply::Ok(text) if text.is_empty() => writeln!(out, "OK"),
-        Reply::Ok(text) => writeln!(out, "OK {text}"),
-        Reply::Err(text) => writeln!(out, "ERR {}", text.replace('\n', " ")),
+    let wire = match reply {
+        Reply::Ok(text) if text.is_empty() => "OK\n".to_string(),
+        Reply::Ok(text) => format!("OK {text}\n"),
+        Reply::Err(text) => format!("ERR {}\n", text.replace('\n', " ")),
         Reply::Data(lines) => {
-            writeln!(out, "OK")?;
+            let mut wire = String::from("OK\n");
             for line in lines {
                 if line.starts_with('.') {
-                    writeln!(out, ".{line}")?;
-                } else {
-                    writeln!(out, "{line}")?;
+                    wire.push('.');
                 }
+                wire.push_str(line);
+                wire.push('\n');
             }
-            writeln!(out, ".")
+            wire.push_str(".\n");
+            wire
         }
-        Reply::Shutdown => writeln!(out, "OK shutting down"),
-    }
+        Reply::Shutdown => "OK shutting down\n".to_string(),
+    };
+    out.write_all(wire.as_bytes())
 }
+
+/// The longest request line the server reads, in bytes without the
+/// newline. A longer line gets `ERR line too long` and the connection
+/// is closed, so a client that never sends `\n` cannot grow the
+/// server's buffer without bound.
+pub const MAX_LINE: usize = 64 * 1024;
 
 struct Shared {
     queue: Arc<JobQueue>,
@@ -353,17 +370,42 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut out = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the limit tells a line that is too long from one
+        // that just fits.
+        let read = (&mut reader)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if read == 0 {
+            break;
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if read > MAX_LINE {
+            let message = format!("line too long (max {MAX_LINE} bytes)");
+            write_reply(&mut out, &Reply::Err(message))?;
+            // FIN now: the close below resets the connection (the rest of
+            // the line is unread), and the client should see EOF first.
+            out.shutdown(Shutdown::Write)?;
+            break;
+        }
         if shared.stop.load(Ordering::Relaxed) {
             write_reply(&mut out, &Reply::Err("server is shutting down".into()))?;
             break;
         }
-        let reply = handle_line(&shared.queue, &line);
+        let reply = match std::str::from_utf8(&buf) {
+            Ok(line) => handle_line(&shared.queue, line),
+            Err(_) => Reply::Err("request line is not UTF-8".into()),
+        };
         write_reply(&mut out, &reply)?;
-        out.flush()?;
         if reply == Reply::Shutdown {
             shared.stop.store(true, Ordering::Relaxed);
             // Poke the accept loop so it observes the flag.
@@ -385,8 +427,17 @@ impl Client {
     /// Connects to a running server.
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let out = TcpStream::connect(addr)?;
+        out.set_nodelay(true)?;
         let reader = BufReader::new(out.try_clone()?);
         Ok(Client { out, reader })
+    }
+
+    /// Sends one command line in a single write.
+    fn send(&mut self, line: &str) -> io::Result<()> {
+        let mut wire = String::with_capacity(line.len() + 1);
+        wire.push_str(line);
+        wire.push('\n');
+        self.out.write_all(wire.as_bytes())
     }
 
     fn read_line(&mut self) -> io::Result<String> {
@@ -406,7 +457,7 @@ impl Client {
     /// Sends a single-line command; returns the `OK` payload or the
     /// `ERR` message as the error variant.
     pub fn cmd(&mut self, line: &str) -> io::Result<Result<String, String>> {
-        writeln!(self.out, "{line}")?;
+        self.send(line)?;
         let status = self.read_line()?;
         Ok(parse_status(&status))
     }
@@ -414,7 +465,7 @@ impl Client {
     /// Sends a multi-line command (`LIST`, `SUMMARY`, `SERIES`,
     /// `RECEIVERS`, `HELP`); returns the payload lines.
     pub fn cmd_data(&mut self, line: &str) -> io::Result<Result<Vec<String>, String>> {
-        writeln!(self.out, "{line}")?;
+        self.send(line)?;
         let status = self.read_line()?;
         if let Err(e) = parse_status(&status) {
             return Ok(Err(e));
@@ -448,8 +499,17 @@ fn field<'a>(reply: &'a str, key: &str) -> Option<&'a str> {
         .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
 }
 
+/// `PING`s timed after a connection's first by [`smoke`].
+const SMOKE_PINGS: usize = 20;
+
+/// The median `PING` round trip [`smoke`] accepts. Loopback answers in
+/// tens of µs; a reply stalled on Nagle's algorithm and a delayed ACK
+/// takes ≈ 40 ms or more.
+const SMOKE_MAX_PING: Duration = Duration::from_millis(20);
+
 /// The `--smoke` self-test, also exercised by CI: starts a server on an
-/// ephemeral port, drives ≥ 8 concurrent jobs over the one shared pool,
+/// ephemeral port, checks that the median of 20 `PING` round trips is
+/// under 20 ms, drives ≥ 8 concurrent jobs over the one shared pool,
 /// then proves pause-to-checkpoint + resume reproduces an uninterrupted
 /// run's series exactly. Returns an error message on any mismatch.
 pub fn smoke(log: &mut dyn Write) -> Result<(), String> {
@@ -468,6 +528,30 @@ pub fn smoke(log: &mut dyn Write) -> Result<(), String> {
             .map_err(|e| fail("PING", e))?;
         if pong != "pong" {
             return Err(format!("PING answered `{pong}`"));
+        }
+
+        // Every command after a connection's first is where a reply
+        // split over several writes would stall.
+        let mut rtts = Vec::with_capacity(SMOKE_PINGS);
+        for _ in 0..SMOKE_PINGS {
+            let t0 = Instant::now();
+            client
+                .cmd("PING")
+                .map_err(io_err)?
+                .map_err(|e| fail("PING", e))?;
+            rtts.push(t0.elapsed());
+        }
+        rtts.sort_unstable();
+        let median = rtts[SMOKE_PINGS / 2];
+        let _ = writeln!(
+            log,
+            "serve smoke: PING round trip median {} us over {SMOKE_PINGS}",
+            median.as_micros()
+        );
+        if median >= SMOKE_MAX_PING {
+            return Err(format!(
+                "PING round trip median {median:?} is not below {SMOKE_MAX_PING:?}"
+            ));
         }
 
         // 8 concurrent jobs across scenarios, all over the one pool.
@@ -756,6 +840,45 @@ mod tests {
         let mut buf = Vec::new();
         write_reply(&mut buf, &Reply::Err("multi\nline".into())).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), "ERR multi line\n");
+    }
+
+    /// A sink that accepts every write whole and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_is_one_write() {
+        let replies = [
+            (Reply::Ok(String::new()), "OK\n"),
+            (Reply::Ok("id=3".into()), "OK id=3\n"),
+            (Reply::Err("no such job 9".into()), "ERR no such job 9\n"),
+            (
+                Reply::Data(vec!["t,steps".into(), ".5,1".into()]),
+                "OK\nt,steps\n..5,1\n.\n",
+            ),
+            (Reply::Shutdown, "OK shutting down\n"),
+        ];
+        for (reply, wire) in replies {
+            let mut out = CountingWriter::default();
+            write_reply(&mut out, &reply).unwrap();
+            assert_eq!(out.writes, 1, "{reply:?}");
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), wire);
+        }
     }
 
     #[test]
