@@ -2,16 +2,17 @@
 //!
 //! The `aderdg-run` command-line driver: resolves a scenario from the
 //! [`ScenarioRegistry`], applies solver overrides (every
-//! [`SOLVER_KEYS`] knob is reachable as a flag or a `[solver]`
-//! config-file key; a spec file is that table without its header, read
-//! by [`RunRequest::from_spec`]), runs it and reports — no Rust required
-//! to run a new setup. Unset knobs keep the scenario's defaults.
+//! [`SOLVER_KEYS`] knob is reachable as a flag or a run-file key), runs
+//! it and reports — no Rust required to run a new setup. Unset knobs
+//! keep the scenario's defaults. A run file (`--config`) is a spec file,
+//! as read by [`RunRequest::from_spec`], that may also hold run-level
+//! keys; both go through the one line reader [`read_lines`].
 //!
 //! ```text
 //! aderdg-run --list
 //! aderdg-run --scenario loh1 --order 4 --kernel aosoa_splitck \
 //!            --pipeline sharded --tuning model --out run.csv
-//! aderdg-run --config run.toml
+//! aderdg-run --scenario maxwell_cavity --config examples/maxwell_cavity.spec
 //! aderdg-run --smoke-all            # CI gate: every scenario, both pipelines
 //! ```
 //!
@@ -21,12 +22,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod toml;
-
 use aderdg_core::checkpoint::Checkpoint;
 use aderdg_core::engine::PipelineMode;
 use aderdg_core::jobs::{JobQueue, JobStatus};
 use aderdg_core::scenario::{RunRequest, RunSummary, ScenarioRegistry, SOLVER_KEYS};
+use aderdg_core::spec::{read_lines, SpecError};
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -66,8 +66,8 @@ USAGE:
   aderdg-run --list                      table of registered scenarios
   aderdg-run --list-names                scenario names only, one per line
   aderdg-run --scenario <name> [OPTIONS] run one scenario
-  aderdg-run --config <file> [OPTIONS]   run from a TOML config ([run] + [solver]
-                                         tables); flags override file values
+  aderdg-run --config <file> [OPTIONS]   run from a spec file (`key = value`
+                                         lines); flags override file values
   aderdg-run --smoke-all [--docs <file>] smoke-run every scenario on both
                                          pipelines and check the gallery doc
                                          (default docs/SCENARIOS.md)
@@ -143,8 +143,8 @@ pub enum Command {
 }
 
 /// Applies one solver/run key by delegating to [`RunRequest::set`] — the
-/// single parser shared with config-file entries, `aderdg-serve` commands
-/// and checkpoint replay (`what` names the source for error messages).
+/// single parser shared with run-file lines, `aderdg-serve` commands and
+/// checkpoint replay (`what` names the source for error messages).
 fn apply_key(req: &mut RunRequest, key: &str, value: &str, what: &str) -> Result<bool, CliError> {
     req.set(key, value).map_err(|e| {
         CliError::new(format!(
@@ -154,50 +154,27 @@ fn apply_key(req: &mut RunRequest, key: &str, value: &str, what: &str) -> Result
     })
 }
 
-/// Builds a [`RunArgs`] from a parsed config document. Recognized tables:
-/// `[run]` (scenario, cells, t_end, smoke, out, snapshot, receivers,
-/// save_checkpoint) and `[solver]` (the [`SOLVER_KEYS`] — a spec file is
-/// this table without its header).
-pub fn args_from_config(doc: &toml::Doc) -> Result<RunArgs, CliError> {
+/// Reads a run file (`--config`): a spec file that may also hold
+/// run-level keys. [`read_lines`] checks the syntax; `scenario`, `out`
+/// and `receivers` are the CLI's own, every other key goes through
+/// [`RunRequest::set`] (the [`SOLVER_KEYS`] and `cells`, `t_end`,
+/// `smoke`, `snapshot`, `save_checkpoint`). An unknown key or a bad
+/// value is an error on its line.
+pub fn args_from_config(text: &str) -> Result<RunArgs, SpecError> {
     let mut args = RunArgs::default();
-    for table in &doc.tables {
-        match table.name.as_str() {
-            name @ ("run" | "solver") => {
-                let solver_table = name == "solver";
-                for e in &table.entries {
-                    let key = e.key.as_str();
-                    match key {
-                        "scenario" if !solver_table => args.scenario = e.value.clone(),
-                        "out" if !solver_table => args.out = Some(PathBuf::from(&e.value)),
-                        "receivers" if !solver_table => {
-                            args.receivers = Some(PathBuf::from(&e.value))
-                        }
-                        _ => {
-                            let what = format!("[{name}] {key} (line {})", e.line);
-                            if SOLVER_KEYS.contains(&key) != solver_table
-                                || !apply_key(&mut args.request, key, &e.value, &what)?
-                            {
-                                return Err(CliError::new(format!(
-                                    "unknown [{name}] key `{key}` (line {})",
-                                    e.line
-                                )));
-                            }
-                        }
-                    }
+    for line in read_lines(text)? {
+        match line.key {
+            "scenario" => args.scenario = line.value.to_string(),
+            "out" => args.out = Some(PathBuf::from(line.value)),
+            "receivers" => args.receivers = Some(PathBuf::from(line.value)),
+            key => {
+                if !line.apply(&mut args.request)? {
+                    return Err(line.error(format!(
+                        "unknown key `{key}` (a run file holds scenario|out|receivers, \
+                         the solver keys {} and cells|t_end|smoke|snapshot|save_checkpoint)",
+                        SOLVER_KEYS.join("|")
+                    )));
                 }
-            }
-            "" => {
-                let key = &table.entries[0];
-                return Err(CliError::new(format!(
-                    "key `{}` outside any table (line {}) — use [run] or [solver]",
-                    key.key, key.line
-                )));
-            }
-            other => {
-                return Err(CliError::new(format!(
-                    "unknown table `[{other}]` (line {}) — use [run] or [solver]",
-                    table.line
-                )))
             }
         }
     }
@@ -283,14 +260,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         _ => {}
     }
 
-    // A run: from a config file, a --scenario flag, or both (flags win).
+    // A run: from a run file, a --scenario flag, or both (flags win).
     let mut run = match &config {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::new(format!("cannot read {}: {e}", path.display())))?;
-            let doc = toml::parse(&text)
-                .map_err(|e| CliError::new(format!("{}: {e}", path.display())))?;
-            args_from_config(&doc)?
+            args_from_config(&text)
+                .map_err(|e| CliError::new(format!("{}: {e}", path.display())))?
         }
         None => RunArgs::default(),
     };
@@ -299,11 +275,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
     if run.scenario.is_empty() && resume.is_none() {
         return Err(CliError::new(
-            "missing scenario: pass `--scenario <name>`, `--resume <checkpoint>` or a config \
-             file with `scenario = …` under [run] (`aderdg-run --list` shows what is registered)",
+            "missing scenario: pass `--scenario <name>`, `--resume <checkpoint>` or a run \
+             file with `scenario = …` (`aderdg-run --list` shows what is registered)",
         ));
     }
-    // Flag overrides on top of the config file.
+    // Flag overrides on top of the run file.
     merge_requests(&mut run.request, req);
     if out.is_some() {
         run.out = out;
@@ -358,7 +334,7 @@ fn parse_sweep_axis(spec: &str) -> Result<(String, Vec<String>), CliError> {
     Ok((key, values))
 }
 
-/// Overlays `over` (flag values) onto `base` (config-file values).
+/// Overlays `over` (flag values) onto `base` (run-file values).
 fn merge_requests(base: &mut RunRequest, over: RunRequest) {
     macro_rules! take {
         ($($field:ident),*) => {

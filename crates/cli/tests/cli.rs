@@ -5,7 +5,7 @@
 
 use aderdg_cli::{
     args_from_config, execute_run, expand_sweep, missing_gallery_sections, parse_args, render_list,
-    render_summary, run_sweep, toml, write_receivers_csv, write_series_csv, Command, RunArgs,
+    render_summary, run_sweep, write_receivers_csv, write_series_csv, Command, RunArgs,
 };
 use aderdg_core::engine::PipelineMode;
 use aderdg_core::scenario::{RunRequest, ScenarioRegistry, SOLVER_KEYS};
@@ -147,28 +147,34 @@ fn invalid_override_fails_the_run_not_the_process() {
     assert!(e.message.contains("unknown kernel `turbo`"), "{e}");
 }
 
-#[test]
-fn config_file_parses_and_flags_override() {
+/// Writes `text` to a run file named `name` in a per-test directory.
+fn run_file(name: &str, text: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("aderdg-cli-test-config");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("run.toml");
-    std::fs::write(
-        &path,
-        "[run]\n\
-         scenario = \"acoustic_wave\"\n\
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+#[test]
+fn config_file_parses_and_flags_override() {
+    let path = run_file(
+        "run.spec",
+        "# run file\n\
+         scenario = acoustic_wave\n\
          t_end = 0.2\n\
          cells = 3\n\
-         [solver]\n\
+         out = run.csv  # series\n\
          order = 4\n\
-         kernel = \"generic\"\n\
+         kernel = generic\n\
          pipeline = barrier\n",
-    )
-    .unwrap();
+    );
     let cmd = parse_args(&args(&["--config", path.to_str().unwrap(), "--order", "5"])).unwrap();
     let Command::Run(run) = cmd else {
         panic!("expected a run command");
     };
     assert_eq!(run.scenario, "acoustic_wave");
+    assert_eq!(run.out, Some(std::path::PathBuf::from("run.csv")));
     assert_eq!(run.request.t_end, Some(0.2));
     assert_eq!(run.request.cells, Some(3));
     assert_eq!(run.request.order, Some(5)); // flag wins over the file
@@ -178,17 +184,60 @@ fn config_file_parses_and_flags_override() {
 
 #[test]
 fn config_rejects_unknown_tables_keys_and_bad_values() {
-    for (text, needle) in [
-        ("[plotting]\nx = 1\n", "unknown table `[plotting]`"),
-        ("[run]\ncolour = red\n", "unknown [run] key `colour`"),
-        ("[solver]\ncells = 4\n", "unknown [solver] key `cells`"),
-        ("[solver]\norder = four\n", "[solver] order"),
-        ("[run]\nsmoke = maybe\n", "true|false"),
-        ("scenario = \"x\"\n", "outside any table"),
+    for (text, line, needle) in [
+        ("[plotting]\nx = 1\n", 1, "expected `key = value`"),
+        (
+            "scenario = acoustic_wave\ncolour = red\n",
+            2,
+            "unknown key `colour`",
+        ),
+        (
+            "cells = 3\norder = four\n",
+            2,
+            "invalid value `four` for order",
+        ),
+        ("smoke = maybe\n", 1, "true|false"),
+        ("out = \"a#b\"\n", 1, "values are bare"),
     ] {
-        let doc = toml::parse(text).unwrap();
-        let e = args_from_config(&doc).unwrap_err();
+        let path = run_file("bad.spec", text);
+        let e = parse_args(&args(&["--config", path.to_str().unwrap()])).unwrap_err();
+        let at = format!("{}: spec error (line {line})", path.display());
+        assert!(e.message.contains(&at), "`{text}`: {e}");
         assert!(e.message.contains(needle), "`{text}`: {e}");
+    }
+}
+
+/// The README's `my_solver.spec` block.
+fn readme_spec() -> &'static str {
+    let readme = include_str!("../../../README.md");
+    let block = &readme[readme
+        .find("# my_solver.spec\n")
+        .expect("README shows my_solver.spec")..];
+    &block[..block.find("```").unwrap()]
+}
+
+#[test]
+fn spec_and_run_file_readers_agree() {
+    // One format, two callers: the paper's spec file reads the same
+    // through `from_spec` and through `aderdg-run --config`.
+    let spec = readme_spec();
+    let from_spec = RunRequest::from_spec(spec).unwrap();
+    let run = args_from_config(spec).unwrap();
+    assert_eq!(from_spec.order, Some(6));
+    assert_eq!(format!("{from_spec:?}"), format!("{:?}", run.request));
+    assert!(run.scenario.is_empty() && run.out.is_none() && run.receivers.is_none());
+    for (text, line, needle) in [
+        ("order = 4\norder = 5\n", 2, "repeated key `order`"),
+        ("stepping = \"lts\"\n", 1, "values are bare"),
+        ("[solver]\n", 1, "expected `key = value`"),
+    ] {
+        let e = RunRequest::from_spec(text).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.contains(needle)),
+            (line, true),
+            "{text:?}: {e}"
+        );
+        assert_eq!(args_from_config(text).unwrap_err(), e, "{text:?}");
     }
 }
 
@@ -461,26 +510,29 @@ fn sweep_runs_every_combination_and_reports_failures() {
 
 #[test]
 fn solver_table_rejects_run_level_keys() {
-    // Run-level keys in [solver] and solver keys in [run] are both typos.
+    // A spec file holds solver keys only; a run file adds the run level.
     let run_level = ["cells", "t_end", "smoke", "snapshot", "save_checkpoint"];
-    let misplaced = run_level.iter().map(|k| ("solver", k));
-    for (table, key) in misplaced.chain(SOLVER_KEYS.iter().map(|k| ("run", k))) {
-        let text = format!("[{table}]\n{key} = 4\n");
-        let doc = toml::parse(&text).unwrap();
-        let e = args_from_config(&doc).unwrap_err();
+    for key in run_level.iter().chain(&["scenario", "out", "receivers"]) {
+        let e = RunRequest::from_spec(&format!("order = 4\n{key} = 4\n")).unwrap_err();
+        assert_eq!(e.line, 2, "{key}");
         assert!(
-            e.message
-                .contains(&format!("unknown [{table}] key `{key}`")),
-            "{table} {key}: {e}"
+            e.message.contains(&format!("unknown key `{key}`")),
+            "{key}: {e}"
         );
     }
-    // …but [run] accepts its own.
-    let doc = toml::parse(
-        "[run]\nscenario = \"acoustic_wave\"\nsmoke = true\nsave_checkpoint = out.ckpt\n",
+    for key in SOLVER_KEYS {
+        let text = format!("{key} = ?\n");
+        let spec = RunRequest::from_spec(&text).map(|r| format!("{r:?}"));
+        let run = args_from_config(&text).map(|a| format!("{:?}", a.request));
+        assert_eq!(spec, run, "{key}");
+    }
+    let run = args_from_config(
+        "scenario = acoustic_wave\nsmoke = true\nsave_checkpoint = out.ckpt\norder = 3\n",
     )
     .unwrap();
-    let run = args_from_config(&doc).unwrap();
+    assert_eq!(run.scenario, "acoustic_wave");
     assert!(run.request.smoke);
+    assert_eq!(run.request.order, Some(3));
     assert_eq!(
         run.request.save_checkpoint.as_deref(),
         Some(std::path::Path::new("out.ckpt"))

@@ -1,21 +1,20 @@
-//! Hostile input for the two text parsers: the `aderdg-run` TOML subset
-//! (`toml::parse`, then `args_from_config`) and the spec-file reader
-//! (`RunRequest::from_spec`, then `scenario::resolve`). Seeded and
+//! Hostile input for the one spec-file line reader
+//! (`aderdg_core::spec::read_lines`) through both of its callers: the
+//! `aderdg-run` run-file reader (`args_from_config`) and the spec-file
+//! reader (`RunRequest::from_spec`, then `scenario::resolve`). Seeded and
 //! std-only: every input must come back `Ok` or as an error whose line
 //! lies inside the input — never a panic.
 
-use aderdg_cli::{args_from_config, toml};
+use aderdg_cli::args_from_config;
 use aderdg_core::scenario::{resolve, RunRequest, ScenarioInfo, ScenarioRegistry};
 use aderdg_tensor::Lcg;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const CONFIG: &str = "# run file\n\
-[run]\n\
-scenario = \"acoustic_wave\"  # quoted\n\
+scenario = acoustic_wave  # bare\n\
 cells = 3\n\
-out = \"a#b \\\"c\\\" \\\\d\"\n\
+out = a.csv\n\
 \n\
-[solver]\n\
 order = 4\n\
 kernel = aosoa_splitck\n\
 pipeline = barrier\n";
@@ -39,14 +38,13 @@ const STRAYS: &[char] = &['"', '\\', '#', '=', '['];
 
 const CASES: usize = 400;
 
-/// Runs both parsers (and their consumers) on `text` and checks the
+/// Runs both readers (and their consumers) on `text` and checks the
 /// contract: `Ok`, or an error on a line in `1..=lines`.
 fn check(text: &str, info: &ScenarioInfo) {
     let lines = text.lines().count();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        match toml::parse(text) {
-            Ok(doc) => drop(args_from_config(&doc)),
-            Err(e) => assert!((1..=lines).contains(&e.line), "toml: {e} of {lines}"),
+        if let Err(e) = args_from_config(text) {
+            assert!((1..=lines).contains(&e.line), "run file: {e} of {lines}");
         }
         match RunRequest::from_spec(text) {
             Ok(req) => drop(resolve(info, &req)),
@@ -87,8 +85,9 @@ fn info() -> ScenarioInfo {
 
 #[test]
 fn the_seed_documents_parse() {
-    let doc = toml::parse(CONFIG).unwrap();
-    assert_eq!(args_from_config(&doc).unwrap().scenario, "acoustic_wave");
+    let run = args_from_config(CONFIG).unwrap();
+    assert_eq!(run.scenario, "acoustic_wave");
+    assert_eq!(run.request.order, Some(4));
     let req = RunRequest::from_spec(SPEC).unwrap();
     assert_eq!(resolve(&info(), &req).unwrap().config.order, 6);
 }

@@ -152,9 +152,9 @@ pub struct SetValueError {
 pub const SMOKE_STEPS: usize = 2;
 
 /// The keys [`RunRequest::set`] treats as solver knobs: what a spec file
-/// ([`RunRequest::from_spec`]) and a `[solver]` config table hold. Every
-/// other key `set` accepts (`cells`, `t_end`, `smoke`, `snapshot`,
-/// `save_checkpoint`) is run-level.
+/// ([`RunRequest::from_spec`]) holds. Every other key `set` accepts
+/// (`cells`, `t_end`, `smoke`, `snapshot`, `save_checkpoint`) is
+/// run-level, and only an `aderdg-run` run file may add those.
 pub const SOLVER_KEYS: &[&str] = &[
     "order",
     "kernel",
@@ -183,7 +183,7 @@ impl RunRequest {
     }
 
     /// Applies one `key = value` knob by name — the single shared parser
-    /// behind CLI flags, config-file entries, spec files, `aderdg-serve`
+    /// behind CLI flags, spec and run files, `aderdg-serve`
     /// `SUBMIT` commands and checkpoint-knob replay. Returns `Ok(false)` for an
     /// unknown key (the caller owns that error's wording) and
     /// [`SetValueError`] for a bad value.
@@ -289,12 +289,6 @@ impl RunControl {
     /// [`request_pause`]: RunControl::request_pause
     pub fn pause_at_step(&self, step: usize) {
         self.pause_at_step.store(step, Ordering::Relaxed);
-    }
-
-    /// Whether a pause has been requested (flag or armed step trigger).
-    pub fn pause_requested(&self) -> bool {
-        self.pause.load(Ordering::Relaxed)
-            || self.pause_at_step.load(Ordering::Relaxed) != usize::MAX
     }
 
     /// Whether a cancel has been requested.
@@ -568,10 +562,9 @@ pub struct Resolved {
 /// Merges a scenario's defaults with a request's overrides into an
 /// [`EngineConfig`] + mesh dimensions. This is the one place the knobs
 /// are validated (order and cfl ranges, kernel names, zero sizes,
-/// `--smoke` conflicts), whichever route set them: a CLI flag, a
-/// `[solver]` table, a spec file ([`RunRequest::from_spec`] — the same
-/// keys without a header), a `SUBMIT` command or a checkpoint. Unset
-/// knobs keep the scenario's defaults.
+/// `--smoke` conflicts), whichever route set them: a CLI flag, a run
+/// file, a spec file ([`RunRequest::from_spec`]), a `SUBMIT` command or
+/// a checkpoint. Unset knobs keep the scenario's defaults.
 pub fn resolve(info: &ScenarioInfo, req: &RunRequest) -> Result<Resolved, ScenarioError> {
     let mut order = req.order.unwrap_or(info.order);
     let kernel_name: &str = req.kernel.as_deref().unwrap_or(info.kernel);

@@ -2,15 +2,21 @@
 //!
 //! In the paper, users select the kernel variant, order and architecture
 //! in a specification file; the Toolkit validates it and generates glue
-//! code (Sec. II-C/D). Here a spec file is the `[solver]` table of an
-//! `aderdg-run` config without its header: `key = value` lines over the
+//! code (Sec. II-C/D). Here a spec file is `key = value` lines over the
 //! [`SOLVER_KEYS`] (bare values, `#` comments), read by
 //! [`RunRequest::from_spec`] through the same [`RunRequest::set`] that
 //! parses every CLI flag. Unwritten keys keep the scenario's defaults;
 //! [`crate::scenario::resolve`] validates the merged result (the facade
 //! crate's docs show the route end to end).
+//!
+//! An `aderdg-run --config` run file is a spec file that may also hold
+//! run-level keys (`scenario`, `out`, `receivers`, `cells`, `t_end`,
+//! `smoke`, `snapshot`, `save_checkpoint`). Both files go through
+//! [`read_lines`], the one line reader; their callers differ only in
+//! which keys they accept.
 
 use crate::scenario::{RunRequest, SOLVER_KEYS};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A spec-file error with the offending line.
@@ -30,6 +36,84 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// One `key = value` line of a spec or run file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecLine<'a> {
+    /// 1-based line number.
+    pub line: usize,
+    /// The key, trimmed.
+    pub key: &'a str,
+    /// The bare value, trimmed (never empty, never holds `"` or `#`).
+    pub value: &'a str,
+}
+
+impl SpecLine<'_> {
+    /// An error on this line.
+    pub fn error(&self, message: impl fmt::Display) -> SpecError {
+        SpecError {
+            line: self.line,
+            message: message.to_string(),
+        }
+    }
+
+    /// Applies the line through [`RunRequest::set`]: `Ok(false)` if
+    /// `set` does not know the key, an error naming the line if it
+    /// rejects the value.
+    pub fn apply(&self, req: &mut RunRequest) -> Result<bool, SpecError> {
+        req.set(self.key, self.value).map_err(|e| {
+            self.error(format!(
+                "invalid value `{}` for {} (expected {})",
+                self.value, self.key, e.expected
+            ))
+        })
+    }
+}
+
+/// Reads the `key = value` lines of a spec or run file, skipping blank
+/// lines and `#` comments (a `#` anywhere starts one). A line without
+/// `=`, an empty key or value, a value containing `"` (values are bare)
+/// and a repeated key (reported at its second line) are errors. Which
+/// keys are allowed is the caller's business.
+pub fn read_lines(text: &str) -> Result<Vec<SpecLine<'_>>, SpecError> {
+    let mut lines = Vec::new();
+    let mut seen = BTreeMap::new();
+    for (idx, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        let err = |message: String| SpecError {
+            line: idx + 1,
+            message,
+        };
+        let Some((key, value)) = line.split_once('=') else {
+            return Err(err(format!("expected `key = value`, got `{line}`")));
+        };
+        let (key, value) = (key.trim(), value.trim());
+        if key.is_empty() {
+            return Err(err(format!("missing key before `=` in `{line}`")));
+        }
+        if value.is_empty() {
+            return Err(err(format!("missing value after `{key} =`")));
+        }
+        if value.contains('"') {
+            return Err(err(format!(
+                "`{value}` contains `\"`: values are bare, write `{key} = {}`",
+                value.replace('"', "")
+            )));
+        }
+        if let Some(first) = seen.insert(key, idx + 1) {
+            return Err(err(format!("repeated key `{key}` (first on line {first})")));
+        }
+        lines.push(SpecLine {
+            line: idx + 1,
+            key,
+            value,
+        });
+    }
+    Ok(lines)
+}
+
 /// Parses an `auto`-or-positive-integer size value (`block_size`,
 /// `shard_size`): `Some(None)` for `auto`, `Some(Some(n))` for `n ≥ 1`,
 /// `None` for anything else.
@@ -42,38 +126,22 @@ pub fn parse_auto_size(value: &str) -> Option<Option<usize>> {
 
 impl RunRequest {
     /// Reads a spec file into a request that overrides exactly the keys
-    /// the file writes. Every line goes through [`RunRequest::set`]; a
-    /// run-level or unknown key, a line without `=` or a value `set`
-    /// rejects is an error carrying its 1-based line. Ranges (order,
-    /// cfl), kernel names and zero sizes are checked by
+    /// the file writes. [`read_lines`] checks the syntax, then every line
+    /// goes through [`RunRequest::set`]; a run-level or unknown key or a
+    /// value `set` rejects is an error carrying its 1-based line. Ranges
+    /// (order, cfl), kernel names and zero sizes are checked by
     /// [`crate::scenario::resolve`], as for every other source of knobs.
     pub fn from_spec(text: &str) -> Result<RunRequest, SpecError> {
         let mut req = RunRequest::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |message: String| SpecError {
-                line: idx + 1,
-                message,
-            };
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(err(format!("expected `key = value`, got `{line}`")));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            if !SOLVER_KEYS.contains(&key) {
-                return Err(err(format!(
-                    "unknown key `{key}` (a spec file holds solver keys only: {})",
+        for line in read_lines(text)? {
+            if !SOLVER_KEYS.contains(&line.key) {
+                return Err(line.error(format!(
+                    "unknown key `{}` (a spec file holds solver keys only: {})",
+                    line.key,
                     SOLVER_KEYS.join("|")
                 )));
             }
-            req.set(key, value).map_err(|e| {
-                err(format!(
-                    "invalid value `{value}` for {key} (expected {})",
-                    e.expected
-                ))
-            })?;
+            line.apply(&mut req)?;
         }
         Ok(req)
     }
@@ -189,6 +257,28 @@ mod tests {
         let e = RunRequest::from_spec("\norder 5\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("key = value"));
+    }
+
+    #[test]
+    fn read_lines_returns_keys_values_and_lines() {
+        let lines = read_lines("# head\n\n a = 1 # c\nout = x y.csv\n").unwrap();
+        let got: Vec<_> = lines.iter().map(|l| (l.line, l.key, l.value)).collect();
+        assert_eq!(got, [(3, "a", "1"), (4, "out", "x y.csv")]);
+        for (text, line, needle) in [
+            ("a = 1\n[run]\n", 2, "expected `key = value`"),
+            (" = 1\n", 1, "missing key"),
+            ("a =  # none\n", 1, "missing value"),
+            ("a = \"x\"\n", 1, "values are bare, write `a = x`"),
+            (
+                "a = 1\nb = 2\na = 3\n",
+                3,
+                "repeated key `a` (first on line 1)",
+            ),
+        ] {
+            let e = read_lines(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}");
+            assert!(e.message.contains(needle), "{text:?}: {e}");
+        }
     }
 
     #[test]

@@ -2,24 +2,19 @@
 //! demonstrates the opt-in kernel selection of the paper (Sec. II-C:
 //! users choose variants in the specification file; optimized kernels
 //! are opt-in) feeding the registered `maxwell_cavity` scenario. The spec
-//! file is the `[solver]` keys of a run file without the header, read by
-//! `RunRequest::from_spec`; keys it leaves out keep the scenario's
-//! defaults.
+//! file, `examples/maxwell_cavity.spec`, is `key = value` lines over the
+//! solver keys, read by `RunRequest::from_spec`; keys it leaves out keep
+//! the scenario's defaults. `aderdg-run` reads the same file as a run
+//! file, so both routes run the same solver:
 //!
 //! ```sh
 //! cargo run --release --example maxwell_cavity
+//! aderdg-run --scenario maxwell_cavity --config examples/maxwell_cavity.spec
 //! ```
 
 use aderdg::core::scenario::{resolve, RunRequest, ScenarioRegistry};
 
-const SPEC: &str = "
-# Maxwell benchmark — Sec. V kernel, order 5
-order  = 5
-kernel = aosoa_splitck
-width  = host
-rule   = gauss_legendre
-cfl    = 0.4
-";
+const SPEC: &str = include_str!("maxwell_cavity.spec");
 
 fn main() {
     let request = RunRequest::from_spec(SPEC).expect("valid specification");

@@ -34,8 +34,9 @@
 //! ```
 //!
 //! Or configure it from a specification file, as in the paper's toolkit
-//! workflow: the `[solver]` keys of a run file without the header, merged
-//! over a scenario's defaults (unwritten keys keep them):
+//! workflow: `key = value` lines over the solver keys, merged over a
+//! scenario's defaults (unwritten keys keep them). `aderdg-run --config`
+//! reads the same format, plus its run-level keys:
 //!
 //! ```
 //! use aderdg::core::scenario::{resolve, RunRequest, ScenarioRegistry};
