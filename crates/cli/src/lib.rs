@@ -83,7 +83,6 @@ SOLVER OPTIONS (defaults come from the scenario):
   --tuning <static|model>
   --pipeline <barrier|sharded>
   --stepping <global|lts>   global CFL dt, or clustered local time stepping
-  --shard-size <n|auto>     cells per shard (sharded pipeline)
 
 RUN OPTIONS:
   --cells <n>               cells per axis (uniform override)
@@ -351,7 +350,6 @@ fn merge_requests(base: &mut RunRequest, over: RunRequest) {
         tuning,
         pipeline,
         stepping,
-        shard_size,
         cells,
         t_end,
         snapshot,

@@ -5,7 +5,7 @@
 
 use aderdg_cli::{
     args_from_config, execute_run, expand_sweep, missing_gallery_sections, parse_args, render_list,
-    render_summary, run_sweep, write_receivers_csv, write_series_csv, Command, RunArgs,
+    render_summary, run_sweep, write_receivers_csv, write_series_csv, Command, RunArgs, USAGE,
 };
 use aderdg_core::engine::PipelineMode;
 use aderdg_core::scenario::{RunRequest, ScenarioRegistry, SOLVER_KEYS};
@@ -34,8 +34,6 @@ fn parses_a_full_run_command() {
         "0.5",
         "--block-size",
         "auto",
-        "--shard-size",
-        "6",
         "--cfl",
         "0.35",
         "--out",
@@ -53,7 +51,6 @@ fn parses_a_full_run_command() {
     assert_eq!(run.request.cells, Some(3));
     assert_eq!(run.request.t_end, Some(0.5));
     assert_eq!(run.request.block_size, Some(None));
-    assert_eq!(run.request.shard_size, Some(Some(6)));
     assert_eq!(run.request.cfl, Some(0.35));
     assert_eq!(run.out.as_deref(), Some(std::path::Path::new("run.csv")));
     assert!(!run.request.smoke);
@@ -96,10 +93,6 @@ fn bad_values_are_actionable_errors() {
         ),
         (
             vec!["--scenario", "x", "--block-size", "0"],
-            "auto or an integer >= 1",
-        ),
-        (
-            vec!["--scenario", "x", "--shard-size", "-3"],
             "auto or an integer >= 1",
         ),
         (
@@ -537,6 +530,45 @@ fn solver_table_rejects_run_level_keys() {
         run.request.save_checkpoint.as_deref(),
         Some(std::path::Path::new("out.ckpt"))
     );
+}
+
+/// The shard size is derived from the mesh and the block size, not set:
+/// every route that once took it now names it as unknown.
+#[test]
+fn shard_size_is_an_unknown_key_on_every_route() {
+    let e = parse_args(&args(&["--scenario", "x", "--shard-size", "4"])).unwrap_err();
+    assert!(e.message.contains("unknown flag `--shard-size`"), "{e}");
+    let e = RunRequest::from_spec("order = 4\nshard_size = 4\n").unwrap_err();
+    assert_eq!(e.line, 2);
+    assert!(e.message.contains("unknown key `shard_size`"), "{e}");
+    let e = args_from_config("scenario = acoustic_wave\nshard_size = 4\n").unwrap_err();
+    assert_eq!(e.line, 2);
+    assert!(e.message.contains("unknown key `shard_size`"), "{e}");
+    let sweep = [("shard_size".into(), vec!["4".into()])];
+    let e = expand_sweep(&RunRequest::smoke(), &sweep).unwrap_err();
+    assert!(
+        e.message.contains("unknown --sweep key `shard_size`"),
+        "{e}"
+    );
+}
+
+/// `--help` cannot drift from the knob list: the SOLVER OPTIONS block
+/// holds one `--flag` per [`SOLVER_KEYS`] entry and no other flag.
+#[test]
+fn usage_lists_exactly_the_solver_keys() {
+    let block = &USAGE[USAGE.find("SOLVER OPTIONS").unwrap()..];
+    let block = &block[..block.find("\n\n").unwrap()];
+    let mut flags: Vec<&str> = block
+        .split_whitespace()
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    let mut want: Vec<String> = SOLVER_KEYS
+        .iter()
+        .map(|k| format!("--{}", k.replace('_', "-")))
+        .collect();
+    flags.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(flags, want);
 }
 
 #[test]

@@ -344,8 +344,7 @@ impl Checkpoint {
                 Ok(true) => {}
                 Ok(false) => {
                     return Err(ScenarioError::new(format!(
-                        "checkpoint knob `{key}` is not a known run key \
-                         (checkpoint from a newer format?)"
+                        "checkpoint knob `{key}` is not a run key of this build"
                     )))
                 }
                 Err(e) => {
@@ -563,6 +562,21 @@ mod tests {
         bytes[n - 8..].copy_from_slice(&hash.to_le_bytes());
         let e = Checkpoint::from_bytes(&bytes).unwrap_err();
         assert!(e.message.contains("truncated"), "{e}");
+    }
+
+    /// A knob this build does not run (`shard_size`, which older builds
+    /// pinned) fails the replay naming the key.
+    #[test]
+    fn to_request_rejects_a_knob_this_build_does_not_run() {
+        let mut ck = sample();
+        assert_eq!(ck.to_request().unwrap().order, Some(3));
+        ck.knobs.push(("shard_size".into(), "4".into()));
+        let e = ck.to_request().unwrap_err();
+        assert!(
+            e.message
+                .contains("checkpoint knob `shard_size` is not a run key of this build"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -179,12 +179,9 @@ impl std::error::Error for DegenerateDt {}
 ///   graph driver: half the interior Riemann solves and no
 ///   predictor→corrector barrier. Switch to `barrier` to reproduce the
 ///   seed cell-centric loop (the independent reference of
-///   `tests/pipeline_equivalence.rs`).
-/// * **`shard_size`** — cells per shard of the graph driver. `None`
-///   (default) targets enough shards for pipelining while keeping shard
-///   boundaries aligned to predictor blocks ([`auto_shard_size`]).
-///   Smaller shards expose more overlap, larger shards amortize more
-///   scheduling; the pick never changes results.
+///   `tests/pipeline_equivalence.rs`). The graph driver's shard size is
+///   derived from the mesh and the block size ([`auto_shard_size`]),
+///   never configured.
 /// * **`stepping`** — `global` (default) advances every cell at the one
 ///   CFL-stable dt: the one-cluster macro cycle of the graph driver.
 ///   `lts` clusters cells by their own stable dt and sub-cycles the fine
@@ -209,9 +206,6 @@ pub struct EngineConfig {
     pub tuning: TuningMode,
     /// Step pipeline (see [`PipelineMode`]).
     pub pipeline: PipelineMode,
-    /// Cells per shard of the graph driver (`None` = automatic, see
-    /// [`auto_shard_size`]). Ignored on the barrier path.
-    pub shard_size: Option<usize>,
     /// Time-stepping strategy (see [`SteppingMode`]). Under
     /// [`SteppingMode::Lts`] the engine always runs the graph driver
     /// and `pipeline` is ignored.
@@ -229,7 +223,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("block_size", &self.block_size)
             .field("tuning", &self.tuning)
             .field("pipeline", &self.pipeline)
-            .field("shard_size", &self.shard_size)
             .field("stepping", &self.stepping)
             .finish()
     }
@@ -253,7 +246,6 @@ impl EngineConfig {
             block_size: None,
             tuning: TuningMode::default(),
             pipeline: PipelineMode::Sharded,
-            shard_size: None,
             stepping: SteppingMode::Global,
         }
     }
@@ -316,16 +308,6 @@ impl EngineConfig {
     /// Selects the step pipeline (builder style).
     pub fn with_pipeline(mut self, pipeline: PipelineMode) -> Self {
         self.pipeline = pipeline;
-        self
-    }
-
-    /// Fixes the shard size of the sharded pipeline (builder style).
-    ///
-    /// # Panics
-    /// If `shard_size` is zero.
-    pub fn with_shard_size(mut self, shard_size: usize) -> Self {
-        assert!(shard_size >= 1, "shard size must be at least 1");
-        self.shard_size = Some(shard_size);
         self
     }
 
@@ -836,10 +818,7 @@ impl<P: LinearPde> Engine<P> {
     }
 
     fn build_graph_plan(&self) -> GraphPlan {
-        let shard_size = self
-            .config
-            .shard_size
-            .unwrap_or_else(|| auto_shard_size(self.mesh.num_cells(), self.block_size));
+        let shard_size = auto_shard_size(self.mesh.num_cells(), self.block_size);
         let (splan, dt_base) = match self.config.stepping {
             SteppingMode::Global => (ShardPlan::new(&self.mesh, shard_size), f64::NAN),
             SteppingMode::Lts => {
@@ -1434,7 +1413,7 @@ impl<P: LinearPde> Engine<P> {
     /// The control check never perturbs the step sequence: `dt` is
     /// always `max_dt().min(t_end - time)` against the *real* target, so
     /// a paused-and-resumed run replays the exact dt sequence of an
-    /// uninterrupted one (see `crates/core/tests/checkpoint.rs`).
+    /// uninterrupted one (see `tests/checkpoint_restart.rs`).
     pub fn advance_until(
         &mut self,
         t_end: f64,

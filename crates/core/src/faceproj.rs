@@ -135,6 +135,7 @@ impl LaneKernel for ProjectDim<'_> {
 mod tests {
     use super::*;
     use crate::plan::{StpConfig, StpPlan};
+    use aderdg_tensor::Isa;
 
     /// The one-side scalar loop [`project_dim`] replaced, kept as the
     /// bitwise reference.
@@ -193,9 +194,9 @@ mod tests {
         // are nonzero (the flux contract), and the narrow projection must
         // equal the full-row reference on the rows it keeps.
         for (n, m, vars) in [(3, 2, 2), (4, 6, 6), (5, 9, 9), (7, 21, 21), (4, 21, 9)] {
-            for backend in aderdg_gemm::backends().iter().filter(|b| b.supported()) {
+            for backend in Isa::supported().map(aderdg_gemm::backend_for) {
                 let cfg = StpConfig::new(n, m).with_vars(vars);
-                let p = StpPlan::with_gemm_backend(cfg, [1.0; 3], *backend);
+                let p = StpPlan::with_gemm_backend(cfg, [1.0; 3], backend);
                 let mut rng = aderdg_tensor::Lcg::new((n * 100 + m) as u64);
                 let mut vol = vec![0.0; p.aos.len()];
                 for node in vol.chunks_exact_mut(p.aos.m_pad()) {

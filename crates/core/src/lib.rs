@@ -48,4 +48,4 @@ pub use scenario::{
     RunControl, RunRequest, RunSummary, Scenario, ScenarioError, ScenarioInfo, ScenarioRegistry,
 };
 pub use spec::SpecError;
-pub use tune::{BackendCandidate, BlockCandidate, TuneReport, TuningMode};
+pub use tune::{BlockCandidate, TuneReport, TuningMode};

@@ -2,9 +2,10 @@
 //! architecture diagram lists plotters for various file formats as part of
 //! the ExaHyPE core; Fig. 2).
 //!
-//! Writes nodal snapshots as legacy-VTK structured grids (readable by
-//! ParaView/VisIt) or as flat CSV; receiver seismograms are written from a
-//! run summary by [`write_receivers_csv`](crate::report::write_receivers_csv).
+//! Writes nodal snapshots as flat CSV ([`write_csv`], what `aderdg-run
+//! --snapshot` writes) and files atomically ([`write_atomic`]); receiver
+//! seismograms are written from a run summary by
+//! [`write_receivers_csv`](crate::report::write_receivers_csv).
 
 use crate::engine::Engine;
 use aderdg_pde::LinearPde;
@@ -36,68 +37,6 @@ pub fn write_atomic(
             Err(e)
         }
     }
-}
-
-/// Writes the full nodal solution as a legacy-VTK structured grid:
-/// one point per quadrature node, `var_names.len()` scalar fields (the
-/// first evolved quantities).
-pub fn write_vtk<P: LinearPde>(
-    engine: &Engine<P>,
-    var_names: &[&str],
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    let n = engine.plan.n();
-    let m_pad = engine.plan.aos.m_pad();
-    let vars = engine.pde.num_vars();
-    assert!(
-        var_names.len() <= vars,
-        "more names than evolved quantities"
-    );
-    let dims = engine.mesh.dims;
-    let nodes = &engine.plan.basis.nodes;
-    let (px, py, pz) = (dims[0] * n, dims[1] * n, dims[2] * n);
-    let total = px * py * pz;
-
-    writeln!(out, "# vtk DataFile Version 3.0")?;
-    writeln!(out, "aderdg snapshot t={}", engine.time)?;
-    writeln!(out, "ASCII")?;
-    writeln!(out, "DATASET STRUCTURED_GRID")?;
-    writeln!(out, "DIMENSIONS {px} {py} {pz}")?;
-    writeln!(out, "POINTS {total} double")?;
-    // Point order: x fastest, then y, then z (VTK convention).
-    for gk in 0..pz {
-        for gj in 0..py {
-            for gi in 0..px {
-                let (ci, ki) = (gi / n, gi % n);
-                let (cj, kj) = (gj / n, gj % n);
-                let (ck, kk) = (gk / n, gk % n);
-                let cell = engine.mesh.cell_index(ci, cj, ck);
-                let x = engine
-                    .mesh
-                    .cell_point(cell, [nodes[ki], nodes[kj], nodes[kk]]);
-                writeln!(out, "{} {} {}", x[0], x[1], x[2])?;
-            }
-        }
-    }
-    writeln!(out, "POINT_DATA {total}")?;
-    for (s, name) in var_names.iter().enumerate() {
-        writeln!(out, "SCALARS {name} double 1")?;
-        writeln!(out, "LOOKUP_TABLE default")?;
-        for gk in 0..pz {
-            for gj in 0..py {
-                for gi in 0..px {
-                    let (ci, ki) = (gi / n, gi % n);
-                    let (cj, kj) = (gj / n, gj % n);
-                    let (ck, kk) = (gk / n, gk % n);
-                    let cell = engine.mesh.cell_index(ci, cj, ck);
-                    let node = (kk * n + kj) * n + ki;
-                    let v = engine.cell_state(cell)[node * m_pad + s];
-                    writeln!(out, "{v}")?;
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Writes the nodal solution as CSV: `x,y,z,q0,q1,...` (evolved
@@ -158,31 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn vtk_snapshot_is_well_formed() {
-        let engine = small_engine();
-        let mut buf = Vec::new();
-        write_vtk(&engine, &["p", "u"], &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let total = (2 * 3usize).pow(3);
-        assert!(text.starts_with("# vtk DataFile Version 3.0"));
-        assert!(text.contains(&format!("DIMENSIONS {0} {0} {0}", 6)));
-        assert!(text.contains(&format!("POINTS {total} double")));
-        assert!(text.contains("SCALARS p double 1"));
-        assert!(text.contains("SCALARS u double 1"));
-        // Point count: header lines + coordinates + 2 × scalars.
-        let n_coord_lines = text
-            .lines()
-            .filter(|l| {
-                l.split_whitespace().count() == 3
-                    && l.chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_digit() || c == '-' || c == '0')
-            })
-            .count();
-        assert!(n_coord_lines >= total);
-    }
-
-    #[test]
     fn csv_snapshot_has_all_nodes() {
         let engine = small_engine();
         let mut buf = Vec::new();
@@ -219,13 +133,5 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "new content");
         assert!(!tmp.exists());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    #[should_panic(expected = "more names")]
-    fn vtk_rejects_too_many_names() {
-        let engine = small_engine();
-        let mut buf = Vec::new();
-        let _ = write_vtk(&engine, &["a", "b", "c", "d", "e"], &mut buf);
     }
 }

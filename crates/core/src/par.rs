@@ -8,10 +8,11 @@
 //! workers that survive across `Engine::step` calls, per-worker deques
 //! (LIFO local push/pop, FIFO steal) feeding the task-graph scheduler, a
 //! shared FIFO injector for the chunked cell loops, and condvar
-//! park/unpark so an idle engine burns no CPU. Optional round-robin core
-//! pinning via `ADERDG_PIN=1`. At one thread (and for nested calls) every
-//! entry point runs inline on the calling thread in deterministic order —
-//! the reference the thread-invariance tests compare against.
+//! park/unpark so an idle engine burns no CPU. Workers are not pinned to
+//! cores: the OS scheduler places them. At one thread (and for nested
+//! calls) every entry point runs inline on the calling thread in
+//! deterministic order — the reference the thread-invariance tests
+//! compare against.
 //!
 //! # Determinism contract
 //!
@@ -76,30 +77,6 @@ fn in_task() -> bool {
 /// the next call.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Whether workers of the persistent pool are pinned to cores
-/// (`ADERDG_PIN=1`; read once at first pool construction).
-///
-/// # Panics
-/// If `ADERDG_PIN` is set to anything but `1`, `0` or the empty string —
-/// a typo like `ADERDG_PIN=yes` silently running unpinned would defeat
-/// the knob's purpose.
-fn pin_workers() -> bool {
-    let var = std::env::var("ADERDG_PIN");
-    resolve_pin(var.as_deref().ok())
-}
-
-/// Maps an `ADERDG_PIN` value to the pinning flag; panics on anything
-/// but `1`, `0`, empty or unset.
-fn resolve_pin(value: Option<&str>) -> bool {
-    match value {
-        None | Some("") | Some("0") => false,
-        Some("1") => true,
-        // PANIC-OK: configuration typos fail loudly by policy (see doc
-        // comment on `pin_workers`).
-        Some(other) => panic!("invalid ADERDG_PIN `{other}` (1 to pin workers, 0 or unset not to)"),
-    }
 }
 
 /// Number of worker threads the cell loops use.
@@ -188,7 +165,7 @@ fn ensure_pool<'a>(guard: &'a mut MutexGuard<'_, Option<pool::Pool>>) -> &'a mut
         if let Some(old) = guard.take() {
             old.shutdown();
         }
-        **guard = Some(pool::Pool::new(n, pin_workers()));
+        **guard = Some(pool::Pool::new(n));
     }
     // PANIC-OK: internal invariant — the branch above just installed it.
     guard.as_mut().expect("pool was just ensured")
@@ -505,11 +482,6 @@ mod tests {
         assert_eq!(resolve_num_threads(None), None);
         assert_eq!(resolve_num_threads(Some("1")), Some(1));
         assert_eq!(resolve_num_threads(Some("16")), Some(16));
-
-        assert!(!resolve_pin(None));
-        assert!(!resolve_pin(Some("")));
-        assert!(!resolve_pin(Some("0")));
-        assert!(resolve_pin(Some("1")));
     }
 
     #[test]
@@ -522,12 +494,6 @@ mod tests {
     #[should_panic(expected = "invalid ADERDG_THREADS `0`")]
     fn zero_thread_count_fails_loudly() {
         resolve_num_threads(Some("0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid ADERDG_PIN `yes`")]
-    fn pin_typo_fails_loudly() {
-        resolve_pin(Some("yes"));
     }
 
     #[test]

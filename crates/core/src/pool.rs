@@ -291,10 +291,7 @@ fn run_one(shared: &Shared, worker: usize, batch: &Arc<Batch>, task: usize) {
     }
 }
 
-fn worker_main(shared: Arc<Shared>, worker: usize, pin: bool) {
-    if pin {
-        pin_to_core(worker);
-    }
+fn worker_main(shared: Arc<Shared>, worker: usize) {
     // The most recent batch this worker ran a task of. Caching it skips
     // one park-lock per task in the common case; correctness never
     // depends on it (generation-checked in `batch_for`).
@@ -310,31 +307,6 @@ fn worker_main(shared: Arc<Shared>, worker: usize, pin: bool) {
     }
 }
 
-/// Pins the calling thread to core `worker mod available_parallelism`
-/// (Linux only; a no-op elsewhere). Best-effort: failure is ignored —
-/// pinning is a performance knob, not a correctness one.
-fn pin_to_core(worker: usize) {
-    #[cfg(target_os = "linux")]
-    {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let cpu = worker % cpus;
-        // A 1024-bit cpu_set_t, the glibc default width.
-        let mut mask = [0u64; 16];
-        mask[cpu / 64] |= 1u64 << (cpu % 64);
-        extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-        }
-        // SAFETY: plain syscall wrapper; the mask outlives the call.
-        unsafe {
-            sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    let _ = worker;
-}
-
 /// A running pool: `size` parked-or-working OS threads.
 pub(crate) struct Pool {
     shared: Arc<Shared>,
@@ -347,8 +319,8 @@ pub(crate) struct Pool {
 }
 
 impl Pool {
-    /// Spawns `size` parked workers (optionally pinned round-robin).
-    pub(crate) fn new(size: usize, pin: bool) -> Self {
+    /// Spawns `size` parked workers.
+    pub(crate) fn new(size: usize) -> Self {
         let shared = Arc::new(Shared {
             queues: (0..size).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
@@ -365,7 +337,7 @@ impl Pool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("aderdg-worker-{w}"))
-                    .spawn(move || worker_main(shared, w, pin))
+                    .spawn(move || worker_main(shared, w))
                     // PANIC-OK: thread spawn fails only on OS resource
                     // exhaustion; a half-built pool is unusable anyway.
                     .expect("failed to spawn pool worker")

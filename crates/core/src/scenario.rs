@@ -112,8 +112,6 @@ pub struct RunRequest {
     pub tuning: Option<TuningMode>,
     /// Pipeline override.
     pub pipeline: Option<PipelineMode>,
-    /// Shard size override (`Some(None)` = force `auto`).
-    pub shard_size: Option<Option<usize>>,
     /// Time-stepping strategy override (`global` | `lts`).
     pub stepping: Option<SteppingMode>,
     /// Uniform cells-per-axis override (scales all three mesh axes).
@@ -164,7 +162,6 @@ pub const SOLVER_KEYS: &[&str] = &[
     "block_size",
     "tuning",
     "pipeline",
-    "shard_size",
     "stepping",
 ];
 
@@ -212,11 +209,6 @@ impl RunRequest {
             "tuning" => self.tuning = Some(TuningMode::parse(value).ok_or(bad("static|model"))?),
             "pipeline" => {
                 self.pipeline = Some(PipelineMode::parse(value).ok_or(bad("barrier|sharded"))?)
-            }
-            "shard_size" => {
-                self.shard_size = Some(
-                    crate::spec::parse_auto_size(value).ok_or(bad("auto or an integer >= 1"))?,
-                )
             }
             "stepping" => {
                 self.stepping = Some(SteppingMode::parse(value).ok_or(bad("global|lts"))?)
@@ -639,14 +631,6 @@ pub fn resolve(info: &ScenarioInfo, req: &RunRequest) -> Result<Resolved, Scenar
     if let Some(p) = req.pipeline {
         config.pipeline = p;
     }
-    if let Some(s) = req.shard_size {
-        if s == Some(0) {
-            return Err(ScenarioError::new(
-                "shard_size must be at least 1 (or auto)",
-            ));
-        }
-        config.shard_size = s;
-    }
     if let Some(s) = req.stepping {
         config.stepping = s;
     }
@@ -960,9 +944,6 @@ fn checkpoint_knobs<P: LinearPde>(
         ("pipeline".into(), c.pipeline.as_str().into()),
         ("stepping".into(), c.stepping.as_str().into()),
     ];
-    if let Some(s) = c.shard_size {
-        knobs.push(("shard_size".into(), s.to_string()));
-    }
     if let Some(cells) = req.cells {
         knobs.push(("cells".into(), cells.to_string()));
     }
@@ -1085,10 +1066,6 @@ mod tests {
                 block_size: Some(Some(0)),
                 ..RunRequest::new()
             },
-            RunRequest {
-                shard_size: Some(Some(0)),
-                ..RunRequest::new()
-            },
         ] {
             assert!(resolve(&info(), &req).is_err(), "{req:?}");
         }
@@ -1152,7 +1129,6 @@ mod tests {
             ("block_size", "8", "0"),
             ("tuning", "static", "probe"),
             ("pipeline", "barrier", "warp"),
-            ("shard_size", "auto", "many"),
             ("stepping", "lts", "warp"),
         ];
         assert_eq!(rows.map(|r| r.0), SOLVER_KEYS);

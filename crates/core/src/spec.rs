@@ -114,9 +114,9 @@ pub fn read_lines(text: &str) -> Result<Vec<SpecLine<'_>>, SpecError> {
     Ok(lines)
 }
 
-/// Parses an `auto`-or-positive-integer size value (`block_size`,
-/// `shard_size`): `Some(None)` for `auto`, `Some(Some(n))` for `n ≥ 1`,
-/// `None` for anything else.
+/// Parses an `auto`-or-positive-integer size value (`block_size`):
+/// `Some(None)` for `auto`, `Some(Some(n))` for `n ≥ 1`, `None` for
+/// anything else.
 pub fn parse_auto_size(value: &str) -> Option<Option<usize>> {
     if value == "auto" {
         return Some(None);
@@ -235,13 +235,16 @@ mod tests {
         assert!(RunRequest::from_spec("block_size = wide\n").is_err());
     }
 
+    /// The shard size is always `auto` — derived from the mesh and the
+    /// block size — so a spec file that writes it, as `auto` or as a
+    /// number, names an unknown key.
     #[test]
     fn shard_size_auto_and_rejects_invalid() {
-        let req = RunRequest::from_spec("shard_size = auto\n").unwrap();
-        assert_eq!(req.shard_size, Some(None));
-        assert_eq!(resolved("shard_size = 12\n").unwrap().shard_size, Some(12));
-        assert!(RunRequest::from_spec("shard_size = 0\n").is_err());
-        assert!(RunRequest::from_spec("shard_size = many\n").is_err());
+        for value in ["auto", "4"] {
+            let e = RunRequest::from_spec(&format!("shard_size = {value}\n")).unwrap_err();
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains("unknown key `shard_size`"), "{e}");
+        }
     }
 
     #[test]

@@ -90,15 +90,6 @@ pub struct BlockCandidate {
     pub l2_miss_ratio: f64,
 }
 
-/// One GEMM kernel at or below the plan's ISA cap.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendCandidate {
-    /// Kernel name (`baseline` | `avx2` | `avx512`).
-    pub name: &'static str,
-    /// Whether the host passes the kernel's runtime probe.
-    pub supported: bool,
-}
-
 /// What the tuner decided and why — exposed via
 /// [`Engine::tune_report`](crate::Engine::tune_report).
 #[derive(Debug, Clone)]
@@ -118,9 +109,6 @@ pub struct TuneReport {
     pub block_candidates: Vec<BlockCandidate>,
     /// Name of the GEMM kernel the plan dispatches to.
     pub backend: &'static str,
-    /// The GEMM kernels at or below the plan's ISA cap, widest first; the
-    /// first supported one is [`backend`](Self::backend).
-    pub backend_candidates: Vec<BackendCandidate>,
 }
 
 impl fmt::Display for TuneReport {
@@ -279,7 +267,6 @@ pub fn tune(
     let block_size = block_override
         .or_else(|| best_candidate(&costs))
         .unwrap_or(static_block_size);
-    let cap = plan.cfg.width;
     TuneReport {
         mode,
         kernel: kernel.name(),
@@ -287,14 +274,6 @@ pub fn tune(
         static_block_size,
         block_candidates,
         backend: plan.gemm_backend().name(),
-        backend_candidates: aderdg_gemm::backends()
-            .iter()
-            .filter(|b| b.isa() <= cap)
-            .map(|b| BackendCandidate {
-                name: b.name(),
-                supported: b.supported(),
-            })
-            .collect(),
     }
 }
 
@@ -405,10 +384,8 @@ mod tests {
         );
         assert_eq!(report.block_candidates.len(), BLOCK_CANDIDATES.len());
         assert_eq!(report.backend, p.gemm_backend().name());
-        // The kernel is the first supported entry of the widest-first
-        // slate.
-        let first = report.backend_candidates.iter().find(|b| b.supported);
-        assert_eq!(report.backend, first.unwrap().name);
+        let level = p.cfg.width.min(Isa::detect());
+        assert_eq!(report.backend, aderdg_gemm::backend_for(level).name());
     }
 
     #[test]

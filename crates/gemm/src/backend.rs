@@ -1,12 +1,13 @@
-//! The GEMM kernel trait and its registry — the runtime-dispatch half of
-//! the LIBXSMM substitute (paper Sec. II-D).
+//! The GEMM kernel trait and its one lookup — the runtime-dispatch half
+//! of the LIBXSMM substitute (paper Sec. II-D).
 //!
 //! A [`GemmBackend`] is one compiled instantiation of the packed
 //! register-tiled driver ([`crate::micro`]) for one ISA level; the
-//! instantiations live in [`crate::tiles`]. Like LIBXSMM's generated
-//! kernels, the choice happens **once at plan time**: [`select_backend`]
-//! walks the registry widest-first and returns the first kernel at or
-//! below the ISA cap that the host [supports](GemmBackend::supported).
+//! instantiations live in [`crate::tiles`]. An [`Isa`] level names its
+//! kernel ([`backend_for`]), so there is no registry to walk. Like
+//! LIBXSMM's generated kernels, the choice happens **once at plan time**:
+//! [`Gemm::with_isa`](crate::Gemm::with_isa) clamps the ISA cap to
+//! [`Isa::detect`] and takes that level's kernel.
 //! The hot call ([`Gemm::execute`](crate::Gemm::execute)) is a single
 //! virtual call into pre-monomorphized code — the trait granularity is one
 //! *whole GEMM*, not one tile: the hot shapes run hundreds of
@@ -14,7 +15,7 @@
 //! a measurable fraction of the kernel itself.
 //!
 //! Adding an architecture is one [`Isa`] level (a variant and its
-//! [`Isa::detect`] branch), one tile block and one entry in [`backends`].
+//! [`Isa::detect`] branch), one tile block and one arm in [`backend_for`].
 
 use crate::kernels::Isa;
 use crate::micro::{pack_a_panels, pack_b_panels, PackedOperands, PackedPanels};
@@ -26,21 +27,17 @@ use crate::tiles::{Avx2Kernel, Avx512Kernel};
 /// One compiled GEMM kernel selectable at plan time.
 ///
 /// Planned code reaches a kernel through [`Gemm`](crate::Gemm), which
-/// checks [`supported`](Self::supported) once at construction and is the
-/// safe door to the two `unsafe` entry points.
+/// checks `isa() <= Isa::detect()` once at construction and is the safe
+/// door to the two `unsafe` entry points.
 pub trait GemmBackend: Send + Sync + std::fmt::Debug {
     /// Short identifier (e.g. `avx512`).
     fn name(&self) -> &'static str;
 
-    /// The ISA level this kernel is compiled for.
+    /// The ISA level this kernel is compiled for. The host can execute
+    /// the kernel iff this is at or below [`Isa::detect`] — the one CPU
+    /// probe, whose `Avx512 ⇒ Avx2 ⇒ Baseline` chain makes every
+    /// narrower level's wrapper safe too.
     fn isa(&self) -> Isa;
-
-    /// Can the host execute this kernel? Its ISA level at or below
-    /// [`Isa::detect`] — the one CPU probe, whose `Avx512 ⇒ Avx2 ⇒
-    /// Baseline` chain makes every narrower level's wrapper safe too.
-    fn supported(&self) -> bool {
-        self.isa() <= Isa::detect()
-    }
 
     /// Register tile `(MR, NR)` this kernel runs `spec` on: `MR` rows of
     /// `C` held in accumulators, `NR` doubles wide. May depend on `spec.n`
@@ -67,7 +64,7 @@ pub trait GemmBackend: Send + Sync + std::fmt::Debug {
     /// otherwise ([`PackedOperands::none`] is the plain unpacked call).
     ///
     /// # Safety
-    /// The host must support this kernel ([`supported`](Self::supported)).
+    /// The host must support this kernel (`isa() <= Isa::detect()`).
     unsafe fn execute(
         &self,
         spec: &GemmSpec,
@@ -90,7 +87,7 @@ pub trait GemmBackend: Send + Sync + std::fmt::Debug {
     /// the batch actually shares (stride `0`).
     ///
     /// # Safety
-    /// The host must support this kernel ([`supported`](Self::supported)).
+    /// The host must support this kernel (`isa() <= Isa::detect()`).
     unsafe fn run_batched(
         &self,
         spec: &GemmSpec,
@@ -134,32 +131,19 @@ pub trait GemmBackend: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// All kernels, one per ISA level, widest (most preferred) first.
-pub fn backends() -> &'static [&'static dyn GemmBackend] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        &[&Avx512Kernel, &Avx2Kernel, &BaselineKernel]
+/// The kernel compiled for `isa`: there is one per level, so the level
+/// identifies it. The host can run it iff `isa <= Isa::detect()`
+/// ([`Gemm::with_backend`](crate::Gemm::with_backend) asserts that).
+/// Targets without the wide tiles never detect a wide level; there every
+/// level maps to the portable kernel.
+pub fn backend_for(isa: Isa) -> &'static dyn GemmBackend {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => &Avx512Kernel,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => &Avx2Kernel,
+        _ => &BaselineKernel,
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        &[&BaselineKernel]
-    }
-}
-
-/// Picks the widest host-supported kernel at or below the `cap` ISA —
-/// the plan-time selection step (the cap emulates the paper's
-/// "AVX2 build on an AVX-512 machine" comparison, Fig. 4).
-pub fn select_backend(cap: Isa) -> &'static dyn GemmBackend {
-    backends()
-        .iter()
-        .copied()
-        .find(|b| b.isa() <= cap && b.supported())
-        .unwrap_or(&BaselineKernel)
-}
-
-/// Resolves a kernel by its [`name`](GemmBackend::name).
-pub fn backend_by_name(name: &str) -> Option<&'static dyn GemmBackend> {
-    backends().iter().copied().find(|b| b.name() == name)
 }
 
 #[cfg(test)]
@@ -169,32 +153,30 @@ mod tests {
 
     #[test]
     fn baseline_is_always_supported_and_last_resort() {
-        assert!(BaselineKernel.supported());
-        assert_eq!(select_backend(Isa::Baseline).name(), "baseline");
+        assert_eq!(Isa::supported().next(), Some(Isa::Baseline));
+        assert_eq!(backend_for(Isa::Baseline).name(), "baseline");
+        let plan = Gemm::with_isa(GemmSpec::dense(2, 2, 2), Isa::Baseline);
+        assert_eq!(plan.backend().name(), "baseline");
     }
 
     #[test]
     fn selection_respects_cap_and_host() {
-        for cap in [Isa::Baseline, Isa::Avx2, Isa::Avx512] {
-            // The widest supported kernel at or below the cap, spelled
-            // out independently of the registry walk.
-            let want = backends()
-                .iter()
-                .filter(|b| b.isa() <= cap && b.supported())
-                .max_by_key(|b| b.isa())
-                .unwrap();
-            assert_eq!(select_backend(cap).name(), want.name(), "cap {cap:?}");
+        for cap in Isa::ALL {
+            let plan = Gemm::with_isa(GemmSpec::dense(2, 2, 2), cap);
+            assert_eq!(plan.backend().isa(), cap.min(Isa::detect()), "cap {cap:?}");
         }
         // The uncapped selection must match plain feature detection.
-        assert_eq!(select_backend(Isa::Avx512).isa(), Isa::detect());
+        let plan = Gemm::new(GemmSpec::dense(2, 2, 2));
+        assert_eq!(plan.backend().isa(), Isa::detect());
     }
 
-    /// `supported()` equals a direct probe of the features each tile's
-    /// `#[target_feature]` wrapper enables (the compiler lets `avx512f`
-    /// code use AVX2 as well, so the AVX-512 tile needs it too).
+    /// `isa() <= Isa::detect()` equals a direct probe of the features
+    /// each tile's `#[target_feature]` wrapper enables (the compiler lets
+    /// `avx512f` code use AVX2 as well, so the AVX-512 tile needs it too).
     #[test]
     fn supported_matches_probe_of_wrapper_features() {
-        for bk in backends() {
+        for isa in Isa::ALL {
+            let bk = backend_for(isa);
             let probed = match bk.name() {
                 "baseline" => true,
                 #[cfg(target_arch = "x86_64")]
@@ -213,26 +195,20 @@ mod tests {
                 }
                 other => panic!("no wrapper feature list for GEMM kernel `{other}`"),
             };
-            assert_eq!(bk.supported(), probed, "{}", bk.name());
+            assert_eq!(bk.isa() <= Isa::detect(), probed, "{}", bk.name());
         }
     }
 
+    /// One kernel per level: `backend_for` returns the kernel compiled
+    /// for exactly that level, under a name of its own.
     #[test]
-    fn backends_are_ordered_widest_first() {
-        // Exactly one kernel per ISA level: strictly descending.
-        let list = backends();
-        for pair in list.windows(2) {
-            assert!(pair[0].isa() > pair[1].isa());
-        }
-        assert_eq!(list.last().unwrap().isa(), Isa::Baseline);
-    }
-
-    #[test]
-    fn backend_by_name_round_trips() {
-        for b in backends() {
-            assert_eq!(backend_by_name(b.name()).unwrap().name(), b.name());
-        }
-        assert!(backend_by_name("turbo").is_none());
+    #[cfg(target_arch = "x86_64")]
+    fn each_isa_level_names_its_own_kernel() {
+        let names = Isa::ALL.map(|isa| {
+            assert_eq!(backend_for(isa).isa(), isa);
+            backend_for(isa).name()
+        });
+        assert_eq!(names, ["baseline", "avx2", "avx512"]);
     }
 
     #[test]
@@ -247,12 +223,12 @@ mod tests {
         let mut c_ref = c0.clone();
         gemm_naive(&spec, &a, &b, &mut c_ref);
 
-        for bk in backends().iter().filter(|bk| bk.supported()) {
+        for bk in Isa::supported().map(backend_for) {
             let (mr, nr) = bk.tile(&spec);
             assert_eq!(bk.pack_a(&spec, &a).tile(), mr, "{}", bk.name());
             assert_eq!(bk.pack_b(&spec, &b).tile(), nr, "{}", bk.name());
             let mut c = c0.clone();
-            Gemm::with_backend(spec, *bk)
+            Gemm::with_backend(spec, bk)
                 .with_packed_a(&a)
                 .with_packed_b(&b)
                 .execute(&a, &b, &mut c);

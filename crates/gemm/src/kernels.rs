@@ -29,8 +29,8 @@ pub use aderdg_tensor::simd::Isa;
 ///
 /// This is the analogue of a generated-and-dispatched LIBXSMM kernel: all
 /// size/stride and ISA decisions happen once, through
-/// [`select_backend`](crate::backend::select_backend); `execute` is the
-/// hot call. Construction verifies the host supports the kernel, which is
+/// [`backend_for`](crate::backend::backend_for); `execute` is the hot
+/// call. Construction verifies the host supports the kernel, which is
 /// what makes the `execute*` methods safe.
 #[derive(Debug, Clone)]
 pub struct Gemm {
@@ -49,7 +49,7 @@ impl Gemm {
     /// Plans `spec` with an explicit ISA cap (the cap is intersected with
     /// what the host actually supports).
     pub fn with_isa(spec: GemmSpec, isa: Isa) -> Self {
-        Self::with_backend(spec, crate::backend::select_backend(isa))
+        Self::with_backend(spec, crate::backend::backend_for(isa.min(Isa::detect())))
     }
 
     /// Plans `spec` on an explicit kernel.
@@ -58,7 +58,7 @@ impl Gemm {
     /// If the host does not support `backend`.
     pub fn with_backend(spec: GemmSpec, backend: &'static dyn crate::backend::GemmBackend) -> Self {
         assert!(
-            backend.supported(),
+            backend.isa() <= Isa::detect(),
             "GEMM kernel {} is not supported on this host",
             backend.name()
         );

@@ -26,7 +26,7 @@ pub mod spec;
 pub mod tiles;
 
 pub use aderdg_tensor::simd::{self, F64s, SimdF64};
-pub use backend::{backend_by_name, backends, select_backend, GemmBackend};
+pub use backend::{backend_for, GemmBackend};
 pub use kernels::{gemm_naive, Gemm, Isa};
 pub use micro::{pack_a_panels, pack_b_panels, PackedOperands, PackedPanels, PanelSide};
 pub use spec::{GemmBatch, GemmSpec};

@@ -518,8 +518,9 @@ pub(crate) unsafe fn gemm_tiled_dispatch<S: SimdF64, const MR: usize, const NV: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{backends, GemmBackend};
+    use crate::backend::{backend_for, GemmBackend};
     use crate::kernels::gemm_naive;
+    use crate::kernels::Isa;
     use crate::tiles::BaselineKernel;
 
     fn rand_vec(len: usize, seed: u64) -> Vec<f64> {
@@ -561,9 +562,9 @@ mod tests {
     }
 
     /// Every host-supported kernel (under Miri that is the portable one:
-    /// the ISA kernels' `supported()` is hard-false there).
+    /// `Isa::detect()` is hard-`Baseline` there).
     fn all_kernels() -> impl Iterator<Item = &'static dyn GemmBackend> {
-        backends().iter().copied().filter(|bk| bk.supported())
+        Isa::supported().map(backend_for)
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! | `avx512`   | 8×8, or 4×16 when `n` is a multiple of 16 | `FmaF64x8`  |
 //!
 //! Whether the host can run a tile is its [`Isa`] against
-//! [`Isa::detect`] ([`GemmBackend::supported`]); no tile probes the CPU
-//! itself. A new architecture (or element type) is one more block here
-//! plus its entry in [`backends`](crate::backend::backends).
+//! [`Isa::detect`]; no tile probes the CPU itself. A new architecture (or
+//! element type) is one more block here plus its arm in
+//! [`backend_for`](crate::backend::backend_for).
 
 use crate::backend::GemmBackend;
 use crate::kernels::Isa;
@@ -96,7 +96,8 @@ mod x86_64 {
         }
 
         // SAFETY: contract documented on `GemmBackend::execute` — the
-        // caller checked `supported()`; the body validates operand shapes.
+        // caller checked `isa() <= Isa::detect()`; the body validates
+        // operand shapes.
         unsafe fn execute(
             &self,
             spec: &GemmSpec,
@@ -106,7 +107,7 @@ mod x86_64 {
             packed: PackedOperands<'_>,
         ) {
             check_kernel_args(self.name(), self.tile(spec), spec, a, b, c, packed);
-            // SAFETY: `supported()` (trait contract) means
+            // SAFETY: the trait contract `Self::isa() <= Isa::detect()` means
             // `Isa::Avx2 <= Isa::detect()`, which probed AVX2+FMA.
             unsafe { tiled_avx2(spec, a, b, c, packed) }
         }
@@ -169,7 +170,8 @@ mod x86_64 {
         }
 
         // SAFETY: contract documented on `GemmBackend::execute` — the
-        // caller checked `supported()`; the body validates operand shapes.
+        // caller checked `isa() <= Isa::detect()`; the body validates
+        // operand shapes.
         unsafe fn execute(
             &self,
             spec: &GemmSpec,
@@ -180,7 +182,7 @@ mod x86_64 {
         ) {
             let tile = self.tile(spec);
             check_kernel_args(self.name(), tile, spec, a, b, c, packed);
-            // SAFETY: `supported()` (trait contract) means
+            // SAFETY: the trait contract `Self::isa() <= Isa::detect()` means
             // `Isa::detect() == Isa::Avx512`, which probed AVX-512F/VL, AVX2
             // and FMA.
             unsafe {

@@ -10,7 +10,7 @@
 //! across strided, fused and shared-operand batches, with and without
 //! plan-cached packed panels, including `α/β ≠ 1`.
 
-use aderdg_gemm::{backends, gemm_naive, Gemm, GemmBackend, GemmBatch, GemmSpec};
+use aderdg_gemm::{backend_for, gemm_naive, Gemm, GemmBackend, GemmBatch, GemmSpec, Isa};
 use aderdg_tensor::Lcg;
 
 /// Tolerance of the suite: SIMD kernels fuse multiply-add (one rounding
@@ -40,12 +40,8 @@ fn naive_batched(spec: &GemmSpec, batch: &GemmBatch, a: &[f64], b: &[f64], c: &m
     }
 }
 
-fn supported_backends() -> Vec<&'static dyn GemmBackend> {
-    backends()
-        .iter()
-        .copied()
-        .filter(|b| b.supported())
-        .collect()
+fn supported_backends() -> impl Iterator<Item = &'static dyn GemmBackend> {
+    Isa::supported().map(backend_for)
 }
 
 /// The M/N/K axis values the suite sweeps: unit, around every registered
@@ -241,6 +237,6 @@ fn oversized_stride_fails_loudly() {
     let a = vec![0.0; 16]; // item 2 starts at 128 — far out of bounds
     let b = vec![0.0; 4];
     let mut c = vec![0.0; 12];
-    let portable = aderdg_gemm::backend_by_name("baseline").unwrap();
+    let portable = backend_for(Isa::Baseline);
     Gemm::with_backend(spec, portable).execute_batched(&batch, &a, &b, &mut c);
 }

@@ -3,7 +3,7 @@
 //! deterministic seeded sweeps (hermetic build — no external
 //! property-testing framework).
 
-use aderdg_gemm::{gemm_naive, select_backend, Gemm, GemmSpec, Isa};
+use aderdg_gemm::{backend_for, gemm_naive, Gemm, GemmSpec, Isa};
 use aderdg_tensor::Lcg;
 
 const ISAS: [Isa; 3] = [Isa::Baseline, Isa::Avx2, Isa::Avx512];
@@ -50,10 +50,10 @@ fn planned_matches_naive() {
 
 #[test]
 fn every_supported_backend_matches_naive() {
-    // The registry-style sweep: whatever `select_backend` yields per cap
-    // must agree with the reference on the same inputs.
-    for isa in ISAS {
-        let backend = select_backend(isa);
+    // Every kernel the host runs must agree with the reference on the
+    // same inputs.
+    for backend in Isa::supported().map(backend_for) {
+        let isa = backend.isa();
         let mut rng = Lcg::new(0xBACC ^ isa.width_doubles() as u64);
         for _ in 0..32 {
             let m = rng.usize(1, 12);

@@ -784,6 +784,11 @@ mod tests {
             Reply::Err(e) => assert!(e.contains("unknown key"), "{e}"),
             other => panic!("expected ERR, got {other:?}"),
         }
+        // Derived, not a knob: the shard size follows the block size.
+        match handle_line(&queue, "SUBMIT acoustic_wave shard_size=4") {
+            Reply::Err(e) => assert_eq!(e, "unknown key `shard_size`"),
+            other => panic!("expected ERR, got {other:?}"),
+        }
         match handle_line(&queue, "SUBMIT acoustic_wave order=banana") {
             Reply::Err(e) => assert!(e.contains("invalid value"), "{e}"),
             other => panic!("expected ERR, got {other:?}"),

@@ -99,7 +99,8 @@ fn step_results_bit_identical_across_thread_counts() {
 fn sharded_step_bit_identical_across_thread_counts() {
     let _guard = THREAD_KNOB.lock().unwrap();
     let before = par::num_threads();
-    // Auto shard size plus explicit sizes that split the 27-cell mesh
+    // The tuner's block size plus explicit ones. On the 27-cell mesh the
+    // derived shard size equals the block size, so these split the mesh
     // into many shards (worst case for schedule-dependent ordering),
     // one-shard / uneven-tail partitions, and the steal-heavy 13+13+1 and
     // 11+11+5 splits: some workers get far more cells than others, so the
@@ -108,11 +109,11 @@ fn sharded_step_bit_identical_across_thread_counts() {
     // must not drift by a single bit.
     let base = EngineConfig::new(3).with_pipeline(PipelineMode::Sharded);
     assert_thread_invariant(base, "sharded(auto)");
-    for shard_size in [2, 5, 27, 13, 11] {
-        assert_thread_invariant(
-            base.with_shard_size(shard_size),
-            &format!("sharded({shard_size})"),
-        );
+    for (block_size, shards) in [(2, 14), (5, 6), (27, 1), (13, 3), (11, 3)] {
+        let config = base.with_block_size(block_size);
+        let engine = Engine::new(StructuredMesh::unit_cube(3), Acoustic, config);
+        assert_eq!(engine.shard_plan().unwrap().num_shards(), shards);
+        assert_thread_invariant(config, &format!("sharded(block_size={block_size})"));
     }
     par::set_num_threads(before);
 }

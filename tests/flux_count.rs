@@ -56,8 +56,7 @@ fn sharded_step_solves_each_face_exactly_once() {
     let sharded = step_solves(
         EngineConfig::new(3)
             .with_stepping(SteppingMode::Global)
-            .with_pipeline(PipelineMode::Sharded)
-            .with_shard_size(4),
+            .with_pipeline(PipelineMode::Sharded),
         StructuredMesh::unit_cube(3),
     );
     assert_eq!(
@@ -68,9 +67,7 @@ fn sharded_step_solves_each_face_exactly_once() {
     // One-cluster LTS (uniform medium ⇒ one slot per macro cycle) is
     // the same driver over a lazily built plan: same count.
     let lts = step_solves(
-        EngineConfig::new(3)
-            .with_stepping(SteppingMode::Lts)
-            .with_shard_size(4),
+        EngineConfig::new(3).with_stepping(SteppingMode::Lts),
         StructuredMesh::unit_cube(3),
     );
     assert_eq!(lts, 3 * cells, "one-cluster LTS solves each face once");

@@ -6,7 +6,7 @@
 
 use aderdg::core::kernels::{StpInputs, StpOutputs};
 use aderdg::core::{KernelRegistry, StpConfig, StpPlan};
-use aderdg::gemm::backends;
+use aderdg::gemm::{backend_for, Isa};
 use aderdg::pde::{Elastic, LinearPde, Material};
 use aderdg::tensor::Lcg;
 
@@ -36,10 +36,10 @@ fn aosoa_matches_generic_on_every_supported_backend() {
     let generic = registry.resolve("generic").expect("builtin kernel");
     let aosoa = registry.resolve("aosoa_splitck").expect("builtin kernel");
     let pde = Elastic;
-    for backend in backends().iter().filter(|b| b.supported()) {
+    for backend in Isa::supported().map(backend_for) {
         for n in [3, 4, 7, 8] {
             let cfg = StpConfig::new(n, pde.num_quantities());
-            let plan = StpPlan::with_gemm_backend(cfg, [1.0, 0.8, 1.25], *backend);
+            let plan = StpPlan::with_gemm_backend(cfg, [1.0, 0.8, 1.25], backend);
             assert_eq!(plan.isa(), backend.isa(), "lanes follow the GEMM backend");
             let q0 = elastic_state(&plan, 17 + n as u64);
             let inputs = StpInputs {

@@ -1,12 +1,15 @@
 //! Pins the sharded once-per-face pipeline to the seed cell-centric
-//! barrier path: for **every registered kernel** and shard sizes
-//! {1, 3, whole-mesh}, a run over a mesh with all three boundary kinds
-//! and a point-source cell must agree to ≤ 1e-12 relative — the two
-//! pipelines implement the same scheme, differing only in when and how
-//! often each face's Riemann problem is solved. With block-aligned
-//! shards they agree to the bit: the graph driver's volume update, fused
-//! into its Predict task, is checked against the barrier path's unfused
-//! one.
+//! barrier path: for **every registered kernel**, a run over a mesh with
+//! all three boundary kinds and a point-source cell (and a shallow-water
+//! run, whose ncp branch the volume update takes) must agree **to the
+//! bit** — the two pipelines implement the same scheme, differing only in
+//! when and how often each face's Riemann problem is solved. The shard
+//! size is derived from the block size ([`auto_shard_size`]), so shard
+//! boundaries never split a predictor block and both pipelines run the
+//! same blocks; the graph driver's volume update, fused into its Predict
+//! task, is checked against the barrier path's unfused one.
+//!
+//! [`auto_shard_size`]: aderdg::core::auto_shard_size
 
 use aderdg::core::{Engine, EngineConfig, KernelRegistry, PipelineMode};
 use aderdg::mesh::{BoundaryKind, StructuredMesh};
@@ -76,77 +79,60 @@ fn run_swe(config: EngineConfig) -> Vec<f64> {
     evolve(engine)
 }
 
-/// Max relative elementwise difference, scaled by the largest magnitude.
-/// Both states must be finite: `f64::max` drops NaN, so a NaN entry would
-/// otherwise vanish from the fold.
-fn max_rel_diff(a: &[f64], b: &[f64]) -> f64 {
+/// Counts the doubles whose bits differ between two states.
+fn bit_diffs(a: &[f64], b: &[f64]) -> usize {
     assert_eq!(a.len(), b.len());
-    let bad = a.iter().chain(b).filter(|v| !v.is_finite()).count();
-    assert_eq!(bad, 0, "{bad} non-finite state entries");
-    let scale = a
-        .iter()
-        .chain(b.iter())
-        .fold(0.0f64, |m, &v| m.max(v.abs()))
-        .max(1e-300);
     a.iter()
         .zip(b)
-        .fold(0.0f64, |m, (&x, &y)| m.max((x - y).abs()))
-        / scale
+        .filter(|(x, y)| x.to_bits() != y.to_bits())
+        .count()
+}
+
+type Case = (&'static str, fn(EngineConfig) -> Vec<f64>);
+const CASES: [Case; 2] = [("acoustic + point source", run), ("swe, ncp", run_swe)];
+
+/// Runs `config` on both pipelines for every case and asserts the
+/// states agree to the bit.
+fn assert_pipelines_agree(config: EngineConfig, what: &str) {
+    for (label, run) in CASES {
+        let reference = run(config.with_pipeline(PipelineMode::Barrier));
+        assert!(
+            reference.iter().all(|v| v.is_finite()) && reference.iter().any(|&v| v != 0.0),
+            "{what}, {label}: the barrier run must evolve finite data"
+        );
+        let sharded = run(config.with_pipeline(PipelineMode::Sharded));
+        let diffs = bit_diffs(&reference, &sharded);
+        assert_eq!(
+            diffs, 0,
+            "{what}, {label}: {diffs} doubles differ between the pipelines"
+        );
+    }
 }
 
 #[test]
 fn sharded_matches_barrier_for_every_kernel_and_shard_size() {
+    // One shard per block on this 18-cell mesh: the block sizes 1, 3 and
+    // "all cells" give 18, 6 and 1 shards.
     let cells = mesh().num_cells();
     for name in KernelRegistry::global().names() {
-        let base = EngineConfig::new(3)
-            .with_kernel_name(name)
-            .with_pipeline(PipelineMode::Barrier);
-        let reference = run(base);
-        assert!(
-            reference.iter().any(|&v| v != 0.0),
-            "{name}: the barrier run must evolve data"
-        );
-        for shard_size in [1, 3, cells] {
-            let sharded = run(EngineConfig::new(3)
+        for (block_size, shards) in [(1, 18), (3, 6), (cells, 1)] {
+            let config = EngineConfig::new(3)
                 .with_kernel_name(name)
-                .with_pipeline(PipelineMode::Sharded)
-                .with_shard_size(shard_size));
-            let diff = max_rel_diff(&reference, &sharded);
-            assert!(
-                diff <= 1e-12,
-                "{name}, shard_size={shard_size}: max rel diff {diff:e}"
-            );
+                .with_block_size(block_size);
+            let engine = Engine::new(mesh(), Acoustic, config);
+            assert_eq!(engine.shard_plan().unwrap().num_shards(), shards);
+            assert_pipelines_agree(config, &format!("{name}, block_size={block_size}"));
         }
     }
 }
 
 #[test]
 fn auto_shard_size_matches_barrier_bitwise_for_every_kernel() {
-    // With auto shard sizing the shard boundaries align to predictor
-    // blocks, so each kernel sees the same blocks on both pipelines and
-    // the graph driver — volume update in place inside Predict, face
-    // lifts in Apply — must agree with the barrier path's unfused
-    // corrector to the last bit, not just to tolerance.
-    type Case = (&'static str, fn(EngineConfig) -> Vec<f64>);
-    let cases: [Case; 2] = [("acoustic + point source", run), ("swe, ncp", run_swe)];
+    // The tuner's block size, and the shard size derived from it: the
+    // graph driver — volume update in place inside Predict, face lifts
+    // in Apply — must agree with the barrier path's unfused corrector to
+    // the last bit, not just to tolerance.
     for name in KernelRegistry::global().names() {
-        for (label, run) in cases {
-            let config = EngineConfig::new(3).with_kernel_name(name);
-            let reference = run(config.with_pipeline(PipelineMode::Barrier));
-            assert!(
-                reference.iter().any(|&v| v != 0.0),
-                "{name}, {label}: the barrier run must evolve data"
-            );
-            let sharded = run(config.with_pipeline(PipelineMode::Sharded));
-            let diffs = reference
-                .iter()
-                .zip(&sharded)
-                .filter(|(a, b)| a.to_bits() != b.to_bits())
-                .count();
-            assert_eq!(
-                diffs, 0,
-                "{name}, {label}: {diffs} doubles differ between the pipelines"
-            );
-        }
+        assert_pipelines_agree(EngineConfig::new(3).with_kernel_name(name), name);
     }
 }

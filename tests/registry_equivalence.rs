@@ -311,7 +311,7 @@ fn all_registered_kernels_agree_on_single_predictor_invocation() {
     use aderdg::pde::LinearPde;
     let cfg = StpConfig::new(5, Acoustic.num_quantities());
     let plan = StpPlan::new(cfg, [0.5; 3]);
-    let portable = aderdg::gemm::select_backend(aderdg::gemm::Isa::Baseline);
+    let portable = aderdg::gemm::backend_for(aderdg::gemm::Isa::Baseline);
     let portable_plan = StpPlan::with_gemm_backend(cfg, [0.5; 3], portable);
 
     // Sample the plane wave onto one cell's padded AoS nodes.
