@@ -199,16 +199,38 @@ mod tests {
         }
     }
 
-    /// One kernel per level: `backend_for` returns the kernel compiled
-    /// for exactly that level, under a name of its own.
+    /// Exactly one kernel per ISA level: walked widest first, the levels
+    /// of the kernels `backend_for` returns descend strictly to baseline.
     #[test]
     #[cfg(target_arch = "x86_64")]
-    fn each_isa_level_names_its_own_kernel() {
-        let names = Isa::ALL.map(|isa| {
-            assert_eq!(backend_for(isa).isa(), isa);
-            backend_for(isa).name()
-        });
+    fn backends_are_ordered_widest_first() {
+        let list: Vec<_> = Isa::ALL.iter().rev().map(|&isa| backend_for(isa)).collect();
+        for pair in list.windows(2) {
+            assert!(pair[0].isa() > pair[1].isa());
+        }
+        assert_eq!(list.last().unwrap().isa(), Isa::Baseline);
+    }
+
+    /// Each kernel's name identifies its level: the name leads back to
+    /// the level it was looked up by, a plan built for a supported level
+    /// reports that name, and an unknown name matches no kernel.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn backend_by_name_round_trips() {
+        let names = Isa::ALL.map(|isa| backend_for(isa).name());
         assert_eq!(names, ["baseline", "avx2", "avx512"]);
+        for isa in Isa::ALL {
+            let name = backend_for(isa).name();
+            let back = Isa::ALL
+                .into_iter()
+                .find(|&i| backend_for(i).name() == name);
+            assert_eq!(back, Some(isa), "{name}");
+        }
+        for isa in Isa::supported() {
+            let plan = Gemm::with_isa(GemmSpec::dense(2, 2, 2), isa);
+            assert_eq!(plan.backend().name(), backend_for(isa).name());
+        }
+        assert!(!names.contains(&"turbo"));
     }
 
     #[test]
