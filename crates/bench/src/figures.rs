@@ -200,7 +200,7 @@ fn fig9() {
             println!(
                 "{:>6} {:>18} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
                 order,
-                variant.name(),
+                variant.kernel().label(),
                 f[0] * 100.0,
                 f[1] * 100.0,
                 f[2] * 100.0,
@@ -394,7 +394,7 @@ fn calib() {
             println!(
                 "{:>6} {:>16} {:>10} {:>10} {:>10} {:>10} {:>12} {:>7.1}%",
                 order,
-                variant.name(),
+                variant.kernel().label(),
                 s.l1.accesses(),
                 s.l2.hits,
                 s.l3.hits,

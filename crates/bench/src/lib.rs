@@ -199,7 +199,7 @@ pub fn print_row(m: &Measurement) {
     println!(
         "{:>6} {:>18} {:>8} {:>10.2} µs {:>10.2} {:>9.1}% {:>9.1}%",
         m.order,
-        m.variant.name(),
+        m.variant.kernel().label(),
         format!("{}b", 64 * m.width.width_doubles()),
         m.seconds_per_cell * 1e6,
         m.gflops,

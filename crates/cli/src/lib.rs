@@ -78,7 +78,6 @@ SOLVER OPTIONS (defaults come from the scenario):
   --kernel <key>            STP kernel registry key (see README)
   --cfl <0..0.45]           CFL safety factor
   --width <sse|avx2|avx512|host>
-  --rule <gauss_legendre|gauss_lobatto>
   --block-size <n|auto>     predictor block size
   --tuning <static|model>
   --pipeline <barrier|sharded>
@@ -345,7 +344,6 @@ fn merge_requests(base: &mut RunRequest, over: RunRequest) {
         kernel,
         cfl,
         width,
-        rule,
         block_size,
         tuning,
         pipeline,
@@ -365,7 +363,7 @@ pub fn render_list() -> String {
         "{:<20} {:<9} {:>5} {:>10} {:>7} {:<14} {:<5}  {}\n",
         "scenario", "system", "order", "cells", "t_end", "kernel", "exact", "description"
     ));
-    for scenario in ScenarioRegistry::global().scenarios() {
+    for &scenario in ScenarioRegistry::global().scenarios() {
         let i = scenario.info();
         out.push_str(&format!(
             "{:<20} {:<9} {:>5} {:>10} {:>7} {:<14} {:<5}  {}\n",
@@ -548,7 +546,7 @@ pub fn missing_gallery_sections(docs_text: &str) -> Vec<&'static str> {
 /// on **both** pipelines, and every one has a `docs/SCENARIOS.md`
 /// section — a new scenario cannot land unrunnable or undocumented.
 pub fn smoke_all(docs: &Path, log: &mut dyn Write) -> Result<(), CliError> {
-    for scenario in ScenarioRegistry::global().scenarios() {
+    for &scenario in ScenarioRegistry::global().scenarios() {
         let info = scenario.info();
         for pipeline in [PipelineMode::Sharded, PipelineMode::Barrier] {
             let req = RunRequest {

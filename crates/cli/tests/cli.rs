@@ -88,10 +88,6 @@ fn bad_values_are_actionable_errors() {
             "sse|avx2|avx512|host",
         ),
         (
-            vec!["--scenario", "x", "--rule", "simpson"],
-            "gauss_legendre|gauss_lobatto",
-        ),
-        (
             vec!["--scenario", "x", "--block-size", "0"],
             "auto or an integer >= 1",
         ),
@@ -149,30 +145,50 @@ fn run_file(name: &str, text: &str) -> std::path::PathBuf {
     path
 }
 
+/// Every key a run file and a flag can both set: the file sets one
+/// value, the flag another, and the flag wins — so a key dropped from the
+/// CLI's flag overlay, but still parsed, fails here instead of ignoring
+/// the flag.
 #[test]
 fn config_file_parses_and_flags_override() {
-    let path = run_file(
-        "run.spec",
-        "# run file\n\
-         scenario = acoustic_wave\n\
-         t_end = 0.2\n\
-         cells = 3\n\
-         out = run.csv  # series\n\
-         order = 4\n\
-         kernel = generic\n\
-         pipeline = barrier\n",
-    );
-    let cmd = parse_args(&args(&["--config", path.to_str().unwrap(), "--order", "5"])).unwrap();
-    let Command::Run(run) = cmd else {
-        panic!("expected a run command");
+    let rows = [
+        ("order", "4", "5"),
+        ("kernel", "generic", "log"),
+        ("cfl", "0.3", "0.25"),
+        ("width", "sse", "avx2"),
+        ("block_size", "4", "8"),
+        ("tuning", "static", "model"),
+        ("pipeline", "barrier", "sharded"),
+        ("stepping", "global", "lts"),
+        ("cells", "3", "4"),
+        ("t_end", "0.2", "0.3"),
+        ("snapshot", "file.csv", "flag.csv"),
+        ("save_checkpoint", "file.ckpt", "flag.ckpt"),
+    ];
+    let keys: Vec<&str> = rows.iter().map(|r| r.0).collect();
+    assert_eq!(keys[..SOLVER_KEYS.len()], *SOLVER_KEYS);
+    let mut text = String::from("# run file\nscenario = acoustic_wave\nout = run.csv  # series\n");
+    let (mut from_file, mut from_flags) = (RunRequest::new(), RunRequest::new());
+    let path = run_file("run.spec", "");
+    let mut cli = vec!["--config".to_string(), path.to_str().unwrap().to_string()];
+    for (key, file_value, flag_value) in rows {
+        text.push_str(&format!("{key} = {file_value}\n"));
+        assert_eq!(from_file.set(key, file_value), Ok(true), "{key}");
+        assert_eq!(from_flags.set(key, flag_value), Ok(true), "{key}");
+        cli.push(format!("--{}", key.replace('_', "-")));
+        cli.push(flag_value.to_string());
+    }
+    std::fs::write(&path, &text).unwrap();
+    let request_of = |cli: &[String]| {
+        let Command::Run(run) = parse_args(cli).unwrap() else {
+            panic!("expected a run command");
+        };
+        assert_eq!(run.scenario, "acoustic_wave");
+        assert_eq!(run.out, Some(std::path::PathBuf::from("run.csv")));
+        format!("{:?}", run.request)
     };
-    assert_eq!(run.scenario, "acoustic_wave");
-    assert_eq!(run.out, Some(std::path::PathBuf::from("run.csv")));
-    assert_eq!(run.request.t_end, Some(0.2));
-    assert_eq!(run.request.cells, Some(3));
-    assert_eq!(run.request.order, Some(5)); // flag wins over the file
-    assert_eq!(run.request.kernel.as_deref(), Some("generic"));
-    assert_eq!(run.request.pipeline, Some(PipelineMode::Barrier));
+    assert_eq!(request_of(&cli[..2]), format!("{from_file:?}"));
+    assert_eq!(request_of(&cli), format!("{from_flags:?}"));
 }
 
 #[test]
@@ -532,24 +548,29 @@ fn solver_table_rejects_run_level_keys() {
     );
 }
 
-/// The shard size is derived from the mesh and the block size, not set:
-/// every route that once took it now names it as unknown.
+/// Keys this build does not run — the shard size (derived from the mesh
+/// and the block size) and the quadrature rule (Gauss-Legendre is the one
+/// node set) — are unknown on every route that once took them.
 #[test]
 fn shard_size_is_an_unknown_key_on_every_route() {
-    let e = parse_args(&args(&["--scenario", "x", "--shard-size", "4"])).unwrap_err();
-    assert!(e.message.contains("unknown flag `--shard-size`"), "{e}");
-    let e = RunRequest::from_spec("order = 4\nshard_size = 4\n").unwrap_err();
-    assert_eq!(e.line, 2);
-    assert!(e.message.contains("unknown key `shard_size`"), "{e}");
-    let e = args_from_config("scenario = acoustic_wave\nshard_size = 4\n").unwrap_err();
-    assert_eq!(e.line, 2);
-    assert!(e.message.contains("unknown key `shard_size`"), "{e}");
-    let sweep = [("shard_size".into(), vec!["4".into()])];
-    let e = expand_sweep(&RunRequest::smoke(), &sweep).unwrap_err();
-    assert!(
-        e.message.contains("unknown --sweep key `shard_size`"),
-        "{e}"
-    );
+    for (key, value) in [("shard_size", "4"), ("rule", "gauss_legendre")] {
+        let flag = format!("--{}", key.replace('_', "-"));
+        let e = parse_args(&args(&["--scenario", "x", &flag, value])).unwrap_err();
+        assert!(e.message.contains(&format!("unknown flag `{flag}`")), "{e}");
+        let e = RunRequest::from_spec(&format!("order = 4\n{key} = {value}\n")).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains(&format!("unknown key `{key}`")), "{e}");
+        let text = format!("scenario = acoustic_wave\n{key} = {value}\n");
+        let e = args_from_config(&text).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains(&format!("unknown key `{key}`")), "{e}");
+        let sweep = [(key.to_string(), vec![value.to_string()])];
+        let e = expand_sweep(&RunRequest::smoke(), &sweep).unwrap_err();
+        assert!(
+            e.message.contains(&format!("unknown --sweep key `{key}`")),
+            "{e}"
+        );
+    }
 }
 
 /// `--help` cannot drift from the knob list: the SOLVER OPTIONS block

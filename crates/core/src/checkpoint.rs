@@ -5,7 +5,7 @@
 //! module gives the reproduction the same property. A [`Checkpoint`]
 //! captures everything needed to resume a scenario run bit-identically:
 //! the scenario's registry key, the fully **resolved** solver knobs
-//! (order, kernel, cfl, rule, pipeline, the tuner's block-size pick, …),
+//! (order, kernel, cfl, pipeline, the tuner's block-size pick, …),
 //! the run's series so far, and the raw engine state — mesh dimensions,
 //! the padded per-cell DOF array, `time`, `steps` and every receiver's
 //! records.
@@ -333,6 +333,11 @@ impl Checkpoint {
     /// The caller attaches the checkpoint itself as `request.resume`
     /// (and may overlay further overrides — e.g. a larger `t_end` to
     /// extend a completed run).
+    ///
+    /// Older builds also pinned `rule`. Its value `gauss_legendre` names
+    /// the one node set this build runs, so it is skipped; any other
+    /// value fails, because the saved DOFs sit at nodes this build does
+    /// not have.
     pub fn to_request(
         &self,
     ) -> Result<crate::scenario::RunRequest, crate::scenario::ScenarioError> {
@@ -340,6 +345,15 @@ impl Checkpoint {
         let mut req = crate::scenario::RunRequest::new();
         req.smoke = self.smoke;
         for (key, value) in &self.knobs {
+            if key == "rule" {
+                if value == "gauss_legendre" {
+                    continue;
+                }
+                return Err(ScenarioError::new(format!(
+                    "checkpoint knob `rule = {value}` names a node set this build does not \
+                     run (only gauss_legendre)"
+                )));
+            }
             match req.set(key, value) {
                 Ok(true) => {}
                 Ok(false) => {

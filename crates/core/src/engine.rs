@@ -156,10 +156,6 @@ impl std::error::Error for DegenerateDt {}
 ///   kernels. Leave at `None` ([`Isa::detect`](aderdg_tensor::Isa::detect))
 ///   except to reproduce the paper's narrower-build comparisons (e.g. an
 ///   AVX2 build on an AVX-512 machine, Fig. 4).
-/// * **`rule`** — quadrature rule. Gauss-Legendre (default) is the
-///   paper's choice; Gauss-Lobatto includes the element boundary in the
-///   node set, trading a slightly worse conditioning for cheaper face
-///   coupling in schemes that exploit it.
 /// * **`block_size`** — cells per predictor block. `None` (default)
 ///   leaves the choice to the tuner (see `tuning`): big blocks amortize
 ///   operator loads (the win of the batched pipeline), but a block that
@@ -197,8 +193,6 @@ pub struct EngineConfig {
     pub cfl: f64,
     /// SIMD level for padding/dispatch (`None` = the host's).
     pub width: Option<aderdg_tensor::Isa>,
-    /// Quadrature/interpolation rule.
-    pub rule: aderdg_quadrature::QuadratureRule,
     /// Cells per predictor block (`None` = let the tuner decide, see
     /// [`TuningMode`]).
     pub block_size: Option<usize>,
@@ -219,7 +213,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("order", &self.order)
             .field("cfl", &self.cfl)
             .field("width", &self.width)
-            .field("rule", &self.rule)
             .field("block_size", &self.block_size)
             .field("tuning", &self.tuning)
             .field("pipeline", &self.pipeline)
@@ -242,7 +235,6 @@ impl EngineConfig {
             order,
             cfl: 0.4,
             width: None,
-            rule: aderdg_quadrature::QuadratureRule::GaussLegendre,
             block_size: None,
             tuning: TuningMode::default(),
             pipeline: PipelineMode::Sharded,
@@ -250,7 +242,8 @@ impl EngineConfig {
         }
     }
 
-    /// Selects a kernel by registry object (builder style).
+    /// Selects a kernel (builder style): any [`StpKernel`], in the
+    /// [`KernelRegistry`] table or not.
     pub fn with_kernel(mut self, kernel: &'static dyn StpKernel) -> Self {
         self.kernel = kernel;
         self
@@ -267,18 +260,6 @@ impl EngineConfig {
             // PANIC-OK: documented contract (`# Panics` above); fallible
             // lookup is `KernelRegistry::resolve`.
             .unwrap_or_else(|| panic!("no registered kernel named `{name}`"));
-        self
-    }
-
-    /// Selects one of the paper's four variants (builder style).
-    pub fn with_variant(mut self, variant: KernelVariant) -> Self {
-        self.kernel = variant.kernel();
-        self
-    }
-
-    /// Selects the quadrature rule (builder style).
-    pub fn with_rule(mut self, rule: aderdg_quadrature::QuadratureRule) -> Self {
-        self.rule = rule;
         self
     }
 
@@ -606,7 +587,6 @@ impl<P: LinearPde> Engine<P> {
         if let Some(w) = config.width {
             cfg = cfg.with_width(w);
         }
-        cfg.rule = config.rule;
         // Plan-time tuning: build the plan and pick the block size
         // (unless overridden) per the configured strategy; the report is
         // kept for introspection.

@@ -195,7 +195,7 @@ fn poisoned_scratch_and_outputs_reproduce_a_clean_run_bitwise() {
     for case in cases() {
         let plan = &case.plan;
         let sources: Vec<Option<&CellSource>> = (0..CELLS).map(|c| case.source(c)).collect();
-        for kernel in KernelRegistry::global().kernels() {
+        for &kernel in KernelRegistry::global().kernels() {
             let ctx =
                 |what: &str, c: usize| format!("{} {} {what} cell {c}", kernel.name(), case.name);
 

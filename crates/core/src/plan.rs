@@ -9,7 +9,7 @@
 //! Kernels themselves contain no size logic.
 
 use aderdg_gemm::{Gemm, GemmSpec, Isa};
-use aderdg_quadrature::{taylor_coefficients, Basis1d, QuadratureRule};
+use aderdg_quadrature::{taylor_coefficients, Basis1d};
 use aderdg_tensor::{DofLayout, FaceLayout};
 
 /// The four measured Space-Time Predictor variants of the paper.
@@ -41,16 +41,6 @@ impl KernelVariant {
         KernelVariant::AoSoASplitCk,
     ];
 
-    /// Display name used by the figure harnesses.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelVariant::Generic => "generic",
-            KernelVariant::LoG => "LoG",
-            KernelVariant::SplitCk => "SplitCK",
-            KernelVariant::AoSoASplitCk => "AoSoA SplitCK",
-        }
-    }
-
     /// Registry key of the corresponding kernel (the specification-file
     /// name).
     pub fn key(&self) -> &'static str {
@@ -62,18 +52,18 @@ impl KernelVariant {
         }
     }
 
-    /// The registered kernel implementing this variant.
+    /// The kernel implementing this variant, from the registry table.
     pub fn kernel(&self) -> &'static dyn crate::kernels::StpKernel {
         crate::registry::KernelRegistry::global()
             .resolve(self.key())
-            // PANIC-OK: internal invariant — the registry registers all
-            // four builtin variants at startup.
-            .expect("builtin kernel variants are always registered")
+            // PANIC-OK: internal invariant — the registry table holds all
+            // four built-in variants.
+            .expect("built-in kernel variants are always in the table")
     }
 }
 
 /// Problem-size configuration of an STP kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StpConfig {
     /// Quadrature nodes per dimension (= order `N` of the scheme).
     pub order: usize,
@@ -87,20 +77,17 @@ pub struct StpConfig {
     /// SIMD level: the padding unit of every layout and the cap of the
     /// GEMM tile and lane kernels (which run at most at [`Isa::detect`]).
     pub width: Isa,
-    /// Interpolation rule.
-    pub rule: QuadratureRule,
 }
 
 impl StpConfig {
-    /// Gauss-Legendre configuration at the host's SIMD level, with every
-    /// stored quantity counted as evolved (`vars = quantities`).
+    /// Configuration at the host's SIMD level, with every stored quantity
+    /// counted as evolved (`vars = quantities`).
     pub fn new(order: usize, quantities: usize) -> Self {
         Self {
             order,
             quantities,
             vars: quantities,
             width: Isa::detect(),
-            rule: QuadratureRule::GaussLegendre,
         }
     }
 
@@ -230,7 +217,7 @@ impl StpPlan {
             (1..=m).contains(&cfg.vars),
             "evolved rows must be between 1 and the stored quantities"
         );
-        let basis = Basis1d::new(cfg.rule, n);
+        let basis = Basis1d::new(n);
         let aos = DofLayout::aos(n, m, cfg.width);
         let aosoa = DofLayout::aosoa(n, m, cfg.width);
         let face = FaceLayout::new(n, m, cfg.width);
@@ -437,7 +424,7 @@ mod tests {
     #[test]
     fn variant_names() {
         assert_eq!(KernelVariant::ALL.len(), 4);
-        assert_eq!(KernelVariant::LoG.name(), "LoG");
+        assert_eq!(KernelVariant::LoG.kernel().label(), "LoG");
     }
 
     #[test]

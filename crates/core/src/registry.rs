@@ -1,108 +1,59 @@
-//! The kernel registry — open-ended dispatch for Space-Time Predictor
+//! The kernel registry — name lookup for the Space-Time Predictor
 //! implementations.
 //!
 //! The paper's Toolkit resolves the `kernel = …` line of the specification
 //! file to a generated kernel (Sec. II-C/D). [`KernelRegistry`] is that
-//! resolution step made extensible: kernels are registered by name, the
-//! engine and [`scenario::resolve`](crate::scenario::resolve) (behind
-//! every flag, config table and spec file) resolve them through
+//! resolution step: a fixed table of the built-in kernels, keyed by name.
+//! The engine and [`scenario::resolve`](crate::scenario::resolve) (behind
+//! every flag, spec file and `SUBMIT` command) resolve names through
 //! [`KernelRegistry::global`], and the equivalence tests and figure
-//! harnesses enumerate whatever is registered. A new variant is one new
-//! module implementing [`StpKernel`] plus one
-//! [`register`](KernelRegistry::register) call — no
-//! enum, no match arms, no test edits. Kernels opt into the engine's
-//! batched cell-block pipeline by overriding
+//! harnesses enumerate the table. A new variant is one new module
+//! implementing [`StpKernel`] plus one entry in the table. Any other
+//! `StpKernel` still runs through
+//! [`EngineConfig::with_kernel`](crate::engine::EngineConfig::with_kernel);
+//! it only has no name to look up. Kernels opt into the engine's batched
+//! cell-block pipeline by overriding
 //! [`run_block`](crate::kernels::StpKernel::run_block).
 
 use crate::kernels::{aosoa, generic, log, onthefly, splitck, StpKernel};
-use std::sync::{OnceLock, RwLock};
 
-/// A named collection of [`StpKernel`] implementations.
-///
-/// Thread-safe: registration and resolution may happen concurrently (the
-/// engine resolves once at construction, never in the hot loop).
+/// The fixed, named table of [`StpKernel`] implementations.
 pub struct KernelRegistry {
-    kernels: RwLock<Vec<&'static dyn StpKernel>>,
+    kernels: &'static [&'static dyn StpKernel],
 }
 
 impl KernelRegistry {
-    /// Creates an empty registry (tests, custom kernel sets).
-    pub fn new() -> Self {
-        Self {
-            kernels: RwLock::new(Vec::new()),
-        }
-    }
-
-    /// The process-wide registry, seeded with the paper's four variants
-    /// plus the rejected on-the-fly-transpose design (Sec. V-A), which
-    /// rides along so the ablation harness and the equivalence matrix
-    /// exercise it like any other kernel.
+    /// The process-wide table: the paper's four variants plus the
+    /// rejected on-the-fly-transpose design (Sec. V-A), which rides along
+    /// so the ablation harness and the equivalence matrix exercise it
+    /// like any other kernel.
     pub fn global() -> &'static KernelRegistry {
-        static GLOBAL: OnceLock<KernelRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let registry = KernelRegistry::new();
-            registry.register(&generic::GenericKernel);
-            registry.register(&log::LogKernel);
-            registry.register(&splitck::SplitCkKernel);
-            registry.register(&aosoa::AosoaKernel);
-            registry.register(&onthefly::OnTheFlyKernel);
-            registry
-        })
-    }
-
-    /// Registers a kernel.
-    ///
-    /// # Panics
-    /// If a kernel with the same name is already registered — names are
-    /// the resolution key, so a collision is a programming error.
-    pub fn register(&self, kernel: &'static dyn StpKernel) {
-        // PANIC-OK: registry poisoning means a register/resolve call
-        // panicked; no sane recovery exists (×4 in this impl).
-        let mut kernels = self.kernels.write().expect("kernel registry poisoned");
-        assert!(
-            !kernels.iter().any(|k| k.name() == kernel.name()),
-            "kernel `{}` registered twice",
-            kernel.name()
-        );
-        kernels.push(kernel);
+        static GLOBAL: KernelRegistry = KernelRegistry {
+            kernels: &[
+                &generic::GenericKernel,
+                &log::LogKernel,
+                &splitck::SplitCkKernel,
+                &aosoa::AosoaKernel,
+                &onthefly::OnTheFlyKernel,
+            ],
+        };
+        &GLOBAL
     }
 
     /// Resolves a kernel by its registry key (the specification-file
     /// name, e.g. `splitck`).
     pub fn resolve(&self, name: &str) -> Option<&'static dyn StpKernel> {
-        self.kernels
-            .read()
-            // PANIC-OK: poisoned registry (see `register`).
-            .expect("kernel registry poisoned")
-            .iter()
-            .copied()
-            .find(|k| k.name() == name)
+        self.kernels.iter().copied().find(|k| k.name() == name)
     }
 
-    /// Every registered kernel, in registration order.
-    pub fn kernels(&self) -> Vec<&'static dyn StpKernel> {
+    /// Every kernel, in table order.
+    pub fn kernels(&self) -> &'static [&'static dyn StpKernel] {
         self.kernels
-            .read()
-            // PANIC-OK: poisoned registry (see `register`).
-            .expect("kernel registry poisoned")
-            .clone()
     }
 
-    /// Registry keys of every registered kernel, in registration order.
+    /// Registry keys of every kernel, in table order.
     pub fn names(&self) -> Vec<&'static str> {
-        self.kernels
-            .read()
-            // PANIC-OK: poisoned registry (see `register`).
-            .expect("kernel registry poisoned")
-            .iter()
-            .map(|k| k.name())
-            .collect()
-    }
-}
-
-impl Default for KernelRegistry {
-    fn default() -> Self {
-        Self::new()
+        self.kernels.iter().map(|k| k.name()).collect()
     }
 }
 
@@ -127,6 +78,11 @@ mod tests {
                 "missing `{expected}` in {names:?}"
             );
         }
+        // Names are the resolution key: no two kernels may share one.
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate name in {names:?}");
     }
 
     #[test]
@@ -134,21 +90,5 @@ mod tests {
         let registry = KernelRegistry::global();
         assert_eq!(registry.resolve("splitck").unwrap().name(), "splitck");
         assert!(registry.resolve("turbo").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_registration_panics() {
-        let registry = KernelRegistry::new();
-        registry.register(&generic::GenericKernel);
-        registry.register(&generic::GenericKernel);
-    }
-
-    #[test]
-    fn custom_registry_is_independent() {
-        let registry = KernelRegistry::new();
-        assert!(registry.kernels().is_empty());
-        registry.register(&splitck::SplitCkKernel);
-        assert_eq!(registry.names(), vec!["splitck"]);
     }
 }

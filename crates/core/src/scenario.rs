@@ -8,9 +8,8 @@
 //! condition, the boundary configuration, default mesh/order/`t_end`,
 //! optional exact solution, point sources and receiver probes — behind a
 //! type-erased `run` entry point, and the [`ScenarioRegistry`] mirrors
-//! [`KernelRegistry`]: scenarios are
-//! registered by name and resolved by the `aderdg-run` CLI, the examples
-//! and the tests alike.
+//! [`KernelRegistry`]: a fixed table of the built-in scenarios, resolved
+//! by name by the `aderdg-run` CLI, the examples and the tests alike.
 //!
 //! The engine-construction boilerplate lives in exactly one place — the
 //! [`drive`] helper — so a scenario implementation only declares physics:
@@ -31,12 +30,11 @@ use crate::registry::KernelRegistry;
 use crate::tune::TuningMode;
 use aderdg_mesh::StructuredMesh;
 use aderdg_pde::{ExactSolution, LinearPde, PointSource};
-use aderdg_quadrature::QuadratureRule;
 use aderdg_tensor::Isa;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 // DETERMINISM-OK: wall-clock feeds only the reported `wall_seconds`
 // metadata, never the numerics or the dt sequence.
 use std::time::Instant;
@@ -104,8 +102,6 @@ pub struct RunRequest {
     pub cfl: Option<f64>,
     /// SIMD level override (the `width` knob).
     pub width: Option<Isa>,
-    /// Quadrature rule override.
-    pub rule: Option<QuadratureRule>,
     /// Predictor block size override (`Some(None)` = force `auto`).
     pub block_size: Option<Option<usize>>,
     /// Tuning-mode override.
@@ -158,7 +154,6 @@ pub const SOLVER_KEYS: &[&str] = &[
     "kernel",
     "cfl",
     "width",
-    "rule",
     "block_size",
     "tuning",
     "pipeline",
@@ -197,10 +192,6 @@ impl RunRequest {
             "kernel" => self.kernel = Some(value.to_string()),
             "cfl" => self.cfl = Some(parse(value, "a number in (0, 0.45]")?),
             "width" => self.width = Some(Isa::parse(value).ok_or(bad("sse|avx2|avx512|host"))?),
-            "rule" => {
-                self.rule =
-                    Some(QuadratureRule::parse(value).ok_or(bad("gauss_legendre|gauss_lobatto"))?)
-            }
             "block_size" => {
                 self.block_size = Some(
                     crate::spec::parse_auto_size(value).ok_or(bad("auto or an integer >= 1"))?,
@@ -398,9 +389,11 @@ pub struct RunSummary {
 /// [`drive`]; everything else (engine construction, tuning, stepping,
 /// norms, snapshots) is shared.
 ///
-/// Registering a new scenario is one `impl Scenario` plus one
-/// [`ScenarioRegistry::register`] call — the CLI (`aderdg-run --list`),
-/// the smoke tests and the docs gate pick it up automatically.
+/// Adding a built-in scenario is one `impl Scenario` plus one entry in
+/// the table of [`ScenarioRegistry::global`] — the CLI (`aderdg-run
+/// --list`), the smoke tests and the docs gate pick it up automatically.
+/// Any other implementation still runs through [`Scenario::run`]; it only
+/// has no name to look up.
 ///
 /// ```
 /// use aderdg_core::scenario::{
@@ -448,85 +441,54 @@ pub trait Scenario: Send + Sync {
     fn run(&self, req: &RunRequest) -> Result<RunSummary, ScenarioError>;
 }
 
-/// A named collection of [`Scenario`] implementations, mirroring
+/// The fixed, named table of [`Scenario`] implementations, mirroring
 /// [`KernelRegistry`].
 pub struct ScenarioRegistry {
-    scenarios: RwLock<Vec<&'static dyn Scenario>>,
+    scenarios: &'static [&'static dyn Scenario],
 }
 
 impl ScenarioRegistry {
-    /// Creates an empty registry (tests, custom scenario sets).
-    pub fn new() -> Self {
-        Self {
-            scenarios: RwLock::new(Vec::new()),
-        }
-    }
-
-    /// The process-wide registry, seeded with the built-in gallery
-    /// (see [`crate::scenarios`]).
+    /// The process-wide table: the built-in gallery (see
+    /// [`crate::scenarios`]).
     pub fn global() -> &'static ScenarioRegistry {
-        static GLOBAL: OnceLock<ScenarioRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let registry = ScenarioRegistry::new();
-            crate::scenarios::register_builtin(&registry);
-            registry
-        })
-    }
-
-    /// Registers a scenario.
-    ///
-    /// # Panics
-    /// If a scenario with the same name is already registered — names are
-    /// the resolution key, so a collision is a programming error.
-    pub fn register(&self, scenario: &'static dyn Scenario) {
-        // PANIC-OK: registry poisoning means a register/resolve call
-        // panicked; no sane recovery exists (×4 in this impl).
-        let mut scenarios = self.scenarios.write().expect("scenario registry poisoned");
-        assert!(
-            !scenarios
-                .iter()
-                .any(|s| s.info().name == scenario.info().name),
-            "scenario `{}` registered twice",
-            scenario.info().name
-        );
-        scenarios.push(scenario);
+        use crate::scenarios::{
+            AcousticLayered, AcousticPulse, AcousticWave, AdvectionRotation, AdvectionWave,
+            ElasticStress, ElasticWave, Loh1, MaxwellCavity, SweDamBreak, SweLakeAtRest,
+        };
+        static GLOBAL: ScenarioRegistry = ScenarioRegistry {
+            scenarios: &[
+                &AcousticWave,
+                &AcousticPulse,
+                &AcousticLayered,
+                &AdvectionWave,
+                &AdvectionRotation,
+                &ElasticWave,
+                &Loh1,
+                &ElasticStress,
+                &MaxwellCavity,
+                &SweLakeAtRest,
+                &SweDamBreak,
+            ],
+        };
+        &GLOBAL
     }
 
     /// Resolves a scenario by its registry key.
     pub fn resolve(&self, name: &str) -> Option<&'static dyn Scenario> {
         self.scenarios
-            .read()
-            // PANIC-OK: poisoned registry (see `register`).
-            .expect("scenario registry poisoned")
             .iter()
             .copied()
             .find(|s| s.info().name == name)
     }
 
-    /// Every registered scenario, in registration order.
-    pub fn scenarios(&self) -> Vec<&'static dyn Scenario> {
+    /// Every scenario, in table order.
+    pub fn scenarios(&self) -> &'static [&'static dyn Scenario] {
         self.scenarios
-            .read()
-            // PANIC-OK: poisoned registry (see `register`).
-            .expect("scenario registry poisoned")
-            .clone()
     }
 
-    /// Registry keys of every registered scenario, in registration order.
+    /// Registry keys of every scenario, in table order.
     pub fn names(&self) -> Vec<&'static str> {
-        self.scenarios
-            .read()
-            // PANIC-OK: poisoned registry (see `register`).
-            .expect("scenario registry poisoned")
-            .iter()
-            .map(|s| s.info().name)
-            .collect()
-    }
-}
-
-impl Default for ScenarioRegistry {
-    fn default() -> Self {
-        Self::new()
+        self.scenarios.iter().map(|s| s.info().name).collect()
     }
 }
 
@@ -613,9 +575,6 @@ pub fn resolve(info: &ScenarioInfo, req: &RunRequest) -> Result<Resolved, Scenar
     config.cfl = cfl;
     if let Some(w) = req.width {
         config.width = Some(w);
-    }
-    if let Some(r) = req.rule {
-        config.rule = r;
     }
     if let Some(b) = req.block_size {
         if b == Some(0) {
@@ -938,7 +897,6 @@ fn checkpoint_knobs<P: LinearPde>(
         ("kernel".into(), c.kernel.name().to_string()),
         ("cfl".into(), c.cfl.to_string()),
         ("width".into(), width.as_str().into()),
-        ("rule".into(), c.rule.as_str().into()),
         ("block_size".into(), engine.block_size().to_string()),
         ("tuning".into(), c.tuning.as_str().into()),
         ("pipeline".into(), c.pipeline.as_str().into()),
@@ -1125,7 +1083,6 @@ mod tests {
             ("kernel", "log", "turbo"),
             ("cfl", "0.25", "fast"),
             ("width", "avx2", "avx1024"),
-            ("rule", "gauss_lobatto", "simpson"),
             ("block_size", "8", "0"),
             ("tuning", "static", "probe"),
             ("pipeline", "barrier", "warp"),
@@ -1156,41 +1113,38 @@ mod tests {
         }
     }
 
-    /// Every `width` and `rule` spelling, through `set` and a saved
-    /// checkpoint: the value type parses it, and the checkpoint pins its
-    /// canonical spelling (`width = sse|avx2|avx512`), which parses back
-    /// to the same value.
+    /// Every `width` spelling, through `set` and a saved checkpoint: `Isa`
+    /// parses it, and the checkpoint pins its canonical spelling
+    /// (`width = sse|avx2|avx512`), which parses back to the same value.
     #[test]
     fn knob_spellings_round_trip_through_checkpoint_knobs() {
         let host = Isa::detect().as_str();
         let rows = [
-            ("width", "sse", "sse"),
-            ("width", "128", "sse"),
-            ("width", "avx2", "avx2"),
-            ("width", "256", "avx2"),
-            ("width", "avx512", "avx512"),
-            ("width", "512", "avx512"),
-            ("width", "host", host),
-            ("rule", "gauss_legendre", "gauss_legendre"),
-            ("rule", "gauss_lobatto", "gauss_lobatto"),
+            ("sse", "sse"),
+            ("128", "sse"),
+            ("avx2", "avx2"),
+            ("256", "avx2"),
+            ("avx512", "avx512"),
+            ("512", "avx512"),
+            ("host", host),
         ];
         let scenario = ScenarioRegistry::global().resolve("acoustic_wave").unwrap();
-        for (key, spelling, canonical) in rows {
+        for (spelling, canonical) in rows {
             let path = std::env::temp_dir().join(format!(
-                "aderdg_knob_{}_{key}_{spelling}.ckpt",
+                "aderdg_knob_{}_width_{spelling}.ckpt",
                 std::process::id()
             ));
             let mut req = RunRequest::smoke();
-            assert_eq!(req.set(key, spelling), Ok(true));
+            assert_eq!(req.set("width", spelling), Ok(true));
             req.save_checkpoint = Some(path.clone());
             scenario.run(&req).unwrap();
             let ck = Checkpoint::load(&path).unwrap();
             std::fs::remove_file(&path).unwrap();
-            let pinned = &ck.knobs.iter().find(|(k, _)| k == key).unwrap().1;
-            assert_eq!(pinned, canonical, "{key} = {spelling}");
+            let pinned = &ck.knobs.iter().find(|(k, _)| k == "width").unwrap().1;
+            assert_eq!(pinned, canonical, "width = {spelling}");
             let mut replayed = RunRequest::new();
-            assert_eq!(replayed.set(key, pinned), Ok(true));
-            assert_eq!((replayed.width, replayed.rule), (req.width, req.rule));
+            assert_eq!(replayed.set("width", pinned), Ok(true));
+            assert_eq!(replayed.width, req.width);
         }
     }
 
@@ -1203,43 +1157,5 @@ mod tests {
             assert_eq!(e.line, 2, "{key}");
             assert!(e.message.contains(&format!("unknown key `{key}`")), "{e}");
         }
-    }
-
-    #[test]
-    fn registry_register_resolve_names() {
-        struct S;
-        impl Scenario for S {
-            fn info(&self) -> ScenarioInfo {
-                super::tests::info()
-            }
-            fn run(&self, _req: &RunRequest) -> Result<RunSummary, ScenarioError> {
-                Err(ScenarioError::new("unimplemented"))
-            }
-        }
-        static SCEN: S = S;
-        let registry = ScenarioRegistry::new();
-        assert!(registry.scenarios().is_empty());
-        registry.register(&SCEN);
-        assert_eq!(registry.names(), vec!["t"]);
-        assert!(registry.resolve("t").is_some());
-        assert!(registry.resolve("missing").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_scenario_registration_panics() {
-        struct S;
-        impl Scenario for S {
-            fn info(&self) -> ScenarioInfo {
-                super::tests::info()
-            }
-            fn run(&self, _req: &RunRequest) -> Result<RunSummary, ScenarioError> {
-                Err(ScenarioError::new("unimplemented"))
-            }
-        }
-        static SCEN: S = S;
-        let registry = ScenarioRegistry::new();
-        registry.register(&SCEN);
-        registry.register(&SCEN);
     }
 }

@@ -6,8 +6,8 @@
 //! reproduction command and expected norms; the CLI smoke gate
 //! (`aderdg-run --smoke-all`) fails if a registered scenario is missing
 //! from that gallery, so registration and documentation cannot drift
-//! apart. Adding a scenario is one `impl Scenario`, one
-//! [`register`](crate::scenario::ScenarioRegistry::register) call below,
+//! apart. Adding a scenario is one `impl Scenario`, one entry in the
+//! table of [`ScenarioRegistry::global`](crate::scenario::ScenarioRegistry::global),
 //! and one gallery section.
 
 mod acoustic;
@@ -21,24 +21,6 @@ pub use advection::{AdvectionRotation, AdvectionWave};
 pub use elastic::{ElasticStress, ElasticWave, Loh1, LOH1_OFFSETS};
 pub use maxwell::MaxwellCavity;
 pub use swe::{SweDamBreak, SweLakeAtRest};
-
-use crate::scenario::ScenarioRegistry;
-
-/// Registers the built-in gallery into a registry (called once by
-/// [`ScenarioRegistry::global`]).
-pub fn register_builtin(registry: &ScenarioRegistry) {
-    registry.register(&AcousticWave);
-    registry.register(&AcousticPulse);
-    registry.register(&AcousticLayered);
-    registry.register(&AdvectionWave);
-    registry.register(&AdvectionRotation);
-    registry.register(&ElasticWave);
-    registry.register(&Loh1);
-    registry.register(&ElasticStress);
-    registry.register(&MaxwellCavity);
-    registry.register(&SweLakeAtRest);
-    registry.register(&SweDamBreak);
-}
 
 #[cfg(test)]
 mod tests {
@@ -54,11 +36,15 @@ mod tests {
         for system in ["acoustic", "advection", "elastic", "maxwell", "swe"] {
             assert!(systems.contains(system), "no scenario covers `{system}`");
         }
+        // Names are the resolution key: no two scenarios may share one.
+        let names: BTreeSet<&str> = scenarios.iter().map(|s| s.info().name).collect();
+        assert_eq!(names.len(), scenarios.len(), "duplicate scenario name");
+        assert!(registry.resolve("missing").is_none());
     }
 
     #[test]
     fn gallery_defaults_are_resolvable() {
-        for scenario in ScenarioRegistry::global().scenarios() {
+        for &scenario in ScenarioRegistry::global().scenarios() {
             let info = scenario.info();
             crate::scenario::resolve(&info, &RunRequest::new())
                 .unwrap_or_else(|e| panic!("scenario `{}` has invalid defaults: {e}", info.name));

@@ -152,7 +152,6 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::scenario::{resolve, ScenarioRegistry};
-    use aderdg_quadrature::QuadratureRule;
     use aderdg_tensor::Isa;
 
     /// `text` merged over `maxwell_cavity`'s defaults and validated.
@@ -169,12 +168,11 @@ mod tests {
     fn parses_full_spec() {
         let c = resolved(
             "# benchmark setup\norder = 6\nkernel = splitck  # Sec. IV\nwidth = avx512\n\
-             rule = gauss_lobatto\ncfl = 0.3\nblock_size = 8\n",
+             cfl = 0.3\nblock_size = 8\n",
         )
         .unwrap();
         assert_eq!((c.order, c.kernel.name(), c.cfl), (6, "splitck", 0.3));
         assert_eq!((c.width, c.block_size), (Some(Isa::Avx512), Some(8)));
-        assert_eq!(c.rule, QuadratureRule::GaussLobatto);
     }
 
     #[test]

@@ -27,12 +27,10 @@
 
 use crate::engine::auto_block_size;
 use crate::kernels::StpKernel;
-use crate::plan::{KernelVariant, StpPlan};
+use crate::plan::{KernelVariant, StpConfig, StpPlan};
 use crate::traces::trace_block_batch;
 use aderdg_pde::LinearPde;
 use aderdg_perf::tuner::{best_candidate, BlockCostModel, Candidate, ScaledCacheSim};
-use aderdg_quadrature::QuadratureRule;
-use aderdg_tensor::Isa;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -203,8 +201,10 @@ pub fn model_block_candidates(
 
 /// Everything the replay depends on — the memo key for
 /// [`model_block_candidates`] results (engines are constructed far more
-/// often than distinct plans appear, especially in tests).
-type ModelKey = (&'static str, usize, usize, Isa, QuadratureRule, bool);
+/// often than distinct plans appear, especially in tests). It holds the
+/// whole [`StpConfig`], so no config field the replay reads (the flux
+/// faces follow `vars`) can be left out.
+type ModelKey = (&'static str, StpConfig, bool);
 
 fn cached_model_candidates(
     plan: &StpPlan,
@@ -213,14 +213,7 @@ fn cached_model_candidates(
 ) -> Option<Vec<BlockCandidate>> {
     static MEMO: Mutex<BTreeMap<ModelKey, Option<Vec<BlockCandidate>>>> =
         Mutex::new(BTreeMap::new());
-    let key: ModelKey = (
-        kernel.name(),
-        plan.n(),
-        plan.m(),
-        plan.cfg.width,
-        plan.cfg.rule,
-        has_ncp,
-    );
+    let key: ModelKey = (kernel.name(), plan.cfg, has_ncp);
     // PANIC-OK: memo poisoning means a model run panicked; cascade.
     if let Some(hit) = MEMO.lock().expect("tuner memo poisoned").get(&key) {
         return hit.clone();
@@ -284,7 +277,7 @@ pub fn tune(
 /// If `cfg` keeps fewer flux rows than `pde` evolves (`cfg.vars <
 /// pde.num_vars()`): the plan's flux faces would silently drop them.
 pub fn tune_plan(
-    cfg: crate::plan::StpConfig,
+    cfg: StpConfig,
     dx: [f64; 3],
     kernel: &'static dyn StpKernel,
     pde: &dyn LinearPde,
@@ -305,9 +298,9 @@ pub fn tune_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::StpConfig;
     use crate::registry::KernelRegistry;
     use aderdg_pde::{Acoustic, Elastic};
+    use aderdg_tensor::Isa;
 
     fn plan(n: usize, m: usize) -> StpPlan {
         StpPlan::new(StpConfig::new(n, m), [0.25; 3])
@@ -351,7 +344,7 @@ mod tests {
     #[test]
     fn static_mode_reproduces_the_footprint_heuristic() {
         let p = plan(4, 5);
-        for kernel in KernelRegistry::global().kernels() {
+        for &kernel in KernelRegistry::global().kernels() {
             let report = tune(&p, kernel, &Acoustic, TuningMode::Static, None);
             assert_eq!(
                 report.block_size,

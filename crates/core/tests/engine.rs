@@ -16,7 +16,11 @@ fn advection_error(order: usize, cells: usize, variant: KernelVariant, t_end: f6
         velocity: [1.0, 0.5, 0.0],
         wave: [1.0, 0.0, 0.0],
     };
-    let mut engine = Engine::new(mesh, pde, EngineConfig::new(order).with_variant(variant));
+    let mut engine = Engine::new(
+        mesh,
+        pde,
+        EngineConfig::new(order).with_kernel(variant.kernel()),
+    );
     engine.set_initial(|x, q| exact.evaluate(x, 0.0, q));
     engine.run_until(t_end);
     engine.l2_error(&exact)
@@ -94,7 +98,7 @@ fn elastic_p_wave_propagates_m21() {
     let mut engine = Engine::new(
         mesh,
         Elastic,
-        EngineConfig::new(4).with_variant(KernelVariant::AoSoASplitCk),
+        EngineConfig::new(4).with_kernel(KernelVariant::AoSoASplitCk.kernel()),
     );
     engine.set_initial(|x, q| {
         wave.evaluate(x, 0.0, q);
@@ -231,7 +235,7 @@ fn maxwell_plane_wave_propagates() {
     let mut engine = Engine::new(
         mesh,
         Maxwell,
-        EngineConfig::new(4).with_variant(KernelVariant::AoSoASplitCk),
+        EngineConfig::new(4).with_kernel(KernelVariant::AoSoASplitCk.kernel()),
     );
     engine.set_initial(|x, q| {
         wave.evaluate(x, 0.0, q);
@@ -258,7 +262,7 @@ fn swe_gravity_wave_propagates_with_mixed_flux_and_ncp() {
         let mut engine = Engine::new(
             mesh.clone(),
             LinearizedSwe,
-            EngineConfig::new(4).with_variant(variant),
+            EngineConfig::new(4).with_kernel(variant.kernel()),
         );
         engine.set_initial(|x, q| {
             wave.evaluate(x, 0.0, q);
@@ -338,31 +342,6 @@ fn spec_file_drives_engine() {
     engine.run_until(0.05);
     assert!(engine.l2_error(&exact) < 0.05);
     assert_eq!(engine.config.kernel.name(), "splitck");
-}
-
-#[test]
-fn gauss_lobatto_rule_works_end_to_end() {
-    use aderdg_quadrature::QuadratureRule;
-    let wave = AcousticPlaneWave {
-        direction: [1.0, 0.0, 0.0],
-        amplitude: 1.0,
-        wavenumber: 1.0,
-        rho: 1.0,
-        bulk: 1.0,
-    };
-    let mesh = StructuredMesh::unit_cube(2);
-    let mut engine = Engine::new(
-        mesh,
-        Acoustic,
-        EngineConfig::new(5).with_rule(QuadratureRule::GaussLobatto),
-    );
-    engine.set_initial(|x, q| {
-        wave.evaluate(x, 0.0, q);
-        Acoustic::set_params(q, 1.0, 1.0);
-    });
-    engine.run_until(0.1);
-    let err = engine.l2_error(&wave);
-    assert!(err < 5e-3, "GLL acoustic error {err}");
 }
 
 #[test]

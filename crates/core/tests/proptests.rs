@@ -17,7 +17,8 @@ use aderdg_tensor::{Isa, Lcg};
 fn optimized_kernels() -> Vec<&'static dyn StpKernel> {
     let kernels: Vec<_> = KernelRegistry::global()
         .kernels()
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|k| k.name() != "generic")
         .collect();
     assert!(!kernels.is_empty());

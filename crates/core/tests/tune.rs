@@ -28,7 +28,7 @@ fn seeded_shapes(seed: u64, count: usize) -> Vec<(usize, usize)> {
 fn chosen_block_size_is_always_within_the_cap() {
     for (order, m) in seeded_shapes(0xA11C_E5ED, 8) {
         let plan = StpPlan::new(StpConfig::new(order, m), [0.5; 3]);
-        for kernel in KernelRegistry::global().kernels() {
+        for &kernel in KernelRegistry::global().kernels() {
             for mode in [TuningMode::Static, TuningMode::Model] {
                 let report = tune(&plan, kernel, &Acoustic, mode, None);
                 assert!(
@@ -61,7 +61,7 @@ fn model_mode_is_deterministic_for_a_fixed_plan() {
 fn static_tuning_reproduces_auto_block_size_for_every_registered_kernel() {
     for (order, m) in seeded_shapes(0x57A7_1C00, 6) {
         let plan = StpPlan::new(StpConfig::new(order, m), [0.5; 3]);
-        for kernel in KernelRegistry::global().kernels() {
+        for &kernel in KernelRegistry::global().kernels() {
             let report = tune(&plan, kernel, &Acoustic, TuningMode::Static, None);
             assert_eq!(
                 report.block_size,
@@ -79,7 +79,7 @@ fn static_tuning_reproduces_auto_block_size_for_every_registered_kernel() {
 fn engine_level_static_tuning_matches_the_pre_tuner_heuristic() {
     // The full engine path: `tuning = static` must reproduce exactly the
     // block size the pre-tuner engine used, for every registered kernel.
-    for kernel in KernelRegistry::global().kernels() {
+    for &kernel in KernelRegistry::global().kernels() {
         let config = EngineConfig::new(3)
             .with_kernel(kernel)
             .with_tuning(TuningMode::Static);
@@ -98,7 +98,7 @@ fn model_pick_comes_from_the_candidate_slate() {
     // The pick must come from the evaluated slate (or be the static
     // answer for per-cell fallback kernels).
     let plan = StpPlan::new(StpConfig::new(4, Acoustic.num_quantities()), [0.25; 3]);
-    for kernel in KernelRegistry::global().kernels() {
+    for &kernel in KernelRegistry::global().kernels() {
         let report = tune(&plan, kernel, &Acoustic, TuningMode::Model, None);
         if report.block_candidates.is_empty() {
             assert_eq!(report.block_size, report.static_block_size);
@@ -109,4 +109,22 @@ fn model_pick_comes_from_the_candidate_slate() {
                 .any(|c| c.block_size == report.block_size));
         }
     }
+}
+
+/// The memo keys the whole plan config: a `vars = 9` plan tuned after a
+/// `vars = 21` plan of the same order and width gets its own replay (the
+/// flux faces it traces are narrower), not the all-rows candidates. No
+/// other test in this binary tunes order 7, so the all-rows call here is
+/// what would poison the memo.
+#[test]
+fn model_memo_tells_evolved_rows_apart() {
+    let kernel = KernelRegistry::global().resolve("aosoa_splitck").unwrap();
+    let all_rows = StpPlan::new(StpConfig::new(7, 21), [0.5; 3]);
+    let evolved = StpPlan::new(StpConfig::new(7, 21).with_vars(9), [0.5; 3]);
+    tune(&all_rows, kernel, &Acoustic, TuningMode::Model, None);
+    let report = tune(&evolved, kernel, &Acoustic, TuningMode::Model, None);
+    assert_eq!(
+        Some(report.block_candidates),
+        model_block_candidates(&evolved, "aosoa_splitck", false)
+    );
 }

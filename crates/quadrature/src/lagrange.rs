@@ -104,11 +104,11 @@ pub fn interpolate(nodes: &[f64], bary: &[f64], f: &[f64], x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legendre::{nodes_weights_01, QuadratureRule};
+    use crate::legendre::nodes_weights_01;
 
     #[test]
     fn basis_is_kronecker_at_nodes() {
-        let (nodes, _) = nodes_weights_01(QuadratureRule::GaussLegendre, 6);
+        let (nodes, _) = nodes_weights_01(6);
         let bary = barycentric_weights(&nodes);
         for (k, &xk) in nodes.iter().enumerate() {
             let b = basis_at(&nodes, &bary, xk);
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn partition_of_unity() {
-        let (nodes, _) = nodes_weights_01(QuadratureRule::GaussLobatto, 7);
+        let (nodes, _) = nodes_weights_01(7);
         let bary = barycentric_weights(&nodes);
         for i in 0..=20 {
             let x = i as f64 / 20.0;
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn interpolation_exact_for_low_degree() {
-        let (nodes, _) = nodes_weights_01(QuadratureRule::GaussLegendre, 5);
+        let (nodes, _) = nodes_weights_01(5);
         let bary = barycentric_weights(&nodes);
         let f: Vec<f64> = nodes.iter().map(|&x| 3.0 * x.powi(4) - x + 0.5).collect();
         for i in 0..=10 {
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn diff_matrix_exact_on_polynomials() {
         for n in 2..=10 {
-            let (nodes, _) = nodes_weights_01(QuadratureRule::GaussLegendre, n);
+            let (nodes, _) = nodes_weights_01(n);
             let d = diff_matrix(&nodes);
             for deg in 0..n {
                 let f: Vec<f64> = nodes.iter().map(|&x| x.powi(deg as i32)).collect();
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn diff_matrix_rows_sum_to_zero() {
         // Derivative of the constant function is zero.
-        let (nodes, _) = nodes_weights_01(QuadratureRule::GaussLobatto, 8);
+        let (nodes, _) = nodes_weights_01(8);
         let d = diff_matrix(&nodes);
         for k in 0..8 {
             let s: f64 = d[k * 8..(k + 1) * 8].iter().sum();
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn deriv_at_matches_diff_matrix_at_nodes() {
-        let (nodes, _) = nodes_weights_01(QuadratureRule::GaussLegendre, 6);
+        let (nodes, _) = nodes_weights_01(6);
         let d = diff_matrix(&nodes);
         for (k, &xk) in nodes.iter().enumerate() {
             let row = basis_deriv_at(&nodes, xk);

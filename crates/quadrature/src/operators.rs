@@ -3,20 +3,18 @@
 //! The paper's Kernel Generator hard-codes all operator matrices (derivative
 //! operator, quadrature weights and their inverses, face-evaluation vectors,
 //! transposed/padded combinations) into the generated kernels (Sec. III-C).
-//! [`Basis1d`] plays that role here: it is computed once per `(rule, n)` and
-//! shared by every kernel plan.
+//! [`Basis1d`] plays that role here: it is computed once per node count
+//! and shared by every kernel plan.
 
 use crate::lagrange::{barycentric_weights, basis_at, basis_deriv_at, diff_matrix};
-use crate::legendre::{nodes_weights_01, QuadratureRule};
+use crate::legendre::nodes_weights_01;
 
-/// All 1-D operators of the nodal DG basis for a given rule and node count.
+/// All 1-D operators of the nodal DG basis on `n` Gauss-Legendre nodes.
 ///
 /// Matrices are dense row-major `n × n`; everything lives on the reference
 /// interval `[0, 1]`.
 #[derive(Debug, Clone)]
 pub struct Basis1d {
-    /// Quadrature/interpolation rule.
-    pub rule: QuadratureRule,
     /// Number of nodes (= order `N` of the scheme).
     pub n: usize,
     /// Interpolation nodes on `[0, 1]`.
@@ -30,11 +28,6 @@ pub struct Basis1d {
     pub bary: Vec<f64>,
     /// Nodal differentiation matrix `D[k][l] = φ_l'(x_k)`.
     pub diff: Vec<f64>,
-    /// Transposed differentiation matrix `Dᵀ` (precomputed for the AoSoA
-    /// x-derivative, `Cᵀ = Bᵀ Aᵀ`, Sec. V-B).
-    pub diff_t: Vec<f64>,
-    /// Weak-form stiffness matrix `K[k][l] = ∫ φ_k' φ_l dx`.
-    pub stiff: Vec<f64>,
     /// Basis values at the left face, `φ_k(0)`.
     pub phi_left: Vec<f64>,
     /// Basis values at the right face, `φ_k(1)`.
@@ -42,41 +35,22 @@ pub struct Basis1d {
 }
 
 impl Basis1d {
-    /// Builds the operator set for `rule` with `n` nodes.
-    pub fn new(rule: QuadratureRule, n: usize) -> Self {
+    /// Builds the operator set with `n` nodes.
+    pub fn new(n: usize) -> Self {
         assert!(n >= 1, "basis needs at least one node");
-        assert!(
-            !(rule == QuadratureRule::GaussLobatto && n < 2),
-            "Gauss-Lobatto needs at least two nodes"
-        );
-        let (nodes, weights) = nodes_weights_01(rule, n);
+        let (nodes, weights) = nodes_weights_01(n);
         let bary = barycentric_weights(&nodes);
         let diff = diff_matrix(&nodes);
-        let diff_t = aderdg_tensor::transpose_matrix(&diff, n, n);
-        // K[k][l] = ∫ φ_k' φ_l dx: integrand has degree ≤ 2n − 2, exact for
-        // Gauss-Legendre (2n − 1); for Gauss-Lobatto (2n − 3) we evaluate it
-        // from the derivative matrix at the quadrature points, which matches
-        // the collocation operators actually used by GLL-DG codes.
-        // With quadrature: K[k][l] = Σ_q w_q φ_k'(x_q) φ_l(x_q) = w_l D[l][k].
-        let mut stiff = vec![0.0; n * n];
-        for k in 0..n {
-            for l in 0..n {
-                stiff[k * n + l] = weights[l] * diff[l * n + k];
-            }
-        }
         let phi_left = basis_at(&nodes, &bary, 0.0);
         let phi_right = basis_at(&nodes, &bary, 1.0);
         let inv_weights = weights.iter().map(|&w| 1.0 / w).collect();
         Self {
-            rule,
             n,
             nodes,
             weights,
             inv_weights,
             bary,
             diff,
-            diff_t,
-            stiff,
             phi_left,
             phi_right,
         }
@@ -135,13 +109,15 @@ mod tests {
 
     #[test]
     fn stiffness_integration_by_parts_identity() {
-        // ∫ φ_k' φ_l + ∫ φ_k φ_l' = [φ_k φ_l]_0^1
-        //  => K + Kᵀ = φ(1)φ(1)ᵀ − φ(0)φ(0)ᵀ  (exact for Gauss-Legendre).
+        // ∫ φ_k' φ_l + ∫ φ_k φ_l' = [φ_k φ_l]_0^1, and Gauss-Legendre
+        // quadrature is exact for the degree-(2n − 2) integrand:
+        // K[k][l] = ∫ φ_k' φ_l = w_l D[l][k], so K + Kᵀ = φ(1)φ(1)ᵀ − φ(0)φ(0)ᵀ.
         for n in 2..=9 {
-            let b = Basis1d::new(QuadratureRule::GaussLegendre, n);
+            let b = Basis1d::new(n);
+            let stiff = |k: usize, l: usize| b.weights[l] * b.diff[l * n + k];
             for k in 0..n {
                 for l in 0..n {
-                    let lhs = b.stiff[k * n + l] + b.stiff[l * n + k];
+                    let lhs = stiff(k, l) + stiff(l, k);
                     let rhs = b.phi_right[k] * b.phi_right[l] - b.phi_left[k] * b.phi_left[l];
                     assert!(
                         (lhs - rhs).abs() < 1e-10,
@@ -154,38 +130,22 @@ mod tests {
 
     #[test]
     fn face_values_interpolate_boundary() {
-        for rule in [QuadratureRule::GaussLegendre, QuadratureRule::GaussLobatto] {
-            let b = Basis1d::new(rule, 6);
-            let f: Vec<f64> = b.nodes.iter().map(|&x| 2.0 * x.powi(3) - x).collect();
-            let left: f64 = b.phi_left.iter().zip(&f).map(|(p, v)| p * v).sum();
-            let right: f64 = b.phi_right.iter().zip(&f).map(|(p, v)| p * v).sum();
-            assert!(left.abs() < 1e-12, "{rule:?} left={left}");
-            assert!((right - 1.0).abs() < 1e-12, "{rule:?} right={right}");
-        }
-    }
-
-    #[test]
-    fn gll_face_values_are_unit_vectors() {
-        let b = Basis1d::new(QuadratureRule::GaussLobatto, 5);
-        assert!((b.phi_left[0] - 1.0).abs() < 1e-14);
-        assert!(b.phi_left[1..].iter().all(|v| v.abs() < 1e-13));
-        assert!((b.phi_right[4] - 1.0).abs() < 1e-14);
-        assert!(b.phi_right[..4].iter().all(|v| v.abs() < 1e-13));
+        let b = Basis1d::new(6);
+        let f: Vec<f64> = b.nodes.iter().map(|&x| 2.0 * x.powi(3) - x).collect();
+        let left: f64 = b.phi_left.iter().zip(&f).map(|(p, v)| p * v).sum();
+        let right: f64 = b.phi_right.iter().zip(&f).map(|(p, v)| p * v).sum();
+        assert!(left.abs() < 1e-12, "left={left}");
+        assert!((right - 1.0).abs() < 1e-12, "right={right}");
     }
 
     #[test]
     fn diff_t_is_transpose() {
-        let b = Basis1d::new(QuadratureRule::GaussLegendre, 7);
-        for k in 0..7 {
-            for l in 0..7 {
-                assert_eq!(b.diff[k * 7 + l], b.diff_t[l * 7 + k]);
-            }
-        }
+        let b = Basis1d::new(7);
         let p = b.diff_t_padded(8);
         assert_eq!(p.len(), 7 * 8);
         for k in 0..7 {
             for l in 0..7 {
-                assert_eq!(p[k * 8 + l], b.diff_t[k * 7 + l]);
+                assert_eq!(p[k * 8 + l], b.diff[l * 7 + k]);
             }
             assert_eq!(p[k * 8 + 7], 0.0);
         }
@@ -206,7 +166,7 @@ mod tests {
     fn point_source_coeffs_reproduce_delta_moment() {
         // For any degree-<n polynomial p: Σ_k w_k p(x_k) P_k(x0) = p(x0),
         // i.e. the projection of δ tested against p returns p(x0).
-        let b = Basis1d::new(QuadratureRule::GaussLegendre, 6);
+        let b = Basis1d::new(6);
         let x0 = 0.37;
         let coeffs = b.point_source_coeffs(x0);
         let p = |x: f64| 4.0 * x.powi(5) - 2.0 * x.powi(2) + 1.0;
@@ -218,7 +178,7 @@ mod tests {
 
     #[test]
     fn interpolation_at_interior_point() {
-        let b = Basis1d::new(QuadratureRule::GaussLegendre, 4);
+        let b = Basis1d::new(4);
         let f: Vec<f64> = b.nodes.iter().map(|&x| x * x).collect();
         assert!((b.interpolate(&f, 0.5) - 0.25).abs() < 1e-13);
         let d = b.basis_deriv_at(0.5);

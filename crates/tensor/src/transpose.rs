@@ -104,8 +104,7 @@ pub fn aosoa_to_aos_rows(
 }
 
 /// Transposes a dense row-major `rows × cols` matrix into a new
-/// `cols × rows` matrix (used to precompute `Dᵀ` for the AoSoA x-derivative,
-/// `Cᵀ = Bᵀ Aᵀ`, Sec. V-B).
+/// `cols × rows` matrix.
 pub fn transpose_matrix(a: &[f64], rows: usize, cols: usize) -> Vec<f64> {
     assert!(a.len() >= rows * cols, "matrix buffer too short");
     let mut out = vec![0.0; rows * cols];
@@ -118,7 +117,9 @@ pub fn transpose_matrix(a: &[f64], rows: usize, cols: usize) -> Vec<f64> {
 }
 
 /// Transposes a dense row-major `rows × cols` matrix into a padded
-/// row-major `cols × ld` buffer (rows padded with zeros up to `ld`).
+/// row-major `cols × ld` buffer (rows padded with zeros up to `ld`) —
+/// how the plan precomputes `Dᵀ` for the AoSoA x-derivative,
+/// `Cᵀ = Bᵀ Aᵀ` (Sec. V-B).
 pub fn transpose_matrix_padded(a: &[f64], rows: usize, cols: usize, ld: usize) -> Vec<f64> {
     assert!(ld >= rows, "padded leading dimension shorter than rows");
     assert!(a.len() >= rows * cols, "matrix buffer too short");

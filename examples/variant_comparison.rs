@@ -37,7 +37,7 @@ fn main() {
     );
 
     let mut reference: Option<(f64, f64)> = None; // (error, wall) of the first kernel
-    for kernel in KernelRegistry::global().kernels() {
+    for &kernel in KernelRegistry::global().kernels() {
         let summary = scenario
             .run(&RunRequest {
                 order: Some(order),

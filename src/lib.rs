@@ -11,7 +11,7 @@
 //! predictor and check it against the exact solution:
 //!
 //! ```
-//! use aderdg::core::{Engine, EngineConfig, KernelVariant};
+//! use aderdg::core::{Engine, EngineConfig};
 //! use aderdg::mesh::StructuredMesh;
 //! use aderdg::pde::{Acoustic, AcousticPlaneWave, ExactSolution};
 //!
@@ -23,7 +23,7 @@
 //!     bulk: 1.0,
 //! };
 //! let mesh = StructuredMesh::unit_cube(2);
-//! let cfg = EngineConfig::new(4).with_variant(KernelVariant::SplitCk);
+//! let cfg = EngineConfig::new(4).with_kernel_name("splitck");
 //! let mut engine = Engine::new(mesh, Acoustic, cfg);
 //! engine.set_initial(|x, q| {
 //!     wave.evaluate(x, 0.0, q);
@@ -47,8 +47,8 @@
 //! let config = resolve(&info, &req).unwrap().config;
 //! assert_eq!(config.kernel.name(), "aosoa_splitck");
 //!
-//! // The kernel set is open-ended: everything registered resolves.
-//! for kernel in KernelRegistry::global().kernels() {
+//! // Every kernel in the table resolves by its name.
+//! for &kernel in KernelRegistry::global().kernels() {
 //!     assert!(KernelRegistry::global().resolve(kernel.name()).is_some());
 //! }
 //! ```

@@ -251,6 +251,51 @@ fn paused_and_resumed_run_matches_uninterrupted_bit_for_bit() {
     }
 }
 
+/// Checkpoints saved by older builds pin `rule = gauss_legendre`, the
+/// one node set this build runs: such a file resumes and ends
+/// byte-identical to an uninterrupted run. A `gauss_lobatto` file holds
+/// DOFs at nodes this build does not have, so its replay fails naming
+/// the knob.
+#[test]
+fn older_checkpoint_with_a_rule_knob_resumes_only_on_gauss_legendre() {
+    let full_ck = tmp("rule-full");
+    let pause_ck = tmp("rule-pause");
+    let resumed_ck = tmp("rule-resumed");
+    let mut req = base_request("splitck", "sharded");
+    req.save_checkpoint = Some(full_ck.clone());
+    run(req);
+    let mut req = base_request("splitck", "sharded");
+    req.save_checkpoint = Some(pause_ck.clone());
+    let control = Arc::new(RunControl::new());
+    control.pause_at_step(1);
+    req.control = Some(control);
+    assert!(run(req).paused);
+
+    // Where the older builds wrote it: right after `width`.
+    let mut ck = Checkpoint::load(&pause_ck).expect("load pause checkpoint");
+    let at = ck.knobs.iter().position(|(k, _)| k == "width").unwrap() + 1;
+    ck.knobs.insert(at, ("rule".into(), "gauss_lobatto".into()));
+    let e = ck.to_request().unwrap_err();
+    assert!(
+        e.message
+            .contains("checkpoint knob `rule = gauss_lobatto` names a node set"),
+        "{e}"
+    );
+    ck.knobs[at].1 = "gauss_legendre".into();
+    let mut req = ck.to_request().expect("replay knobs");
+    req.save_checkpoint = Some(resumed_ck.clone());
+    req.resume = Some(Arc::new(ck));
+    assert!(!run(req).paused);
+    assert_eq!(
+        std::fs::read(&full_ck).unwrap(),
+        std::fs::read(&resumed_ck).unwrap(),
+        "resumed checkpoint differs from the uninterrupted one"
+    );
+    for path in [&full_ck, &pause_ck, &resumed_ck] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 /// LTS scenario-level round trip through real files on the layered
 /// medium: the checkpoint codec carries the per-cluster clocks, so a run
 /// paused mid-way through a clustered schedule and resumed must produce

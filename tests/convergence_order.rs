@@ -27,7 +27,7 @@ fn l2_error(order: usize, cells: usize) -> f64 {
     let mut engine = Engine::new(
         mesh,
         pde,
-        EngineConfig::new(order).with_variant(KernelVariant::SplitCk),
+        EngineConfig::new(order).with_kernel(KernelVariant::SplitCk.kernel()),
     );
     engine.set_initial(|x, q| exact.evaluate(x, 0.0, q));
     engine.run_until(0.1);
@@ -69,7 +69,7 @@ fn rotation_l2_error(order: usize, cells: usize, stepping: SteppingMode) -> (f64
         mesh,
         pde,
         EngineConfig::new(order)
-            .with_variant(KernelVariant::SplitCk)
+            .with_kernel(KernelVariant::SplitCk.kernel())
             .with_stepping(stepping),
     );
     engine.set_initial(|x, q| {

@@ -58,7 +58,7 @@ fn all_registered_kernels_agree_on_curvilinear_elastic_at_all_tested_orders() {
         };
         let pde = Elastic;
         let mut reference: Option<StpOutputs> = None;
-        for kernel in KernelRegistry::global().kernels() {
+        for &kernel in KernelRegistry::global().kernels() {
             let mut scratch = kernel.make_scratch(&plan);
             let mut out = StpOutputs::new(&plan);
             kernel.run(&plan, &pde, scratch.as_mut(), &inputs, &mut out);
@@ -163,7 +163,7 @@ fn engine_stable_on_genuinely_curvilinear_mesh() {
     let mut engine = Engine::new(
         mesh,
         Elastic,
-        EngineConfig::new(3).with_variant(KernelVariant::AoSoASplitCk),
+        EngineConfig::new(3).with_kernel(KernelVariant::AoSoASplitCk.kernel()),
     );
     engine.set_initial(|x, q| {
         q.fill(0.0);

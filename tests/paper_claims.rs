@@ -33,7 +33,7 @@ fn claim_stall_band() {
             assert!(
                 (0.1..0.65).contains(&s),
                 "{} order {order}: stall {s}",
-                variant.name()
+                variant.kernel().label()
             );
         }
     }

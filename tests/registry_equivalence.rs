@@ -35,7 +35,7 @@ fn all_registered_kernels_agree_on_acoustic_plane_wave() {
     );
 
     let mut reference: Option<(String, Vec<Vec<f64>>)> = None;
-    for kernel in kernels {
+    for &kernel in kernels {
         let mesh = StructuredMesh::unit_cube(2);
         let config = EngineConfig::new(4).with_kernel(kernel);
         let mut engine = Engine::new(mesh, Acoustic, config);
@@ -135,7 +135,7 @@ fn block_path_matches_per_cell_path_for_every_kernel() {
         })
     };
 
-    for kernel in KernelRegistry::global().kernels() {
+    for &kernel in KernelRegistry::global().kernels() {
         // Per-cell reference outputs for 7 distinct cell states.
         let states: Vec<Vec<f64>> = (0..7)
             .map(|c| plane_wave_state(&plan, 0.37 * c as f64))
@@ -245,7 +245,7 @@ fn block_path_matches_per_cell_path_for_every_kernel() {
 #[test]
 fn engine_states_invariant_under_block_size() {
     let wave = plane_wave();
-    for kernel in KernelRegistry::global().kernels() {
+    for &kernel in KernelRegistry::global().kernels() {
         for lts in [false, true] {
             let run = |block_size: usize| {
                 let config = EngineConfig::new(3)
@@ -338,7 +338,7 @@ fn all_registered_kernels_agree_on_single_predictor_invocation() {
 
     let mut reference: Option<(String, StpOutputs)> = None;
     for plan in [&plan, &portable_plan] {
-        for kernel in KernelRegistry::global().kernels() {
+        for &kernel in KernelRegistry::global().kernels() {
             let mut scratch = kernel.make_scratch(plan);
             let mut out = StpOutputs::new(plan);
             kernel.run(plan, &Acoustic, scratch.as_mut(), &inputs, &mut out);
