@@ -10,14 +10,12 @@ use crate::{
     Measurement, M_ELASTIC,
 };
 use aderdg_core::kernels::{StpInputs, StpOutputs};
-use aderdg_core::mix::{
-    full_step_pack_counts, stp_pack_counts, stp_useful_flops, UserFunctionCost,
-};
-use aderdg_core::traces::trace_batch;
+use aderdg_core::mix::{full_step_pack_counts, stp_useful_flops, UserFunctionCost};
+use aderdg_core::traces::steady_state_stall;
 use aderdg_core::{KernelRegistry, KernelVariant, StpConfig, StpPlan};
 use aderdg_gemm::{Gemm, GemmSpec};
 use aderdg_pde::{Elastic, LinearPde, Material};
-use aderdg_perf::{footprint as footprint_model, CacheSim, MachineModel};
+use aderdg_perf::footprint as footprint_model;
 use aderdg_tensor::{aos_to_aosoa, aosoa_to_aos, DofLayout, Isa, Lcg};
 use std::time::{Duration, Instant};
 
@@ -374,7 +372,6 @@ fn transpose_cost() {
 /// Calibration helper: raw cache-simulator statistics per variant at
 /// orders 4/6/8/10/11, used to pick the `MachineModel` parameters.
 fn calib() {
-    let machine = MachineModel::skylake_sp();
     let cost = UserFunctionCost::elastic();
     println!(
         "{:>6} {:>16} {:>10} {:>10} {:>10} {:>10} {:>12} {:>8}",
@@ -383,14 +380,9 @@ fn calib() {
     for order in [4usize, 6, 8, 10, 11] {
         let plan = StpPlan::new(StpConfig::new(order, M_ELASTIC), [1.0; 3]);
         for variant in KernelVariant::ALL {
-            let mut sim = CacheSim::skylake_sp();
-            trace_batch(&plan, variant, false, 1, &mut sim);
-            sim.reset_stats();
             let cells = 4;
-            trace_batch(&plan, variant, false, cells, &mut sim);
-            let s = sim.stats();
+            let (s, stall) = steady_state_stall(&plan, variant, cost, cells);
             let flops = stp_useful_flops(&plan, cost) * cells as u64;
-            let mix = stp_pack_counts(&plan, variant, cost).scale(cells as u64);
             println!(
                 "{:>6} {:>16} {:>10} {:>10} {:>10} {:>10} {:>12} {:>7.1}%",
                 order,
@@ -400,7 +392,7 @@ fn calib() {
                 s.l3.hits,
                 s.dram,
                 flops,
-                machine.stall_fraction_mix(&s, &mix) * 100.0
+                stall * 100.0
             );
         }
     }

@@ -13,10 +13,10 @@ pub mod figures;
 
 use aderdg_core::kernels::{StpInputs, StpOutputs};
 use aderdg_core::mix::{stp_pack_counts, stp_useful_flops, UserFunctionCost};
-use aderdg_core::traces::trace_batch;
+use aderdg_core::traces::steady_state_stall;
 use aderdg_core::{KernelVariant, StpConfig, StpPlan};
 use aderdg_pde::{Elastic, Material};
-use aderdg_perf::{measure_peak_gflops, CacheSim, MachineModel, PackCounts, PerfMeasurement};
+use aderdg_perf::{measure_peak_gflops, PackCounts, PerfMeasurement};
 use aderdg_tensor::Isa;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -161,16 +161,9 @@ pub fn measure_stp(
         peak_gflops: peak,
     };
 
-    // Cache-simulated stalls (warm-up cell, then measured batch), with
-    // the compute denominator from the variant's instruction mix.
-    let machine = MachineModel::skylake_sp();
-    let mut sim = CacheSim::skylake_sp();
-    trace_batch(&plan, variant, false, 1, &mut sim);
-    sim.reset_stats();
-    let sim_cells = cells.max(2);
-    trace_batch(&plan, variant, false, sim_cells, &mut sim);
-    let mix = stp_pack_counts(&plan, variant, cost);
-    let stall = machine.stall_fraction_mix(&sim.stats(), &mix.scale(sim_cells as u64));
+    // Cache-simulated stalls of the same batch pattern, with the compute
+    // denominator from the variant's instruction mix.
+    let (_, stall) = steady_state_stall(&plan, variant, cost, cells.max(2));
 
     Measurement {
         variant,
@@ -180,7 +173,7 @@ pub fn measure_stp(
         gflops: perf.gflops(),
         available_fraction: perf.available_fraction(),
         stall_fraction: stall,
-        mix,
+        mix: stp_pack_counts(&plan, variant, cost),
         footprint_bytes: kernel.footprint_bytes(&plan),
     }
 }

@@ -16,11 +16,14 @@
 //! registered kernel.
 //!
 //! The layer is open: a kernel is any implementation of [`StpKernel`]
-//! (name, scratch factory, run), registered with the
-//! [`KernelRegistry`](crate::registry::KernelRegistry). Adding a variant
-//! is one new module plus one registration line; the engine, the solver
-//! spec, the equivalence tests and the figure harnesses all resolve
-//! kernels through the registry and pick the newcomer up automatically.
+//! (name, scratch factory, run). Adding a named variant is one new module
+//! plus one entry in the fixed table of
+//! [`KernelRegistry`](crate::registry::KernelRegistry); the engine, the
+//! solver spec and the equivalence tests resolve or enumerate kernels
+//! through that table and pick the newcomer up automatically. The figure
+//! harnesses sweep the paper's four variants through
+//! [`KernelVariant`](crate::plan::KernelVariant), whose cache-model replays
+//! live in [`traces`](crate::traces).
 //!
 //! Every kernel has exactly one body. Under the engine's block pipeline
 //! all but [`aosoa`] run the trait's per-cell `run_block` loop; AoSoA

@@ -7,12 +7,13 @@
 //! call: a long-lived work-stealing pool (`crate::pool`) — lazily-started
 //! workers that survive across `Engine::step` calls, per-worker deques
 //! (LIFO local push/pop, FIFO steal) feeding the task-graph scheduler, a
-//! shared FIFO injector for the chunked cell loops, and condvar
-//! park/unpark so an idle engine burns no CPU. Workers are not pinned to
-//! cores: the OS scheduler places them. At one thread (and for nested
-//! calls) every entry point runs inline on the calling thread in
-//! deterministic order — the reference the thread-invariance tests
-//! compare against.
+//! shared FIFO injector for each batch's seed tasks, and condvar
+//! park/unpark so an idle engine burns no CPU. Every entry point submits
+//! through [`run_graph_init`]: the chunked cell loops are edge-free
+//! graphs of one task per chunk. Workers are not pinned to cores: the OS
+//! scheduler places them. At one thread (and for nested calls) every
+//! entry point runs inline on the calling thread in deterministic order —
+//! the reference the thread-invariance tests compare against.
 //!
 //! # Determinism contract
 //!
@@ -171,23 +172,6 @@ fn ensure_pool<'a>(guard: &'a mut MutexGuard<'_, Option<pool::Pool>>) -> &'a mut
     guard.as_mut().expect("pool was just ensured")
 }
 
-/// Submits one batch to the persistent pool and re-raises the first task
-/// panic (after releasing the registry lock, so a panicking batch never
-/// poisons the pool for the next call).
-fn run_pool_batch(
-    total: usize,
-    seeds: impl Iterator<Item = usize>,
-    run: &(dyn Fn(&pool::TaskCtx<'_>, usize) + Sync),
-) {
-    let payload = {
-        let mut guard = lock(&POOL);
-        ensure_pool(&mut guard).run_batch(total, seeds, run)
-    };
-    if let Some(p) = payload {
-        std::panic::resume_unwind(p);
-    }
-}
-
 /// A per-worker state slot of [`run_graph_init`]: written only by the
 /// worker whose index it is keyed by, read/dropped by the submitter
 /// strictly after batch completion.
@@ -200,59 +184,28 @@ struct StateSlot<S>(UnsafeCell<Option<S>>);
 // worker threads and dropped on the submitter.
 unsafe impl<S: Send> Sync for StateSlot<S> {}
 
-/// Raw-pointer wrapper that lets chunk tasks reconstruct disjoint
-/// `&mut [T]` views of the caller's slice.
-struct SlicePtr<T>(*mut T);
-
-impl<T> SlicePtr<T> {
-    /// The base pointer (a method so closures capture the whole `Sync`
-    /// wrapper, not the raw-pointer field).
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: the pointer is only turned into disjoint chunk slices, one
-// chunk per exactly-once task, while the caller's `&mut [T]` borrow is
-// parked in the submitting call.
-unsafe impl<T: Send> Sync for SlicePtr<T> {}
-
 /// Applies `f(state, index, item)` to every item of `items` in parallel,
-/// with one `init()`-produced state per contiguous chunk (the
-/// scratch-reuse pattern of the predictor loop). At most one chunk per
-/// worker thread is created, so `init` runs at most `num_threads()`
-/// times; chunks may migrate between workers, but each runs exactly
-/// once.
+/// with `init()`-produced states reused across items (the scratch-reuse
+/// pattern of the predictor loop). The items are cut into at most one
+/// contiguous chunk per worker thread, run as an edge-free
+/// [`run_graph_init`] graph, so `init` runs at most `num_threads()` times;
+/// chunks may migrate between workers, but each runs exactly once.
 pub fn for_each_mut_init<T, S>(
     items: &mut [T],
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize, &mut T) + Sync,
 ) where
     T: Send,
+    S: Send,
 {
     let len = items.len();
-    let threads = num_threads().min(len.max(1));
-    if threads <= 1 || in_task() {
-        let _flag = enter_task();
-        let mut state = init();
-        for (i, item) in items.iter_mut().enumerate() {
-            f(&mut state, i, item);
-        }
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    let n_chunks = len.div_ceil(chunk);
-    let base = SlicePtr(items.as_mut_ptr());
-    run_pool_batch(n_chunks, 0..n_chunks, &|_ctx, ci| {
-        let start = ci * chunk;
-        let count = chunk.min(len - start);
-        // SAFETY: chunks are disjoint and task `ci` runs exactly once
-        // while the caller's mutable borrow is parked in
-        // `run_pool_batch`.
-        let part = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), count) };
-        let mut state = init();
-        for (j, item) in part.iter_mut().enumerate() {
-            f(&mut state, start + j, item);
+    let chunk = len.div_ceil(num_threads().min(len.max(1))).max(1);
+    // Task `ci` alone locks chunk `ci`: the locks are uncontended.
+    let chunks: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
+    let n = chunks.len();
+    run_graph_init(&vec![0; n], &vec![Vec::new(); n], init, |state, ci| {
+        for (j, item) in lock(&chunks[ci]).iter_mut().enumerate() {
+            f(state, ci * chunk + j, item);
         }
     });
 }
@@ -276,27 +229,25 @@ pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) 
 /// thread counts.
 pub fn map_max<T: Sync>(items: &[T], identity: f64, f: impl Fn(&T) -> f64 + Sync) -> f64 {
     let len = items.len();
-    let threads = num_threads().min(len.max(1));
-    if threads <= 1 || in_task() {
-        let _flag = enter_task();
-        return items.iter().map(&f).fold(identity, f64::max);
-    }
-    let chunk = len.div_ceil(threads);
-    let n_chunks = len.div_ceil(chunk);
+    let chunk = len.div_ceil(num_threads().min(len.max(1))).max(1);
+    let n = len.div_ceil(chunk);
     // One slot per chunk; written exactly once by whichever worker runs
     // the chunk, folded below in chunk order.
-    let partials: Vec<AtomicU64> = (0..n_chunks)
-        .map(|_| AtomicU64::new(identity.to_bits()))
-        .collect();
-    run_pool_batch(n_chunks, 0..n_chunks, &|_ctx, ci| {
-        let part = &items[ci * chunk..(ci * chunk + chunk).min(len)];
-        let m = part.iter().map(&f).fold(identity, f64::max);
-        // ORDERING: Release pairs with the Acquire fold below so the
-        // submitter reads each slot's final value (the batch join
-        // already orders these; the pairing keeps the slot
-        // self-contained).
-        partials[ci].store(m.to_bits(), Ordering::Release);
-    });
+    let partials: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(identity.to_bits())).collect();
+    run_graph_init(
+        &vec![0; n],
+        &vec![Vec::new(); n],
+        || (),
+        |(), ci| {
+            let part = &items[ci * chunk..(ci * chunk + chunk).min(len)];
+            let m = part.iter().map(&f).fold(identity, f64::max);
+            // ORDERING: Release pairs with the Acquire fold below so the
+            // submitter reads each slot's final value (the batch join
+            // already orders these; the pairing keeps the slot
+            // self-contained).
+            partials[ci].store(m.to_bits(), Ordering::Release);
+        },
+    );
     partials
         .iter()
         // ORDERING: Acquire — see the Release store above.

@@ -11,13 +11,20 @@
 //!
 //! Production behaviour is modelled by [`trace_batch`]: scratch buffers are
 //! reused across cells (same addresses), per-cell inputs/outputs stream.
-//! [`trace_block_batch`] replays the engine's block pipeline for the one
-//! kernel with a block body, `aosoa_splitck`; every other kernel runs its
-//! per-cell path under the pipeline, so its replay would not depend on the
-//! block size.
+//! Each kernel body has one replay. AoSoA SplitCK has one body,
+//! `stp_aosoa_cells`, whose per-cell `run` is the one-cell block, so its
+//! one replay is [`trace_block_batch`]: [`trace_batch`] runs it at block
+//! size 1 and the tuner ([`crate::tune`]) at every candidate block size.
+//! Every other kernel runs its per-cell path under the block pipeline, so
+//! its replay would not depend on the block size.
+//!
+//! [`steady_state_stall`] is the one measurement procedure on top: the
+//! miss profile and mix-aware stall share behind the figures, the bench
+//! crate's measurements and the paper-claim tests.
 
+use crate::mix::{stp_pack_counts, UserFunctionCost};
 use crate::plan::{KernelVariant, StpPlan};
-use aderdg_perf::{Arena, TraceSink};
+use aderdg_perf::{Arena, CacheSim, CacheStats, MachineModel, TraceSink};
 
 /// Addresses of one cell's input/output region.
 #[derive(Debug, Clone, Copy)]
@@ -32,22 +39,25 @@ struct CellIo {
     faces: usize,
 }
 
-fn alloc_cell_io(arena: &mut Arena, plan: &StpPlan) -> CellIo {
+/// Allocates the I/O regions of `cells` consecutive cells.
+fn alloc_cell_ios(arena: &mut Arena, plan: &StpPlan, cells: usize) -> Vec<CellIo> {
     let vol = plan.aos.len();
     // Six `q̄` faces at all rows, six flux faces at the evolved rows.
     let faces = 6 * (plan.face.len() + plan.flux_face.len());
-    CellIo {
-        q0: arena.alloc_doubles(vol),
-        qavg: arena.alloc_doubles(vol),
-        favg: [
-            arena.alloc_doubles(vol),
-            arena.alloc_doubles(vol),
-            arena.alloc_doubles(vol),
-        ],
-        vol_bytes: vol * 8,
-        face_bytes: faces * 8,
-        faces: arena.alloc_doubles(faces),
-    }
+    (0..cells)
+        .map(|_| CellIo {
+            q0: arena.alloc_doubles(vol),
+            qavg: arena.alloc_doubles(vol),
+            favg: [
+                arena.alloc_doubles(vol),
+                arena.alloc_doubles(vol),
+                arena.alloc_doubles(vol),
+            ],
+            vol_bytes: vol * 8,
+            face_bytes: faces * 8,
+            faces: arena.alloc_doubles(faces),
+        })
+        .collect()
 }
 
 /// Scratch addresses of the generic / LoG variants (per-order tensors).
@@ -142,7 +152,7 @@ fn trace_big(plan: &StpPlan, s: &BigScratch, io: &CellIo, ncp: bool, sink: &mut 
     sink.write(io.faces, io.face_bytes);
 }
 
-/// Scratch addresses of the SplitCK / AoSoA variants.
+/// Scratch addresses of the SplitCK variant.
 struct SmallScratch {
     p: usize,
     ptemp: usize,
@@ -152,12 +162,8 @@ struct SmallScratch {
 }
 
 impl SmallScratch {
-    fn alloc(arena: &mut Arena, plan: &StpPlan, hybrid: bool) -> Self {
-        let vol = if hybrid {
-            plan.aosoa.len()
-        } else {
-            plan.aos.len()
-        };
+    fn alloc(arena: &mut Arena, plan: &StpPlan) -> Self {
+        let vol = plan.aos.len();
         Self {
             p: arena.alloc_doubles(vol),
             ptemp: arena.alloc_doubles(vol),
@@ -168,18 +174,11 @@ impl SmallScratch {
     }
 }
 
-/// Emits one SplitCK (or, with `hybrid`, AoSoA SplitCK) invocation.
-fn trace_small(
-    plan: &StpPlan,
-    s: &SmallScratch,
-    io: &CellIo,
-    ncp: bool,
-    hybrid: bool,
-    sink: &mut dyn TraceSink,
-) {
+/// Emits one SplitCK invocation.
+fn trace_small(plan: &StpPlan, s: &SmallScratch, io: &CellIo, ncp: bool, sink: &mut dyn TraceSink) {
     let n = plan.n();
     let vb = s.vol_bytes;
-    // Entry: p ← q0 (AoSoA: transpose — same traffic, read + write).
+    // Entry: p ← q0.
     sink.read(io.q0, io.vol_bytes);
     sink.write(s.p, vb);
     // qavg ← c0 p.
@@ -211,12 +210,6 @@ fn trace_small(
         sink.read(s.flux, vb);
         sink.write(io.favg[d], io.vol_bytes);
     }
-    if hybrid {
-        // Exit transposes of qavg (favg transposes are folded into the
-        // favg writes above — same byte counts).
-        sink.read(io.qavg, io.vol_bytes);
-        sink.write(io.qavg, io.vol_bytes);
-    }
     // Face projections.
     sink.read(io.qavg, io.vol_bytes);
     for d in 0..3 {
@@ -237,43 +230,46 @@ pub fn trace_batch(
 ) {
     let mut arena = Arena::new();
     match variant {
-        KernelVariant::Generic => {
-            let s = BigScratch::alloc(&mut arena, plan, false, has_ncp);
-            let ios: Vec<CellIo> = (0..cells)
-                .map(|_| alloc_cell_io(&mut arena, plan))
-                .collect();
-            for io in &ios {
-                trace_big(plan, &s, io, has_ncp, sink);
-            }
-        }
-        KernelVariant::LoG => {
-            let s = BigScratch::alloc(&mut arena, plan, true, has_ncp);
-            let ios: Vec<CellIo> = (0..cells)
-                .map(|_| alloc_cell_io(&mut arena, plan))
-                .collect();
-            for io in &ios {
+        KernelVariant::Generic | KernelVariant::LoG => {
+            let padded = variant == KernelVariant::LoG;
+            let s = BigScratch::alloc(&mut arena, plan, padded, has_ncp);
+            for io in &alloc_cell_ios(&mut arena, plan, cells) {
                 trace_big(plan, &s, io, has_ncp, sink);
             }
         }
         KernelVariant::SplitCk => {
-            let s = SmallScratch::alloc(&mut arena, plan, false);
-            let ios: Vec<CellIo> = (0..cells)
-                .map(|_| alloc_cell_io(&mut arena, plan))
-                .collect();
-            for io in &ios {
-                trace_small(plan, &s, io, has_ncp, false, sink);
+            let s = SmallScratch::alloc(&mut arena, plan);
+            for io in &alloc_cell_ios(&mut arena, plan, cells) {
+                trace_small(plan, &s, io, has_ncp, sink);
             }
         }
+        // The per-cell `run` is the one-cell block of the block body.
         KernelVariant::AoSoASplitCk => {
-            let s = SmallScratch::alloc(&mut arena, plan, true);
-            let ios: Vec<CellIo> = (0..cells)
-                .map(|_| alloc_cell_io(&mut arena, plan))
-                .collect();
-            for io in &ios {
-                trace_small(plan, &s, io, has_ncp, true, sink);
-            }
+            trace_block_batch(plan, variant, has_ncp, 1, cells, sink);
         }
     }
+}
+
+/// The steady state of `cells` predictor invocations of `variant` (no
+/// ncp term) on the exact Skylake-SP hierarchy: one warm-up cell fills the
+/// reused scratch, the counters reset, then `cells` cells replay. Returns
+/// the steady-state miss profile and the share of pipeline slots it
+/// stalls, with the compute cycles of `variant`'s instruction mix over
+/// `cells` cells (the lower panels of Figs. 4, 6 and 10).
+pub fn steady_state_stall(
+    plan: &StpPlan,
+    variant: KernelVariant,
+    cost: UserFunctionCost,
+    cells: usize,
+) -> (CacheStats, f64) {
+    let mut sim = CacheSim::skylake_sp(1);
+    trace_batch(plan, variant, false, 1, &mut sim);
+    sim.reset_stats();
+    trace_batch(plan, variant, false, cells, &mut sim);
+    let stats = sim.stats();
+    let mix = stp_pack_counts(plan, variant, cost).scale(cells as u64);
+    let stall = MachineModel::skylake_sp().stall_fraction_mix(&stats, &mix);
+    (stats, stall)
 }
 
 /// Scratch addresses of one blocked AoSoA invocation: the SplitCK-style
@@ -299,10 +295,11 @@ struct BlockScratch {
 /// `run_block` fallback, whose access pattern does not depend on the
 /// block size, so there is nothing for a model to rank.
 ///
-/// This is the replay the model-driven tuner
-/// ([`crate::tune`]) feeds through the scaled cache hierarchy: growing
-/// `block_size` multiplies every temporary by `B` (the L2-residency cost),
-/// while the per-block overheads shrink as `1/B` (the amortization gain).
+/// At `block_size = 1` this is [`trace_batch`]'s AoSoA replay. The
+/// model-driven tuner ([`crate::tune`]) feeds it through a scaled
+/// [`CacheSim`] at every candidate block size: growing `block_size`
+/// multiplies every temporary by `B` (the L2-residency cost), while the
+/// per-block overheads shrink as `1/B` (the amortization gain).
 pub fn trace_block_batch(
     plan: &StpPlan,
     variant: KernelVariant,
@@ -327,16 +324,12 @@ pub fn trace_block_batch(
         vol_bytes: bvol * 8,
     };
 
-    let ios: Vec<CellIo> = (0..blocks * block_size)
-        .map(|_| alloc_cell_io(&mut arena, plan))
-        .collect();
+    let ios = alloc_cell_ios(&mut arena, plan, blocks * block_size);
 
-    let mut stages = 0usize;
-    for (b, io) in ios.chunks(block_size).enumerate() {
-        let counted = trace_aosoa_block(plan, &scratch, io, has_ncp, sink);
-        if b == 0 {
-            stages = counted;
-        }
+    // Every block sweeps the same stages.
+    let mut stages = 0;
+    for io in ios.chunks(block_size) {
+        stages = trace_aosoa_block(plan, &scratch, io, has_ncp, sink);
     }
     Some(stages)
 }
@@ -435,7 +428,7 @@ fn trace_aosoa_block(
 mod tests {
     use super::*;
     use crate::plan::StpConfig;
-    use aderdg_perf::{CacheSim, CountingSink, MachineModel};
+    use aderdg_perf::CountingSink;
 
     fn plan(n: usize) -> StpPlan {
         StpPlan::new(StpConfig::new(n, 21), [1.0; 3])
@@ -460,52 +453,12 @@ mod tests {
     }
 
     #[test]
-    fn log_stalls_plateau_splitck_stalls_decrease() {
-        // The headline mechanism of the paper (Fig. 6): at high order the
-        // LoG working set exceeds 1 MiB L2 and its stall ratio stays high;
-        // SplitCK's stays L2-resident and its stall ratio falls.
-        let machine = MachineModel::skylake_sp();
-        let cost = crate::mix::UserFunctionCost::elastic();
-        let stall = |variant, n: usize| -> f64 {
-            let p = plan(n);
-            let mut sim = CacheSim::skylake_sp();
-            // Warm-up cell, then measure steady state over a few cells.
-            trace_batch(&p, variant, false, 1, &mut sim);
-            sim.reset_stats();
-            let cells = 4;
-            trace_batch(&p, variant, false, cells, &mut sim);
-            let flops = crate::mix::stp_useful_flops(&p, cost) * cells as u64;
-            machine.stall_fraction(&sim.stats(), flops)
-        };
-        let log_6 = stall(KernelVariant::LoG, 6);
-        let log_10 = stall(KernelVariant::LoG, 10);
-        let split_6 = stall(KernelVariant::SplitCk, 6);
-        let split_10 = stall(KernelVariant::SplitCk, 10);
-        // SplitCK improves markedly with order; LoG must not.
-        assert!(
-            split_10 < split_6,
-            "SplitCK stalls should fall: {split_6} -> {split_10}"
-        );
-        assert!(
-            log_10 > split_10,
-            "at order 10, LoG ({log_10}) must stall more than SplitCK ({split_10})"
-        );
-        assert!(
-            log_6 < log_10 * 2.0 + 0.2,
-            "LoG stalls should not collapse with order: {log_6} -> {log_10}"
-        );
-    }
-
-    #[test]
     fn batch_reuses_scratch_across_cells() {
         // With many cells, SplitCK scratch stays hot: L1+L2 hit ratio for
         // the steady state must be high at moderate order.
         let p = plan(5);
-        let mut sim = CacheSim::skylake_sp();
-        trace_batch(&p, KernelVariant::SplitCk, false, 1, &mut sim);
-        sim.reset_stats();
-        trace_batch(&p, KernelVariant::SplitCk, false, 8, &mut sim);
-        let stats = sim.stats();
+        let cost = UserFunctionCost::elastic();
+        let (stats, _) = steady_state_stall(&p, KernelVariant::SplitCk, cost, 8);
         let total = stats.l1.accesses();
         let dram = stats.dram;
         assert!(
@@ -552,7 +505,7 @@ mod tests {
         // cells thrash — exactly the trade-off the tuner ranks.
         let p = plan(6);
         let dram_per_cell = |bs: usize| {
-            let mut sim = CacheSim::skylake_sp();
+            let mut sim = CacheSim::skylake_sp(1);
             trace_block_batch(&p, KernelVariant::AoSoASplitCk, false, bs, 1, &mut sim).unwrap();
             sim.reset_stats();
             trace_block_batch(&p, KernelVariant::AoSoASplitCk, false, bs, 2, &mut sim).unwrap();

@@ -12,11 +12,10 @@
 //! 2. **cachesim** — each candidate block size replays the kernel's block
 //!    access pattern ([`trace_block_batch`]; only `aosoa_splitck` has a
 //!    block body, every other kernel keeps the static heuristic because
-//!    its per-cell fallback makes all block sizes equivalent) through a
-//!    scaled Skylake-SP
-//!    LRU hierarchy ([`ScaledCacheSim`]); misses are charged by the
-//!    machine model and per-block overheads amortize with `B`
-//!    ([`BlockCostModel`]),
+//!    its per-cell fallback makes all block sizes equivalent) through the
+//!    Skylake-SP LRU hierarchy at reduced granularity ([`CacheSim`]);
+//!    misses are charged by the machine model and per-block overheads
+//!    amortize with `B` ([`BlockCostModel`]),
 //! 3. **plan** — the winning block size and the plan's GEMM kernel (the
 //!    widest the host supports at or below the configured SIMD width) are
 //!    recorded in a [`TuneReport`] the engine exposes.
@@ -30,7 +29,7 @@ use crate::kernels::StpKernel;
 use crate::plan::{KernelVariant, StpConfig, StpPlan};
 use crate::traces::trace_block_batch;
 use aderdg_pde::LinearPde;
-use aderdg_perf::tuner::{best_candidate, BlockCostModel, Candidate, ScaledCacheSim};
+use aderdg_perf::{BlockCostModel, CacheSim};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -175,7 +174,7 @@ pub fn model_block_candidates(
         BLOCK_CANDIDATES
             .iter()
             .map(|&bs| {
-                let mut sim = ScaledCacheSim::skylake_sp(SIM_SCALE);
+                let mut sim = CacheSim::skylake_sp(SIM_SCALE);
                 // Warm-up block: compulsory misses of the reused scratch.
                 trace_block_batch(plan, variant, has_ncp, bs, 1, &mut sim);
                 sim.reset_stats();
@@ -248,18 +247,16 @@ pub fn tune(
         }
         _ => Vec::new(),
     };
-    // The model's pick is the cheapest predicted candidate (first wins
-    // ties).
-    let costs: Vec<Candidate> = block_candidates
+    // The model's pick is the cheapest predicted candidate (`min_by`
+    // keeps the first of equal minima).
+    let cheapest = block_candidates
         .iter()
-        .map(|c| Candidate {
-            value: c.block_size,
-            cost: c.predicted_cycles_per_cell,
+        .min_by(|a, b| {
+            a.predicted_cycles_per_cell
+                .total_cmp(&b.predicted_cycles_per_cell)
         })
-        .collect();
-    let block_size = block_override
-        .or_else(|| best_candidate(&costs))
-        .unwrap_or(static_block_size);
+        .map(|c| c.block_size);
+    let block_size = block_override.or(cheapest).unwrap_or(static_block_size);
     TuneReport {
         mode,
         kernel: kernel.name(),
@@ -379,6 +376,25 @@ mod tests {
         assert_eq!(report.backend, p.gemm_backend().name());
         let level = p.cfg.width.min(Isa::detect());
         assert_eq!(report.backend, aderdg_gemm::backend_for(level).name());
+    }
+
+    #[test]
+    fn model_pick_is_the_first_cheapest_candidate() {
+        let kernel = KernelRegistry::global().resolve("aosoa_splitck").unwrap();
+        for (n, m) in [(3, 6), (6, 21)] {
+            let report = tune(&plan(n, m), kernel, &Elastic, TuningMode::Model, None);
+            let costs: Vec<f64> = report
+                .block_candidates
+                .iter()
+                .map(|c| c.predicted_cycles_per_cell)
+                .collect();
+            let min = costs.iter().copied().fold(f64::INFINITY, f64::min);
+            let first = costs.iter().position(|&c| c == min).unwrap();
+            assert_eq!(
+                report.block_size, report.block_candidates[first].block_size,
+                "order {n} m {m}: {costs:?}"
+            );
+        }
     }
 
     #[test]

@@ -128,3 +128,61 @@ fn model_memo_tells_evolved_rows_apart() {
         model_block_candidates(&evolved, "aosoa_splitck", false)
     );
 }
+
+/// The tuner's cost slate, frozen bit for bit for two shapes: the
+/// `loh1_o7` plan (elastic, `m = 21`, 9 evolved rows, order 7) and a small
+/// acoustic one (`m = 6`, order 3), both at AVX-512 padding. The replay
+/// reads only layout sizes, so the values do not depend on the host; a
+/// change to the cache simulator, the AoSoA replay or the cost model that
+/// moves any pick or cost shows here.
+#[test]
+fn model_candidates_are_pinned_bit_for_bit() {
+    use aderdg_pde::Elastic;
+    use aderdg_tensor::Isa;
+    // (order, m, vars, [(block size, cycles/cell bits, L2 miss ratio bits)])
+    type Pinned = (usize, usize, usize, [(usize, u64, u64); 5]);
+    let pinned: [Pinned; 2] = [
+        (
+            7,
+            21,
+            Elastic.num_vars(),
+            [
+                (1, 0x41075eeaaaaaaaab, 0x3f9aba48e7092c69),
+                (2, 0x41072baaaaaaaaab, 0x3fb599e494e3a55d),
+                (4, 0x410ae28d55555555, 0x3fc112d7c1693bb0),
+                (8, 0x412368d1aaaaaaab, 0x3fe6c97172e36bca),
+                (16, 0x4123e8a72aaaaaab, 0x3fe81d6b6c03759e),
+            ],
+        ),
+        (
+            3,
+            6,
+            Acoustic.num_vars(),
+            [
+                (1, 0x40cdb00000000000, 0x3ff0000000000000),
+                (2, 0x40c07daaaaaaaaab, 0x3fceb851eb851eb8),
+                (4, 0x40bb600000000000, 0x3faaa030e2f93c04),
+                (8, 0x40b50f2aaaaaaaaa, 0x3fa8f4a5b06da428),
+                (16, 0x40b5b5aaaaaaaaab, 0x3fa2312fa6c2df79),
+            ],
+        ),
+    ];
+    for (order, m, vars, want) in pinned {
+        let cfg = StpConfig::new(order, m)
+            .with_vars(vars)
+            .with_width(Isa::Avx512);
+        let plan = StpPlan::new(cfg, [0.5; 3]);
+        let got = model_block_candidates(&plan, "aosoa_splitck", false).unwrap();
+        let got: Vec<(usize, u64, u64)> = got
+            .iter()
+            .map(|c| {
+                (
+                    c.block_size,
+                    c.predicted_cycles_per_cell.to_bits(),
+                    c.l2_miss_ratio.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "order {order} m {m}");
+    }
+}

@@ -126,26 +126,48 @@ pub struct CacheStats {
 }
 
 /// A multi-level cache hierarchy with LRU replacement.
+///
+/// Replaying a kernel's full access stream line by line is too slow to
+/// run at plan time (the tuner costs several block sizes per engine
+/// construction, in debug builds too). A granularity factor `scale > 1`
+/// preserves exactly the effect under study — whether a working set of
+/// hundreds of KiB survives in a ~1 MiB L2 between sweeps — because the
+/// traced buffers are orders of magnitude larger than even the scaled
+/// line, while cutting simulation cost by `scale`. [`stats`](Self::stats)
+/// reports real-line counts at every scale, so they stay chargeable by
+/// [`MachineModel`](crate::MachineModel).
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     l1: Level,
     l2: Level,
     l3: Option<Level>,
+    scale: usize,
 }
 
 impl CacheSim {
     /// Builds a hierarchy; `l3 = None` models only the per-core caches.
-    pub fn new(l1: CacheConfig, l2: CacheConfig, l3: Option<CacheConfig>) -> Self {
+    /// `scale = 1` simulates every real line; a larger `scale` divides
+    /// each capacity by it (floored at one set per level), so a buffer of
+    /// `W` bytes occupies the same *fraction* of each level.
+    pub fn new(l1: CacheConfig, l2: CacheConfig, l3: Option<CacheConfig>, scale: usize) -> Self {
+        assert!(scale >= 1, "scale must be at least 1");
+        let shrink = |c: CacheConfig| {
+            Level::new(CacheConfig {
+                capacity: (c.capacity / scale).max(LINE_BYTES * c.ways),
+                ways: c.ways,
+            })
+        };
         Self {
-            l1: Level::new(l1),
-            l2: Level::new(l2),
-            l3: l3.map(Level::new),
+            l1: shrink(l1),
+            l2: shrink(l2),
+            l3: l3.map(shrink),
+            scale,
         }
     }
 
     /// The paper's Skylake SP core: 32 KiB / 8-way L1d, 1 MiB / 16-way L2,
-    /// and a 1.375 MiB / 11-way L3 slice.
-    pub fn skylake_sp() -> Self {
+    /// and a 1.375 MiB / 11-way L3 slice, at granularity `scale`.
+    pub fn skylake_sp(scale: usize) -> Self {
         Self::new(
             CacheConfig {
                 capacity: 32 * 1024,
@@ -159,14 +181,18 @@ impl CacheSim {
                 capacity: 1408 * 1024,
                 ways: 11,
             }),
+            scale,
         )
     }
 
-    /// Touches every cache line in `[addr, addr + bytes)`.
+    /// Touches every cache line in `[addr, addr + bytes)`; a no-op for
+    /// `bytes == 0`. At `scale > 1` the range shrinks by `scale` and
+    /// covers at least one simulated byte.
     pub fn touch(&mut self, addr: usize, bytes: usize) {
         if bytes == 0 {
             return;
         }
+        let (addr, bytes) = (addr / self.scale, (bytes / self.scale).max(1));
         let first = addr / LINE_BYTES;
         let last = (addr + bytes - 1) / LINE_BYTES;
         for line in first..=last {
@@ -174,8 +200,8 @@ impl CacheSim {
         }
     }
 
-    /// Accesses a single cache line by index.
-    pub fn access_line(&mut self, line: u64) {
+    /// Accesses a single simulated cache line by index.
+    fn access_line(&mut self, line: u64) {
         if self.l1.access(line) {
             return;
         }
@@ -183,22 +209,28 @@ impl CacheSim {
             return;
         }
         if let Some(l3) = &mut self.l3 {
-            if l3.access(line) {}
+            l3.access(line);
         }
     }
 
-    /// Statistics snapshot.
+    /// Statistics snapshot in real-line counts (each simulated access
+    /// stands for `scale` real-line accesses).
     pub fn stats(&self) -> CacheStats {
+        let s = self.scale as u64;
+        let up = |l: LevelStats| LevelStats {
+            hits: l.hits * s,
+            misses: l.misses * s,
+        };
         let l3 = self.l3.as_ref().map(|l| l.stats).unwrap_or_default();
         let dram = match &self.l3 {
             Some(l) => l.stats.misses,
             None => self.l2.stats.misses,
         };
         CacheStats {
-            l1: self.l1.stats,
-            l2: self.l2.stats,
-            l3,
-            dram,
+            l1: up(self.l1.stats),
+            l2: up(self.l2.stats),
+            l3: up(l3),
+            dram: dram * s,
         }
     }
 
@@ -216,6 +248,7 @@ impl CacheSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceSink;
 
     fn tiny() -> CacheSim {
         // L1: 4 sets x 2 ways x 64B = 512 B; L2: 16 lines = 1 KiB.
@@ -229,6 +262,7 @@ mod tests {
                 ways: 4,
             },
             None,
+            1,
         )
     }
 
@@ -242,6 +276,15 @@ mod tests {
         assert_eq!(s.l1.misses, 1);
         assert_eq!(s.l1.hits, 2);
         assert_eq!(s.l2.misses, 1);
+    }
+
+    #[test]
+    fn zero_byte_touch_is_a_noop_at_every_scale() {
+        for scale in [1usize, 16] {
+            let mut c = CacheSim::skylake_sp(scale);
+            c.touch(4096, 0);
+            assert_eq!(c.stats(), CacheStats::default(), "scale {scale}");
+        }
     }
 
     #[test]
@@ -305,7 +348,7 @@ mod tests {
             ways: 16,
         };
         assert_eq!(cfg.sets(), 1024);
-        let _ = CacheSim::skylake_sp();
+        let _ = CacheSim::skylake_sp(1);
     }
 
     #[test]
@@ -317,5 +360,55 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.l1.hits, 1);
         assert_eq!(s.l1.misses, 0);
+    }
+
+    #[test]
+    fn scaled_sim_preserves_capacity_effects() {
+        // A working set larger than L2 thrashes in both the unscaled and
+        // the scaled hierarchy; one that fits stays resident in both.
+        for scale in [1usize, 8, 16] {
+            let mut sim = CacheSim::skylake_sp(scale);
+            // 4 MiB working set > 1 MiB L2: streaming sweeps never settle.
+            let big = 4 * 1024 * 1024;
+            for _ in 0..2 {
+                sim.read(0, big);
+            }
+            let s = sim.stats();
+            assert!(
+                s.dram as f64 > 0.9 * s.l1.accesses() as f64,
+                "scale {scale}: big set should stream from DRAM: {s:?}"
+            );
+
+            let mut sim = CacheSim::skylake_sp(scale);
+            // 256 KiB working set fits L2: the second sweep hits.
+            let small = 256 * 1024;
+            sim.read(1 << 24, small);
+            sim.reset_stats();
+            sim.read(1 << 24, small);
+            let s = sim.stats();
+            assert_eq!(
+                s.dram, 0,
+                "scale {scale}: resident set must not reach DRAM: {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn scaled_stats_are_comparable_across_scales() {
+        // The same sweep reports (approximately) the same real-line miss
+        // count regardless of granularity.
+        let bytes = 2 * 1024 * 1024;
+        let count = |scale: usize| {
+            let mut sim = CacheSim::skylake_sp(scale);
+            sim.read(0, bytes);
+            sim.stats().l1.misses
+        };
+        let exact = count(1);
+        let scaled = count(16);
+        let ratio = scaled as f64 / exact as f64;
+        assert!(
+            (0.95..=1.05).contains(&ratio),
+            "scaled {scaled} vs exact {exact}"
+        );
     }
 }

@@ -5,7 +5,9 @@
 //! (originally a VTune top-down metric). The model charges each miss a
 //! level-dependent latency, discounted by a memory-level-parallelism factor
 //! (out-of-order cores overlap several outstanding misses), and compares
-//! against the compute cycles implied by the kernel's flop count.
+//! against the compute cycles implied by the kernel's classified flop
+//! mix. [`BlockCostModel`] charges the same stall cycles plus per-block
+//! overheads to rank the plan-time tuner's block sizes.
 
 use crate::cachesim::CacheStats;
 use crate::flops::PackCounts;
@@ -13,9 +15,6 @@ use crate::flops::PackCounts;
 /// Core execution and memory-latency parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineModel {
-    /// Peak double-precision flops per cycle per core
-    /// (Skylake SP: 2 FMA units × 8 lanes × 2 flops = 32).
-    pub flops_per_cycle: f64,
     /// Effective sustained fraction of peak for in-cache kernel code
     /// (accounts for non-FMA instructions, loop overhead).
     pub compute_efficiency: f64,
@@ -39,19 +38,12 @@ impl MachineModel {
     /// (LoG plateau ≥ 41 %, SplitCK steadily decreasing).
     pub fn skylake_sp() -> Self {
         Self {
-            flops_per_cycle: 32.0,
             compute_efficiency: 0.45,
             l2_latency: 14.0,
             l3_latency: 30.0,
             dram_latency: 80.0,
             mlp: 12.0,
         }
-    }
-
-    /// Compute cycles a kernel with `useful_flops` flops needs when it
-    /// never stalls.
-    pub fn compute_cycles(&self, useful_flops: u64) -> f64 {
-        useful_flops as f64 / (self.flops_per_cycle * self.compute_efficiency)
     }
 
     /// Effective stall cycles implied by a miss profile.
@@ -61,19 +53,6 @@ impl MachineModel {
         let from_l3 = stats.l3.hits as f64 * self.l3_latency;
         let from_dram = stats.dram as f64 * self.dram_latency;
         (from_l2 + from_l3 + from_dram) / self.mlp
-    }
-
-    /// Fraction of pipeline slots lost to memory stalls:
-    /// `stall / (stall + compute)`. This is the y-axis of the lower panels
-    /// of Figs. 4, 6 and 10.
-    pub fn stall_fraction(&self, stats: &CacheStats, useful_flops: u64) -> f64 {
-        let stall = self.stall_cycles(stats);
-        let compute = self.compute_cycles(useful_flops);
-        if stall + compute == 0.0 {
-            0.0
-        } else {
-            stall / (stall + compute)
-        }
     }
 
     /// Compute cycles implied by a *classified* flop mix: a scalar flop
@@ -89,10 +68,12 @@ impl MachineModel {
         slots / (issue * 2.0)
     }
 
-    /// Mix-aware stall fraction: the cross-variant comparison of the
-    /// paper's figures requires the compute denominator to reflect how the
-    /// variant executes its flops (a scalar kernel hides its misses behind
-    /// many more compute cycles than a packed one).
+    /// Fraction of pipeline slots lost to memory stalls,
+    /// `stall / (stall + compute)` — the y-axis of the lower panels of
+    /// Figs. 4, 6 and 10. The cross-variant comparison requires the
+    /// compute denominator to reflect how the variant executes its flops
+    /// (a scalar kernel hides its misses behind many more compute cycles
+    /// than a packed one).
     pub fn stall_fraction_mix(&self, stats: &CacheStats, mix: &PackCounts) -> f64 {
         let stall = self.stall_cycles(stats);
         let compute = self.compute_cycles_mix(mix);
@@ -101,6 +82,64 @@ impl MachineModel {
         } else {
             stall / (stall + compute)
         }
+    }
+}
+
+/// Cost model of the engine's batched block pipeline.
+///
+/// Predicted per-cell cost of running blocks of `B` cells combines two
+/// opposing terms the block-size choice trades off:
+///
+/// * **memory stalls** from the replayed miss profile ([`MachineModel`]) —
+///   grows once `B ×` (per-cell temporaries) outgrows L2,
+/// * **per-block dispatch overhead** (scratch setup, staging, one operator
+///   load and loop prologue per stage sweep instead of per cell) —
+///   amortized over the `B` cells of the block, so it *shrinks* with `B`.
+///
+/// The overhead constants are calibrated against engine step times over
+/// `aderdg-run --block-size`: they reproduce the measured
+/// single-digit-percent penalty of `B = 1` relative to the plateau on the
+/// blocked kernels.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockCostModel {
+    /// Miss-latency and issue-width parameters.
+    pub machine: MachineModel,
+    /// Fixed cycles per block invocation (virtual dispatch, staging-buffer
+    /// bookkeeping, scratch reset).
+    pub block_overhead_cycles: f64,
+    /// Cycles per stage sweep per block (operator load, loop prologue,
+    /// bounds-check hoisting — the costs a bigger block amortizes).
+    pub stage_overhead_cycles: f64,
+}
+
+impl BlockCostModel {
+    /// Calibrated defaults for the paper's Skylake SP machine model.
+    pub fn skylake_sp() -> Self {
+        Self {
+            machine: MachineModel::skylake_sp(),
+            block_overhead_cycles: 2_000.0,
+            stage_overhead_cycles: 400.0,
+        }
+    }
+
+    /// Predicted block-size-dependent cycles per cell: stall cycles of the
+    /// replayed miss profile plus amortized per-block overhead, divided
+    /// over the `cells` cells the replay covered.
+    ///
+    /// The (block-size-independent) compute cycles are deliberately
+    /// excluded — candidates are compared, not absolute-timed.
+    pub fn cycles_per_cell(
+        &self,
+        stats: &CacheStats,
+        cells: usize,
+        blocks: usize,
+        stages_per_block: usize,
+    ) -> f64 {
+        assert!(cells > 0, "cost model needs at least one replayed cell");
+        let stall = self.machine.stall_cycles(stats);
+        let overhead = blocks as f64
+            * (self.block_overhead_cycles + self.stage_overhead_cycles * stages_per_block as f64);
+        (stall + overhead) / cells as f64
     }
 }
 
@@ -127,20 +166,29 @@ mod tests {
         }
     }
 
+    /// A mix of `flops` flops, all in 512-bit packs: the Skylake SP peak
+    /// of 2 FMA units × 8 lanes × 2 flops = 32 flops per cycle.
+    fn packed(flops: u64) -> PackCounts {
+        PackCounts {
+            p512: flops,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn no_misses_no_stalls() {
         let m = MachineModel::skylake_sp();
         let s = CacheStats::default();
-        assert_eq!(m.stall_fraction(&s, 1_000_000), 0.0);
+        assert_eq!(m.stall_fraction_mix(&s, &packed(1_000_000)), 0.0);
     }
 
     #[test]
     fn stall_fraction_monotone_in_misses() {
         let m = MachineModel::skylake_sp();
-        let f1 = m.stall_fraction(&stats(100, 0, 0), 100_000);
-        let f2 = m.stall_fraction(&stats(1000, 0, 0), 100_000);
-        let f3 = m.stall_fraction(&stats(1000, 500, 0), 100_000);
-        let f4 = m.stall_fraction(&stats(1000, 500, 500), 100_000);
+        let f1 = m.stall_fraction_mix(&stats(100, 0, 0), &packed(100_000));
+        let f2 = m.stall_fraction_mix(&stats(1000, 0, 0), &packed(100_000));
+        let f3 = m.stall_fraction_mix(&stats(1000, 500, 0), &packed(100_000));
+        let f4 = m.stall_fraction_mix(&stats(1000, 500, 500), &packed(100_000));
         assert!(f1 < f2 && f2 < f3 && f3 < f4);
         assert!(f4 < 1.0 && f1 > 0.0);
     }
@@ -148,8 +196,8 @@ mod tests {
     #[test]
     fn dram_costlier_than_l2() {
         let m = MachineModel::skylake_sp();
-        let a = m.stall_fraction(&stats(100, 0, 0), 10_000);
-        let b = m.stall_fraction(&stats(0, 0, 100), 10_000);
+        let a = m.stall_fraction_mix(&stats(100, 0, 0), &packed(10_000));
+        let b = m.stall_fraction_mix(&stats(0, 0, 100), &packed(10_000));
         assert!(b > a);
     }
 
@@ -158,16 +206,16 @@ mod tests {
         // Higher arithmetic intensity at constant traffic → lower stall
         // share (the paper's expectation for increasing order).
         let m = MachineModel::skylake_sp();
-        let f_small = m.stall_fraction(&stats(1000, 100, 10), 100_000);
-        let f_large = m.stall_fraction(&stats(1000, 100, 10), 10_000_000);
+        let f_small = m.stall_fraction_mix(&stats(1000, 100, 10), &packed(100_000));
+        let f_large = m.stall_fraction_mix(&stats(1000, 100, 10), &packed(10_000_000));
         assert!(f_large < f_small);
     }
 
     #[test]
     fn compute_cycles_scale() {
         let m = MachineModel::skylake_sp();
-        let want = 32_000.0 / (m.flops_per_cycle * m.compute_efficiency);
-        assert!((m.compute_cycles(32_000) - want).abs() < 1e-9);
+        let want = 32_000.0 / (32.0 * m.compute_efficiency);
+        assert!((m.compute_cycles_mix(&packed(32_000)) - want).abs() < 1e-9);
     }
 
     #[test]
@@ -201,5 +249,21 @@ mod tests {
             ..Default::default()
         };
         assert!(m.stall_fraction_mix(&s, &packed_mix) > m.stall_fraction_mix(&s, &scalar_mix));
+    }
+
+    #[test]
+    fn cost_model_trades_overhead_against_misses() {
+        let model = BlockCostModel::skylake_sp();
+        let clean = CacheStats::default();
+        // Same cells, more blocks (smaller B): pure overhead rises.
+        let small_b = model.cycles_per_cell(&clean, 16, 16, 10);
+        let big_b = model.cycles_per_cell(&clean, 16, 1, 10);
+        assert!(small_b > big_b);
+        // Misses raise the cost at fixed blocking.
+        let missy = CacheStats {
+            dram: 10_000,
+            ..CacheStats::default()
+        };
+        assert!(model.cycles_per_cell(&missy, 16, 1, 10) > big_b);
     }
 }

@@ -2,14 +2,12 @@
 //!
 //! A DG element of order `N` stores, at each of the `n = N` quadrature nodes
 //! per dimension, `m` quantities. The resulting 4-D tensor over
-//! `(k3, k2, k1, s)` — z, y, x node indices and the quantity index — can be
-//! stored in three layouts (paper Sec. III-A and V-A):
+//! `(k3, k2, k1, s)` — z, y, x node indices and the quantity index — is
+//! stored in one of two layouts (paper Sec. III-A and V-A):
 //!
 //! * **AoS** `A[k3][k2][k1][s]` — quantity fastest; what the engine API and
 //!   the generic / LoG / SplitCK kernels use. The `s` extent is zero-padded
 //!   to the SIMD width.
-//! * **SoA** `A[s][k3][k2][k1]` — quantity slowest; what pointwise user
-//!   functions would need for vectorization. The `k1` extent is padded.
 //! * **AoSoA** `A[k3][k2][s][k1]` — the paper's hybrid: pseudo-AoS for the
 //!   GEMMs, trivially-extractable SoA x-lines for the user functions. The
 //!   `k1` extent is padded.
@@ -17,13 +15,11 @@
 use crate::padding::pad_to_simd;
 use crate::simd::Isa;
 
-/// Which of the three storage orders a [`DofLayout`] uses.
+/// Which of the two storage orders a [`DofLayout`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayoutKind {
     /// `A[k3][k2][k1][s]`, `s` padded (quantity fastest).
     Aos,
-    /// `A[s][k3][k2][k1]`, `k1` padded (quantity slowest).
-    Soa,
     /// `A[k3][k2][s][k1]`, `k1` padded (hybrid, Sec. V).
     AoSoA,
 }
@@ -54,11 +50,6 @@ impl DofLayout {
         Self::new(n, m, width, LayoutKind::Aos)
     }
 
-    /// SoA layout shortcut.
-    pub fn soa(n: usize, m: usize, width: Isa) -> Self {
-        Self::new(n, m, width, LayoutKind::Soa)
-    }
-
     /// AoSoA layout shortcut.
     pub fn aosoa(n: usize, m: usize, width: Isa) -> Self {
         Self::new(n, m, width, LayoutKind::AoSoA)
@@ -76,15 +67,6 @@ impl DofLayout {
         pad_to_simd(self.n, self.width)
     }
 
-    /// Extent of the padded (fastest-running) dimension.
-    #[inline]
-    pub fn leading(&self) -> usize {
-        match self.kind {
-            LayoutKind::Aos => self.m_pad(),
-            LayoutKind::Soa | LayoutKind::AoSoA => self.n_pad(),
-        }
-    }
-
     /// Total number of doubles a buffer of this layout holds
     /// (including padding).
     #[inline]
@@ -92,7 +74,6 @@ impl DofLayout {
         let n = self.n;
         match self.kind {
             LayoutKind::Aos => n * n * n * self.m_pad(),
-            LayoutKind::Soa => self.m * n * n * self.n_pad(),
             LayoutKind::AoSoA => n * n * self.m * self.n_pad(),
         }
     }
@@ -117,28 +98,7 @@ impl DofLayout {
         let n = self.n;
         match self.kind {
             LayoutKind::Aos => ((k3 * n + k2) * n + k1) * self.m_pad() + s,
-            LayoutKind::Soa => ((s * n + k3) * n + k2) * self.n_pad() + k1,
             LayoutKind::AoSoA => ((k3 * n + k2) * self.m + s) * self.n_pad() + k1,
-        }
-    }
-
-    /// Stride (in doubles) between consecutive `k1` values at fixed
-    /// `(k3, k2, s)`.
-    #[inline]
-    pub fn stride_k1(&self) -> usize {
-        match self.kind {
-            LayoutKind::Aos => self.m_pad(),
-            LayoutKind::Soa | LayoutKind::AoSoA => 1,
-        }
-    }
-
-    /// Stride between consecutive `s` values at fixed node.
-    #[inline]
-    pub fn stride_s(&self) -> usize {
-        match self.kind {
-            LayoutKind::Aos => 1,
-            LayoutKind::Soa => self.n * self.n * self.n_pad(),
-            LayoutKind::AoSoA => self.n_pad(),
         }
     }
 
@@ -147,25 +107,8 @@ impl DofLayout {
     pub fn stride_k2(&self) -> usize {
         match self.kind {
             LayoutKind::Aos => self.n * self.m_pad(),
-            LayoutKind::Soa => self.n_pad(),
             LayoutKind::AoSoA => self.m * self.n_pad(),
         }
-    }
-
-    /// Stride between consecutive `k3` values at fixed `(k2, k1, s)`.
-    #[inline]
-    pub fn stride_k3(&self) -> usize {
-        self.n * self.stride_k2()
-    }
-
-    /// Offset of the SoA x-line `(k3, k2)` in an AoSoA tensor: an
-    /// `m × n_pad` block in which quantity `s` occupies the contiguous
-    /// run `[s * n_pad, s * n_pad + n)` — exactly the chunk handed to a
-    /// vectorized user function (paper Sec. V-C).
-    #[inline]
-    pub fn xline_offset(&self, k3: usize, k2: usize) -> usize {
-        debug_assert_eq!(self.kind, LayoutKind::AoSoA);
-        (k3 * self.n + k2) * self.m * self.n_pad()
     }
 
     /// Bytes the tensor occupies — the quantity entering the memory-footprint
@@ -238,8 +181,6 @@ mod tests {
         assert_eq!(l.idx(0, 0, 1, 0), 8);
         assert_eq!(l.idx(0, 1, 0, 0), 24);
         assert_eq!(l.idx(1, 0, 0, 0), 72);
-        assert_eq!(l.stride_k1(), 8);
-        assert_eq!(l.stride_s(), 1);
     }
 
     #[test]
@@ -252,26 +193,11 @@ mod tests {
         assert_eq!(l.idx(0, 0, 0, 1), 8);
         assert_eq!(l.idx(0, 1, 0, 0), 24);
         assert_eq!(l.idx(1, 0, 0, 0), 144);
-        assert_eq!(l.stride_k1(), 1);
-        assert_eq!(l.stride_s(), 8);
-        assert_eq!(l.xline_offset(1, 2), (6 + 2) * 3 * 8);
-    }
-
-    #[test]
-    fn soa_indexing_contract() {
-        let l = DofLayout::soa(4, 2, W);
-        assert_eq!(l.n_pad(), 4);
-        // A[s][k3][k2][k1]
-        assert_eq!(l.idx(0, 0, 3, 0), 3);
-        assert_eq!(l.idx(0, 1, 0, 0), 4);
-        assert_eq!(l.idx(1, 0, 0, 0), 16);
-        assert_eq!(l.idx(0, 0, 0, 1), 64);
-        assert_eq!(l.stride_s(), 64);
     }
 
     #[test]
     fn indices_unique_and_in_bounds() {
-        for kind in [LayoutKind::Aos, LayoutKind::Soa, LayoutKind::AoSoA] {
+        for kind in [LayoutKind::Aos, LayoutKind::AoSoA] {
             let l = DofLayout::new(5, 9, Isa::Avx512, kind);
             let mut seen = std::collections::HashSet::new();
             for k3 in 0..5 {
@@ -291,12 +217,9 @@ mod tests {
 
     #[test]
     fn strides_match_idx_deltas() {
-        for kind in [LayoutKind::Aos, LayoutKind::Soa, LayoutKind::AoSoA] {
+        for kind in [LayoutKind::Aos, LayoutKind::AoSoA] {
             let l = DofLayout::new(4, 3, Isa::Avx2, kind);
-            assert_eq!(l.idx(0, 0, 1, 0) - l.idx(0, 0, 0, 0), l.stride_k1());
             assert_eq!(l.idx(0, 1, 0, 0) - l.idx(0, 0, 0, 0), l.stride_k2());
-            assert_eq!(l.idx(1, 0, 0, 0) - l.idx(0, 0, 0, 0), l.stride_k3());
-            assert_eq!(l.idx(0, 0, 0, 1) - l.idx(0, 0, 0, 0), l.stride_s());
         }
     }
 

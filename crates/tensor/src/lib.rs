@@ -1,7 +1,7 @@
 //! # aderdg-tensor
 //!
 //! Memory-layout substrate for the linear ADER-DG kernels: 64-byte-aligned
-//! buffers, padded AoS / SoA / AoSoA layout descriptors for element-local
+//! buffers, padded AoS / AoSoA layout descriptors for element-local
 //! degree-of-freedom tensors, the layout transposes used by the AoSoA
 //! kernel (paper Sec. V), and the portable SIMD layer plus the one SIMD
 //! level ([`Isa`]) that sets the padding and dispatches the GEMM tiles and

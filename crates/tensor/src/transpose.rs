@@ -1,9 +1,10 @@
-//! Layout conversions (transposes) between AoS, SoA and AoSoA tensors.
+//! Layout conversions (transposes) between AoS and AoSoA tensors.
 //!
 //! The AoSoA SplitCK kernel receives engine data in AoS, transposes it to
-//! AoSoA on entry and back on exit (paper Sec. V-B); the rejected
-//! alternative transposes AoS↔SoA around every user-function call
-//! (Sec. V-A). Both are provided so the ablation benches can compare them.
+//! AoSoA on entry and back on exit (paper Sec. V-B). [`convert`] is the
+//! slow any-pair reference the fast transposes are tested against; the
+//! rejected per-call line transposes of Sec. V-A live in the `onthefly`
+//! kernel.
 
 use crate::layout::DofLayout;
 
@@ -154,7 +155,7 @@ mod tests {
 
     #[test]
     fn generic_convert_all_pairs() {
-        let kinds = [LayoutKind::Aos, LayoutKind::Soa, LayoutKind::AoSoA];
+        let kinds = [LayoutKind::Aos, LayoutKind::AoSoA];
         for &a in &kinds {
             for &b in &kinds {
                 let la = DofLayout::new(4, 5, Isa::Avx512, a);

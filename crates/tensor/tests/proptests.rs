@@ -8,7 +8,7 @@ use aderdg_tensor::{
     LayoutKind, Lcg, ALIGNMENT,
 };
 
-const KINDS: [LayoutKind; 3] = [LayoutKind::Aos, LayoutKind::Soa, LayoutKind::AoSoA];
+const KINDS: [LayoutKind; 2] = [LayoutKind::Aos, LayoutKind::AoSoA];
 
 #[test]
 fn padding_is_minimal_multiple() {

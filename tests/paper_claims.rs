@@ -2,9 +2,9 @@
 //! performance model (the measured counterparts live in the bench crate).
 
 use aderdg::core::mix::{stp_pack_counts, stp_useful_flops, UserFunctionCost};
-use aderdg::core::traces::trace_batch;
+use aderdg::core::traces::steady_state_stall;
 use aderdg::core::{KernelVariant, StpConfig, StpPlan};
-use aderdg::perf::{footprint, CacheSim, MachineModel};
+use aderdg::perf::footprint;
 use aderdg::tensor::Isa;
 
 fn plan(order: usize, width: Isa) -> StpPlan {
@@ -13,14 +13,7 @@ fn plan(order: usize, width: Isa) -> StpPlan {
 
 fn stall_fraction(variant: KernelVariant, order: usize) -> f64 {
     let p = plan(order, Isa::Avx512);
-    let machine = MachineModel::skylake_sp();
-    let mut sim = CacheSim::skylake_sp();
-    trace_batch(&p, variant, false, 1, &mut sim); // warm-up
-    sim.reset_stats();
-    let cells = 4;
-    trace_batch(&p, variant, false, cells, &mut sim);
-    let mix = stp_pack_counts(&p, variant, UserFunctionCost::elastic()).scale(cells as u64);
-    machine.stall_fraction_mix(&sim.stats(), &mix)
+    steady_state_stall(&p, variant, UserFunctionCost::elastic(), 4).1
 }
 
 /// Figs. 4/6/10 band: every variant's modelled stall share lies in the
@@ -55,24 +48,31 @@ fn claim_splitck_footprint_reduction() {
 }
 
 /// Fig. 6 shape: SplitCK's stall ratio decreases with order; LoG's does
-/// not drop below it once past the L2 capacity (order ≥ 6).
+/// not drop below it once past the L2 capacity (order ≥ 6), nor collapse
+/// with order.
 #[test]
 fn claim_fig6_stall_shapes() {
-    let log: Vec<f64> = [5, 7, 9]
+    let orders = [5, 6, 7, 9, 10];
+    let log: Vec<f64> = orders
         .iter()
         .map(|&n| stall_fraction(KernelVariant::LoG, n))
         .collect();
-    let split: Vec<f64> = [5, 7, 9]
+    let split: Vec<f64> = orders
         .iter()
         .map(|&n| stall_fraction(KernelVariant::SplitCk, n))
         .collect();
+    // Indices into `orders`: 5 → 0, 6 → 1, 9 → 3, 10 → 4.
     assert!(
-        split[2] < split[0],
+        split[3] < split[0] && split[4] < split[1],
         "SplitCK stalls must decrease with order: {split:?}"
     );
     assert!(
-        log[2] > split[2],
+        log[3] > split[3] && log[4] > split[4],
         "LoG must stall more than SplitCK at high order: log={log:?} split={split:?}"
+    );
+    assert!(
+        log[1] < log[4] * 2.0 + 0.2,
+        "LoG stalls must not collapse with order: {log:?}"
     );
 }
 
