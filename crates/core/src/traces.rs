@@ -453,6 +453,32 @@ mod tests {
     }
 
     #[test]
+    fn log_stalls_plateau_splitck_stalls_decrease() {
+        // The headline mechanism of the paper (Fig. 6): at high order the
+        // LoG working set exceeds 1 MiB L2 and its stall ratio stays high;
+        // SplitCK's stays L2-resident and its stall ratio falls.
+        let cost = crate::mix::UserFunctionCost::elastic();
+        let stall = |variant, n: usize| steady_state_stall(&plan(n), variant, cost, 4).1;
+        let log_6 = stall(KernelVariant::LoG, 6);
+        let log_10 = stall(KernelVariant::LoG, 10);
+        let split_6 = stall(KernelVariant::SplitCk, 6);
+        let split_10 = stall(KernelVariant::SplitCk, 10);
+        // SplitCK improves markedly with order; LoG must not.
+        assert!(
+            split_10 < split_6,
+            "SplitCK stalls should fall: {split_6} -> {split_10}"
+        );
+        assert!(
+            log_10 > split_10,
+            "at order 10, LoG ({log_10}) must stall more than SplitCK ({split_10})"
+        );
+        assert!(
+            log_6 < log_10 * 2.0 + 0.2,
+            "LoG stalls should not collapse with order: {log_6} -> {log_10}"
+        );
+    }
+
+    #[test]
     fn batch_reuses_scratch_across_cells() {
         // With many cells, SplitCK scratch stays hot: L1+L2 hit ratio for
         // the steady state must be high at moderate order.
