@@ -16,7 +16,7 @@ use aderdg_core::{KernelRegistry, KernelVariant, StpConfig, StpPlan};
 use aderdg_gemm::{Gemm, GemmSpec};
 use aderdg_pde::{Elastic, LinearPde, Material};
 use aderdg_perf::footprint as footprint_model;
-use aderdg_tensor::{aos_to_aosoa, aosoa_to_aos, DofLayout, Isa, Lcg};
+use aderdg_tensor::{aos_to_aosoa, aosoa_to_aos, Isa, Lcg};
 use std::time::{Duration, Instant};
 
 /// One subcommand of the `figures` binary: its name and the function
@@ -330,14 +330,14 @@ fn onthefly() {
 
 /// Transpose-overhead measurement (paper Sec. V-B): the AoS↔AoSoA entry
 /// and exit transposes of the AoSoA kernel are claimed to cost little
-/// compared to the kernel itself, and far less than on-the-fly AoS↔SoA
-/// transposes around every user-function call (Sec. V-A, the rejected
-/// alternative).
+/// compared to the kernel itself. The per-call transposes of the
+/// rejected Sec. V-A alternative are timed on the real kernel by
+/// [`onthefly`].
 fn transpose_cost() {
     println!("=== AoS<->AoSoA transpose cost vs kernel cost (Sec. V-B) ===");
     println!(
-        "{:>6} {:>14} {:>14} {:>12} {:>22}",
-        "order", "transpose", "AoSoA kernel", "share", "on-the-fly estimate"
+        "{:>6} {:>14} {:>14} {:>12}",
+        "order", "transpose", "AoSoA kernel", "share"
     );
     for order in paper_orders() {
         let plan = elastic_plan(order);
@@ -354,19 +354,15 @@ fn transpose_cost() {
             20,
         );
         let t_kernel = time_kernel("aosoa_splitck", &plan, &q0, 10);
-
-        // The rejected Sec. V-A alternative: a transpose pair around every
-        // user-function sweep — 3(N+1) flux sweeps per invocation.
-        let on_the_fly = t_trans * 3.0 * (order as f64 + 1.0);
         println!(
-            "{order:>6} {:>11.1} µs {:>11.1} µs {:>11.1}% {:>19.1} µs",
+            "{order:>6} {:>11.1} µs {:>11.1} µs {:>11.1}%",
             t_trans * 1e6,
             t_kernel * 1e6,
-            t_trans / t_kernel * 100.0,
-            on_the_fly * 1e6
+            t_trans / t_kernel * 100.0
         );
     }
     println!("\npaper: entry/exit transposes are minor; per-call transposes are not");
+    println!("(`figures onthefly` times the per-call transposes on the real kernel)");
 }
 
 /// Calibration helper: raw cache-simulator statistics per variant at
@@ -404,13 +400,11 @@ fn calib() {
 ///   come for free", Sec. III-A),
 /// * **fusion** — one wide fused-dimension GEMM vs a loop of narrow slice
 ///   GEMMs for the y-derivative (Fig. 7),
-/// * **transpose** — the AoS↔AoSoA layout conversion cost (Sec. V-B),
 /// * **userfun** — vectorized vs pointwise elastic flux on an x-line
 ///   (Fig. 8).
 fn ablation() {
     ablation_padding();
     ablation_fusion();
-    ablation_transpose();
     ablation_userfun();
 }
 
@@ -511,20 +505,6 @@ fn ablation_fusion() {
             }
         }
     });
-}
-
-fn ablation_transpose() {
-    for n in [6usize, 9] {
-        let aos = DofLayout::aos(n, 21, Isa::Avx512);
-        let aosoa = DofLayout::aosoa(n, 21, Isa::Avx512);
-        let src = rand_vec(aos.len(), 5);
-        let mut hybrid = vec![0.0; aosoa.len()];
-        let mut back = vec![0.0; aos.len()];
-        bench("ablation_transpose", &format!("roundtrip/{n}"), || {
-            aos_to_aosoa(&src, &aos, &mut hybrid, &aosoa);
-            aosoa_to_aos(&hybrid, &aosoa, &mut back, &aos);
-        });
-    }
 }
 
 fn ablation_userfun() {

@@ -22,7 +22,7 @@
 //! reference, calls both halves after its global barrier on step-local
 //! outputs.
 
-use crate::kernels::log::derive_gemm_aos;
+use crate::kernels::log::{derive_gemm_aos, ncp_pointwise_aos};
 use crate::kernels::StpOutputs;
 use crate::plan::StpPlan;
 use aderdg_pde::LinearPde;
@@ -59,9 +59,6 @@ pub fn apply_volume(
     outputs: &StpOutputs,
     q: &mut [f64],
 ) {
-    let m = plan.m();
-    let m_pad = plan.aos.m_pad();
-    let vol = plan.n().pow(3);
     for d in 0..3 {
         derive_gemm_aos(plan, d, &outputs.favg[d], &mut scratch.dflux, false);
         for (qv, dv) in q.iter_mut().zip(scratch.dflux.iter()) {
@@ -69,17 +66,8 @@ pub fn apply_volume(
         }
         if pde.has_ncp() {
             derive_gemm_aos(plan, d, &outputs.qavg, &mut scratch.grad, false);
-            for k in 0..vol {
-                pde.ncp(
-                    d,
-                    &outputs.qavg[k * m_pad..k * m_pad + m],
-                    &scratch.grad[k * m_pad..k * m_pad + m],
-                    &mut scratch.ncp,
-                );
-                for s in 0..m {
-                    q[k * m_pad + s] += scratch.ncp[s];
-                }
-            }
+            let (grad, ncp) = (&scratch.grad, &mut scratch.ncp);
+            ncp_pointwise_aos(plan, pde, d, &outputs.qavg, grad, ncp, q);
         }
     }
 }

@@ -316,7 +316,7 @@ fn stp_aosoa_cells(
     };
 
     // Entry transpose AoS → AoSoA (Sec. V-B: cheaper than per-call
-    // on-the-fly transposes; the ablation bench quantifies it), cell by
+    // on-the-fly transposes; `figures onthefly` quantifies it), cell by
     // cell into the stacked buffer. The material parameters never change:
     // their rows — the contiguous runs s ∈ [vars, m) of each (k3, k2)
     // block — go into the other two state tensors once, here.
@@ -396,71 +396,9 @@ pub fn stp_aosoa(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::generic::{stp_generic, GenericScratch};
+    use crate::kernels::test_support::{compare_with_generic, random_state};
     use crate::plan::StpConfig;
-    use aderdg_pde::{Acoustic, AdvectionNcpSystem, AdvectionSystem, Elastic, LinearPde, Material};
-
-    fn random_state(plan: &StpPlan, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let m = plan.m();
-        let m_pad = plan.aos.m_pad();
-        let mut q = vec![0.0; plan.aos.len()];
-        for k in 0..plan.n().pow(3) {
-            for s in 0..m {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                q[k * m_pad + s] = ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
-            }
-        }
-        q
-    }
-
-    fn compare_with_generic(
-        plan: &StpPlan,
-        pde: &dyn LinearPde,
-        q0: &[f64],
-        source: Option<&CellSource>,
-        tol: f64,
-    ) {
-        let inputs = StpInputs {
-            q0,
-            dt: 0.01,
-            source,
-        };
-        let mut out_g = StpOutputs::new(plan);
-        stp_generic(
-            plan,
-            pde,
-            &mut GenericScratch::new(plan),
-            &inputs,
-            &mut out_g,
-        );
-        let mut out_h = StpOutputs::new(plan);
-        stp_aosoa(plan, pde, &mut AosoaScratch::new(plan), &inputs, &mut out_h);
-        for (i, (a, b)) in out_h.qavg.iter().zip(out_g.qavg.iter()).enumerate() {
-            assert!(
-                (a - b).abs() < tol * (1.0 + b.abs()),
-                "qavg[{i}]: {a} vs {b}"
-            );
-        }
-        for d in 0..3 {
-            for (i, (a, b)) in out_h.favg[d].iter().zip(out_g.favg[d].iter()).enumerate() {
-                assert!(
-                    (a - b).abs() < tol * (1.0 + b.abs()),
-                    "favg{d}[{i}]: {a} vs {b}"
-                );
-            }
-        }
-        for f in 0..6 {
-            for (a, b) in out_h.qface[f].iter().zip(out_g.qface[f].iter()) {
-                assert!((a - b).abs() < tol * (1.0 + b.abs()));
-            }
-            for (a, b) in out_h.fface[f].iter().zip(out_g.fface[f].iter()) {
-                assert!((a - b).abs() < tol * (1.0 + b.abs()));
-            }
-        }
-    }
+    use aderdg_pde::{Acoustic, AdvectionNcpSystem, AdvectionSystem, Elastic, Material};
 
     #[test]
     fn aosoa_matches_generic_advection() {
@@ -468,7 +406,7 @@ mod tests {
             let plan = StpPlan::new(StpConfig::new(n, m), [1.25, 1.0, 0.8]);
             let pde = AdvectionSystem::new(m, [-0.4, 0.7, 0.3]);
             let q0 = random_state(&plan, (7 * n + m) as u64);
-            compare_with_generic(&plan, &pde, &q0, None, 1e-11);
+            compare_with_generic(&AosoaKernel, &plan, &pde, &q0, 0.01, None, 1e-11);
         }
     }
 
@@ -477,7 +415,7 @@ mod tests {
         let plan = StpPlan::new(StpConfig::new(4, 3), [1.0; 3]);
         let pde = AdvectionNcpSystem::new(3, [0.6, -0.1, 0.9]);
         let q0 = random_state(&plan, 21);
-        compare_with_generic(&plan, &pde, &q0, None, 1e-11);
+        compare_with_generic(&AosoaKernel, &plan, &pde, &q0, 0.01, None, 1e-11);
     }
 
     #[test]
@@ -490,7 +428,7 @@ mod tests {
             q0[k * m_pad + 4] = 1.1 + 0.02 * (k % 7) as f64;
             q0[k * m_pad + 5] = 2.5;
         }
-        compare_with_generic(&plan, &pde, &q0, None, 1e-11);
+        compare_with_generic(&AosoaKernel, &plan, &pde, &q0, 0.01, None, 1e-11);
     }
 
     #[test]
@@ -512,7 +450,7 @@ mod tests {
             jac[5] = 0.03 * ((k % 3) as f64 - 1.0);
             Elastic::set_params(&mut q0[k * m_pad..k * m_pad + 21], mat, &jac);
         }
-        compare_with_generic(&plan, &pde, &q0, None, 1e-10);
+        compare_with_generic(&AosoaKernel, &plan, &pde, &q0, 0.01, None, 1e-10);
     }
 
     #[test]
@@ -524,7 +462,7 @@ mod tests {
             .map(|o| vec![0.1 * (o as f64 + 1.0), -0.05 * o as f64])
             .collect();
         let src = CellSource::project(&plan, [0.7, 0.2, 0.4], [1.0; 3], derivs);
-        compare_with_generic(&plan, &pde, &q0, Some(&src), 1e-11);
+        compare_with_generic(&AosoaKernel, &plan, &pde, &q0, 0.01, Some(&src), 1e-11);
     }
 
     #[test]

@@ -102,6 +102,28 @@ pub(crate) fn flux_pointwise_aos(
     }
 }
 
+/// Pointwise non-conservative-product sweep over padded AoS tensors:
+/// `dst += B_d(q) · grad` node by node, through the result buffer `ncp`.
+pub(crate) fn ncp_pointwise_aos(
+    plan: &StpPlan,
+    pde: &dyn LinearPde,
+    d: usize,
+    q: &[f64],
+    grad: &[f64],
+    ncp: &mut [f64],
+    dst: &mut [f64],
+) {
+    let m = plan.m();
+    let m_pad = plan.aos.m_pad();
+    for k in 0..plan.n().pow(3) {
+        let node = k * m_pad..k * m_pad + m;
+        pde.ncp(d, &q[node.clone()], &grad[node.clone()], ncp);
+        for (v, c) in dst[node].iter_mut().zip(&*ncp) {
+            *v += c;
+        }
+    }
+}
+
 /// Runs the LoG predictor.
 pub fn stp_log(
     plan: &StpPlan,
@@ -137,17 +159,7 @@ pub fn stp_log(
                 derive_gemm_aos(plan, d, p_o, &mut scratch.grad_q[o][d], false);
                 let grad = &scratch.grad_q[o][d];
                 let d_f = &mut scratch.d_f[o][d];
-                for k in 0..vol {
-                    pde.ncp(
-                        d,
-                        &p_o[k * m_pad..k * m_pad + m],
-                        &grad[k * m_pad..k * m_pad + m],
-                        &mut scratch.ncp,
-                    );
-                    for s in 0..m {
-                        d_f[k * m_pad + s] += scratch.ncp[s];
-                    }
-                }
+                ncp_pointwise_aos(plan, pde, d, p_o, grad, &mut scratch.ncp, d_f);
             }
         }
         // p[o+1] = Σ_d dF[o][d] — full padded arrays, vectorizable.
@@ -210,44 +222,9 @@ pub fn stp_log(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::generic::{stp_generic, GenericScratch};
+    use crate::kernels::test_support::{compare_with_generic, random_state};
     use crate::plan::StpConfig;
     use aderdg_pde::{AdvectionNcpSystem, AdvectionSystem};
-
-    fn random_state(plan: &StpPlan, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let m = plan.m();
-        let m_pad = plan.aos.m_pad();
-        let mut q = vec![0.0; plan.aos.len()];
-        for k in 0..plan.n().pow(3) {
-            for s in 0..m {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                q[k * m_pad + s] = ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
-            }
-        }
-        q
-    }
-
-    fn assert_outputs_close(a: &StpOutputs, b: &StpOutputs, tol: f64) {
-        let close = |x: &[f64], y: &[f64], what: &str| {
-            for (i, (u, v)) in x.iter().zip(y).enumerate() {
-                assert!(
-                    (u - v).abs() < tol * (1.0 + v.abs()),
-                    "{what}[{i}]: {u} vs {v}"
-                );
-            }
-        };
-        close(&a.qavg, &b.qavg, "qavg");
-        for d in 0..3 {
-            close(&a.favg[d], &b.favg[d], "favg");
-        }
-        for f in 0..6 {
-            close(&a.qface[f], &b.qface[f], "qface");
-            close(&a.fface[f], &b.fface[f], "fface");
-        }
-    }
 
     #[test]
     fn log_matches_generic_flux_pde() {
@@ -255,28 +232,7 @@ mod tests {
             let plan = StpPlan::new(StpConfig::new(n, m), [0.8, 1.0, 1.25]);
             let pde = AdvectionSystem::new(m, [0.7, -0.3, 0.2]);
             let q0 = random_state(&plan, (n * 100 + m) as u64);
-            let inputs = StpInputs {
-                q0: &q0,
-                dt: 0.02,
-                source: None,
-            };
-            let mut out_g = StpOutputs::new(&plan);
-            stp_generic(
-                &plan,
-                &pde,
-                &mut GenericScratch::new(&plan),
-                &inputs,
-                &mut out_g,
-            );
-            let mut out_l = StpOutputs::new(&plan);
-            stp_log(
-                &plan,
-                &pde,
-                &mut LogScratch::new(&plan),
-                &inputs,
-                &mut out_l,
-            );
-            assert_outputs_close(&out_l, &out_g, 1e-12);
+            compare_with_generic(&LogKernel, &plan, &pde, &q0, 0.02, None, 1e-12);
         }
     }
 
@@ -285,28 +241,7 @@ mod tests {
         let plan = StpPlan::new(StpConfig::new(4, 3), [1.0; 3]);
         let pde = AdvectionNcpSystem::new(3, [0.4, 0.9, -0.6]);
         let q0 = random_state(&plan, 99);
-        let inputs = StpInputs {
-            q0: &q0,
-            dt: 0.03,
-            source: None,
-        };
-        let mut out_g = StpOutputs::new(&plan);
-        stp_generic(
-            &plan,
-            &pde,
-            &mut GenericScratch::new(&plan),
-            &inputs,
-            &mut out_g,
-        );
-        let mut out_l = StpOutputs::new(&plan);
-        stp_log(
-            &plan,
-            &pde,
-            &mut LogScratch::new(&plan),
-            &inputs,
-            &mut out_l,
-        );
-        assert_outputs_close(&out_l, &out_g, 1e-12);
+        compare_with_generic(&LogKernel, &plan, &pde, &q0, 0.03, None, 1e-12);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! [`KernelVariant`](crate::plan::KernelVariant), whose cache-model replays
 //! live in [`traces`](crate::traces).
 //!
-//! Every kernel has exactly one body. Under the engine's block pipeline
+//! Every algorithm has exactly one body: [`onthefly`] is SplitCK's body
+//! with transposed user-function calls. Under the engine's block pipeline
 //! all but [`aosoa`] run the trait's per-cell `run_block` loop; AoSoA
 //! SplitCK's one body runs over stacked cells, so its per-cell `run` is
 //! the one-cell block. A `--block-size` A/B therefore only measures
@@ -38,6 +39,8 @@ pub mod onthefly;
 #[cfg(test)]
 mod poison_tests;
 pub mod splitck;
+#[cfg(test)]
+mod test_support;
 
 use crate::block::BlockInputs;
 use crate::faceproj;

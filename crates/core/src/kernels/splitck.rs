@@ -15,13 +15,15 @@
 //!
 //! Resulting footprint: `O(N^d m)` instead of `O(N^{d+1} m d)`.
 
+use super::onthefly::{flux_onthefly, ncp_onthefly};
 use super::{project_faces, StpInputs, StpOutputs};
-use crate::kernels::log::{derive_gemm_aos, flux_pointwise_aos};
+use crate::kernels::log::{derive_gemm_aos, flux_pointwise_aos, ncp_pointwise_aos};
 use crate::plan::StpPlan;
 use aderdg_pde::LinearPde;
 use aderdg_tensor::AlignedVec;
 
-/// Temporaries of the SplitCK kernel: four volume tensors, period.
+/// Temporaries of the SplitCK kernel: four volume tensors, period (the
+/// on-the-fly call strategy adds three SoA x-lines).
 #[derive(Debug, Clone)]
 pub struct SplitCkScratch {
     /// Current Taylor term `p[o]`.
@@ -34,6 +36,10 @@ pub struct SplitCkScratch {
     grad_q: AlignedVec,
     /// Pointwise ncp result buffer.
     ncp: Vec<f64>,
+    /// SoA x-lines (`m × n_pad`: state, result, ncp gradient) of the
+    /// [`onthefly`](super::onthefly) call strategy, filled by its registry
+    /// entry alone; `None` calls the user functions pointwise on AoS.
+    pub(super) lines: Option<[AlignedVec; 3]>,
 }
 
 impl SplitCkScratch {
@@ -46,16 +52,19 @@ impl SplitCkScratch {
             flux: AlignedVec::zeroed(vol),
             grad_q: AlignedVec::zeroed(vol),
             ncp: vec![0.0; plan.m()],
+            lines: None,
         }
     }
 
     /// Bytes of temporary storage — the `O(N^d m)` footprint.
     pub fn footprint_bytes(&self) -> usize {
-        (self.p.len() + self.ptemp.len() + self.flux.len() + self.grad_q.len()) * 8
+        let lines: usize = self.lines.iter().flatten().map(AlignedVec::len).sum();
+        (self.p.len() + self.ptemp.len() + self.flux.len() + self.grad_q.len() + lines) * 8
     }
 }
 
-/// Runs the SplitCK predictor (Fig. 5).
+/// Runs the SplitCK predictor (Fig. 5), calling the user functions as
+/// `scratch` says: pointwise, or per x-line through SoA transposes.
 pub fn stp_splitck(
     plan: &StpPlan,
     pde: &dyn LinearPde,
@@ -70,34 +79,36 @@ pub fn stp_splitck(
     let vol = n * n * n;
     let has_ncp = pde.has_ncp();
     let coef = plan.taylor(inputs.dt);
+    let SplitCkScratch {
+        p,
+        ptemp,
+        flux,
+        grad_q,
+        ncp,
+        lines,
+    } = scratch;
 
     // p ← q0; qavg ← c_0 · p (on-the-fly time integration).
-    scratch
-        .p
-        .as_mut_slice()
+    p.as_mut_slice()
         .copy_from_slice(&inputs.q0[..plan.aos.len()]);
-    for (qa, pv) in out.qavg.iter_mut().zip(scratch.p.iter()) {
+    for (qa, pv) in out.qavg.iter_mut().zip(p.iter()) {
         *qa = coef[0] * pv;
     }
 
     for o in 0..n {
-        scratch.ptemp.fill_zero();
+        ptemp.fill_zero();
         // One dimension at a time; flux and gradQ are reused across d.
         for d in 0..3 {
-            flux_pointwise_aos(plan, pde, d, &scratch.p, &mut scratch.flux);
-            derive_gemm_aos(plan, d, &scratch.flux, &mut scratch.ptemp, true);
+            match lines {
+                None => flux_pointwise_aos(plan, pde, d, p, flux),
+                Some([lq, lf, _]) => flux_onthefly(plan, pde, d, p, flux, lq, lf),
+            }
+            derive_gemm_aos(plan, d, flux, ptemp, true);
             if has_ncp {
-                derive_gemm_aos(plan, d, &scratch.p, &mut scratch.grad_q, false);
-                for k in 0..vol {
-                    pde.ncp(
-                        d,
-                        &scratch.p[k * m_pad..k * m_pad + m],
-                        &scratch.grad_q[k * m_pad..k * m_pad + m],
-                        &mut scratch.ncp,
-                    );
-                    for s in 0..m {
-                        scratch.ptemp[k * m_pad + s] += scratch.ncp[s];
-                    }
+                derive_gemm_aos(plan, d, p, grad_q, false);
+                match lines {
+                    None => ncp_pointwise_aos(plan, pde, d, p, grad_q, ncp, ptemp),
+                    Some(lines) => ncp_onthefly(plan, pde, d, p, grad_q, ptemp, lines),
                 }
             }
         }
@@ -106,23 +117,20 @@ pub fn stp_splitck(
             for k in 0..vol {
                 let c = src.node_coeffs[k];
                 for (s, &a) in amp.iter().enumerate() {
-                    scratch.ptemp[k * m_pad + s] += c * a;
+                    ptemp[k * m_pad + s] += c * a;
                 }
             }
         }
         // Carry the material parameters along (they are not evolved):
         // `p` still holds the previous term with valid parameters.
-        {
-            let SplitCkScratch { p, ptemp, .. } = scratch;
-            for k in 0..vol {
-                ptemp[k * m_pad + vars..k * m_pad + m]
-                    .copy_from_slice(&p[k * m_pad + vars..k * m_pad + m]);
-            }
+        for k in 0..vol {
+            ptemp[k * m_pad + vars..k * m_pad + m]
+                .copy_from_slice(&p[k * m_pad + vars..k * m_pad + m]);
         }
-        std::mem::swap(&mut scratch.p, &mut scratch.ptemp);
+        std::mem::swap(p, ptemp);
         // qavg += c_{o+1} · p[o+1].
         let c = coef[o + 1];
-        for (qa, pv) in out.qavg.iter_mut().zip(scratch.p.iter()) {
+        for (qa, pv) in out.qavg.iter_mut().zip(p.iter()) {
             *qa += c * pv;
         }
     }
@@ -137,8 +145,11 @@ pub fn stp_splitck(
     // Recompute the time-averaged flux from the time-averaged state
     // (Fig. 5's post-loop; linearity of F).
     for d in 0..3 {
-        flux_pointwise_aos(plan, pde, d, &out.qavg, &mut scratch.flux);
-        out.favg[d].as_mut_slice().copy_from_slice(&scratch.flux);
+        match lines {
+            None => flux_pointwise_aos(plan, pde, d, &out.qavg, flux),
+            Some([lq, lf, _]) => flux_onthefly(plan, pde, d, &out.qavg, flux, lq, lf),
+        }
+        out.favg[d].as_mut_slice().copy_from_slice(flux);
     }
 
     project_faces(plan, out);
@@ -147,78 +158,13 @@ pub fn stp_splitck(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::generic::{stp_generic, GenericScratch};
-    use crate::kernels::log::{stp_log, LogScratch};
+    use crate::kernels::generic::GenericScratch;
+    use crate::kernels::log::LogKernel;
+    use crate::kernels::test_support::{
+        assert_outputs_close, compare_with_generic, random_state, run,
+    };
     use crate::plan::{CellSource, StpConfig};
-    use aderdg_pde::{Acoustic, AdvectionNcpSystem, AdvectionSystem, LinearPde};
-
-    fn random_state(plan: &StpPlan, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let m = plan.m();
-        let m_pad = plan.aos.m_pad();
-        let mut q = vec![0.0; plan.aos.len()];
-        for k in 0..plan.n().pow(3) {
-            for s in 0..m {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                q[k * m_pad + s] = ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
-            }
-        }
-        q
-    }
-
-    fn compare_with_generic(
-        plan: &StpPlan,
-        pde: &dyn LinearPde,
-        q0: &[f64],
-        source: Option<&CellSource>,
-        tol: f64,
-    ) {
-        let inputs = StpInputs {
-            q0,
-            dt: 0.015,
-            source,
-        };
-        let mut out_g = StpOutputs::new(plan);
-        stp_generic(
-            plan,
-            pde,
-            &mut GenericScratch::new(plan),
-            &inputs,
-            &mut out_g,
-        );
-        let mut out_s = StpOutputs::new(plan);
-        stp_splitck(
-            plan,
-            pde,
-            &mut SplitCkScratch::new(plan),
-            &inputs,
-            &mut out_s,
-        );
-        for (i, (a, b)) in out_s.qavg.iter().zip(out_g.qavg.iter()).enumerate() {
-            assert!(
-                (a - b).abs() < tol * (1.0 + b.abs()),
-                "qavg[{i}]: {a} vs {b}"
-            );
-        }
-        for d in 0..3 {
-            for (i, (a, b)) in out_s.favg[d].iter().zip(out_g.favg[d].iter()).enumerate() {
-                assert!(
-                    (a - b).abs() < tol * (1.0 + b.abs()),
-                    "favg{d}[{i}]: {a} vs {b}"
-                );
-            }
-        }
-        for f in 0..6 {
-            for (a, b) in out_s.qface[f].iter().zip(out_g.qface[f].iter()) {
-                assert!((a - b).abs() < tol * (1.0 + b.abs()));
-            }
-            for (a, b) in out_s.fface[f].iter().zip(out_g.fface[f].iter()) {
-                assert!((a - b).abs() < tol * (1.0 + b.abs()));
-            }
-        }
-    }
+    use aderdg_pde::{Acoustic, AdvectionNcpSystem, AdvectionSystem};
 
     #[test]
     fn splitck_matches_generic_advection() {
@@ -226,7 +172,7 @@ mod tests {
             let plan = StpPlan::new(StpConfig::new(n, m), [1.0, 0.5, 2.0]);
             let pde = AdvectionSystem::new(m, [0.9, -0.2, 0.45]);
             let q0 = random_state(&plan, (13 * n + m) as u64);
-            compare_with_generic(&plan, &pde, &q0, None, 1e-11);
+            compare_with_generic(&SplitCkKernel, &plan, &pde, &q0, 0.015, None, 1e-11);
         }
     }
 
@@ -235,7 +181,7 @@ mod tests {
         let plan = StpPlan::new(StpConfig::new(5, 2), [1.0; 3]);
         let pde = AdvectionNcpSystem::new(2, [0.3, 0.8, -0.5]);
         let q0 = random_state(&plan, 4242);
-        compare_with_generic(&plan, &pde, &q0, None, 1e-11);
+        compare_with_generic(&SplitCkKernel, &plan, &pde, &q0, 0.015, None, 1e-11);
     }
 
     #[test]
@@ -249,7 +195,7 @@ mod tests {
             q0[k * m_pad + 4] = 1.2 + 0.01 * (k % 5) as f64;
             q0[k * m_pad + 5] = 3.0;
         }
-        compare_with_generic(&plan, &pde, &q0, None, 1e-11);
+        compare_with_generic(&SplitCkKernel, &plan, &pde, &q0, 0.015, None, 1e-11);
     }
 
     #[test]
@@ -266,33 +212,17 @@ mod tests {
             })
             .collect();
         let src = CellSource::project(&plan, [0.3, 0.6, 0.2], [1.0; 3], derivs);
-        compare_with_generic(&plan, &pde, &q0, Some(&src), 1e-11);
+        let source = Some(&src);
+        compare_with_generic(&SplitCkKernel, &plan, &pde, &q0, 0.015, source, 1e-11);
 
         // And LoG with the same source agrees too.
         let inputs = StpInputs {
             q0: &q0,
             dt: 0.015,
-            source: Some(&src),
+            source,
         };
-        let mut out_l = StpOutputs::new(&plan);
-        stp_log(
-            &plan,
-            &pde,
-            &mut LogScratch::new(&plan),
-            &inputs,
-            &mut out_l,
-        );
-        let mut out_s = StpOutputs::new(&plan);
-        stp_splitck(
-            &plan,
-            &pde,
-            &mut SplitCkScratch::new(&plan),
-            &inputs,
-            &mut out_s,
-        );
-        for (a, b) in out_s.qavg.iter().zip(out_l.qavg.iter()) {
-            assert!((a - b).abs() < 1e-11 * (1.0 + b.abs()));
-        }
+        let split = run(&SplitCkKernel, &plan, &pde, &inputs);
+        assert_outputs_close(&split, &run(&LogKernel, &plan, &pde, &inputs), 1e-11);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct KernelRegistry {
 impl KernelRegistry {
     /// The process-wide table: the paper's four variants plus the
     /// rejected on-the-fly-transpose design (Sec. V-A), which rides along
-    /// so the ablation harness and the equivalence matrix exercise it
+    /// so the `onthefly` figure and the equivalence matrix exercise it
     /// like any other kernel.
     pub fn global() -> &'static KernelRegistry {
         static GLOBAL: KernelRegistry = KernelRegistry {

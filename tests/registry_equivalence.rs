@@ -2,7 +2,8 @@
 //! [`KernelRegistry`] — not a hard-coded list — must produce the same
 //! acoustic plane-wave evolution to floating-point tolerance, both at the
 //! single-invocation level and through a full engine run. A newly
-//! registered variant is cross-checked here with zero test edits.
+//! registered variant is cross-checked here with zero test edits, except
+//! for one row in the bit-level pin table that names every kernel.
 
 use aderdg::core::kernels::{StpInputs, StpOutputs};
 use aderdg::core::{
@@ -363,5 +364,146 @@ fn all_registered_kernels_agree_on_single_predictor_invocation() {
                 }
             }
         }
+    }
+}
+
+/// FNV-1a 64 over the little-endian bytes of `bits` — the checkpoint
+/// codec's hash.
+fn fnv1a(bits: &[u64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bits.iter().flat_map(|v| v.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Bit-level pin of every registered kernel: the FNV-1a hash of its
+/// outputs on three inputs — acoustic with parameter rows, the ncp path
+/// and the point-source path — and its scratch footprint for m = 21 at
+/// orders 2..=12. Every plan is built at [`Isa::Baseline`], whose GEMM
+/// tile and lane bodies are the portable, unfused ones, so the values
+/// do not depend on the host. A kernel change that moves any bit of any
+/// output, or any scratch byte, fails here.
+#[test]
+fn kernel_outputs_are_pinned_bit_for_bit() {
+    use aderdg::core::CellSource;
+    use aderdg::pde::{AdvectionNcpSystem, AdvectionSystem, LinearPde};
+    use aderdg::tensor::{Isa, Lcg};
+
+    let plan_for = |order: usize, m: usize| {
+        StpPlan::new(
+            StpConfig::new(order, m).with_width(Isa::Baseline),
+            [1.0, 0.8, 1.25],
+        )
+    };
+    // A seeded state over the evolved rows; `params` fills the rest.
+    let state = |plan: &StpPlan, vars: usize, seed: u64, params: &dyn Fn(usize, &mut [f64])| {
+        let mut rng = Lcg::new(seed);
+        let mut q = vec![0.0; plan.aos.len()];
+        for (k, node) in q.chunks_exact_mut(plan.aos.m_pad()).enumerate() {
+            node[..vars].copy_from_slice(&rng.vec(vars, -0.5, 0.5));
+            params(k, &mut node[..plan.m()]);
+        }
+        q
+    };
+
+    let acoustic_plan = plan_for(4, Acoustic.num_quantities());
+    let acoustic_q0 = state(&acoustic_plan, Acoustic.num_vars(), 1, &|k, q| {
+        Acoustic::set_params(q, 1.1 + 0.02 * (k % 7) as f64, 2.5 - 0.1 * (k % 3) as f64)
+    });
+    let ncp = AdvectionNcpSystem::new(3, [0.6, -0.1, 0.9]);
+    let ncp_plan = plan_for(5, 3);
+    let ncp_q0 = state(&ncp_plan, 3, 2, &|_, _| {});
+    let advection = AdvectionSystem::new(2, [0.2, 0.5, -0.7]);
+    let source_plan = plan_for(4, 2);
+    let source_q0 = state(&source_plan, 2, 3, &|_, _| {});
+    let derivs = vec![
+        vec![0.5, -0.25],
+        vec![1.5, 0.75],
+        vec![-2.0, 0.125],
+        vec![3.25, -1.0],
+        vec![-0.5, 2.5],
+    ];
+    let source = CellSource::project(&source_plan, [0.3, 0.6, 0.2], [1.0, 0.8, 1.25], derivs);
+    let cases = [
+        (
+            &Acoustic as &dyn LinearPde,
+            &acoustic_plan,
+            &acoustic_q0,
+            None,
+        ),
+        (&ncp, &ncp_plan, &ncp_q0, None),
+        (&advection, &source_plan, &source_q0, Some(&source)),
+    ];
+
+    // (name, output hash per case, footprint bytes at orders 2..=12).
+    let pinned: [(&str, [u64; 3], [usize; 11]); 5] = [
+        (
+            "generic",
+            [0xb335394cd90babf3, 0xde2d345a988b7150, 0x11eae448b34f892c],
+            [
+                32256, 154224, 473088, 1134000, 2322432, 4264176, 7225344, 11512368, 17472000,
+                25491312, 35997696,
+            ],
+        ),
+        (
+            "log",
+            [0x5678734a8169c00b, 0x3b642cdf7c60e76f, 0x90ba9d6e8c9aa254],
+            [
+                33792, 161568, 495616, 1188000, 2433024, 4467232, 7569408, 12060576, 18304000,
+                26705184, 37711872,
+            ],
+        ),
+        (
+            "splitck",
+            [0x90c3a90dc637a59d, 0x3b642cdf7c60e76f, 0xd3e602b3a30de64f],
+            [
+                5632, 19008, 45056, 88000, 152064, 241472, 360448, 513216, 704000, 937024, 1216512,
+            ],
+        ),
+        (
+            "aosoa_splitck",
+            [0x67a57d2d3b046893, 0x3b642cdf7c60e76f, 0xd3e602b3a30de64f],
+            [
+                6720, 30240, 53760, 126000, 181440, 329280, 430080, 680400, 840000, 1219680,
+                1451520,
+            ],
+        ),
+        (
+            "onthefly",
+            [0x67a57d2d3b046893, 0x3b642cdf7c60e76f, 0xd3e602b3a30de64f],
+            [
+                6640, 21024, 47072, 91024, 155088, 245504, 364480, 518256, 709040, 943072, 1222560,
+            ],
+        ),
+    ];
+    let registry = KernelRegistry::global();
+    assert_eq!(
+        registry.names(),
+        pinned.map(|p| p.0),
+        "registry and pin table list different kernels"
+    );
+    for (name, hashes, footprints) in pinned {
+        let kernel = registry.resolve(name).unwrap();
+        let got: Vec<u64> = cases
+            .iter()
+            .map(|&(pde, plan, q0, source)| {
+                let mut out = StpOutputs::new(plan);
+                let inputs = StpInputs {
+                    q0,
+                    dt: 0.01,
+                    source,
+                };
+                let mut scratch = kernel.make_scratch(plan);
+                kernel.run(plan, pde, scratch.as_mut(), &inputs, &mut out);
+                fnv1a(&output_bits(&out))
+            })
+            .collect();
+        let got_footprints: Vec<usize> = (2..=12)
+            .map(|order| kernel.footprint_bytes(&plan_for(order, 21)))
+            .collect();
+        assert_eq!(got, hashes, "{name}: output hashes");
+        assert_eq!(got_footprints, footprints, "{name}: footprint bytes");
     }
 }
