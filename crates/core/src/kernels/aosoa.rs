@@ -140,13 +140,12 @@ fn derive_flux_aosoa(
             gemms[1].execute_batched(&batch, &plan.basis.diff, src, dst);
         }
         _ => {
-            // The `k2` slices of a cell interleave (row stride n · block,
-            // slice offset block), which a strided batch cannot express.
+            // One batch per cell over its `k2` slices, which interleave
+            // row by row (slice offset `block`, row stride `n · block`).
+            let batch = GemmBatch::shared_a(n, block, block);
             for c in 0..cells {
-                for k2 in 0..n {
-                    let off = c * plan.aosoa.len() + k2 * block;
-                    gemms[2].execute_offset(&plan.basis.diff, 0, src, off, dst, off);
-                }
+                let off = c * plan.aosoa.len();
+                gemms[2].execute_batched(&batch, &plan.basis.diff, &src[off..], &mut dst[off..]);
             }
         }
     }

@@ -10,6 +10,7 @@
 
 use super::{project_faces, StpInputs, StpOutputs};
 use crate::plan::StpPlan;
+use aderdg_gemm::GemmBatch;
 use aderdg_pde::LinearPde;
 use aderdg_tensor::AlignedVec;
 
@@ -75,10 +76,8 @@ pub(crate) fn derive_gemm_aos(
         &plan.gemm_aos[d]
     };
     let (batches, stride) = plan.aos_batches(d);
-    let diff = &plan.basis.diff;
-    for b in 0..batches {
-        gemm.execute_offset(diff, 0, src, b * stride, dst, b * stride);
-    }
+    let batch = GemmBatch::shared_a(batches, stride, stride);
+    gemm.execute_batched(&batch, &plan.basis.diff, src, dst);
 }
 
 /// Pointwise flux sweep over a padded AoS tensor (the user functions stay

@@ -8,11 +8,12 @@
 //! LIBXSMM's generated kernels, the choice happens **once at plan time**:
 //! [`Gemm::with_isa`](crate::Gemm::with_isa) clamps the ISA cap to
 //! [`Isa::detect`] and takes that level's kernel.
-//! The hot call ([`Gemm::execute`](crate::Gemm::execute)) is a single
-//! virtual call into pre-monomorphized code — the trait granularity is one
-//! *whole GEMM*, not one tile: the hot shapes run hundreds of
-//! sub-microsecond tiles per call, so per-tile virtual dispatch would cost
-//! a measurable fraction of the kernel itself.
+//! The hot call ([`Gemm::execute`](crate::Gemm::execute) or
+//! [`execute_batched`](crate::Gemm::execute_batched)) is a single virtual
+//! call into pre-monomorphized code — the trait granularity is one *whole
+//! batch* of GEMMs, not one tile or one item: the hot shapes run hundreds
+//! of sub-microsecond tiles per call, so per-tile (or per-item) dispatch
+//! and validation would cost a measurable fraction of the kernel itself.
 //!
 //! Adding an architecture is one [`Isa`] level (a variant and its
 //! [`Isa::detect`] branch), one tile block and one arm in [`backend_for`].
@@ -40,9 +41,10 @@ pub trait GemmBackend: Send + Sync + std::fmt::Debug {
     fn isa(&self) -> Isa;
 
     /// Register tile `(MR, NR)` this kernel runs `spec` on: `MR` rows of
-    /// `C` held in accumulators, `NR` doubles wide. May depend on `spec.n`
-    /// only, so panels packed for a spec stay valid when
-    /// [`run_batched`](Self::run_batched) fuses rows (which changes `m`).
+    /// `C` held in accumulators, `NR` doubles wide. `NR` may depend on
+    /// `spec.n` only, so `B` panels packed for a spec stay valid when
+    /// [`run_batched`](Self::run_batched) fuses rows (which changes `m`);
+    /// `MR` may follow `spec.m` (`A` panels are dropped on fusion).
     fn tile(&self, spec: &GemmSpec) -> (usize, usize);
 
     /// Packs the left operand into this kernel's `MR`-row panel layout,
@@ -60,8 +62,9 @@ pub trait GemmBackend: Send + Sync + std::fmt::Debug {
     /// Runs `C ← α·A·B + β·C` per `spec`, reading packed panels where
     /// `packed` provides them — packed by **this** kernel from the same
     /// logical operands as the raw slices; a mismatched panel is a panic,
-    /// not a wrong answer — and packing partial edge tiles on the fly
+    /// not a wrong answer — and packing column-edge tiles on the fly
     /// otherwise ([`PackedOperands::none`] is the plain unpacked call).
+    /// The one-item [`run_batched`](Self::run_batched).
     ///
     /// # Safety
     /// The host must support this kernel (`isa() <= Isa::detect()`).
@@ -72,19 +75,24 @@ pub trait GemmBackend: Send + Sync + std::fmt::Debug {
         b: &[f64],
         c: &mut [f64],
         packed: PackedOperands<'_>,
-    );
+    ) {
+        // SAFETY: forwarded support contract.
+        unsafe { self.run_batched(spec, &GemmBatch::ONE, a, b, c, packed) }
+    }
 
     /// Runs `spec` over a strided batch of operand triples (operand `i`
     /// starts at `i * batch.stride_{a,b,c}`; a stride of `0` shares the
     /// operand across the batch) — the cell-block execution path where one
     /// operator load serves a whole block of cells.
     ///
-    /// Row-stacked shared-`B` batches collapse into one tall
-    /// [`execute`](Self::execute) call ([`GemmBatch::fuse_rows`];
-    /// plan-cached `B` panels survive fusion because only `m` changes);
-    /// everything else loops items with exact-length sub-slices, so an
-    /// out-of-bounds stride fails loudly. Panels apply only to operands
-    /// the batch actually shares (stride `0`).
+    /// The batch is checked once ([`GemmBatch::check`] when it has
+    /// several items, plus one operand and panel check), its depth
+    /// dispatched once, and the items looped inside the tile's
+    /// `#[target_feature]` wrapper, each on its exact sub-slices, so an
+    /// out-of-bounds stride fails loudly. Row-stacked shared-`B` batches
+    /// collapse into one tall item ([`GemmBatch::fuse_rows`]; plan-cached
+    /// `B` panels survive fusion because only `m` changes). Panels apply
+    /// only to operands the batch actually shares (stride `0`).
     ///
     /// # Safety
     /// The host must support this kernel (`isa() <= Isa::detect()`).
@@ -96,39 +104,7 @@ pub trait GemmBackend: Send + Sync + std::fmt::Debug {
         b: &[f64],
         c: &mut [f64],
         packed: PackedOperands<'_>,
-    ) {
-        batch.check(spec, a, b, c);
-        if let Some(fused) = batch.fuse_rows(spec) {
-            // A-side panels describe the per-item `m`, not the fused tall
-            // matrix; only shared-B panels carry over.
-            let fused_packed = PackedOperands {
-                a: None,
-                b: packed.b,
-            };
-            // SAFETY: forwarded support contract.
-            unsafe { self.execute(&fused, a, b, c, fused_packed) };
-            return;
-        }
-        let (ra, rb, rc) = spec.required_lens();
-        for i in 0..batch.count {
-            let (ao, bo, co) = (i * batch.stride_a, i * batch.stride_b, i * batch.stride_c);
-            let item = PackedOperands {
-                a: if batch.stride_a == 0 { packed.a } else { None },
-                b: if batch.stride_b == 0 { packed.b } else { None },
-            };
-            // SAFETY: forwarded support contract; `batch.check` bounded
-            // every sub-slice.
-            unsafe {
-                self.execute(
-                    spec,
-                    &a[ao..ao + ra],
-                    &b[bo..bo + rb],
-                    &mut c[co..co + rc],
-                    item,
-                )
-            };
-        }
-    }
+    );
 }
 
 /// The kernel compiled for `isa`: there is one per level, so the level

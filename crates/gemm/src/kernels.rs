@@ -322,6 +322,39 @@ mod tests {
         }
     }
 
+    /// Items that interleave row by row without touching — the AoSoA
+    /// z-sweep's `k2` slices of one cell — run as one batch and equal
+    /// the per-item loop.
+    #[test]
+    fn interleaved_batch_matches_per_item_loop() {
+        let (n, count) = (8, 3);
+        let spec = GemmSpec::dense(4, n, 4)
+            .with_ld(4, count * n + 2, count * n + 2)
+            .with_scale(0.5, 1.0);
+        let batch = GemmBatch::shared_a(count, n, n);
+        let (ra, rb, rc) = batch.required_lens(&spec);
+        let a = rand_vec(ra, 41);
+        let b = rand_vec(rb, 42);
+        let c0 = rand_vec(rc, 43);
+        let mut c_ref = c0.clone();
+        for i in 0..count {
+            gemm_naive(&spec, &a, &b[i * n..], &mut c_ref[i * n..]);
+        }
+        let mut c_plan = c0;
+        Gemm::new(spec).execute_batched(&batch, &a, &b, &mut c_plan);
+        assert_close(&c_plan, &c_ref, &spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps items")]
+    fn overlapping_interleaved_batch_panics() {
+        // The last item's row runs past the first item's row (3·8 > 20).
+        let spec = GemmSpec::dense(2, 8, 2).with_ld(2, 8, 20);
+        let batch = GemmBatch::shared_a(3, 8, 8);
+        let (ra, rb, rc) = batch.required_lens(&spec);
+        Gemm::new(spec).execute_batched(&batch, &vec![0.0; ra], &vec![0.0; rb], &mut vec![0.0; rc]);
+    }
+
     #[test]
     fn fuse_rows_detects_row_stacked_shared_b() {
         let spec = GemmSpec::dense(3, 8, 5);

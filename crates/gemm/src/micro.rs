@@ -11,27 +11,34 @@
 //! * `B` is packed into column panels of `NR` columns: panel `p` stores
 //!   `B[l][p·NR + t]` at `[l·NR + t]`, one contiguous vector row per `l`.
 //!
-//! Partial edge panels are packed **zero-padded** to full tile size, so
-//! the inner loop never branches on tail lanes — the driver computes
-//! full tiles unconditionally and only the *store* distinguishes
-//! `used_rows × used_cols` from the full tile. Full tiles of an operand
-//! without plan-cached panels are read straight from the raw buffer.
+//! Edge tiles run at full vector width wherever the DG shapes produce
+//! them. A row edge (`rows < MR`) of a plan-packed `A` runs the panel's
+//! zero-padded rows; a row edge of a raw `A` runs `rows` one-row tiles
+//! straight from the buffer. Either way its `rows` accumulator rows are
+//! stored with the same vector sequence as a full tile. Only a column
+//! edge (`n % NR ≠ 0`, which the padded DG shapes rarely produce) packs
+//! its `B` columns zero-padded and stores through a scalar corner loop.
+//! Every `C` element keeps one accumulation order on every path — the sum
+//! over `l` in order, then `α·acc`, then `+ β·C` — so the edge handling
+//! never changes a bit of the result.
 //!
 //! The body is written once, generically over the portable SIMD layer
 //! ([`crate::simd`]) with the tile shape as const generics; each
-//! [`GemmBackend`](crate::backend::GemmBackend) in [`crate::tiles`] pins
-//! one register shape inside a `#[target_feature]` wrapper and threads
-//! plan-cached panels through [`PackedOperands`].
+//! [`GemmBackend`] in [`crate::tiles`] pins one register shape inside a
+//! `#[target_feature]` wrapper around the driver's loop over a whole
+//! [`GemmBatch`]: one check and one contraction-depth dispatch per
+//! batch, a single call being the one-item batch.
 
+use crate::backend::GemmBackend;
 use crate::simd::SimdF64;
-use crate::spec::GemmSpec;
+use crate::spec::{GemmBatch, GemmSpec};
 use std::mem::MaybeUninit;
 
 /// Largest `MR` any registered kernel uses (bounds stack scratch).
 pub const MR_CAP: usize = 8;
 /// Largest `NR` any registered kernel uses (bounds stack scratch).
 pub const NR_CAP: usize = 16;
-/// Largest `k` whose partial-tile packing fits in stack scratch; deeper
+/// Largest `k` whose column-edge packing fits in stack scratch; deeper
 /// contractions (never produced by the DG plans, which contract over at
 /// most `order + 1 ≤ 12` nodes) fall back to a heap buffer.
 const K_STACK: usize = 32;
@@ -47,8 +54,8 @@ pub enum PanelSide {
 
 /// An operand repacked into zero-padded tile panels.
 ///
-/// Produced by [`GemmBackend::pack_a`](crate::backend::GemmBackend::pack_a) /
-/// [`pack_b`](crate::backend::GemmBackend::pack_b) (or the free functions
+/// Produced by [`GemmBackend::pack_a`] /
+/// [`pack_b`](GemmBackend::pack_b) (or the free functions
 /// [`pack_a_panels`] / [`pack_b_panels`]); cached
 /// per plan for operands that are reused across many calls — the DG
 /// operator matrices, which every cell block in every step multiplies by.
@@ -176,19 +183,49 @@ impl<'p> PackedOperands<'p> {
     }
 }
 
-/// Validates operands and panels before a kernel run (shared by every
-/// [`GemmBackend::execute`](crate::backend::GemmBackend::execute)); `name`
-/// and the `(MR, NR)` tile identify the kernel in the panic message.
-pub(crate) fn check_kernel_args(
-    name: &str,
-    (mr, nr): (usize, usize),
+/// Validates a batch before a kernel runs it and returns what the tile
+/// loop runs: [`GemmBatch::check`] over a batch of several items, then
+/// one operand and panel check that holds for every item (they share the
+/// spec and lengths). A row-stacked shared-`B` batch comes back fused
+/// into one tall item ([`GemmBatch::fuse_rows`]); panels come back only
+/// for operands the batch shares (stride `0`). `None` for an empty batch.
+#[inline]
+pub(crate) fn checked_batch<'p, B: GemmBackend + ?Sized>(
+    backend: &B,
     spec: &GemmSpec,
+    batch: &GemmBatch,
     a: &[f64],
     b: &[f64],
     c: &[f64],
-    packed: PackedOperands<'_>,
-) {
+    packed: PackedOperands<'p>,
+) -> Option<(GemmSpec, GemmBatch, PackedOperands<'p>)> {
+    if batch.count == 0 {
+        return None;
+    }
+    let fused = if batch.count > 1 {
+        batch.check(spec, a, b, c);
+        batch.fuse_rows(spec)
+    } else {
+        None
+    };
+    let (spec, batch, packed) = match fused {
+        // A-side panels describe the per-item `m`, not the fused tall
+        // matrix; only shared-B panels carry over (`NR` depends on `n`
+        // alone).
+        Some(fused) => (fused, GemmBatch::ONE, PackedOperands { a: None, ..packed }),
+        None => (
+            *spec,
+            *batch,
+            PackedOperands {
+                a: packed.a.filter(|_| batch.stride_a == 0),
+                b: packed.b.filter(|_| batch.stride_b == 0),
+            },
+        ),
+    };
+    // The first item starts at offset 0, so this is its check; `batch.check`
+    // already bounded the later items.
     spec.check(a, b, c);
+    let (name, (mr, nr)) = (backend.name(), backend.tile(&spec));
     if let Some(p) = packed.a {
         assert!(
             p.matches(PanelSide::A, mr, spec.k, spec.m),
@@ -207,12 +244,13 @@ pub(crate) fn check_kernel_args(
             p.len(),
         );
     }
+    Some((spec, batch, packed))
 }
 
 /// Accumulates one full `MR × (NV·LANES)` tile over `k` terms.
 ///
 /// `A` is addressed as `a[l·a_stride_l + r·a_stride_r]` — `(MR, 1)` for a
-/// packed panel, `(1, lda)` for an unpacked full-height row panel — and
+/// packed panel, `(1, lda)` for an unpacked row panel — and
 /// `B` as `b[l·b_stride_l + t]` (`nr` packed, `ldb` unpacked).
 ///
 /// # Safety
@@ -245,24 +283,27 @@ unsafe fn tile_acc<S: SimdF64, const MR: usize, const NV: usize>(
     acc
 }
 
-/// Scales and stores one full tile: `C ← α·acc + β·C` (with `β = 0`
-/// never reading `C`, so garbage/NaN contents are overwritten).
+/// Scales and stores the first `rows` rows of a full-width tile straight
+/// to `C`: `C ← α·acc + β·C` (with `β = 0` never reading `C`, so
+/// garbage/NaN contents are overwritten).
 ///
 /// # Safety
-/// `c` must be valid for the full `MR × NV·LANES` tile at row stride `ldc`.
+/// `c` must be valid for `rows ≤ MR` rows of `NV·LANES` doubles at row
+/// stride `ldc`.
 #[inline(always)]
-unsafe fn store_tile<S: SimdF64, const MR: usize, const NV: usize>(
+unsafe fn store_rows<S: SimdF64, const MR: usize, const NV: usize>(
     acc: &[[S; NV]; MR],
     c: *mut f64,
     ldc: usize,
+    rows: usize,
     alpha: f64,
     beta: f64,
 ) {
     let va = S::splat(alpha);
     let vb = S::splat(beta);
-    for (r, row) in acc.iter().enumerate() {
+    for (r, row) in acc.iter().enumerate().take(rows) {
         for (v, &av) in row.iter().enumerate() {
-            // SAFETY: caller guarantees the tile is in bounds.
+            // SAFETY: caller guarantees the rows are in bounds.
             unsafe {
                 let p = c.add(r * ldc + v * S::LANES);
                 let mut x = av.mul(va);
@@ -275,7 +316,7 @@ unsafe fn store_tile<S: SimdF64, const MR: usize, const NV: usize>(
     }
 }
 
-/// Stores the `used_rows × used_cols` corner of a tile (edge tiles whose
+/// Stores the `used_rows × used_cols` corner of a column-edge tile (the
 /// remaining lanes are padding computed over packed zeros).
 ///
 /// # Safety
@@ -315,21 +356,28 @@ unsafe fn store_tile_partial<S: SimdF64, const MR: usize, const NV: usize>(
     }
 }
 
-/// Packs a partial (`rows < mr`) row panel into zero-padded scratch.
+/// Stores the `rows × cols` used part of a tile: full-width tiles go
+/// straight to `C` ([`store_rows`]), column edges through the scalar
+/// corner ([`store_tile_partial`]).
+///
+/// # Safety
+/// `c` must be valid for `rows` rows of `cols` doubles at row stride `ldc`.
 #[inline(always)]
-fn pack_partial_a(
-    dst: &mut [MaybeUninit<f64>],
-    a: &[f64],
-    lda: usize,
-    i0: usize,
+unsafe fn store_tile<S: SimdF64, const MR: usize, const NV: usize>(
+    acc: &[[S; NV]; MR],
+    c: *mut f64,
+    ldc: usize,
     rows: usize,
-    mr: usize,
+    cols: usize,
+    alpha: f64,
+    beta: f64,
 ) {
-    let k = dst.len() / mr;
-    dst.fill(MaybeUninit::new(0.0));
-    for r in 0..rows {
-        for l in 0..k {
-            dst[l * mr + r] = MaybeUninit::new(a[(i0 + r) * lda + l]);
+    // SAFETY: forwarded contract; a full-width tile has `cols = NV·LANES`.
+    unsafe {
+        if cols == NV * S::LANES {
+            store_rows::<S, MR, NV>(acc, c, ldc, rows, alpha, beta);
+        } else {
+            store_tile_partial::<S, MR, NV>(acc, c, ldc, rows, cols, alpha, beta);
         }
     }
 }
@@ -353,15 +401,17 @@ fn pack_partial_b(
     }
 }
 
-/// The shared tiled driver: loops row panels × column tiles, sourcing each
-/// side from plan-cached panels, the raw buffer (full tiles), or on-the-fly
-/// zero-padded scratch (edge tiles). `#[inline(always)]` so each
-/// `target_feature` wrapper monomorphizes its own full-width copy.
+/// The shared tiled driver for one item: loops row panels × column
+/// tiles, sourcing `A` from plan-cached panels or the raw buffer and `B`
+/// from plan-cached panels, the raw buffer (full tiles) or zero-padded
+/// scratch (column edges). A row edge of a raw `A` runs one-row tiles.
+/// `#[inline(always)]` so each `target_feature` wrapper monomorphizes its
+/// own full-width copy.
 ///
 /// # Safety
 /// Operands must satisfy `spec.check`, and provided panels must match the
 /// `(MR, NV·LANES, k, extent)` geometry — both enforced by
-/// [`check_kernel_args`] in every [`GemmBackend::execute`](crate::backend::GemmBackend::execute).
+/// [`checked_batch`].
 #[inline(always)]
 unsafe fn gemm_tiled<S: SimdF64, const MR: usize, const NV: usize>(
     spec: &GemmSpec,
@@ -396,40 +446,22 @@ unsafe fn gemm_tiled<S: SimdF64, const MR: usize, const NV: usize>(
         return;
     }
 
-    // Scratch for zero-padded edge panels. The DG contraction depths all
-    // fit the stack buffers; anything deeper packs into a heap buffer.
-    // Left uninitialized — `pack_partial_*` writes a whole panel before
-    // the tile reads it — because the derivative sweeps issue hundreds
-    // of sub-microsecond calls per cell and zeroing 6 KiB per call cost
-    // more than the multiplication.
-    let mut astack = [MaybeUninit::<f64>::uninit(); MR_CAP * K_STACK];
+    // Scratch for zero-padded column-edge panels. The DG contraction
+    // depths all fit the stack buffer; anything deeper packs into a heap
+    // buffer. Left uninitialized — `pack_partial_b` writes a whole panel
+    // before the tile reads it — because the derivative sweeps issue
+    // hundreds of sub-microsecond items per cell and zeroing 4 KiB per
+    // item cost more than the multiplication.
     let mut bstack = [MaybeUninit::<f64>::uninit(); K_STACK * NR_CAP];
-    let (mut aheap, mut bheap) = if k > K_STACK {
-        (
-            vec![MaybeUninit::<f64>::uninit(); MR * k],
-            vec![MaybeUninit::<f64>::uninit(); k * nr],
-        )
+    let mut bheap = if k > K_STACK {
+        vec![MaybeUninit::<f64>::uninit(); k * nr]
     } else {
-        (Vec::new(), Vec::new())
+        Vec::new()
     };
-    let use_heap = k > K_STACK;
 
     for ip in 0..m.div_ceil(MR) {
         let i0 = ip * MR;
         let rows = MR.min(m - i0);
-        let (ap, a_l, a_r) = if let Some(p) = packed.a {
-            (p.panel(ip).as_ptr(), MR, 1)
-        } else if rows == MR {
-            (a[i0 * lda..].as_ptr(), 1, lda)
-        } else {
-            let buf: &mut [MaybeUninit<f64>] = if use_heap {
-                &mut aheap
-            } else {
-                &mut astack[..MR * k]
-            };
-            pack_partial_a(buf, a, lda, i0, rows, MR);
-            (buf.as_ptr().cast::<f64>(), MR, 1)
-        };
         for jp in 0..n.div_ceil(nr) {
             let j0 = jp * nr;
             let cols = nr.min(n - j0);
@@ -438,7 +470,7 @@ unsafe fn gemm_tiled<S: SimdF64, const MR: usize, const NV: usize>(
             } else if cols == nr {
                 (b[j0..].as_ptr(), ldb)
             } else {
-                let buf: &mut [MaybeUninit<f64>] = if use_heap {
+                let buf: &mut [MaybeUninit<f64>] = if k > K_STACK {
                     &mut bheap
                 } else {
                     &mut bstack[..k * nr]
@@ -446,33 +478,72 @@ unsafe fn gemm_tiled<S: SimdF64, const MR: usize, const NV: usize>(
                 pack_partial_b(buf, b, ldb, j0, cols, nr);
                 (buf.as_ptr().cast::<f64>(), nr)
             };
-            // SAFETY: packed panels are zero-padded to full tiles; the
-            // unpacked paths are taken only for full tiles, where
-            // `spec.check` bounds every generated index.
-            let acc = unsafe { tile_acc::<S, MR, NV>(k, ap, a_l, a_r, bp, b_l) };
             let cp = c[i0 * ldc + j0..].as_mut_ptr();
-            // SAFETY: `rows × cols` starting at `(i0, j0)` is in bounds.
+            // SAFETY: packed panels are zero-padded to full tiles; raw
+            // `A` is read only for rows `< m` (a full panel or one row at
+            // a time), whose `k` entries `spec.check` bounds; `B` is a
+            // packed panel or a full-width raw tile, bounded likewise;
+            // the `rows × cols` corner of `C` at `(i0, j0)` is in bounds.
             unsafe {
-                if rows == MR && cols == nr {
-                    store_tile::<S, MR, NV>(&acc, cp, ldc, alpha, beta);
+                if let Some(p) = packed.a {
+                    let acc = tile_acc::<S, MR, NV>(k, p.panel(ip).as_ptr(), MR, 1, bp, b_l);
+                    store_tile::<S, MR, NV>(&acc, cp, ldc, rows, cols, alpha, beta);
+                } else if rows == MR {
+                    let acc = tile_acc::<S, MR, NV>(k, a[i0 * lda..].as_ptr(), 1, lda, bp, b_l);
+                    store_tile::<S, MR, NV>(&acc, cp, ldc, rows, cols, alpha, beta);
                 } else {
-                    store_tile_partial::<S, MR, NV>(&acc, cp, ldc, rows, cols, alpha, beta);
+                    for r in 0..rows {
+                        let ar = a[(i0 + r) * lda..].as_ptr();
+                        let acc = tile_acc::<S, 1, NV>(k, ar, 1, 0, bp, b_l);
+                        store_tile::<S, 1, NV>(&acc, cp.add(r * ldc), ldc, 1, cols, alpha, beta);
+                    }
                 }
             }
         }
     }
 }
 
-/// [`gemm_tiled`] with the contraction depth fixed at compile time — the
+/// Runs every item of `batch` on its exact sub-slices (so a stride past
+/// the buffer still panics at the slice), `spec.k` as given.
+///
+/// # Safety
+/// Same contract as [`gemm_batched`].
+#[inline(always)]
+unsafe fn gemm_items<S: SimdF64, const MR: usize, const NV: usize>(
+    spec: &GemmSpec,
+    batch: &GemmBatch,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    packed: PackedOperands<'_>,
+) {
+    let (ra, rb, rc) = spec.required_lens();
+    for i in 0..batch.count {
+        let (ao, bo, co) = (i * batch.stride_a, i * batch.stride_b, i * batch.stride_c);
+        // SAFETY: forwarded contract; each item has the checked lengths.
+        unsafe {
+            gemm_tiled::<S, MR, NV>(
+                spec,
+                &a[ao..ao + ra],
+                &b[bo..bo + rb],
+                &mut c[co..co + rc],
+                packed,
+            )
+        };
+    }
+}
+
+/// [`gemm_items`] with the contraction depth fixed at compile time — the
 /// "generated kernel" trick of the paper's Kernel Generator and LIBXSMM:
 /// the `k` loop is fully unrolled for the depths the DG derivative GEMMs
 /// actually use.
 ///
 /// # Safety
-/// Same contract as [`gemm_tiled`].
+/// Same contract as [`gemm_batched`].
 #[inline(always)]
-unsafe fn gemm_tiled_k<S: SimdF64, const MR: usize, const NV: usize, const K: usize>(
+unsafe fn gemm_items_k<S: SimdF64, const MR: usize, const NV: usize, const K: usize>(
     spec: &GemmSpec,
+    batch: &GemmBatch,
     a: &[f64],
     b: &[f64],
     c: &mut [f64],
@@ -481,36 +552,40 @@ unsafe fn gemm_tiled_k<S: SimdF64, const MR: usize, const NV: usize, const K: us
     debug_assert_eq!(spec.k, K);
     let fixed = GemmSpec { k: K, ..*spec };
     // SAFETY: forwarded contract; `fixed` describes the same problem.
-    unsafe { gemm_tiled::<S, MR, NV>(&fixed, a, b, c, packed) }
+    unsafe { gemm_items::<S, MR, NV>(&fixed, batch, a, b, c, packed) }
 }
 
-/// Dispatches to a compile-time-`K` instantiation for common DG depths.
+/// The batch loop every tile wrapper runs: one dispatch to a
+/// compile-time-`K` instantiation for the common DG depths, then every
+/// item of `batch`.
 ///
 /// # Safety
-/// Same contract as [`gemm_tiled`].
+/// `spec`, `batch` and `packed` must come from [`checked_batch`] on these
+/// operands, for this `(MR, NV·LANES)` tile.
 #[inline(always)]
-pub(crate) unsafe fn gemm_tiled_dispatch<S: SimdF64, const MR: usize, const NV: usize>(
+pub(crate) unsafe fn gemm_batched<S: SimdF64, const MR: usize, const NV: usize>(
     spec: &GemmSpec,
+    batch: &GemmBatch,
     a: &[f64],
     b: &[f64],
     c: &mut [f64],
     packed: PackedOperands<'_>,
 ) {
-    // SAFETY: forwarded contract (see `gemm_tiled`).
+    // SAFETY: forwarded contract.
     unsafe {
         match spec.k {
-            2 => gemm_tiled_k::<S, MR, NV, 2>(spec, a, b, c, packed),
-            3 => gemm_tiled_k::<S, MR, NV, 3>(spec, a, b, c, packed),
-            4 => gemm_tiled_k::<S, MR, NV, 4>(spec, a, b, c, packed),
-            5 => gemm_tiled_k::<S, MR, NV, 5>(spec, a, b, c, packed),
-            6 => gemm_tiled_k::<S, MR, NV, 6>(spec, a, b, c, packed),
-            7 => gemm_tiled_k::<S, MR, NV, 7>(spec, a, b, c, packed),
-            8 => gemm_tiled_k::<S, MR, NV, 8>(spec, a, b, c, packed),
-            9 => gemm_tiled_k::<S, MR, NV, 9>(spec, a, b, c, packed),
-            10 => gemm_tiled_k::<S, MR, NV, 10>(spec, a, b, c, packed),
-            11 => gemm_tiled_k::<S, MR, NV, 11>(spec, a, b, c, packed),
-            12 => gemm_tiled_k::<S, MR, NV, 12>(spec, a, b, c, packed),
-            _ => gemm_tiled::<S, MR, NV>(spec, a, b, c, packed),
+            2 => gemm_items_k::<S, MR, NV, 2>(spec, batch, a, b, c, packed),
+            3 => gemm_items_k::<S, MR, NV, 3>(spec, batch, a, b, c, packed),
+            4 => gemm_items_k::<S, MR, NV, 4>(spec, batch, a, b, c, packed),
+            5 => gemm_items_k::<S, MR, NV, 5>(spec, batch, a, b, c, packed),
+            6 => gemm_items_k::<S, MR, NV, 6>(spec, batch, a, b, c, packed),
+            7 => gemm_items_k::<S, MR, NV, 7>(spec, batch, a, b, c, packed),
+            8 => gemm_items_k::<S, MR, NV, 8>(spec, batch, a, b, c, packed),
+            9 => gemm_items_k::<S, MR, NV, 9>(spec, batch, a, b, c, packed),
+            10 => gemm_items_k::<S, MR, NV, 10>(spec, batch, a, b, c, packed),
+            11 => gemm_items_k::<S, MR, NV, 11>(spec, batch, a, b, c, packed),
+            12 => gemm_items_k::<S, MR, NV, 12>(spec, batch, a, b, c, packed),
+            _ => gemm_items::<S, MR, NV>(spec, batch, a, b, c, packed),
         }
     }
 }
@@ -521,6 +596,7 @@ mod tests {
     use crate::backend::{backend_for, GemmBackend};
     use crate::kernels::gemm_naive;
     use crate::kernels::Isa;
+    use crate::spec::GemmBatch;
     use crate::tiles::BaselineKernel;
 
     fn rand_vec(len: usize, seed: u64) -> Vec<f64> {
@@ -670,6 +746,72 @@ mod tests {
                 },
             )
         };
+    }
+
+    /// The portable tile accumulates unfused in `l` order, exactly as
+    /// `gemm_naive`; with `β = 1` both store `α·acc + β·C`, so the two
+    /// agree bit for bit on every path of the driver.
+    fn assert_baseline_bitwise(spec: GemmSpec, batch: GemmBatch, packed_a: bool, seed: u64) {
+        let spec = spec.with_scale(-1.5, 1.0);
+        let (ra, rb, rc) = batch.required_lens(&spec);
+        let a = rand_vec(ra, seed);
+        let b = rand_vec(rb, seed ^ 0xB0B);
+        // Sentinels past the last item: no store may reach them.
+        let c0 = rand_vec(rc + 9, seed ^ 0xC0C);
+        let mut want = c0.clone();
+        for i in 0..batch.count {
+            let (ao, bo, co) = (i * batch.stride_a, i * batch.stride_b, i * batch.stride_c);
+            gemm_naive(&spec, &a[ao..], &b[bo..], &mut want[co..]);
+        }
+        let pa = packed_a.then(|| BaselineKernel.pack_a(&spec, &a));
+        let mut got = c0.clone();
+        // SAFETY: the portable kernel has no ISA requirement.
+        unsafe {
+            BaselineKernel.run_batched(
+                &spec,
+                &batch,
+                &a,
+                &b,
+                &mut got,
+                PackedOperands {
+                    a: pa.as_ref(),
+                    b: None,
+                },
+            )
+        };
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{spec:?} {batch:?} idx={i}");
+        }
+    }
+
+    #[test]
+    fn raw_row_tail_runs_one_row_tiles() {
+        // m = 6 on the 4-row tile: a 2-row tail read straight from `A`,
+        // at full width (n = 8) and with a column edge (n = 11).
+        for n in [8, 11] {
+            let spec = GemmSpec::dense(6, n, 3).with_ld(4, n + 1, n + 2);
+            assert_baseline_bitwise(spec, GemmBatch::ONE, false, 3 + n as u64);
+        }
+    }
+
+    #[test]
+    fn packed_row_edge_stores_straight_to_c() {
+        // m = 3 of a plan-packed 4-row panel over two full-width column
+        // tiles; `ldc > n` leaves padding columns the store must not touch.
+        let spec = GemmSpec::dense(3, 16, 3).with_ld(3, 16, 19);
+        assert_baseline_bitwise(spec, GemmBatch::ONE, true, 17);
+    }
+
+    #[test]
+    fn batched_wrapper_matches_per_item_calls() {
+        let spec = GemmSpec::dense(3, 8, 2);
+        // Shared plan-packed `A` over strided items.
+        assert_baseline_bitwise(spec, GemmBatch::shared_a(3, 17, 25), true, 5);
+        // Row-interleaved items (the AoSoA z-sweep shape).
+        let spec = spec.with_ld(2, 8, 3 * 9);
+        assert_baseline_bitwise(spec, GemmBatch::shared_a(3, 9, 9), true, 6);
+        // Gapped per-item `A` with a row tail per item.
+        assert_baseline_bitwise(spec, GemmBatch::new(2, 7, 0, 81), false, 7);
     }
 
     #[test]

@@ -123,6 +123,14 @@ pub struct GemmBatch {
 }
 
 impl GemmBatch {
+    /// The one-item batch: a single call.
+    pub const ONE: Self = Self {
+        count: 1,
+        stride_a: 0,
+        stride_b: 0,
+        stride_c: 0,
+    };
+
     /// General strided batch.
     pub fn new(count: usize, stride_a: usize, stride_b: usize, stride_c: usize) -> Self {
         Self {
@@ -159,13 +167,20 @@ impl GemmBatch {
     }
 
     /// Asserts that every batch item stays in bounds and that strided
-    /// `C` operands do not alias each other.
+    /// `C` operands do not alias each other: either each item's `C`
+    /// extent ends before the next begins, or the items interleave row
+    /// by row without touching — each row's `n` columns fit the stride,
+    /// and the last item's row still ends within the first item's row
+    /// (`(count − 1)·stride_c + n ≤ ldc`).
     pub fn check(&self, spec: &GemmSpec, a: &[f64], b: &[f64], c: &[f64]) {
+        let extent = spec.required_lens().2;
+        let apart = self.stride_c >= extent;
+        let interleaved = spec.n <= self.stride_c
+            && self.count.saturating_sub(1) * self.stride_c + spec.n <= spec.ldc;
         assert!(
-            self.count <= 1 || self.stride_c >= spec.required_lens().2,
-            "C batch stride {} overlaps items (need >= {})",
+            self.count <= 1 || apart || interleaved,
+            "C batch stride {} overlaps items (need >= {extent})",
             self.stride_c,
-            spec.required_lens().2
         );
         let (ra, rb, rc) = self.required_lens(spec);
         assert!(a.len() >= ra, "batched A too short: {} < {ra}", a.len());

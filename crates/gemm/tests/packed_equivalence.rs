@@ -44,6 +44,144 @@ fn supported_backends() -> impl Iterator<Item = &'static dyn GemmBackend> {
     Isa::supported().map(backend_for)
 }
 
+/// The bitwise oracle: every `C` element accumulated over `l` in order —
+/// fused (`f64::mul_add`) on the FMA backends, `acc + a·b` on the portable
+/// one — then stored as `α·acc`, plus `β·C` when `β ≠ 0`. Every tile,
+/// edge and batch path of a backend must reproduce it bit for bit.
+fn gemm_ordered(spec: &GemmSpec, fused: bool, a: &[f64], b: &[f64], c: &mut [f64]) {
+    spec.check(a, b, c);
+    for i in 0..spec.m {
+        for j in 0..spec.n {
+            let mut acc = 0.0_f64;
+            for l in 0..spec.k {
+                let (x, y) = (a[i * spec.lda + l], b[l * spec.ldb + j]);
+                acc = if fused {
+                    x.mul_add(y, acc)
+                } else {
+                    acc + x * y
+                };
+            }
+            let cj = &mut c[i * spec.ldc + j];
+            let x = spec.alpha * acc;
+            *cj = if spec.beta == 0.0 {
+                x
+            } else {
+                x + spec.beta * *cj
+            };
+        }
+    }
+}
+
+/// [`gemm_ordered`] per batch item.
+fn ordered_batched(
+    spec: &GemmSpec,
+    fused: bool,
+    batch: &GemmBatch,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+) {
+    for i in 0..batch.count {
+        gemm_ordered(
+            spec,
+            fused,
+            &a[i * batch.stride_a..],
+            &b[i * batch.stride_b..],
+            &mut c[i * batch.stride_c..],
+        );
+    }
+}
+
+fn assert_bits(got: &[f64], want: &[f64], ctx: &dyn std::fmt::Display) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits(),
+            "{ctx} idx={i}: {g:e} vs {w:e} (not bit-identical)"
+        );
+    }
+}
+
+/// Bit-identity with [`gemm_ordered`] on every supported backend, over
+/// shapes that reach every path of the driver: row edges of plan-packed
+/// and raw `A` (`m` below, at and above each `MR`), column tiles of both
+/// AVX-512 widths and a column edge (`n = 12`), the DG depths; single
+/// calls, a strided shared-`A` batch, a gapped shared-`B` batch and a
+/// fused row-stacked batch; with and without plan-cached panels, `β ∈ {0, 1}`.
+#[test]
+fn every_backend_is_bitwise_equal_to_the_ordered_reference() {
+    let mut rng = Lcg::new(0xB175_0001);
+    for bk in supported_backends() {
+        let fused = bk.isa() != Isa::Baseline;
+        for m in [1, 3, 4, 5, 7, 8, 9, 21] {
+            for n in [8, 12, 16, 24, 72] {
+                for k in [3, 7] {
+                    for beta in [0.0, 1.0] {
+                        let spec = GemmSpec::dense(m, n, k)
+                            .with_ld(k + 1, n + 4, n + 4)
+                            .with_scale(-1.25, beta);
+                        let ctx = |what: &str| format!("{} {what} {spec:?}", bk.name());
+                        let (ra, rb, rc) = spec.required_lens();
+                        let a = rng.vec(ra, -2.0, 2.0);
+                        let b = rng.vec(rb, -2.0, 2.0);
+                        let c0 = rng.vec(rc, -2.0, 2.0);
+                        let mut want = c0.clone();
+                        gemm_ordered(&spec, fused, &a, &b, &mut want);
+                        for (pa, pb) in [(false, false), (true, false), (false, true), (true, true)]
+                        {
+                            let mut plan = Gemm::with_backend(spec, bk);
+                            if pa {
+                                plan = plan.with_packed_a(&a);
+                            }
+                            if pb {
+                                plan = plan.with_packed_b(&b);
+                            }
+                            let mut got = c0.clone();
+                            plan.execute(&a, &b, &mut got);
+                            assert_bits(&got, &want, &ctx(&format!("single pa={pa} pb={pb}")));
+                        }
+
+                        let count = 3;
+                        let batches = [
+                            (
+                                "shared-A",
+                                GemmBatch::shared_a(count, k * spec.ldb + 2, m * spec.ldc + 1),
+                            ),
+                            (
+                                "gapped shared-B",
+                                GemmBatch::shared_b(count, m * spec.lda + 3, m * spec.ldc + 5),
+                            ),
+                            (
+                                "fused",
+                                GemmBatch::shared_b(count, m * spec.lda, m * spec.ldc),
+                            ),
+                        ];
+                        for (what, batch) in batches {
+                            let (ra, rb, rc) = batch.required_lens(&spec);
+                            let a = rng.vec(ra, -2.0, 2.0);
+                            let b = rng.vec(rb, -2.0, 2.0);
+                            let c0 = rng.vec(rc, -2.0, 2.0);
+                            let mut want = c0.clone();
+                            ordered_batched(&spec, fused, &batch, &a, &b, &mut want);
+                            for cached in [false, true] {
+                                let mut plan = Gemm::with_backend(spec, bk);
+                                if cached && batch.stride_a == 0 {
+                                    plan = plan.with_packed_a(&a);
+                                }
+                                if cached && batch.stride_b == 0 {
+                                    plan = plan.with_packed_b(&b);
+                                }
+                                let mut got = c0.clone();
+                                plan.execute_batched(&batch, &a, &b, &mut got);
+                                assert_bits(&got, &want, &ctx(&format!("{what} cached={cached}")));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The M/N/K axis values the suite sweeps: unit, around every registered
 /// tile size (4, 8, 16 → tile−1, tile, tile+1), odd tails, and the paper
 /// shapes (m = 21 quantities; order 2–5 ⇒ 3–6 nodes per dimension).
