@@ -11,9 +11,9 @@
 //! ```text
 //! aderdg-run --list
 //! aderdg-run --scenario loh1 --order 4 --kernel aosoa_splitck \
-//!            --pipeline sharded --tuning model --out run.csv
+//!            --stepping global --tuning model --out run.csv
 //! aderdg-run --scenario maxwell_cavity --config examples/maxwell_cavity.spec
-//! aderdg-run --smoke-all            # CI gate: every scenario, both pipelines
+//! aderdg-run --smoke-all            # CI gate: every scenario + gallery doc
 //! ```
 //!
 //! The library half exists so the parser and the run plumbing are unit
@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 use aderdg_core::checkpoint::Checkpoint;
-use aderdg_core::engine::PipelineMode;
 use aderdg_core::jobs::{JobQueue, JobStatus};
 use aderdg_core::scenario::{RunRequest, RunSummary, ScenarioRegistry, SOLVER_KEYS};
 use aderdg_core::spec::{read_lines, SpecError};
@@ -68,8 +67,8 @@ USAGE:
   aderdg-run --scenario <name> [OPTIONS] run one scenario
   aderdg-run --config <file> [OPTIONS]   run from a spec file (`key = value`
                                          lines); flags override file values
-  aderdg-run --smoke-all [--docs <file>] smoke-run every scenario on both
-                                         pipelines and check the gallery doc
+  aderdg-run --smoke-all [--docs <file>] smoke-run every scenario and check
+                                         the gallery doc
                                          (default docs/SCENARIOS.md)
   aderdg-run --help
 
@@ -80,7 +79,6 @@ SOLVER OPTIONS (defaults come from the scenario):
   --width <sse|avx2|avx512|host>
   --block-size <n|auto>     predictor block size
   --tuning <static|model>
-  --pipeline <barrier|sharded>
   --stepping <global|lts>   global CFL dt, or clustered local time stepping
 
 RUN OPTIONS:
@@ -133,7 +131,7 @@ pub enum Command {
     ListNames,
     /// Run one scenario.
     Run(Box<RunArgs>),
-    /// `--smoke-all`: every scenario × both pipelines + docs gate.
+    /// `--smoke-all`: every scenario + docs gate.
     SmokeAll {
         /// Gallery document to check (default `docs/SCENARIOS.md`).
         docs: PathBuf,
@@ -346,7 +344,6 @@ fn merge_requests(base: &mut RunRequest, over: RunRequest) {
         width,
         block_size,
         tuning,
-        pipeline,
         stepping,
         cells,
         t_end,
@@ -542,32 +539,26 @@ pub fn missing_gallery_sections(docs_text: &str) -> Vec<&'static str> {
     missing
 }
 
-/// The `--smoke-all` gate: every registered scenario runs in smoke mode
-/// on **both** pipelines, and every one has a `docs/SCENARIOS.md`
-/// section — a new scenario cannot land unrunnable or undocumented.
+/// The `--smoke-all` gate: every registered scenario runs in smoke
+/// mode, and every one has a `docs/SCENARIOS.md` section — a new
+/// scenario cannot land unrunnable or undocumented.
 pub fn smoke_all(docs: &Path, log: &mut dyn Write) -> Result<(), CliError> {
     for &scenario in ScenarioRegistry::global().scenarios() {
         let info = scenario.info();
-        for pipeline in [PipelineMode::Sharded, PipelineMode::Barrier] {
-            let req = RunRequest {
-                pipeline: Some(pipeline),
-                ..RunRequest::smoke()
-            };
-            let summary = scenario.run(&req).map_err(|e| {
-                CliError::new(format!("scenario `{}` ({pipeline:?}): {e}", info.name))
-            })?;
-            if !summary.l2_norm.is_finite() {
-                return Err(CliError::new(format!(
-                    "scenario `{}` ({pipeline:?}): non-finite L2 norm after {} steps",
-                    info.name, summary.steps
-                )));
-            }
-            let _ = writeln!(
-                log,
-                "smoke {:<20} {pipeline:?}: {} steps, L2 norm {:.3e} — ok",
-                info.name, summary.steps, summary.l2_norm
-            );
+        let summary = scenario
+            .run(&RunRequest::smoke())
+            .map_err(|e| CliError::new(format!("scenario `{}`: {e}", info.name)))?;
+        if !summary.l2_norm.is_finite() {
+            return Err(CliError::new(format!(
+                "scenario `{}`: non-finite L2 norm after {} steps",
+                info.name, summary.steps
+            )));
         }
+        let _ = writeln!(
+            log,
+            "smoke {:<20} {} steps, L2 norm {:.3e} — ok",
+            info.name, summary.steps, summary.l2_norm
+        );
     }
     let text = std::fs::read_to_string(docs).map_err(|e| {
         CliError::new(format!(

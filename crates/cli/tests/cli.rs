@@ -1,13 +1,12 @@
 //! CLI parser and driver tests: every user mistake must come back as an
 //! actionable [`CliError`], never a panic; the smoke gate must cover
-//! every registered scenario on both pipelines and the documented
-//! gallery.
+//! every registered scenario and the documented gallery.
 
 use aderdg_cli::{
     args_from_config, execute_run, expand_sweep, missing_gallery_sections, parse_args, render_list,
     render_summary, run_sweep, write_receivers_csv, write_series_csv, Command, RunArgs, USAGE,
 };
-use aderdg_core::engine::PipelineMode;
+use aderdg_core::engine::SteppingMode;
 use aderdg_core::scenario::{RunRequest, ScenarioRegistry, SOLVER_KEYS};
 use aderdg_core::tune::TuningMode;
 
@@ -24,8 +23,8 @@ fn parses_a_full_run_command() {
         "4",
         "--kernel",
         "aosoa_splitck",
-        "--pipeline",
-        "sharded",
+        "--stepping",
+        "lts",
         "--tuning",
         "model",
         "--cells",
@@ -46,7 +45,7 @@ fn parses_a_full_run_command() {
     assert_eq!(run.scenario, "loh1");
     assert_eq!(run.request.order, Some(4));
     assert_eq!(run.request.kernel.as_deref(), Some("aosoa_splitck"));
-    assert_eq!(run.request.pipeline, Some(PipelineMode::Sharded));
+    assert_eq!(run.request.stepping, Some(SteppingMode::Lts));
     assert_eq!(run.request.tuning, Some(TuningMode::Model));
     assert_eq!(run.request.cells, Some(3));
     assert_eq!(run.request.t_end, Some(0.5));
@@ -71,10 +70,7 @@ fn bad_values_are_actionable_errors() {
             "invalid value `four` for --order",
         ),
         (vec!["--scenario", "x", "--cfl", "fast"], "--cfl"),
-        (
-            vec!["--scenario", "x", "--pipeline", "warp"],
-            "barrier|sharded",
-        ),
+        (vec!["--scenario", "x", "--stepping", "warp"], "global|lts"),
         (
             vec!["--scenario", "x", "--tuning", "lucky"],
             "expected static|model)",
@@ -158,7 +154,6 @@ fn config_file_parses_and_flags_override() {
         ("width", "sse", "avx2"),
         ("block_size", "4", "8"),
         ("tuning", "static", "model"),
-        ("pipeline", "barrier", "sharded"),
         ("stepping", "global", "lts"),
         ("cells", "3", "4"),
         ("t_end", "0.2", "0.3"),
@@ -251,16 +246,22 @@ fn spec_and_run_file_readers_agree() {
 }
 
 #[test]
-fn smoke_all_covers_every_scenario_and_both_pipelines() {
+fn smoke_all_covers_every_scenario() {
     // The real gate CI runs — against the real gallery document.
     let docs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/SCENARIOS.md");
     let mut log = Vec::new();
     aderdg_cli::smoke_all(&docs, &mut log).unwrap();
     let log = String::from_utf8(log).unwrap();
-    for name in ScenarioRegistry::global().names() {
-        assert!(log.contains(name), "no smoke line for `{name}`");
+    let smoke: Vec<&str> = log.lines().filter(|l| l.starts_with("smoke ")).collect();
+    let names = ScenarioRegistry::global().names();
+    assert_eq!(
+        smoke.len(),
+        names.len(),
+        "one smoke line per scenario: {log}"
+    );
+    for (line, name) in smoke.iter().zip(names) {
+        assert_eq!(line.split_whitespace().nth(1), Some(name), "{log}");
     }
-    assert!(log.contains("Sharded") && log.contains("Barrier"));
 }
 
 #[test]
@@ -491,7 +492,7 @@ fn sweep_runs_every_combination_and_reports_failures() {
         request: RunRequest::smoke(),
         sweep: vec![
             ("kernel".into(), vec!["generic".into(), "splitck".into()]),
-            ("pipeline".into(), vec!["barrier".into(), "sharded".into()]),
+            ("stepping".into(), vec!["global".into(), "lts".into()]),
         ],
         jobs: Some(4),
         ..RunArgs::default()
@@ -553,7 +554,11 @@ fn solver_table_rejects_run_level_keys() {
 /// node set) — are unknown on every route that once took them.
 #[test]
 fn shard_size_is_an_unknown_key_on_every_route() {
-    for (key, value) in [("shard_size", "4"), ("rule", "gauss_legendre")] {
+    for (key, value) in [
+        ("shard_size", "4"),
+        ("rule", "gauss_legendre"),
+        ("pipeline", "sharded"),
+    ] {
         let flag = format!("--{}", key.replace('_', "-"));
         let e = parse_args(&args(&["--scenario", "x", &flag, value])).unwrap_err();
         assert!(e.message.contains(&format!("unknown flag `{flag}`")), "{e}");

@@ -17,7 +17,7 @@ out = a.csv\n\
 \n\
 order = 4\n\
 kernel = aosoa_splitck\n\
-pipeline = barrier\n";
+tuning = model\n";
 
 const SPEC: &str = "# spec\n\
 order = 6\n\

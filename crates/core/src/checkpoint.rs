@@ -5,7 +5,7 @@
 //! module gives the reproduction the same property. A [`Checkpoint`]
 //! captures everything needed to resume a scenario run bit-identically:
 //! the scenario's registry key, the fully **resolved** solver knobs
-//! (order, kernel, cfl, pipeline, the tuner's block-size pick, …),
+//! (order, kernel, cfl, the tuner's block-size pick, stepping, …),
 //! the run's series so far, and the raw engine state — mesh dimensions,
 //! the padded per-cell DOF array, `time`, `steps` and every receiver's
 //! records.
@@ -40,7 +40,7 @@
 //! Bit-identical resume holds on one host in every tuning mode: the
 //! saved knobs pin the resolved configuration (including the block
 //! size), and the engine's determinism
-//! contract pins step results across thread counts and pipelines. What
+//! contract pins step results across thread counts. What
 //! still varies across hosts is the GEMM ISA tile the host supports
 //! (fused vs unfused multiply-add, tile summation order) — a checkpoint
 //! resumed on a machine with a different widest tile continues correctly
@@ -337,7 +337,9 @@ impl Checkpoint {
     /// Older builds also pinned `rule`. Its value `gauss_legendre` names
     /// the one node set this build runs, so it is skipped; any other
     /// value fails, because the saved DOFs sit at nodes this build does
-    /// not have.
+    /// not have. They pinned `pipeline` too: `sharded` and `barrier`
+    /// stepped the same bits as the one driver this build runs, so both
+    /// are skipped; any other value fails, naming the knob.
     pub fn to_request(
         &self,
     ) -> Result<crate::scenario::RunRequest, crate::scenario::ScenarioError> {
@@ -352,6 +354,15 @@ impl Checkpoint {
                 return Err(ScenarioError::new(format!(
                     "checkpoint knob `rule = {value}` names a node set this build does not \
                      run (only gauss_legendre)"
+                )));
+            }
+            if key == "pipeline" {
+                if value == "sharded" || value == "barrier" {
+                    continue;
+                }
+                return Err(ScenarioError::new(format!(
+                    "checkpoint knob `pipeline = {value}` is not a pipeline older builds \
+                     ran (expected sharded|barrier)"
                 )));
             }
             match req.set(key, value) {

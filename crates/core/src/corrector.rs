@@ -18,9 +18,7 @@
 //! Apply task. Per cell the operations on `q` keep one fixed order:
 //! volume x, y, z, then the faces in `Face::ALL` order. Under LTS a
 //! shard's half-window predictor runs read `q⁰`, so they come *before*
-//! the in-place volume update. The barrier pipeline, the unfused
-//! reference, calls both halves after its global barrier on step-local
-//! outputs.
+//! the in-place volume update.
 
 use crate::kernels::log::{derive_gemm_aos, ncp_pointwise_aos};
 use crate::kernels::StpOutputs;

@@ -21,11 +21,6 @@
 //!   neighbouring shards' predictors finish. Global stepping is the
 //!   one-cluster macro cycle (`Lmax = 0`: one slot, one task triple per
 //!   shard).
-//!
-//! [`PipelineMode::Barrier`] — the seed cell-centric loop (every interior
-//! face solved twice, global barrier between predictor and corrector) —
-//! shares no traversal logic with the driver and stays, selectable only
-//! explicitly, as the independent reference the driver is pinned against.
 
 use crate::block::{BlockInputs, CellBlock};
 use crate::corrector::{apply_face, apply_volume, CorrectorScratch};
@@ -36,47 +31,21 @@ use crate::registry::KernelRegistry;
 use crate::riemann::{boundary_face, rusanov_face, BoundaryScratch};
 use crate::tune::{tune_plan, TuneReport, TuningMode};
 use aderdg_mesh::{
-    assign_levels, Face, FaceTopo, LtsGraph, LtsTask, Neighbor, ShardPlan, StructuredMesh,
-    MAX_LTS_LEVEL,
+    assign_levels, Face, FaceTopo, LtsGraph, LtsTask, ShardPlan, StructuredMesh, MAX_LTS_LEVEL,
 };
 use aderdg_pde::{LinearPde, PointSource};
 use aderdg_tensor::AlignedVec;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, RwLock};
 
-/// Which step pipeline the engine runs.
+/// The step pipeline: the task-graph driver is the only one.
+///
+/// Kept only because the frozen `benchmark/` harness names it; nothing
+/// in the engine reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineMode {
-    /// Seed cell-centric loop: every interior face's Riemann problem is
-    /// solved twice (once per adjacent cell) and a global barrier
-    /// separates predictor and corrector. Hermetic baseline.
-    Barrier,
-    /// Face-centric shard pipeline (the default): one Riemann solve per
-    /// face into a face-indexed buffer; per-shard
-    /// predictor/face-sweep/apply tasks chained by a dependency
-    /// scheduler, no global barrier. Results are pinned to the barrier
-    /// path by `tests/pipeline_equivalence.rs` and stay bit-identical
-    /// across worker-thread counts.
+    /// The face-centric shard task graph [`Engine::step`] runs.
     Sharded,
-}
-
-impl PipelineMode {
-    /// Parses a specification-file value (`barrier` | `sharded`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "barrier" => Some(Self::Barrier),
-            "sharded" => Some(Self::Sharded),
-            _ => None,
-        }
-    }
-
-    /// The specification-file spelling (inverse of [`PipelineMode::parse`]).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Self::Barrier => "barrier",
-            Self::Sharded => "sharded",
-        }
-    }
 }
 
 /// Which time-stepping strategy the engine runs.
@@ -171,18 +140,12 @@ impl std::error::Error for DegenerateDt {}
 ///   the widest ISA tile the host supports at or below `width`, so what
 ///   varies across hosts is that tile, never a timing. The decision is
 ///   recorded in [`Engine::tune_report`].
-/// * **`pipeline`** — `sharded` (default) runs the once-per-face task
-///   graph driver: half the interior Riemann solves and no
-///   predictor→corrector barrier. Switch to `barrier` to reproduce the
-///   seed cell-centric loop (the independent reference of
-///   `tests/pipeline_equivalence.rs`). The graph driver's shard size is
-///   derived from the mesh and the block size ([`auto_shard_size`]),
-///   never configured.
 /// * **`stepping`** — `global` (default) advances every cell at the one
 ///   CFL-stable dt: the one-cluster macro cycle of the graph driver.
 ///   `lts` clusters cells by their own stable dt and sub-cycles the fine
 ///   clusters on the same driver; it pays past ~2:1 dt contrast (see
-///   `docs/LTS.md`).
+///   `docs/LTS.md`). The driver's shard size is derived from the mesh
+///   and the block size ([`auto_shard_size`]), never configured.
 #[derive(Clone, Copy)]
 pub struct EngineConfig {
     /// STP kernel to run, resolved from the [`KernelRegistry`].
@@ -198,11 +161,7 @@ pub struct EngineConfig {
     pub block_size: Option<usize>,
     /// Plan-time tuning strategy for the block size.
     pub tuning: TuningMode,
-    /// Step pipeline (see [`PipelineMode`]).
-    pub pipeline: PipelineMode,
-    /// Time-stepping strategy (see [`SteppingMode`]). Under
-    /// [`SteppingMode::Lts`] the engine always runs the graph driver
-    /// and `pipeline` is ignored.
+    /// Time-stepping strategy (see [`SteppingMode`]).
     pub stepping: SteppingMode,
 }
 
@@ -215,7 +174,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("width", &self.width)
             .field("block_size", &self.block_size)
             .field("tuning", &self.tuning)
-            .field("pipeline", &self.pipeline)
             .field("stepping", &self.stepping)
             .finish()
     }
@@ -237,7 +195,6 @@ impl EngineConfig {
             width: None,
             block_size: None,
             tuning: TuningMode::default(),
-            pipeline: PipelineMode::Sharded,
             stepping: SteppingMode::Global,
         }
     }
@@ -286,9 +243,9 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the step pipeline (builder style).
-    pub fn with_pipeline(mut self, pipeline: PipelineMode) -> Self {
-        self.pipeline = pipeline;
+    /// A no-op: the task-graph driver is the only step pipeline. Kept
+    /// only because the frozen `benchmark/` harness calls it.
+    pub fn with_pipeline(self, _pipeline: PipelineMode) -> Self {
         self
     }
 
@@ -330,11 +287,11 @@ pub fn auto_block_size(footprint_bytes: usize) -> usize {
 /// noise.
 pub const SHARD_COUNT_TARGET: usize = 48;
 
-/// The automatic shard size of the sharded pipeline: cells per shard
+/// The automatic shard size of the graph driver: cells per shard
 /// targeting [`SHARD_COUNT_TARGET`] shards, rounded **up** to a multiple
 /// of the predictor block size so shard boundaries never split a cell
 /// block (the block partition — and therefore every batched kernel's
-/// floating-point result — stays identical to the barrier path's).
+/// floating-point result — does not depend on the shard partition).
 ///
 /// Deliberately independent of the worker-thread count: the shard
 /// partition must never leak into results, and
@@ -392,11 +349,11 @@ pub struct Engine<P: LinearPde> {
     /// Steps taken.
     pub steps: usize,
     /// What the graph driver steps with (shard plan, macro task graph,
-    /// flux storage). Global stepping on the sharded pipeline builds it
-    /// in [`Engine::new`]; under [`SteppingMode::Lts`] it is built lazily
-    /// from the current state's per-cell stable-dt field at the first
-    /// [`Engine::max_dt`] or step, and invalidated whenever the state is
-    /// replaced wholesale. Never built on the global barrier path.
+    /// flux storage). Global stepping builds it in [`Engine::new`];
+    /// under [`SteppingMode::Lts`] it is built lazily from the current
+    /// state's per-cell stable-dt field at the first [`Engine::max_dt`]
+    /// or step, and invalidated whenever the state is replaced
+    /// wholesale.
     graph: OnceLock<GraphPlan>,
     /// Per-cluster `(time, sub_steps)` clocks, indexed by cluster level.
     /// Empty until the first LTS step (and always under global
@@ -411,7 +368,6 @@ impl<P: LinearPde> std::fmt::Debug for Engine<P> {
             .field("dims", &self.mesh.dims)
             .field("order", &self.config.order)
             .field("kernel", &self.config.kernel.name())
-            .field("pipeline", &self.config.pipeline)
             .field("block_size", &self.block_size)
             .field("time", &self.time)
             .field("steps", &self.steps)
@@ -625,7 +581,7 @@ impl<P: LinearPde> Engine<P> {
         // The global plan never depends on the state: build it up front
         // so the first step doesn't pay for it. The LTS clustering waits
         // for the initial data.
-        if (config.stepping, config.pipeline) == (SteppingMode::Global, PipelineMode::Sharded) {
+        if config.stepping == SteppingMode::Global {
             engine.graph_plan();
         }
         engine
@@ -645,14 +601,12 @@ impl<P: LinearPde> Engine<P> {
         &self.tune
     }
 
-    /// The shard partition and canonical face index the sharded
-    /// pipeline steps with (`None` on the barrier path) — under
-    /// [`SteppingMode::Lts`] the level-aware [`Engine::lts_plan`].
+    /// The shard partition and canonical face index the graph driver
+    /// steps with — under [`SteppingMode::Lts`] the level-aware
+    /// [`Engine::lts_plan`]. Always `Some`: the `Option` is kept only
+    /// because the frozen `benchmark/` harness unwraps it.
     pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        match self.config.pipeline {
-            PipelineMode::Barrier => None,
-            PipelineMode::Sharded => Some(&self.graph_plan().plan),
-        }
+        Some(&self.graph_plan().plan)
     }
 
     /// Initializes every node from a closure over physical coordinates.
@@ -888,141 +842,17 @@ impl<P: LinearPde> Engine<P> {
     }
 
     /// Advances one time step of length `dt` (one whole macro cycle
-    /// under [`SteppingMode::Lts`], which ignores the pipeline setting
-    /// and always runs the graph driver).
+    /// under [`SteppingMode::Lts`]).
     pub fn step(&mut self, dt: f64) {
         // Source amplitude derivatives are refreshed once per (macro)
         // step at `t_n` — exact for a single cluster; under real
         // sub-cycling every sub-window reuses that expansion (see
         // docs/LTS.md, "Point sources under LTS").
         self.refresh_source_derivs();
-        match (self.config.stepping, self.config.pipeline) {
-            (SteppingMode::Global, PipelineMode::Barrier) => self.step_barrier(dt),
-            _ => self.step_graph(dt),
-        }
+        self.step_graph(dt);
         self.time += dt;
         self.steps += 1;
         self.record_receivers();
-    }
-
-    /// The seed cell-centric step: block predictor over all cells, a
-    /// global barrier, then a per-cell corrector that re-solves every
-    /// interior face from both adjacent cells (`6 · cells` Riemann solves
-    /// per step).
-    ///
-    /// The unfused reference of the graph driver: full predictor outputs
-    /// for every cell live in a step-local buffer, and the volume update
-    /// runs after the barrier, not inside the predictor task.
-    fn step_barrier(&mut self, dt: f64) {
-        let plan = &self.plan;
-        let pde = &self.pde;
-        let kernel = self.config.kernel;
-        let cell_sources = &self.cell_sources;
-
-        // 1. Predictor over cell blocks (element-local, embarrassingly
-        //    parallel — the paper's dominant kernel). Contiguous cells
-        //    are staged into a per-thread CellBlock and fed through the
-        //    kernel's block entry point, so one operator load serves the
-        //    whole block; kernels without a real block implementation
-        //    fall back to their per-cell path inside `run_block`.
-        let state = &self.state;
-        let bsize = self.block_size;
-        let mut outputs: Vec<StpOutputs> =
-            (0..state.len()).map(|_| StpOutputs::new(plan)).collect();
-        let mut blocks: Vec<&mut [StpOutputs]> = outputs.chunks_mut(bsize).collect();
-        par::for_each_mut_init(
-            &mut blocks,
-            || {
-                (
-                    kernel.make_block_scratch(plan, bsize),
-                    CellBlock::new(plan, bsize),
-                    Vec::with_capacity(bsize),
-                )
-            },
-            |(scratch, block, sources), bi, outs| {
-                let base = bi * bsize;
-                block.clear();
-                for i in 0..outs.len() {
-                    block.push(&state[base + i]);
-                }
-                sources.clear();
-                sources.extend((0..outs.len()).map(|i| cell_sources.get(&(base + i))));
-                kernel.run_block(
-                    plan,
-                    pde,
-                    scratch.as_mut(),
-                    &BlockInputs::new(block, dt, sources),
-                    outs,
-                );
-            },
-        );
-
-        // 2. Corrector: volume + Riemann face corrections.
-        let outputs = &outputs;
-        let mesh = &self.mesh;
-        par::for_each_mut_init(
-            &mut self.state,
-            || {
-                (
-                    CorrectorScratch::new(plan),
-                    BoundaryScratch::new(plan),
-                    vec![0.0f64; plan.flux_face.len()],
-                )
-            },
-            |(corr, bscratch, f_star), c, q| {
-                let out = &outputs[c];
-                apply_volume(plan, pde, corr, out, q);
-                for face in Face::ALL {
-                    let d = face.dim;
-                    let side = face.side;
-                    let fi = face.index();
-                    match mesh.neighbor(c, face) {
-                        Neighbor::Cell(nb) => {
-                            let nb_out = &outputs[nb];
-                            let of = face.opposite().index();
-                            if side == 0 {
-                                // Neighbour is the left state.
-                                rusanov_face(
-                                    plan,
-                                    pde,
-                                    d,
-                                    &nb_out.qface[of],
-                                    &nb_out.fface[of],
-                                    &out.qface[fi],
-                                    &out.fface[fi],
-                                    f_star,
-                                );
-                            } else {
-                                rusanov_face(
-                                    plan,
-                                    pde,
-                                    d,
-                                    &out.qface[fi],
-                                    &out.fface[fi],
-                                    &nb_out.qface[of],
-                                    &nb_out.fface[of],
-                                    f_star,
-                                );
-                            }
-                        }
-                        Neighbor::Boundary(kind) => {
-                            boundary_face(
-                                plan,
-                                pde,
-                                d,
-                                side,
-                                kind,
-                                &out.qface[fi],
-                                &out.fface[fi],
-                                bscratch,
-                                f_star,
-                            );
-                        }
-                    }
-                    apply_face(plan, d, side, f_star, &out.fface[fi], q);
-                }
-            },
-        );
     }
 
     /// The task-graph driver: one **macro cycle** of `2^Lmax` level-0
@@ -1056,8 +886,8 @@ impl<P: LinearPde> Engine<P> {
     /// slot by one task from fixed predictor outputs into the
     /// face-indexed buffer, and each cell's operations on `q` — volume
     /// x, y, z in Predict, then its six faces in `Face::ALL` order in
-    /// Apply — keep the barrier path's order, so results are independent
-    /// of the schedule and bit-identical across worker-thread counts.
+    /// Apply — run in one fixed order, so results are independent of the
+    /// schedule and bit-identical across worker-thread counts.
     ///
     /// ORDERING: most locks below are uncontended — every pair of
     /// conflicting accesses to `traces`, `state` and `halo` is ordered by
@@ -1112,9 +942,9 @@ impl<P: LinearPde> Engine<P> {
             || GraphScratch::new(plan, kernel, bsize, splan),
             |ws, task| match graph.task(task) {
                 // Predictor over the shard's cells at the cluster's own
-                // sub-step, in predictor blocks exactly like the barrier
-                // path, each block's volume update applied in place;
-                // before that, half-window runs for halo cells.
+                // sub-step, in predictor blocks, each block's volume
+                // update applied in place; before that, half-window runs
+                // for halo cells.
                 LtsTask::Predict { shard: s, .. } => {
                     let level = splan.shard_level(s);
                     let dt_s = dt_base * (1u64 << level) as f64;
@@ -1219,8 +1049,7 @@ impl<P: LinearPde> Engine<P> {
                                 let (ls, lo) = traces_of(lower);
                                 let (us, up) = traces_of(upper);
                                 // Lower cell's upper trace is the left
-                                // state — same convention as the barrier
-                                // path, so F* is bit-identical.
+                                // state.
                                 let (fl, fu) = (2 * dim + 1, 2 * dim);
                                 let mut left: (&[f64], &[f64]) = (&lo.qface[fl], &lo.fface[fl]);
                                 let mut right: (&[f64], &[f64]) = (&up.qface[fu], &up.fface[fu]);
@@ -1724,7 +1553,6 @@ mod tests {
             StructuredMesh::new([4, 2, 2], [0.0; 3], [1.0; 3], [BoundaryKind::Reflective; 3]);
         let config = EngineConfig::new(3)
             .with_tuning(TuningMode::Static)
-            .with_pipeline(PipelineMode::Sharded)
             .with_stepping(stepping);
         let mut engine = Engine::new(mesh, Acoustic, config);
         engine.set_initial(|x, q| {
@@ -1790,7 +1618,6 @@ mod tests {
             StructuredMesh::new([4, 2, 2], [0.0; 3], [1.0; 3], [BoundaryKind::Reflective; 3]);
         let config = EngineConfig::new(3)
             .with_tuning(TuningMode::Static)
-            .with_pipeline(PipelineMode::Sharded)
             .with_stepping(stepping)
             .with_width(width);
         let mut engine = Engine::new(mesh, Elastic, config);
@@ -1905,13 +1732,5 @@ mod tests {
         assert_eq!(lts.lts_plan().num_levels(), 2);
         lts.cell_state_mut(0)[0] = 1.0;
         assert!(lts.graph.get().is_none(), "state pokes drop the clustering");
-
-        let barrier = Engine::new(
-            StructuredMesh::unit_cube(2),
-            aderdg_pde::Acoustic,
-            EngineConfig::new(3).with_pipeline(PipelineMode::Barrier),
-        );
-        assert!(barrier.shard_plan().is_none());
-        assert!(barrier.graph.get().is_none(), "barrier path builds no plan");
     }
 }

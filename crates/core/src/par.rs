@@ -184,35 +184,26 @@ struct StateSlot<S>(UnsafeCell<Option<S>>);
 // worker threads and dropped on the submitter.
 unsafe impl<S: Send> Sync for StateSlot<S> {}
 
-/// Applies `f(state, index, item)` to every item of `items` in parallel,
-/// with `init()`-produced states reused across items (the scratch-reuse
-/// pattern of the predictor loop). The items are cut into at most one
-/// contiguous chunk per worker thread, run as an edge-free
-/// [`run_graph_init`] graph, so `init` runs at most `num_threads()` times;
-/// chunks may migrate between workers, but each runs exactly once.
-pub fn for_each_mut_init<T, S>(
-    items: &mut [T],
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize, &mut T) + Sync,
-) where
-    T: Send,
-    S: Send,
-{
+/// Applies `f(index, item)` to every item in parallel. The items are
+/// cut into at most one contiguous chunk per worker thread, run as an
+/// edge-free [`run_graph_init`] graph; chunks may migrate between
+/// workers, but each runs exactly once.
+pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
     let len = items.len();
     let chunk = len.div_ceil(num_threads().min(len.max(1))).max(1);
     // Task `ci` alone locks chunk `ci`: the locks are uncontended.
     let chunks: Vec<Mutex<&mut [T]>> = items.chunks_mut(chunk).map(Mutex::new).collect();
     let n = chunks.len();
-    run_graph_init(&vec![0; n], &vec![Vec::new(); n], init, |state, ci| {
-        for (j, item) in lock(&chunks[ci]).iter_mut().enumerate() {
-            f(state, ci * chunk + j, item);
-        }
-    });
-}
-
-/// Applies `f(index, item)` to every item in parallel.
-pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-    for_each_mut_init(items, || (), |(), i, item| f(i, item));
+    run_graph_init(
+        &vec![0; n],
+        &vec![Vec::new(); n],
+        || (),
+        |(), ci| {
+            for (j, item) in lock(&chunks[ci]).iter_mut().enumerate() {
+                f(ci * chunk + j, item);
+            }
+        },
+    );
 }
 
 /// Parallel `max` of `f` over `items`; returns `identity` for an empty
@@ -399,20 +390,30 @@ mod tests {
 
     #[test]
     fn init_state_is_per_chunk_and_reused() {
-        // The state counts invocations; totals across chunks must cover
-        // every item exactly once.
+        // An edge-free graph (the shape `for_each_mut` and `map_max`
+        // submit): the per-worker states count invocations, and the
+        // totals must cover every task exactly once, with no more states
+        // than workers.
         use std::sync::atomic::AtomicUsize;
+        // Holds the thread count still between the batch and the bound.
+        let _guard = THREAD_KNOB.lock().unwrap();
+        let states = AtomicUsize::new(0);
         let total = AtomicUsize::new(0);
-        let mut v = vec![0u8; 517];
-        for_each_mut_init(
-            &mut v,
-            || 0usize,
-            |count, _, _| {
+        let n = 517;
+        run_graph_init(
+            &vec![0; n],
+            &vec![Vec::new(); n],
+            || {
+                states.fetch_add(1, Ordering::Relaxed);
+                0usize
+            },
+            |count, _| {
                 *count += 1;
                 total.fetch_add(1, Ordering::Relaxed);
             },
         );
-        assert_eq!(total.load(Ordering::Relaxed), 517);
+        assert_eq!(total.load(Ordering::Relaxed), n);
+        assert!((1..=num_threads()).contains(&states.load(Ordering::Relaxed)));
     }
 
     #[test]
@@ -464,13 +465,7 @@ mod tests {
         let before = num_threads();
         set_num_threads(16);
         let mut few = vec![0usize; 3];
-        for_each_mut_init(
-            &mut few,
-            || (),
-            |(), i, x| {
-                *x += i + 1;
-            },
-        );
+        for_each_mut(&mut few, |i, x| *x += i + 1);
         assert_eq!(few, vec![1, 2, 3]);
         set_num_threads(before);
     }

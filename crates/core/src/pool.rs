@@ -12,7 +12,7 @@
 //! counter bumped on every push closes the check-then-park race.
 //!
 //! The module is crate-private on purpose: the public, documented
-//! surface (`for_each_mut_init`, `map_max`, `run_graph_init`,
+//! surface (`for_each_mut`, `map_max`, `run_graph_init`,
 //! `set_num_threads`) lives in [`crate::par`], which
 //! owns the determinism contract. Nothing here decides *combine
 //! order* — reductions stay worker-independent because the `par`

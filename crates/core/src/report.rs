@@ -9,16 +9,8 @@ use std::io::Write;
 pub fn render_summary(s: &RunSummary) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "scenario {} [{}]: order {}, {}x{}x{} cells ({}), kernel {}, pipeline {:?}\n",
-        s.scenario,
-        s.system,
-        s.order,
-        s.cells[0],
-        s.cells[1],
-        s.cells[2],
-        s.num_cells,
-        s.kernel,
-        s.pipeline,
+        "scenario {} [{}]: order {}, {}x{}x{} cells ({}), kernel {}\n",
+        s.scenario, s.system, s.order, s.cells[0], s.cells[1], s.cells[2], s.num_cells, s.kernel,
     ));
     out.push_str(&format!("tune: {}\n", s.tune));
     out.push_str(&format!(

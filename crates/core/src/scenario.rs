@@ -106,7 +106,8 @@ pub struct RunRequest {
     pub block_size: Option<Option<usize>>,
     /// Tuning-mode override.
     pub tuning: Option<TuningMode>,
-    /// Pipeline override.
+    /// Ignored: the task-graph driver is the only step pipeline. Kept
+    /// only because the frozen `benchmark/` harness sets it.
     pub pipeline: Option<PipelineMode>,
     /// Time-stepping strategy override (`global` | `lts`).
     pub stepping: Option<SteppingMode>,
@@ -156,7 +157,6 @@ pub const SOLVER_KEYS: &[&str] = &[
     "width",
     "block_size",
     "tuning",
-    "pipeline",
     "stepping",
 ];
 
@@ -198,9 +198,6 @@ impl RunRequest {
                 )
             }
             "tuning" => self.tuning = Some(TuningMode::parse(value).ok_or(bad("static|model"))?),
-            "pipeline" => {
-                self.pipeline = Some(PipelineMode::parse(value).ok_or(bad("barrier|sharded"))?)
-            }
             "stepping" => {
                 self.stepping = Some(SteppingMode::parse(value).ok_or(bad("global|lts"))?)
             }
@@ -345,8 +342,6 @@ pub struct RunSummary {
     pub num_cells: usize,
     /// Kernel registry key the run used.
     pub kernel: &'static str,
-    /// Step pipeline the run used.
-    pub pipeline: PipelineMode,
     /// Time-stepping strategy the run used.
     pub stepping: SteppingMode,
     /// Resolved predictor block size (tuner pick or override).
@@ -549,7 +544,7 @@ pub fn resolve(info: &ScenarioInfo, req: &RunRequest) -> Result<Resolved, Scenar
     let mut fixed_steps = None;
     if req.smoke {
         // Tiny and fast, whatever the defaults say: CI runs every
-        // registered scenario through this path on both pipelines.
+        // registered scenario through this path.
         // Explicit run-shape overrides would be silently discarded here,
         // so they are conflicts, not no-ops.
         if req.cells.is_some() {
@@ -586,9 +581,6 @@ pub fn resolve(info: &ScenarioInfo, req: &RunRequest) -> Result<Resolved, Scenar
     }
     if let Some(t) = req.tuning {
         config.tuning = t;
-    }
-    if let Some(p) = req.pipeline {
-        config.pipeline = p;
     }
     if let Some(s) = req.stepping {
         config.stepping = s;
@@ -752,7 +744,7 @@ where
     // Wall time accumulates around the stepping only: the per-checkpoint
     // norm/error evaluations are diagnostics, and including them would
     // deflate `cell_updates_per_second` — the throughput number kernels
-    // and pipelines are compared by.
+    // are compared by.
     let mut wall_seconds = 0.0;
     let mut paused = false;
     match r.fixed_steps {
@@ -846,7 +838,6 @@ where
         cells: dims,
         num_cells,
         kernel: engine.config.kernel.name(),
-        pipeline: engine.config.pipeline,
         stepping: engine.config.stepping,
         block_size: engine.block_size(),
         backend: tune.backend,
@@ -882,8 +873,8 @@ where
 /// The fully resolved knob set a checkpoint stores: replayed through
 /// [`RunRequest::set`], these rebuild the exact engine configuration —
 /// the tuner's block-size pick is pinned as an explicit integer, the
-/// pipeline and stepping mode are pinned against a changed default
-/// between save and resume, and the SIMD width is pinned so the padded
+/// stepping mode is pinned against a changed default between save and
+/// resume, and the SIMD width is pinned so the padded
 /// state layout survives a move to a different host.
 fn checkpoint_knobs<P: LinearPde>(
     engine: &Engine<P>,
@@ -899,7 +890,6 @@ fn checkpoint_knobs<P: LinearPde>(
         ("width".into(), width.as_str().into()),
         ("block_size".into(), engine.block_size().to_string()),
         ("tuning".into(), c.tuning.as_str().into()),
-        ("pipeline".into(), c.pipeline.as_str().into()),
         ("stepping".into(), c.stepping.as_str().into()),
     ];
     if let Some(cells) = req.cells {
@@ -1085,7 +1075,6 @@ mod tests {
             ("width", "avx2", "avx1024"),
             ("block_size", "8", "0"),
             ("tuning", "static", "probe"),
-            ("pipeline", "barrier", "warp"),
             ("stepping", "lts", "warp"),
         ];
         assert_eq!(rows.map(|r| r.0), SOLVER_KEYS);

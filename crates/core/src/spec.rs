@@ -197,20 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_parses_and_rejects_unknown() {
-        use crate::engine::PipelineMode;
-        for (text, mode) in [
-            ("pipeline = barrier\n", PipelineMode::Barrier),
-            ("pipeline = sharded\n", PipelineMode::Sharded),
-        ] {
-            assert_eq!(RunRequest::from_spec(text).unwrap().pipeline, Some(mode));
-            assert_eq!(resolved(text).unwrap().pipeline, mode);
-        }
-        let e = RunRequest::from_spec("pipeline = warp\n").unwrap_err();
-        assert!(e.message.contains("barrier|sharded"), "{}", e.message);
-    }
-
-    #[test]
     fn stepping_parses_and_rejects_unknown() {
         use crate::engine::SteppingMode;
         for (text, mode) in [

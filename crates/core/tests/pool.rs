@@ -6,9 +6,9 @@
 //! every task runs exactly once with its dependencies finished first.
 //! Panic-in-task must propagate without deadlocking or
 //! poisoning the pool for the next call; `set_num_threads` must resize
-//! safely while idle and fail loudly mid-task; the cell-loop reductions
-//! (`map_max`, `for_each_mut_init`) must keep their NaN/identity and
-//! state-reuse semantics on the persistent pool.
+//! safely while idle and fail loudly mid-task; `map_max` must keep its
+//! NaN/identity semantics, and per-worker states their reuse, on the
+//! persistent pool.
 //!
 //! Every test mutates the process-global thread count, so every test
 //! serializes on one mutex and restores what it found.
@@ -337,37 +337,6 @@ fn map_max_nan_and_identity_semantics_on_the_persistent_pool() {
     // ...and a NaN identity behaves like f64::max with a NaN seed.
     let w = [2.0f64, 9.0];
     assert_eq!(par::map_max(&w, f64::NAN, |&x| x), 9.0);
-    par::set_num_threads(threads_before);
-}
-
-#[test]
-fn for_each_state_reuse_on_the_persistent_pool() {
-    let _guard = knob_guard();
-    let threads_before = par::num_threads();
-    par::set_num_threads(4);
-    // Each chunk gets one init()-produced state, reused across the
-    // chunk's items: the per-state counts must sum to the item count,
-    // and no more states than worker threads may ever be created.
-    let states = AtomicUsize::new(0);
-    let visits = AtomicUsize::new(0);
-    let mut v = vec![0u8; 1003];
-    par::for_each_mut_init(
-        &mut v,
-        || {
-            states.fetch_add(1, Ordering::Relaxed);
-            0usize
-        },
-        |count, _, _| {
-            *count += 1;
-            visits.fetch_add(1, Ordering::Relaxed);
-        },
-    );
-    assert_eq!(visits.load(Ordering::Relaxed), 1003);
-    let created = states.load(Ordering::Relaxed);
-    assert!(
-        (1..=4).contains(&created),
-        "expected at most one state per worker, got {created}"
-    );
     par::set_num_threads(threads_before);
 }
 

@@ -2,9 +2,9 @@
 //! bit-identically and a paused-then-resumed run must be
 //! indistinguishable — to the last bit of every DOF, series point and
 //! receiver record — from one that never stopped. Exercised across
-//! kernels × pipelines, because serialization must not care how the
-//! bits were produced; plus rejection of corrupt files and
-//! the degenerate-dt error path.
+//! kernels, because serialization must not care how the bits were
+//! produced; plus older files' retired knobs, rejection of corrupt files
+//! and the degenerate-dt error path.
 
 use aderdg::core::checkpoint::Checkpoint;
 use aderdg::core::registry::KernelRegistry;
@@ -13,21 +13,20 @@ use aderdg::core::scenario::{
     ScenarioParts, ScenarioRegistry,
 };
 use aderdg::core::tune::TuningMode;
-use aderdg::core::{Engine, EngineConfig, PipelineMode, SteppingMode};
+use aderdg::core::{Engine, EngineConfig, SteppingMode};
 use aderdg::mesh::StructuredMesh;
 use aderdg::pde::{Acoustic, AdvectionSystem};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn seeded_engine(kernel: &str, pipeline: PipelineMode) -> Engine<Acoustic> {
+fn seeded_engine(kernel: &str) -> Engine<Acoustic> {
     let config = EngineConfig::new(3)
         .with_kernel(
             KernelRegistry::global()
                 .resolve(kernel)
                 .unwrap_or_else(|| panic!("kernel `{kernel}` not registered")),
         )
-        .with_tuning(TuningMode::Static)
-        .with_pipeline(pipeline);
+        .with_tuning(TuningMode::Static);
     let mesh = StructuredMesh::unit_cube(3);
     let mut engine = Engine::new(mesh, Acoustic, config);
     engine.set_initial(|x, q| {
@@ -50,47 +49,44 @@ fn state_bits(engine: &Engine<Acoustic>) -> Vec<u64> {
 
 /// Engine-level round trip: save mid-run, restore into a freshly built
 /// engine, and both the restored state and its *future* (two more steps)
-/// must be bit-identical — across two kernels and both pipelines, since
-/// the codec must not care how the bits were produced.
+/// must be bit-identical — across two kernels, since the codec must not
+/// care how the bits were produced.
 #[test]
 fn engine_state_round_trips_bit_identically_and_continues() {
     for kernel in ["generic", "aosoa_splitck"] {
-        for pipeline in [PipelineMode::Barrier, PipelineMode::Sharded] {
-            let label = format!("{kernel}/{pipeline:?}");
-            let mut original = seeded_engine(kernel, pipeline);
-            let dt = original.max_dt() * 0.5;
-            original.step(dt);
-            original.step(dt);
-            let saved = original.save_state();
+        let mut original = seeded_engine(kernel);
+        let dt = original.max_dt() * 0.5;
+        original.step(dt);
+        original.step(dt);
+        let saved = original.save_state();
 
-            let mut restored = seeded_engine(kernel, pipeline);
-            restored.restore_state(&saved).expect("restore");
-            assert_eq!(restored.time.to_bits(), original.time.to_bits(), "{label}");
-            assert_eq!(restored.steps, original.steps, "{label}");
-            assert_eq!(
-                state_bits(&restored),
-                state_bits(&original),
-                "{label}: restored DOFs differ"
-            );
+        let mut restored = seeded_engine(kernel);
+        restored.restore_state(&saved).expect("restore");
+        assert_eq!(restored.time.to_bits(), original.time.to_bits(), "{kernel}");
+        assert_eq!(restored.steps, original.steps, "{kernel}");
+        assert_eq!(
+            state_bits(&restored),
+            state_bits(&original),
+            "{kernel}: restored DOFs differ"
+        );
 
-            // The restored engine's future must match too.
-            original.step(dt);
-            original.step(dt);
-            restored.step(dt);
-            restored.step(dt);
-            assert_eq!(
-                state_bits(&restored),
-                state_bits(&original),
-                "{label}: evolution diverges after restore"
-            );
-            assert_eq!(
-                original.receivers.len(),
-                restored.receivers.len(),
-                "{label}"
-            );
-            for (a, b) in original.receivers.iter().zip(&restored.receivers) {
-                assert_eq!(a.records, b.records, "{label}: receiver traces differ");
-            }
+        // The restored engine's future must match too.
+        original.step(dt);
+        original.step(dt);
+        restored.step(dt);
+        restored.step(dt);
+        assert_eq!(
+            state_bits(&restored),
+            state_bits(&original),
+            "{kernel}: evolution diverges after restore"
+        );
+        assert_eq!(
+            original.receivers.len(),
+            restored.receivers.len(),
+            "{kernel}"
+        );
+        for (a, b) in original.receivers.iter().zip(&restored.receivers) {
+            assert_eq!(a.records, b.records, "{kernel}: receiver traces differ");
         }
     }
 }
@@ -174,15 +170,11 @@ fn tmp(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!("aderdg-ckpt-{}-{label}.ckpt", std::process::id()))
 }
 
-fn base_request(kernel: &str, pipeline: &str) -> RunRequest {
+fn base_request(kernel: &str) -> RunRequest {
     let mut req = RunRequest::smoke();
     // Static tuning skips the cache-model replay; both modes are
     // deterministic and the checkpoint pins the chosen block size anyway.
-    for (key, value) in [
-        ("kernel", kernel),
-        ("pipeline", pipeline),
-        ("tuning", "static"),
-    ] {
+    for (key, value) in [("kernel", kernel), ("tuning", "static")] {
         assert!(req.set(key, value).unwrap(), "unknown key {key}");
     }
     req
@@ -199,98 +191,119 @@ fn run(req: RunRequest) -> RunSummary {
 /// Scenario-level round trip through real files: pause at step 1 into a
 /// checkpoint, resume it, and the final checkpoint must be byte-for-byte
 /// identical to one saved by a run that was never interrupted — for two
-/// kernels × both pipelines.
+/// kernels.
 #[test]
 fn paused_and_resumed_run_matches_uninterrupted_bit_for_bit() {
     for kernel in ["generic", "splitck"] {
-        for pipeline in ["barrier", "sharded"] {
-            let label = format!("{kernel}-{pipeline}");
-            let full_ck = tmp(&format!("{label}-full"));
-            let pause_ck = tmp(&format!("{label}-pause"));
-            let resumed_ck = tmp(&format!("{label}-resumed"));
+        let full_ck = tmp(&format!("{kernel}-full"));
+        let pause_ck = tmp(&format!("{kernel}-pause"));
+        let resumed_ck = tmp(&format!("{kernel}-resumed"));
 
-            // Uninterrupted reference.
-            let mut req = base_request(kernel, pipeline);
-            req.save_checkpoint = Some(full_ck.clone());
-            let full = run(req);
-            assert!(!full.paused);
+        // Uninterrupted reference.
+        let mut req = base_request(kernel);
+        req.save_checkpoint = Some(full_ck.clone());
+        let full = run(req);
+        assert!(!full.paused);
 
-            // Pause at step 1, checkpoint, resume to the end.
-            let mut req = base_request(kernel, pipeline);
-            req.save_checkpoint = Some(pause_ck.clone());
-            let control = Arc::new(RunControl::new());
-            control.pause_at_step(1);
-            req.control = Some(control);
-            let paused = run(req);
-            assert!(paused.paused, "{label}: run did not pause");
-            assert_eq!(paused.steps, 1, "{label}");
+        // Pause at step 1, checkpoint, resume to the end.
+        let mut req = base_request(kernel);
+        req.save_checkpoint = Some(pause_ck.clone());
+        let control = Arc::new(RunControl::new());
+        control.pause_at_step(1);
+        req.control = Some(control);
+        let paused = run(req);
+        assert!(paused.paused, "{kernel}: run did not pause");
+        assert_eq!(paused.steps, 1, "{kernel}");
 
-            let ck = Checkpoint::load(&pause_ck).expect("load pause checkpoint");
-            let mut req = ck.to_request().expect("replay knobs");
-            req.save_checkpoint = Some(resumed_ck.clone());
-            req.resume = Some(Arc::new(ck));
-            let resumed = run(req);
-            assert!(!resumed.paused, "{label}: resume did not finish");
+        let ck = Checkpoint::load(&pause_ck).expect("load pause checkpoint");
+        let mut req = ck.to_request().expect("replay knobs");
+        req.save_checkpoint = Some(resumed_ck.clone());
+        req.resume = Some(Arc::new(ck));
+        let resumed = run(req);
+        assert!(!resumed.paused, "{kernel}: resume did not finish");
 
-            let full_bytes = std::fs::read(&full_ck).unwrap();
-            let resumed_bytes = std::fs::read(&resumed_ck).unwrap();
-            assert_eq!(
-                full_bytes, resumed_bytes,
-                "{label}: resumed checkpoint differs from the uninterrupted one"
-            );
-            // The summaries' series agree too (same data, pre-file).
-            assert_eq!(full.steps, resumed.steps, "{label}");
-            for (a, b) in full.series.iter().zip(&resumed.series) {
-                assert_eq!(a.t.to_bits(), b.t.to_bits(), "{label}");
-                assert_eq!(a.l2_norm.to_bits(), b.l2_norm.to_bits(), "{label}");
-            }
-            for path in [&full_ck, &pause_ck, &resumed_ck] {
-                let _ = std::fs::remove_file(path);
-            }
+        let full_bytes = std::fs::read(&full_ck).unwrap();
+        let resumed_bytes = std::fs::read(&resumed_ck).unwrap();
+        assert_eq!(
+            full_bytes, resumed_bytes,
+            "{kernel}: resumed checkpoint differs from the uninterrupted one"
+        );
+        // The summaries' series agree too (same data, pre-file).
+        assert_eq!(full.steps, resumed.steps, "{kernel}");
+        for (a, b) in full.series.iter().zip(&resumed.series) {
+            assert_eq!(a.t.to_bits(), b.t.to_bits(), "{kernel}");
+            assert_eq!(a.l2_norm.to_bits(), b.l2_norm.to_bits(), "{kernel}");
+        }
+        for path in [&full_ck, &pause_ck, &resumed_ck] {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
 
-/// Checkpoints saved by older builds pin `rule = gauss_legendre`, the
-/// one node set this build runs: such a file resumes and ends
-/// byte-identical to an uninterrupted run. A `gauss_lobatto` file holds
-/// DOFs at nodes this build does not have, so its replay fails naming
-/// the knob.
+/// Checkpoints saved by older builds pin knobs this build no longer
+/// has. `rule = gauss_legendre` names the one node set this build runs,
+/// and `pipeline = barrier|sharded` the two step bodies that stepped the
+/// same bits as its one driver: such a file resumes and ends
+/// byte-identical to an uninterrupted run. Any other value fails its
+/// replay naming the knob — a `gauss_lobatto` file holds DOFs at nodes
+/// this build does not have.
 #[test]
 fn older_checkpoint_with_a_rule_knob_resumes_only_on_gauss_legendre() {
-    let full_ck = tmp("rule-full");
-    let pause_ck = tmp("rule-pause");
-    let resumed_ck = tmp("rule-resumed");
-    let mut req = base_request("splitck", "sharded");
+    let full_ck = tmp("legacy-full");
+    let pause_ck = tmp("legacy-pause");
+    let resumed_ck = tmp("legacy-resumed");
+    let mut req = base_request("splitck");
     req.save_checkpoint = Some(full_ck.clone());
     run(req);
-    let mut req = base_request("splitck", "sharded");
+    let mut req = base_request("splitck");
     req.save_checkpoint = Some(pause_ck.clone());
     let control = Arc::new(RunControl::new());
     control.pause_at_step(1);
     req.control = Some(control);
     assert!(run(req).paused);
+    let full = std::fs::read(&full_ck).unwrap();
+    let paused = Checkpoint::load(&pause_ck).expect("load pause checkpoint");
 
-    // Where the older builds wrote it: right after `width`.
-    let mut ck = Checkpoint::load(&pause_ck).expect("load pause checkpoint");
-    let at = ck.knobs.iter().position(|(k, _)| k == "width").unwrap() + 1;
-    ck.knobs.insert(at, ("rule".into(), "gauss_lobatto".into()));
-    let e = ck.to_request().unwrap_err();
-    assert!(
-        e.message
-            .contains("checkpoint knob `rule = gauss_lobatto` names a node set"),
-        "{e}"
-    );
-    ck.knobs[at].1 = "gauss_legendre".into();
-    let mut req = ck.to_request().expect("replay knobs");
-    req.save_checkpoint = Some(resumed_ck.clone());
-    req.resume = Some(Arc::new(ck));
-    assert!(!run(req).paused);
-    assert_eq!(
-        std::fs::read(&full_ck).unwrap(),
-        std::fs::read(&resumed_ck).unwrap(),
-        "resumed checkpoint differs from the uninterrupted one"
-    );
+    // (knob, the knob older builds wrote it after, values that resume,
+    // value that fails, its error).
+    let rows = [
+        (
+            "rule",
+            "width",
+            &["gauss_legendre"][..],
+            "gauss_lobatto",
+            "checkpoint knob `rule = gauss_lobatto` names a node set",
+        ),
+        (
+            "pipeline",
+            "tuning",
+            &["barrier", "sharded"][..],
+            "warp",
+            "checkpoint knob `pipeline = warp` is not a pipeline",
+        ),
+    ];
+    for (knob, after, resume, fail, error) in rows {
+        let with = |value: &str| {
+            let mut ck = paused.clone();
+            let at = ck.knobs.iter().position(|(k, _)| k == after).unwrap() + 1;
+            ck.knobs.insert(at, (knob.into(), value.into()));
+            ck
+        };
+        let e = with(fail).to_request().unwrap_err();
+        assert!(e.message.contains(error), "{e}");
+        for &value in resume {
+            let ck = with(value);
+            let mut req = ck.to_request().expect("replay knobs");
+            req.save_checkpoint = Some(resumed_ck.clone());
+            req.resume = Some(Arc::new(ck));
+            assert!(!run(req).paused);
+            assert_eq!(
+                full,
+                std::fs::read(&resumed_ck).unwrap(),
+                "{knob} = {value}: resumed checkpoint differs from the uninterrupted one"
+            );
+        }
+    }
     for path in [&full_ck, &pause_ck, &resumed_ck] {
         let _ = std::fs::remove_file(path);
     }
@@ -307,7 +320,7 @@ fn lts_paused_and_resumed_run_matches_uninterrupted_bit_for_bit() {
         .expect("acoustic_layered registered");
     let run = |req: RunRequest| scenario.run(&req).expect("run succeeds");
     let lts_request = || {
-        let mut req = base_request("splitck", "sharded");
+        let mut req = base_request("splitck");
         assert!(req.set("stepping", "lts").unwrap(), "unknown key stepping");
         req
     };
@@ -359,7 +372,7 @@ fn lts_paused_and_resumed_run_matches_uninterrupted_bit_for_bit() {
 #[test]
 fn corrupt_checkpoint_files_are_rejected_on_load() {
     let path = tmp("corrupt-source");
-    let mut req = base_request("generic", "barrier");
+    let mut req = base_request("generic");
     req.save_checkpoint = Some(path.clone());
     run(req);
     let good = std::fs::read(&path).unwrap();

@@ -1,20 +1,16 @@
 //! Thread-count determinism: `Engine::step` must be bit-identical under
-//! `ADERDG_THREADS = 1`, `4` and `16` — on **both** pipelines.
+//! `ADERDG_THREADS = 1`, `4` and `16`.
 //!
-//! Barrier path: the cell loops in `aderdg::core::par` chunk statically
-//! over worker threads; every cell's predictor and corrector arithmetic
-//! is self-contained (the corrector *reads* neighbour face tensors but
-//! only writes its own cell), and `max_dt`'s parallel reduction is a
-//! pure `max`, which is associative and commutative over non-NaN values.
-//!
-//! Sharded path: the task *schedule* is thread-count dependent, but every
-//! face flux is computed exactly once by one task from fixed predictor
-//! outputs, and each cell applies its corrections in a fixed order — so
-//! the execution order must never leak into results, not even in the
-//! last ulp. These tests guard both the static chunking and the shard
-//! scheduler against accumulation-order drift.
+//! The task *schedule* of the graph driver is thread-count dependent, but
+//! every face flux is computed exactly once by one task from fixed
+//! predictor outputs, and each cell applies its corrections in a fixed
+//! order — so the execution order must never leak into results, not even
+//! in the last ulp. `max_dt`'s parallel reduction is a pure `max`, which
+//! is associative and commutative over non-NaN values. These tests guard
+//! the shard scheduler and the chunked reductions against
+//! accumulation-order drift.
 
-use aderdg::core::{par, Engine, EngineConfig, PipelineMode};
+use aderdg::core::{par, Engine, EngineConfig};
 use aderdg::mesh::StructuredMesh;
 use aderdg::pde::{Acoustic, PointSource, SourceTimeFunction};
 use std::sync::Mutex;
@@ -85,17 +81,6 @@ fn assert_thread_invariant(config: EngineConfig, label: &str) {
 }
 
 #[test]
-fn step_results_bit_identical_across_thread_counts() {
-    let _guard = THREAD_KNOB.lock().unwrap();
-    let before = par::num_threads();
-    assert_thread_invariant(
-        EngineConfig::new(3).with_pipeline(PipelineMode::Barrier),
-        "barrier",
-    );
-    par::set_num_threads(before);
-}
-
-#[test]
 fn sharded_step_bit_identical_across_thread_counts() {
     let _guard = THREAD_KNOB.lock().unwrap();
     let before = par::num_threads();
@@ -107,7 +92,7 @@ fn sharded_step_bit_identical_across_thread_counts() {
     // pool's idle workers must steal to finish — the schedule differs
     // maximally from the inline 1-thread reference, yet the evolved state
     // must not drift by a single bit.
-    let base = EngineConfig::new(3).with_pipeline(PipelineMode::Sharded);
+    let base = EngineConfig::new(3);
     assert_thread_invariant(base, "sharded(auto)");
     for (block_size, shards) in [(2, 14), (5, 6), (27, 1), (13, 3), (11, 3)] {
         let config = base.with_block_size(block_size);

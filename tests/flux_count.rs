@@ -1,7 +1,7 @@
-//! The once-per-face contract, measured: the sharded pipeline performs
+//! The once-per-face contract, measured: the graph driver performs
 //! `interior + boundary` Riemann solves per step (eq. 5 — one per face),
-//! where the cell-centric barrier path performs `6 · cells` (every
-//! interior face twice).
+//! not the `6 · cells` of a cell-centric loop that solves every interior
+//! face from both sides.
 //!
 //! Uses the debug-build flux-solve counter in `aderdg::core::riemann`;
 //! the counter is process-global, so all assertions live in this one
@@ -10,7 +10,7 @@
 use aderdg::core::riemann::{
     flux_solve_count, flux_solve_counting_enabled, reset_flux_solve_count,
 };
-use aderdg::core::{Engine, EngineConfig, PipelineMode, SteppingMode};
+use aderdg::core::{Engine, EngineConfig, SteppingMode};
 use aderdg::mesh::{BoundaryKind, StructuredMesh};
 use aderdg::pde::Acoustic;
 
@@ -37,26 +37,10 @@ fn sharded_step_solves_each_face_exactly_once() {
         return;
     }
 
-    // Fully periodic cube: 3·cells interior faces, no boundary. The
-    // counts are a *pipeline* contract, so `stepping = global` is spelled
-    // out (under LTS `pipeline` is ignored and the barrier count would
-    // never materialize).
+    // Fully periodic cube: 3·cells interior faces, no boundary.
     let cells = 27;
-    let barrier = step_solves(
-        EngineConfig::new(3)
-            .with_stepping(SteppingMode::Global)
-            .with_pipeline(PipelineMode::Barrier),
-        StructuredMesh::unit_cube(3),
-    );
-    assert_eq!(
-        barrier,
-        6 * cells,
-        "cell-centric path: two solves per interior face"
-    );
     let sharded = step_solves(
-        EngineConfig::new(3)
-            .with_stepping(SteppingMode::Global)
-            .with_pipeline(PipelineMode::Sharded),
+        EngineConfig::new(3).with_stepping(SteppingMode::Global),
         StructuredMesh::unit_cube(3),
     );
     assert_eq!(
@@ -84,18 +68,11 @@ fn sharded_step_solves_each_face_exactly_once() {
             BoundaryKind::Periodic,
         ],
     );
-    let config = EngineConfig::new(3)
-        .with_stepping(SteppingMode::Global)
-        .with_pipeline(PipelineMode::Sharded);
+    let config = EngineConfig::new(3).with_stepping(SteppingMode::Global);
     let engine = Engine::new(mesh.clone(), Acoustic, config);
-    let splan = engine
-        .shard_plan()
-        .expect("sharded engine has a shard plan");
+    let splan = engine.shard_plan().expect("the engine has a shard plan");
     let expected = splan.num_interior_faces() + splan.num_boundary_faces();
     drop(engine);
-    let sharded = step_solves(config, mesh.clone());
+    let sharded = step_solves(config, mesh);
     assert_eq!(sharded, expected, "one solve per canonical face");
-    let barrier = step_solves(config.with_pipeline(PipelineMode::Barrier), mesh);
-    assert_eq!(barrier, 6 * 12, "barrier path visits every cell slot");
-    assert!(sharded < barrier);
 }

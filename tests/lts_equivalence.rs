@@ -23,7 +23,7 @@
 //!    shallow-water and (whose wavespeed divides by the parameter rows
 //!    the coarse trace must carry) Maxwell physics.
 
-use aderdg::core::{Engine, EngineConfig, KernelRegistry, PipelineMode, SteppingMode};
+use aderdg::core::{Engine, EngineConfig, KernelRegistry, SteppingMode};
 use aderdg::mesh::{BoundaryKind, StructuredMesh};
 use aderdg::pde::{Acoustic, LinearizedSwe, Maxwell, PointSource, SourceTimeFunction};
 
@@ -81,9 +81,7 @@ fn run_homogeneous(config: EngineConfig) -> (usize, u64, Vec<u64>) {
 #[test]
 fn degenerate_lts_bitwise_matches_global_for_every_kernel() {
     for name in KernelRegistry::global().names() {
-        let base = EngineConfig::new(3)
-            .with_kernel_name(name)
-            .with_pipeline(PipelineMode::Sharded);
+        let base = EngineConfig::new(3).with_kernel_name(name);
         let (_, global_dt, global) = run_homogeneous(base.with_stepping(SteppingMode::Global));
         assert!(
             global.iter().any(|&b| b != 0),
@@ -140,7 +138,7 @@ where
     F: Fn([f64; 3], &mut [f64]) + Copy + Sync,
 {
     let mesh = || StructuredMesh::new([4, 2, 2], [0.0; 3], [1.0; 3], [BoundaryKind::Reflective; 3]);
-    let config = EngineConfig::new(5).with_pipeline(PipelineMode::Sharded);
+    let config = EngineConfig::new(5);
 
     let mut lts = Engine::new(mesh(), pde(), config.with_stepping(SteppingMode::Lts));
     lts.set_initial(init);
