@@ -21,22 +21,30 @@
 //!   neighbouring shards' predictors finish. Global stepping is the
 //!   one-cluster macro cycle (`Lmax = 0`: one slot, one task triple per
 //!   shard).
+//!
+//! The code follows the same split. This file holds the configuration
+//! types, [`Engine`] and its public API; `plan` builds, caches and drops
+//! the graph plan (shard partition, task graph, face-flux storage);
+//! `tasks` is the step body — per-worker scratch and the predict / flux
+//! / apply functions the scheduler runs; `lts` holds what only a
+//! multi-level plan needs (sub-window face traces, their worker temps,
+//! the per-cluster clocks).
 
-use crate::block::{BlockInputs, CellBlock};
-use crate::corrector::{apply_face, apply_volume, CorrectorScratch};
-use crate::kernels::{FaceTraces, StpInputs, StpKernel, StpOutputs, StpScratch};
+mod lts;
+mod plan;
+mod tasks;
+
+use crate::kernels::{FaceTraces, StpKernel};
 use crate::par;
 use crate::plan::{CellSource, KernelVariant, StpConfig, StpPlan};
 use crate::registry::KernelRegistry;
-use crate::riemann::{boundary_face, rusanov_face, BoundaryScratch};
 use crate::tune::{tune_plan, TuneReport, TuningMode};
-use aderdg_mesh::{
-    assign_levels, Face, FaceTopo, LtsGraph, LtsTask, ShardPlan, StructuredMesh, MAX_LTS_LEVEL,
-};
+use aderdg_mesh::{ShardPlan, StructuredMesh};
 use aderdg_pde::{LinearPde, PointSource};
 use aderdg_tensor::AlignedVec;
+use plan::GraphPlan;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::OnceLock;
 
 /// The step pipeline: the task-graph driver is the only one.
 ///
@@ -375,166 +383,6 @@ impl<P: LinearPde> std::fmt::Debug for Engine<P> {
     }
 }
 
-/// Everything the task-graph driver steps with: the shard partition, the
-/// macro-cycle task graph over it and the face-flux storage. Under
-/// [`SteppingMode::Global`] the partition is the flat one-level
-/// [`ShardPlan::new`] (state-independent, built once in
-/// [`Engine::new`]); under [`SteppingMode::Lts`] it is the level-aware
-/// plan derived deterministically from the state the engine held when it
-/// was built.
-struct GraphPlan {
-    /// Shard partition and canonical face enumeration (shards are
-    /// level-uniform).
-    plan: ShardPlan,
-    /// The macro-cycle task graph (one predict/apply pair per shard per
-    /// sub-window, one flux sweep per shard per owned-face slot; one
-    /// task triple per shard for a one-level plan).
-    graph: LtsGraph,
-    /// Stable dt of the finest cluster — the global CFL dt of the state
-    /// the clustering was derived from; `max_dt` reports
-    /// `dt_base · num_slots` so drive loops step whole macro cycles.
-    /// NaN and never read under global stepping, whose `max_dt` reduces
-    /// the live state every step.
-    dt_base: f64,
-    /// Per-shard storage for the owned faces' resolved fluxes `F*` of
-    /// the *current* sub-window (`owned_faces × plan.flux_face.len()`
-    /// doubles each), overwritten at each re-solve.
-    f_star: Vec<RwLock<Vec<f64>>>,
-    /// Per-shard F* accumulated over a coarse window for cadence-
-    /// mismatched faces: the sub-window-0 solve overwrites, the
-    /// sub-window-1 solve adds, and the coarse cell applies the sum —
-    /// so the face flux telescopes exactly against the fine cell's two
-    /// separate applications. Empty for a one-level plan.
-    f_star_acc: Vec<RwLock<Vec<f64>>>,
-    /// Per-shard half-window face traces for cells that border a finer
-    /// face (the sub-window differencing source). Empty for a one-level
-    /// plan.
-    halo: Vec<RwLock<HaloShard>>,
-}
-
-/// Half-window face traces of one shard's cells that border a
-/// finer-cadence face.
-struct HaloShard {
-    /// Shard-local indices of those cells, ascending.
-    cells: Vec<usize>,
-    /// Half-dt face traces, parallel to `cells`, rewritten by each of the
-    /// shard's predict tasks *before* its in-place volume update (the
-    /// half-window runs read `q⁰`).
-    half: Vec<FaceTraces>,
-}
-
-/// Splits a flat per-cell buffer into per-shard mutable slices matching
-/// `splan.shard_range` (shards are contiguous but not uniform — LTS
-/// shard boundaries also break at cluster-level changes, so a plain
-/// `chunks_mut` does not apply).
-fn shard_slices<'a, T>(splan: &ShardPlan, mut buf: &'a mut [T]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(splan.num_shards());
-    for s in 0..splan.num_shards() {
-        let (head, tail) = buf.split_at_mut(splan.shard_range(s).len());
-        out.push(head);
-        buf = tail;
-    }
-    debug_assert!(buf.is_empty(), "shard ranges must tile the buffer");
-    out
-}
-
-/// Composes one sub-window face trace of a coarse cell by differencing
-/// its full- and half-window predictor runs: the CK Taylor coefficients
-/// depend only on `q0`, so the half-dt run's time-integrated trace *is*
-/// the first half-window's exactly, and `full − half` the second's,
-/// elementwise (trace tensors are time-integrals, hence additive over
-/// sub-windows). With ≤ 1-level gradation one halving always suffices.
-///
-/// Returns the `(q̄, F̄)` face pair of face slot `fi`: the half-window
-/// trace itself for `sub == 0` (no copy), the difference written into
-/// `tmp` for `sub == 1`. Only the evolved rows (the plan's `vars`) are
-/// time integrals: `q̄` *carries* its parameter rows (the kernels'
-/// convention), so those — which the Riemann solve reads the wavespeed
-/// from — are copied from the full trace, not differenced to zero.
-fn sub_window_trace<'a>(
-    plan: &StpPlan,
-    tmp: &'a mut HaloScratch,
-    full: &FaceTraces,
-    half: &'a FaceTraces,
-    fi: usize,
-    sub: usize,
-) -> (&'a [f64], &'a [f64]) {
-    if sub == 0 {
-        return (&half.qface[fi], &half.fface[fi]);
-    }
-    let (qf, ff) = (&full.qface[fi], &full.fface[fi]);
-    let (qh, fh) = (&half.qface[fi], &half.fface[fi]);
-    let (q_pad, vars) = (plan.face.m_pad(), plan.cfg.vars);
-    let rows = tmp.qtmp.chunks_exact_mut(q_pad).zip(qf.chunks_exact(q_pad));
-    for ((t, f), h) in rows.zip(qh.chunks_exact(q_pad)) {
-        for s in 0..vars {
-            t[s] = f[s] - h[s];
-        }
-        t[vars..].copy_from_slice(&f[vars..]);
-    }
-    for i in 0..tmp.ftmp.len() {
-        tmp.ftmp[i] = ff[i] - fh[i];
-    }
-    (&tmp.qtmp, &tmp.ftmp)
-}
-
-/// Per-worker scratch of the graph driver (one per scheduler worker,
-/// reused across that worker's tasks).
-struct GraphScratch<'a> {
-    stp: Box<dyn StpScratch>,
-    block: CellBlock,
-    sources: Vec<Option<&'a CellSource>>,
-    /// The full predictor outputs of the block in flight (`block_size`
-    /// of them). Each cell's own face buffers are swapped in before the
-    /// kernel runs and back out after the volume update, so only the
-    /// volume tensors are the worker's.
-    outs: Vec<StpOutputs>,
-    corr: CorrectorScratch,
-    boundary: BoundaryScratch,
-    /// Sub-window trace temps; `None` for a one-level plan, which never
-    /// composes a sub-window trace.
-    halo: Option<HaloScratch>,
-}
-
-impl GraphScratch<'_> {
-    /// One scheduler worker's scratch for stepping `splan`.
-    fn new(plan: &StpPlan, kernel: &dyn StpKernel, bsize: usize, splan: &ShardPlan) -> Self {
-        Self {
-            stp: kernel.make_block_scratch(plan, bsize),
-            block: CellBlock::new(plan, bsize),
-            sources: Vec::with_capacity(bsize),
-            outs: (0..bsize).map(|_| StpOutputs::new(plan)).collect(),
-            corr: CorrectorScratch::new(plan),
-            boundary: BoundaryScratch::new(plan),
-            halo: (splan.num_levels() > 1).then(|| HaloScratch {
-                qtmp: vec![0.0; plan.face.len()],
-                ftmp: vec![0.0; plan.flux_face.len()],
-            }),
-        }
-    }
-}
-
-/// One face-trace temp pair for the second sub-window's difference (at
-/// most one side of a face is ever coarse). The halo half-window
-/// predictor runs need no scratch of their own: they reuse the worker's
-/// block scratch, which every kernel's `run` accepts (the
-/// `make_block_scratch` contract), and its first [`StpOutputs`].
-struct HaloScratch {
-    qtmp: Vec<f64>,
-    ftmp: Vec<f64>,
-}
-
-/// Looks up a shard's lock guard in a small sorted `(shard, guard)` list
-/// (the per-task dependency guards).
-fn dep_guard<T>(guards: &[(usize, T)], shard: usize) -> &T {
-    let i = guards
-        .binary_search_by_key(&shard, |g| g.0)
-        // PANIC-OK: internal invariant — the static task graph listed
-        // every shard this task may read.
-        .expect("shard not in the task's dependency set");
-    &guards[i].1
-}
-
 impl<P: LinearPde> Engine<P> {
     /// Builds an engine; the plan is derived from the mesh spacing and the
     /// PDE's quantity count.
@@ -742,90 +590,6 @@ impl<P: LinearPde> Engine<P> {
         }
     }
 
-    /// The graph driver's plan. Under global stepping it never depends on
-    /// the state; under LTS it is built from the *current* state on first
-    /// use and cached until the state is replaced wholesale
-    /// ([`Engine::set_initial`], [`Engine::restore_state`],
-    /// [`Engine::cell_state_mut`]).
-    fn graph_plan(&self) -> &GraphPlan {
-        self.graph.get_or_init(|| self.build_graph_plan())
-    }
-
-    fn build_graph_plan(&self) -> GraphPlan {
-        let shard_size = auto_shard_size(self.mesh.num_cells(), self.block_size);
-        let (splan, dt_base) = match self.config.stepping {
-            SteppingMode::Global => (ShardPlan::new(&self.mesh, shard_size), f64::NAN),
-            SteppingMode::Lts => {
-                let cell_dt: Vec<f64> = self
-                    .state
-                    .iter()
-                    .map(|q| self.rate_to_dt(self.cell_rate(q)))
-                    .collect();
-                // Bitwise equal to `base_dt`: f64 division by a positive
-                // value is monotone, so the min over per-cell dt is the
-                // dt of the max per-cell rate.
-                let dt_base = cell_dt.iter().copied().fold(f64::INFINITY, f64::min);
-                let levels = assign_levels(&self.mesh, &cell_dt, MAX_LTS_LEVEL);
-                (
-                    ShardPlan::with_levels(&self.mesh, shard_size, &levels),
-                    dt_base,
-                )
-            }
-        };
-        let graph = LtsGraph::build(&splan);
-        let face_len = self.plan.flux_face.len();
-        let ns = splan.num_shards();
-        let flux_storage = || -> Vec<RwLock<Vec<f64>>> {
-            (0..ns)
-                .map(|s| RwLock::new(vec![0.0; splan.owned_faces(s).len() * face_len]))
-                .collect()
-        };
-        let f_star = flux_storage();
-        // The accumulator and halo buffers only exist when clusters
-        // actually differ — a one-level plan (global stepping, or LTS on
-        // a dt-homogeneous state) allocates nothing beyond `f_star`.
-        let (f_star_acc, halo) = if splan.num_levels() > 1 {
-            let halo = (0..ns)
-                .map(|s| {
-                    let level = splan.shard_level(s);
-                    let range = splan.shard_range(s);
-                    let cells: Vec<usize> = range
-                        .clone()
-                        .filter(|&c| {
-                            splan
-                                .cell_faces(c)
-                                .iter()
-                                .any(|&id| splan.face_cadence(id) < level)
-                        })
-                        .map(|c| c - range.start)
-                        .collect();
-                    let half = cells.iter().map(|_| FaceTraces::new(&self.plan)).collect();
-                    RwLock::new(HaloShard { cells, half })
-                })
-                .collect();
-            (flux_storage(), halo)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        GraphPlan {
-            plan: splan,
-            graph,
-            dt_base,
-            f_star,
-            f_star_acc,
-            halo,
-        }
-    }
-
-    /// Drops the cached LTS clustering after the state was replaced: the
-    /// per-cell dt field it was derived from may have changed. The global
-    /// plan is state-independent and stays.
-    fn invalidate_clustering(&mut self) {
-        if self.config.stepping == SteppingMode::Lts {
-            self.graph = OnceLock::new();
-        }
-    }
-
     /// Per-cluster `(time, sub_steps)` clocks of the LTS path, indexed
     /// by cluster level. Empty until the first LTS step (and always under
     /// global stepping); serialized through checkpoints so a resumed run
@@ -853,342 +617,6 @@ impl<P: LinearPde> Engine<P> {
         self.time += dt;
         self.steps += 1;
         self.record_receivers();
-    }
-
-    /// The task-graph driver: one **macro cycle** of `2^Lmax` level-0
-    /// sub-windows, scheduled as the sub-window-resolved predict /
-    /// flux-sweep / apply task graph ([`LtsGraph`]) on the persistent
-    /// work-stealing pool ([`par::run_graph_init`]). A shard's sweep
-    /// starts as soon as its own and its face-neighbours' predictors are
-    /// done, with no global barrier, and each finished task pushes the
-    /// dependents it unlocks onto the finishing worker's own deque.
-    ///
-    /// Global stepping is the one-cluster case: `Lmax = 0`, one slot, one
-    /// predict / flux / apply triple per shard at the full `dt`. Under
-    /// LTS `dt` is the macro step; a level-`L` cluster takes
-    /// `2^(Lmax−L)` sub-steps of `dt · 2^L / 2^Lmax` each (exact f64
-    /// scalings, so a clipped macro step scales all clusters alike).
-    ///
-    /// Cadence-mismatched faces (a cadence-`c` face under a level-`c+1`
-    /// cell) are re-solved per fine sub-window with the coarse side's
-    /// trace composed by [`sub_window_trace`]; the two fine `F*` are
-    /// accumulated and applied once by the coarse cell, so the face flux
-    /// telescopes exactly and conservation holds to round-off.
-    ///
-    /// Fused volume update: Predict applies [`apply_volume`] to each
-    /// cell's `q` in place right after the kernel ran into the worker's
-    /// own [`StpOutputs`], and keeps only the cell's face traces; Apply
-    /// is the six face lifts. A shard's half-window runs read `q⁰`, so
-    /// they run first. Nothing else reads a cell's `q` between its
-    /// Predict and its Apply.
-    ///
-    /// Determinism: every face flux is computed exactly once per due
-    /// slot by one task from fixed predictor outputs into the
-    /// face-indexed buffer, and each cell's operations on `q` — volume
-    /// x, y, z in Predict, then its six faces in `Face::ALL` order in
-    /// Apply — run in one fixed order, so results are independent of the
-    /// schedule and bit-identical across worker-thread counts.
-    ///
-    /// ORDERING: most locks below are uncontended — every pair of
-    /// conflicting accesses to `traces`, `state` and `halo` is ordered by
-    /// the task graph (a shard's tasks form a chain `P(k) → … → A(k) →
-    /// P(k+1)`, and every cross-shard read has graph edges — with
-    /// `AcqRel` ready-counters — placing it after the writer and before
-    /// the next one). With more than one slot `f_star` and `f_star_acc`
-    /// *are* contended (a sweep may rewrite segments of faces unrelated
-    /// to a concurrently-running apply task holding the same lock — the
-    /// data stays disjoint, the lock is shared), so all tasks acquire
-    /// them along one global hierarchy: `f_star[i]` before every
-    /// `f_star_acc[j]`, each tier in ascending shard order. Flux takes
-    /// `f_star[s]` then `f_star_acc[s]`; Apply takes all its `f_star`
-    /// read guards ascending, then all `f_star_acc` read guards
-    /// ascending — strictly increasing ranks, hence no deadlock.
-    fn step_graph(&mut self, dt: f64) {
-        self.graph_plan();
-        // PANIC-OK: internal invariant — just built above.
-        let gp = self.graph.get().expect("graph plan built");
-        let splan = &gp.plan;
-        let graph = &gp.graph;
-        let num_levels = splan.num_levels();
-        if self.config.stepping == SteppingMode::Lts && self.lts_clocks.len() != num_levels {
-            self.lts_clocks = vec![(self.time, 0); num_levels];
-        }
-        let plan = &self.plan;
-        let pde = &self.pde;
-        let kernel = self.config.kernel;
-        let bsize = self.block_size;
-        let cell_sources = &self.cell_sources;
-        let num_slots = graph.num_slots();
-        // Exact: `num_slots` is a power of two.
-        let dt_base = dt / num_slots as f64;
-        let face_len = plan.flux_face.len();
-        let multi = num_levels > 1;
-
-        let trace_shards: Vec<RwLock<&mut [FaceTraces]>> = shard_slices(splan, &mut self.traces)
-            .into_iter()
-            .map(RwLock::new)
-            .collect();
-        let state_shards: Vec<Mutex<&mut [AlignedVec]>> = shard_slices(splan, &mut self.state)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let f_star = &gp.f_star;
-        let f_star_acc = &gp.f_star_acc;
-        let halo_shards = &gp.halo;
-
-        par::run_graph_init(
-            graph.indegree(),
-            graph.dependents(),
-            || GraphScratch::new(plan, kernel, bsize, splan),
-            |ws, task| match graph.task(task) {
-                // Predictor over the shard's cells at the cluster's own
-                // sub-step, in predictor blocks, each block's volume
-                // update applied in place; before that, half-window runs
-                // for halo cells.
-                LtsTask::Predict { shard: s, .. } => {
-                    let level = splan.shard_level(s);
-                    let dt_s = dt_base * (1u64 << level) as f64;
-                    let range = splan.shard_range(s);
-                    // PANIC-OK: lock poisoning means a sibling task
-                    // panicked; cascading into the batch abort is
-                    // correct (likewise for every lock below).
-                    let mut state = state_shards[s].lock().unwrap();
-                    // PANIC-OK: poisoning cascades (see above).
-                    let mut traces = trace_shards[s].write().unwrap();
-                    if multi {
-                        // First: these runs read q⁰, which the volume
-                        // update below overwrites.
-                        // PANIC-OK: poisoning cascades (see above).
-                        let mut halo = halo_shards[s].write().unwrap();
-                        let HaloShard { cells, half } = &mut *halo;
-                        let out = &mut ws.outs[0];
-                        for (&local, h) in cells.iter().zip(half.iter_mut()) {
-                            h.swap(out);
-                            kernel.run(
-                                plan,
-                                pde,
-                                ws.stp.as_mut(),
-                                &StpInputs {
-                                    q0: &state[local][..],
-                                    dt: 0.5 * dt_s,
-                                    source: cell_sources.get(&(range.start + local)),
-                                },
-                                out,
-                            );
-                            h.swap(out);
-                        }
-                    }
-                    let blocks = state.chunks_mut(bsize).zip(traces.chunks_mut(bsize));
-                    for (bi, (qs, ts)) in blocks.enumerate() {
-                        let first = range.start + bi * bsize;
-                        ws.block.clear();
-                        for q in qs.iter() {
-                            ws.block.push(q);
-                        }
-                        ws.sources.clear();
-                        ws.sources
-                            .extend((0..qs.len()).map(|i| cell_sources.get(&(first + i))));
-                        let outs = &mut ws.outs[..qs.len()];
-                        for (t, out) in ts.iter_mut().zip(outs.iter_mut()) {
-                            t.swap(out);
-                        }
-                        kernel.run_block(
-                            plan,
-                            pde,
-                            ws.stp.as_mut(),
-                            &BlockInputs::new(&ws.block, dt_s, &ws.sources),
-                            outs,
-                        );
-                        for ((t, out), q) in ts.iter_mut().zip(outs.iter_mut()).zip(qs) {
-                            apply_volume(plan, pde, &mut ws.corr, out, q);
-                            t.swap(out);
-                        }
-                    }
-                }
-                // Once-per-face flux sweep over the shard's owned faces
-                // *due at this sweep's slot*, into the shard's dense F*
-                // segment (and the coarse-window accumulator for
-                // mismatched faces).
-                LtsTask::Flux { shard: s, sweep } => {
-                    let slot = graph.sweep_slot(s, sweep);
-                    // Shards whose predictors feed this sweep's active
-                    // faces (the graph's edges mirror exactly these).
-                    let deps = graph.flux_deps(s, sweep);
-                    let guards: Vec<_> = deps
-                        .iter()
-                        // PANIC-OK: poisoning cascades (see above).
-                        .map(|&t| (t, trace_shards[t].read().unwrap()))
-                        .collect();
-                    let hguards: Vec<_> = if multi {
-                        deps.iter()
-                            // PANIC-OK: poisoning cascades (see above).
-                            .map(|&t| (t, halo_shards[t].read().unwrap()))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    let traces_of = |cell: usize| {
-                        let t = splan.shard_of(cell);
-                        (t, &dep_guard(&guards, t)[cell - splan.shard_range(t).start])
-                    };
-                    // Lock hierarchy: own f_star, then (at the first
-                    // mismatched face) own f_star_acc — see the ORDERING
-                    // note in the doc comment.
-                    // PANIC-OK: poisoning cascades (see above).
-                    let mut fs = f_star[s].write().unwrap();
-                    let mut acc = None;
-                    for (i, id) in splan.owned_faces(s).enumerate() {
-                        let c = splan.face_cadence(id) as usize;
-                        if slot & ((1usize << c) - 1) != 0 {
-                            continue;
-                        }
-                        let sub = (slot >> c) & 1;
-                        let dst = &mut fs[i * face_len..(i + 1) * face_len];
-                        match splan.face(id) {
-                            FaceTopo::Interior { dim, lower, upper } => {
-                                let (ls, lo) = traces_of(lower);
-                                let (us, up) = traces_of(upper);
-                                // Lower cell's upper trace is the left
-                                // state.
-                                let (fl, fu) = (2 * dim + 1, 2 * dim);
-                                let mut left: (&[f64], &[f64]) = (&lo.qface[fl], &lo.fface[fl]);
-                                let mut right: (&[f64], &[f64]) = (&up.qface[fu], &up.fface[fu]);
-                                // The face cadence is the *min* adjacent
-                                // level, so at most one side is coarse.
-                                let lo_mis = (splan.shard_level(ls) as usize) > c;
-                                let up_mis = (splan.shard_level(us) as usize) > c;
-                                if lo_mis || up_mis {
-                                    let (cs, cell, full, fi) = if lo_mis {
-                                        (ls, lower, lo, fl)
-                                    } else {
-                                        (us, upper, up, fu)
-                                    };
-                                    let h = dep_guard(&hguards, cs);
-                                    let hi = h
-                                        .cells
-                                        .binary_search(&(cell - splan.shard_range(cs).start))
-                                        // PANIC-OK: internal invariant —
-                                        // `build_graph_plan` registered a
-                                        // halo slot for every coarse cell
-                                        // bordering a finer face.
-                                        .expect("halo slot for coarse cell");
-                                    // PANIC-OK: internal invariant — a
-                                    // mismatched face implies a
-                                    // multi-level plan, whose workers
-                                    // carry halo scratch.
-                                    let hs = ws.halo.as_mut().expect("halo scratch");
-                                    let composed =
-                                        sub_window_trace(plan, hs, full, &h.half[hi], fi, sub);
-                                    if lo_mis {
-                                        left = composed;
-                                    } else {
-                                        right = composed;
-                                    }
-                                }
-                                rusanov_face(plan, pde, dim, left.0, left.1, right.0, right.1, dst);
-                                if lo_mis || up_mis {
-                                    let acc = acc.get_or_insert_with(|| {
-                                        // PANIC-OK: poisoning cascades
-                                        // (see above).
-                                        f_star_acc[s].write().unwrap()
-                                    });
-                                    let a = &mut acc[i * face_len..(i + 1) * face_len];
-                                    if sub == 0 {
-                                        a.copy_from_slice(dst);
-                                    } else {
-                                        for (av, dv) in a.iter_mut().zip(dst.iter()) {
-                                            *av += dv;
-                                        }
-                                    }
-                                }
-                            }
-                            FaceTopo::Boundary {
-                                dim,
-                                cell,
-                                side,
-                                kind,
-                            } => {
-                                let (_, own) = traces_of(cell);
-                                let fi = 2 * dim + side;
-                                boundary_face(
-                                    plan,
-                                    pde,
-                                    dim,
-                                    side,
-                                    kind,
-                                    &own.qface[fi],
-                                    &own.fface[fi],
-                                    &mut ws.boundary,
-                                    dst,
-                                );
-                            }
-                        }
-                    }
-                }
-                // Six face lifts per cell at the cluster's sub-step (the
-                // volume update already ran in Predict), reading F* from
-                // the owning shards' segments — the accumulated
-                // coarse-window flux for faces finer than this cluster's
-                // window.
-                LtsTask::Apply { shard: s, .. } => {
-                    let level = splan.shard_level(s);
-                    let range = splan.shard_range(s);
-                    // PANIC-OK: poisoning cascades (see above).
-                    let traces = trace_shards[s].read().unwrap();
-                    // Lock hierarchy: every f_star guard (ascending),
-                    // then every f_star_acc guard (ascending) — see the
-                    // ORDERING note in the doc comment.
-                    let owners = splan.apply_deps(s);
-                    let fguards: Vec<_> = owners
-                        .iter()
-                        // PANIC-OK: poisoning cascades (see above).
-                        .map(|&t| (t, f_star[t].read().unwrap()))
-                        .collect();
-                    let aguards: Vec<_> = if multi {
-                        owners
-                            .iter()
-                            // PANIC-OK: poisoning cascades (see above).
-                            .map(|&t| (t, f_star_acc[t].read().unwrap()))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    // PANIC-OK: poisoning cascades (see above).
-                    let mut state = state_shards[s].lock().unwrap();
-                    for (i, (q, own)) in state.iter_mut().zip(traces.iter()).enumerate() {
-                        let c = range.start + i;
-                        for face in Face::ALL {
-                            let id = splan.cell_faces(c)[face.index()];
-                            let owner = splan.face_owner(id);
-                            let local = id - splan.owned_faces(owner).start;
-                            let seg: &[f64] = if splan.face_cadence(id) < level {
-                                &dep_guard(&aguards, owner)[..]
-                            } else {
-                                &dep_guard(&fguards, owner)[..]
-                            };
-                            let fstar = &seg[local * face_len..(local + 1) * face_len];
-                            apply_face(
-                                plan,
-                                face.dim,
-                                face.side,
-                                fstar,
-                                &own.fface[face.index()],
-                                q,
-                            );
-                        }
-                    }
-                }
-            },
-        );
-
-        // Advance the per-cluster clocks (LTS only — none exist under
-        // global stepping): a level-L cluster took `2^(Lmax−L)` sub-steps
-        // and all clusters meet at `t + dt`.
-        let t_end = self.time + dt;
-        for (level, clock) in self.lts_clocks.iter_mut().enumerate() {
-            clock.0 = t_end;
-            clock.1 += (num_slots >> level) as u64;
-        }
     }
 
     /// Runs with CFL-limited steps until `t_end` (last step clipped).
@@ -1493,6 +921,7 @@ impl<P: LinearPde> Engine<P> {
 
 #[cfg(test)]
 mod tests {
+    use super::tasks::GraphScratch;
     use super::*;
 
     #[test]
