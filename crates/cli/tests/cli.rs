@@ -311,6 +311,31 @@ fn run_outputs_series_and_receiver_csv() {
 }
 
 #[test]
+fn summary_header_names_the_stepping_mode() {
+    let header = |stepping| {
+        let mut request = RunRequest::smoke();
+        request.stepping = Some(stepping);
+        let run = RunArgs {
+            scenario: "acoustic_layered".into(),
+            request,
+            ..RunArgs::default()
+        };
+        let summary = execute_run(&run).unwrap();
+        assert_eq!(summary.stepping, stepping);
+        render_summary(&summary).lines().next().unwrap().to_string()
+    };
+    let global = header(SteppingMode::Global);
+    let lts = header(SteppingMode::Lts);
+    assert!(global.ends_with(", stepping global"), "{global}");
+    assert!(lts.ends_with(", stepping lts"), "{lts}");
+    assert_eq!(
+        global.trim_end_matches("global"),
+        lts.trim_end_matches("lts"),
+        "the mode is all that tells the two headers apart"
+    );
+}
+
+#[test]
 fn list_renders_every_scenario() {
     let text = render_list();
     for name in ScenarioRegistry::global().names() {

@@ -148,7 +148,7 @@ mod tests {
     ) {
         let n = plan.n();
         let m = plan.m();
-        let m_pad = plan.aos.m_pad();
+        let (vol_pad, face_pad) = (plan.aos.m_pad(), plan.face.m_pad());
         let phi = if side == 0 {
             &plan.basis.phi_left
         } else {
@@ -164,7 +164,7 @@ mod tests {
                         _ => (a * n + b, (k * n + a) * n + b),
                     };
                     for s in 0..m {
-                        out[fo * m_pad + s] += w * vol[vo * m_pad + s];
+                        out[fo * face_pad + s] += w * vol[vo * vol_pad + s];
                     }
                 }
             }
@@ -224,6 +224,77 @@ mod tests {
                                 face.m
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn face_bits_do_not_depend_on_the_face_padding() {
+        // Faces pad to 4 doubles at every width from AVX2 up. The same
+        // face data padded to 8 rows must give the same bits on the rows
+        // both keep — through the projection and through the face lift
+        // into the volume — at every backend.
+        use crate::corrector::apply_face;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (n, m, vars) in [(3, 2, 2), (4, 6, 4), (5, 9, 9), (4, 21, 9)] {
+            for backend in Isa::supported().map(aderdg_gemm::backend_for) {
+                let cfg = StpConfig::new(n, m).with_vars(vars).with_width(Isa::Avx512);
+                let narrow = StpPlan::with_gemm_backend(cfg, [0.5, 0.25, 2.0], backend);
+                assert_eq!(narrow.face, FaceLayout::new(n, m, Isa::Avx2));
+                assert_eq!(narrow.flux_face, FaceLayout::new(n, vars, Isa::Avx2));
+                let mut wide = narrow.clone();
+                wide.face = FaceLayout::new(n, m, Isa::Avx512);
+                wide.flux_face = FaceLayout::new(n, vars, Isa::Avx512);
+                let ctx = |what: &str| format!("{} n={n} m={m} vars={vars} {what}", backend.name());
+
+                let mut rng = aderdg_tensor::Lcg::new((n * 100 + m) as u64);
+                let mut vol = vec![0.0; narrow.aos.len()];
+                for node in vol.chunks_exact_mut(narrow.aos.m_pad()) {
+                    node[..m].copy_from_slice(&rng.vec(m, -1.0, 1.0));
+                }
+                let mut flux = vol.clone();
+                for node in flux.chunks_exact_mut(narrow.aos.m_pad()) {
+                    node[vars..].fill(0.0);
+                }
+                // One random flux face's evolved rows, at both paddings.
+                let mut flux_face = || {
+                    let rows: Vec<Vec<f64>> =
+                        (0..n * n).map(|_| rng.vec(vars, -1.0, 1.0)).collect();
+                    let at = |face: FaceLayout| {
+                        let mut out = vec![0.0; face.len()];
+                        for (o, r) in out.chunks_exact_mut(face.m_pad()).zip(&rows) {
+                            o[..vars].copy_from_slice(r);
+                        }
+                        out
+                    };
+                    (at(narrow.flux_face), at(wide.flux_face))
+                };
+                for d in 0..3 {
+                    let layouts = [
+                        (&vol, narrow.face, wide.face),
+                        (&flux, narrow.flux_face, wide.flux_face),
+                    ];
+                    for (vol, four, eight) in layouts {
+                        let project = |face: FaceLayout| {
+                            let mut lo = vec![f64::NAN; face.len()];
+                            let mut hi = vec![f64::NAN; face.len()];
+                            project_dim(&narrow, vol, d, face, &mut lo, &mut hi);
+                            (lo, hi)
+                        };
+                        let ((lo4, hi4), (lo8, hi8)) = (project(four), project(eight));
+                        let kept = |v: &[f64], face: FaceLayout| node_rows(v, face.m_pad(), four.m);
+                        assert_eq!(kept(&lo4, four), kept(&lo8, eight), "{}", ctx("lo"));
+                        assert_eq!(kept(&hi4, four), kept(&hi8, eight), "{}", ctx("hi"));
+                    }
+                    for side in 0..2 {
+                        let ((star4, star8), (own4, own8)) = (flux_face(), flux_face());
+                        let (mut q4, mut q8) = (vol.clone(), vol.clone());
+                        apply_face(&narrow, d, side, &star4, &own4, &mut q4);
+                        apply_face(&wide, d, side, &star8, &own8, &mut q8);
+                        assert_eq!(bits(&q4), bits(&q8), "{}", ctx("apply_face"));
+                        assert_ne!(bits(&q4), bits(&vol), "{}", ctx("apply_face moves q"));
                     }
                 }
             }

@@ -70,10 +70,10 @@ pub struct StpOutputs {
     pub favg: [AlignedVec; 3],
     /// `q̄` projected onto the six faces (−x, +x, −y, +y, −z, +z), at
     /// [`StpPlan::face`].
-    pub qface: [AlignedVec; 6],
+    pub qface: [Box<[f64]>; 6],
     /// Normal time-integrated flux projected onto the six faces, at
     /// [`StpPlan::flux_face`] (evolved rows only).
-    pub fface: [AlignedVec; 6],
+    pub fface: [Box<[f64]>; 6],
 }
 
 impl StpOutputs {
@@ -94,21 +94,27 @@ impl StpOutputs {
 /// task: the twelve face traces the Riemann solve and the face lifts
 /// read. The volume tensors are consumed by the in-place volume update
 /// while still in cache and never stored per cell.
+///
+/// Face tensors are plain zeroed boxes, not 64-byte [`AlignedVec`]s: no
+/// face kernel needs the alignment (`SimdF64::load` is unaligned), and a
+/// zeroed `Vec` takes the allocator's `calloc` path, where an aligned
+/// zeroed allocation is `posix_memalign` plus a `memset` per tensor.
 #[derive(Debug)]
 pub(crate) struct FaceTraces {
     /// `q̄` on the six faces, as [`StpOutputs::qface`].
-    pub qface: [AlignedVec; 6],
+    pub qface: [Box<[f64]>; 6],
     /// Normal flux on the six faces, as [`StpOutputs::fface`].
-    pub fface: [AlignedVec; 6],
+    pub fface: [Box<[f64]>; 6],
 }
 
 impl FaceTraces {
     /// Allocates zeroed face traces matching `plan`.
     pub fn new(plan: &StpPlan) -> Self {
         let (face, flux) = (plan.face.len(), plan.flux_face.len());
+        let zeroed = |len: usize| vec![0.0; len].into_boxed_slice();
         Self {
-            qface: std::array::from_fn(|_| AlignedVec::zeroed(face)),
-            fface: std::array::from_fn(|_| AlignedVec::zeroed(flux)),
+            qface: std::array::from_fn(|_| zeroed(face)),
+            fface: std::array::from_fn(|_| zeroed(flux)),
         }
     }
 

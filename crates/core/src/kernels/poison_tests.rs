@@ -104,8 +104,9 @@ fn poison_outputs(out: &mut StpOutputs) {
         qface,
         fface,
     } = out;
-    let tensors = favg.iter_mut().chain(qface).chain(fface);
-    for t in tensors.chain([qavg]) {
+    let volume = favg.iter_mut().chain([qavg]).map(|t| &mut t[..]);
+    let faces = qface.iter_mut().chain(fface).map(|t| &mut t[..]);
+    for t in volume.chain(faces) {
         t.fill(f64::NAN);
     }
 }
@@ -125,9 +126,10 @@ fn check_flux_faces(case: &Case, out: &StpOutputs, ctx: &str) {
 }
 
 fn bits(out: &StpOutputs) -> Vec<u64> {
-    let tensors = out.favg.iter().chain(&out.qface).chain(&out.fface);
+    let faces = out.qface.iter().chain(&out.fface).map(|t| &t[..]);
+    let tensors = out.favg.iter().map(|t| &t[..]).chain(faces);
     tensors
-        .chain([&out.qavg])
+        .chain([&out.qavg[..]])
         .flat_map(|t| t.iter().map(|v| v.to_bits()))
         .collect()
 }

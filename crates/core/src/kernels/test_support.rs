@@ -5,7 +5,7 @@ use super::generic::GenericKernel;
 use super::{StpInputs, StpKernel, StpOutputs};
 use crate::plan::{CellSource, StpPlan};
 use aderdg_pde::LinearPde;
-use aderdg_tensor::{AlignedVec, Lcg};
+use aderdg_tensor::Lcg;
 
 /// A padded AoS state, every stored row uniform in `[-0.5, 0.5)` drawn
 /// node by node from `Lcg::new(seed)`; the padding stays zero.
@@ -32,12 +32,9 @@ pub(super) fn run(
 }
 
 /// Every output tensor, in a fixed order: `qavg`, `favg`, `qface`, `fface`.
-fn tensors(out: &StpOutputs) -> impl Iterator<Item = &AlignedVec> {
-    [&out.qavg]
-        .into_iter()
-        .chain(&out.favg)
-        .chain(&out.qface)
-        .chain(&out.fface)
+fn tensors(out: &StpOutputs) -> impl Iterator<Item = &[f64]> {
+    let volume = [&out.qavg].into_iter().chain(&out.favg).map(|t| &t[..]);
+    volume.chain(out.qface.iter().chain(&out.fface).map(|t| &t[..]))
 }
 
 /// Asserts every output tensor of `a` within `tol · (1 + |b|)` of `b`'s.

@@ -74,8 +74,9 @@ pub struct StpConfig {
     /// zero by the [`LinearPde`](aderdg_pde::LinearPde) contract). Sizes
     /// [`StpPlan::flux_face`]; must be at least the PDE's `num_vars()`.
     pub vars: usize,
-    /// SIMD level: the padding unit of every layout and the cap of the
-    /// GEMM tile and lane kernels (which run at most at [`Isa::detect`]).
+    /// SIMD level: the padding unit of the volume layouts (face layouts
+    /// pad to at most [`Isa::Avx2`]) and the cap of the GEMM tile and
+    /// lane kernels (which run at most at [`Isa::detect`]).
     pub width: Isa,
 }
 
@@ -116,10 +117,12 @@ pub struct StpPlan {
     /// AoSoA layout of the volume tensors (Sec. V variant).
     pub aosoa: DofLayout,
     /// Face-tensor layout of `q̄` traces: all `m` stored rows (the
-    /// Riemann solve reads the wavespeed from the parameter rows).
+    /// Riemann solve reads the wavespeed from the parameter rows), padded
+    /// to `min(width, Avx2)`: at most 4 doubles.
     pub face: FaceLayout,
     /// Face-tensor layout of every flux trace (`F̄` traces, `F*`): the
-    /// first `vars` rows only, padded — a flux's parameter rows are zero.
+    /// first `vars` rows only, padded as [`StpPlan::face`] — a flux's
+    /// parameter rows are zero.
     pub flux_face: FaceLayout,
     /// Reciprocal cell edge lengths the derivative operators are scaled by.
     pub inv_dx: [f64; 3],
@@ -220,8 +223,15 @@ impl StpPlan {
         let basis = Basis1d::new(n);
         let aos = DofLayout::aos(n, m, cfg.width);
         let aosoa = DofLayout::aosoa(n, m, cfg.width);
-        let face = FaceLayout::new(n, m, cfg.width);
-        let flux_face = FaceLayout::new(n, cfg.vars, cfg.width);
+        // Face tensors pad to at most 4 doubles: they stream between the
+        // step's tasks, so every padding row is memory traffic, and no
+        // face kernel needs more. The projection and the face lift give
+        // the same bits at every lane width (unfused, ordered), the
+        // Riemann solve is scalar, and `dispatch` runs a 4-row granule
+        // on the AVX2 body.
+        let face_width = cfg.width.min(Isa::Avx2);
+        let face = FaceLayout::new(n, m, face_width);
+        let flux_face = FaceLayout::new(n, cfg.vars, face_width);
         let inv_dx = [1.0 / dx[0], 1.0 / dx[1], 1.0 / dx[2]];
         let diff_t_padded = basis.diff_t_padded(aosoa.n_pad());
 
@@ -463,10 +473,11 @@ mod tests {
     #[test]
     fn flux_faces_pad_the_evolved_rows_only() {
         // Elastic: m = 21 stored, 9 evolved.
+        // Faces pad to at most 4 doubles, so AVX-512 keeps AVX2's faces.
         for (width, q_pad, f_pad) in [
             (Isa::Baseline, 22, 10),
             (Isa::Avx2, 24, 12),
-            (Isa::Avx512, 24, 16),
+            (Isa::Avx512, 24, 12),
         ] {
             let cfg = StpConfig::new(7, 21).with_width(width);
             assert_eq!(cfg.vars, 21, "every row evolves unless told otherwise");

@@ -1,9 +1,9 @@
 //! Cache-line-aligned `f64` buffers.
 //!
-//! All tensors used by the optimized kernels must be aligned to the SIMD
-//! register size so that every padded slice starts on an aligned address
-//! (paper, Sec. III-A). We align to 64 bytes, which covers AVX-512 registers
-//! and the cache-line size used throughout the performance model.
+//! The volume tensors and scratch of the optimized kernels are aligned to
+//! the SIMD register size so that every padded slice starts on an aligned
+//! address (paper, Sec. III-A). We align to 64 bytes, which covers AVX-512
+//! registers and the cache-line size used throughout the performance model.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::fmt;

@@ -55,8 +55,9 @@ fn aosoa_matches_generic_on_every_supported_backend() {
             };
             let (want, got) = (run(generic), run(aosoa));
             let tensors = |o: &StpOutputs| -> Vec<f64> {
-                let all = o.favg.iter().chain(&o.qface).chain(&o.fface);
-                all.chain([&o.qavg]).flat_map(|t| t.to_vec()).collect()
+                let faces = o.qface.iter().chain(&o.fface).map(|t| &t[..]);
+                let all = o.favg.iter().map(|t| &t[..]).chain(faces);
+                all.chain([&o.qavg[..]]).flat_map(|t| t.to_vec()).collect()
             };
             for (i, (a, b)) in tensors(&got).iter().zip(&tensors(&want)).enumerate() {
                 assert!(

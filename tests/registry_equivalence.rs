@@ -97,11 +97,12 @@ fn plane_wave_state(plan: &StpPlan, phase: f64) -> Vec<f64> {
 
 /// Every output tensor's bits, in a fixed order.
 fn output_bits(out: &StpOutputs) -> Vec<u64> {
+    let faces = out.qface.iter().chain(&out.fface).map(|t| &t[..]);
     [&out.qavg]
         .into_iter()
         .chain(&out.favg)
-        .chain(&out.qface)
-        .chain(&out.fface)
+        .map(|t| &t[..])
+        .chain(faces)
         .flat_map(|t| t.iter().map(|v| v.to_bits()))
         .collect()
 }
