@@ -322,16 +322,23 @@ fn summary_header_names_the_stepping_mode() {
         };
         let summary = execute_run(&run).unwrap();
         assert_eq!(summary.stepping, stepping);
-        render_summary(&summary).lines().next().unwrap().to_string()
+        let header = render_summary(&summary).lines().next().unwrap().to_string();
+        (header, summary.lts_levels)
     };
-    let global = header(SteppingMode::Global);
-    let lts = header(SteppingMode::Lts);
+    let (global, one) = header(SteppingMode::Global);
+    let (lts, levels) = header(SteppingMode::Lts);
+    assert_eq!(one, 1, "global stepping is one cluster");
+    assert!(
+        levels > 1,
+        "the layered medium clusters into {levels} level(s)"
+    );
     assert!(global.ends_with(", stepping global"), "{global}");
-    assert!(lts.ends_with(", stepping lts"), "{lts}");
+    let mode = format!("lts ({levels} levels)");
+    assert!(lts.ends_with(&format!(", stepping {mode}")), "{lts}");
     assert_eq!(
         global.trim_end_matches("global"),
-        lts.trim_end_matches("lts"),
-        "the mode is all that tells the two headers apart"
+        lts.trim_end_matches(&mode),
+        "the mode and its level count are all that tell the two headers apart"
     );
 }
 

@@ -27,7 +27,7 @@ use aderdg_pde::LinearPde;
 use aderdg_tensor::simd::{dispatch, LaneKernel, SimdF64};
 use aderdg_tensor::AlignedVec;
 
-/// Scratch buffers of the corrector (one per worker thread).
+/// Scratch buffers of the corrector (one per thread that steps).
 #[derive(Debug, Clone)]
 pub struct CorrectorScratch {
     /// Derivative of a time-averaged flux tensor.

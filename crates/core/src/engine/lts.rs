@@ -48,10 +48,11 @@ pub(super) fn sub_window_trace<'a>(
 }
 
 /// One face-trace temp pair for the second sub-window's difference (at
-/// most one side of a face is ever coarse). The halo half-window
-/// predictor runs need no scratch of their own: they reuse the worker's
-/// block scratch, which every kernel's `run` accepts (the
-/// `make_block_scratch` contract), and its first [`StpOutputs`].
+/// most one side of a face is ever coarse), built on a thread's first
+/// cadence-mismatched face. The halo half-window predictor runs need no
+/// scratch of their own: they reuse the thread's block scratch, which
+/// every kernel's `run` accepts (the `make_block_scratch` contract), and
+/// its first [`StpOutputs`].
 pub(super) struct HaloScratch {
     qtmp: Vec<f64>,
     ftmp: Vec<f64>,

@@ -25,8 +25,8 @@
 //! The code follows the same split. This file holds the configuration
 //! types, [`Engine`] and its public API; `plan` builds, caches and drops
 //! the graph plan (shard partition, task graph, face-flux storage);
-//! `tasks` is the step body — per-worker scratch and the predict / flux
-//! / apply functions the scheduler runs; `lts` holds what only a
+//! `tasks` is the step body — the per-thread scratch and the predict /
+//! flux / apply functions the scheduler runs; `lts` holds what only a
 //! multi-level plan needs (sub-window face traces, their worker temps,
 //! the per-cluster clocks).
 
@@ -996,28 +996,33 @@ mod tests {
     fn one_level_plans_allocate_no_halo_storage_and_two_level_plans_do() {
         // Halo storage is what one-cluster stepping must not pay for: the
         // half-window traces are twelve face tensors per coarse
-        // interface cell.
+        // interface cell. The three engines share one scratch shape, and
+        // the two-level one comes last: this thread's scratch, reused
+        // across all three, builds its sub-window trace temps only then.
         for (stepping, bulk_lo, levels) in [
             (SteppingMode::Global, 4.0, 1),
             (SteppingMode::Lts, 1.0, 1),
             (SteppingMode::Lts, 4.0, 2),
         ] {
-            let engine = layered_engine(stepping, bulk_lo);
+            let mut engine = layered_engine(stepping, bulk_lo);
             let gp = engine.graph_plan();
             let label = format!("{stepping:?}, bulk {bulk_lo}");
             assert_eq!(gp.plan.num_levels(), levels, "{label}");
             let ns = gp.plan.num_shards();
             assert_eq!(gp.f_star.len(), ns, "{label}");
-            let scratch = GraphScratch::new(
-                &engine.plan,
-                engine.config.kernel,
-                engine.block_size,
-                &gp.plan,
-            );
+            let scratch = GraphScratch::new(&engine.plan, engine.config.kernel, engine.block_size);
+            assert!(scratch.halo.is_none(), "{label}: built on first need");
+            // A one-task batch runs inline on this thread, and so does
+            // the step's graph nested in it: the step uses this thread's
+            // scratch whatever the pool size.
+            let dt = engine.max_dt() * 0.5;
+            crate::par::for_each_mut(std::slice::from_mut(&mut engine), |_, e| e.step(dt));
+            let built = super::tasks::thread_scratch_has_halo();
+            assert_eq!(built, Some(levels > 1), "{label}: sub-window trace temps");
+            let gp = engine.graph_plan();
             if levels == 1 {
                 assert!(gp.f_star_acc.is_empty(), "{label}: accumulator storage");
                 assert!(gp.halo.is_empty(), "{label}: halo outputs");
-                assert!(scratch.halo.is_none(), "{label}: sub-window trace temps");
             } else {
                 assert_eq!(gp.f_star_acc.len(), ns, "{label}");
                 assert_eq!(gp.halo.len(), ns, "{label}");
@@ -1030,7 +1035,6 @@ mod tests {
                     halo_cells > 0,
                     "{label}: coarse cells border the fine layer"
                 );
-                assert!(scratch.halo.is_some(), "{label}");
             }
         }
     }

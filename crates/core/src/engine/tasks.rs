@@ -1,6 +1,8 @@
 //! The graph driver's tasks: one macro cycle of Predict / Flux / Apply
 //! tasks over the plan's shards ([`LtsTask`]), run on the dependency
-//! scheduler with one [`GraphScratch`] per worker.
+//! scheduler. Predict and Flux borrow their thread's [`GraphScratch`],
+//! which lives as long as the thread and is rebuilt only when a step of
+//! another shape comes along.
 
 use super::lts::{sub_window_trace, HaloScratch};
 use super::plan::{shard_slices, HaloShard};
@@ -9,50 +11,74 @@ use crate::block::{BlockInputs, CellBlock};
 use crate::corrector::{apply_face, apply_volume, CorrectorScratch};
 use crate::kernels::{FaceTraces, StpInputs, StpKernel, StpOutputs, StpScratch};
 use crate::par;
-use crate::plan::{CellSource, StpPlan};
+use crate::plan::{CellSource, StpConfig, StpPlan};
 use crate::riemann::{boundary_face, rusanov_face, BoundaryScratch};
 use aderdg_mesh::{Face, FaceTopo, LtsGraph, LtsTask, ShardPlan};
 use aderdg_pde::LinearPde;
 use aderdg_tensor::AlignedVec;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, RwLock};
 
-/// Per-worker scratch of the graph driver (one per scheduler worker,
-/// reused across that worker's tasks).
-pub(super) struct GraphScratch<'a> {
+/// One thread's scratch of the graph driver, reused across that thread's
+/// tasks and steps. Every buffer is sized by the plan's [`StpConfig`]
+/// alone and holds no value of the plan it last ran under, so one
+/// scratch serves every engine of its [`Shape`].
+pub(super) struct GraphScratch {
     stp: Box<dyn StpScratch>,
     block: CellBlock,
-    sources: Vec<Option<&'a CellSource>>,
-    /// The full predictor outputs of the block in flight (`block_size`
-    /// of them). Each cell's own face buffers are swapped in before the
-    /// kernel runs and back out after the volume update, so only the
-    /// volume tensors are the worker's.
+    /// The predictor outputs of the block in flight (`block_size` of
+    /// them), volume tensors only: each cell's own face buffers are
+    /// swapped in before the kernel runs and back out after the volume
+    /// update.
     outs: Vec<StpOutputs>,
     corr: CorrectorScratch,
     boundary: BoundaryScratch,
-    /// Sub-window trace temps; `None` for a one-level plan, which never
-    /// composes a sub-window trace.
+    /// Sub-window trace temps, built on the first cadence-mismatched
+    /// face this thread solves: a one-level plan never composes a
+    /// sub-window trace, and a scratch built under one may later serve
+    /// an LTS plan.
     pub(super) halo: Option<HaloScratch>,
 }
 
-impl GraphScratch<'_> {
-    /// One scheduler worker's scratch for stepping `splan`.
-    pub(super) fn new(
-        plan: &StpPlan,
-        kernel: &dyn StpKernel,
-        bsize: usize,
-        splan: &ShardPlan,
-    ) -> Self {
+impl GraphScratch {
+    /// One thread's scratch for predictor blocks of `bsize` cells of
+    /// `kernel` under `plan`.
+    pub(super) fn new(plan: &StpPlan, kernel: &dyn StpKernel, bsize: usize) -> Self {
         Self {
             stp: kernel.make_block_scratch(plan, bsize),
             block: CellBlock::new(plan, bsize),
-            sources: Vec::with_capacity(bsize),
-            outs: (0..bsize).map(|_| StpOutputs::new(plan)).collect(),
+            outs: (0..bsize).map(|_| StpOutputs::volume_only(plan)).collect(),
             corr: CorrectorScratch::new(plan),
             boundary: BoundaryScratch::new(plan),
-            halo: (splan.num_levels() > 1).then(|| HaloScratch::new(plan)),
+            halo: None,
         }
     }
+}
+
+/// What a [`GraphScratch`] is built for: the kernel (by its registry
+/// name, which tells kernels apart), the plan's size configuration and
+/// the predictor block size.
+#[derive(Clone, Copy, PartialEq)]
+struct Shape {
+    kernel: &'static str,
+    cfg: StpConfig,
+    bsize: usize,
+}
+
+thread_local! {
+    /// This thread's graph-driver scratch and the shape it was built
+    /// for. A pool worker keeps the scratch of the last shape it stepped
+    /// until the pool is rebuilt; the one-thread and nested paths use
+    /// the calling thread's slot.
+    static SCRATCH: RefCell<Option<(Shape, GraphScratch)>> = const { RefCell::new(None) };
+}
+
+/// Whether this thread's scratch exists and holds sub-window trace
+/// temps (`None`: no scratch yet).
+#[cfg(test)]
+pub(super) fn thread_scratch_has_halo() -> Option<bool> {
+    SCRATCH.with_borrow(|slot| slot.as_ref().map(|(_, ws)| ws.halo.is_some()))
 }
 
 /// Looks up a shard's lock guard in a small sorted `(shard, guard)` list
@@ -175,10 +201,10 @@ impl<P: LinearPde> Engine<P> {
         par::run_graph_init(
             graph.indegree(),
             graph.dependents(),
-            || GraphScratch::new(ctx.plan, ctx.kernel, ctx.bsize, splan),
-            |ws, task| match graph.task(task) {
-                LtsTask::Predict { shard, .. } => ctx.predict(ws, shard),
-                LtsTask::Flux { shard, sweep } => ctx.flux(ws, shard, sweep),
+            || (),
+            |(), task| match graph.task(task) {
+                LtsTask::Predict { shard, .. } => ctx.with_scratch(|ws| ctx.predict(ws, shard)),
+                LtsTask::Flux { shard, sweep } => ctx.with_scratch(|ws| ctx.flux(ws, shard, sweep)),
                 LtsTask::Apply { shard, .. } => ctx.apply(shard),
             },
         );
@@ -187,10 +213,30 @@ impl<P: LinearPde> Engine<P> {
 }
 
 impl<'a, P: LinearPde> StepCtx<'a, P> {
+    /// Runs `f` on this thread's scratch, first building it if the slot
+    /// is empty or holds another shape. The old scratch is dropped before
+    /// the new one is built, so a thread never holds two.
+    fn with_scratch(&self, f: impl FnOnce(&mut GraphScratch)) {
+        let shape = Shape {
+            kernel: self.kernel.name(),
+            cfg: self.plan.cfg,
+            bsize: self.bsize,
+        };
+        SCRATCH.with_borrow_mut(|slot| {
+            if slot.as_ref().map_or(true, |(s, _)| *s != shape) {
+                *slot = None;
+            }
+            let (_, ws) = slot.get_or_insert_with(|| {
+                (shape, GraphScratch::new(self.plan, self.kernel, self.bsize))
+            });
+            f(ws);
+        });
+    }
+
     /// Predict: the predictor over the shard's cells at the cluster's own
     /// sub-step, in predictor blocks, each block's volume update applied
     /// in place; before that, half-window runs for halo cells.
-    fn predict(&self, ws: &mut GraphScratch<'a>, s: usize) {
+    fn predict(&self, ws: &mut GraphScratch, s: usize) {
         let StepCtx {
             plan,
             pde,
@@ -237,6 +283,7 @@ impl<'a, P: LinearPde> StepCtx<'a, P> {
                 h.swap(out);
             }
         }
+        let mut sources = Vec::with_capacity(bsize);
         let blocks = state.chunks_mut(bsize).zip(traces.chunks_mut(bsize));
         for (bi, (qs, ts)) in blocks.enumerate() {
             let first = range.start + bi * bsize;
@@ -244,9 +291,8 @@ impl<'a, P: LinearPde> StepCtx<'a, P> {
             for q in qs.iter() {
                 ws.block.push(q);
             }
-            ws.sources.clear();
-            ws.sources
-                .extend((0..qs.len()).map(|i| cell_sources.get(&(first + i))));
+            sources.clear();
+            sources.extend((0..qs.len()).map(|i| cell_sources.get(&(first + i))));
             let outs = &mut ws.outs[..qs.len()];
             for (t, out) in ts.iter_mut().zip(outs.iter_mut()) {
                 t.swap(out);
@@ -255,7 +301,7 @@ impl<'a, P: LinearPde> StepCtx<'a, P> {
                 plan,
                 pde,
                 ws.stp.as_mut(),
-                &BlockInputs::new(&ws.block, dt_s, &ws.sources),
+                &BlockInputs::new(&ws.block, dt_s, &sources),
                 outs,
             );
             for ((t, out), q) in ts.iter_mut().zip(outs.iter_mut()).zip(qs) {
@@ -268,7 +314,7 @@ impl<'a, P: LinearPde> StepCtx<'a, P> {
     /// Flux: the once-per-face sweep over the shard's owned faces *due at
     /// this sweep's slot*, into the shard's dense F* segment (and the
     /// coarse-window accumulator for mismatched faces).
-    fn flux(&self, ws: &mut GraphScratch<'a>, s: usize, sweep: usize) {
+    fn flux(&self, ws: &mut GraphScratch, s: usize, sweep: usize) {
         let StepCtx {
             plan,
             pde,
@@ -344,11 +390,7 @@ impl<'a, P: LinearPde> StepCtx<'a, P> {
                             // halo slot for every coarse cell
                             // bordering a finer face.
                             .expect("halo slot for coarse cell");
-                        // PANIC-OK: internal invariant — a
-                        // mismatched face implies a
-                        // multi-level plan, whose workers
-                        // carry halo scratch.
-                        let hs = ws.halo.as_mut().expect("halo scratch");
+                        let hs = ws.halo.get_or_insert_with(|| HaloScratch::new(plan));
                         let composed = sub_window_trace(plan, hs, full, &h.half[hi], fi, sub);
                         if lo_mis {
                             left = composed;

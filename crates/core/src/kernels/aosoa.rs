@@ -44,10 +44,11 @@ pub struct AosoaScratch {
     grad_q: AlignedVec,
     /// Time-averaged state in AoSoA (transposed to AoS on exit).
     qavg_h: AlignedVec,
-    /// [`StpPlan::aosoa_flux_gemms`] of the plan this scratch was made
-    /// for, keyed by the PDE's evolved-row count (the plan does not know
-    /// it; built on first use).
-    flux_gemms: Option<(usize, [Gemm; 3])>,
+    /// [`StpPlan::aosoa_flux_gemms`] of the last plan this scratch ran
+    /// under, built on first use and rebuilt whenever a run's plan
+    /// differs in what they bake in (see [`flux_gemms_fit`]), so one
+    /// scratch serves every plan of its [`StpConfig`](crate::plan::StpConfig).
+    flux_gemms: Option<[Gemm; 3]>,
 }
 
 impl AosoaScratch {
@@ -114,6 +115,21 @@ fn derive_gemm_aosoa(plan: &StpPlan, d: usize, cells: usize, src: &[f64], dst: &
         let batch = GemmBatch::shared_a(cells * batches, stride, stride);
         gemm.execute_batched(&batch, &plan.basis.diff, src, dst);
     }
+}
+
+/// True if `gemms` are what [`StpPlan::aosoa_flux_gemms`] builds for
+/// `plan` and `vars`: the same evolved-row count (the PDE's, which the
+/// plan does not know), the same derivative scalings `alpha = inv_dx[d]`
+/// and the same GEMM backend. Everything else they bake in (shapes,
+/// strides, packed operators) follows from the plan's `StpConfig`, which
+/// a scratch is sized for.
+fn flux_gemms_fit(gemms: &[Gemm; 3], plan: &StpPlan, vars: usize) -> bool {
+    gemms[0].spec().m == vars
+        && gemms
+            .iter()
+            .zip(plan.inv_dx)
+            .all(|(g, a)| g.spec().alpha == a)
+        && gemms[0].backend().name() == plan.gemm_backend().name()
 }
 
 /// Derivative along `d` of the evolved rows of `cells` stacked flux
@@ -294,13 +310,9 @@ fn stp_aosoa_cells(
         ..
     } = scratch;
     let gemms = match flux_gemms {
-        Some((rows, gemms)) if *rows == vars => gemms,
-        slot => &slot.insert((vars, plan.aosoa_flux_gemms(vars))).1,
+        Some(gemms) if flux_gemms_fit(gemms, plan, vars) => gemms,
+        slot => slot.insert(plan.aosoa_flux_gemms(vars)),
     };
-    debug_assert!(
-        gemms[0].spec().alpha == plan.inv_dx[0],
-        "another plan's scratch"
-    );
     // Evolved rows of every staged (k3, k2) block, as one lane kernel call.
     let axpy = |c: f64, x: &[f64], y: &mut [f64], accumulate: bool| {
         let rows = RowsAxpy {

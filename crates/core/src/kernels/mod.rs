@@ -79,13 +79,24 @@ pub struct StpOutputs {
 impl StpOutputs {
     /// Allocates zeroed output buffers matching `plan`.
     pub fn new(plan: &StpPlan) -> Self {
-        let vol = plan.aos.len();
         let FaceTraces { qface, fface } = FaceTraces::new(plan);
+        Self {
+            qface,
+            fface,
+            ..Self::volume_only(plan)
+        }
+    }
+
+    /// Zeroed volume tensors matching `plan`, with empty face boxes: the
+    /// graph driver's per-thread outputs, into which each cell's own
+    /// [`FaceTraces`] are swapped before a kernel writes them.
+    pub(crate) fn volume_only(plan: &StpPlan) -> Self {
+        let vol = plan.aos.len();
         Self {
             qavg: AlignedVec::zeroed(vol),
             favg: std::array::from_fn(|_| AlignedVec::zeroed(vol)),
-            qface,
-            fface,
+            qface: Default::default(),
+            fface: Default::default(),
         }
     }
 }
@@ -190,6 +201,12 @@ pub trait StpKernel: Send + Sync {
     }
 
     /// Allocates this kernel's scratch buffers for `plan`.
+    ///
+    /// Contract: the scratch serves every plan with the same
+    /// [`StpConfig`](crate::plan::StpConfig) bitwise as a fresh one, so
+    /// it may cache nothing else of `plan` (cell size, GEMM backend)
+    /// without checking it on each run — the graph driver keeps one
+    /// block scratch per thread and reuses it across engines.
     fn make_scratch(&self, plan: &StpPlan) -> Box<dyn StpScratch>;
 
     /// Runs the predictor. `scratch` must come from this kernel's

@@ -247,3 +247,49 @@ fn poisoned_scratch_and_outputs_reproduce_a_clean_run_bitwise() {
         }
     }
 }
+
+/// No kernel scratch carries values of the plan it ran under: a scratch
+/// used under plan A (dx = 1) and then run under plan B (the same
+/// `StpConfig`, dx = 0.5) reproduces a fresh scratch's run under B bit
+/// for bit — per cell and per block. The graph driver keeps one scratch
+/// per thread and `StpConfig`, which serves engines of different cell
+/// sizes in turn.
+#[test]
+fn scratch_used_under_another_plan_reproduces_a_fresh_run_bitwise() {
+    for case in cases() {
+        let cfg = case.plan.cfg;
+        let (a, b) = (StpPlan::new(cfg, [1.0; 3]), StpPlan::new(cfg, [0.5; 3]));
+        let pde = case.pde.as_ref();
+        let sources: Vec<Option<&CellSource>> = (0..CELLS).map(|c| case.source(c)).collect();
+        let mut block = CellBlock::new(&b, CELLS);
+        for q0 in &case.states {
+            block.push(q0);
+        }
+        let inputs = BlockInputs::new(&block, DT, &sources);
+        for &kernel in KernelRegistry::global().kernels() {
+            let ctx = |what: &str| format!("{} {} {what}", kernel.name(), case.name);
+            let run_block = |scratch: &mut dyn StpScratch, plan: &StpPlan| {
+                let mut outs: Vec<StpOutputs> = (0..CELLS).map(|_| StpOutputs::new(plan)).collect();
+                kernel.run_block(plan, pde, scratch, &inputs, &mut outs);
+                outs.iter().map(bits).collect::<Vec<_>>()
+            };
+            let want = run_block(kernel.make_block_scratch(&b, CELLS).as_mut(), &b);
+            let mut used = kernel.make_block_scratch(&a, CELLS);
+            let under_a = run_block(used.as_mut(), &a);
+            assert!(under_a != want, "{}", ctx("the plans must differ"));
+            assert!(run_block(used.as_mut(), &b) == want, "{}", ctx("run_block"));
+
+            let run_cell = |scratch: &mut dyn StpScratch, plan: &StpPlan, c: usize| {
+                let mut out = StpOutputs::new(plan);
+                kernel.run(plan, pde, scratch, &inputs.cell_inputs(c), &mut out);
+                bits(&out)
+            };
+            let mut used = kernel.make_scratch(&a);
+            for c in 0..CELLS {
+                let want = run_cell(kernel.make_scratch(&b).as_mut(), &b, c);
+                run_cell(used.as_mut(), &a, c);
+                assert!(run_cell(used.as_mut(), &b, c) == want, "{}", ctx("run"));
+            }
+        }
+    }
+}

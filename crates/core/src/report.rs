@@ -2,11 +2,17 @@
 //! `aderdg-run` and `aderdg-serve` so a job fetched over the wire looks
 //! exactly like a local run.
 
+use crate::engine::SteppingMode;
 use crate::scenario::RunSummary;
 use std::io::Write;
 
 /// Renders the human-readable run report.
 pub fn render_summary(s: &RunSummary) -> String {
+    let stepping = match (s.stepping, s.lts_levels) {
+        (SteppingMode::Global, _) => "global".to_string(),
+        (SteppingMode::Lts, 1) => "lts (1 level)".to_string(),
+        (SteppingMode::Lts, n) => format!("lts ({n} levels)"),
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "scenario {} [{}]: order {}, {}x{}x{} cells ({}), kernel {}, stepping {}\n",
@@ -18,7 +24,7 @@ pub fn render_summary(s: &RunSummary) -> String {
         s.cells[2],
         s.num_cells,
         s.kernel,
-        s.stepping.as_str(),
+        stepping,
     ));
     out.push_str(&format!("tune: {}\n", s.tune));
     out.push_str(&format!(

@@ -344,6 +344,10 @@ pub struct RunSummary {
     pub kernel: &'static str,
     /// Time-stepping strategy the run used.
     pub stepping: SteppingMode,
+    /// Cluster levels of the partition the run last stepped with: 1
+    /// under global stepping, and under LTS on a mesh whose time steps
+    /// cluster into one level.
+    pub lts_levels: usize,
     /// Resolved predictor block size (tuner pick or override).
     pub block_size: usize,
     /// Chosen GEMM backend (from the tune report).
@@ -839,6 +843,7 @@ where
         num_cells,
         kernel: engine.config.kernel.name(),
         stepping: engine.config.stepping,
+        lts_levels: engine.lts_plan().num_levels(),
         block_size: engine.block_size(),
         backend: tune.backend,
         tune: format!(

@@ -10,6 +10,7 @@
 //! the shard scheduler and the chunked reductions against
 //! accumulation-order drift.
 
+use aderdg::core::registry::KernelRegistry;
 use aderdg::core::{par, Engine, EngineConfig};
 use aderdg::mesh::StructuredMesh;
 use aderdg::pde::{Acoustic, PointSource, SourceTimeFunction};
@@ -23,7 +24,13 @@ static THREAD_KNOB: Mutex<()> = Mutex::new(());
 /// count and returns the full evolved state, bit-exact.
 fn run_with(threads: usize, config: EngineConfig) -> Vec<u64> {
     par::set_num_threads(threads);
-    let mesh = StructuredMesh::unit_cube(3);
+    three_steps(3, config)
+}
+
+/// The seeded acoustic problem with a point source on a unit cube of
+/// `cells³` cells.
+fn seeded_engine(cells: usize, config: EngineConfig) -> Engine<Acoustic> {
+    let mesh = StructuredMesh::unit_cube(cells);
     let mut engine = Engine::new(mesh, Acoustic, config);
     // Smooth deterministic initial data (a function of position only, so
     // every thread count computes identical node values).
@@ -43,14 +50,35 @@ fn run_with(threads: usize, config: EngineConfig) -> Vec<u64> {
             frequency: 6.0,
         },
     });
+    engine
+}
+
+/// The full evolved state, bit-exact.
+fn state_bits(engine: &Engine<Acoustic>) -> Vec<u64> {
+    (0..engine.mesh.num_cells())
+        .flat_map(|c| engine.cell_state(c).iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+/// Three steps of the seeded problem on `cells³` cells, bit-exact.
+fn three_steps(cells: usize, config: EngineConfig) -> Vec<u64> {
+    let mut engine = seeded_engine(cells, config);
     let dt = engine.max_dt() * 0.5;
     assert!(dt.is_finite() && dt > 0.0);
     for _ in 0..3 {
         engine.step(dt);
     }
-    (0..engine.mesh.num_cells())
-        .flat_map(|c| engine.cell_state(c).iter().map(|v| v.to_bits()))
-        .collect()
+    state_bits(&engine)
+}
+
+/// Runs `f` on a new thread after replacing the pool's workers, so that
+/// no thread `f` steps on holds a graph-driver scratch yet.
+fn on_fresh_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
+    // A resize joins the old workers (their scratch goes with them); the
+    // pool is rebuilt at `threads` on the next parallel call.
+    par::set_num_threads(threads + 1);
+    par::set_num_threads(threads);
+    std::thread::scope(|s| s.spawn(f).join().unwrap())
 }
 
 /// Asserts `config` produces bit-identical evolved states at 1, 4 and 16
@@ -127,6 +155,61 @@ fn max_dt_bit_identical_across_thread_counts() {
     let reference = dt_at(1);
     for threads in [4, 16] {
         assert_eq!(dt_at(threads), reference, "max_dt drifted at {threads}");
+    }
+    par::set_num_threads(before);
+}
+
+#[test]
+fn scratch_reuse_across_engines_matches_a_fresh_thread() {
+    // Each thread keeps the graph driver's scratch of the last kernel,
+    // `StpConfig` and block size it stepped. An engine on 2³ cells after
+    // one on 4³ with the same order, kernel and block size reuses it
+    // under another cell size (another plan), and must not see a bit of
+    // that plan: every kernel, on the one-thread path (the calling
+    // thread's scratch) and on the pool (the workers').
+    let _guard = THREAD_KNOB.lock().unwrap();
+    let before = par::num_threads();
+    for &kernel in KernelRegistry::global().kernels() {
+        // A fixed block size: the tuner may pick another per mesh, which
+        // would rebuild the scratch instead of reusing it.
+        let config = EngineConfig::new(3).with_kernel(kernel).with_block_size(4);
+        for threads in [1, 2] {
+            let label = format!("{} at {threads} thread(s)", kernel.name());
+            let fresh = on_fresh_threads(threads, || three_steps(2, config));
+            let reused = on_fresh_threads(threads, || {
+                three_steps(4, config);
+                three_steps(2, config)
+            });
+            let diffs = reused.iter().zip(&fresh).filter(|(a, b)| a != b).count();
+            assert_eq!(
+                diffs, 0,
+                "{label}: {diffs} doubles differ from a fresh thread"
+            );
+        }
+    }
+    par::set_num_threads(before);
+}
+
+#[test]
+fn scratch_reuse_across_thread_counts_matches_one_thread() {
+    // One engine whose pool is resized between steps: every step runs on
+    // other threads than the last, with scratch built anew or kept.
+    let _guard = THREAD_KNOB.lock().unwrap();
+    let before = par::num_threads();
+    for &kernel in KernelRegistry::global().kernels() {
+        let config = EngineConfig::new(3).with_kernel(kernel);
+        let reference = run_with(1, config);
+        let mut engine = seeded_engine(3, config);
+        let dt = engine.max_dt() * 0.5;
+        for threads in [1, 2, 4] {
+            par::set_num_threads(threads);
+            engine.step(dt);
+        }
+        let label = kernel.name();
+        assert!(
+            state_bits(&engine) == reference,
+            "{label}: 1 → 2 → 4 threads"
+        );
     }
     par::set_num_threads(before);
 }
